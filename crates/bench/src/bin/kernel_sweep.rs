@@ -17,9 +17,8 @@
 //! Rows: `ntt_forward` / `ntt_inverse` at `n ∈ {2^10, 2^13}`,
 //! `external_product` at `n = 2^13` over the paper's gadget (`d = 2`,
 //! base `2^18`), and `blind_rotate` swept over the LWE mask length
-//! `n_mask ∈ {4, 8, 16, 32}` on **both** blind-rotate backends (`cmux`
-//! and `auto`), each row carrying the seed-expandable wire size of its
-//! backend's rotation key, plus the key-major batch schedule.
+//! `n_mask ∈ {4, 8, 16, 32}`, each row carrying the seed-expandable wire
+//! size of its rotation key, plus the key-major batch schedule.
 //!
 //! Every pair of tiers is also asserted bit-identical here, so a speedup
 //! row can never come from a divergent datapath (the exhaustive parity
@@ -38,9 +37,9 @@ use heap_math::{Modulus, RnsContext};
 use heap_tfhe::lwe::LweSecretKey;
 use heap_tfhe::rlwe::{RingSecretKey, RlweCiphertext};
 use heap_tfhe::{
-    abk_wire_size, brk_wire_size, external_product_into, external_product_prepared_into,
-    external_product_reference, test_polynomial_from_fn, AutoBlindRotateKey, BlindRotateKey,
-    ExternalProductScratch, LweCiphertext, PreparedRgsw, RgswCiphertext, RgswParams,
+    brk_wire_size, external_product_into, external_product_prepared_into,
+    external_product_reference, test_polynomial_from_fn, BlindRotateKey, ExternalProductScratch,
+    LweCiphertext, PreparedRgsw, RgswCiphertext, RgswParams,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,10 +50,8 @@ struct Row {
     n: usize,
     /// LWE mask length for the blind-rotate rows (0 elsewhere).
     n_mask: usize,
-    /// Blind-rotate datapath for the rotation rows (`"-"` elsewhere).
-    backend: &'static str,
-    /// Seed-expandable wire size of the backend's rotation key (0 when
-    /// the row has no key).
+    /// Seed-expandable wire size of the rotation key (0 when the row has
+    /// no key).
     key_bytes: usize,
     ops: usize,
     reference_ns: f64,
@@ -90,11 +87,10 @@ fn measure_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
 
 fn print_row(r: &Row) {
     println!(
-        "{:<28} {:>6} {:>6} {:>7} {:>9} {:>5} {:>13.0} {:>13.0} {:>13.0} {:>8.2}x {:>8.2}x",
+        "{:<28} {:>6} {:>6} {:>9} {:>5} {:>13.0} {:>13.0} {:>13.0} {:>8.2}x {:>8.2}x",
         r.kernel,
         r.n,
         r.n_mask,
-        r.backend,
         r.key_bytes,
         r.ops,
         r.reference_ns,
@@ -136,7 +132,6 @@ fn ntt_rows(n: usize, rows: &mut Vec<Row>) {
         kernel: "ntt_forward",
         n,
         n_mask: 0,
-        backend: "-",
         key_bytes: 0,
         ops: 1,
         reference_ns,
@@ -150,7 +145,6 @@ fn ntt_rows(n: usize, rows: &mut Vec<Row>) {
         kernel: "ntt_inverse",
         n,
         n_mask: 0,
-        backend: "-",
         key_bytes: 0,
         ops: 1,
         reference_ns,
@@ -168,11 +162,10 @@ fn main() {
     println!("kernel_sweep: single-threaded, host cores = {host_cores}, simd backend = {backend}");
     println!();
     println!(
-        "{:<28} {:>6} {:>6} {:>7} {:>9} {:>5} {:>13} {:>13} {:>13} {:>9} {:>9}",
+        "{:<28} {:>6} {:>6} {:>9} {:>5} {:>13} {:>13} {:>13} {:>9} {:>9}",
         "kernel",
         "n",
         "n_mask",
-        "backend",
         "key B",
         "ops",
         "reference ns",
@@ -235,7 +228,6 @@ fn main() {
         kernel: "external_product",
         n,
         n_mask: 0,
-        backend: "-",
         key_bytes: 0,
         ops: 1,
         reference_ns,
@@ -243,22 +235,16 @@ fn main() {
         simd_ns,
     });
 
-    // Blind-rotate backend rows: the mask length is swept and both
-    // datapaths (per-element CMUX ladder vs dlog-bucketed automorphism
-    // walk) run the same rotations, each with the seed-expandable wire
-    // size of its own key. The strict CMUX rotation is the shared
-    // `reference` tier — the auto backend is decrypt-equivalent, not
-    // bit-identical, so its parity is asserted against itself (native vs
-    // forced-scalar) and proven against the oracle in
-    // `tests/auto_parity.rs`. SIMD is toggled around the whole rotation,
-    // so the scalar tier runs the scalar lazy NTT + u128 MAC end to end.
+    // Blind-rotate rows: the mask length is swept, each row with the
+    // seed-expandable wire size of its key. SIMD is toggled around the
+    // whole rotation, so the scalar tier runs the scalar lazy NTT + u128
+    // MAC end to end.
     let two_n = 2 * n as u64;
     let f = test_polynomial_from_fn(&ctx, limbs, |u| u << 40);
     let moduli: Vec<u64> = (0..limbs).map(|j| ctx.modulus(j).value()).collect();
     for n_mask in [4usize, 8, 16, 32] {
         let lwe_sk = LweSecretKey::generate(&mut rng, n_mask);
         let brk = BlindRotateKey::generate(&ctx, &lwe_sk, &ring_sk, limbs, params, &mut rng);
-        let abk = AutoBlindRotateKey::generate(&ctx, &lwe_sk, &ring_sk, limbs, params, &mut rng);
         let lwe = LweCiphertext {
             a: (0..n_mask).map(|_| rng.gen_range(0..two_n)).collect(),
             b: rng.gen_range(0..two_n),
@@ -286,43 +272,15 @@ fn main() {
             kernel: "blind_rotate",
             n,
             n_mask,
-            backend: "cmux",
             key_bytes: brk_wire_size(n_mask, n, params.digits, &moduli, true),
             ops: 1,
             reference_ns,
             scalar_ns,
             simd_ns,
         });
-
-        let auto_native = abk.blind_rotate(&ctx, &f, &lwe);
-        heap_math::simd::force_scalar(true);
-        let auto_scalar_out = abk.blind_rotate(&ctx, &f, &lwe);
-        let auto_scalar_ns = measure_ns(1, || {
-            std::hint::black_box(abk.blind_rotate(&ctx, &f, &lwe));
-        });
-        heap_math::simd::force_scalar(false);
-        assert!(
-            auto_native.a == auto_scalar_out.a && auto_native.b == auto_scalar_out.b,
-            "auto rotation diverged between SIMD dispatches at n_mask = {n_mask}"
-        );
-        let auto_simd_ns = measure_ns(1, || {
-            std::hint::black_box(abk.blind_rotate(&ctx, &f, &lwe));
-        });
-        rows.push(Row {
-            kernel: "blind_rotate",
-            n,
-            n_mask,
-            backend: "auto",
-            key_bytes: abk_wire_size(n_mask, n, params.digits, &moduli, true),
-            ops: 1,
-            reference_ns,
-            scalar_ns: auto_scalar_ns,
-            simd_ns: auto_simd_ns,
-        });
     }
 
-    // Key-major batch row: the CMUX batch schedule, 8 mask elements,
-    // 4 LWEs per call.
+    // Key-major batch row: 8 mask elements, 4 LWEs per call.
     let n_t = 8;
     let batch = 4;
     let lwe_sk = LweSecretKey::generate(&mut rng, n_t);
@@ -356,7 +314,6 @@ fn main() {
         kernel: "blind_rotate_batch_key_major",
         n,
         n_mask: n_t,
-        backend: "cmux",
         key_bytes: brk_wire_size(n_t, n, params.digits, &moduli, true),
         ops: batch,
         reference_ns,
@@ -372,14 +329,13 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"kernel\": \"{}\", \"n\": {}, \"n_mask\": {}, \"backend\": \"{}\", \
-                 \"key_bytes\": {}, \"ops\": {}, \"reference_ns\": {:.0}, \
+                "    {{\"kernel\": \"{}\", \"n\": {}, \"n_mask\": {}, \"key_bytes\": {}, \
+                 \"ops\": {}, \"reference_ns\": {:.0}, \
                  \"scalar_ns\": {:.0}, \"simd_ns\": {:.0}, \"simd_speedup\": {:.3}, \
                  \"speedup\": {:.3}}}",
                 r.kernel,
                 r.n,
                 r.n_mask,
-                r.backend,
                 r.key_bytes,
                 r.ops,
                 r.reference_ns,
@@ -397,14 +353,10 @@ fn main() {
          kernels retained as oracles, scalar = Harvey lazy scalar kernels (u128-MAC \
          external product, SIMD force-disabled), simd = dispatching kernels on the \
          listed backend (Shoup-precomputed u64 FMA external product); blind_rotate \
-         rows sweep the LWE mask length n_mask over both blind-rotate backends \
-         (cmux = per-element CMUX ladder, auto = dlog-bucketed automorphism walk \
-         with hoisted Galois key-switching), sharing the strict CMUX rotation as \
-         the reference tier; key_bytes = seed-expandable wire size of that \
-         backend's rotation key; cmux tiers asserted bit-identical to the oracle \
-         before timing, auto asserted dispatch-deterministic here and \
-         decrypt-equivalent in tests/auto_parity.rs; batch row rotates 4 LWEs per \
-         call; simd_speedup = scalar/simd, speedup = reference/simd\",\n  \
+         rows sweep the LWE mask length n_mask; key_bytes = seed-expandable wire \
+         size of the rotation key; every tier asserted bit-identical to the oracle \
+         before timing; batch row rotates 4 LWEs per call; simd_speedup = \
+         scalar/simd, speedup = reference/simd\",\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );

@@ -31,8 +31,8 @@ use heap_parallel::{par_map, par_map_init, Parallelism};
 use heap_tfhe::blind_rotate::MonomialEvals;
 use heap_tfhe::extract::{extract_coefficient, extract_constant_rns, RnsLweCiphertext};
 use heap_tfhe::{
-    test_polynomial_from_fn, AutoBlindRotateKey, BlindRotateKey, BrBackend, BrKeys, LweCiphertext,
-    LweKeySwitchKey, LweSecretKey, RgswParams, RingSecretKey, RlweCiphertext,
+    test_polynomial_from_fn, BlindRotateKey, BlindRotateScratch, LweCiphertext, LweKeySwitchKey,
+    LweSecretKey, RgswParams, RingSecretKey, RlweCiphertext,
 };
 
 use crate::repack::{pack_lwes, repack_exponents, repack_factor};
@@ -49,10 +49,6 @@ pub struct BootstrapConfig {
     pub ks_digits: usize,
     /// RGSW gadget for blind rotation (paper: `d = 2`).
     pub rgsw: RgswParams,
-    /// Which blind-rotate datapath the keys are generated for and the
-    /// bootstrapper runs: per-mask-element CMUX or automorphism grouping
-    /// with Galois key switching.
-    pub backend: BrBackend,
     /// Ciphertext-level data parallelism for the extract / mod-switch /
     /// blind-rotate pipeline (the loop HEAP spreads across FPGAs).
     /// Results are bit-identical for every thread count.
@@ -67,7 +63,6 @@ impl BootstrapConfig {
             ks_base_bits: 12,
             ks_digits: 3,
             rgsw: RgswParams::paper(),
-            backend: BrBackend::Cmux,
             parallelism: Parallelism::default(),
         }
     }
@@ -82,7 +77,6 @@ impl BootstrapConfig {
                 base_bits: 15,
                 digits: 2,
             },
-            backend: BrBackend::Cmux,
             parallelism: Parallelism::default(),
         }
     }
@@ -90,12 +84,6 @@ impl BootstrapConfig {
     /// Returns the config with a different [`Parallelism`] setting.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Returns the config with a different blind-rotate backend.
-    pub fn with_backend(mut self, backend: BrBackend) -> Self {
-        self.backend = backend;
         self
     }
 }
@@ -107,9 +95,8 @@ impl BootstrapConfig {
 pub struct GeneratedKeys {
     /// LWE key switch: ring dimension `N` → `n_t`, over `q_0`.
     pub ksk: LweKeySwitchKey,
-    /// Blind rotation key over the raised basis, in whichever backend
-    /// variant the config selected.
-    pub br: BrKeys,
+    /// Blind rotation key over the raised basis.
+    pub brk: BlindRotateKey,
     /// Galois keys for the repacking automorphism tree.
     pub gks: GaloisKeys,
 }
@@ -140,32 +127,12 @@ pub fn generate_keys<R: Rng + ?Sized>(
         config.ks_digits,
         rng,
     );
-    // Backend match AFTER the ksk draw: the CMUX arm consumes the exact
-    // RNG stream the pre-backend code did, keeping fixed-seed key digests
-    // stable.
-    let br = match config.backend {
-        BrBackend::Cmux => BrKeys::Cmux(BlindRotateKey::generate(
-            rns,
-            &lwe_sk,
-            &ring_sk,
-            boot_limbs,
-            config.rgsw,
-            rng,
-        )),
-        BrBackend::Auto => BrKeys::Auto(AutoBlindRotateKey::generate(
-            rns,
-            &lwe_sk,
-            &ring_sk,
-            boot_limbs,
-            config.rgsw,
-            rng,
-        )),
-    };
+    let brk = BlindRotateKey::generate(rns, &lwe_sk, &ring_sk, boot_limbs, config.rgsw, rng);
     let mut gks = GaloisKeys::new();
     for g in repack_exponents(ctx.n()) {
         gks.add_exponent(ctx, sk, g, rng);
     }
-    GeneratedKeys { ksk, br, gks }
+    GeneratedKeys { ksk, brk, gks }
 }
 
 /// [`generate_keys`] followed by the reseed transform: every uniform mask
@@ -195,35 +162,15 @@ pub fn generate_keys_reseeded<R: Rng + ?Sized>(
         config.ks_digits,
         rng,
     );
-    let mut br = match config.backend {
-        BrBackend::Cmux => BrKeys::Cmux(BlindRotateKey::generate(
-            rns,
-            &lwe_sk,
-            &ring_sk,
-            boot_limbs,
-            config.rgsw,
-            rng,
-        )),
-        BrBackend::Auto => BrKeys::Auto(AutoBlindRotateKey::generate(
-            rns,
-            &lwe_sk,
-            &ring_sk,
-            boot_limbs,
-            config.rgsw,
-            rng,
-        )),
-    };
+    let mut brk = BlindRotateKey::generate(rns, &lwe_sk, &ring_sk, boot_limbs, config.rgsw, rng);
     let mut gks = GaloisKeys::new();
     for g in repack_exponents(ctx.n()) {
         gks.add_exponent(ctx, sk, g, rng);
     }
     heap_tfhe::reseed_ksk(&mut ksk, &lwe_sk, q0, derive_seed(master, b"ksk"));
-    match &mut br {
-        BrKeys::Cmux(brk) => heap_tfhe::reseed_brk(brk, rns, &ring_sk, derive_seed(master, b"brk")),
-        BrKeys::Auto(abk) => heap_tfhe::reseed_abk(abk, rns, &ring_sk, derive_seed(master, b"abk")),
-    }
+    heap_tfhe::reseed_brk(&mut brk, rns, &ring_sk, derive_seed(master, b"brk"));
     heap_ckks::reseed_galois_keys(&mut gks, ctx, sk, derive_seed(master, b"gks"));
-    GeneratedKeys { ksk, br, gks }
+    GeneratedKeys { ksk, brk, gks }
 }
 
 /// Holds all (public) key material and precomputation for bootstrapping.
@@ -236,8 +183,8 @@ pub struct Bootstrapper {
     config: BootstrapConfig,
     /// LWE key switch: ring dimension `N` → `n_t`, over `q_0`.
     ksk: LweKeySwitchKey,
-    /// Blind rotation key over the raised basis (backend-variant).
-    br: BrKeys,
+    /// Blind rotation key over the raised basis.
+    brk: BlindRotateKey,
     /// Galois keys for the repacking automorphism tree.
     gks: GaloisKeys,
     /// Monomial evaluation tables for the boot basis.
@@ -280,15 +227,10 @@ impl Bootstrapper {
             t_scalar >= 1,
             "aux prime too small for N: increase aux_bits"
         );
-        assert_eq!(
-            keys.br.backend(),
-            config.backend,
-            "key material was generated for a different blind-rotate backend"
-        );
         Self {
             config,
             ksk: keys.ksk,
-            br: keys.br,
+            brk: keys.brk,
             gks: keys.gks,
             monomials,
             test_poly,
@@ -317,10 +259,10 @@ impl Bootstrapper {
         &self.config
     }
 
-    /// The blind-rotation key set (used by the general scheme-switch API
-    /// and key bundling).
-    pub fn br_keys(&self) -> &BrKeys {
-        &self.br
+    /// The blind-rotation key (used by the general scheme-switch API and
+    /// key bundling).
+    pub fn brk(&self) -> &BlindRotateKey {
+        &self.brk
     }
 
     /// Refreshes every coefficient: the fully-packed bootstrap
@@ -393,12 +335,11 @@ impl Bootstrapper {
             let m_in = u as f64 * q0 / (2.0 * n * delta);
             (2.0 * n * delta * f(m_in)).round() as i64
         });
-        let be = self.br.as_backend();
         let rotated: Vec<RlweCiphertext> = par_map_init(
             self.config.parallelism,
             &switched,
-            || be.make_scratch(),
-            |scratch, _, l| be.rotate_with(ctx.rns(), &lut, l, scratch),
+            BlindRotateScratch::default,
+            |scratch, _, l| self.brk.blind_rotate_with(ctx.rns(), &lut, l, scratch),
         );
         let leaves = self.to_leaves(ctx, &rotated, indices);
         self.finish(ctx, leaves, ct.scale())
@@ -470,20 +411,15 @@ impl Bootstrapper {
         par: Parallelism,
     ) -> Vec<RlweCiphertext> {
         let _span = self.stages.blind_rotate.time();
-        let be = self.br.as_backend();
-        par_map_init(
-            par,
-            lwes,
-            || be.make_scratch(),
-            |scratch, _, l| be.rotate_with(ctx.rns(), &self.test_poly, l, scratch),
-        )
+        par_map_init(par, lwes, BlindRotateScratch::default, |scratch, _, l| {
+            self.brk
+                .blind_rotate_with(ctx.rns(), &self.test_poly, l, scratch)
+        })
     }
 
     /// A single blind rotation (exposed so clusters can schedule batches).
     pub fn blind_rotate_one(&self, ctx: &CkksContext, lwe: &LweCiphertext) -> RlweCiphertext {
-        let be = self.br.as_backend();
-        let mut scratch = be.make_scratch();
-        be.rotate_with(ctx.rns(), &self.test_poly, lwe, &mut scratch)
+        self.brk.blind_rotate(ctx.rns(), &self.test_poly, lwe)
     }
 
     /// Step 4a — extract each rotation's constant coefficient and position

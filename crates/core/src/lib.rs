@@ -41,7 +41,6 @@ pub use bootstrap::{
 };
 pub use cluster::{ComputeNode, LocalCluster, LocalNode, TransferLedger};
 pub use heap_parallel::Parallelism;
-pub use heap_tfhe::{BrBackend, BrKeys};
 pub use noise::{measure_coeff_error, predicted_bootstrap_rel_error, ErrorStats};
 pub use stage::{stage_metric_name, StageMetrics, KERNEL_STAGES, PIPELINE_STAGES};
 pub use stats::{repack_key_switch_count, BootstrapStats};

@@ -56,22 +56,20 @@ impl BootstrapStats {
     }
 }
 
-/// Key switches the repacking tree performs for `n_br` comb-packed leaves:
-/// every combine whose pair has at least one live child costs one
-/// `EvalAuto`. For the stride comb this is
-/// `Σ_{level} min(n_br, nodes-at-level)`.
+/// Key switches the repacking tree performs for `n_br` leaves on the
+/// stride comb (indices `k·N/n_br`): every combine with at least one live
+/// child costs one `EvalAuto`. The tree splits by index parity, so the
+/// comb's leaves — all multiples of `N/n_br` — stay in one subtree for the
+/// top `log2(N/n_br)` levels (one live combine each) and then fill an
+/// `n_br`-leaf subtree completely (`n_br − 1` combines).
+///
+/// # Panics
+///
+/// Panics unless `n` is a power of two and `n_br` divides it.
 pub fn repack_key_switch_count(n: usize, n_br: usize) -> u64 {
     assert!(n.is_power_of_two());
-    let mut count = 0u64;
-    let mut nodes = n / 2; // combines at the deepest level
-    while nodes >= 1 {
-        count += n_br.min(nodes) as u64;
-        if nodes == 1 {
-            break;
-        }
-        nodes /= 2;
-    }
-    count
+    assert!(n_br >= 1 && n.is_multiple_of(n_br), "invalid n_br");
+    (n_br - 1) as u64 + u64::from((n / n_br).trailing_zeros())
 }
 
 #[cfg(test)]
@@ -93,10 +91,37 @@ mod tests {
     }
 
     #[test]
-    fn sparse_comb_interpolates() {
-        // 16 comb leaves in N=128: levels have 64,32,16,8,4,2,1 combines;
-        // live counts are min(16, nodes) = 16+16+16+8+4+2+1 = 63.
-        assert_eq!(repack_key_switch_count(128, 16), 63);
+    fn sparse_comb_meets_in_one_subtree() {
+        // 16 comb leaves in N=128 share the top 3 levels (one combine
+        // each), then fill a 16-leaf subtree: 3 + 15.
+        assert_eq!(repack_key_switch_count(128, 16), 18);
+        assert_eq!(repack_key_switch_count(2048, 8), 15);
+    }
+
+    /// Live combines of the even/odd tree `repack::pack_recursive` walks.
+    fn walk(live: &[bool]) -> (bool, u64) {
+        if live.len() == 1 {
+            return (live[0], 0);
+        }
+        let (e, ce) = walk(&live.iter().copied().step_by(2).collect::<Vec<_>>());
+        let (o, co) = walk(&live.iter().copied().skip(1).step_by(2).collect::<Vec<_>>());
+        (e || o, ce + co + u64::from(e || o))
+    }
+
+    #[test]
+    fn count_equals_the_pack_tree_walk_for_every_comb() {
+        for log_n in 0..=11 {
+            let n = 1usize << log_n;
+            for log_nbr in 0..=log_n {
+                let n_br = 1usize << log_nbr;
+                let live: Vec<bool> = (0..n).map(|i| i % (n / n_br) == 0).collect();
+                assert_eq!(
+                    repack_key_switch_count(n, n_br),
+                    walk(&live).1,
+                    "(N, n_br) = ({n}, {n_br})"
+                );
+            }
+        }
     }
 
     #[test]

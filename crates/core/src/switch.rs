@@ -16,7 +16,7 @@
 //!   paper's examples), refreshing levels as a side effect.
 
 use heap_ckks::{Ciphertext, CkksContext};
-use heap_tfhe::{LweCiphertext, RlweCiphertext};
+use heap_tfhe::{BlindRotateScratch, LweCiphertext, RlweCiphertext};
 
 use crate::bootstrap::Bootstrapper;
 
@@ -64,10 +64,13 @@ impl<'a> SchemeSwitch<'a> {
             let m_in = u as f64 * q0 / (2.0 * n * input_scale);
             (2.0 * n * input_scale * g(m_in)).round() as i64
         });
-        let be = self.boot.br_keys().as_backend();
-        let mut scratch = be.make_scratch();
+        let mut scratch = BlindRotateScratch::default();
         lwes.iter()
-            .map(|l| be.rotate_with(ctx.rns(), &lut, l, &mut scratch))
+            .map(|l| {
+                self.boot
+                    .brk()
+                    .blind_rotate_with(ctx.rns(), &lut, l, &mut scratch)
+            })
             .collect()
     }
 

@@ -13,7 +13,7 @@
 //! arithmetic, thread-count-independent parallel schedule.
 
 use heap_ckks::{CkksContext, CkksParams, SecretKey};
-use heap_core::{BootstrapConfig, Bootstrapper, BrBackend};
+use heap_core::{BootstrapConfig, Bootstrapper};
 use heap_math::RnsPoly;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,12 +34,11 @@ fn fnv1a(polys: &[&RnsPoly]) -> u64 {
     h
 }
 
-fn bootstrap_digest(backend: BrBackend) -> u64 {
+fn bootstrap_digest() -> u64 {
     let ctx = CkksContext::new(CkksParams::test_tiny());
     let mut rng = StdRng::seed_from_u64(0xD16E57);
     let sk = SecretKey::generate(&ctx, &mut rng);
-    let config = BootstrapConfig::test_small().with_backend(backend);
-    let boot = Bootstrapper::generate(&ctx, &sk, config, &mut rng);
+    let boot = Bootstrapper::generate(&ctx, &sk, BootstrapConfig::test_small(), &mut rng);
     let delta = ctx.fresh_scale();
     let coeffs: Vec<i64> = (0..ctx.n())
         .map(|i| ((((i % 11) as f64) - 5.0) / 60.0 * delta).round() as i64)
@@ -52,16 +51,9 @@ fn bootstrap_digest(backend: BrBackend) -> u64 {
 
 const PINNED_DIGEST: u64 = 0xee06_81da_6947_5b7c;
 
-/// The same fixed-seed bootstrap through the automorphism blind-rotate
-/// backend. The two backends are decrypt-equivalent, not bit-identical,
-/// so the auto pipeline gets its *own* pinned constant — a change to the
-/// dlog bucketing, the Galois-jump schedule, or the hoisted key-switch
-/// that alters any output bit fails here.
-const PINNED_DIGEST_AUTO: u64 = 0x54ae_729f_0bc8_8118;
-
 #[test]
 fn fixed_seed_bootstrap_digest_is_pinned() {
-    let digest = bootstrap_digest(BrBackend::Cmux);
+    let digest = bootstrap_digest();
     assert_eq!(
         digest, PINNED_DIGEST,
         "bootstrap output digest changed: got {digest:#018x} — the kernel \
@@ -69,25 +61,13 @@ fn fixed_seed_bootstrap_digest_is_pinned() {
     );
 }
 
+/// The same pinned digest with SIMD force-disabled: the scalar fallback
+/// kernels must produce the identical bootstrap bit-for-bit, so the pin
+/// holds on every host regardless of which backend dispatches. Restores
+/// native dispatch on exit (safe either way — the paths are bit-identical,
+/// so a concurrently running digest test sees the same result).
 #[test]
-fn fixed_seed_auto_bootstrap_digest_is_pinned() {
-    let digest = bootstrap_digest(BrBackend::Auto);
-    assert_eq!(
-        digest, PINNED_DIGEST_AUTO,
-        "auto-backend bootstrap digest changed: got {digest:#018x} — the \
-         automorphism datapath is no longer bit-identical to the pinned \
-         reference run"
-    );
-}
-
-/// The same pinned digests with SIMD force-disabled: the scalar fallback
-/// kernels must produce the identical bootstrap bit-for-bit on *both*
-/// blind-rotate backends, so the pins hold on every host regardless of
-/// which SIMD backend dispatches. Restores native dispatch on exit (safe
-/// either way — the paths are bit-identical, so a concurrently running
-/// digest test sees the same result).
-#[test]
-fn fixed_seed_bootstrap_digests_are_pinned_forced_scalar() {
+fn fixed_seed_bootstrap_digest_is_pinned_forced_scalar() {
     struct RestoreSimd;
     impl Drop for RestoreSimd {
         fn drop(&mut self) {
@@ -97,16 +77,10 @@ fn fixed_seed_bootstrap_digests_are_pinned_forced_scalar() {
     let _restore = RestoreSimd;
     heap_math::simd::force_scalar(true);
     assert_eq!(heap_math::simd::active(), heap_math::simd::Backend::Scalar);
-    let digest = bootstrap_digest(BrBackend::Cmux);
+    let digest = bootstrap_digest();
     assert_eq!(
         digest, PINNED_DIGEST,
         "forced-scalar bootstrap digest changed: got {digest:#018x} — the \
          scalar fallback diverged from the pinned reference run"
-    );
-    let digest = bootstrap_digest(BrBackend::Auto);
-    assert_eq!(
-        digest, PINNED_DIGEST_AUTO,
-        "forced-scalar auto-backend digest changed: got {digest:#018x} — \
-         the scalar fallback diverged from the pinned reference run"
     );
 }

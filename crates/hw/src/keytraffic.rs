@@ -140,9 +140,11 @@ pub struct EvalKeyWireModel {
     pub chain_moduli: Vec<u64>,
     /// Automorphism exponents held in the Galois key set.
     pub galois_exponents: usize,
-    /// Whether the blind-rotate key is the automorphism-backend `ABK1`
-    /// variant (one RGSW per secret element plus `log₂N` Galois switch
-    /// keys) instead of the CMUX `BRK1` pos/neg ladder.
+    /// Analytic what-if with no software counterpart: price the
+    /// blind-rotate key as an automorphism-rotation key (one RGSW per
+    /// secret element plus `log₂N` Galois switch keys) instead of the
+    /// CMUX `BRK1` pos/neg ladder the library generates. DESIGN.md §14
+    /// cites the resulting size ratio; every measured path sets `false`.
     pub auto_backend: bool,
 }
 
@@ -186,10 +188,10 @@ impl EvalKeyWireModel {
         (header + rows * per_row) as u64
     }
 
-    /// `ABK1` bytes: same header layout as `BRK1`, then `n_t` RGSWs
-    /// (`2·limbs·digits` RLWE rows each, half the CMUX ladder) plus
-    /// `log₂N` Galois switch keys of `limbs·digits` rows — the smaller
-    /// key the automorphism backend trades for its group-walk schedule.
+    /// What an automorphism-rotation key would weigh (see
+    /// [`Self::auto_backend`]): same header layout as `BRK1`, then `n_t`
+    /// RGSWs (`2·limbs·digits` RLWE rows each, half the CMUX ladder)
+    /// plus `log₂N` Galois switch keys of `limbs·digits` rows.
     pub fn abk_bytes(&self, seeded: bool) -> u64 {
         let limbs = self.boot_moduli.len();
         let header = 25 + 8 * limbs + if seeded { 8 } else { 0 };
@@ -210,7 +212,8 @@ impl EvalKeyWireModel {
         (header + rows * per_row) as u64
     }
 
-    /// Blind-rotate key bytes for the configured backend.
+    /// Blind-rotate key bytes: [`Self::brk_bytes`], or the
+    /// [`Self::abk_bytes`] what-if when `auto_backend` is set.
     pub fn br_bytes(&self, seeded: bool) -> u64 {
         if self.auto_backend {
             self.abk_bytes(seeded)
@@ -249,11 +252,10 @@ impl EvalKeyWireModel {
         4 + 4 + self.galois_exponents as u64 * (4 + 4 + self.cks_bytes(seeded))
     }
 
-    /// `EKS1` container bytes: 26-byte header (magic, version, backend,
-    /// five shape fields) + three u32 length prefixes + the three inner
-    /// keys.
+    /// `EKS1` container bytes: 25-byte header (magic, version, five
+    /// shape fields) + three u32 length prefixes + the three inner keys.
     pub fn container_bytes(&self, seeded: bool) -> u64 {
-        26 + 3 * 4 + self.ksk_bytes(seeded) + self.br_bytes(seeded) + self.gks_bytes(seeded)
+        25 + 3 * 4 + self.ksk_bytes(seeded) + self.br_bytes(seeded) + self.gks_bytes(seeded)
     }
 
     /// Client→node key bytes for a *cold* batch (node cache misses):
@@ -373,7 +375,7 @@ mod tests {
         for seeded in [false, true] {
             assert_eq!(
                 m.container_bytes(seeded),
-                38 + m.ksk_bytes(seeded) + m.brk_bytes(seeded) + m.gks_bytes(seeded)
+                37 + m.ksk_bytes(seeded) + m.brk_bytes(seeded) + m.gks_bytes(seeded)
             );
         }
     }

@@ -26,14 +26,16 @@ use heap_ckks::{CkksContext, GaloisKeys};
 use heap_core::{BootstrapConfig, Bootstrapper, GeneratedKeys};
 use heap_math::wire::{derive_seed, fnv1a, WireError, WireReader, WireWriter};
 use heap_tfhe::{
-    abk_from_wire, abk_to_wire, brk_from_wire, brk_to_wire, ksk_from_wire, ksk_to_wire, BrBackend,
-    BrKeys, LweKeySwitchKey, RgswParams,
+    brk_from_wire, brk_to_wire, ksk_from_wire, ksk_to_wire, BlindRotateKey, LweKeySwitchKey,
+    RgswParams,
 };
 
 pub use cache::KeyCache;
 
 const EKS_MAGIC: u32 = 0x454B_5331; // "EKS1"
-const EKS_VERSION: u8 = 1;
+/// Version 1 carried a blind-rotate backend byte after the version (a
+/// 26-byte header); version 2 is the 25-byte header without it.
+const EKS_VERSION: u8 = 2;
 
 /// Content fingerprint of an [`EvalKeySet`]: FNV-1a over its canonical
 /// strict encoding. Nodes advertise the ids they hold; the scheduler
@@ -87,7 +89,7 @@ impl EvalKeySet {
     pub fn from_bootstrapper(ctx: &CkksContext, boot: &Bootstrapper) -> Self {
         let keys = GeneratedKeys {
             ksk: boot.ksk().clone(),
-            br: boot.br_keys().clone(),
+            brk: boot.brk().clone(),
             gks: boot.galois_keys().clone(),
         };
         Self::new(ctx, *boot.config(), keys, None)
@@ -101,11 +103,6 @@ impl EvalKeySet {
     /// The bootstrap configuration the keys were generated under.
     pub fn config(&self) -> &BootstrapConfig {
         &self.config
-    }
-
-    /// The blind-rotate backend the bundled keys target.
-    pub fn backend(&self) -> BrBackend {
-        self.keys.br.backend()
     }
 
     /// Consumes the set, returning the raw keys (feed to
@@ -129,7 +126,6 @@ impl EvalKeySet {
         let mut w = WireWriter::new();
         w.put_u32(EKS_MAGIC);
         w.put_u8(EKS_VERSION);
-        w.put_u8(self.keys.br.backend().code());
         w.put_u32(self.config.n_t as u32);
         w.put_u32(self.config.ks_base_bits);
         w.put_u32(self.config.ks_digits as u32);
@@ -140,18 +136,11 @@ impl EvalKeySet {
             ctx.q_modulus(0),
             master.map(|m| derive_seed(m, b"ksk")),
         ));
-        match &self.keys.br {
-            BrKeys::Cmux(brk) => w.put_bytes(&brk_to_wire(
-                brk,
-                ctx.rns(),
-                master.map(|m| derive_seed(m, b"brk")),
-            )),
-            BrKeys::Auto(abk) => w.put_bytes(&abk_to_wire(
-                abk,
-                ctx.rns(),
-                master.map(|m| derive_seed(m, b"abk")),
-            )),
-        }
+        w.put_bytes(&brk_to_wire(
+            &self.keys.brk,
+            ctx.rns(),
+            master.map(|m| derive_seed(m, b"brk")),
+        ));
         w.put_bytes(&heap_ckks::gks_to_wire(
             &self.keys.gks,
             ctx,
@@ -194,7 +183,6 @@ impl EvalKeySet {
         if r.get_u8()? != EKS_VERSION {
             return Err(WireError::Corrupt("EKS version"));
         }
-        let backend = BrBackend::from_code(r.get_u8()?).ok_or(WireError::Corrupt("EKS backend"))?;
         let n_t = r.get_u32()? as usize;
         let ks_base_bits = r.get_u32()?;
         let ks_digits = r.get_u32()? as usize;
@@ -207,13 +195,10 @@ impl EvalKeySet {
         if ksk.target_dim() != n_t || ksk.base_bits() != ks_base_bits || ksk.digits() != ks_digits {
             return Err(WireError::Corrupt("EKS ksk shape mismatch"));
         }
-        let br = match backend {
-            BrBackend::Cmux => BrKeys::Cmux(brk_from_wire(r.get_bytes()?, ctx.rns())?),
-            BrBackend::Auto => BrKeys::Auto(abk_from_wire(r.get_bytes()?, ctx.rns())?),
-        };
-        if br.lwe_dim() != n_t
-            || br.params().base_bits != rgsw_base_bits
-            || br.params().digits != rgsw_digits
+        let brk: BlindRotateKey = brk_from_wire(r.get_bytes()?, ctx.rns())?;
+        if brk.lwe_dim() != n_t
+            || brk.params().base_bits != rgsw_base_bits
+            || brk.params().digits != rgsw_digits
         {
             return Err(WireError::Corrupt("EKS brk shape mismatch"));
         }
@@ -226,10 +211,14 @@ impl EvalKeySet {
                 base_bits: rgsw_base_bits,
                 digits: rgsw_digits,
             },
-            backend,
             parallelism: heap_core::Parallelism::default(),
         };
-        Ok(Self::new(ctx, config, GeneratedKeys { ksk, br, gks }, None))
+        Ok(Self::new(
+            ctx,
+            config,
+            GeneratedKeys { ksk, brk, gks },
+            None,
+        ))
     }
 
     /// Packages the set for distribution: the seeded encoding when
@@ -336,50 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_backend_roundtrips_and_ships_fewer_bytes() {
-        let ctx = ctx();
-        let mut rng = StdRng::seed_from_u64(7);
-        let sk = SecretKey::generate(&ctx, &mut rng);
-        let auto_config = BootstrapConfig::test_small().with_backend(heap_core::BrBackend::Auto);
-        let keys = generate_keys_reseeded(&ctx, &sk, auto_config, 0xA7A7, &mut rng);
-        let set = EvalKeySet::new(&ctx, auto_config, keys, Some(0xA7A7));
-        assert_eq!(set.backend(), heap_core::BrBackend::Auto);
-        let pkg = set.package(&ctx);
-        let back = EvalKeySet::from_wire(&ctx, &pkg.bytes).unwrap();
-        assert_eq!(back.id(), set.id(), "expand-then-reencode parity");
-        assert_eq!(back.config().backend, heap_core::BrBackend::Auto);
-        assert_eq!(back.to_strict_wire(&ctx), set.to_strict_wire(&ctx));
-
-        // Same secret, CMUX backend: the automorphism container must be
-        // smaller — that is the trade the backend exists for.
-        let mut rng = StdRng::seed_from_u64(7);
-        let sk = SecretKey::generate(&ctx, &mut rng);
-        let cmux_config = BootstrapConfig::test_small();
-        let cmux_keys = generate_keys_reseeded(&ctx, &sk, cmux_config, 0xA7A7, &mut rng);
-        let cmux_set = EvalKeySet::new(&ctx, cmux_config, cmux_keys, Some(0xA7A7));
-        assert_ne!(cmux_set.id(), set.id(), "backends fingerprint differently");
-        let auto_strict = set.to_strict_wire(&ctx).len();
-        let cmux_strict = cmux_set.to_strict_wire(&ctx).len();
-        assert!(
-            auto_strict < cmux_strict,
-            "auto {auto_strict} should undercut cmux {cmux_strict}"
-        );
-
-        // The expanded auto keys bootstrap bit-identically to the local set.
-        let local = set.into_bootstrapper(&ctx);
-        let remote = back.into_bootstrapper(&ctx);
-        let delta = ctx.fresh_scale();
-        let coeffs: Vec<i64> = (0..ctx.n())
-            .map(|i| (((i % 9) as f64 - 4.0) / 60.0 * delta).round() as i64)
-            .collect();
-        let ct = ctx.encrypt_coeffs_sk(&coeffs, delta, 1, &sk, &mut rng);
-        let a = local.bootstrap(&ctx, &ct);
-        let b = remote.bootstrap(&ctx, &ct);
-        assert_eq!(a.c0(), b.c0());
-        assert_eq!(a.c1(), b.c1());
-    }
-
-    #[test]
     fn from_bootstrapper_matches_direct_construction() {
         let ctx = ctx();
         let mut rng = StdRng::seed_from_u64(4);
@@ -415,10 +360,19 @@ mod tests {
             EvalKeySet::from_wire(&ctx, &bad).err(),
             Some(WireError::Corrupt("EKS magic"))
         );
-        let mut bad = bytes;
+        let mut bad = bytes.clone();
         bad[4] = 99; // version
         assert_eq!(
             EvalKeySet::from_wire(&ctx, &bad).err(),
+            Some(WireError::Corrupt("EKS version"))
+        );
+        // A v1 container (version 1, then a backend byte the v2 header no
+        // longer has) is refused by version, not parsed one byte off.
+        let mut v1 = bytes[..4].to_vec();
+        v1.extend_from_slice(&[1, 0]);
+        v1.extend_from_slice(&bytes[5..]);
+        assert_eq!(
+            EvalKeySet::from_wire(&ctx, &v1).err(),
             Some(WireError::Corrupt("EKS version"))
         );
     }

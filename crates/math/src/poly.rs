@@ -145,27 +145,11 @@ pub fn monomial_mul_into(poly: &[u64], k: i64, q: &Modulus, out: &mut [u64]) {
 /// Panics if `g` is even (even maps are not ring automorphisms of
 /// `Z[X]/(X^N+1)`).
 pub fn automorphism(poly: &[u64], g: usize, q: &Modulus) -> Vec<u64> {
-    let mut out = vec![0u64; poly.len()];
-    automorphism_into(poly, g, q, &mut out);
-    out
-}
-
-/// [`automorphism`] into a caller-provided buffer (allocation-free; the
-/// automorphism blind-rotate backend applies its per-rotation
-/// pre-compensation `σ_{v₁⁻¹}` through this).
-///
-/// `out` is overwritten entirely (every target index is written exactly
-/// once — the map is a permutation).
-///
-/// # Panics
-///
-/// Panics if `g` is even or `out.len() != poly.len()`.
-pub fn automorphism_into(poly: &[u64], g: usize, q: &Modulus, out: &mut [u64]) {
     assert!(g % 2 == 1, "automorphism exponent must be odd");
     let n = poly.len();
-    assert_eq!(out.len(), n);
     let two_n = 2 * n;
     let g = g % two_n; // 2N is even, so the reduced exponent stays odd
+    let mut out = vec![0u64; n];
     let mut idx = 0usize; // i * g mod 2N, updated incrementally
     for &c in poly.iter() {
         if idx < n {
@@ -178,6 +162,7 @@ pub fn automorphism_into(poly: &[u64], g: usize, q: &Modulus, out: &mut [u64]) {
             idx -= two_n;
         }
     }
+    out
 }
 
 /// The Galois exponent `5^r mod 2N` implementing a rotation by `r` slots
@@ -258,6 +243,8 @@ mod tests {
         let composed = automorphism(&automorphism(&p, g1, &q), g2, &q);
         let direct = automorphism(&p, (g1 * g2) % 16, &q);
         assert_eq!(composed, direct);
+        // Exponents are taken mod 2N.
+        assert_eq!(automorphism(&p, g1 * g2, &q), direct);
     }
 
     #[test]

@@ -17,13 +17,6 @@
 //! - `--addr HOST:PORT` — listen address (default `127.0.0.1:0`,
 //!   an ephemeral port, printed in the `LISTENING` line)
 //! - `--preset tiny|small|medium` — parameter preset (default `tiny`)
-//! - `--backend cmux|auto|both` — blind-rotate datapaths this node
-//!   serves (default `both`). The choice is advertised in every
-//!   `HelloAck`, so schedulers rank this node accordingly; an uploaded
-//!   key container generated for a backend outside the mask is refused
-//!   with an `Error` frame. With `--insecure-seed`, `--backend auto`
-//!   also generates the node's default key as automorphism key material
-//!   (otherwise the default key is CMUX).
 //! - `--key-cache-bytes N` — byte budget for the wire-distributed key
 //!   cache (default: unbounded); least-recently-used key sets are
 //!   evicted when uploads exceed it
@@ -71,16 +64,14 @@ use std::sync::Arc;
 use heap_ckks::CkksContext;
 use heap_parallel::Parallelism;
 use heap_runtime::{
-    insecure_deterministic_setup_backend, serve, serve_keyless, BootstrapService, BrBackend,
-    FaultPlan, NodeKeyStore, NodeTelemetry, ParamPreset, RuntimeConfig, ServeOptions,
-    SessionServer, SloPolicy, BACKEND_AUTO, BACKEND_BOTH, BACKEND_CMUX,
+    insecure_deterministic_setup, serve, serve_keyless, BootstrapService, FaultPlan, NodeKeyStore,
+    NodeTelemetry, ParamPreset, RuntimeConfig, ServeOptions, SessionServer, SloPolicy,
 };
 use heap_telemetry::{Exposition, MetricsServer};
 
 struct Args {
     addr: String,
     preset: ParamPreset,
-    backends: u8,
     insecure_seed: Option<u64>,
     key_cache_bytes: Option<usize>,
     threads: Option<usize>,
@@ -95,7 +86,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:0".to_string(),
         preset: ParamPreset::Tiny,
-        backends: BACKEND_BOTH,
         insecure_seed: None,
         key_cache_bytes: None,
         threads: None,
@@ -111,14 +101,6 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--addr" => args.addr = value("--addr")?,
             "--preset" => args.preset = value("--preset")?.parse()?,
-            "--backend" => {
-                args.backends = match value("--backend")?.trim().to_ascii_lowercase().as_str() {
-                    "cmux" => BACKEND_CMUX,
-                    "auto" => BACKEND_AUTO,
-                    "both" => BACKEND_BOTH,
-                    other => return Err(format!("--backend: '{other}' (cmux|auto|both)")),
-                }
-            }
             "--insecure-seed" => {
                 args.insecure_seed = Some(
                     value("--insecure-seed")?
@@ -174,8 +156,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: heap-node-serve [--addr HOST:PORT] [--preset tiny|small|medium] \
-                            [--backend cmux|auto|both] [--key-cache-bytes N] \
-                            [--insecure-seed N] [--threads N] \
+                            [--key-cache-bytes N] [--insecure-seed N] [--threads N] \
                             [--fail-after N] [--fault-plan PLAN] [--metrics-addr HOST:PORT] \
                             [--session-addr HOST:PORT] [--slo-ms N]"
                         .to_string(),
@@ -206,12 +187,7 @@ fn main() -> ExitCode {
              (preset={}, seed={seed}) ...",
             args.preset
         );
-        let backend = if args.backends == BACKEND_AUTO {
-            BrBackend::Auto
-        } else {
-            BrBackend::Cmux
-        };
-        insecure_deterministic_setup_backend(args.preset, seed, backend)
+        insecure_deterministic_setup(args.preset, seed)
     });
     let ctx = match &insecure {
         Some(setup) => Arc::clone(&setup.ctx),
@@ -310,7 +286,6 @@ fn main() -> ExitCode {
         fault_plan: args.fault_plan,
         telemetry: Some(telemetry),
         key_store: Some(key_store),
-        backends: args.backends,
     };
     let result = match insecure {
         Some(setup) => serve(listener, setup.ctx, setup.boot, opts),

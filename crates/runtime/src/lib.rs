@@ -83,13 +83,11 @@ pub use fault::{ChaosNode, FaultAction, FaultPlan, FaultState};
 pub use job::{JobHandle, JobId, JobOutput, JobRequest, Priority, TenantId};
 pub use node::{attest_digest, AttestedBatch, LocalServiceNode, NodeError, ServiceNode};
 pub use preset::{
-    insecure_deterministic_setup, insecure_deterministic_setup_backend, keyed_setup,
-    keyed_setup_backend, DeterministicSetup, KeyedSetup, ParamPreset,
+    insecure_deterministic_setup, keyed_setup, DeterministicSetup, KeyedSetup, ParamPreset,
 };
 pub use queue::FairnessPolicy;
 pub use remote::{
     serve, serve_keyless, NodeKeyStore, NodeTelemetry, NodeTimeouts, RemoteNode, ServeOptions,
-    BACKEND_AUTO, BACKEND_BOTH, BACKEND_CMUX,
 };
 pub use scheduler::{RetryPolicy, Scheduler, SchedulerStats};
 pub use service::{
@@ -100,10 +98,6 @@ pub use session::{SessionClient, SessionJob, SessionServer};
 // The key-distribution vocabulary types, re-exported so runtime clients
 // need not depend on `heap-keys` directly.
 pub use heap_keys::{EvalKeySet, KeyId, KeyPackage};
-
-// The blind-rotate backend selector, re-exported so runtime clients can
-// pick a datapath without depending on `heap-core` directly.
-pub use heap_core::BrBackend;
 
 /// Errors surfaced to clients of the runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use heap_ckks::CkksContext;
-use heap_core::{Bootstrapper, BrBackend, ComputeNode};
+use heap_core::{Bootstrapper, ComputeNode};
 use heap_parallel::Parallelism;
 use heap_tfhe::{LweCiphertext, RlweCiphertext};
 
@@ -142,17 +142,6 @@ pub trait ServiceNode: Send + Sync {
     /// nodes riding the server's default key) trivially do; a wire-keyed
     /// [`crate::RemoteNode`] answers from its handshake/ack knowledge.
     fn holds_key(&self) -> bool {
-        true
-    }
-
-    /// Whether this node can execute blind rotations under the given
-    /// backend's key material. In-process nodes run whatever datapath the
-    /// bootstrapper carries, so the default is `true`; a
-    /// [`crate::RemoteNode`] answers from the backend bitmask its peer
-    /// advertised in the `HelloAck`. The scheduler ranks capable nodes
-    /// first and counts dispatches to incapable ones as backend
-    /// fallbacks rather than refusing the batch.
-    fn supports_backend(&self, _backend: BrBackend) -> bool {
         true
     }
 

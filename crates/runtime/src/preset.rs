@@ -19,7 +19,7 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use heap_ckks::{CkksContext, CkksParams, SecretKey};
-use heap_core::{generate_keys_reseeded, BootstrapConfig, Bootstrapper, BrBackend};
+use heap_core::{generate_keys_reseeded, BootstrapConfig, Bootstrapper};
 use heap_keys::{EvalKeySet, KeyPackage};
 use heap_math::wire::derive_seed;
 use rand::rngs::StdRng;
@@ -47,16 +47,9 @@ impl ParamPreset {
         }
     }
 
-    /// The bootstrap configuration paired with this preset (CMUX-ladder
-    /// blind rotation, the default datapath).
+    /// The bootstrap configuration paired with this preset.
     pub fn bootstrap_config(self) -> BootstrapConfig {
         BootstrapConfig::test_small()
-    }
-
-    /// The preset's bootstrap configuration under an explicit
-    /// blind-rotate backend.
-    pub fn bootstrap_config_with(self, backend: BrBackend) -> BootstrapConfig {
-        self.bootstrap_config().with_backend(backend)
     }
 
     /// The preset's wire name (accepted back by [`ParamPreset::from_str`]).
@@ -107,25 +100,13 @@ pub struct DeterministicSetup {
 /// this must never key a cluster of untrusted nodes. Use [`keyed_setup`]
 /// plus wire distribution instead.
 pub fn insecure_deterministic_setup(preset: ParamPreset, seed: u64) -> DeterministicSetup {
-    insecure_deterministic_setup_backend(preset, seed, BrBackend::Cmux)
-}
-
-/// [`insecure_deterministic_setup`] under an explicit blind-rotate
-/// backend: the `Cmux` spelling is byte-identical to the two-argument
-/// form (same RNG stream, same keys), `Auto` generates automorphism
-/// key material for the same secret instead.
-pub fn insecure_deterministic_setup_backend(
-    preset: ParamPreset,
-    seed: u64,
-    backend: BrBackend,
-) -> DeterministicSetup {
     let ctx = Arc::new(CkksContext::new(preset.ckks_params()));
     let mut rng = StdRng::seed_from_u64(seed);
     let sk = SecretKey::generate(&ctx, &mut rng);
     let boot = Arc::new(Bootstrapper::generate(
         &ctx,
         &sk,
-        preset.bootstrap_config_with(backend),
+        preset.bootstrap_config(),
         &mut rng,
     ));
     DeterministicSetup { ctx, sk, boot }
@@ -151,18 +132,10 @@ pub struct KeyedSetup {
 /// nodes. Deterministic: equal arguments yield the same [`heap_keys::KeyId`],
 /// so several clients of one logical tenant share a node's cache entry.
 pub fn keyed_setup(preset: ParamPreset, seed: u64) -> KeyedSetup {
-    keyed_setup_backend(preset, seed, BrBackend::Cmux)
-}
-
-/// [`keyed_setup`] under an explicit blind-rotate backend. The two
-/// backends yield distinct content [`heap_keys::KeyId`]s for the same
-/// `(preset, seed)` — they are different key material — so a mixed
-/// cluster caches them as separate entries.
-pub fn keyed_setup_backend(preset: ParamPreset, seed: u64, backend: BrBackend) -> KeyedSetup {
     let ctx = Arc::new(CkksContext::new(preset.ckks_params()));
     let mut rng = StdRng::seed_from_u64(seed);
     let sk = SecretKey::generate(&ctx, &mut rng);
-    let config = preset.bootstrap_config_with(backend);
+    let config = preset.bootstrap_config();
     let master = derive_seed(seed, b"heap-keys/master");
     let keys = generate_keys_reseeded(&ctx, &sk, config, master, &mut rng);
     let set = EvalKeySet::new(&ctx, config, keys, Some(master));
@@ -225,49 +198,6 @@ mod tests {
         );
         let c = keyed_setup(ParamPreset::Tiny, 10);
         assert_ne!(a.key.id, c.key.id);
-    }
-
-    #[test]
-    fn backend_setups_are_deterministic_and_distinct() {
-        let a = insecure_deterministic_setup_backend(ParamPreset::Tiny, 7, BrBackend::Auto);
-        let b = insecure_deterministic_setup_backend(ParamPreset::Tiny, 7, BrBackend::Auto);
-        assert_eq!(a.boot.config().backend, BrBackend::Auto);
-        let lwe = heap_tfhe::LweCiphertext {
-            a: (0..a.boot.config().n_t as u64).collect(),
-            b: 17,
-            modulus: 2 * a.ctx.n() as u64,
-        };
-        let moduli: Vec<u64> = (0..a.ctx.boot_limbs())
-            .map(|j| a.ctx.rns().modulus(j).value())
-            .collect();
-        assert_eq!(
-            a.boot.blind_rotate_one(&a.ctx, &lwe).to_wire(&moduli),
-            b.boot.blind_rotate_one(&b.ctx, &lwe).to_wire(&moduli),
-            "auto setup is deterministic across processes"
-        );
-        // The Cmux spelling of the backend-parameterized form is
-        // byte-identical key material to the legacy two-argument form.
-        let legacy = insecure_deterministic_setup(ParamPreset::Tiny, 7);
-        let cmux = insecure_deterministic_setup_backend(ParamPreset::Tiny, 7, BrBackend::Cmux);
-        assert_eq!(
-            legacy
-                .boot
-                .blind_rotate_one(&legacy.ctx, &lwe)
-                .to_wire(&moduli),
-            cmux.boot.blind_rotate_one(&cmux.ctx, &lwe).to_wire(&moduli),
-        );
-        // Keyed setups: distinct backends are distinct key content, and
-        // the automorphism container is the smaller of the two.
-        let kc = keyed_setup_backend(ParamPreset::Tiny, 9, BrBackend::Cmux);
-        let ka = keyed_setup_backend(ParamPreset::Tiny, 9, BrBackend::Auto);
-        assert_ne!(kc.key.id, ka.key.id);
-        assert_eq!(kc.key.id, keyed_setup(ParamPreset::Tiny, 9).key.id);
-        assert!(
-            ka.key.strict_len < kc.key.strict_len,
-            "auto strict container must ship fewer bytes ({} vs {})",
-            ka.key.strict_len,
-            kc.key.strict_len
-        );
     }
 
     #[test]

@@ -93,12 +93,12 @@
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use heap_ckks::CkksContext;
-use heap_core::{Bootstrapper, BrBackend, ComputeNode, TransferLedger};
+use heap_core::{Bootstrapper, ComputeNode, TransferLedger};
 use heap_keys::{EvalKeySet, KeyCache, KeyId, KeyPackage};
 use heap_parallel::Parallelism;
 use heap_telemetry::{Counter, MetricValue, Registry, Snapshot};
@@ -121,18 +121,6 @@ pub(crate) const RESP_DIGEST_BYTES: u64 = 8;
 const MAX_FRAME: u64 = 1 << 30;
 /// Hello payload: `u32 n, u32 boot_limbs, u64 q0`.
 const HELLO_BYTES: usize = 16;
-/// Blind-rotate backend bitmask (the `HelloAck` trailer byte): the node
-/// serves the CMUX-ladder datapath.
-pub const BACKEND_CMUX: u8 = 1 << 0;
-/// Backend bitmask: the node serves the automorphism datapath.
-pub const BACKEND_AUTO: u8 = 1 << 1;
-/// Backend bitmask: both datapaths (the [`ServeOptions`] default).
-pub const BACKEND_BOTH: u8 = BACKEND_CMUX | BACKEND_AUTO;
-
-/// The advertisement bit for one backend (`1 << BrBackend::code()`).
-pub(crate) fn backend_bit(backend: BrBackend) -> u8 {
-    1 << backend.code()
-}
 /// How long a server-side `hang` action sleeps when the plan gives no
 /// duration: far beyond any client deadline, i.e. "forever".
 const HANG_FOREVER: Duration = Duration::from_secs(600);
@@ -190,6 +178,27 @@ impl FrameKind {
             15 => Some(FrameKind::KeyUpload),
             16 => Some(FrameKind::KeyAck),
             _ => None,
+        }
+    }
+
+    /// The exact payload length of the kinds whose length the protocol
+    /// fixes; `None` for variable-length kinds (bounded by [`MAX_FRAME`]).
+    fn fixed_len(self) -> Option<u64> {
+        match self {
+            FrameKind::Hello => Some(HELLO_BYTES as u64),
+            FrameKind::Ping | FrameKind::Pong | FrameKind::StatsReq | FrameKind::Shutdown => {
+                Some(0)
+            }
+            FrameKind::KeyOffer | FrameKind::KeyNeed | FrameKind::KeyAck => Some(8),
+            FrameKind::HelloAck
+            | FrameKind::BlindRotateReq
+            | FrameKind::BlindRotateResp
+            | FrameKind::Error
+            | FrameKind::StatsResp
+            | FrameKind::SubmitReq
+            | FrameKind::SubmitAck
+            | FrameKind::JobDone
+            | FrameKind::KeyUpload => None,
         }
     }
 }
@@ -317,10 +326,20 @@ pub(crate) fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>, u64),
     let kind = FrameKind::from_u8(header[4])
         .ok_or_else(|| FrameError::Protocol(format!("unknown frame kind {}", header[4])))?;
     let len = u64::from_le_bytes(header[5..13].try_into().expect("8 bytes"));
-    if len > MAX_FRAME {
-        return Err(FrameError::Protocol(format!(
-            "oversized frame ({len} bytes)"
-        )));
+    // Both checks come before the payload buffer exists: the length is
+    // unauthenticated input from a 17-byte header.
+    match kind.fixed_len() {
+        Some(fixed) if len != fixed => {
+            return Err(FrameError::Protocol(format!(
+                "{kind:?} frame announces {len} bytes, the protocol fixes {fixed}"
+            )));
+        }
+        None if len > MAX_FRAME => {
+            return Err(FrameError::Protocol(format!(
+                "oversized frame ({len} bytes)"
+            )));
+        }
+        _ => {}
     }
     let crc = u32::from_le_bytes(header[13..].try_into().expect("4 bytes"));
     let mut payload = vec![0u8; len as usize];
@@ -495,25 +514,22 @@ pub(crate) fn check_hello(local: &[u8], payload: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
-/// `HelloAck` payload: the ring shape, the key ids the node caches
-/// (`u32 LE` count, then `u64 LE` ids, most recently used first), and
-/// one trailing byte advertising the blind-rotate backends the node
-/// serves ([`BACKEND_CMUX`] | [`BACKEND_AUTO`]).
-fn hello_ack_payload(local_hello: &[u8], ids: &[KeyId], backends: u8) -> Vec<u8> {
-    let mut p = Vec::with_capacity(local_hello.len() + 4 + 8 * ids.len() + 1);
+/// `HelloAck` payload: the ring shape followed by the key ids the node
+/// caches (`u32 LE` count, then `u64 LE` ids, most recently used first).
+fn hello_ack_payload(local_hello: &[u8], ids: &[KeyId]) -> Vec<u8> {
+    let mut p = Vec::with_capacity(local_hello.len() + 4 + 8 * ids.len());
     p.extend_from_slice(local_hello);
     p.extend_from_slice(&(ids.len() as u32).to_le_bytes());
     for id in ids {
         p.extend_from_slice(&id.0.to_le_bytes());
     }
-    p.push(backends);
     p
 }
 
 /// Validates a `HelloAck` against the local ring shape and returns the
-/// advertised cached key ids and backend bitmask.
-pub(crate) fn check_hello_ack(local: &[u8], payload: &[u8]) -> Result<(Vec<u64>, u8), String> {
-    if payload.len() < HELLO_BYTES + 4 + 1 {
+/// advertised cached key ids.
+pub(crate) fn check_hello_ack(local: &[u8], payload: &[u8]) -> Result<Vec<u64>, String> {
+    if payload.len() < HELLO_BYTES + 4 {
         return Err(format!("hello-ack payload is {} bytes", payload.len()));
     }
     check_hello(local, &payload[..HELLO_BYTES])?;
@@ -522,24 +538,17 @@ pub(crate) fn check_hello_ack(local: &[u8], payload: &[u8]) -> Result<(Vec<u64>,
             .try_into()
             .expect("4 bytes"),
     ) as usize;
-    let rest = &payload[HELLO_BYTES + 4..];
-    if rest.len() != count.saturating_mul(8) + 1 {
+    let ids = &payload[HELLO_BYTES + 4..];
+    if ids.len() != count.saturating_mul(8) {
         return Err(format!(
-            "hello-ack advertises {count} keys but carries {} id+backend bytes",
-            rest.len()
+            "hello-ack advertises {count} keys but carries {} id bytes",
+            ids.len()
         ));
     }
-    let (ids, tail) = rest.split_at(rest.len() - 1);
-    let backends = tail[0];
-    if backends == 0 || backends & !BACKEND_BOTH != 0 {
-        return Err(format!("hello-ack backend bitmask {backends:#04x} invalid"));
-    }
-    Ok((
-        ids.chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect(),
-        backends,
-    ))
+    Ok(ids
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+        .collect())
 }
 
 /// A `KeyAck`/`KeyNeed` reply payload is the echoed `u64 LE` key id.
@@ -579,9 +588,6 @@ pub struct RemoteNode {
     /// Key ids the server is known to hold: seeded from each `HelloAck`,
     /// extended by every `KeyAck`. Drives [`ServiceNode::holds_key`].
     known: Mutex<HashSet<u64>>,
-    /// Backend bitmask the server advertised in its last `HelloAck`.
-    /// Drives [`ServiceNode::supports_backend`].
-    advertised: AtomicU8,
 }
 
 impl RemoteNode {
@@ -630,7 +636,6 @@ impl RemoteNode {
             ledger,
             key: None,
             known: Mutex::new(HashSet::new()),
-            advertised: AtomicU8::new(BACKEND_BOTH),
         };
         let stream = node.dial()?;
         *node.lock_stream() = Some(stream);
@@ -654,12 +659,6 @@ impl RemoteNode {
     /// The key id this node's batches run under (`None` = server default).
     pub fn key_id(&self) -> Option<KeyId> {
         self.key.as_ref().map(|k| k.id)
-    }
-
-    /// The blind-rotate backend bitmask the server advertised in its
-    /// last `HelloAck` ([`BACKEND_CMUX`] | [`BACKEND_AUTO`]).
-    pub fn advertised_backends(&self) -> u8 {
-        self.advertised.load(Ordering::Relaxed)
     }
 
     /// The deadlines this node applies to its socket operations.
@@ -717,15 +716,12 @@ impl RemoteNode {
         }
         match kind {
             FrameKind::HelloAck => {
-                let (ids, backends) =
-                    check_hello_ack(&self.hello, &payload).map_err(NodeError::Protocol)?;
+                let ids = check_hello_ack(&self.hello, &payload).map_err(NodeError::Protocol)?;
                 // A fresh handshake resets what we believe the server
-                // holds — a restarted peer starts with an empty cache
-                // and may serve different datapaths.
+                // holds — a restarted peer starts with an empty cache.
                 let mut known = self.lock_known();
                 known.clear();
                 known.extend(ids);
-                self.advertised.store(backends, Ordering::Relaxed);
             }
             FrameKind::Error => {
                 return Err(NodeError::Remote(
@@ -973,10 +969,6 @@ impl ServiceNode for RemoteNode {
         }
     }
 
-    fn supports_backend(&self, backend: BrBackend) -> bool {
-        self.advertised.load(Ordering::Relaxed) & backend_bit(backend) != 0
-    }
-
     fn name(&self) -> String {
         self.name.clone()
     }
@@ -1051,7 +1043,7 @@ impl std::fmt::Debug for NodeKeyStore {
 }
 
 /// Server-side knobs for [`serve`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// Thread budget for this node's blind rotations (one FPGA's worth of
     /// compute in the paper's terms).
@@ -1075,26 +1067,6 @@ pub struct ServeOptions {
     /// keep (as `heap-node-serve` does for its metrics endpoint) to
     /// observe or bound it; `None` creates a private unbounded store.
     pub key_store: Option<NodeKeyStore>,
-    /// Blind-rotate backends this node serves, advertised in every
-    /// `HelloAck` trailer byte ([`BACKEND_CMUX`] | [`BACKEND_AUTO`];
-    /// default [`BACKEND_BOTH`]). A `KeyUpload` whose container was
-    /// generated for a backend outside this mask is refused with an
-    /// `Error` frame. [`serve`] additionally ORs in the pre-loaded
-    /// default key's backend so the advertisement stays truthful.
-    pub backends: u8,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        Self {
-            parallelism: Parallelism::default(),
-            fail_after: None,
-            fault_plan: None,
-            telemetry: None,
-            key_store: None,
-            backends: BACKEND_BOTH,
-        }
-    }
 }
 
 /// Serves blind-rotation requests on `listener` until the process exits,
@@ -1119,8 +1091,6 @@ pub fn serve(
     let resident = set.to_strict_wire(&ctx).len();
     store.lock().insert(set.id(), Arc::clone(&boot), resident);
     opts.key_store = Some(store);
-    // The advertisement must cover the key the node actually pre-loaded.
-    opts.backends |= backend_bit(boot.br_keys().backend());
     serve_inner(listener, ctx, Some(boot), opts)
 }
 
@@ -1151,7 +1121,6 @@ fn serve_inner(
         telemetry: opts.telemetry.unwrap_or_default(),
         default_boot,
         keys: opts.key_store.unwrap_or_default(),
-        backends: opts.backends,
     });
     for conn in listener.incoming() {
         let stream = conn?;
@@ -1182,9 +1151,6 @@ struct ServerState {
     default_boot: Option<Arc<Bootstrapper>>,
     /// Wire-distributed keys by content id.
     keys: NodeKeyStore,
-    /// Blind-rotate backends served (HelloAck advertisement; uploads of
-    /// other backends' key containers are refused).
-    backends: u8,
 }
 
 /// Maps a server-side frame failure (no deadlines are armed on the
@@ -1230,7 +1196,7 @@ fn handle_connection(
         let _ = write_frame(&mut stream, FrameKind::Error, why.as_bytes());
         return Err(NodeError::Protocol(why));
     }
-    let ack = hello_ack_payload(&local_hello, &state.keys.lock().ids(), state.backends);
+    let ack = hello_ack_payload(&local_hello, &state.keys.lock().ids());
     write_frame(&mut stream, FrameKind::HelloAck, &ack)
         .map_err(|e| NodeError::Io(e.to_string()))?;
     let moduli: Vec<u64> = (0..ctx.boot_limbs())
@@ -1394,16 +1360,6 @@ fn handle_connection(
                         continue;
                     }
                 };
-                // A container generated for a datapath this node does
-                // not serve is refused before the expensive expansion
-                // parity check; the session stays in sync.
-                if backend_bit(set.backend()) & state.backends == 0 {
-                    let why = format!("backend {} not served by this node", set.backend());
-                    state.telemetry.errors.inc();
-                    write_frame(&mut stream, FrameKind::Error, why.as_bytes())
-                        .map_err(|e| NodeError::Io(e.to_string()))?;
-                    continue;
-                }
                 // The parity oracle: the id recomputed from the strict
                 // re-encoding of the expanded keys must equal the offer.
                 if set.id().0 != id {
@@ -1489,6 +1445,44 @@ mod tests {
                 modulus: two_n,
             })
             .collect()
+    }
+
+    #[test]
+    fn fixed_length_kinds_are_refused_on_the_header_alone() {
+        // One wrong announcement per length class; the 1 GiB one would
+        // pass the `MAX_FRAME` bound a variable-length kind gets.
+        for (kind, announced) in [
+            (FrameKind::Ping, MAX_FRAME),
+            (FrameKind::Pong, 1),
+            (FrameKind::StatsReq, 1),
+            (FrameKind::Shutdown, 1),
+            (FrameKind::Hello, MAX_FRAME),
+            (FrameKind::Hello, 0),
+            (FrameKind::KeyOffer, MAX_FRAME),
+            (FrameKind::KeyNeed, 9),
+            (FrameKind::KeyAck, 0),
+        ] {
+            let mut wire = frame_header(kind, &[]).to_vec();
+            wire[5..13].copy_from_slice(&announced.to_le_bytes());
+            wire.extend_from_slice(&[0u8; 64]);
+            let mut r = std::io::Cursor::new(wire);
+            match read_frame(&mut r) {
+                Err(FrameError::Protocol(why)) => assert!(why.contains("fixes"), "{why}"),
+                other => panic!("{kind:?} announcing {announced}: {other:?}"),
+            }
+            assert_eq!(r.position(), FRAME_HEADER_BYTES, "{kind:?}: payload read");
+        }
+        // The right lengths still parse.
+        for (kind, payload) in [
+            (FrameKind::Ping, &[][..]),
+            (FrameKind::Hello, &[7u8; HELLO_BYTES][..]),
+            (FrameKind::KeyOffer, &[7u8; 8][..]),
+        ] {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, kind, payload).expect("write");
+            let (got, body, _) = read_frame(&mut wire.as_slice()).expect("read");
+            assert_eq!((got, body.as_slice()), (kind, payload));
+        }
     }
 
     #[test]
@@ -1614,13 +1608,13 @@ mod tests {
         .expect("connect");
         // Handshake: Hello out (16-byte shape), HelloAck back (shape +
         // u32 count + one advertised key id — `serve` registers its
-        // default key in the cache — + the backend bitmask byte).
+        // default key in the cache).
         assert_eq!(ledger.control_frames_sent(), 1);
         assert_eq!(ledger.control_frames_received(), 1);
         assert_eq!(ledger.control_bytes_sent(), FRAME_HEADER_BYTES + 16);
         assert_eq!(
             ledger.control_bytes_received(),
-            FRAME_HEADER_BYTES + 16 + 4 + 8 + 1
+            FRAME_HEADER_BYTES + 16 + 4 + 8
         );
         // Ping/Pong: empty payloads, header-only frames.
         node.ping().expect("ping");
@@ -1908,7 +1902,7 @@ mod tests {
             let (mut stream, _) = listener.accept().expect("accept");
             let (kind, _, _) = read_frame(&mut stream).expect("hello");
             assert_eq!(kind, FrameKind::Hello);
-            let ack = hello_ack_payload(&local_hello, &[], BACKEND_BOTH);
+            let ack = hello_ack_payload(&local_hello, &[]);
             write_frame(&mut stream, FrameKind::HelloAck, &ack).expect("ack");
             let (kind, _, _) = read_frame(&mut stream).expect("request");
             assert_eq!(kind, FrameKind::BlindRotateReq);
@@ -1949,71 +1943,17 @@ mod tests {
     /// A fresh seed-expandable key set, its upload package, and a local
     /// bootstrapper built from the identical keys.
     fn wire_key(master: u64, rng_seed: u64) -> (Arc<KeyPackage>, Bootstrapper) {
-        wire_key_backend(master, rng_seed, BrBackend::Cmux)
-    }
-
-    /// [`wire_key`] for an explicit blind-rotate backend.
-    fn wire_key_backend(
-        master: u64,
-        rng_seed: u64,
-        backend: BrBackend,
-    ) -> (Arc<KeyPackage>, Bootstrapper) {
         use heap_core::{generate_keys_reseeded, BootstrapConfig};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let s = setup();
-        let config = BootstrapConfig::test_small().with_backend(backend);
+        let config = BootstrapConfig::test_small();
         let mut rng = StdRng::seed_from_u64(rng_seed);
         let sk = heap_ckks::SecretKey::generate(&s.ctx, &mut rng);
         let keys = generate_keys_reseeded(&s.ctx, &sk, config, master, &mut rng);
         let set = EvalKeySet::new(&s.ctx, config, keys, Some(master));
         let pkg = Arc::new(set.package(&s.ctx));
         (pkg, set.into_bootstrapper(&s.ctx))
-    }
-
-    #[test]
-    fn backend_restricted_node_advertises_and_refuses_foreign_uploads() {
-        let s = setup();
-        let addr = spawn_keyless(ServeOptions {
-            parallelism: Parallelism::serial(),
-            backends: BACKEND_CMUX,
-            ..ServeOptions::default()
-        });
-        // The HelloAck trailer reflects the restriction.
-        let (auto_pkg, _) = wire_key_backend(0xA07, 77, BrBackend::Auto);
-        let node = RemoteNode::connect(&addr, &s.ctx)
-            .expect("connect")
-            .with_key(auto_pkg);
-        assert_eq!(node.advertised_backends(), BACKEND_CMUX);
-        assert!(ServiceNode::supports_backend(&node, BrBackend::Cmux));
-        assert!(!ServiceNode::supports_backend(&node, BrBackend::Auto));
-        // An automorphism-backend container is refused at upload; the
-        // session (and telemetry) treats it as a remote error, not I/O.
-        let err = node
-            .try_blind_rotate_batch(&s.ctx, &s.boot, &test_lwes(1))
-            .expect_err("auto container refused on a cmux-only node");
-        assert!(
-            matches!(err, NodeError::Remote(ref m) if m.contains("not served")),
-            "{err:?}"
-        );
-        // A CMUX container on the same server still flows end to end.
-        let (cmux_pkg, local) = wire_key(0xC07, 78);
-        let node2 = RemoteNode::connect(&addr, &s.ctx)
-            .expect("connect")
-            .with_key(cmux_pkg);
-        let lwes = test_lwes(2);
-        let remote = node2
-            .try_blind_rotate_batch(&s.ctx, &s.boot, &lwes)
-            .expect("cmux batch on a cmux-only node");
-        let reference = local.blind_rotate_batch_par(&s.ctx, &lwes, Parallelism::serial());
-        let moduli: Vec<u64> = (0..s.ctx.boot_limbs())
-            .map(|j| s.ctx.rns().modulus(j).value())
-            .collect();
-        for (r, l) in remote.iter().zip(&reference) {
-            assert_eq!(r.to_wire(&moduli), l.to_wire(&moduli));
-        }
-        node.shutdown();
-        node2.shutdown();
     }
 
     #[test]
@@ -2132,9 +2072,12 @@ mod tests {
             .map_err(server_frame_err)
             .expect("ack");
         assert_eq!(kind, FrameKind::HelloAck);
-        let (ids, backends) = check_hello_ack(&local, &payload).expect("valid ack");
-        assert!(ids.is_empty(), "keyless node advertises no ids");
-        assert_eq!(backends, BACKEND_BOTH, "default mask serves both");
+        assert!(
+            check_hello_ack(&local, &payload)
+                .expect("valid ack")
+                .is_empty(),
+            "keyless node advertises no ids"
+        );
         // Offer an id the server lacks → KeyNeed echoing the id.
         write_frame(&mut stream, FrameKind::KeyOffer, &7u64.to_le_bytes()).expect("offer");
         let (kind, reply, _) = read_frame(&mut stream)
@@ -2178,6 +2121,14 @@ mod tests {
         use proptest::prelude::*;
         use std::io::Cursor;
 
+        /// `payload` cut or zero-padded to the length `kind` fixes, if any.
+        fn sized_for(kind: FrameKind, mut payload: Vec<u8>) -> Vec<u8> {
+            if let Some(fixed) = kind.fixed_len() {
+                payload.resize(fixed as usize, 0);
+            }
+            payload
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -2188,6 +2139,7 @@ mod tests {
                 bit_seed in any::<u64>(),
             ) {
                 let kind = FrameKind::from_u8(kind_byte).expect("valid kind");
+                let payload = sized_for(kind, payload);
                 let mut buf = Vec::new();
                 write_frame(&mut buf, kind, &payload).expect("encode");
                 let bit = (bit_seed % (buf.len() as u64 * 8)) as usize;
@@ -2204,6 +2156,7 @@ mod tests {
                 kind_byte in 0u8..17,
             ) {
                 let kind = FrameKind::from_u8(kind_byte).expect("valid kind");
+                let payload = sized_for(kind, payload);
                 let mut buf = Vec::new();
                 write_frame(&mut buf, kind, &payload).expect("encode");
                 let (got_kind, got_payload, consumed) =
@@ -2235,19 +2188,19 @@ mod tests {
             #[test]
             fn hello_ack_roundtrips_and_rejects_prefixes(
                 ids in prop::collection::vec(any::<u64>(), 0..8),
-                backends in 1u8..4,
                 cut in 0usize..1 << 16,
             ) {
                 let s = setup();
                 let local = hello_payload(&s.ctx);
                 let key_ids: Vec<KeyId> = ids.iter().copied().map(KeyId).collect();
-                let payload = hello_ack_payload(&local, &key_ids, backends);
-                prop_assert_eq!(
-                    check_hello_ack(&local, &payload).unwrap(),
-                    (ids, backends)
-                );
+                let payload = hello_ack_payload(&local, &key_ids);
+                prop_assert_eq!(check_hello_ack(&local, &payload).unwrap(), ids);
                 let cut = cut % payload.len();
                 prop_assert!(check_hello_ack(&local, &payload[..cut]).is_err());
+                // Strict parse: nothing may follow the id list.
+                let mut trailing = payload;
+                trailing.push(cut as u8);
+                prop_assert!(check_hello_ack(&local, &trailing).is_err());
             }
 
             #[test]

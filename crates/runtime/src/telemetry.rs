@@ -24,9 +24,6 @@ pub(crate) struct SchedulerTelemetry {
     pub breaker_opens: Arc<Counter>,
     pub readmissions: Arc<Counter>,
     pub fallback_shards: Arc<Counter>,
-    /// Shards dispatched to a node that did not advertise the batch's
-    /// blind-rotate backend (served anyway, under an uploaded key).
-    pub backend_fallbacks: Arc<Counter>,
     /// Speculative duplicate attempts started for straggling shards.
     pub hedges_issued: Arc<Counter>,
     /// Hedged attempts whose result resolved the shard.
@@ -79,10 +76,6 @@ impl SchedulerTelemetry {
             fallback_shards: registry.counter(
                 "heap_scheduler_fallback_shards_total",
                 "shards served by the fallback node",
-            ),
-            backend_fallbacks: registry.counter(
-                "heap_backend_fallback_total",
-                "shards dispatched to a node not advertising the batch's blind-rotate backend",
             ),
             hedges_issued: registry.counter(
                 "heap_hedges_issued_total",
@@ -272,7 +265,6 @@ mod tests {
         assert_eq!(snap.histogram("heap_batch_size_lwes").unwrap().count, 1);
         assert!(snap.histogram("heap_queue_wait_ns").is_some());
         assert!(snap.histogram("heap_shard_round_trip_ns").is_some());
-        assert_eq!(snap.counter("heap_backend_fallback_total"), Some(0));
     }
 
     #[test]

@@ -38,11 +38,10 @@ const LWE_ITEM_HEADER: u64 = 16;
 const ACC_ITEM_HEADER: u64 = 12;
 /// Hello/HelloAck payload: u32 n + u32 boot limbs + u64 q0.
 const HELLO_PAYLOAD: u64 = 16;
-/// HelloAck additionally advertises the node's cached key ids
-/// (u32 count + count × u64 id) and a trailing blind-rotate backend
-/// bitmask byte. A pre-keyed `serve` node caches exactly its default
-/// key, so the ack carries one id.
-const HELLO_ACK_IDS: u64 = 4 + 8 + 1;
+/// HelloAck additionally advertises the node's cached key ids:
+/// u32 count + count × u64 id. A pre-keyed `serve` node caches exactly
+/// its default key, so the ack carries one id.
+const HELLO_ACK_IDS: u64 = 4 + 8;
 /// Every BlindRotateReq payload leads with the u64 evaluation-key id
 /// (0 = the server's default key).
 const KEY_ID: u64 = 8;
@@ -235,7 +234,7 @@ fn measured_key_distribution_matches_wire_model_exactly() {
             .map(|j| ctx.rns().modulus(j).value())
             .collect(),
         galois_exponents: setup.boot.galois_keys().len(),
-        auto_backend: config.backend == heap_core::BrBackend::Auto,
+        auto_backend: false,
     };
     // The model prices the encoders exactly before any socket enters.
     assert_eq!(model.container_bytes(true), setup.key.bytes.len() as u64);

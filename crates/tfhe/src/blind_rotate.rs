@@ -43,7 +43,7 @@ use crate::rgsw::{
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
 
 /// Reverses the low `bits` bits of `x` (the NTT butterfly ordering).
-pub(crate) fn bit_reverse(x: usize, bits: u32) -> usize {
+fn bit_reverse(x: usize, bits: u32) -> usize {
     if bits == 0 {
         0
     } else {

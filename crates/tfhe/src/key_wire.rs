@@ -28,7 +28,6 @@ use heap_math::arith::Modulus;
 use heap_math::wire::{packed_size, WireError, WireReader, WireWriter};
 use heap_math::{poly, sample, Domain, RnsContext, RnsPoly};
 
-use crate::auto_rotate::{galois_exponents, AutoBlindRotateKey, GaloisSwitchKey};
 use crate::blind_rotate::BlindRotateKey;
 use crate::lwe::{LweCiphertext, LweKeySwitchKey, LweSecretKey};
 use crate::rgsw::{RgswCiphertext, RgswParams};
@@ -36,7 +35,6 @@ use crate::rlwe::{RingSecretKey, RlweCiphertext};
 
 const KSK_MAGIC: u32 = 0x4B53_4B31; // "KSK1"
 const BRK_MAGIC: u32 = 0x4252_4B31; // "BRK1"
-const ABK_MAGIC: u32 = 0x4142_4B31; // "ABK1"
 
 /// Wire mode: both halves explicit.
 pub const MODE_STRICT: u8 = 0;
@@ -431,241 +429,6 @@ pub fn brk_wire_size(
     header + rows_total * per_row
 }
 
-// ---------------------------------------------------------------------------
-// Automorphism blind-rotate key
-// ---------------------------------------------------------------------------
-
-/// Visits every RLWE row of `abk` in encoding order: the per-secret-element
-/// RGSW ladder first (`rows_s[r]`, `rows_1[r]` interleaved per element),
-/// then the Galois switch keys in [`galois_exponents`] order.
-fn for_each_abk_row_mut(abk: &mut AutoBlindRotateKey, mut f: impl FnMut(&mut RlweCiphertext)) {
-    for rgsw in abk.elems_mut() {
-        for r in 0..rgsw.rows_s.len() {
-            f(&mut rgsw.rows_s[r]);
-            f(&mut rgsw.rows_1[r]);
-        }
-    }
-    for gk in abk.gks_mut() {
-        for row in gk.rows_mut() {
-            f(row);
-        }
-    }
-}
-
-fn for_each_abk_row(abk: &AutoBlindRotateKey, mut f: impl FnMut(&RlweCiphertext)) {
-    for rgsw in abk.elems() {
-        for r in 0..rgsw.rows_s.len() {
-            f(&rgsw.rows_s[r]);
-            f(&rgsw.rows_1[r]);
-        }
-    }
-    for gk in abk.gks() {
-        for row in gk.rows() {
-            f(row);
-        }
-    }
-}
-
-/// Replaces every row mask of `abk` with the PRG stream for `seed`, fixing
-/// bodies limb-wise so all phases are unchanged (same transform as
-/// [`reseed_brk`], applied across the RGSW ladder *and* the Galois switch
-/// keys).
-///
-/// Stream order: rows in encoding order, limbs `0..limbs` within a row.
-pub fn reseed_abk(
-    abk: &mut AutoBlindRotateKey,
-    ctx: &RnsContext,
-    ring_sk: &RingSecretKey,
-    seed: u64,
-) {
-    let n = ctx.n();
-    let limbs = abk.limbs();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut delta = vec![0u64; n];
-    let mut prod = vec![0u64; n];
-    for_each_abk_row_mut(abk, |row| {
-        for j in 0..limbs {
-            let m = ctx.modulus(j);
-            let fresh = sample::uniform_poly(&mut rng, n, m.value());
-            let a_j = row.a.limb_mut(j);
-            for ((d, &old), &new) in delta.iter_mut().zip(a_j.iter()).zip(&fresh) {
-                *d = m.sub(old, new);
-            }
-            ctx.ntt(j)
-                .pointwise(&delta, ring_sk.eval_limb(j), &mut prod);
-            poly::add_assign(row.b.limb_mut(j), &prod, m);
-            a_j.copy_from_slice(&fresh);
-        }
-    });
-    // Rows changed under the prepared Shoup tables; re-derive them so the
-    // hoisted key-switch and prepared external products stay exact.
-    abk.rebuild_prepared(ctx);
-}
-
-/// Serializes an automorphism blind-rotate key (see [`ksk_to_wire`] for
-/// the strict/seeded contract). The Galois exponents are implicit — pure
-/// functions of `n` — so only row data travels.
-pub fn abk_to_wire(abk: &AutoBlindRotateKey, ctx: &RnsContext, seed: Option<u64>) -> Vec<u8> {
-    let limbs = abk.limbs();
-    let n = ctx.n();
-    let mut w = WireWriter::new();
-    w.put_u32(ABK_MAGIC);
-    w.put_u8(if seed.is_some() {
-        MODE_SEEDED
-    } else {
-        MODE_STRICT
-    });
-    w.put_u32(abk.lwe_dim() as u32);
-    w.put_u32(limbs as u32);
-    w.put_u32(n as u32);
-    w.put_u32(abk.params().base_bits);
-    w.put_u32(abk.params().digits as u32);
-    for j in 0..limbs {
-        w.put_u64(ctx.modulus(j).value());
-    }
-    if let Some(s) = seed {
-        w.put_u64(s);
-    }
-    for_each_abk_row(abk, |row| {
-        for j in 0..limbs {
-            let bits = modulus_bits(ctx.modulus(j).value());
-            if seed.is_none() {
-                w.put_packed(row.a.limb(j), bits);
-            }
-            w.put_packed(row.b.limb(j), bits);
-        }
-    });
-    w.into_bytes()
-}
-
-/// Deserializes a key written by [`abk_to_wire`], expanding masks from the
-/// embedded seed in seeded mode. Automorphism permutations, discrete-log
-/// tables, and Shoup quotients are rebuilt from `ctx`.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] on truncation, corrupted fields, or a shape
-/// disagreeing with `ctx`.
-pub fn abk_from_wire(buf: &[u8], ctx: &RnsContext) -> Result<AutoBlindRotateKey, WireError> {
-    let mut r = WireReader::new(buf);
-    if r.get_u32()? != ABK_MAGIC {
-        return Err(WireError::Corrupt("ABK magic"));
-    }
-    let mode = r.get_u8()?;
-    if mode != MODE_STRICT && mode != MODE_SEEDED {
-        return Err(WireError::Corrupt("ABK mode"));
-    }
-    let lwe_dim = r.get_u32()? as usize;
-    let limbs = r.get_u32()? as usize;
-    let n = r.get_u32()? as usize;
-    let base_bits = r.get_u32()?;
-    let digits = r.get_u32()? as usize;
-    if lwe_dim == 0 || lwe_dim > 1 << 24 || limbs == 0 || limbs > 64 {
-        return Err(WireError::Corrupt("ABK shape"));
-    }
-    if n != ctx.n() || limbs > ctx.max_limbs() {
-        return Err(WireError::Corrupt("ABK basis mismatch"));
-    }
-    if base_bits == 0 || base_bits > 32 || digits == 0 || digits > 64 {
-        return Err(WireError::Corrupt("ABK gadget"));
-    }
-    for j in 0..limbs {
-        if r.get_u64()? != ctx.modulus(j).value() {
-            return Err(WireError::Corrupt("ABK modulus mismatch"));
-        }
-    }
-    let seed = if mode == MODE_SEEDED {
-        Some(r.get_u64()?)
-    } else {
-        None
-    };
-    let mut rng = seed.map(StdRng::seed_from_u64);
-    let params = RgswParams { base_bits, digits };
-    let rows = params.rows(limbs);
-    let read_row = |r: &mut WireReader<'_>, rng: &mut Option<StdRng>| {
-        let mut a_limbs = Vec::with_capacity(limbs);
-        let mut b_limbs = Vec::with_capacity(limbs);
-        for j in 0..limbs {
-            let m = ctx.modulus(j).value();
-            let bits = modulus_bits(m);
-            let aj = match rng {
-                Some(rng) => sample::uniform_poly(rng, n, m),
-                None => {
-                    let aj = r.get_packed(bits, n)?;
-                    if aj.iter().any(|&x| x >= m) {
-                        return Err(WireError::Corrupt("ABK mask out of range"));
-                    }
-                    aj
-                }
-            };
-            let bj = r.get_packed(bits, n)?;
-            if bj.iter().any(|&x| x >= m) {
-                return Err(WireError::Corrupt("ABK body out of range"));
-            }
-            a_limbs.push(aj);
-            b_limbs.push(bj);
-        }
-        Ok(RlweCiphertext {
-            a: RnsPoly::from_limbs(a_limbs, Domain::Eval),
-            b: RnsPoly::from_limbs(b_limbs, Domain::Eval),
-        })
-    };
-    let mut elems = Vec::with_capacity(lwe_dim);
-    for _ in 0..lwe_dim {
-        let mut rows_s = Vec::with_capacity(rows);
-        let mut rows_1 = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            rows_s.push(read_row(&mut r, &mut rng)?);
-            rows_1.push(read_row(&mut r, &mut rng)?);
-        }
-        elems.push(RgswCiphertext { rows_s, rows_1 });
-    }
-    let mut gks = Vec::new();
-    for t in galois_exponents(n) {
-        let mut gk_rows = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            gk_rows.push(read_row(&mut r, &mut rng)?);
-        }
-        gks.push(GaloisSwitchKey::from_parts(ctx, t, gk_rows, params, limbs));
-    }
-    Ok(AutoBlindRotateKey::from_parts(
-        ctx, elems, gks, params, limbs,
-    ))
-}
-
-/// Exact byte size of [`abk_to_wire`]'s output for the given shape.
-///
-/// `moduli` lists the limb moduli of the accumulator basis. Contrast with
-/// [`brk_wire_size`]: the RGSW ladder is half as long (one ciphertext per
-/// secret element instead of a pos/neg pair) and the Galois switch keys
-/// add `log2(N/2) + 1` RLWE-row groups — the key-traffic trade the
-/// automorphism backend is measured on.
-pub fn abk_wire_size(
-    lwe_dim: usize,
-    n: usize,
-    digits: usize,
-    moduli: &[u64],
-    seeded: bool,
-) -> usize {
-    let header = 4 + 1 + 4 + 4 + 4 + 4 + 4 + 8 * moduli.len() + if seeded { 8 } else { 0 };
-    let gk_count = n.trailing_zeros() as usize; // log2(N/2) + 1
-                                                // RLWE rows: the RGSW ladder carries 2·limbs·digits per secret element
-                                                // (rows_s + rows_1); each Galois switch key carries limbs·digits.
-    let rows_total = (2 * lwe_dim + gk_count) * moduli.len() * digits;
-    let per_row: usize = moduli
-        .iter()
-        .map(|&m| {
-            let limb = packed_size(n, modulus_bits(m));
-            if seeded {
-                limb
-            } else {
-                2 * limb
-            }
-        })
-        .sum();
-    header + rows_total * per_row
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -800,90 +563,6 @@ mod tests {
             assert_eq!(via_wire.a.limb(j), local.a.limb(j));
             assert_eq!(via_wire.b.limb(j), local.b.limb(j));
         }
-    }
-
-    #[test]
-    fn abk_reseed_preserves_rotation_and_seeded_roundtrip_is_parity_exact() {
-        let ctx = rns();
-        let mut rng = StdRng::seed_from_u64(14);
-        let lwe_sk = LweSecretKey::generate(&mut rng, 8);
-        let ring_sk = RingSecretKey::generate(&ctx, 2, &mut rng);
-        let params = RgswParams {
-            base_bits: 15,
-            digits: 2,
-        };
-        let mut abk = AutoBlindRotateKey::generate(&ctx, &lwe_sk, &ring_sk, 2, params, &mut rng);
-        let two_n = 2 * ctx.n() as u64;
-        let test_poly = crate::blind_rotate::test_polynomial_from_fn(&ctx, 2, |u| u << 40);
-        let lwe = LweCiphertext {
-            a: (0..8).map(|i| (i * 13 + 5) % two_n).collect(),
-            b: 37 % two_n,
-            modulus: two_n,
-        };
-        reseed_abk(&mut abk, &ctx, &ring_sk, 0xABCD);
-        let moduli: Vec<u64> = (0..2).map(|j| ctx.modulus(j).value()).collect();
-        let strict = abk_to_wire(&abk, &ctx, None);
-        let seeded = abk_to_wire(&abk, &ctx, Some(0xABCD));
-        assert_eq!(strict.len(), abk_wire_size(8, ctx.n(), 2, &moduli, false));
-        assert_eq!(seeded.len(), abk_wire_size(8, ctx.n(), 2, &moduli, true));
-        assert!(seeded.len() * 2 < strict.len() + 64);
-        // The automorphism key ships fewer bytes than the CMUX key of the
-        // same shape — the trade the backend exists for.
-        assert!(strict.len() < brk_wire_size(8, ctx.n(), 2, &moduli, false));
-        let expanded = abk_from_wire(&seeded, &ctx).unwrap();
-        assert_eq!(abk_to_wire(&expanded, &ctx, None), strict);
-        // Expansion is bit-exact, so rotation through the expanded key is
-        // bit-identical to rotating with the reseeded original.
-        let local = abk.blind_rotate(&ctx, &test_poly, &lwe);
-        let via_wire = expanded.blind_rotate(&ctx, &test_poly, &lwe);
-        for j in 0..2 {
-            assert_eq!(via_wire.a.limb(j), local.a.limb(j));
-            assert_eq!(via_wire.b.limb(j), local.b.limb(j));
-        }
-        // And the reseed transform preserved correctness: the rotation
-        // still decrypts like the CMUX reference on the same input.
-        let brk = {
-            let mut krng = StdRng::seed_from_u64(15);
-            BlindRotateKey::generate(&ctx, &lwe_sk, &ring_sk, 2, params, &mut krng)
-        };
-        let reference = brk.blind_rotate_reference(&ctx, &test_poly, &lwe);
-        let got = local.phase(&ctx, &ring_sk).to_centered_f64(&ctx);
-        let want = reference.phase(&ctx, &ring_sk).to_centered_f64(&ctx);
-        let bound = (1u64 << 38) as f64; // messages are 2^40 apart
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < bound, "phase drift: {g} vs {w}");
-        }
-    }
-
-    #[test]
-    fn abk_rejects_truncation_corruption_and_wrong_basis() {
-        let ctx = rns();
-        let mut rng = StdRng::seed_from_u64(16);
-        let lwe_sk = LweSecretKey::generate(&mut rng, 2);
-        let ring_sk = RingSecretKey::generate(&ctx, 1, &mut rng);
-        let params = RgswParams {
-            base_bits: 15,
-            digits: 2,
-        };
-        let mut abk = AutoBlindRotateKey::generate(&ctx, &lwe_sk, &ring_sk, 1, params, &mut rng);
-        reseed_abk(&mut abk, &ctx, &ring_sk, 21);
-        let bytes = abk_to_wire(&abk, &ctx, Some(21));
-        let mut cut_rng = StdRng::seed_from_u64(17);
-        for _ in 0..64 {
-            let cut = cut_rng.gen_range(0..bytes.len());
-            assert!(abk_from_wire(&bytes[..cut], &ctx).is_err(), "prefix {cut}");
-        }
-        let mut bad = bytes.clone();
-        bad[0] ^= 0x01;
-        assert_eq!(
-            abk_from_wire(&bad, &ctx).err(),
-            Some(WireError::Corrupt("ABK magic"))
-        );
-        // A BRK blob is not an ABK blob.
-        let brk = BlindRotateKey::generate(&ctx, &lwe_sk, &ring_sk, 1, params, &mut rng);
-        assert!(abk_from_wire(&brk_to_wire(&brk, &ctx, None), &ctx).is_err());
-        let other = RnsContext::new(32, &ntt_primes(32, 30, 1));
-        assert!(abk_from_wire(&bytes, &other).is_err());
     }
 
     #[test]

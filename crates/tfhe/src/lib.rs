@@ -35,7 +35,6 @@
 //! assert!((got - 21_000_000).abs() < 1_000_000);
 //! ```
 
-pub mod auto_rotate;
 pub mod blind_rotate;
 pub mod extract;
 pub mod gates;
@@ -46,17 +45,13 @@ pub mod rgsw;
 pub mod rlwe;
 pub mod wire;
 
-pub use auto_rotate::{
-    galois_exponents, AutoBlindRotateKey, AutoKsScratch, AutoRotateScratch, BlindRotateBackend,
-    BrBackend, BrKeys, DlogTable, GaloisSwitchKey, RotateScratch,
-};
 pub use blind_rotate::{
     test_polynomial_from_fn, BlindRotateKey, BlindRotateScratch, MonomialEvals,
 };
 pub use extract::{extract_coefficient, extract_constant_rns, lwe_to_rlwe, RnsLweCiphertext};
 pub use key_wire::{
-    abk_from_wire, abk_to_wire, abk_wire_size, brk_from_wire, brk_to_wire, brk_wire_size,
-    ksk_from_wire, ksk_to_wire, ksk_wire_size, reseed_abk, reseed_brk, reseed_ksk,
+    brk_from_wire, brk_to_wire, brk_wire_size, ksk_from_wire, ksk_to_wire, ksk_wire_size,
+    reseed_brk, reseed_ksk,
 };
 pub use lwe::{LweCiphertext, LweKeySwitchKey, LweSecretKey};
 pub use rgsw::{

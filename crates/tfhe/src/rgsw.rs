@@ -97,52 +97,6 @@ impl RgswCiphertext {
         Self { rows_s, rows_1 }
     }
 
-    /// Encrypts the monomial `X^e` (negacyclic exponent `e ∈ [0, 2N)`)
-    /// under `sk` over the first `limbs` moduli.
-    ///
-    /// This is the key element of the automorphism blind-rotate backend:
-    /// one `RGSW(X^{s_i})` per LWE secret coefficient (`s_i ∈ {-1,0,1}` ↦
-    /// `e ∈ {2N-1, 0, 1}`), where the CMUX backend needs *two* RGSW
-    /// ciphertexts per coefficient. The gadget constant is shifted in
-    /// evaluation domain, scaled by the monomial's per-slot evaluation
-    /// (`crate::blind_rotate::MonomialTable`).
-    pub fn encrypt_monomial<R: Rng + ?Sized>(
-        ctx: &RnsContext,
-        sk: &RingSecretKey,
-        e: usize,
-        limbs: usize,
-        params: &RgswParams,
-        rng: &mut R,
-    ) -> Self {
-        let two_n = 2 * ctx.n();
-        let e = e % two_n;
-        let zero = RnsPoly::zero(ctx, limbs, heap_math::Domain::Coeff);
-        let mut rows_s = Vec::with_capacity(params.rows(limbs));
-        let mut rows_1 = Vec::with_capacity(params.rows(limbs));
-        let mut mono = vec![0u64; ctx.n()];
-        for i in 0..limbs {
-            let mi = ctx.modulus(i);
-            crate::blind_rotate::MonomialTable::new(ctx.ntt(i)).monomial(e, &mut mono);
-            let base = 1u64 << params.base_bits;
-            let mut bk = 1u64;
-            for _ in 0..params.digits {
-                let mut row_s = RlweCiphertext::encrypt(ctx, sk, &zero, rng);
-                let mut row_1 = RlweCiphertext::encrypt(ctx, sk, &zero, rng);
-                let c = mi.reduce_u64(bk);
-                for (x, &mv) in row_s.a.limb_mut(i).iter_mut().zip(&mono) {
-                    *x = mi.add(*x, mi.mul(c, mv));
-                }
-                for (x, &mv) in row_1.b.limb_mut(i).iter_mut().zip(&mono) {
-                    *x = mi.add(*x, mi.mul(c, mv));
-                }
-                rows_s.push(row_s);
-                rows_1.push(row_1);
-                bk = mi.mul(mi.reduce_u64(bk), mi.reduce_u64(base));
-            }
-        }
-        Self { rows_s, rows_1 }
-    }
-
     /// The noiseless RGSW encryption of 1 (gadget constants in the clear).
     ///
     /// Used as the identity term of the paper's Algorithm 1 accumulator
