@@ -6,13 +6,15 @@
 //! - `reference` — the strict seed kernels retained as oracles
 //!   (`forward/inverse_reference`, `external_product_reference`,
 //!   `blind_rotate_reference`);
-//! - `scalar` — the Harvey lazy-reduction scalar kernels
-//!   ([`heap_math::NttTable::forward_lazy_scalar`], the `u128`-MAC
-//!   external product, the restructured CMux with SIMD force-disabled);
+//! - `scalar` — the Harvey lazy-reduction scalar kernels with SIMD
+//!   force-disabled ([`heap_math::NttTable::forward_lazy_scalar`], the
+//!   external product on the `u128` side of [`heap_math::mac_path`], the
+//!   restructured CMux);
 //! - `simd` — the dispatching kernels on the active vector backend
-//!   (AVX2/NEON lazy butterflies, the Shoup-precomputed u64 FMA external
-//!   product). On a host without a vector unit this column equals the
-//!   scalar column and the reported backend is `scalar`.
+//!   (AVX2/NEON lazy butterflies, the same external-product loop nest on
+//!   the Shoup-precomputed `u64` side of the gate). On a host without a
+//!   vector unit this column equals the scalar column and the reported
+//!   backend is `scalar`.
 //!
 //! Rows: `ntt_forward` / `ntt_inverse` at `n ∈ {2^10, 2^13}`,
 //! `external_product` at `n = 2^13` over the paper's gadget (`d = 2`,
@@ -189,8 +191,9 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(2024);
     let ring_sk = RingSecretKey::generate(&ctx, limbs, &mut rng);
 
-    // External product row: strict oracle vs u128-MAC scalar path vs the
-    // Shoup-precomputed (PreparedRgsw) SIMD path.
+    // External product row: strict oracle vs the one lazy loop nest on its
+    // u128 accumulators (no quotients, SIMD off) vs the same loop nest on
+    // its u64 Shoup accumulators (PreparedRgsw quotients, SIMD on).
     let msg: Vec<i64> = (0..n).map(|i| ((i % 97) as i64) - 48).collect();
     let ct = RlweCiphertext::encrypt(
         &ctx,

@@ -9,7 +9,7 @@
 //! shares between CKKS `KeySwitch` and TFHE `BlindRotate`, §IV-A/§IV-E),
 //! and the special prime is divided away at the end (the `ModDown`).
 
-use heap_math::{poly, Domain, RnsPoly};
+use heap_math::{mac_path, poly, Domain, MacAcc, RnsPoly};
 use heap_parallel::{par_each_mut, Parallelism};
 
 use crate::context::CkksContext;
@@ -26,21 +26,6 @@ fn ext_basis_par(n: usize, positions: usize) -> Parallelism {
     }
 }
 
-/// Whether the Shoup-precomputed u64 MAC datapath may replace the `u128`
-/// lazy accumulators: a vector backend must be active (scalar Shoup is
-/// slower than the single-multiply `u128` MAC) and all `l` lazy terms
-/// (each `< 2q`) must fit a `u64` accumulator at every chain modulus,
-/// special prime included.
-fn shoup_ks_ok(ctx: &CkksContext, l: usize) -> bool {
-    if heap_math::simd::active() == heap_math::simd::Backend::Scalar {
-        return false;
-    }
-    let rns = ctx.rns();
-    (0..l)
-        .chain(std::iter::once(ctx.special_idx()))
-        .all(|j| l as u64 <= rns.ntt(j).shoup_mac_term_limit())
-}
-
 /// Switches `d·w` into a pair decryptable under `s`.
 ///
 /// `d` may be in either domain; the result is in evaluation domain with the
@@ -52,134 +37,65 @@ fn shoup_ks_ok(ctx: &CkksContext, l: usize) -> bool {
 ///
 /// Panics if `d` has more limbs than the key has components.
 pub fn key_switch(ctx: &CkksContext, d: &RnsPoly, key: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
-    let l = d.limb_count();
+    let mut d_coeff = d.clone();
+    d_coeff.to_coeff(ctx.rns());
+    digit_mac(ctx, d_coeff.limbs(), key)
+}
+
+/// The key-switch inner product: MACs the `l` coefficient-domain digit
+/// polynomials (`digits[i]` holds residues `< q_i`) against the key over
+/// the extended basis, then divides the special prime away.
+///
+/// Accumulators live over the extended basis: positions `0..l` are
+/// q-limbs, position `l` the special-prime limb, evaluation domain. Each
+/// position's inner products are independent of every other position's, so
+/// the extended basis splits across the limb-level thread budget (this is
+/// the key-switch inner-product parallelism of HEAP's MAC array); the
+/// per-position digit loop keeps its serial order, so results are
+/// bit-identical for any thread count. The `l` digit MACs per position
+/// accumulate *unreduced* (lazy-reduction MAC datapath, HEAP §IV-A) and are
+/// reduced once per coefficient before `ModDown`; [`mac_path`] picks the
+/// accumulator width from the `l` terms and every chain modulus, special
+/// prime included, and both widths reduce to the same canonical residues.
+///
+/// # Panics
+///
+/// Panics if there are more digits than the key has components.
+fn digit_mac(ctx: &CkksContext, digits: &[Vec<u64>], key: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
+    let l = digits.len();
     assert!(
         l <= key.component_count(),
         "key has {} components, need {l}",
         key.component_count()
     );
     let n = ctx.n();
-    let sp = ctx.special_idx();
     let rns = ctx.rns();
+    let chain_idx = |pos: usize| if pos == l { ctx.special_idx() } else { pos };
+    let path = mac_path((0..=l).map(|pos| rns.ntt(chain_idx(pos))), l);
 
-    let mut d_coeff = d.clone();
-    d_coeff.to_coeff(rns);
-
-    // Accumulators over the extended basis: indices 0..l are q-limbs, index
-    // l holds the special-prime limb. Evaluation domain. Each position's
-    // inner products are independent of every other position's, so the
-    // extended basis splits across the limb-level thread budget (this is
-    // the key-switch inner-product parallelism of HEAP's MAC array); the
-    // per-position digit loop keeps its serial order, so results are
-    // bit-identical for any thread count. The `l` digit MACs per position
-    // accumulate *unreduced* in `u128` (lazy-reduction MAC datapath, HEAP
-    // §IV-A; overflow bound documented on `pointwise_mac_lazy`) and are
-    // Barrett-reduced once per coefficient before `ModDown`.
-    let chain_idx = |pos: usize| if pos == l { sp } else { pos };
-
-    let (acc_a, acc_b) = if shoup_ks_ok(ctx, l) {
-        // Shoup-FMA datapath: each MAC term is produced already folded to
-        // [0, 2q) by the precomputed-quotient multiply, so the running sum
-        // fits a u64 (`shoup_ks_ok` checked the term bound) and a single
-        // word-sized Barrett fold per coefficient finishes the job. The
-        // reduced residues are canonical, so the result is bit-identical
-        // to the u128 path.
-        let mut accs: Vec<(Vec<u64>, Vec<u64>)> =
-            (0..=l).map(|_| (vec![0u64; n], vec![0u64; n])).collect();
-        par_each_mut(ext_basis_par(n, l + 1), &mut accs, |pos, (aa, ab)| {
-            let j = chain_idx(pos);
-            let m = rns.modulus(j);
-            let ntt = rns.ntt(j);
-            let mut spread = vec![0u64; n];
-            for i in 0..l {
-                let digits = d_coeff.limb(i); // residues < q_i
-                for (s, &c) in spread.iter_mut().zip(digits) {
-                    *s = m.reduce_u64(c);
-                }
-                ntt.forward(&mut spread);
-                let comp = &key.comps[i];
-                ntt.pointwise_mac_shoup(&spread, &comp.a[j], &comp.a_shoup[j], aa);
-                ntt.pointwise_mac_shoup(&spread, &comp.b[j], &comp.b_shoup[j], ab);
-            }
-        });
-        reduce_ext_accs_u64(ctx, accs, l)
-    } else {
-        let mut accs: Vec<(Vec<u128>, Vec<u128>)> =
-            (0..=l).map(|_| (vec![0u128; n], vec![0u128; n])).collect();
-        par_each_mut(ext_basis_par(n, l + 1), &mut accs, |pos, (aa, ab)| {
-            let j = chain_idx(pos);
-            let m = rns.modulus(j);
-            let ntt = rns.ntt(j);
-            let mut spread = vec![0u64; n];
-            for i in 0..l {
-                let digits = d_coeff.limb(i); // residues < q_i
-                                              // ModUp: reinterpret the [0, q_i) representative mod q_j.
-                for (s, &c) in spread.iter_mut().zip(digits) {
-                    *s = m.reduce_u64(c);
-                }
-                ntt.forward(&mut spread);
-                let comp = &key.comps[i];
-                ntt.pointwise_mac_lazy(&spread, &comp.a[j], aa);
-                ntt.pointwise_mac_lazy(&spread, &comp.b[j], ab);
-            }
-        });
-        reduce_ext_accs(ctx, accs, l)
-    };
-    let a = mod_down(ctx, acc_a, l);
-    let b = mod_down(ctx, acc_b, l);
-    (a, b)
-}
-
-/// Reduces extended-basis `u128` lazy accumulators to canonical residues
-/// (one Barrett reduction per coefficient — the deferred reduction of the
-/// lazy MAC datapath).
-fn reduce_ext_accs(
-    ctx: &CkksContext,
-    accs: Vec<(Vec<u128>, Vec<u128>)>,
-    l: usize,
-) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
-    let rns = ctx.rns();
-    let sp = ctx.special_idx();
-    let n = ctx.n();
-    let mut acc_a = Vec::with_capacity(accs.len());
-    let mut acc_b = Vec::with_capacity(accs.len());
-    for (pos, (aa, ab)) in accs.iter().enumerate() {
-        let j = if pos == l { sp } else { pos };
+    let mut outs: Vec<(Vec<u64>, Vec<u64>)> =
+        (0..=l).map(|_| (vec![0u64; n], vec![0u64; n])).collect();
+    par_each_mut(ext_basis_par(n, l + 1), &mut outs, |pos, (out_a, out_b)| {
+        let j = chain_idx(pos);
+        let m = rns.modulus(j);
         let ntt = rns.ntt(j);
-        let mut ra = vec![0u64; n];
-        let mut rb = vec![0u64; n];
-        ntt.reduce_acc_into(aa, &mut ra);
-        ntt.reduce_acc_into(ab, &mut rb);
-        acc_a.push(ra);
-        acc_b.push(rb);
-    }
-    (acc_a, acc_b)
-}
-
-/// `u64` twin of [`reduce_ext_accs`] for the Shoup datapath: accumulators
-/// hold sums of `[0, 2q)` lazy products, finished with one word-sized
-/// Barrett fold per coefficient.
-fn reduce_ext_accs_u64(
-    ctx: &CkksContext,
-    accs: Vec<(Vec<u64>, Vec<u64>)>,
-    l: usize,
-) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
-    let rns = ctx.rns();
-    let sp = ctx.special_idx();
-    let n = ctx.n();
-    let mut acc_a = Vec::with_capacity(accs.len());
-    let mut acc_b = Vec::with_capacity(accs.len());
-    for (pos, (aa, ab)) in accs.iter().enumerate() {
-        let j = if pos == l { sp } else { pos };
-        let ntt = rns.ntt(j);
-        let mut ra = vec![0u64; n];
-        let mut rb = vec![0u64; n];
-        ntt.reduce_shoup_acc_into(aa, &mut ra);
-        ntt.reduce_shoup_acc_into(ab, &mut rb);
-        acc_a.push(ra);
-        acc_b.push(rb);
-    }
-    (acc_a, acc_b)
+        let mut spread = vec![0u64; n];
+        let mut acc = MacAcc::default();
+        acc.reset(path, 2, n);
+        for (digit, comp) in digits.iter().zip(&key.comps) {
+            // ModUp: reinterpret the [0, q_i) representative mod q_j.
+            for (s, &c) in spread.iter_mut().zip(digit) {
+                *s = m.reduce_u64(c);
+            }
+            ntt.forward(&mut spread);
+            acc.mac(0, ntt, &spread, &comp.a[j], Some(&comp.a_shoup[j]));
+            acc.mac(1, ntt, &spread, &comp.b[j], Some(&comp.b_shoup[j]));
+        }
+        acc.reduce_into(0, ntt, out_a);
+        acc.reduce_into(1, ntt, out_b);
+    });
+    let (acc_a, acc_b) = outs.into_iter().unzip();
+    (mod_down(ctx, acc_a, l), mod_down(ctx, acc_b, l))
 }
 
 /// Divides the special prime out of an extended-basis accumulator (last
@@ -230,15 +146,11 @@ pub fn apply_galois_hoisted(
 ) -> Vec<crate::ciphertext::Ciphertext> {
     let rns = ctx.rns();
     let l = ct.c0().limb_count();
-    let n = ctx.n();
-    let sp = ctx.special_idx();
     // Decompose c1 once (coefficient domain residues per limb).
     let mut c1_coeff = ct.c1().clone();
     c1_coeff.to_coeff(rns);
     let mut c0_coeff = ct.c0().clone();
     c0_coeff.to_coeff(rns);
-    let chain_idx = |pos: usize| if pos == l { sp } else { pos };
-    let use_shoup = shoup_ks_ok(ctx, l);
 
     exponents
         .iter()
@@ -246,56 +158,15 @@ pub fn apply_galois_hoisted(
             let key = gks
                 .key_for(g)
                 .unwrap_or_else(|| panic!("missing Galois key for exponent {g}"));
-            assert!(l <= key.component_count());
             // Permute the decomposed digits by sigma_g, then MAC with the
             // key — one spread-NTT pass per (digit, target limb) as usual,
             // but the iNTT of c1 was shared across all exponents. The
             // permuted digits are computed once so the parallel per-position
-            // loop below does no redundant work.
+            // loop does no redundant work.
             let digit_polys: Vec<Vec<u64>> = (0..l)
                 .map(|i| poly::automorphism(c1_coeff.limb(i), g, rns.modulus(i)))
                 .collect();
-            let (acc_a, acc_b) = if use_shoup {
-                let mut accs: Vec<(Vec<u64>, Vec<u64>)> =
-                    (0..=l).map(|_| (vec![0u64; n], vec![0u64; n])).collect();
-                par_each_mut(ext_basis_par(n, l + 1), &mut accs, |pos, (aa, ab)| {
-                    let j = chain_idx(pos);
-                    let m = rns.modulus(j);
-                    let ntt = rns.ntt(j);
-                    let mut spread = vec![0u64; n];
-                    for (i, digits) in digit_polys.iter().enumerate() {
-                        for (s, &c) in spread.iter_mut().zip(digits) {
-                            *s = m.reduce_u64(c);
-                        }
-                        ntt.forward(&mut spread);
-                        let comp = &key.comps[i];
-                        ntt.pointwise_mac_shoup(&spread, &comp.a[j], &comp.a_shoup[j], aa);
-                        ntt.pointwise_mac_shoup(&spread, &comp.b[j], &comp.b_shoup[j], ab);
-                    }
-                });
-                reduce_ext_accs_u64(ctx, accs, l)
-            } else {
-                let mut accs: Vec<(Vec<u128>, Vec<u128>)> =
-                    (0..=l).map(|_| (vec![0u128; n], vec![0u128; n])).collect();
-                par_each_mut(ext_basis_par(n, l + 1), &mut accs, |pos, (aa, ab)| {
-                    let j = chain_idx(pos);
-                    let m = rns.modulus(j);
-                    let ntt = rns.ntt(j);
-                    let mut spread = vec![0u64; n];
-                    for (i, digits) in digit_polys.iter().enumerate() {
-                        for (s, &c) in spread.iter_mut().zip(digits) {
-                            *s = m.reduce_u64(c);
-                        }
-                        ntt.forward(&mut spread);
-                        let comp = &key.comps[i];
-                        ntt.pointwise_mac_lazy(&spread, &comp.a[j], aa);
-                        ntt.pointwise_mac_lazy(&spread, &comp.b[j], ab);
-                    }
-                });
-                reduce_ext_accs(ctx, accs, l)
-            };
-            let ka = mod_down(ctx, acc_a, l);
-            let kb = mod_down(ctx, acc_b, l);
+            let (ka, kb) = digit_mac(ctx, &digit_polys, key);
             let mut out_b = c0_coeff.automorphism(g, rns);
             out_b.to_eval(rns);
             out_b.add_assign(&kb, rns);

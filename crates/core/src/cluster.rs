@@ -10,9 +10,9 @@
 //! ledger records the ciphertext traffic that `heap-hw` prices with the
 //! CMAC model.
 //!
-//! The abstraction is hardware-agnostic on purpose ("the approach in HEAP
-//! … can be mapped to any system with multiple compute nodes"): anything
-//! implementing [`ComputeNode`] can serve as a secondary.
+//! The approach is hardware-agnostic ("the approach in HEAP … can be
+//! mapped to any system with multiple compute nodes"); nodes that live in
+//! other processes are `heap-runtime`'s `ServiceNode`s.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -21,26 +21,6 @@ use heap_parallel::Parallelism;
 use heap_tfhe::{LweCiphertext, RlweCiphertext};
 
 use crate::bootstrap::Bootstrapper;
-
-/// A compute node able to execute a batch of blind rotations.
-///
-/// Implemented by [`LocalNode`] (same-process execution); the trait is the
-/// seam where a real distributed backend would plug in.
-pub trait ComputeNode: Sync {
-    /// Executes blind rotations for `lwes`, returning one accumulator per
-    /// input, in order.
-    fn blind_rotate_batch(
-        &self,
-        ctx: &CkksContext,
-        boot: &Bootstrapper,
-        lwes: &[LweCiphertext],
-    ) -> Vec<RlweCiphertext>;
-
-    /// Human-readable node name (diagnostics).
-    fn name(&self) -> String {
-        "node".to_string()
-    }
-}
 
 /// A node that executes on the calling machine.
 ///
@@ -55,18 +35,16 @@ pub struct LocalNode {
     pub parallelism: Parallelism,
 }
 
-impl ComputeNode for LocalNode {
-    fn blind_rotate_batch(
+impl LocalNode {
+    /// Executes blind rotations for `lwes`, returning one accumulator per
+    /// input, in order.
+    pub fn blind_rotate_batch(
         &self,
         ctx: &CkksContext,
         boot: &Bootstrapper,
         lwes: &[LweCiphertext],
     ) -> Vec<RlweCiphertext> {
         boot.blind_rotate_batch_par(ctx, lwes, self.parallelism)
-    }
-
-    fn name(&self) -> String {
-        format!("local-{}", self.index)
     }
 }
 

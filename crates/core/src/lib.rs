@@ -39,7 +39,7 @@ pub mod switch;
 pub use bootstrap::{
     generate_keys, generate_keys_reseeded, BootstrapConfig, Bootstrapper, GeneratedKeys,
 };
-pub use cluster::{ComputeNode, LocalCluster, LocalNode, TransferLedger};
+pub use cluster::{LocalCluster, LocalNode, TransferLedger};
 pub use heap_parallel::Parallelism;
 pub use noise::{measure_coeff_error, predicted_bootstrap_rel_error, ErrorStats};
 pub use stage::{stage_metric_name, StageMetrics, KERNEL_STAGES, PIPELINE_STAGES};

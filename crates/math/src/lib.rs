@@ -35,6 +35,7 @@
 pub mod arith;
 pub mod bigint;
 pub mod gadget;
+pub mod mac;
 pub mod ntt;
 pub mod poly;
 pub mod prime;
@@ -46,5 +47,6 @@ pub mod wire;
 pub use arith::{Modulus, ShoupPoly};
 pub use bigint::BigUint;
 pub use gadget::Gadget;
+pub use mac::{mac_path, MacAcc, MacPath};
 pub use ntt::{ntt_forward_histogram, ntt_inverse_histogram, NttTable};
 pub use rns::{BasisConverter, Domain, RnsContext, RnsPoly};

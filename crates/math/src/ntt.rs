@@ -546,9 +546,9 @@ impl NttTable {
     ///
     /// Callers of [`Self::pointwise_mac_shoup`] must keep their term count
     /// at or below this and fall back to the `u128` path
-    /// ([`Self::pointwise_mac_lazy`]) otherwise — e.g. 60-bit limbs exceed
-    /// the bound after 7 terms, while the 36-bit production limbs allow
-    /// ~2^27 terms.
+    /// ([`Self::pointwise_mac_lazy`]) otherwise ([`crate::mac_path`] is that
+    /// gate) — e.g. a 60-bit limb allows 8 to 16 terms (8 for a prime just
+    /// under `2^60`), while the 36-bit production limbs allow ~2^27.
     #[inline]
     pub fn shoup_mac_term_limit(&self) -> u64 {
         u64::MAX / (2 * self.modulus.value() - 1)

@@ -1,16 +1,16 @@
 //! The fallible compute-node abstraction used by the scheduler.
 //!
-//! `heap-core`'s `ComputeNode` is infallible — appropriate for in-process
-//! nodes, but a remote node can lose its connection mid-batch. The
-//! scheduler therefore dispatches through [`ServiceNode`], whose batch
-//! call returns a [`Result`], and treats any `Err` as "this node is gone:
-//! reassign its shard". [`LocalServiceNode`] adapts the in-process
-//! executor; [`crate::RemoteNode`] implements both traits.
+//! `heap-core`'s in-process `LocalNode` cannot fail, but a remote node can
+//! lose its connection mid-batch. The scheduler therefore dispatches
+//! through [`ServiceNode`], whose batch call returns a [`Result`], and
+//! treats any `Err` as "this node is gone: reassign its shard".
+//! [`LocalServiceNode`] adapts the in-process executor;
+//! [`crate::RemoteNode`] is the socket-backed implementation.
 
 use std::time::Duration;
 
 use heap_ckks::CkksContext;
-use heap_core::{Bootstrapper, ComputeNode};
+use heap_core::Bootstrapper;
 use heap_parallel::Parallelism;
 use heap_tfhe::{LweCiphertext, RlweCiphertext};
 
@@ -179,20 +179,5 @@ impl ServiceNode for LocalServiceNode {
 
     fn name(&self) -> String {
         format!("local-{}", self.index)
-    }
-}
-
-impl ComputeNode for LocalServiceNode {
-    fn blind_rotate_batch(
-        &self,
-        ctx: &CkksContext,
-        boot: &Bootstrapper,
-        lwes: &[LweCiphertext],
-    ) -> Vec<RlweCiphertext> {
-        boot.blind_rotate_batch_par(ctx, lwes, self.parallelism)
-    }
-
-    fn name(&self) -> String {
-        ServiceNode::name(self)
     }
 }

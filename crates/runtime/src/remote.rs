@@ -98,7 +98,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use heap_ckks::CkksContext;
-use heap_core::{Bootstrapper, ComputeNode, TransferLedger};
+use heap_core::{Bootstrapper, TransferLedger};
 use heap_keys::{EvalKeySet, KeyCache, KeyId, KeyPackage};
 use heap_parallel::Parallelism;
 use heap_telemetry::{Counter, MetricValue, Registry, Snapshot};
@@ -967,28 +967,6 @@ impl ServiceNode for RemoteNode {
             // Default-key batches never need an upload.
             None => true,
         }
-    }
-
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-}
-
-impl ComputeNode for RemoteNode {
-    /// Infallible adapter for `heap-core` call sites.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transport fails — use [`ServiceNode`] (the scheduler
-    /// does) when failures must be survivable.
-    fn blind_rotate_batch(
-        &self,
-        ctx: &CkksContext,
-        boot: &Bootstrapper,
-        lwes: &[LweCiphertext],
-    ) -> Vec<RlweCiphertext> {
-        self.try_blind_rotate_batch(ctx, boot, lwes)
-            .unwrap_or_else(|e| panic!("remote node {}: {e}", self.name))
     }
 
     fn name(&self) -> String {

@@ -21,8 +21,8 @@
 //! form, which is retained as [`BlindRotateKey::blind_rotate_reference`]
 //! and asserted against in `tests/kernel_parity.rs`. The two external
 //! products share one gadget decomposition and one spread-NTT per digit
-//! ([`crate::rgsw::external_product_pair_into`]), so the NTT count per
-//! step is unchanged. The constant coefficient of the result is the
+//! ([`crate::rgsw::external_product_pair_prepared_into`]), so the NTT
+//! count per step is unchanged. The constant coefficient of the result is the
 //! lookup `f[phase]` — which is how the scheme switch evaluates the
 //! wrap-removal function during CKKS bootstrapping, and how standalone
 //! TFHE evaluates arbitrary negacyclic LUTs.

@@ -6,8 +6,9 @@
 //! HEAP executes these products on dedicated MAC units with dual-port BRAM
 //! accumulation and lazy reduction (paper §IV-A/§IV-E); here they are NTT
 //! pointwise multiply-accumulates over the RNS basis, accumulated
-//! unreduced in `u128` with one deferred Barrett reduction per output
-//! coefficient (see [`external_product_into`]).
+//! unreduced in a [`MacAcc`] with one deferred reduction per output
+//! coefficient. Every public external product is a thin wrapper over one
+//! loop nest (`external_product_core`), which documents the datapath.
 //!
 //! The gadget is the RNS-hybrid one: rows are indexed by `(limb i, digit
 //! k)` with gadget constants `g_{i,k} ≡ δ_{ij}·B^k (mod q_j)` — the digit
@@ -15,7 +16,7 @@
 
 use rand::Rng;
 
-use heap_math::{poly, Domain, Gadget, RnsContext, RnsPoly, ShoupPoly};
+use heap_math::{mac_path, poly, Domain, Gadget, MacAcc, MacPath, RnsContext, RnsPoly, ShoupPoly};
 
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
 
@@ -126,6 +127,12 @@ impl RgswCiphertext {
         self.rows_s.len()
     }
 
+    /// Both ladders: `[rows_s, rows_1]`, met by the mask and the body
+    /// digits respectively.
+    fn ladders(&self) -> [&[RlweCiphertext]; 2] {
+        [&self.rows_s, &self.rows_1]
+    }
+
     /// Overwrites `self` with `other`, reusing row allocations when shapes
     /// match (falls back to a clone on shape change).
     pub fn copy_from(&mut self, other: &RgswCiphertext) {
@@ -184,16 +191,15 @@ impl RgswCiphertext {
 /// state and no `u128` arithmetic.
 ///
 /// Only quotients are stored ([`ShoupPoly`]); the MAC reads operands from
-/// the original key rows. Each ladder's quotients are indexed
-/// `[row * limbs + limb]`, mirroring the row layout of [`RgswCiphertext`].
+/// the original key rows.
 #[derive(Debug, Clone)]
 pub struct PreparedRgsw {
-    /// Quotients for `rows_s[r].a` / `rows_s[r].b`.
-    s_a: Vec<ShoupPoly>,
-    s_b: Vec<ShoupPoly>,
-    /// Quotients for `rows_1[r].a` / `rows_1[r].b`.
-    o_a: Vec<ShoupPoly>,
-    o_b: Vec<ShoupPoly>,
+    /// Quotients indexed `[ladder][part][row * limbs + limb]` — ladders
+    /// `[rows_s, rows_1]`, parts `[a, b]`. One vector per part, filled in
+    /// row order: pairing `a` and `b` in one vector of twice the size
+    /// measured +3 MiB peak RSS on a node whose key cache evicts
+    /// (allocator fragmentation), for no gain.
+    quots: [[Vec<ShoupPoly>; 2]; 2],
     limbs: usize,
 }
 
@@ -215,32 +221,13 @@ impl PreparedRgsw {
                     qb.push(ShoupPoly::new(row.b.limb(j), m));
                 }
             }
-            (qa, qb)
+            [qa, qb]
         };
-        let (s_a, s_b) = prep_ladder(&rgsw.rows_s);
-        let (o_a, o_b) = prep_ladder(&rgsw.rows_1);
         Self {
-            s_a,
-            s_b,
-            o_a,
-            o_b,
+            quots: rgsw.ladders().map(prep_ladder),
             limbs,
         }
     }
-}
-
-/// Whether the Shoup `u64`-accumulator datapath applies: a vector backend
-/// must be active (the scalar Shoup product costs three multiplies versus
-/// the `u128` path's one, so it only wins vectorized), and the
-/// `2·limbs·digits` accumulated terms — each `< 2q` — must fit a `u64`
-/// accumulator under every limb modulus. 60-bit limbs exceed the bound at 8
-/// terms and fall back to the `u128` path by design.
-fn shoup_path_ok(ctx: &RnsContext, params: &RgswParams, limbs: usize) -> bool {
-    if heap_math::simd::active() == heap_math::simd::Backend::Scalar {
-        return false;
-    }
-    let terms = (2 * limbs * params.digits) as u64;
-    (0..limbs).all(|j| terms <= ctx.ntt(j).shoup_mac_term_limit())
 }
 
 fn add_constant(limb: &mut [u64], c: u64, q: u64) {
@@ -255,72 +242,49 @@ fn add_constant(limb: &mut [u64], c: u64, q: u64) {
 /// `n_t` of them back to back; HEAP likewise keeps the decomposition in
 /// on-chip BRAM between steps).
 ///
-/// Once warmed up for a `(params, limbs)` shape, every buffer — the signed
-/// digit polynomials, the per-limb spread, the `u128` lazy MAC
-/// accumulators, the coefficient-domain operand copies, and the gadget
-/// tables — is reused, so [`external_product_into`] and
-/// [`external_product_pair_into`] perform **zero heap allocations** per
-/// call (asserted by `tests/alloc_free.rs`).
+/// Once warmed up for a shape, every buffer — the signed digit polynomials,
+/// the per-limb spread, the lazy MAC accumulators, the coefficient-domain
+/// operand copies, and the gadget tables — is reused, so the `*_into`
+/// external products perform **zero heap allocations** per call on either
+/// accumulator path (asserted by `tests/alloc_free.rs`).
 #[derive(Debug, Default)]
 pub struct ExternalProductScratch {
     digit_signed: Vec<Vec<i64>>,
     spread: Vec<u64>,
-    /// Lazy accumulators for the primary output: `[a limbs | b limbs]`,
-    /// each limb a `n`-long window.
-    acc_main: Vec<u128>,
-    /// Second accumulator set for [`external_product_pair_into`].
-    acc_alt: Vec<u128>,
-    /// `u64` accumulators for the Shoup datapath
-    /// ([`external_product_prepared_into`]), same layout as `acc_main`.
-    acc_u64_main: Vec<u64>,
-    /// Second `u64` accumulator set for the pair variant.
-    acc_u64_alt: Vec<u64>,
+    /// One `n`-long slot per `(key, output part, limb)`.
+    acc: MacAcc,
     a_coeff: Option<RnsPoly>,
     b_coeff: Option<RnsPoly>,
     gadgets: Vec<Gadget>,
-    gadget_key: Option<(u32, usize, usize)>,
 }
 
 impl ExternalProductScratch {
-    fn prepare(&mut self, ctx: &RnsContext, params: &RgswParams, limbs: usize, pair: bool) {
+    fn prepare(
+        &mut self,
+        ctx: &RnsContext,
+        params: &RgswParams,
+        limbs: usize,
+        path: MacPath,
+        outputs: usize,
+    ) {
         let n = ctx.n();
         self.digit_signed.resize_with(params.digits, Vec::new);
         for d in &mut self.digit_signed {
             d.resize(n, 0);
         }
         self.spread.resize(n, 0);
-        self.acc_main.resize(2 * limbs * n, 0);
-        self.acc_main.fill(0);
-        if pair {
-            self.acc_alt.resize(2 * limbs * n, 0);
-            self.acc_alt.fill(0);
-        }
-        let key = (params.base_bits, params.digits, limbs);
-        if self.gadget_key != Some(key) {
+        self.acc.reset(path, outputs * 2 * limbs, n);
+        // The cached gadgets are only good for the base, digit count and
+        // limb moduli they were built from; a scratch may move between
+        // contexts of equal shape.
+        let warm = self.gadgets.len() == limbs
+            && self.gadgets.iter().zip(ctx.moduli()).all(|(g, m)| {
+                g.base() == 1 << params.base_bits
+                    && g.digits() == params.digits
+                    && g.modulus().value() == m.value()
+            });
+        if !warm {
             self.gadgets = params.gadgets(ctx, limbs);
-            self.gadget_key = Some(key);
-        }
-    }
-
-    /// [`Self::prepare`] for the Shoup datapath: `u64` accumulators instead
-    /// of `u128`.
-    fn prepare_shoup(&mut self, ctx: &RnsContext, params: &RgswParams, limbs: usize, pair: bool) {
-        let n = ctx.n();
-        self.digit_signed.resize_with(params.digits, Vec::new);
-        for d in &mut self.digit_signed {
-            d.resize(n, 0);
-        }
-        self.spread.resize(n, 0);
-        self.acc_u64_main.resize(2 * limbs * n, 0);
-        self.acc_u64_main.fill(0);
-        if pair {
-            self.acc_u64_alt.resize(2 * limbs * n, 0);
-            self.acc_u64_alt.fill(0);
-        }
-        let key = (params.base_bits, params.digits, limbs);
-        if self.gadget_key != Some(key) {
-            self.gadgets = params.gadgets(ctx, limbs);
-            self.gadget_key = Some(key);
         }
     }
 }
@@ -363,21 +327,109 @@ pub fn external_product_with(
     out
 }
 
+/// The one external-product loop nest: `ct` against `K` RGSW operands
+/// (`K = 1`, or `K = 2` for the CMux's `RGSW(s_i^+)` / `RGSW(s_i^-)` pair),
+/// each optionally with its Shoup quotients.
+///
+/// The gadget decomposition and the spread-NTT depend only on `ct`, so all
+/// `K` products share them: one forward NTT per `(part, limb, digit,
+/// target limb)` feeds `2·K` MACs.
+///
+/// The MAC datapath is *lazy* (HEAP §IV-A): every pointwise product of a
+/// spread-digit NTT with a key row is accumulated **unreduced** in a
+/// [`MacAcc`] and each output coefficient is reduced exactly once at the
+/// end, instead of once per digit row. The accumulator runs the `u64`
+/// Shoup path when every operand brought quotients and [`mac_path`] allows
+/// it for the `2·limbs·digits` terms, the `u128` path otherwise; the
+/// deferred reduction is exact on both, so the canonical output is
+/// bit-identical to [`external_product_reference`].
+///
+/// Every shape check runs before the path is chosen, so a mismatched
+/// operand fails the same way on every host.
+fn external_product_core<const K: usize>(
+    ct: &RlweCiphertext,
+    keys: [(&RgswCiphertext, Option<&PreparedRgsw>); K],
+    ctx: &RnsContext,
+    params: &RgswParams,
+    scratch: &mut ExternalProductScratch,
+    mut outs: [&mut RlweCiphertext; K],
+) {
+    let limbs = ct.limbs();
+    for ((rgsw, prep), out) in keys.iter().zip(&outs) {
+        assert_eq!(
+            rgsw.row_count(),
+            params.rows(limbs),
+            "RGSW row count mismatch"
+        );
+        if let Some(prep) = prep {
+            assert_eq!(prep.limbs, limbs, "prepared key limb count mismatch");
+        }
+        assert_eq!(out.limbs(), limbs, "output limb count mismatch");
+    }
+    let path = if keys.iter().all(|(_, prep)| prep.is_some()) {
+        mac_path((0..limbs).map(|j| ctx.ntt(j)), 2 * limbs * params.digits)
+    } else {
+        MacPath::Wide
+    };
+    scratch.prepare(ctx, params, limbs, path, K);
+    copy_into_slot(&mut scratch.a_coeff, &ct.a);
+    copy_into_slot(&mut scratch.b_coeff, &ct.b);
+    let ExternalProductScratch {
+        digit_signed,
+        spread,
+        acc,
+        a_coeff,
+        b_coeff,
+        gadgets,
+    } = scratch;
+    let a_coeff = a_coeff.as_mut().expect("slot filled above");
+    let b_coeff = b_coeff.as_mut().expect("slot filled above");
+    a_coeff.to_coeff(ctx);
+    b_coeff.to_coeff(ctx);
+    // Accumulator slot of limb `j` of part `p` (0 = a, 1 = b) of output `k`.
+    let slot = |k: usize, p: usize, j: usize| (2 * k + p) * limbs + j;
+
+    for (ladder, part_coeff) in [&*a_coeff, &*b_coeff].into_iter().enumerate() {
+        for (i, gadget) in gadgets.iter().enumerate() {
+            // Decompose limb i into signed digit polynomials (digit-major,
+            // no per-coefficient temporary).
+            gadget.decompose_slice_signed_into(part_coeff.limb(i), digit_signed);
+            for (d, digits) in digit_signed.iter().enumerate() {
+                let r = i * params.digits + d;
+                // Spread the signed digit under every limb, NTT, lazy MAC.
+                for j in 0..limbs {
+                    let ntt = ctx.ntt(j);
+                    poly::from_signed_into(digits, ctx.modulus(j), spread);
+                    ntt.forward(spread);
+                    for (k, (rgsw, prep)) in keys.iter().enumerate() {
+                        let row = &rgsw.ladders()[ladder][r];
+                        for (p, part) in [&row.a, &row.b].into_iter().enumerate() {
+                            let quots = prep.map(|prep| &prep.quots[ladder][p][r * limbs + j]);
+                            acc.mac(slot(k, p, j), ntt, spread, part.limb(j), quots);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Single deferred reduction per coefficient; the writes cover every
+    // limb wholesale, so re-tagging the domain suffices (no zero-fill).
+    for (k, out) in outs.iter_mut().enumerate() {
+        for (p, part) in [&mut out.a, &mut out.b].into_iter().enumerate() {
+            for j in 0..limbs {
+                acc.reduce_into(slot(k, p, j), ctx.ntt(j), part.limb_mut(j));
+            }
+            part.set_domain(Domain::Eval);
+        }
+    }
+}
+
 /// [`external_product`] into a caller-provided output ciphertext.
 ///
 /// With a warmed-up `scratch` and a matching-shape `out` this performs no
-/// heap allocation at all — the accumulator loop of blind rotation runs
-/// entirely in preallocated buffers.
-///
-/// The MAC datapath is *lazy* (HEAP §IV-A): every pointwise product of a
-/// spread-digit NTT with a key row is accumulated **unreduced** in `u128`
-/// ([`heap_math::NttTable::pointwise_mac_lazy`], which documents the
-/// overflow bound), and each output coefficient is Barrett-reduced exactly
-/// once at the end ([`heap_math::NttTable::reduce_acc_into`]) instead of
-/// once per digit row. `2·limbs·digits` terms of `< 2^124` each sit far
-/// below the `2^127` fold threshold, so the deferred reduction is exact
-/// and the canonical output is bit-identical to
-/// [`external_product_reference`].
+/// heap allocation at all. Without precomputed quotients the lazy MACs
+/// accumulate in `u128` on every host (the module docs point at the
+/// datapath and its exactness argument).
 ///
 /// # Panics
 ///
@@ -391,71 +443,14 @@ pub fn external_product_into(
     scratch: &mut ExternalProductScratch,
     out: &mut RlweCiphertext,
 ) {
-    let limbs = ct.limbs();
-    assert_eq!(
-        rgsw.row_count(),
-        params.rows(limbs),
-        "RGSW row count mismatch"
-    );
-    assert_eq!(out.limbs(), limbs, "output limb count mismatch");
-    scratch.prepare(ctx, params, limbs, false);
-    copy_into_slot(&mut scratch.a_coeff, &ct.a);
-    copy_into_slot(&mut scratch.b_coeff, &ct.b);
-    let n = ctx.n();
-    let ExternalProductScratch {
-        digit_signed,
-        spread,
-        acc_main,
-        a_coeff,
-        b_coeff,
-        gadgets,
-        ..
-    } = scratch;
-    let a_coeff = a_coeff.as_mut().expect("slot filled above");
-    let b_coeff = b_coeff.as_mut().expect("slot filled above");
-    a_coeff.to_coeff(ctx);
-    b_coeff.to_coeff(ctx);
-    let (acc_a, acc_b) = acc_main.split_at_mut(limbs * n);
-
-    for (part_coeff, rows) in [(&*a_coeff, &rgsw.rows_s), (&*b_coeff, &rgsw.rows_1)] {
-        for i in 0..limbs {
-            // Decompose limb i into signed digit polynomials (digit-major,
-            // no per-coefficient temporary).
-            gadgets[i].decompose_slice_signed_into(part_coeff.limb(i), digit_signed);
-            for (k, digits) in digit_signed.iter().enumerate() {
-                let row = &rows[i * params.digits + k];
-                // Spread the signed digit under every limb, NTT, lazy MAC.
-                for j in 0..limbs {
-                    let m = ctx.modulus(j);
-                    let ntt = ctx.ntt(j);
-                    poly::from_signed_into(digits, m, spread);
-                    ntt.forward(spread);
-                    ntt.pointwise_mac_lazy(spread, row.a.limb(j), &mut acc_a[j * n..(j + 1) * n]);
-                    ntt.pointwise_mac_lazy(spread, row.b.limb(j), &mut acc_b[j * n..(j + 1) * n]);
-                }
-            }
-        }
-    }
-    // Single deferred reduction per coefficient; the writes cover every
-    // limb wholesale, so re-tagging the domain suffices (no zero-fill).
-    for j in 0..limbs {
-        let ntt = ctx.ntt(j);
-        ntt.reduce_acc_into(&acc_a[j * n..(j + 1) * n], out.a.limb_mut(j));
-        ntt.reduce_acc_into(&acc_b[j * n..(j + 1) * n], out.b.limb_mut(j));
-    }
-    out.a.set_domain(Domain::Eval);
-    out.b.set_domain(Domain::Eval);
+    external_product_core(ct, [(rgsw, None)], ctx, params, scratch, [out]);
 }
 
 /// [`external_product_into`] over a precomputed key ([`PreparedRgsw`]):
-/// when a SIMD backend is active and the `2·limbs·digits` terms fit a
-/// `u64` accumulator, the MAC inner loop runs the Shoup datapath
-/// ([`heap_math::NttTable::pointwise_mac_shoup`]) — each term is a lazy
-/// Shoup product in `[0, 2q)` from the precomputed quotients, accumulated
-/// unreduced in `u64` and canonically reduced once per coefficient
-/// ([`heap_math::NttTable::reduce_shoup_acc_into`]). Otherwise it delegates
-/// to the `u128` path unchanged. Both paths produce canonical residues of
-/// the same congruence class, so outputs are bit-identical.
+/// the quotients let the MACs run the vectorized `u64` Shoup datapath
+/// whenever [`mac_path`] allows it — 60-bit limbs fit 8 terms, so e.g.
+/// 2 limbs × 3 digits (12 terms) stay on `u128`. Outputs are bit-identical
+/// either way.
 ///
 /// # Panics
 ///
@@ -470,184 +465,21 @@ pub fn external_product_prepared_into(
     scratch: &mut ExternalProductScratch,
     out: &mut RlweCiphertext,
 ) {
-    let limbs = ct.limbs();
-    if !shoup_path_ok(ctx, params, limbs) {
-        external_product_into(ct, rgsw, ctx, params, scratch, out);
-        return;
-    }
-    assert_eq!(
-        rgsw.row_count(),
-        params.rows(limbs),
-        "RGSW row count mismatch"
-    );
-    assert_eq!(prep.limbs, limbs, "prepared key limb count mismatch");
-    assert_eq!(out.limbs(), limbs, "output limb count mismatch");
-    scratch.prepare_shoup(ctx, params, limbs, false);
-    copy_into_slot(&mut scratch.a_coeff, &ct.a);
-    copy_into_slot(&mut scratch.b_coeff, &ct.b);
-    let n = ctx.n();
-    let ExternalProductScratch {
-        digit_signed,
-        spread,
-        acc_u64_main,
-        a_coeff,
-        b_coeff,
-        gadgets,
-        ..
-    } = scratch;
-    let a_coeff = a_coeff.as_mut().expect("slot filled above");
-    let b_coeff = b_coeff.as_mut().expect("slot filled above");
-    a_coeff.to_coeff(ctx);
-    b_coeff.to_coeff(ctx);
-    let (acc_a, acc_b) = acc_u64_main.split_at_mut(limbs * n);
-
-    for (part_coeff, rows, quots_a, quots_b) in [
-        (&*a_coeff, &rgsw.rows_s, &prep.s_a, &prep.s_b),
-        (&*b_coeff, &rgsw.rows_1, &prep.o_a, &prep.o_b),
-    ] {
-        for (i, gadget) in gadgets.iter().enumerate().take(limbs) {
-            gadget.decompose_slice_signed_into(part_coeff.limb(i), digit_signed);
-            for (k, digits) in digit_signed.iter().enumerate() {
-                let r = i * params.digits + k;
-                let row = &rows[r];
-                for j in 0..limbs {
-                    let m = ctx.modulus(j);
-                    let ntt = ctx.ntt(j);
-                    poly::from_signed_into(digits, m, spread);
-                    ntt.forward(spread);
-                    let w = j * n..(j + 1) * n;
-                    ntt.pointwise_mac_shoup(
-                        spread,
-                        row.a.limb(j),
-                        &quots_a[r * limbs + j],
-                        &mut acc_a[w.clone()],
-                    );
-                    ntt.pointwise_mac_shoup(
-                        spread,
-                        row.b.limb(j),
-                        &quots_b[r * limbs + j],
-                        &mut acc_b[w],
-                    );
-                }
-            }
-        }
-    }
-    for j in 0..limbs {
-        let ntt = ctx.ntt(j);
-        let w = j * n..(j + 1) * n;
-        ntt.reduce_shoup_acc_into(&acc_a[w.clone()], out.a.limb_mut(j));
-        ntt.reduce_shoup_acc_into(&acc_b[w], out.b.limb_mut(j));
-    }
-    out.a.set_domain(Domain::Eval);
-    out.b.set_domain(Domain::Eval);
+    external_product_core(ct, [(rgsw, Some(prep))], ctx, params, scratch, [out]);
 }
 
-/// Two external products of the *same* RLWE ciphertext against two RGSW
-/// operands, sharing one gadget decomposition and one spread-NTT per
-/// `(part, limb, digit, target-limb)` — each forward NTT feeds **four**
-/// lazy MACs (`pos.a`, `pos.b`, `neg.a`, `neg.b`) instead of two.
-///
-/// This is the shape the restructured CMux needs: Algorithm 1 multiplies
+/// Two external products of the *same* RLWE ciphertext against two
+/// precomputed RGSW operands — the CMux hot path. Algorithm 1 multiplies
 /// the accumulator by both `RGSW(s_i^+)` and `RGSW(s_i^-)` per mask
 /// element, and the decomposition/NTT work depends only on the
-/// accumulator, so doing the products separately would double it.
-///
-/// Same laziness/exactness argument as [`external_product_into`];
-/// allocation-free with a warm `scratch`.
-///
-/// # Panics
-///
-/// Panics on RGSW row count mismatch or if either output has a different
-/// limb count than `ct` (output contents are overwritten, not read).
-#[allow(clippy::too_many_arguments)] // kernel entry point: two keys, two outputs, shared scratch
-pub fn external_product_pair_into(
-    ct: &RlweCiphertext,
-    rgsw_pos: &RgswCiphertext,
-    rgsw_neg: &RgswCiphertext,
-    ctx: &RnsContext,
-    params: &RgswParams,
-    scratch: &mut ExternalProductScratch,
-    out_pos: &mut RlweCiphertext,
-    out_neg: &mut RlweCiphertext,
-) {
-    let limbs = ct.limbs();
-    for rgsw in [rgsw_pos, rgsw_neg] {
-        assert_eq!(
-            rgsw.row_count(),
-            params.rows(limbs),
-            "RGSW row count mismatch"
-        );
-    }
-    assert_eq!(out_pos.limbs(), limbs, "output limb count mismatch");
-    assert_eq!(out_neg.limbs(), limbs, "output limb count mismatch");
-    scratch.prepare(ctx, params, limbs, true);
-    copy_into_slot(&mut scratch.a_coeff, &ct.a);
-    copy_into_slot(&mut scratch.b_coeff, &ct.b);
-    let n = ctx.n();
-    let ExternalProductScratch {
-        digit_signed,
-        spread,
-        acc_main,
-        acc_alt,
-        a_coeff,
-        b_coeff,
-        gadgets,
-        ..
-    } = scratch;
-    let a_coeff = a_coeff.as_mut().expect("slot filled above");
-    let b_coeff = b_coeff.as_mut().expect("slot filled above");
-    a_coeff.to_coeff(ctx);
-    b_coeff.to_coeff(ctx);
-    let (pos_a, pos_b) = acc_main.split_at_mut(limbs * n);
-    let (neg_a, neg_b) = acc_alt.split_at_mut(limbs * n);
-
-    for (part_coeff, rows_pos, rows_neg) in [
-        (&*a_coeff, &rgsw_pos.rows_s, &rgsw_neg.rows_s),
-        (&*b_coeff, &rgsw_pos.rows_1, &rgsw_neg.rows_1),
-    ] {
-        for (i, gadget) in gadgets.iter().enumerate().take(limbs) {
-            gadget.decompose_slice_signed_into(part_coeff.limb(i), digit_signed);
-            for (k, digits) in digit_signed.iter().enumerate() {
-                let row_p = &rows_pos[i * params.digits + k];
-                let row_n = &rows_neg[i * params.digits + k];
-                for j in 0..limbs {
-                    let m = ctx.modulus(j);
-                    let ntt = ctx.ntt(j);
-                    poly::from_signed_into(digits, m, spread);
-                    ntt.forward(spread);
-                    let w = j * n..(j + 1) * n;
-                    ntt.pointwise_mac_lazy(spread, row_p.a.limb(j), &mut pos_a[w.clone()]);
-                    ntt.pointwise_mac_lazy(spread, row_p.b.limb(j), &mut pos_b[w.clone()]);
-                    ntt.pointwise_mac_lazy(spread, row_n.a.limb(j), &mut neg_a[w.clone()]);
-                    ntt.pointwise_mac_lazy(spread, row_n.b.limb(j), &mut neg_b[w]);
-                }
-            }
-        }
-    }
-    for j in 0..limbs {
-        let ntt = ctx.ntt(j);
-        let w = j * n..(j + 1) * n;
-        ntt.reduce_acc_into(&pos_a[w.clone()], out_pos.a.limb_mut(j));
-        ntt.reduce_acc_into(&pos_b[w.clone()], out_pos.b.limb_mut(j));
-        ntt.reduce_acc_into(&neg_a[w.clone()], out_neg.a.limb_mut(j));
-        ntt.reduce_acc_into(&neg_b[w], out_neg.b.limb_mut(j));
-    }
-    out_pos.a.set_domain(Domain::Eval);
-    out_pos.b.set_domain(Domain::Eval);
-    out_neg.a.set_domain(Domain::Eval);
-    out_neg.b.set_domain(Domain::Eval);
-}
-
-/// [`external_product_pair_into`] over precomputed keys — the CMux hot
-/// path. Runs the Shoup `u64`-accumulator datapath when it applies (see
-/// [`external_product_prepared_into`] for the gate and the bit-identity
-/// argument), sharing one decomposition and one spread-NTT across **four**
-/// Shoup MACs; delegates to the `u128` pair variant otherwise.
+/// accumulator, so doing the products separately would double it: here
+/// each forward NTT feeds **four** lazy MACs (`pos.a`, `pos.b`, `neg.a`,
+/// `neg.b`). Allocation-free with a warm `scratch`.
 ///
 /// # Panics
 ///
 /// Panics on RGSW row count mismatch, prepared-key limb mismatch, or
-/// output limb mismatch.
+/// output limb mismatch (output contents are overwritten, not read).
 #[allow(clippy::too_many_arguments)] // kernel entry point: two keys + their precomputes, two outputs
 pub fn external_product_pair_prepared_into(
     ct: &RlweCiphertext,
@@ -661,110 +493,8 @@ pub fn external_product_pair_prepared_into(
     out_pos: &mut RlweCiphertext,
     out_neg: &mut RlweCiphertext,
 ) {
-    let limbs = ct.limbs();
-    if !shoup_path_ok(ctx, params, limbs) {
-        external_product_pair_into(
-            ct, rgsw_pos, rgsw_neg, ctx, params, scratch, out_pos, out_neg,
-        );
-        return;
-    }
-    for rgsw in [rgsw_pos, rgsw_neg] {
-        assert_eq!(
-            rgsw.row_count(),
-            params.rows(limbs),
-            "RGSW row count mismatch"
-        );
-    }
-    for prep in [prep_pos, prep_neg] {
-        assert_eq!(prep.limbs, limbs, "prepared key limb count mismatch");
-    }
-    assert_eq!(out_pos.limbs(), limbs, "output limb count mismatch");
-    assert_eq!(out_neg.limbs(), limbs, "output limb count mismatch");
-    scratch.prepare_shoup(ctx, params, limbs, true);
-    copy_into_slot(&mut scratch.a_coeff, &ct.a);
-    copy_into_slot(&mut scratch.b_coeff, &ct.b);
-    let n = ctx.n();
-    let ExternalProductScratch {
-        digit_signed,
-        spread,
-        acc_u64_main,
-        acc_u64_alt,
-        a_coeff,
-        b_coeff,
-        gadgets,
-        ..
-    } = scratch;
-    let a_coeff = a_coeff.as_mut().expect("slot filled above");
-    let b_coeff = b_coeff.as_mut().expect("slot filled above");
-    a_coeff.to_coeff(ctx);
-    b_coeff.to_coeff(ctx);
-    let (pos_a, pos_b) = acc_u64_main.split_at_mut(limbs * n);
-    let (neg_a, neg_b) = acc_u64_alt.split_at_mut(limbs * n);
-
-    for (part_coeff, rows_pos, rows_neg, qp, qn) in [
-        (
-            &*a_coeff,
-            &rgsw_pos.rows_s,
-            &rgsw_neg.rows_s,
-            (&prep_pos.s_a, &prep_pos.s_b),
-            (&prep_neg.s_a, &prep_neg.s_b),
-        ),
-        (
-            &*b_coeff,
-            &rgsw_pos.rows_1,
-            &rgsw_neg.rows_1,
-            (&prep_pos.o_a, &prep_pos.o_b),
-            (&prep_neg.o_a, &prep_neg.o_b),
-        ),
-    ] {
-        for (i, gadget) in gadgets.iter().enumerate().take(limbs) {
-            gadget.decompose_slice_signed_into(part_coeff.limb(i), digit_signed);
-            for (k, digits) in digit_signed.iter().enumerate() {
-                let r = i * params.digits + k;
-                let row_p = &rows_pos[r];
-                let row_n = &rows_neg[r];
-                for j in 0..limbs {
-                    let m = ctx.modulus(j);
-                    let ntt = ctx.ntt(j);
-                    poly::from_signed_into(digits, m, spread);
-                    ntt.forward(spread);
-                    let w = j * n..(j + 1) * n;
-                    let rj = r * limbs + j;
-                    ntt.pointwise_mac_shoup(
-                        spread,
-                        row_p.a.limb(j),
-                        &qp.0[rj],
-                        &mut pos_a[w.clone()],
-                    );
-                    ntt.pointwise_mac_shoup(
-                        spread,
-                        row_p.b.limb(j),
-                        &qp.1[rj],
-                        &mut pos_b[w.clone()],
-                    );
-                    ntt.pointwise_mac_shoup(
-                        spread,
-                        row_n.a.limb(j),
-                        &qn.0[rj],
-                        &mut neg_a[w.clone()],
-                    );
-                    ntt.pointwise_mac_shoup(spread, row_n.b.limb(j), &qn.1[rj], &mut neg_b[w]);
-                }
-            }
-        }
-    }
-    for j in 0..limbs {
-        let ntt = ctx.ntt(j);
-        let w = j * n..(j + 1) * n;
-        ntt.reduce_shoup_acc_into(&pos_a[w.clone()], out_pos.a.limb_mut(j));
-        ntt.reduce_shoup_acc_into(&pos_b[w.clone()], out_pos.b.limb_mut(j));
-        ntt.reduce_shoup_acc_into(&neg_a[w.clone()], out_neg.a.limb_mut(j));
-        ntt.reduce_shoup_acc_into(&neg_b[w], out_neg.b.limb_mut(j));
-    }
-    out_pos.a.set_domain(Domain::Eval);
-    out_pos.b.set_domain(Domain::Eval);
-    out_neg.a.set_domain(Domain::Eval);
-    out_neg.b.set_domain(Domain::Eval);
+    let keys = [(rgsw_pos, Some(prep_pos)), (rgsw_neg, Some(prep_neg))];
+    external_product_core(ct, keys, ctx, params, scratch, [out_pos, out_neg]);
 }
 
 /// Strict-datapath external product: eager per-digit Barrett MACs

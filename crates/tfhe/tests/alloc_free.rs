@@ -15,9 +15,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use heap_math::prime::ntt_primes;
 use heap_math::{RnsContext, RnsPoly};
 use heap_tfhe::{
-    external_product_into, external_product_pair_into, external_product_pair_prepared_into,
-    ExternalProductScratch, MonomialEvals, PreparedRgsw, RgswCiphertext, RgswParams, RingSecretKey,
-    RlweCiphertext,
+    external_product_into, external_product_pair_prepared_into, ExternalProductScratch,
+    MonomialEvals, PreparedRgsw, RgswCiphertext, RgswParams, RingSecretKey, RlweCiphertext,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,74 +80,21 @@ fn external_product_into_is_allocation_free_when_warm() {
     );
 
     // The restructured CMux's per-step work: one paired external product
-    // plus two flat monomial-factor fills. Same warm-then-count protocol
-    // (kept inside this single test so no concurrent test taints the
-    // allocation window).
+    // over the key-load-time `PreparedRgsw` quotients plus two flat
+    // monomial-factor fills. Same warm-then-count protocol (kept inside
+    // this single test so no concurrent test taints the allocation window,
+    // and so `force_scalar` cannot race anything), once per accumulator
+    // path: forced scalar takes the `u128` accumulators, native dispatch
+    // the `u64` Shoup ones on a vector host.
     let rgsw_neg = RgswCiphertext::encrypt_scalar(&ctx, &sk, 0, 2, &params, &mut rng);
+    let prep_pos = PreparedRgsw::new(&rgsw, &ctx);
+    let prep_neg = PreparedRgsw::new(&rgsw_neg, &ctx);
     let monomials = MonomialEvals::new(&ctx, 2);
     let mut pair_scratch = ExternalProductScratch::default();
     let mut out_pos = RlweCiphertext::zero(&ctx, 2);
     let mut out_neg = RlweCiphertext::zero(&ctx, 2);
     let mut factor = Vec::new();
-    external_product_pair_into(
-        &ct,
-        &rgsw,
-        &rgsw_neg,
-        &ctx,
-        &params,
-        &mut pair_scratch,
-        &mut out_pos,
-        &mut out_neg,
-    );
-    monomials.factor_into(1, &ctx, &mut factor);
-
-    ALLOCS.store(0, Ordering::SeqCst);
-    TRACK.store(true, Ordering::SeqCst);
-    for step in 0..8 {
-        external_product_pair_into(
-            &ct,
-            &rgsw,
-            &rgsw_neg,
-            &ctx,
-            &params,
-            &mut pair_scratch,
-            &mut out_pos,
-            &mut out_neg,
-        );
-        monomials.factor_into(step + 1, &ctx, &mut factor);
-        out_pos.mul_eval_factor_assign(&factor, &ctx);
-        monomials.factor_into(255 - step, &ctx, &mut factor);
-        out_neg.mul_eval_factor_assign(&factor, &ctx);
-    }
-    TRACK.store(false, Ordering::SeqCst);
-    let count = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(
-        count, 0,
-        "paired product + factor path allocated {count} times after warm-up"
-    );
-
-    // The Shoup-precomputed pair path (the CMux step the blind rotation
-    // actually drives): quotients come from the key-load-time
-    // `PreparedRgsw`, u64 accumulators from the scratch — still zero
-    // allocations once warm, on every backend.
-    let prep_pos = PreparedRgsw::new(&rgsw, &ctx);
-    let prep_neg = PreparedRgsw::new(&rgsw_neg, &ctx);
-    external_product_pair_prepared_into(
-        &ct,
-        &rgsw,
-        &rgsw_neg,
-        &prep_pos,
-        &prep_neg,
-        &ctx,
-        &params,
-        &mut pair_scratch,
-        &mut out_pos,
-        &mut out_neg,
-    );
-
-    ALLOCS.store(0, Ordering::SeqCst);
-    TRACK.store(true, Ordering::SeqCst);
-    for _ in 0..8 {
+    let mut pair = |out_pos: &mut RlweCiphertext, out_neg: &mut RlweCiphertext| {
         external_product_pair_prepared_into(
             &ct,
             &rgsw,
@@ -158,14 +104,30 @@ fn external_product_into_is_allocation_free_when_warm() {
             &ctx,
             &params,
             &mut pair_scratch,
-            &mut out_pos,
-            &mut out_neg,
+            out_pos,
+            out_neg,
+        )
+    };
+    for scalar in [true, false] {
+        heap_math::simd::force_scalar(scalar);
+        pair(&mut out_pos, &mut out_neg);
+        monomials.factor_into(1, &ctx, &mut factor);
+
+        ALLOCS.store(0, Ordering::SeqCst);
+        TRACK.store(true, Ordering::SeqCst);
+        for step in 0..8 {
+            pair(&mut out_pos, &mut out_neg);
+            monomials.factor_into(step + 1, &ctx, &mut factor);
+            out_pos.mul_eval_factor_assign(&factor, &ctx);
+            monomials.factor_into(255 - step, &ctx, &mut factor);
+            out_neg.mul_eval_factor_assign(&factor, &ctx);
+        }
+        TRACK.store(false, Ordering::SeqCst);
+        let count = ALLOCS.load(Ordering::SeqCst);
+        assert_eq!(
+            count, 0,
+            "paired product + factor path allocated {count} times after warm-up \
+             (forced scalar: {scalar})"
         );
     }
-    TRACK.store(false, Ordering::SeqCst);
-    let count = ALLOCS.load(Ordering::SeqCst);
-    assert_eq!(
-        count, 0,
-        "prepared pair product allocated {count} times after warm-up"
-    );
 }

@@ -7,16 +7,21 @@
 //! inputs: lazy external products vs [`external_product_reference`], and
 //! the restructured [`BlindRotateKey::blind_rotate`] (plus the key-major
 //! batch schedule) vs [`BlindRotateKey::blind_rotate_reference`],
-//! including the `a_i = 0` skip and `a_i = N` negacyclic-wrap edges.
+//! including the `a_i = 0` skip and `a_i = N` negacyclic-wrap edges. The
+//! 60-bit cases put one shape on each side of the MAC accumulator gate
+//! ([`heap_math::mac_path`]) on the same host.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use heap_math::prime::ntt_primes;
-use heap_math::{RnsContext, RnsPoly};
+use heap_math::simd::{self, Backend};
+use heap_math::{mac_path, MacPath, RnsContext, RnsPoly};
 use heap_tfhe::lwe::LweSecretKey;
 use heap_tfhe::rlwe::{RingSecretKey, RlweCiphertext};
 use heap_tfhe::{
     external_product, external_product_prepared_into, external_product_reference,
-    test_polynomial_from_fn, BlindRotateKey, ExternalProductScratch, LweCiphertext, PreparedRgsw,
-    RgswCiphertext, RgswParams,
+    external_product_with, test_polynomial_from_fn, BlindRotateKey, ExternalProductScratch,
+    LweCiphertext, PreparedRgsw, RgswCiphertext, RgswParams,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -39,6 +44,138 @@ fn params() -> RgswParams {
 
 fn assert_bit_identical(a: &RlweCiphertext, b: &RlweCiphertext, what: &str) {
     assert!(a.a == b.a && a.b == b.b, "{what} diverged from oracle");
+}
+
+/// `force_scalar` is process-wide, so the tests that pin the backend, or
+/// assert which accumulator a shape lands on, take this lock. Tests that
+/// only compare against an oracle need none: the paths are bit-identical,
+/// so a backend flipped under them changes nothing they check.
+static SIMD_LOCK: Mutex<()> = Mutex::new(());
+
+fn simd_lock() -> MutexGuard<'static, ()> {
+    // A `should_panic` test poisons the lock by design.
+    SIMD_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Forces the scalar backend until dropped, panics included. Declare it
+/// after the [`simd_lock`] guard so it is restored before the lock opens.
+struct ForcedScalar;
+
+impl ForcedScalar {
+    fn new() -> Self {
+        simd::force_scalar(true);
+        assert_eq!(simd::active(), Backend::Scalar);
+        Self
+    }
+}
+
+impl Drop for ForcedScalar {
+    fn drop(&mut self) {
+        simd::force_scalar(false);
+    }
+}
+
+/// A random RLWE ciphertext, an `RGSW(1)` and the context they live in.
+fn product_operands(
+    moduli: &[u64],
+    p: &RgswParams,
+    seed: u64,
+) -> (RnsContext, RlweCiphertext, RgswCiphertext) {
+    let limbs = moduli.len();
+    let c = RnsContext::new(N, moduli);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sk = RingSecretKey::generate(&c, limbs, &mut rng);
+    let msg: Vec<i64> = (0..N).map(|_| rng.gen_range(-500..500)).collect();
+    let ct = RlweCiphertext::encrypt(&c, &sk, &RnsPoly::from_signed(&c, &msg, limbs), &mut rng);
+    let rgsw = RgswCiphertext::encrypt_scalar(&c, &sk, 1, limbs, p, &mut rng);
+    (c, ct, rgsw)
+}
+
+/// Prepared external product over 60-bit limbs == strict reference, with
+/// the accumulator the shape must land on under native dispatch asserted
+/// from `shoup_mac_term_limit()` (a scalar host is wide for every shape).
+fn prepared_60bit_case(limbs: usize, p: RgswParams, shoup_fits: bool) {
+    let _lock = simd_lock();
+    let (c, ct, rgsw) = product_operands(&ntt_primes(N as u64, 60, limbs), &p, 0x60B1);
+    let terms = 2 * limbs * p.digits;
+    let limit = (0..limbs)
+        .map(|j| c.ntt(j).shoup_mac_term_limit())
+        .min()
+        .unwrap();
+    assert_eq!(
+        terms as u64 <= limit,
+        shoup_fits,
+        "{terms} terms vs {limit}"
+    );
+    let want = if shoup_fits && simd::active() != Backend::Scalar {
+        MacPath::Shoup
+    } else {
+        MacPath::Wide
+    };
+    assert_eq!(mac_path((0..limbs).map(|j| c.ntt(j)), terms), want);
+
+    let prep = PreparedRgsw::new(&rgsw, &c);
+    let mut scratch = ExternalProductScratch::default();
+    let mut prepared = RlweCiphertext::zero(&c, limbs);
+    external_product_prepared_into(&ct, &rgsw, &prep, &c, &p, &mut scratch, &mut prepared);
+    let strict = external_product_reference(&ct, &rgsw, &c, &p);
+    assert_bit_identical(&prepared, &strict, "60-bit external_product_prepared");
+}
+
+/// 2 limbs × 3 digits = 12 terms: over the 8 a prime just under 2^60
+/// allows, so the wide accumulators run even under native SIMD.
+#[test]
+fn prepared_60bit_over_term_limit_takes_wide_path() {
+    let p = RgswParams {
+        base_bits: 20,
+        digits: 3,
+    };
+    prepared_60bit_case(2, p, false);
+}
+
+/// 1 limb × 2 digits = 4 terms: within the limit, so a vector host runs
+/// the Shoup accumulators over the integer (non-f64) 60-bit kernels.
+#[test]
+fn prepared_60bit_within_term_limit_takes_shoup_path() {
+    let p = RgswParams {
+        base_bits: 30,
+        digits: 2,
+    };
+    prepared_60bit_case(1, p, true);
+}
+
+/// A scratch warmed on one context and reused on another of the same shape
+/// (2 × 30-bit limbs, same gadget) but different primes must rebuild its
+/// gadget tables: the result equals the fresh-scratch one.
+#[test]
+fn scratch_reused_across_contexts_rebuilds_gadgets() {
+    let p = params();
+    let primes = ntt_primes(N as u64, 30, 2 * LIMBS);
+    let (c1, ct1, rgsw1) = product_operands(&primes[..LIMBS], &p, 1);
+    let (c2, ct2, rgsw2) = product_operands(&primes[LIMBS..], &p, 2);
+    let mut scratch = ExternalProductScratch::default();
+    external_product_with(&ct1, &rgsw1, &c1, &p, &mut scratch);
+    let reused = external_product_with(&ct2, &rgsw2, &c2, &p, &mut scratch);
+    let fresh = external_product(&ct2, &rgsw2, &c2, &p);
+    assert_bit_identical(&reused, &fresh, "external_product_with (reused scratch)");
+}
+
+/// Shape checks run before the accumulator is chosen: a `PreparedRgsw`
+/// built for another limb count is rejected on the wide path too (forced
+/// scalar here), not only where its quotients would be read.
+#[test]
+#[should_panic(expected = "prepared key limb count mismatch")]
+fn mismatched_prepared_key_rejected_on_scalar_host() {
+    let _lock = simd_lock();
+    let _scalar = ForcedScalar::new();
+    let p = params();
+    let primes = ntt_primes(N as u64, 30, LIMBS);
+    let (c, ct, rgsw) = product_operands(&primes, &p, 3);
+    let (c1, _, rgsw_one_limb) = product_operands(&primes[..1], &p, 4);
+    let prep = PreparedRgsw::new(&rgsw_one_limb, &c1);
+    let mut scratch = ExternalProductScratch::default();
+    let mut out = RlweCiphertext::zero(&c, LIMBS);
+    external_product_prepared_into(&ct, &rgsw, &prep, &c, &p, &mut scratch, &mut out);
 }
 
 proptest! {
@@ -138,19 +275,12 @@ proptest! {
 
 /// Full blind rotation with SIMD force-disabled == the same rotation on
 /// whatever backend the host dispatches (on a vector host this pins the
-/// whole AVX2/NEON + Shoup datapath against the scalar kernels; on a
-/// scalar host it is a no-op identity). `force_scalar` is restored even on
-/// panic so concurrent tests keep their native dispatch — which is safe
-/// either way, precisely because the paths are bit-identical.
+/// whole AVX2/NEON + Shoup datapath against the scalar kernels and the
+/// wide accumulators, on one live key; on a scalar host it is a no-op
+/// identity).
 #[test]
 fn blind_rotate_forced_scalar_is_bit_identical() {
-    struct RestoreSimd;
-    impl Drop for RestoreSimd {
-        fn drop(&mut self) {
-            heap_math::simd::force_scalar(false);
-        }
-    }
-
+    let _lock = simd_lock();
     let c = ctx();
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let ring_sk = RingSecretKey::generate(&c, LIMBS, &mut rng);
@@ -166,9 +296,7 @@ fn blind_rotate_forced_scalar_is_bit_identical() {
 
     let native = brk.blind_rotate(&c, &f, &lwe);
 
-    let _restore = RestoreSimd;
-    heap_math::simd::force_scalar(true);
-    assert_eq!(heap_math::simd::active(), heap_math::simd::Backend::Scalar);
+    let _scalar = ForcedScalar::new();
     let scalar = brk.blind_rotate(&c, &f, &lwe);
 
     assert_bit_identical(&native, &scalar, "blind_rotate (forced scalar)");
