@@ -1,8 +1,8 @@
 //! Thread-scaling benchmarks for the parallel execution engine: the
 //! ciphertext-level blind-rotation pipeline and the full bootstrap at
 //! several worker counts (the software analogue of the paper's Fig. 9
-//! multi-FPGA scaling). `cargo run -p heap-bench --bin parallel_sweep`
-//! produces the machine-readable version of the same sweep.
+//! multi-FPGA scaling). `benchmark/`'s `parallel.par2_efficiency` is the
+//! machine-readable, gated version of the two-thread point.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use heap_ckks::{CkksContext, CkksParams, SecretKey};

@@ -156,9 +156,8 @@ fn ntt_rows(n: usize, rows: &mut Vec<Row>) {
 }
 
 fn main() {
-    // Single-thread on purpose: the sweep isolates datapath wins from
-    // scheduling wins (BENCH_parallel.json covers the latter).
-    heap_parallel::set_global_threads(1);
+    // Every kernel here is single-threaded: the sweep isolates datapath
+    // wins from scheduling wins.
     let host_cores = heap_parallel::available_threads();
     let backend = heap_math::simd::active().name();
     println!("kernel_sweep: single-threaded, host cores = {host_cores}, simd backend = {backend}");

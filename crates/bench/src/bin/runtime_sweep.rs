@@ -310,7 +310,7 @@ fn run_config(
     }
 }
 
-/// The `sessions` row: the blind-rotate workload of [`run_sessions_pair`]
+/// The `sessions` row: the blind-rotate workload of [`run_direct`]
 /// submitted through `SESSIONS` concurrent multiplexed TCP sessions
 /// against one service (clients connect before the clock starts; the
 /// timed region is submit-to-complete over the sockets).

@@ -10,21 +10,9 @@
 //! and the special prime is divided away at the end (the `ModDown`).
 
 use heap_math::{mac_path, poly, Domain, MacAcc, RnsPoly};
-use heap_parallel::{par_each_mut, Parallelism};
 
 use crate::context::CkksContext;
 use crate::key::KeySwitchKey;
-
-/// Parallelism for the extended-basis accumulator loop: the process-wide
-/// limb-level budget, demoted to serial for small rings or trivial depth
-/// (same policy as the `heap-math` RNS kernels).
-fn ext_basis_par(n: usize, positions: usize) -> Parallelism {
-    if n < (1 << 11) || positions < 2 {
-        Parallelism::serial()
-    } else {
-        heap_parallel::global()
-    }
-}
 
 /// Switches `d·w` into a pair decryptable under `s`.
 ///
@@ -47,16 +35,12 @@ pub fn key_switch(ctx: &CkksContext, d: &RnsPoly, key: &KeySwitchKey) -> (RnsPol
 /// the extended basis, then divides the special prime away.
 ///
 /// Accumulators live over the extended basis: positions `0..l` are
-/// q-limbs, position `l` the special-prime limb, evaluation domain. Each
-/// position's inner products are independent of every other position's, so
-/// the extended basis splits across the limb-level thread budget (this is
-/// the key-switch inner-product parallelism of HEAP's MAC array); the
-/// per-position digit loop keeps its serial order, so results are
-/// bit-identical for any thread count. The `l` digit MACs per position
-/// accumulate *unreduced* (lazy-reduction MAC datapath, HEAP §IV-A) and are
-/// reduced once per coefficient before `ModDown`; [`mac_path`] picks the
-/// accumulator width from the `l` terms and every chain modulus, special
-/// prime included, and both widths reduce to the same canonical residues.
+/// q-limbs, position `l` the special-prime limb, evaluation domain. The
+/// `l` digit MACs per position accumulate *unreduced* (lazy-reduction MAC
+/// datapath, HEAP §IV-A) and are reduced once per coefficient before
+/// `ModDown`; [`mac_path`] picks the accumulator width from the `l` terms
+/// and every chain modulus, special prime included, and both widths reduce
+/// to the same canonical residues.
 ///
 /// # Panics
 ///
@@ -73,14 +57,14 @@ fn digit_mac(ctx: &CkksContext, digits: &[Vec<u64>], key: &KeySwitchKey) -> (Rns
     let chain_idx = |pos: usize| if pos == l { ctx.special_idx() } else { pos };
     let path = mac_path((0..=l).map(|pos| rns.ntt(chain_idx(pos))), l);
 
-    let mut outs: Vec<(Vec<u64>, Vec<u64>)> =
-        (0..=l).map(|_| (vec![0u64; n], vec![0u64; n])).collect();
-    par_each_mut(ext_basis_par(n, l + 1), &mut outs, |pos, (out_a, out_b)| {
+    let mut acc_a = vec![vec![0u64; n]; l + 1];
+    let mut acc_b = vec![vec![0u64; n]; l + 1];
+    let mut spread = vec![0u64; n];
+    let mut acc = MacAcc::default();
+    for (pos, (out_a, out_b)) in acc_a.iter_mut().zip(&mut acc_b).enumerate() {
         let j = chain_idx(pos);
         let m = rns.modulus(j);
         let ntt = rns.ntt(j);
-        let mut spread = vec![0u64; n];
-        let mut acc = MacAcc::default();
         acc.reset(path, 2, n);
         for (digit, comp) in digits.iter().zip(&key.comps) {
             // ModUp: reinterpret the [0, q_i) representative mod q_j.
@@ -93,8 +77,7 @@ fn digit_mac(ctx: &CkksContext, digits: &[Vec<u64>], key: &KeySwitchKey) -> (Rns
         }
         acc.reduce_into(0, ntt, out_a);
         acc.reduce_into(1, ntt, out_b);
-    });
-    let (acc_a, acc_b) = outs.into_iter().unzip();
+    }
     (mod_down(ctx, acc_a, l), mod_down(ctx, acc_b, l))
 }
 
@@ -160,9 +143,7 @@ pub fn apply_galois_hoisted(
                 .unwrap_or_else(|| panic!("missing Galois key for exponent {g}"));
             // Permute the decomposed digits by sigma_g, then MAC with the
             // key — one spread-NTT pass per (digit, target limb) as usual,
-            // but the iNTT of c1 was shared across all exponents. The
-            // permuted digits are computed once so the parallel per-position
-            // loop does no redundant work.
+            // but the iNTT of c1 was shared across all exponents.
             let digit_polys: Vec<Vec<u64>> = (0..l)
                 .map(|i| poly::automorphism(c1_coeff.limb(i), g, rns.modulus(i)))
                 .collect();

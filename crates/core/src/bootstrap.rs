@@ -259,8 +259,7 @@ impl Bootstrapper {
         &self.config
     }
 
-    /// The blind-rotation key (used by the general scheme-switch API and
-    /// key bundling).
+    /// The blind-rotation key (key bundling reads it back out).
     pub fn brk(&self) -> &BlindRotateKey {
         &self.brk
     }
@@ -403,7 +402,7 @@ impl Bootstrapper {
     }
 
     /// [`Bootstrapper::blind_rotate_batch`] with an explicit parallelism
-    /// override (used by cluster nodes, which own a thread budget).
+    /// override (used by service nodes, which own a thread budget).
     pub fn blind_rotate_batch_par(
         &self,
         ctx: &CkksContext,
@@ -529,6 +528,78 @@ mod tests {
                 (got - msg[i]).abs() < 0.02,
                 "coeff {i}: got {got}, want {}",
                 msg[i]
+            );
+        }
+    }
+
+    #[test]
+    fn sign_comparison_under_encryption() {
+        // Homomorphic comparison against 0 — TFHE's signature strength,
+        // impossible in plain CKKS without a deep polynomial.
+        let (ctx, sk, boot, mut rng) = setup();
+        let delta = ctx.fresh_scale();
+        let n = ctx.n();
+        let msg: Vec<f64> = (0..n).map(|i| ((i % 13) as f64 - 6.0) / 60.0).collect();
+        let coeffs: Vec<i64> = msg.iter().map(|m| (m * delta).round() as i64).collect();
+        let ct = ctx.encrypt_coeffs_sk(&coeffs, delta, 1, &sk, &mut rng);
+        let indices: Vec<usize> = (0..n).collect();
+        let sign = |x: f64| {
+            if x > 0.005 {
+                0.1
+            } else if x < -0.005 {
+                -0.1
+            } else {
+                0.0
+            }
+        };
+        let out = boot.bootstrap_eval(&ctx, &ct, &indices, sign);
+        assert_eq!(out.limbs(), ctx.max_limbs(), "switch refreshes levels");
+        let dec = ctx.decrypt_coeffs(&out, &sk);
+        let mut correct = 0;
+        for (i, m) in msg.iter().enumerate() {
+            if sign(*m) == 0.0 {
+                continue; // skip the dead-zone inputs
+            }
+            let got = dec[i] / out.scale();
+            if (got - sign(*m)).abs() < 0.05 {
+                correct += 1;
+            }
+        }
+        let total = msg.iter().filter(|m| sign(**m) != 0.0).count();
+        assert!(
+            correct as f64 >= total as f64 * 0.95,
+            "{correct}/{total} comparisons correct"
+        );
+    }
+
+    #[test]
+    fn manual_round_trip_matches_eval() {
+        let (ctx, sk, boot, mut rng) = setup();
+        let delta = ctx.fresh_scale();
+        let coeffs: Vec<i64> = (0..ctx.n())
+            .map(|i| (((i % 5) as f64 - 2.0) / 40.0 * delta) as i64)
+            .collect();
+        let ct = ctx.encrypt_coeffs_sk(&coeffs, delta, 1, &sk, &mut rng);
+        let indices = [0usize, 8, 16];
+        // The Fig. 1b step methods, one at a time.
+        let lwes = boot.modulus_switch(&ctx, &boot.extract_lwes(&ctx, &ct, &indices));
+        assert_eq!(lwes.len(), 3);
+        assert_eq!(lwes[0].modulus, 2 * ctx.n() as u64);
+        let rotated = boot.blind_rotate_batch(&ctx, &lwes);
+        let leaves = boot.to_leaves(&ctx, &rotated, &indices);
+        let out = boot.finish(&ctx, leaves, ct.scale());
+        // One-shot pipeline: the same steps, so the same bits.
+        let direct = boot.bootstrap_indices(&ctx, &ct, &indices);
+        assert_eq!(out.c0(), direct.c0());
+        assert_eq!(out.c1(), direct.c1());
+        // The function LUT at f = id generalizes the identity LUT.
+        let eval = boot.bootstrap_eval(&ctx, &ct, &indices, |x| x);
+        let a = ctx.decrypt_coeffs(&eval, &sk);
+        let b = ctx.decrypt_coeffs(&direct, &sk);
+        for &i in &indices {
+            assert!(
+                (a[i] / eval.scale() - b[i] / direct.scale()).abs() < 1e-3,
+                "index {i}"
             );
         }
     }

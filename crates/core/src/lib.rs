@@ -1,12 +1,14 @@
 //! HEAP's core contribution: parallelized CKKS bootstrapping through
-//! CKKS ⇄ TFHE scheme switching (paper §III), plus the hardware-agnostic
-//! multi-node execution model of §V.
+//! CKKS ⇄ TFHE scheme switching (paper §III).
 //!
 //! The pipeline (Fig. 1b / Algorithm 2): `ModulusSwitch` → `Extract` →
 //! parallel `BlindRotate` over independent LWE ciphertexts → automorphism
 //! repacking → correction and `Rescale` by the auxiliary prime. Because the
-//! blind rotations are data-independent, [`cluster::LocalCluster`] spreads
-//! them across nodes exactly like the paper's primary/secondary FPGAs.
+//! blind rotations are data-independent they parallelise at two levels:
+//! over worker threads inside a node
+//! ([`Bootstrapper::blind_rotate_batch_par`]) and over nodes (§V) —
+//! `heap-runtime`'s `Scheduler` drives the Fig. 1b step methods around its
+//! own scatter/gather.
 //!
 //! # Examples
 //!
@@ -29,19 +31,17 @@
 //! ```
 
 pub mod bootstrap;
-pub mod cluster;
+pub mod ledger;
 pub mod noise;
 pub mod repack;
 pub mod stage;
 pub mod stats;
-pub mod switch;
 
 pub use bootstrap::{
     generate_keys, generate_keys_reseeded, BootstrapConfig, Bootstrapper, GeneratedKeys,
 };
-pub use cluster::{LocalCluster, LocalNode, TransferLedger};
 pub use heap_parallel::Parallelism;
+pub use ledger::TransferLedger;
 pub use noise::{measure_coeff_error, predicted_bootstrap_rel_error, ErrorStats};
 pub use stage::{stage_metric_name, StageMetrics, KERNEL_STAGES, PIPELINE_STAGES};
 pub use stats::{repack_key_switch_count, BootstrapStats};
-pub use switch::SchemeSwitch;

@@ -12,22 +12,6 @@ use crate::arith::Modulus;
 use crate::bigint::BigUint;
 use crate::ntt::NttTable;
 use crate::poly;
-use heap_parallel::{par_each_mut, Parallelism};
-
-/// Rings below this dimension never split limb work across threads: a
-/// single NTT is then far cheaper than a thread spawn.
-const MIN_PAR_RING: usize = 1 << 11;
-
-/// Limb-level parallelism policy: the process-wide budget from
-/// [`heap_parallel::set_global_threads`], demoted to serial when the ring
-/// is too small or there is only one limb of work.
-fn limb_par(n: usize, limbs: usize) -> Parallelism {
-    if n < MIN_PAR_RING || limbs < 2 {
-        Parallelism::serial()
-    } else {
-        heap_parallel::global()
-    }
-}
 
 /// Representation domain of a polynomial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,16 +229,13 @@ impl RnsPoly {
     }
 
     /// Converts to evaluation domain in place (no-op if already there).
-    ///
-    /// The per-limb NTTs are independent and run RNS-wide in parallel when
-    /// a limb-level thread budget is set (HEAP computes all limbs of a
-    /// polynomial concurrently on the NTT datapath, §IV).
     pub fn to_eval(&mut self, ctx: &RnsContext) {
         if self.domain == Domain::Eval {
             return;
         }
-        let par = limb_par(ctx.n(), self.limbs.len());
-        par_each_mut(par, &mut self.limbs, |i, limb| ctx.ntt(i).forward(limb));
+        for (i, limb) in self.limbs.iter_mut().enumerate() {
+            ctx.ntt(i).forward(limb);
+        }
         self.domain = Domain::Eval;
     }
 
@@ -263,8 +244,9 @@ impl RnsPoly {
         if self.domain == Domain::Coeff {
             return;
         }
-        let par = limb_par(ctx.n(), self.limbs.len());
-        par_each_mut(par, &mut self.limbs, |i, limb| ctx.ntt(i).inverse(limb));
+        for (i, limb) in self.limbs.iter_mut().enumerate() {
+            ctx.ntt(i).inverse(limb);
+        }
         self.domain = Domain::Coeff;
     }
 
@@ -343,26 +325,23 @@ impl RnsPoly {
         self.check_compatible(other);
         assert_eq!(self.domain, Domain::Eval, "pointwise product needs Eval");
         let mut limbs: Vec<Vec<u64>> = self.limbs.iter().map(|a| vec![0u64; a.len()]).collect();
-        let par = limb_par(ctx.n(), limbs.len());
-        par_each_mut(par, &mut limbs, |i, out| {
+        for (i, out) in limbs.iter_mut().enumerate() {
             ctx.ntt(i).pointwise(&self.limbs[i], &other.limbs[i], out);
-        });
+        }
         RnsPoly {
             limbs,
             domain: Domain::Eval,
         }
     }
 
-    /// `self += a * b` pointwise (all in evaluation domain), limb-parallel
-    /// like [`RnsPoly::to_eval`].
+    /// `self += a * b` pointwise (all in evaluation domain).
     pub fn mul_acc(&mut self, a: &RnsPoly, b: &RnsPoly, ctx: &RnsContext) {
         a.check_compatible(b);
         self.check_compatible(a);
         assert_eq!(self.domain, Domain::Eval);
-        let par = limb_par(ctx.n(), self.limbs.len());
-        par_each_mut(par, &mut self.limbs, |i, acc| {
+        for (i, acc) in self.limbs.iter_mut().enumerate() {
             ctx.ntt(i).pointwise_acc(&a.limbs[i], &b.limbs[i], acc);
-        });
+        }
     }
 
     /// Multiplies by a signed scalar (domain-independent).
@@ -591,41 +570,10 @@ impl BasisConverter {
         assert_eq!(limbs.len(), self.from.len());
         let n = limbs[0].len();
         assert!(limbs.iter().all(|l| l.len() == n));
-        // Each coefficient converts independently, so the ring splits into
-        // contiguous chunks across the limb-level thread budget; chunk
-        // results are concatenated in order, keeping the output identical
-        // to the serial path.
-        let par = if n >= MIN_PAR_RING {
-            heap_parallel::global()
-        } else {
-            Parallelism::serial()
-        };
-        let workers = par.workers_for(n);
-        if workers <= 1 {
-            return self.convert_chunk(limbs, 0, n);
-        }
-        let chunk = n.div_ceil(workers);
-        let ranges: Vec<(usize, usize)> = (0..workers)
-            .map(|w| (w * chunk, ((w + 1) * chunk).min(n)))
-            .filter(|(s, e)| s < e)
-            .collect();
-        let parts =
-            heap_parallel::par_map(par, &ranges, |_, &(s, e)| self.convert_chunk(limbs, s, e));
-        let mut out: Vec<Vec<u64>> = (0..self.to.len()).map(|_| Vec::with_capacity(n)).collect();
-        for part in parts {
-            for (dst, col) in out.iter_mut().zip(part) {
-                dst.extend_from_slice(&col);
-            }
-        }
-        out
-    }
-
-    /// Serial conversion of the coefficient window `start..end`.
-    fn convert_chunk(&self, limbs: &[&[u64]], start: usize, end: usize) -> Vec<Vec<u64>> {
         let l = self.from.len();
         let mut y = vec![0u64; l];
-        let mut out = vec![vec![0u64; end - start]; self.to.len()];
-        for c in start..end {
+        let mut out = vec![vec![0u64; n]; self.to.len()];
+        for c in 0..n {
             let mut frac = 0.0f64;
             for i in 0..l {
                 let yi = self.from[i].mul(limbs[i][c], self.q_hat_inv[i]);
@@ -639,7 +587,7 @@ impl BasisConverter {
                     acc = t.mul_add(t.reduce_u64(yi), self.q_hat_mod_to[i][j], acc);
                 }
                 let wrap = t.mul(t.reduce_u64(v), self.q_mod_to[j]);
-                out[j][c - start] = t.sub(acc, wrap);
+                out[j][c] = t.sub(acc, wrap);
             }
         }
         out
@@ -841,53 +789,6 @@ mod tests {
         dst.clear(Domain::Eval);
         assert_eq!(dst.domain(), Domain::Eval);
         assert!(dst.limbs().iter().all(|l| l.iter().all(|&x| x == 0)));
-    }
-
-    #[test]
-    fn limb_parallel_kernels_match_serial() {
-        // Ring large enough to clear MIN_PAR_RING so the parallel paths
-        // actually engage once a global budget is set.
-        let n = MIN_PAR_RING;
-        let c = RnsContext::new(n, &ntt_primes(n as u64, 36, 3));
-        let coeffs_a: Vec<i64> = (0..n).map(|i| (i as i64 % 257) - 128).collect();
-        let coeffs_b: Vec<i64> = (0..n).map(|i| (i as i64 % 101) - 50).collect();
-
-        let run = |threads: usize| {
-            heap_parallel::set_global_threads(threads);
-            let mut a = RnsPoly::from_signed(&c, &coeffs_a, 3);
-            let mut b = RnsPoly::from_signed(&c, &coeffs_b, 3);
-            a.to_eval(&c);
-            b.to_eval(&c);
-            let mut acc = a.mul_pointwise(&b, &c);
-            acc.mul_acc(&a, &b, &c);
-            acc.to_coeff(&c);
-            heap_parallel::set_global_threads(0);
-            acc
-        };
-        let serial = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn basis_conversion_parallel_matches_serial() {
-        let n = MIN_PAR_RING as u64;
-        let from_p = ntt_primes(n, 36, 2);
-        let to_p = ntt_primes_excluding(n, 36, 2, &from_p);
-        let from: Vec<Modulus> = from_p.iter().map(|&p| Modulus::new(p).unwrap()).collect();
-        let to: Vec<Modulus> = to_p.iter().map(|&p| Modulus::new(p).unwrap()).collect();
-        let conv = BasisConverter::new(&from, &to);
-        let limbs: Vec<Vec<u64>> = from
-            .iter()
-            .map(|m| (0..n).map(|c| (c * c + 7) % m.value()).collect())
-            .collect();
-        let refs: Vec<&[u64]> = limbs.iter().map(|l| l.as_slice()).collect();
-        let serial = conv.convert(&refs);
-        heap_parallel::set_global_threads(4);
-        let par = conv.convert(&refs);
-        heap_parallel::set_global_threads(0);
-        assert_eq!(par, serial);
     }
 
     #[test]

@@ -2,23 +2,20 @@
 //!
 //! The paper's central observation is that the `N` blind rotations of a
 //! bootstrap have no data dependencies and can be spread over compute nodes
-//! (eight FPGAs in HEAP, §V); within a node, NTT limbs and key-switch inner
-//! products are independent per residue modulus. This crate is the software
-//! analogue of both levels: a rayon-style fork-join engine built directly on
-//! `std::thread::scope` (the build environment vendors no external crates),
-//! exposing
+//! (eight FPGAs in HEAP, §V) and, inside a node, over its functional units.
+//! This crate is the software analogue of the within-node level (the node
+//! level is `heap-runtime`'s `Scheduler`): a rayon-style fork-join engine
+//! built directly on `std::thread::scope` (the build environment vendors no
+//! external crates), exposing
 //!
 //! - [`par_map`] / [`par_map_init`] — ciphertext-level parallelism with
 //!   optional per-worker scratch state (allocation-free hot loops);
-//! - [`par_each_mut`] — limb-level parallelism over mutable slices
-//!   (RNS-wide NTT, base conversion, key-switch accumulators);
-//! - [`Parallelism`] — the `threads` / `min_par_batch` knob plumbed through
-//!   `BootstrapConfig`, with a process-wide default used by the math kernels
-//!   that have no config parameter of their own.
+//! - [`Parallelism`] — the `threads` knob plumbed through `BootstrapConfig`
+//!   and owned by each service node.
 //!
 //! # Determinism
 //!
-//! Every helper partitions work into contiguous index ranges and writes each
+//! Both helpers partition work into contiguous index ranges and write each
 //! result into its input's slot, so outputs are **bit-identical for every
 //! thread count, including 1** — scheduling never reorders arithmetic. The
 //! tests assert this; `heap-core` relies on it to keep serial and parallel
@@ -27,38 +24,31 @@
 //! Fork-join (threads spawned per region) was chosen over a persistent pool
 //! deliberately: regions in this workload run for milliseconds to minutes,
 //! so spawn cost is noise, and scoped threads let workers borrow inputs and
-//! scratch without `'static` gymnastics or unsafe erasure. [`Parallelism::
-//! min_par_batch`] keeps micro-regions (tiny test rings) serial.
+//! scratch without `'static` gymnastics or unsafe erasure.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+/// Smallest batch worth splitting; shorter batches run inline.
+const MIN_PAR_BATCH: usize = 2;
 
 /// Degree-of-parallelism configuration.
 ///
-/// `threads == 1` (or batches below `min_par_batch`) run inline on the
-/// caller's thread with no spawning at all, so the serial path stays
-/// available and identical to the pre-engine behavior.
+/// `threads == 1` (or a batch of fewer than two items) runs inline on the
+/// caller's thread with no spawning at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
     /// Worker threads per parallel region (`1` = serial).
     pub threads: usize,
-    /// Smallest batch worth splitting; shorter batches run inline.
-    pub min_par_batch: usize,
 }
 
 impl Parallelism {
     /// Strictly serial execution.
     pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            min_par_batch: usize::MAX,
-        }
+        Self { threads: 1 }
     }
 
-    /// `threads` workers with the default batch threshold.
+    /// `threads` workers (at least one).
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            min_par_batch: 2,
         }
     }
 
@@ -83,7 +73,7 @@ impl Parallelism {
 
     /// Effective worker count for a batch of `len` items.
     pub fn workers_for(&self, len: usize) -> usize {
-        if len < self.min_par_batch {
+        if len < MIN_PAR_BATCH {
             1
         } else {
             self.threads.min(len).max(1)
@@ -102,29 +92,6 @@ pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Process-wide thread budget used by kernels without a config parameter
-/// (the `heap-math` RNS/NTT layer). `0` means "not set": such kernels stay
-/// serial, preserving the seed behavior unless parallelism is opted into.
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide limb-level thread budget (see [`global`]).
-pub fn set_global_threads(threads: usize) {
-    GLOBAL_THREADS.store(threads, Ordering::Relaxed);
-}
-
-/// The process-wide [`Parallelism`] for limb-level kernels.
-///
-/// Defaults to serial until [`set_global_threads`] is called — deterministic
-/// unit tests of the math layer observe exactly the seed behavior.
-pub fn global() -> Parallelism {
-    let t = GLOBAL_THREADS.load(Ordering::Relaxed);
-    if t <= 1 {
-        Parallelism::serial()
-    } else {
-        Parallelism::with_threads(t)
-    }
 }
 
 /// Maps `f` over `items` with `par.threads` workers, preserving order.
@@ -184,65 +151,6 @@ where
         .collect()
 }
 
-/// Runs `f` on every element of `items` in place, in parallel.
-///
-/// Each worker owns a contiguous, disjoint sub-slice (`chunks_mut`), so the
-/// borrow checker guarantees race freedom and the result is again
-/// independent of the thread count.
-pub fn par_each_mut<T, F>(par: Parallelism, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    let workers = par.workers_for(n);
-    if workers <= 1 {
-        for (i, t) in items.iter_mut().enumerate() {
-            f(i, t);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|s| {
-        for (ci, sub) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                let base = ci * chunk;
-                for (j, t) in sub.iter_mut().enumerate() {
-                    f(base + j, t);
-                }
-            });
-        }
-    });
-}
-
-/// Splits `0..n` into one contiguous range per worker and runs `f(range)`
-/// in parallel. `f` must only touch state owned by its range (the closure
-/// sees disjoint ranges, but the compiler cannot check external indexing —
-/// prefer [`par_each_mut`] where possible).
-pub fn par_ranges<F>(par: Parallelism, n: usize, f: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    let workers = par.workers_for(n);
-    if workers <= 1 {
-        if n > 0 {
-            f(0..n);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|s| {
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk).min(n);
-            let f = &f;
-            s.spawn(move || f(start..end));
-            start = end;
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,48 +187,12 @@ mod tests {
     }
 
     #[test]
-    fn par_each_mut_touches_every_item_once() {
-        for threads in [1, 2, 5, 8] {
-            let mut items: Vec<usize> = vec![0; 41];
-            par_each_mut(Parallelism::with_threads(threads), &mut items, |i, x| {
-                *x += i + 1;
-            });
-            let expect: Vec<usize> = (1..=41).collect();
-            assert_eq!(items, expect, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn par_ranges_covers_exactly_once() {
-        use std::sync::Mutex;
-        let hits = Mutex::new(vec![0u32; 100]);
-        par_ranges(Parallelism::with_threads(7), 100, |r| {
-            let mut h = hits.lock().unwrap();
-            for i in r {
-                h[i] += 1;
-            }
-        });
-        assert!(hits.into_inner().unwrap().iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn min_par_batch_keeps_small_batches_serial() {
-        let par = Parallelism {
-            threads: 8,
-            min_par_batch: 100,
-        };
-        assert_eq!(par.workers_for(99), 1);
+    fn small_batches_and_serial_stay_inline() {
+        let par = Parallelism::with_threads(8);
+        assert_eq!(par.workers_for(1), 1);
+        assert_eq!(par.workers_for(2), 2);
         assert_eq!(par.workers_for(100), 8);
         assert_eq!(Parallelism::serial().workers_for(1 << 20), 1);
-    }
-
-    #[test]
-    fn global_defaults_to_serial() {
-        assert_eq!(global(), Parallelism::serial());
-        set_global_threads(4);
-        assert_eq!(global().threads, 4);
-        set_global_threads(0);
-        assert_eq!(global(), Parallelism::serial());
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! rotations out over secondary FPGAs, and repacks the results. This crate
 //! is the software analogue of that service, layered as:
 //!
-//! 1. **Jobs** ([`job`]) — typed requests ([`JobRequest::Bootstrap`],
+//! 1. **Jobs** (`job`) — typed requests ([`JobRequest::Bootstrap`],
 //!    [`JobRequest::BlindRotate`]) carrying a [`JobId`] and [`Priority`],
 //!    submitted into a bounded queue with backpressure and completed
 //!    through a [`JobHandle`].
-//! 2. **Admission + fair queueing** ([`queue`], [`service`]) — an
+//! 2. **Admission + fair queueing** (`queue`, `service`) — an
 //!    optional [`SloPolicy`] projects each submission's completion from
 //!    an EWMA of measured rotation cost and refuses jobs that would blow
 //!    the deadline with a typed [`RuntimeError::Rejected`] carrying a
@@ -17,7 +17,7 @@
 //!    deficit-round-robin ([`FairnessPolicy`], keyed by
 //!    [`SubmitOptions::tenant`]) keeps a flooding tenant from starving
 //!    light ones.
-//! 3. **Streaming pipeline** ([`service`], [`batch`], [`scheduler`]) — a
+//! 3. **Streaming pipeline** (`service`, `batch`, `scheduler`) — a
 //!    dynamic batcher coalesces queued jobs into LWE mega-batches
 //!    (flushing on size or deadline) and feeds a staged pipeline whose
 //!    stage groups (extract/mod-switch prep, blind rotation, repack/
@@ -27,12 +27,12 @@
 //!    across [`ServiceNode`]s least-loaded-first, reassembling results
 //!    in input order and reassigning a shard when a node fails; the
 //!    pipeline is bit-identical to serial execution.
-//! 4. **Remote backend** ([`remote`]) — [`RemoteNode`] speaks the
-//!    [`remote`] frame protocol over `std::net::TcpStream` to a
+//! 4. **Remote backend** (`remote`) — [`RemoteNode`] speaks the
+//!    `remote` frame protocol over `std::net::TcpStream` to a
 //!    `heap-node-serve` process, using the `heap-tfhe` wire encodings, so
 //!    a `TransferLedger` fed by it records bytes *measured on a real
 //!    socket* rather than modeled.
-//! 5. **Fault tolerance** ([`scheduler`], [`fault`]) — every node sits
+//! 5. **Fault tolerance** (`scheduler`, `fault`) — every node sits
 //!    behind a circuit breaker (Closed → Open → HalfOpen); failed shards
 //!    are retried with exponential backoff and deterministic jitter, a
 //!    background prober pings Open nodes and readmits recovered ones,
@@ -45,7 +45,7 @@
 //!    onto a second node ([`RetryPolicy::hedge_after`]), and a node caught
 //!    lying is quarantined for good. A deterministic [`FaultPlan`] /
 //!    [`ChaosNode`] harness drives the chaos test suite.
-//! 6. **Sessions** ([`session`]) — a [`SessionServer`] fronts the
+//! 6. **Sessions** (`session`) — a [`SessionServer`] fronts the
 //!    service with connection multiplexing over the same frame protocol
 //!    (one socket carries many tagged in-flight jobs; completions stream
 //!    back out of order), and [`SessionClient`] mirrors it with

@@ -1,9 +1,9 @@
 //! The fallible compute-node abstraction used by the scheduler.
 //!
-//! `heap-core`'s in-process `LocalNode` cannot fail, but a remote node can
-//! lose its connection mid-batch. The scheduler therefore dispatches
-//! through [`ServiceNode`], whose batch call returns a [`Result`], and
-//! treats any `Err` as "this node is gone: reassign its shard".
+//! An in-process node cannot fail, but a remote node can lose its
+//! connection mid-batch. The scheduler therefore dispatches through
+//! [`ServiceNode`], whose batch call returns a [`Result`], and treats any
+//! `Err` as "this node is gone: reassign its shard".
 //! [`LocalServiceNode`] adapts the in-process executor;
 //! [`crate::RemoteNode`] is the socket-backed implementation.
 

@@ -453,9 +453,15 @@ fn decode_stats(payload: &[u8]) -> Result<Vec<(String, u64)>, String> {
             .map(<[u8]>::to_vec)
             .ok_or_else(|| "truncated stats payload".to_string())
     };
-    let count = u32::from_le_bytes(take(payload, 0, 4)?.try_into().expect("4 bytes just taken"));
+    let count =
+        u32::from_le_bytes(take(payload, 0, 4)?.try_into().expect("4 bytes just taken")) as usize;
+    // The count is the peer's claim: bound it by what the payload can hold
+    // (the smallest entry is 2 + 0 + 8 bytes) before allocating for it.
+    if count > (payload.len() - 4) / 10 {
+        return Err("truncated stats payload".to_string());
+    }
     let mut at = 4;
-    let mut entries = Vec::with_capacity(count as usize);
+    let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         let len = u16::from_le_bytes(
             take(payload, at, 2)?
@@ -1567,6 +1573,11 @@ mod tests {
         assert_eq!(decode_stats(&encode_stats(&entries)).unwrap(), entries);
         assert_eq!(decode_stats(&encode_stats(&[])).unwrap(), vec![]);
         assert!(decode_stats(&[1, 0, 0, 0]).is_err(), "truncated");
+        // A hostile count must be a typed error, not a 137 GB allocation.
+        assert!(decode_stats(&[0xFF; 4]).is_err(), "count with no entries");
+        let mut overcount = encode_stats(&entries);
+        overcount[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_stats(&overcount).is_err(), "count beyond entries");
         let mut trailing = encode_stats(&entries);
         trailing.push(0);
         assert!(decode_stats(&trailing).is_err(), "trailing bytes");

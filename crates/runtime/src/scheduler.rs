@@ -1,11 +1,11 @@
 //! Sharding, least-loaded dispatch, and fault-tolerant reassignment.
 //!
 //! A flushed batch of LWE ciphertexts is split into contiguous shards —
-//! one per dispatchable node, mirroring `LocalCluster`'s contiguous
-//! chunking so results reassemble in input order by construction. Shards
-//! go to nodes least-loaded-first (load = blind rotations currently in
-//! flight on that node, which matters when several batches overlap or
-//! nodes differ in speed).
+//! one per dispatchable node (the paper's §V primary/secondary scatter) —
+//! so results reassemble in input order by construction. Shards go to
+//! nodes least-loaded-first (load = blind rotations currently in flight on
+//! that node, which matters when several batches overlap or nodes differ
+//! in speed).
 //!
 //! Failure handling is a per-node circuit breaker plus per-shard retry
 //! with exponential backoff:
@@ -1226,21 +1226,35 @@ mod tests {
     #[test]
     fn sharded_execution_matches_serial_bitwise() {
         let fix = fixture();
-        let nodes: Vec<Box<dyn ServiceNode>> = (0..3)
-            .map(|i| {
-                Box::new(LocalServiceNode::new(i, Parallelism::with_threads(2)))
-                    as Box<dyn ServiceNode>
-            })
-            .collect();
-        let sched = Scheduler::new(nodes).unwrap();
+        let local_nodes = |n: usize| -> Vec<Box<dyn ServiceNode>> {
+            (0..n)
+                .map(|i| {
+                    Box::new(LocalServiceNode::new(i, Parallelism::with_threads(2)))
+                        as Box<dyn ServiceNode>
+                })
+                .collect()
+        };
+        let reference = serial_reference(fix);
+        let sched = Scheduler::new(local_nodes(3)).unwrap();
         let accs = sched.execute(&fix.ctx, &fix.boot, &fix.lwes).unwrap();
-        assert_eq!(wire(fix, &accs), serial_reference(fix));
+        assert_eq!(wire(fix, &accs), reference);
         let stats = sched.stats();
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.shards, 3);
         assert_eq!(stats.reassignments, 0);
         assert_eq!(stats.breaker_opens, 0);
         assert_eq!(stats.fallback_shards, 0);
+
+        // More nodes than LWEs, and a single LWE: one shard per LWE, the
+        // surplus nodes idle, order and bits unchanged.
+        let sched = Scheduler::new(local_nodes(8)).unwrap();
+        for (len, shards_so_far) in [(3usize, 3u64), (1, 4)] {
+            let accs = sched
+                .execute(&fix.ctx, &fix.boot, &fix.lwes[..len])
+                .unwrap();
+            assert_eq!(wire(fix, &accs), reference[..len], "{len} LWEs");
+            assert_eq!(sched.stats().shards, shards_so_far, "{len} LWEs");
+        }
     }
 
     /// A local node with a scripted key-residency claim.

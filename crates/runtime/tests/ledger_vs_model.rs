@@ -152,11 +152,10 @@ fn measured_loopback_bytes_match_hw_model_exactly() {
 }
 
 #[test]
-fn local_cluster_ledger_agrees_with_remote_measurement_per_ciphertext() {
-    // The modeled per-ciphertext wire sizes `LocalCluster` records must
-    // equal what a remote node's socket measurement attributes per
-    // ciphertext once framing is removed — i.e. the model and the
-    // measurement price the same encoding.
+fn modeled_wire_size_agrees_with_remote_measurement_per_ciphertext() {
+    // The modeled per-ciphertext `wire_size` must equal what a remote
+    // node's socket measurement attributes per ciphertext once framing is
+    // removed — i.e. the model and the measurement price the same encoding.
     let setup = insecure_deterministic_setup(ParamPreset::Tiny, 56);
     let ctx = &setup.ctx;
     let n_t = setup.boot.config().n_t;

@@ -1,24 +1,32 @@
-//! Multi-node parallel bootstrapping (paper §V): the same bootstrap
-//! distributed over 1, 2, 4, and 8 compute nodes, with the transfer
-//! ledger mirroring the primary/secondary FPGA traffic, plus the
-//! accelerator model's predicted times at the paper's full scale.
+//! Multi-node parallel bootstrapping (paper §V): the same bootstrap with
+//! its blind rotations sharded by the runtime `Scheduler` over 1, 2, 4, and
+//! 8 in-process nodes, plus the accelerator model's predicted times at the
+//! paper's full scale. (`runtime_service` runs the same scheduler over real
+//! sockets, where the transfer ledger has something to measure.)
 //!
 //! ```sh
 //! cargo run --release --example multi_node_cluster
 //! ```
 
 use heap::ckks::{CkksContext, CkksParams, SecretKey};
-use heap::core::{BootstrapConfig, Bootstrapper, LocalCluster};
+use heap::core::{BootstrapConfig, Bootstrapper, Parallelism};
 use heap::hw::perf::BootstrapModel;
+use heap::runtime::{LocalServiceNode, Scheduler, ServiceNode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    let ctx = CkksContext::new(CkksParams::test_tiny());
+    let ctx = Arc::new(CkksContext::new(CkksParams::test_tiny()));
     let mut rng = StdRng::seed_from_u64(99);
     let sk = SecretKey::generate(&ctx, &mut rng);
-    let boot = Bootstrapper::generate(&ctx, &sk, BootstrapConfig::test_small(), &mut rng);
+    let boot = Arc::new(Bootstrapper::generate(
+        &ctx,
+        &sk,
+        BootstrapConfig::test_small(),
+        &mut rng,
+    ));
 
     let delta = ctx.fresh_scale();
     let msg: Vec<f64> = (0..ctx.n())
@@ -32,11 +40,24 @@ fn main() {
         ctx.n()
     );
     println!("(wall-clock speedup requires multiple cores; the point here is");
-    println!(" the primary/secondary schedule, transfer ledger, and identical results)");
+    println!(" the contiguous shard schedule and bit-identical results)");
+    let indices: Vec<usize> = (0..ctx.n()).collect();
+    let lwes = boot.modulus_switch(&ctx, &boot.extract_lwes(&ctx, &ct, &indices));
+    let single = boot.bootstrap(&ctx, &ct);
     for nodes in [1usize, 2, 4, 8] {
-        let cluster = LocalCluster::new(nodes);
+        // Divide the host's threads evenly, like HEAP's fixed per-FPGA compute.
+        let per_node = Parallelism::with_threads((Parallelism::max().threads / nodes).max(1));
+        let sched = Scheduler::new(
+            (0..nodes)
+                .map(|i| Box::new(LocalServiceNode::new(i, per_node)) as Box<dyn ServiceNode>)
+                .collect(),
+        )
+        .expect("at least one node");
         let t = Instant::now();
-        let fresh = boot.bootstrap_with_cluster(&ctx, &ct, &cluster);
+        let rotated = sched
+            .execute(&ctx, &boot, &lwes)
+            .expect("local nodes cannot fail");
+        let fresh = boot.finish(&ctx, boot.to_leaves(&ctx, &rotated, &indices), ct.scale());
         let dt = t.elapsed().as_secs_f64();
         let dec = ctx.decrypt_coeffs(&fresh, &sk);
         let err = dec
@@ -45,9 +66,9 @@ fn main() {
             .map(|(d, m)| (d / fresh.scale() - m).abs())
             .fold(0.0f64, f64::max);
         println!(
-            "  {nodes} node(s): {dt:.2}s, scattered {} LWEs, gathered {} results, max err {err:.4}",
-            cluster.ledger().lwe_sent(),
-            cluster.ledger().rlwe_received(),
+            "  {nodes} node(s): {dt:.2}s, {} shard(s), max err {err:.4}, bit-identical to one node: {}",
+            sched.stats().shards,
+            fresh.c0() == single.c0() && fresh.c1() == single.c1(),
         );
     }
 

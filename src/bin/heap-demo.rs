@@ -8,7 +8,7 @@
 //! ```
 
 use heap::ckks::{CkksContext, CkksParams, SecretKey};
-use heap::core::{BootstrapConfig, Bootstrapper, SchemeSwitch};
+use heap::core::{BootstrapConfig, Bootstrapper};
 use heap::hw::perf::BootstrapModel;
 use heap::hw::{DesignUtilization, FpgaDevice};
 use heap::tfhe::gates;
@@ -120,7 +120,6 @@ fn switch_demo() {
     let mut rng = StdRng::seed_from_u64(7);
     let sk = SecretKey::generate(&ctx, &mut rng);
     let boot = Bootstrapper::generate(&ctx, &sk, BootstrapConfig::test_small(), &mut rng);
-    let switch = SchemeSwitch::new(&boot);
     let delta = ctx.fresh_scale();
     let inputs = [-0.09f64, -0.02, 0.03, 0.08];
     let mut coeffs = vec![0i64; ctx.n()];
@@ -129,7 +128,7 @@ fn switch_demo() {
     }
     let ct = ctx.encrypt_coeffs_sk(&coeffs, delta, 1, &sk, &mut rng);
     let indices: Vec<usize> = (0..inputs.len()).map(|k| k * 32).collect();
-    let out = switch.eval_nonlinear(&ctx, &ct, &indices, |x| if x > 0.0 { 0.1 } else { -0.1 });
+    let out = boot.bootstrap_eval(&ctx, &ct, &indices, |x| if x > 0.0 { 0.1 } else { -0.1 });
     let dec = ctx.decrypt_coeffs(&out, &sk);
     for (k, v) in inputs.iter().enumerate() {
         println!("  sign({v:>6.3}) -> {:>7.4}", dec[k * 32] / out.scale());

@@ -1,14 +1,15 @@
 //! Cross-crate integration: the full HEAP story in one test file —
 //! encrypt, compute to exhaustion, scheme-switch bootstrap (single node
-//! and clustered), keep computing, decrypt; plus the functional-bootstrap
-//! and consistency checks between the functional stack and the hardware
-//! model.
+//! and sharded over scheduler nodes), keep computing, decrypt; plus the
+//! functional-bootstrap check and the hardware model's overlap schedule.
 
 use heap::ckks::{CkksContext, CkksParams, RelinearizationKey, SecretKey};
-use heap::core::{BootstrapConfig, Bootstrapper, ErrorStats, LocalCluster};
+use heap::core::{BootstrapConfig, Bootstrapper, ErrorStats, Parallelism};
 use heap::hw::perf::BootstrapModel;
+use heap::runtime::{LocalServiceNode, Scheduler, ServiceNode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn setup() -> (
     CkksContext,
@@ -63,14 +64,25 @@ fn cluster_and_single_node_agree() {
     let ct = ctx.encrypt_coeffs_sk(&coeffs, delta, 1, &sk, &mut rng);
 
     let single = boot.bootstrap(&ctx, &ct);
-    let cluster = LocalCluster::new(3);
-    let multi = boot.bootstrap_with_cluster(&ctx, &ct, &cluster);
-
-    // Deterministic pipeline: identical results regardless of node count.
-    let a = ctx.decrypt_coeffs(&single, &sk);
-    let b = ctx.decrypt_coeffs(&multi, &sk);
-    assert_eq!(a, b, "cluster execution must be bit-identical");
-    assert!(cluster.ledger().lwe_sent() > 0);
+    let (ctx, boot) = (Arc::new(ctx), Arc::new(boot));
+    let indices: Vec<usize> = (0..ctx.n()).collect();
+    let lwes = boot.modulus_switch(&ctx, &boot.extract_lwes(&ctx, &ct, &indices));
+    for nodes in [1usize, 3, 8] {
+        let sched = Scheduler::new(
+            (0..nodes)
+                .map(|i| {
+                    Box::new(LocalServiceNode::new(i, Parallelism::serial()))
+                        as Box<dyn ServiceNode>
+                })
+                .collect(),
+        )
+        .unwrap();
+        let rotated = sched.execute(&ctx, &boot, &lwes).unwrap();
+        let multi = boot.finish(&ctx, boot.to_leaves(&ctx, &rotated, &indices), ct.scale());
+        // Deterministic pipeline: identical bits regardless of node count.
+        assert_eq!(multi.c0(), single.c0(), "{nodes} nodes");
+        assert_eq!(multi.c1(), single.c1(), "{nodes} nodes");
+    }
 }
 
 #[test]
@@ -118,24 +130,13 @@ fn precision_survives_repeated_bootstrapping() {
 
 #[test]
 fn hardware_model_consistent_with_functional_ledger() {
-    // The accelerator model and the functional cluster agree on the
-    // communication pattern: per-secondary LWE counts match what the
-    // model's overlap schedule prices.
-    let (ctx, sk, _rlk, boot, mut rng) = setup();
-    let delta = ctx.fresh_scale();
-    let coeffs = vec![(0.05 * delta) as i64; ctx.n()];
-    let ct = ctx.encrypt_coeffs_sk(&coeffs, delta, 1, &sk, &mut rng);
-
-    let nodes = 4usize;
-    let cluster = LocalCluster::new(nodes);
-    let _ = boot.bootstrap_with_cluster(&ctx, &ct, &cluster);
-    let scattered = cluster.ledger().lwe_sent() as usize;
-    let per_node = ctx.n().div_ceil(nodes);
-    assert_eq!(scattered, ctx.n() - per_node, "all but the primary's chunk");
-
-    // Model side: a schedule exists and communication is overlapped.
+    // The accelerator model prices the scheduler's communication pattern
+    // (one contiguous shard per node): for every cluster size the paper
+    // builds, scatter/gather is hidden behind compute.
     let model = BootstrapModel::paper();
-    let sched = model.step3_schedule(4096, nodes);
-    assert!(sched.communication_hidden());
-    assert!(model.total_ms(4096, nodes) > model.total_ms(4096, 8));
+    for nodes in 2..=8usize {
+        let sched = model.step3_schedule(4096, nodes);
+        assert!(sched.communication_hidden(), "{nodes} nodes");
+    }
+    assert!(model.total_ms(4096, 4) > model.total_ms(4096, 8));
 }
