@@ -1,11 +1,13 @@
 //! Blind rotation benchmarks: single rotations and the §IV-E batch
-//! scheduling ablation (per-ciphertext vs key-major order).
+//! scheduling ablation (eight tiles of one vs one key-major tile of eight).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use heap_math::prime::ntt_primes;
 use heap_math::RnsContext;
 use heap_tfhe::blind_rotate::test_polynomial_from_fn;
-use heap_tfhe::{BlindRotateKey, LweCiphertext, LweSecretKey, RgswParams, RingSecretKey};
+use heap_tfhe::{
+    BlindRotateKey, BlindRotateScratch, LweCiphertext, LweSecretKey, RgswParams, RingSecretKey,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -46,7 +48,8 @@ fn bench_blind_rotate(c: &mut Criterion) {
         })
     });
     g.bench_function("batch8_key_major", |b| {
-        b.iter(|| black_box(brk.blind_rotate_batch_key_major(&ring, &f, &lwes)))
+        let mut scratch = BlindRotateScratch::default();
+        b.iter(|| black_box(brk.blind_rotate_batch_with(&ring, &f, &lwes, &mut scratch)))
     });
     g.finish();
 }

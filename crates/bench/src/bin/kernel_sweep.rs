@@ -40,8 +40,8 @@ use heap_tfhe::lwe::LweSecretKey;
 use heap_tfhe::rlwe::{RingSecretKey, RlweCiphertext};
 use heap_tfhe::{
     brk_wire_size, external_product_into, external_product_prepared_into,
-    external_product_reference, test_polynomial_from_fn, BlindRotateKey, ExternalProductScratch,
-    LweCiphertext, PreparedRgsw, RgswCiphertext, RgswParams,
+    external_product_reference, test_polynomial_from_fn, BlindRotateKey, BlindRotateScratch,
+    ExternalProductScratch, LweCiphertext, PreparedRgsw, RgswCiphertext, RgswParams,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -294,7 +294,8 @@ fn main() {
             modulus: two_n,
         })
         .collect();
-    let (opt_batch, _) = brk.blind_rotate_batch_key_major(&ctx, &f, &lwes);
+    let mut scratch = BlindRotateScratch::default();
+    let opt_batch = brk.blind_rotate_batch_with(&ctx, &f, &lwes, &mut scratch);
     for (o, lwe) in opt_batch.iter().zip(&lwes) {
         let r = brk.blind_rotate_reference(&ctx, &f, lwe);
         assert!(o.a == r.a && o.b == r.b, "key-major batch diverged");
@@ -306,14 +307,14 @@ fn main() {
     });
     heap_math::simd::force_scalar(true);
     let scalar_ns = measure_ns(1, || {
-        std::hint::black_box(brk.blind_rotate_batch_key_major(&ctx, &f, &lwes));
+        std::hint::black_box(brk.blind_rotate_batch_with(&ctx, &f, &lwes, &mut scratch));
     });
     heap_math::simd::force_scalar(false);
     let simd_ns = measure_ns(1, || {
-        std::hint::black_box(brk.blind_rotate_batch_key_major(&ctx, &f, &lwes));
+        std::hint::black_box(brk.blind_rotate_batch_with(&ctx, &f, &lwes, &mut scratch));
     });
     rows.push(Row {
-        kernel: "blind_rotate_batch_key_major",
+        kernel: "blind_rotate_batch_with",
         n,
         n_mask: n_t,
         key_bytes: brk_wire_size(n_t, n, params.digits, &moduli, true),

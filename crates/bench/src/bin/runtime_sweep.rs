@@ -40,7 +40,7 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use heap_core::{TransferLedger, KERNEL_STAGES, PIPELINE_STAGES};
+use heap_core::{TransferLedger, PIPELINE_STAGES};
 use heap_parallel::Parallelism;
 use heap_runtime::{
     insecure_deterministic_setup, keyed_setup, serve, serve_keyless, BatchPolicy, BootstrapService,
@@ -182,12 +182,10 @@ fn percentile(sorted: &[Duration], p: f64) -> f64 {
     sorted[idx].as_secs_f64() * 1e3
 }
 
-/// Snapshots every stage histogram (for `since()` deltas per config),
-/// including the process-wide NTT kernel histograms.
+/// Snapshots every stage histogram (for `since()` deltas per config).
 fn stage_snapshots(setup: &DeterministicSetup) -> Vec<(&'static str, HistogramSnapshot)> {
     PIPELINE_STAGES
         .iter()
-        .chain(KERNEL_STAGES.iter())
         .map(|&s| {
             let h = setup.boot.stage_metrics().stage(s).expect("known stage");
             (s, h.snapshot())
@@ -749,8 +747,7 @@ fn main() {
          direct vs sessions = identical workload in-process vs through 100 multiplexed \
          TCP sessions; stage_mean_us = mean microseconds per batch call of each Algorithm 2 \
          stage during the window (client + in-process servers combined; 0 when the stage \
-         did not run; ntt_forward/ntt_inverse are the process-wide kernel histograms, \
-         mean ns-scale per transform), queue_wait_p50_us = median submit-to-dispatch \
+         did not run), queue_wait_p50_us = median submit-to-dispatch \
          queue wait (null when nothing was recorded)\",\n  \
          \"samples\": [\n{}\n  ],\n  \
          \"tail_note\": \"tail_latency rows run the same BlindRotate workload against a \

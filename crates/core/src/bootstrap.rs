@@ -27,7 +27,7 @@ use rand::Rng;
 use heap_ckks::{Ciphertext, CkksContext, GaloisKeys, SecretKey};
 use heap_math::wire::derive_seed;
 use heap_math::RnsPoly;
-use heap_parallel::{par_map, par_map_init, Parallelism};
+use heap_parallel::{par_chunks_init, par_map, Parallelism};
 use heap_tfhe::blind_rotate::MonomialEvals;
 use heap_tfhe::extract::{extract_coefficient, extract_constant_rns, RnsLweCiphertext};
 use heap_tfhe::{
@@ -37,6 +37,17 @@ use heap_tfhe::{
 
 use crate::repack::{pack_lwes, repack_exponents, repack_factor};
 use crate::stage::StageMetrics;
+
+/// Most accumulators rotated together against one streamed key (HEAP
+/// §IV-E). While a tile of `T` walks one key-row block — one limb of both
+/// parts of a row of `brk_i^+` and `brk_i^-` with their Shoup quotients,
+/// `8·8N` bytes — the cache must also hold the tile's `4T` lazy-MAC slots
+/// of `8N` bytes and the digit polynomial being spread. At `N = 2^11`
+/// that is 128 KB + `T`·64 KB: 640 KB at `T = 8`, which leaves a 2 MB L2
+/// room to stream the tile's digits; 16 would fill it, and below 4 the
+/// key is streamed too often (a worker streams it `ceil(chunk / TILE)`
+/// times per batch).
+const TILE: usize = 8;
 
 /// Configuration of the scheme-switched bootstrap.
 #[derive(Debug, Clone, Copy)]
@@ -334,12 +345,7 @@ impl Bootstrapper {
             let m_in = u as f64 * q0 / (2.0 * n * delta);
             (2.0 * n * delta * f(m_in)).round() as i64
         });
-        let rotated: Vec<RlweCiphertext> = par_map_init(
-            self.config.parallelism,
-            &switched,
-            BlindRotateScratch::default,
-            |scratch, _, l| self.brk.blind_rotate_with(ctx.rns(), &lut, l, scratch),
-        );
+        let rotated = self.rotate_tiled(ctx, &lut, &switched, self.config.parallelism);
         let leaves = self.to_leaves(ctx, &rotated, indices);
         self.finish(ctx, leaves, ct.scale())
     }
@@ -410,10 +416,33 @@ impl Bootstrapper {
         par: Parallelism,
     ) -> Vec<RlweCiphertext> {
         let _span = self.stages.blind_rotate.time();
-        par_map_init(par, lwes, BlindRotateScratch::default, |scratch, _, l| {
-            self.brk
-                .blind_rotate_with(ctx.rns(), &self.test_poly, l, scratch)
-        })
+        self.rotate_tiled(ctx, &self.test_poly, lwes, par)
+    }
+
+    /// Rotates `lwes` by `lut`: every worker walks its contiguous chunk in
+    /// evenly sized key-major tiles of at most [`TILE`] members, with one
+    /// scratch per worker so the rotation loop never allocates. A tile is
+    /// bit-identical to rotating its members one by one, so the result
+    /// depends on neither the thread count nor the tiling.
+    fn rotate_tiled(
+        &self,
+        ctx: &CkksContext,
+        lut: &RnsPoly,
+        lwes: &[LweCiphertext],
+        par: Parallelism,
+    ) -> Vec<RlweCiphertext> {
+        par_chunks_init(
+            par,
+            lwes,
+            BlindRotateScratch::default,
+            |scratch, _, chunk| {
+                let tiles = chunk.len().div_ceil(TILE);
+                chunk
+                    .chunks(chunk.len().div_ceil(tiles))
+                    .flat_map(|t| self.brk.blind_rotate_batch_with(ctx.rns(), lut, t, scratch))
+                    .collect()
+            },
+        )
     }
 
     /// A single blind rotation (exposed so clusters can schedule batches).

@@ -43,5 +43,5 @@ pub use bootstrap::{
 pub use heap_parallel::Parallelism;
 pub use ledger::TransferLedger;
 pub use noise::{measure_coeff_error, predicted_bootstrap_rel_error, ErrorStats};
-pub use stage::{stage_metric_name, StageMetrics, KERNEL_STAGES, PIPELINE_STAGES};
+pub use stage::{stage_metric_name, StageMetrics, PIPELINE_STAGES};
 pub use stats::{repack_key_switch_count, BootstrapStats};

@@ -17,13 +17,6 @@ use heap_telemetry::{Histogram, Registry};
 pub const PIPELINE_STAGES: [&str; 5] =
     ["mod_switch", "extract", "blind_rotate", "repack", "rescale"];
 
-/// Kernel-level timing series exposed alongside the pipeline stages: the
-/// process-wide NTT butterfly-kernel histograms owned by `heap-math`
-/// (one sample per transform, across every stage that touches a ring).
-/// Unlike [`PIPELINE_STAGES`] these are shared by all bootstrappers in
-/// the process — they time the shared hot kernels, not a stage instance.
-pub const KERNEL_STAGES: [&str; 2] = ["ntt_forward", "ntt_inverse"];
-
 /// Returns the metric name for a stage's latency histogram
 /// (`heap_stage_<stage>_ns`).
 pub fn stage_metric_name(stage: &str) -> String {
@@ -44,14 +37,10 @@ pub struct StageMetrics {
     pub(crate) blind_rotate: Arc<Histogram>,
     pub(crate) repack: Arc<Histogram>,
     pub(crate) rescale: Arc<Histogram>,
-    ntt_forward: Arc<Histogram>,
-    ntt_inverse: Arc<Histogram>,
 }
 
 impl StageMetrics {
-    /// Registers the five stage histograms in a fresh registry, plus the
-    /// process-wide NTT kernel histograms (adopted from `heap-math`, so
-    /// every scrape of this registry also exposes kernel latency).
+    /// Registers the five stage histograms in a fresh registry.
     pub fn new() -> Self {
         let registry = Arc::new(Registry::new("core"));
         let hist = |stage: &str| {
@@ -60,21 +49,12 @@ impl StageMetrics {
                 &format!("{stage} stage latency per batch in nanoseconds"),
             )
         };
-        let kernel = |stage: &str, handle: &Arc<Histogram>| {
-            registry.register_histogram(
-                &stage_metric_name(stage),
-                &format!("{stage} kernel latency per transform in nanoseconds (process-wide)"),
-                Arc::clone(handle),
-            )
-        };
         Self {
             extract: hist("extract"),
             mod_switch: hist("mod_switch"),
             blind_rotate: hist("blind_rotate"),
             repack: hist("repack"),
             rescale: hist("rescale"),
-            ntt_forward: kernel("ntt_forward", heap_math::ntt_forward_histogram()),
-            ntt_inverse: kernel("ntt_inverse", heap_math::ntt_inverse_histogram()),
             registry,
         }
     }
@@ -85,7 +65,7 @@ impl StageMetrics {
     }
 
     /// The named stage's histogram, if `stage` is one of
-    /// [`PIPELINE_STAGES`] or [`KERNEL_STAGES`].
+    /// [`PIPELINE_STAGES`].
     pub fn stage(&self, stage: &str) -> Option<&Arc<Histogram>> {
         match stage {
             "extract" => Some(&self.extract),
@@ -93,8 +73,6 @@ impl StageMetrics {
             "blind_rotate" => Some(&self.blind_rotate),
             "repack" => Some(&self.repack),
             "rescale" => Some(&self.rescale),
-            "ntt_forward" => Some(&self.ntt_forward),
-            "ntt_inverse" => Some(&self.ntt_inverse),
             _ => None,
         }
     }
@@ -123,32 +101,5 @@ mod tests {
             assert_eq!(h.count, 1, "{stage}");
         }
         assert!(m.stage("bogus").is_none());
-    }
-
-    #[test]
-    fn kernel_histograms_surface_in_scrapes() {
-        let m = StageMetrics::new();
-        // The NTT histograms are process-wide (other tests may record into
-        // them concurrently), so assert growth rather than exact counts.
-        let before: Vec<u64> = KERNEL_STAGES
-            .iter()
-            .map(|s| m.stage(s).expect(s).count())
-            .collect();
-        for stage in KERNEL_STAGES {
-            m.stage(stage).expect(stage).record(1);
-        }
-        let snap = m.registry().snapshot();
-        for (i, stage) in KERNEL_STAGES.iter().enumerate() {
-            let h = snap.histogram(&stage_metric_name(stage)).expect(stage);
-            assert!(h.count > before[i], "{stage}");
-        }
-        // Both registries adopt the same process-wide handles.
-        let other = StageMetrics::new();
-        for stage in KERNEL_STAGES {
-            assert!(Arc::ptr_eq(
-                m.stage(stage).unwrap(),
-                other.stage(stage).unwrap()
-            ));
-        }
     }
 }

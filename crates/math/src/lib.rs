@@ -48,5 +48,5 @@ pub use arith::{Modulus, ShoupPoly};
 pub use bigint::BigUint;
 pub use gadget::Gadget;
 pub use mac::{mac_path, MacAcc, MacPath};
-pub use ntt::{ntt_forward_histogram, ntt_inverse_histogram, NttTable};
+pub use ntt::NttTable;
 pub use rns::{BasisConverter, Domain, RnsContext, RnsPoly};

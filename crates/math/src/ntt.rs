@@ -20,39 +20,8 @@
 //! agree, that `inverse(forward(x)) == x`, and that pointwise products
 //! implement negacyclic convolution.
 
-use std::sync::{Arc, LazyLock};
-
-use heap_telemetry::Histogram;
-
 use crate::arith::{Modulus, ShoupMul, ShoupPoly};
 use crate::prime::primitive_root;
-
-/// Process-wide latency histogram for hot-path forward NTT calls (one
-/// sample per [`NttTable::forward`] invocation, in nanoseconds).
-///
-/// NTT time is the paper's headline kernel cost, but the transforms run
-/// far below the per-`Bootstrapper` stage instrumentation, inside
-/// `heap-math` — so the histograms live here as process-wide statics and
-/// `heap-core`'s `StageMetrics` registers these same handles into its
-/// registry for exposition. The lazy kernels themselves
-/// ([`NttTable::forward_lazy`] / [`NttTable::inverse_lazy`]) and the
-/// `*_reference` oracles are deliberately *not* instrumented, so
-/// kernel-vs-kernel benches compare pure arithmetic.
-static NTT_FORWARD_NS: LazyLock<Arc<Histogram>> = LazyLock::new(|| Arc::new(Histogram::default()));
-
-/// Process-wide latency histogram for hot-path inverse NTT calls (see
-/// [`ntt_forward_histogram`]).
-static NTT_INVERSE_NS: LazyLock<Arc<Histogram>> = LazyLock::new(|| Arc::new(Histogram::default()));
-
-/// The process-wide [`NttTable::forward`] latency histogram.
-pub fn ntt_forward_histogram() -> &'static Arc<Histogram> {
-    &NTT_FORWARD_NS
-}
-
-/// The process-wide [`NttTable::inverse`] latency histogram.
-pub fn ntt_inverse_histogram() -> &'static Arc<Histogram> {
-    &NTT_INVERSE_NS
-}
 
 /// Whether butterfly twiddles come from a precomputed table or are generated
 /// on the fly (paper §IV-D: "by setting an appropriate control signal, we can
@@ -193,31 +162,31 @@ impl NttTable {
 
     /// In-place forward negacyclic NTT (coefficient → evaluation domain).
     ///
-    /// This is the hot-path entry point: it runs the lazy-reduction kernel
-    /// ([`Self::forward_lazy`]) and records the call latency into the
-    /// process-wide [`ntt_forward_histogram`]. Outputs are fully
-    /// normalized, so results are bit-identical to
+    /// This is the hot-path entry point: the lazy-reduction kernel
+    /// ([`Self::forward_lazy`]), untimed — a transform takes half a
+    /// microsecond on small rings, so latency is recorded per pipeline
+    /// stage (`heap-core`'s `StageMetrics`), not per call. Outputs are
+    /// fully normalized, so results are bit-identical to
     /// [`Self::forward_reference`].
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.n()`.
+    #[inline]
     pub fn forward(&self, a: &mut [u64]) {
-        let _span = NTT_FORWARD_NS.time();
         self.forward_lazy(a);
     }
 
     /// In-place inverse negacyclic NTT (evaluation → coefficient domain).
     ///
-    /// Hot-path entry point over [`Self::inverse_lazy`], instrumented via
-    /// [`ntt_inverse_histogram`]; bit-identical to
+    /// Hot-path entry point over [`Self::inverse_lazy`]; bit-identical to
     /// [`Self::inverse_reference`].
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.n()`.
+    #[inline]
     pub fn inverse(&self, a: &mut [u64]) {
-        let _span = NTT_INVERSE_NS.time();
         self.inverse_lazy(a);
     }
 
@@ -742,20 +711,6 @@ mod tests {
         t.inverse_reference(&mut a);
         t.inverse_lazy(&mut b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn hot_path_records_latency_histograms() {
-        let t = table(4);
-        let fwd_before = ntt_forward_histogram().count();
-        let inv_before = ntt_inverse_histogram().count();
-        let mut a = vec![1u64; t.n()];
-        t.forward(&mut a);
-        t.inverse(&mut a);
-        // Process-wide counters shared with concurrently running tests:
-        // assert growth, not exact counts.
-        assert!(ntt_forward_histogram().count() > fwd_before);
-        assert!(ntt_inverse_histogram().count() > inv_before);
     }
 
     #[test]

@@ -8,15 +8,16 @@
 //! built directly on `std::thread::scope` (the build environment vendors no
 //! external crates), exposing
 //!
-//! - [`par_map`] / [`par_map_init`] — ciphertext-level parallelism with
-//!   optional per-worker scratch state (allocation-free hot loops);
+//! - [`par_map`] / [`par_map_init`] / [`par_chunks_init`] —
+//!   ciphertext-level parallelism with optional per-worker scratch state
+//!   (allocation-free hot loops), item by item or a worker's chunk at once;
 //! - [`Parallelism`] — the `threads` knob plumbed through `BootstrapConfig`
 //!   and owned by each service node.
 //!
 //! # Determinism
 //!
-//! Both helpers partition work into contiguous index ranges and write each
-//! result into its input's slot, so outputs are **bit-identical for every
+//! All helpers partition work into contiguous index ranges and return
+//! results in input order, so outputs are **bit-identical for every
 //! thread count, including 1** — scheduling never reorders arithmetic. The
 //! tests assert this; `heap-core` relies on it to keep serial and parallel
 //! bootstraps interchangeable.
@@ -120,35 +121,60 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> U + Sync,
 {
-    let n = items.len();
-    let workers = par.workers_for(n);
-    if workers <= 1 {
-        let mut scratch = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(&mut scratch, i, t))
-            .collect();
+    par_chunks_init(par, items, init, |scratch, base, chunk| {
+        let each = chunk.iter().enumerate();
+        each.map(|(j, t)| f(scratch, base + j, t)).collect()
+    })
+}
+
+/// The chunk-level form of [`par_map_init`]: each worker is handed its
+/// whole contiguous chunk at once, so it can batch across items (blind
+/// rotation walks its chunk in key-major tiles).
+///
+/// `items` is cut into `workers_for(len)` contiguous chunks of
+/// `ceil(len / workers)` items (the last may be shorter); `f` receives the
+/// worker's scratch, the index of the chunk's first item, and the chunk,
+/// and returns one output per item in order; it is never handed an empty
+/// chunk. The concatenation is independent of the thread count provided
+/// `f`'s outputs do not depend on how its items were grouped.
+///
+/// # Panics
+///
+/// Panics if `f` returns a different number of outputs than it was given
+/// items; a worker's panic is resumed on the caller's thread.
+pub fn par_chunks_init<T, U, S, I, F>(par: Parallelism, items: &[T], init: I, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &[T]) -> Vec<U> + Sync,
+{
+    let run = |base: usize, chunk: &[T]| {
+        let out = f(&mut init(), base, chunk);
+        assert_eq!(out.len(), chunk.len(), "one output per item");
+        out
+    };
+    if items.is_empty() {
+        return Vec::new();
     }
-    let chunk = n.div_ceil(workers);
-    let mut out: Vec<Option<U>> = (0..n).map(|_| None).collect();
+    let workers = par.workers_for(items.len());
+    if workers <= 1 {
+        return run(0, items);
+    }
+    let chunk = items.len().div_ceil(workers);
     std::thread::scope(|s| {
-        for (ci, (in_chunk, out_chunk)) in
-            items.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
-        {
-            let (f, init) = (&f, &init);
-            s.spawn(move || {
-                let mut scratch = init();
-                let base = ci * chunk;
-                for (j, (t, o)) in in_chunk.iter().zip(out_chunk.iter_mut()).enumerate() {
-                    *o = Some(f(&mut scratch, base + j, t));
-                }
-            });
+        let run = &run;
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .enumerate()
+            .map(|(ci, c)| s.spawn(move || run(ci * chunk, c)))
+            .collect();
+        let mut out = Vec::with_capacity(items.len());
+        for h in handles {
+            out.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
-    });
-    out.into_iter()
-        .map(|o| o.expect("worker filled every slot"))
-        .collect()
+        out
+    })
 }
 
 #[cfg(test)]
@@ -184,6 +210,40 @@ mod tests {
         assert_eq!(out[0], 1);
         assert_eq!(out[16], 1);
         assert!(out.iter().all(|&l| (1..=16).contains(&l)));
+    }
+
+    #[test]
+    fn par_chunks_init_is_thread_count_independent_and_splits_evenly() {
+        let items: Vec<u64> = (0..17).collect();
+        // Each item reports its value, its index and its chunk's length.
+        let run = |threads| {
+            par_chunks_init(
+                Parallelism::with_threads(threads),
+                &items,
+                || (),
+                |(), base, chunk| {
+                    let each = chunk.iter().enumerate();
+                    each.map(|(j, &x)| (x * x, base + j, chunk.len())).collect()
+                },
+            )
+        };
+        let serial = run(1);
+        assert!(serial.iter().all(|&(_, _, len)| len == 17));
+        for threads in [2, 3, 8] {
+            let par = run(threads);
+            for (p, s) in par.iter().zip(&serial) {
+                assert_eq!((p.0, p.1), (s.0, s.1), "threads = {threads}");
+            }
+        }
+        // 17 items over 2 workers: 9 + 8, never a full chunk and a stub.
+        let lens: Vec<usize> = run(2).iter().map(|&(_, _, len)| len).collect();
+        assert_eq!(lens, [[9; 9].as_slice(), [8; 8].as_slice()].concat());
+    }
+
+    #[test]
+    #[should_panic(expected = "one output per item")]
+    fn par_chunks_init_rejects_short_output() {
+        par_chunks_init(Parallelism::serial(), &[1, 2, 3], || (), |(), _, _| vec![0]);
     }
 
     #[test]

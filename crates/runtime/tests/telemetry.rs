@@ -195,10 +195,7 @@ fn service_metrics_endpoint_serves_stage_histograms() {
     // Service counters and the paper's Algorithm 2 stage histograms are
     // exposed from the same endpoint.
     assert!(body.contains("heap_jobs_completed_total 1"), "{body}");
-    for stage in heap_core::PIPELINE_STAGES
-        .iter()
-        .chain(heap_core::KERNEL_STAGES.iter())
-    {
+    for stage in heap_core::PIPELINE_STAGES {
         let metric = heap_core::stage_metric_name(stage);
         assert!(
             body.contains(&format!("{metric}_count")),

@@ -414,34 +414,6 @@ impl Registry {
         )
     }
 
-    /// Registers an *existing* histogram handle under `name` (or returns
-    /// the already-registered handle for that name).
-    ///
-    /// This is how process-wide histograms owned by another crate (e.g.
-    /// the NTT kernel timers in `heap-math`) surface in a registry's
-    /// scrapes without the registry owning their storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid name or if `name` names a non-histogram.
-    pub fn register_histogram(
-        &self,
-        name: &str,
-        help: &str,
-        handle: Arc<Histogram>,
-    ) -> Arc<Histogram> {
-        self.get_or_insert(
-            name,
-            help,
-            &[],
-            |m| match m {
-                Metric::Histogram(h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-            || (Arc::clone(&handle), Metric::Histogram(Arc::clone(&handle))),
-        )
-    }
-
     /// Point-in-time values of every registered metric, in registration
     /// order.
     pub fn snapshot(&self) -> Snapshot {
@@ -717,21 +689,6 @@ mod tests {
     #[should_panic(expected = "invalid metric name")]
     fn registry_rejects_bad_names() {
         Registry::new("test").counter("9starts-with-digit", "");
-    }
-
-    #[test]
-    fn register_histogram_adopts_external_handle() {
-        let r = Registry::new("test");
-        let external = Arc::new(Histogram::default());
-        external.record(7);
-        let adopted = r.register_histogram("kernel_ns", "kernel latency", Arc::clone(&external));
-        assert!(Arc::ptr_eq(&external, &adopted));
-        // Recording through the original handle is visible in scrapes.
-        external.record(9);
-        assert_eq!(r.snapshot().histogram("kernel_ns").unwrap().count, 2);
-        // Re-registering the same name returns the first handle.
-        let again = r.register_histogram("kernel_ns", "", Arc::new(Histogram::default()));
-        assert!(Arc::ptr_eq(&external, &again));
     }
 
     #[test]

@@ -11,24 +11,30 @@
 //! acc ← acc + (X^{-a_i} − 1)·EP(acc, brk_i^+) + (X^{a_i} − 1)·EP(acc, brk_i^-)
 //! ```
 //!
-//! which needs **zero** RGSW-sized copies or additions and scales only two
-//! RLWE outputs (2 polynomials each) by the monomial factors instead of
-//! two RGSW matrices (`2·ℓ·2` polynomials each). The rewrite is exact —
-//! external products are linear in the RGSW operand over exact mod-`q`
-//! arithmetic, `EP(acc, RGSW_triv(1)) = acc` exactly by gadget
+//! which needs **zero** RGSW-sized copies or additions. The rewrite is
+//! exact — external products are linear in the RGSW operand over exact
+//! mod-`q` arithmetic, `EP(acc, RGSW_triv(1)) = acc` exactly by gadget
 //! recomposition, and the evaluation-domain monomial factors commute with
 //! the pointwise MACs — so outputs are *bit-identical* to the one-product
 //! form, which is retained as [`BlindRotateKey::blind_rotate_reference`]
-//! and asserted against in `tests/kernel_parity.rs`. The two external
-//! products share one gadget decomposition and one spread-NTT per digit
-//! ([`crate::rgsw::external_product_pair_prepared_into`]), so the NTT
-//! count per step is unchanged. The constant coefficient of the result is the
-//! lookup `f[phase]` — which is how the scheme switch evaluates the
-//! wrap-removal function during CKKS bootstrapping, and how standalone
-//! TFHE evaluates arbitrary negacyclic LUTs.
+//! and asserted against in `tests/kernel_parity.rs`. The constant
+//! coefficient of the result is the lookup `f[phase]` — which is how the
+//! scheme switch evaluates the wrap-removal function during CKKS
+//! bootstrapping, and how standalone TFHE evaluates arbitrary negacyclic
+//! LUTs.
 //!
-//! The monomial factors are applied in evaluation domain via precomputed
-//! root-power tables (HEAP's rotation unit + NTT datapath combination).
+//! There is one schedule, the paper's §IV-E *key-major* one
+//! ([`BlindRotateKey::blind_rotate_batch_with`]): the outer loop walks the
+//! key indices and the inner loop is a tile of accumulators, so each
+//! `(brk_i^+, brk_i^-)` pair is streamed once per tile ("fetch one key at a
+//! time, perform the external product using the key, and then discard the
+//! key") with the key row, not the accumulator, as the stationary operand
+//! of the external product. A single rotation is the tile of one. The two
+//! external products of a step share one gadget decomposition and one
+//! spread-NTT per digit, and the accumulator update is one fused pass: the
+//! monomial factors are looked up in precomputed root-power tables (HEAP's
+//! rotation unit + NTT datapath combination) and applied as
+//! `reduce(f⁺·EP⁺ + f⁻·EP⁻ + acc)` per coefficient, never materialized.
 
 use rand::Rng;
 
@@ -37,7 +43,7 @@ use heap_math::{poly, Domain, RnsContext, RnsPoly};
 
 use crate::lwe::{LweCiphertext, LweSecretKey};
 use crate::rgsw::{
-    external_product_pair_prepared_into, external_product_reference, ExternalProductScratch,
+    copy_into_slot, external_product_core, external_product_reference, ExternalProductScratch,
     PreparedRgsw, RgswCiphertext, RgswParams,
 };
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
@@ -70,6 +76,11 @@ impl MonomialTable {
         let n = ntt.n();
         let m = ntt.modulus();
         let two_n = 2 * n;
+        // `pow_at` reduces exponents mod 2N with a mask.
+        assert!(
+            two_n.is_power_of_two(),
+            "ring degree must be a power of two"
+        );
         let mut pow = Vec::with_capacity(two_n);
         let mut cur = 1u64;
         for _ in 0..two_n {
@@ -88,24 +99,28 @@ impl MonomialTable {
         Self { pow, slot_exp }
     }
 
+    /// `psi^{a·e mod 2N}`: the value of `X^a` at the slot with root
+    /// exponent `e`.
+    #[inline]
+    fn pow_at(&self, a: usize, e: usize) -> u64 {
+        self.pow[(a * e) & (self.pow.len() - 1)]
+    }
+
     /// Writes the evaluation-domain representation of `X^a - 1` (negacyclic
     /// exponent `a ∈ [0, 2N)`) into `out`.
     pub fn monomial_minus_one(&self, a: usize, q: &heap_math::Modulus, out: &mut [u64]) {
-        let two_n = self.pow.len();
         debug_assert_eq!(out.len(), self.slot_exp.len());
         for (o, &e) in out.iter_mut().zip(&self.slot_exp) {
-            let v = self.pow[(a * e) % two_n];
-            *o = q.sub(v, 1 % q.value());
+            *o = q.sub(self.pow_at(a, e), 1);
         }
     }
 
     /// Writes the evaluation-domain representation of `X^a` into `out`
     /// (used by the repacking tree's interleaving shifts).
     pub fn monomial(&self, a: usize, out: &mut [u64]) {
-        let two_n = self.pow.len();
         debug_assert_eq!(out.len(), self.slot_exp.len());
         for (o, &e) in out.iter_mut().zip(&self.slot_exp) {
-            *o = self.pow[(a * e) % two_n];
+            *o = self.pow_at(a, e);
         }
     }
 }
@@ -125,22 +140,66 @@ impl MonomialEvals {
     }
 
     /// Evaluation-domain `X^a - 1`, flat across limbs (limb `j` occupies
-    /// `[j·n, (j+1)·n)`).
+    /// `[j·n, (j+1)·n)`). Only the reference CMux materializes it; the hot
+    /// path fuses the lookup into its accumulator update.
     pub fn factor(&self, a: usize, ctx: &RnsContext) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.factor_into(a, ctx, &mut out);
+        let n = ctx.n();
+        let mut out = vec![0; self.tables.len() * n];
+        for (j, t) in self.tables.iter().enumerate() {
+            t.monomial_minus_one(a, ctx.modulus(j), &mut out[j * n..(j + 1) * n]);
+        }
         out
     }
 
-    /// [`MonomialEvals::factor`] into a caller-provided flat buffer — one
-    /// contiguous `Vec<u64>` reused across limbs, so repeat exponents are
-    /// allocation-free once the buffer is warm (asserted by
-    /// `tests/alloc_free.rs`).
-    pub fn factor_into(&self, a: usize, ctx: &RnsContext, out: &mut Vec<u64>) {
+    /// The CMux accumulator update in one pass over the coefficients:
+    /// `acc += (X^{-a} − 1)·pos + (X^{a} − 1)·neg` for `a ∈ [0, 2N)`.
+    ///
+    /// Per coefficient: two table look-ups for the factors `f⁺`, `f⁻` and
+    /// one `reduce(f⁺·p + f⁻·n + acc)` per component. The sum is exact
+    /// mod-`q` arithmetic on canonical residues (`2q² + q < 2^128` for
+    /// every `q < 2^62`), so the result is bit-identical to multiplying
+    /// each product by its materialized factor and adding them in turn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any operand is in coefficient domain, if limb counts
+    /// differ, or if there are more limbs than tables.
+    fn cmux_update(
+        &self,
+        a: usize,
+        pos: &RlweCiphertext,
+        neg: &RlweCiphertext,
+        acc: &mut RlweCiphertext,
+        ctx: &RnsContext,
+    ) {
+        let limbs = acc.limbs();
+        assert!(limbs <= self.tables.len());
+        assert!(
+            pos.limbs() == limbs && neg.limbs() == limbs,
+            "limb mismatch"
+        );
+        for part in [&acc.a, &acc.b, &pos.a, &pos.b, &neg.a, &neg.b] {
+            assert_eq!(part.domain(), Domain::Eval, "needs Eval domain");
+        }
         let n = ctx.n();
-        out.resize(self.tables.len() * n, 0);
-        for (j, t) in self.tables.iter().enumerate() {
-            t.monomial_minus_one(a, ctx.modulus(j), &mut out[j * n..(j + 1) * n]);
+        for (j, t) in self.tables[..limbs].iter().enumerate() {
+            let q = ctx.modulus(j);
+            let two_n = t.pow.len();
+            let (pa, pb) = (&pos.a.limb(j)[..n], &pos.b.limb(j)[..n]);
+            let (na, nb) = (&neg.a.limb(j)[..n], &neg.b.limb(j)[..n]);
+            let slot_exp = &t.slot_exp[..n];
+            for (part, p, m) in [(&mut acc.a, pa, na), (&mut acc.b, pb, nb)] {
+                let out = &mut part.limb_mut(j)[..n];
+                for idx in 0..n {
+                    // X^{a} at this slot is psi^x; X^{-a} is psi^{2N − x}.
+                    let x = (a * slot_exp[idx]) & (two_n - 1);
+                    let f_neg = q.sub(t.pow[x], 1) as u128;
+                    let f_pos = q.sub(t.pow[(two_n - x) & (two_n - 1)], 1) as u128;
+                    out[idx] = q.reduce_u128(
+                        f_pos * p[idx] as u128 + f_neg * m[idx] as u128 + out[idx] as u128,
+                    );
+                }
+            }
         }
     }
 
@@ -169,9 +228,8 @@ impl MonomialEvals {
         for j in 0..limbs {
             let m = ctx.modulus(j);
             let t = &self.tables[j];
-            let two_n = t.pow.len();
             for (x, &e) in poly.limb_mut(j).iter_mut().zip(&t.slot_exp) {
-                *x = m.mul(*x, t.pow[(a * e) % two_n]);
+                *x = m.mul(*x, t.pow_at(a, e));
             }
         }
     }
@@ -309,14 +367,8 @@ impl BlindRotateKey {
         self.blind_rotate_with(ctx, test_poly, lwe, &mut scratch)
     }
 
-    /// [`BlindRotateKey::blind_rotate`] with caller-provided scratch.
-    ///
-    /// After the first call warms the scratch, the per-mask-element loop —
-    /// `n_t` restructured CMux updates — runs with no heap allocation: the
-    /// paired external product and the two scaled RLWE outputs live in
-    /// reused buffers, and the accumulator is updated in place (no
-    /// ping-pong ciphertext, no RGSW-sized copies at all). This is the hot
-    /// path the parallel engine runs with one scratch per worker thread.
+    /// [`BlindRotateKey::blind_rotate`] with caller-provided scratch: the
+    /// batch of one of [`BlindRotateKey::blind_rotate_batch_with`].
     pub fn blind_rotate_with(
         &self,
         ctx: &RnsContext,
@@ -324,16 +376,73 @@ impl BlindRotateKey {
         lwe: &LweCiphertext,
         scratch: &mut BlindRotateScratch,
     ) -> RlweCiphertext {
-        assert_eq!(lwe.dim(), self.lwe_dim(), "LWE dimension mismatch");
-        let two_n = 2 * ctx.n() as u64;
-        assert_eq!(lwe.modulus, two_n, "blind rotation expects modulus 2N");
-        assert_eq!(test_poly.limb_count(), self.limbs, "limb mismatch");
+        let lwes = std::slice::from_ref(lwe);
+        let mut accs = self.blind_rotate_batch_with(ctx, test_poly, lwes, scratch);
+        accs.pop().expect("one accumulator per LWE")
+    }
 
-        let mut acc = self.initial_accumulator(ctx, test_poly, lwe, scratch);
-        for i in 0..lwe.a.len() {
-            self.cmux_step(ctx, lwe.a[i], i, &mut acc, scratch);
+    /// Blind-rotates `lwes` as one tile with the paper's §IV-E *key-major*
+    /// schedule: the outer loop walks the `brk` key indices and the inner
+    /// loop updates every accumulator of the tile, so each RGSW pair is
+    /// streamed once per call ("we need to fetch one key at a time,
+    /// perform the external product using the key, and then discard the
+    /// key"). A member whose `a_i ≡ 0` sits step `i` out — its
+    /// `(X^0 − 1)` terms vanish and the accumulator passes through the
+    /// exact trivial identity.
+    ///
+    /// Returns the accumulators in input order, each bit-identical to
+    /// [`BlindRotateKey::blind_rotate_reference`] of its LWE. The tile's
+    /// buffers (digit store, `2·len` product outputs) live in `scratch`;
+    /// once it is warm for a tile size the per-key loop runs with no heap
+    /// allocation (`tests/alloc_free.rs`). Callers size the tile — the
+    /// parallel engine walks each worker's chunk in tiles, one scratch per
+    /// worker thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an LWE dimension or modulus (`2N`) mismatches the key.
+    pub fn blind_rotate_batch_with(
+        &self,
+        ctx: &RnsContext,
+        test_poly: &RnsPoly,
+        lwes: &[LweCiphertext],
+        scratch: &mut BlindRotateScratch,
+    ) -> Vec<RlweCiphertext> {
+        let mut accs = self.initial_accumulators(ctx, test_poly, lwes, &mut scratch.test_coeff);
+        let BlindRotateScratch {
+            ep, outs, active, ..
+        } = scratch;
+        if outs.len() < lwes.len() {
+            let zero = || RlweCiphertext::zero(ctx, self.limbs);
+            outs.resize_with(lwes.len(), || [zero(), zero()]);
         }
-        acc
+        let mut outs: Vec<_> = outs[..lwes.len()]
+            .iter_mut()
+            .map(|o| o.each_mut())
+            .collect();
+        active.clear();
+        active.reserve(lwes.len());
+        let two_n = 2 * ctx.n() as u64;
+        for i in 0..self.lwe_dim() {
+            let a_i = |m: usize| (lwes[m].a[i] % two_n) as usize;
+            active.clear();
+            active.extend((0..lwes.len()).filter(|&m| a_i(m) != 0));
+            // One shared decomposition of each accumulator feeds both
+            // products; the precomputed Shoup quotients route them onto
+            // the vectorized u64-accumulator datapath when it applies.
+            let keys = [
+                (&self.pos[i], Some(&self.prepared_pos[i])),
+                (&self.neg[i], Some(&self.prepared_neg[i])),
+            ];
+            external_product_core(&accs, active, keys, ctx, &self.params, ep, &mut outs);
+            for &m in active.iter() {
+                // Rotation by -a_i·s_i: s=+1 wants X^{-a_i}, s=-1 wants X^{+a_i}.
+                let [pos, neg] = &outs[m];
+                self.monomials
+                    .cmux_update(a_i(m), pos, neg, &mut accs[m], ctx);
+            }
+        }
+        accs
     }
 
     /// Strict-datapath blind rotation: Algorithm 1 exactly as the seed
@@ -343,109 +452,58 @@ impl BlindRotateKey {
     /// and run **one** external product over the strict reference kernels.
     ///
     /// Kept as the oracle for the restructured hot path: the parity suite
-    /// asserts [`BlindRotateKey::blind_rotate`] is bit-identical to this,
-    /// and `kernel_sweep` measures the speedup over it. Allocates freely;
-    /// not used on any production path.
+    /// asserts [`BlindRotateKey::blind_rotate_batch_with`] is bit-identical
+    /// to this per member, and `kernel_sweep` measures the speedup over
+    /// it. Allocates freely; not used on any production path.
     pub fn blind_rotate_reference(
         &self,
         ctx: &RnsContext,
         test_poly: &RnsPoly,
         lwe: &LweCiphertext,
     ) -> RlweCiphertext {
-        assert_eq!(lwe.dim(), self.lwe_dim(), "LWE dimension mismatch");
-        let two_n = 2 * ctx.n() as u64;
-        assert_eq!(lwe.modulus, two_n, "blind rotation expects modulus 2N");
-        assert_eq!(test_poly.limb_count(), self.limbs, "limb mismatch");
-
-        let mut scratch = BlindRotateScratch::default();
-        let mut acc = self.initial_accumulator(ctx, test_poly, lwe, &mut scratch);
+        let lwes = std::slice::from_ref(lwe);
+        let mut acc = self
+            .initial_accumulators(ctx, test_poly, lwes, &mut None)
+            .pop()
+            .expect("one accumulator per LWE");
         for i in 0..lwe.a.len() {
             self.cmux_step_reference(ctx, lwe.a[i], i, &mut acc);
         }
         acc
     }
 
-    /// `ACC = trivial(f · X^{-b})` for one LWE ciphertext.
-    fn initial_accumulator(
+    /// `ACC = trivial(f · X^{-b})` for every LWE ciphertext; the test
+    /// polynomial is brought to coefficient form once (into `test_coeff`)
+    /// and every member rotates from that.
+    fn initial_accumulators(
         &self,
         ctx: &RnsContext,
         test_poly: &RnsPoly,
-        lwe: &LweCiphertext,
-        scratch: &mut BlindRotateScratch,
-    ) -> RlweCiphertext {
-        let f = match &mut scratch.test_coeff {
-            Some(p) => {
-                p.copy_from(test_poly);
-                p
-            }
-            slot => slot.insert(test_poly.clone()),
-        };
+        lwes: &[LweCiphertext],
+        test_coeff: &mut Option<RnsPoly>,
+    ) -> Vec<RlweCiphertext> {
+        assert_eq!(test_poly.limb_count(), self.limbs, "limb mismatch");
+        let f = copy_into_slot(test_coeff, test_poly);
         f.to_coeff(ctx);
-        let shift = -(lwe.b as i64);
-        let mut rotated = RnsPoly::zero(ctx, self.limbs, Domain::Coeff);
-        for j in 0..self.limbs {
-            poly::monomial_mul_into(f.limb(j), shift, ctx.modulus(j), rotated.limb_mut(j));
-        }
-        RlweCiphertext::trivial(ctx, rotated)
-    }
-
-    /// One restructured accumulator update:
-    /// `ACC += (X^{-a_i}−1)·EP(ACC, brk_i^+) + (X^{a_i}−1)·EP(ACC, brk_i^-)`
-    /// (see the module docs for why this equals the Algorithm-1 product
-    /// bit-for-bit).
-    fn cmux_step(
-        &self,
-        ctx: &RnsContext,
-        a_i: u64,
-        i: usize,
-        acc: &mut RlweCiphertext,
-        scratch: &mut BlindRotateScratch,
-    ) {
-        let two_n = 2 * ctx.n();
-        let ai = (a_i % two_n as u64) as usize;
-        if ai == 0 {
-            // (X^0 - 1) terms vanish; accumulator passes through the
-            // exact trivial identity, so skip the products entirely.
-            return;
-        }
-        // Rotation by -a_i·s_i: s=+1 wants X^{-a_i}, s=-1 wants X^{+a_i}.
-        let neg_exp = two_n - ai;
-        let BlindRotateScratch {
-            ep,
-            ep_pos,
-            ep_neg,
-            factor,
-            ..
-        } = scratch;
-        let ep_pos = ep_pos.get_or_insert_with(|| RlweCiphertext::zero(ctx, self.limbs));
-        let ep_neg = ep_neg.get_or_insert_with(|| RlweCiphertext::zero(ctx, self.limbs));
-        // One shared decomposition of ACC feeds both products; the
-        // precomputed Shoup quotients route them onto the vectorized
-        // u64-accumulator datapath when it applies.
-        external_product_pair_prepared_into(
-            acc,
-            &self.pos[i],
-            &self.neg[i],
-            &self.prepared_pos[i],
-            &self.prepared_neg[i],
-            ctx,
-            &self.params,
-            ep,
-            ep_pos,
-            ep_neg,
-        );
-        self.monomials.factor_into(neg_exp, ctx, factor);
-        ep_pos.mul_eval_factor_assign(factor, ctx);
-        acc.add_assign(ep_pos, ctx);
-        self.monomials.factor_into(ai, ctx, factor);
-        ep_neg.mul_eval_factor_assign(factor, ctx);
-        acc.add_assign(ep_neg, ctx);
+        let two_n = 2 * ctx.n() as u64;
+        lwes.iter()
+            .map(|lwe| {
+                assert_eq!(lwe.dim(), self.lwe_dim(), "LWE dimension mismatch");
+                assert_eq!(lwe.modulus, two_n, "blind rotation expects modulus 2N");
+                let shift = -(lwe.b as i64);
+                let mut rotated = RnsPoly::zero(ctx, self.limbs, Domain::Coeff);
+                for j in 0..self.limbs {
+                    poly::monomial_mul_into(f.limb(j), shift, ctx.modulus(j), rotated.limb_mut(j));
+                }
+                RlweCiphertext::trivial(ctx, rotated)
+            })
+            .collect()
     }
 
     /// One Algorithm-1 accumulator update in its original one-product
     /// form: `ACC ⊡ (RGSW(1) + (X^{-a_i}−1)·RGSW(s_i^+) +
     /// (X^{a_i}−1)·RGSW(s_i^-))` over the strict kernels (the oracle for
-    /// [`Self::cmux_step`]).
+    /// one step of [`Self::blind_rotate_batch_with`]).
     fn cmux_step_reference(&self, ctx: &RnsContext, a_i: u64, i: usize, acc: &mut RlweCiphertext) {
         let two_n = 2 * ctx.n();
         let ai = (a_i % two_n as u64) as usize;
@@ -464,68 +522,18 @@ impl BlindRotateKey {
     }
 }
 
-/// Scratch state for [`BlindRotateKey::blind_rotate_with`]: every buffer the
-/// per-mask-element loop needs, allocated once and reused for the whole
-/// batch a worker thread processes.
-///
-/// The restructured CMux shrank this considerably: the old path carried a
-/// cached `RGSW(1)` identity, three full RGSW ciphertext buffers
-/// (`combined`, `pos_term`, `neg_term` — `2·2·ℓ·d` polynomials each) and a
-/// ping-pong accumulator; the new one needs only the two RLWE-sized
-/// external-product outputs and one flat monomial-factor buffer.
+/// Scratch state for [`BlindRotateKey::blind_rotate_batch_with`]: every
+/// buffer the per-key loop needs, allocated once and reused for every tile
+/// a worker thread processes.
 #[derive(Debug, Default)]
 pub struct BlindRotateScratch {
     ep: ExternalProductScratch,
-    /// `EP(acc, brk_i^+)` output, reused across steps.
-    ep_pos: Option<RlweCiphertext>,
-    /// `EP(acc, brk_i^-)` output, reused across steps.
-    ep_neg: Option<RlweCiphertext>,
-    /// Flat evaluation-domain monomial factor (limb `j` at `[j·n, (j+1)·n)`).
-    factor: Vec<u64>,
+    /// `[EP(acc, brk_i^+), EP(acc, brk_i^-)]` per tile member, reused
+    /// across steps.
+    outs: Vec<[RlweCiphertext; 2]>,
+    /// Tile members taking part in the current step (`a_i ≢ 0`).
+    active: Vec<usize>,
     test_coeff: Option<RnsPoly>,
-}
-
-impl BlindRotateKey {
-    /// Blind-rotates a batch of LWE ciphertexts with the paper's §IV-E
-    /// *key-major* schedule: the outer loop walks the `brk` key indices and
-    /// the inner loop updates every accumulator, so each RGSW key is
-    /// fetched exactly once per batch ("we need to fetch one key at a
-    /// time, perform the external product using the key, and then discard
-    /// the key").
-    ///
-    /// Produces bit-identical results to mapping
-    /// [`BlindRotateKey::blind_rotate`] over the batch; on hardware the
-    /// difference is key-memory traffic (`n_t` fetches total instead of
-    /// `n_t` per ciphertext), which the `heap-hw` model prices.
-    ///
-    /// Returns the accumulators in input order, plus the number of key
-    /// fetches performed.
-    pub fn blind_rotate_batch_key_major(
-        &self,
-        ctx: &RnsContext,
-        test_poly: &RnsPoly,
-        lwes: &[LweCiphertext],
-    ) -> (Vec<RlweCiphertext>, u64) {
-        let mut scratch = BlindRotateScratch::default();
-        let mut accs: Vec<RlweCiphertext> = lwes
-            .iter()
-            .map(|lwe| {
-                assert_eq!(lwe.dim(), self.lwe_dim(), "LWE dimension mismatch");
-                let two_n = 2 * ctx.n() as u64;
-                assert_eq!(lwe.modulus, two_n, "blind rotation expects modulus 2N");
-                self.initial_accumulator(ctx, test_poly, lwe, &mut scratch)
-            })
-            .collect();
-        let mut key_fetches = 0u64;
-        for i in 0..self.lwe_dim() {
-            // One fetch of (pos_i, neg_i) serves the whole batch.
-            key_fetches += 1;
-            for (acc, lwe) in accs.iter_mut().zip(lwes) {
-                self.cmux_step(ctx, lwe.a[i], i, acc, &mut scratch);
-            }
-        }
-        (accs, key_fetches)
-    }
 }
 
 /// Builds the negacyclic test polynomial for a lookup function `g` defined
@@ -680,43 +688,51 @@ mod tests {
         let lwe = LweCiphertext::trivial(0, 4, 999);
         brk.blind_rotate(&c, &f, &lwe);
     }
-}
 
-#[cfg(test)]
-mod batch_tests {
-    use super::*;
-    use heap_math::prime::ntt_primes;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
+    /// The fused update against the sequence it replaced — materialize
+    /// `X^{∓a} − 1`, scale each product by it, add the two to the
+    /// accumulator in turn — at the exponents around the negacyclic wrap,
+    /// on the paper's 36-bit limbs and on 60-bit ones (largest `2q² + q`).
     #[test]
-    fn key_major_batch_matches_per_ciphertext() {
-        let c = RnsContext::new(64, &ntt_primes(64, 30, 2));
-        let mut rng = StdRng::seed_from_u64(21);
-        let ring_sk = RingSecretKey::generate(&c, 2, &mut rng);
-        let lwe_sk = LweSecretKey::generate(&mut rng, 8);
-        let params = RgswParams {
-            base_bits: 15,
-            digits: 2,
-        };
-        let brk = BlindRotateKey::generate(&c, &lwe_sk, &ring_sk, 2, params, &mut rng);
-        let two_n = 2 * c.n() as u64;
-        let f = test_polynomial_from_fn(&c, 2, |u| u << 40);
-        let lwes: Vec<LweCiphertext> = (0..4)
-            .map(|_| LweCiphertext {
-                a: (0..8).map(|_| rng.gen_range(0..two_n)).collect(),
-                b: rng.gen_range(0..two_n),
-                modulus: two_n,
-            })
-            .collect();
-        let per_ct: Vec<RlweCiphertext> =
-            lwes.iter().map(|l| brk.blind_rotate(&c, &f, l)).collect();
-        let (batched, fetches) = brk.blind_rotate_batch_key_major(&c, &f, &lwes);
-        assert_eq!(fetches, 8, "one fetch per key index");
-        for (a, b) in per_ct.iter().zip(&batched) {
-            // Bit-identical: the same sequence of deterministic ops.
-            assert_eq!(a.a, b.a);
-            assert_eq!(a.b, b.b);
+    fn fused_cmux_update_matches_factor_multiply_add() {
+        const N: usize = 64;
+        for bits in [36, 60] {
+            let c = RnsContext::new(N, &ntt_primes(N as u64, bits, 2));
+            let monomials = MonomialEvals::new(&c, 2);
+            let mut rng = StdRng::seed_from_u64(u64::from(bits));
+            let mut random = || {
+                let mut part = || {
+                    let limbs = (0..2).map(|j| {
+                        heap_math::sample::uniform_poly(&mut rng, N, c.modulus(j).value())
+                    });
+                    RnsPoly::from_limbs(limbs.collect(), Domain::Eval)
+                };
+                RlweCiphertext {
+                    a: part(),
+                    b: part(),
+                }
+            };
+            let (pos, neg, acc) = (random(), random(), random());
+            for a in [1, N - 1, N, N + 1, 2 * N - 1] {
+                let mut want = acc.clone();
+                for (term, exp) in [(&pos, 2 * N - a), (&neg, a)] {
+                    let factor = monomials.factor(exp, &c);
+                    for (out, part) in [(&mut want.a, &term.a), (&mut want.b, &term.b)] {
+                        for j in 0..2 {
+                            let q = c.modulus(j);
+                            let f = &factor[j * N..(j + 1) * N];
+                            for ((o, &x), &fx) in
+                                out.limb_mut(j).iter_mut().zip(part.limb(j)).zip(f)
+                            {
+                                *o = q.add(*o, q.mul(x, fx));
+                            }
+                        }
+                    }
+                }
+                let mut got = acc.clone();
+                monomials.cmux_update(a, &pos, &neg, &mut got, &c);
+                assert!(got.a == want.a && got.b == want.b, "{bits}-bit, a = {a}");
+            }
         }
     }
 }

@@ -161,9 +161,8 @@ impl RgswCiphertext {
 
     /// Multiplies every row by an evaluation-domain polynomial factor
     /// (flat layout: limb `j` at `factor[j*n..(j+1)*n]`). Used by the
-    /// *reference* CMux to scale whole RGSW matrices — the restructured
-    /// hot path scales RLWE outputs instead
-    /// ([`crate::rlwe::RlweCiphertext::mul_eval_factor_assign`]).
+    /// *reference* CMux to scale whole RGSW matrices — the hot path fuses
+    /// the factors into its accumulator update instead.
     pub fn mul_eval_factor_assign(&mut self, factor: &[u64], ctx: &RnsContext) {
         let n = ctx.n();
         for rows in [&mut self.rows_s, &mut self.rows_1] {
@@ -242,38 +241,35 @@ fn add_constant(limb: &mut [u64], c: u64, q: u64) {
 /// `n_t` of them back to back; HEAP likewise keeps the decomposition in
 /// on-chip BRAM between steps).
 ///
-/// Once warmed up for a shape, every buffer — the signed digit polynomials,
-/// the per-limb spread, the lazy MAC accumulators, the coefficient-domain
-/// operand copies, and the gadget tables — is reused, so the `*_into`
-/// external products perform **zero heap allocations** per call on either
-/// accumulator path (asserted by `tests/alloc_free.rs`).
+/// Once warmed up for a shape, every buffer — the tile's signed digit
+/// polynomials, the per-limb spread, the lazy MAC accumulators, the
+/// coefficient-domain operand copy, and the gadget tables — is reused, so
+/// the `*_into` external products perform **zero heap allocations** per
+/// call on either accumulator path (asserted by `tests/alloc_free.rs`).
 #[derive(Debug, Default)]
 pub struct ExternalProductScratch {
+    /// Digit polynomial `d` of limb `i` of part `ladder` of tile member `t`
+    /// at `((t·2 + ladder)·limbs + i)·digits + d`.
     digit_signed: Vec<Vec<i64>>,
     spread: Vec<u64>,
-    /// One `n`-long slot per `(key, output part, limb)`.
+    /// One `n`-long slot per `(tile member, key, output part)`, for one
+    /// target limb at a time.
     acc: MacAcc,
-    a_coeff: Option<RnsPoly>,
-    b_coeff: Option<RnsPoly>,
+    coeff: Option<RnsPoly>,
     gadgets: Vec<Gadget>,
 }
 
 impl ExternalProductScratch {
-    fn prepare(
-        &mut self,
-        ctx: &RnsContext,
-        params: &RgswParams,
-        limbs: usize,
-        path: MacPath,
-        outputs: usize,
-    ) {
+    fn prepare(&mut self, ctx: &RnsContext, params: &RgswParams, limbs: usize, tile: usize) {
         let n = ctx.n();
-        self.digit_signed.resize_with(params.digits, Vec::new);
-        for d in &mut self.digit_signed {
+        let polys = tile * 2 * limbs * params.digits;
+        if self.digit_signed.len() < polys {
+            self.digit_signed.resize_with(polys, Vec::new);
+        }
+        for d in &mut self.digit_signed[..polys] {
             d.resize(n, 0);
         }
         self.spread.resize(n, 0);
-        self.acc.reset(path, outputs * 2 * limbs, n);
         // The cached gadgets are only good for the base, digit count and
         // limb moduli they were built from; a scratch may move between
         // contexts of equal shape.
@@ -290,10 +286,13 @@ impl ExternalProductScratch {
 }
 
 /// Copies `src` into the slot, reusing the existing allocation if any.
-fn copy_into_slot(slot: &mut Option<RnsPoly>, src: &RnsPoly) {
+pub(crate) fn copy_into_slot<'a>(slot: &'a mut Option<RnsPoly>, src: &RnsPoly) -> &'a mut RnsPoly {
     match slot {
-        Some(p) => p.copy_from(src),
-        None => *slot = Some(src.clone()),
+        Some(p) => {
+            p.copy_from(src);
+            p
+        }
+        None => slot.insert(src.clone()),
     }
 }
 
@@ -327,35 +326,49 @@ pub fn external_product_with(
     out
 }
 
-/// The one external-product loop nest: `ct` against `K` RGSW operands
-/// (`K = 1`, or `K = 2` for the CMux's `RGSW(s_i^+)` / `RGSW(s_i^-)` pair),
-/// each optionally with its Shoup quotients.
+/// The one external-product loop nest: a *tile* of ciphertexts — the
+/// members `active` of `cts` — against `K` RGSW operands (`K = 1`, or
+/// `K = 2` for the CMux's `RGSW(s_i^+)` / `RGSW(s_i^-)` pair), each
+/// optionally with its Shoup quotients. Member `m`'s `K` products land in
+/// `outs[m]`; the public external products are the tile of one.
 ///
-/// The gadget decomposition and the spread-NTT depend only on `ct`, so all
-/// `K` products share them: one forward NTT per `(part, limb, digit,
-/// target limb)` feeds `2·K` MACs.
+/// The key row is the stationary operand (HEAP §IV-E: "fetch one key at a
+/// time, perform the external product using the key, and then discard the
+/// key"). Phase 1 inverse-NTTs and gadget-decomposes every member once.
+/// Phase 2 walks **target limb `j` → key row `(ladder, limb i, digit d)` →
+/// member `t`**: one key-row block — limb `j` of both parts of row `r` of
+/// all `K` keys, `2K` operand limbs plus `2K` quotient limbs — stays in
+/// cache while every member's digit polynomial is spread under `q_j`,
+/// NTT'd and MAC'd past it, so a tile streams the key once instead of once
+/// per member. One forward NTT per `(member, part, limb, digit, target
+/// limb)` still feeds `2·K` MACs.
 ///
 /// The MAC datapath is *lazy* (HEAP §IV-A): every pointwise product of a
 /// spread-digit NTT with a key row is accumulated **unreduced** in a
-/// [`MacAcc`] and each output coefficient is reduced exactly once at the
-/// end, instead of once per digit row. The accumulator runs the `u64`
-/// Shoup path when every operand brought quotients and [`mac_path`] allows
-/// it for the `2·limbs·digits` terms, the `u128` path otherwise; the
-/// deferred reduction is exact on both, so the canonical output is
-/// bit-identical to [`external_product_reference`].
+/// [`MacAcc`] — `2K` slots per member, for one target limb at a time — and
+/// each output coefficient is reduced exactly once, as soon as limb `j`'s
+/// rows are done. The accumulator runs the `u64` Shoup path when every
+/// operand brought quotients and [`mac_path`] allows it for the
+/// `2·limbs·digits` terms, the `u128` path otherwise; the deferred
+/// reduction is exact on both, so the canonical output is bit-identical to
+/// [`external_product_reference`].
 ///
 /// Every shape check runs before the path is chosen, so a mismatched
 /// operand fails the same way on every host.
-fn external_product_core<const K: usize>(
-    ct: &RlweCiphertext,
+pub(crate) fn external_product_core<const K: usize>(
+    cts: &[RlweCiphertext],
+    active: &[usize],
     keys: [(&RgswCiphertext, Option<&PreparedRgsw>); K],
     ctx: &RnsContext,
     params: &RgswParams,
     scratch: &mut ExternalProductScratch,
-    mut outs: [&mut RlweCiphertext; K],
+    outs: &mut [[&mut RlweCiphertext; K]],
 ) {
-    let limbs = ct.limbs();
-    for ((rgsw, prep), out) in keys.iter().zip(&outs) {
+    let Some(&first) = active.first() else {
+        return;
+    };
+    let limbs = cts[first].limbs();
+    for (rgsw, prep) in &keys {
         assert_eq!(
             rgsw.row_count(),
             params.rows(limbs),
@@ -364,62 +377,82 @@ fn external_product_core<const K: usize>(
         if let Some(prep) = prep {
             assert_eq!(prep.limbs, limbs, "prepared key limb count mismatch");
         }
-        assert_eq!(out.limbs(), limbs, "output limb count mismatch");
+    }
+    for &m in active {
+        assert_eq!(cts[m].limbs(), limbs, "tile limb count mismatch");
+        for out in &outs[m] {
+            assert_eq!(out.limbs(), limbs, "output limb count mismatch");
+        }
     }
     let path = if keys.iter().all(|(_, prep)| prep.is_some()) {
         mac_path((0..limbs).map(|j| ctx.ntt(j)), 2 * limbs * params.digits)
     } else {
         MacPath::Wide
     };
-    scratch.prepare(ctx, params, limbs, path, K);
-    copy_into_slot(&mut scratch.a_coeff, &ct.a);
-    copy_into_slot(&mut scratch.b_coeff, &ct.b);
+    scratch.prepare(ctx, params, limbs, active.len());
     let ExternalProductScratch {
         digit_signed,
         spread,
         acc,
-        a_coeff,
-        b_coeff,
+        coeff,
         gadgets,
     } = scratch;
-    let a_coeff = a_coeff.as_mut().expect("slot filled above");
-    let b_coeff = b_coeff.as_mut().expect("slot filled above");
-    a_coeff.to_coeff(ctx);
-    b_coeff.to_coeff(ctx);
-    // Accumulator slot of limb `j` of part `p` (0 = a, 1 = b) of output `k`.
-    let slot = |k: usize, p: usize, j: usize| (2 * k + p) * limbs + j;
+    let n = ctx.n();
+    let digits = params.digits;
+    // Digit polynomials of limb `i` of part `ladder` (0 = mask, met by
+    // `rows_s`; 1 = body, met by `rows_1`) of the `t`-th active member.
+    let digit_base = |t: usize, ladder: usize, i: usize| ((t * 2 + ladder) * limbs + i) * digits;
 
-    for (ladder, part_coeff) in [&*a_coeff, &*b_coeff].into_iter().enumerate() {
-        for (i, gadget) in gadgets.iter().enumerate() {
-            // Decompose limb i into signed digit polynomials (digit-major,
-            // no per-coefficient temporary).
-            gadget.decompose_slice_signed_into(part_coeff.limb(i), digit_signed);
-            for (d, digits) in digit_signed.iter().enumerate() {
-                let r = i * params.digits + d;
-                // Spread the signed digit under every limb, NTT, lazy MAC.
-                for j in 0..limbs {
-                    let ntt = ctx.ntt(j);
-                    poly::from_signed_into(digits, ctx.modulus(j), spread);
+    for (t, &m) in active.iter().enumerate() {
+        for (ladder, part) in [&cts[m].a, &cts[m].b].into_iter().enumerate() {
+            let coeff = copy_into_slot(coeff, part);
+            coeff.to_coeff(ctx);
+            for (i, gadget) in gadgets.iter().enumerate() {
+                // Digit-major, no per-coefficient temporary.
+                let at = digit_base(t, ladder, i);
+                gadget
+                    .decompose_slice_signed_into(coeff.limb(i), &mut digit_signed[at..at + digits]);
+            }
+        }
+    }
+
+    // Accumulator slot of part `p` (0 = a, 1 = b) of product `k` of the
+    // `t`-th active member.
+    let slot = |t: usize, k: usize, p: usize| (t * K + k) * 2 + p;
+    for j in 0..limbs {
+        let ntt = ctx.ntt(j);
+        acc.reset(path, active.len() * K * 2, n);
+        for ladder in 0..2 {
+            for r in 0..limbs * digits {
+                for t in 0..active.len() {
+                    // Spread the signed digit under limb j, NTT, lazy MAC.
+                    let digit = &digit_signed[digit_base(t, ladder, 0) + r];
+                    poly::from_signed_into(digit, ctx.modulus(j), spread);
                     ntt.forward(spread);
                     for (k, (rgsw, prep)) in keys.iter().enumerate() {
                         let row = &rgsw.ladders()[ladder][r];
                         for (p, part) in [&row.a, &row.b].into_iter().enumerate() {
                             let quots = prep.map(|prep| &prep.quots[ladder][p][r * limbs + j]);
-                            acc.mac(slot(k, p, j), ntt, spread, part.limb(j), quots);
+                            acc.mac(slot(t, k, p), ntt, spread, part.limb(j), quots);
                         }
                     }
                 }
             }
         }
-    }
-    // Single deferred reduction per coefficient; the writes cover every
-    // limb wholesale, so re-tagging the domain suffices (no zero-fill).
-    for (k, out) in outs.iter_mut().enumerate() {
-        for (p, part) in [&mut out.a, &mut out.b].into_iter().enumerate() {
-            for j in 0..limbs {
-                acc.reduce_into(slot(k, p, j), ctx.ntt(j), part.limb_mut(j));
+        // Single deferred reduction per coefficient.
+        for (t, &m) in active.iter().enumerate() {
+            for (k, out) in outs[m].iter_mut().enumerate() {
+                acc.reduce_into(slot(t, k, 0), ntt, out.a.limb_mut(j));
+                acc.reduce_into(slot(t, k, 1), ntt, out.b.limb_mut(j));
             }
-            part.set_domain(Domain::Eval);
+        }
+    }
+    // The writes cover every limb wholesale, so re-tagging the domain
+    // suffices (no zero-fill).
+    for &m in active {
+        for out in outs[m].iter_mut() {
+            out.a.set_domain(Domain::Eval);
+            out.b.set_domain(Domain::Eval);
         }
     }
 }
@@ -443,7 +476,16 @@ pub fn external_product_into(
     scratch: &mut ExternalProductScratch,
     out: &mut RlweCiphertext,
 ) {
-    external_product_core(ct, [(rgsw, None)], ctx, params, scratch, [out]);
+    let cts = std::slice::from_ref(ct);
+    external_product_core(
+        cts,
+        &[0],
+        [(rgsw, None)],
+        ctx,
+        params,
+        scratch,
+        &mut [[out]],
+    );
 }
 
 /// [`external_product_into`] over a precomputed key ([`PreparedRgsw`]):
@@ -465,7 +507,9 @@ pub fn external_product_prepared_into(
     scratch: &mut ExternalProductScratch,
     out: &mut RlweCiphertext,
 ) {
-    external_product_core(ct, [(rgsw, Some(prep))], ctx, params, scratch, [out]);
+    let cts = std::slice::from_ref(ct);
+    let keys = [(rgsw, Some(prep))];
+    external_product_core(cts, &[0], keys, ctx, params, scratch, &mut [[out]]);
 }
 
 /// Two external products of the *same* RLWE ciphertext against two
@@ -493,8 +537,10 @@ pub fn external_product_pair_prepared_into(
     out_pos: &mut RlweCiphertext,
     out_neg: &mut RlweCiphertext,
 ) {
+    let cts = std::slice::from_ref(ct);
     let keys = [(rgsw_pos, Some(prep_pos)), (rgsw_neg, Some(prep_neg))];
-    external_product_core(ct, keys, ctx, params, scratch, [out_pos, out_neg]);
+    let outs = &mut [[out_pos, out_neg]];
+    external_product_core(cts, &[0], keys, ctx, params, scratch, outs);
 }
 
 /// Strict-datapath external product: eager per-digit Barrett MACs

@@ -152,33 +152,6 @@ impl RlweCiphertext {
         self.b.sub_assign(&other.b, ctx);
     }
 
-    /// Multiplies both components by an evaluation-domain polynomial
-    /// factor (flat layout: limb `j` at `factor[j*n..(j+1)*n]`).
-    ///
-    /// This is how the restructured CMux applies its `(X^{±a_i} − 1)`
-    /// terms: scaling the two RLWE polynomials of an external-product
-    /// output instead of the `2·ℓ·2` polynomials of an RGSW matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either component is in coefficient domain or `factor` is
-    /// shorter than `limbs · n`.
-    pub fn mul_eval_factor_assign(&mut self, factor: &[u64], ctx: &RnsContext) {
-        let n = ctx.n();
-        for part in [&mut self.a, &mut self.b] {
-            assert_eq!(part.domain(), Domain::Eval, "needs Eval domain");
-            let limbs = part.limb_count();
-            assert!(factor.len() >= limbs * n, "factor too short");
-            for j in 0..limbs {
-                let m = ctx.modulus(j);
-                let f = &factor[j * n..(j + 1) * n];
-                for (x, &fx) in part.limb_mut(j).iter_mut().zip(f) {
-                    *x = m.mul(*x, fx);
-                }
-            }
-        }
-    }
-
     /// The decryption phase `b + a·s` as a coefficient-domain polynomial.
     pub fn phase(&self, ctx: &RnsContext, sk: &RingSecretKey) -> RnsPoly {
         let limbs = self.limbs();

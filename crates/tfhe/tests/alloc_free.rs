@@ -4,7 +4,8 @@
 //! bootstrap performs up to `N` blind rotations, so a single stray `Vec`
 //! allocation in the product shows up millions of times per bootstrap. This
 //! test wraps the global allocator in a counter and asserts that, once the
-//! scratch is warm, `external_product_into` performs **zero** allocations.
+//! scratch is warm, `external_product_into` performs **zero** allocations
+//! and so does the per-key loop of a tile rotation.
 //!
 //! The test lives alone in its own integration binary so no concurrent test
 //! can allocate while the counter window is open.
@@ -15,8 +16,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use heap_math::prime::ntt_primes;
 use heap_math::{RnsContext, RnsPoly};
 use heap_tfhe::{
-    external_product_into, external_product_pair_prepared_into, ExternalProductScratch,
-    MonomialEvals, PreparedRgsw, RgswCiphertext, RgswParams, RingSecretKey, RlweCiphertext,
+    external_product_into, test_polynomial_from_fn, BlindRotateKey, BlindRotateScratch,
+    ExternalProductScratch, LweCiphertext, LweSecretKey, RgswCiphertext, RgswParams, RingSecretKey,
+    RlweCiphertext,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,55 +81,48 @@ fn external_product_into_is_allocation_free_when_warm() {
         "external_product_into allocated {count} times after warm-up"
     );
 
-    // The restructured CMux's per-step work: one paired external product
-    // over the key-load-time `PreparedRgsw` quotients plus two flat
-    // monomial-factor fills. Same warm-then-count protocol (kept inside
-    // this single test so no concurrent test taints the allocation window,
-    // and so `force_scalar` cannot race anything), once per accumulator
-    // path: forced scalar takes the `u128` accumulators, native dispatch
-    // the `u64` Shoup ones on a vector host.
-    let rgsw_neg = RgswCiphertext::encrypt_scalar(&ctx, &sk, 0, 2, &params, &mut rng);
-    let prep_pos = PreparedRgsw::new(&rgsw, &ctx);
-    let prep_neg = PreparedRgsw::new(&rgsw_neg, &ctx);
-    let monomials = MonomialEvals::new(&ctx, 2);
-    let mut pair_scratch = ExternalProductScratch::default();
-    let mut out_pos = RlweCiphertext::zero(&ctx, 2);
-    let mut out_neg = RlweCiphertext::zero(&ctx, 2);
-    let mut factor = Vec::new();
-    let mut pair = |out_pos: &mut RlweCiphertext, out_neg: &mut RlweCiphertext| {
-        external_product_pair_prepared_into(
-            &ct,
-            &rgsw,
-            &rgsw_neg,
-            &prep_pos,
-            &prep_neg,
-            &ctx,
-            &params,
-            &mut pair_scratch,
-            out_pos,
-            out_neg,
-        )
-    };
-    for scalar in [true, false] {
+    // The key-major tile rotation: per key index, one paired external
+    // product of the whole tile over the key-load-time `PreparedRgsw`
+    // quotients plus the fused accumulator update of every active member.
+    // A warm call still allocates its outputs, so the per-key loop is
+    // isolated by rotating the same tile under a 2-step and an 8-step key:
+    // equal counts mean the six extra steps allocated nothing. Same
+    // warm-then-count protocol (kept inside this single test so no
+    // concurrent test taints the allocation window, and so `force_scalar`
+    // cannot race anything), once per accumulator path: forced scalar
+    // takes the `u128` accumulators, native dispatch the `u64` Shoup ones
+    // on a vector host.
+    let f = test_polynomial_from_fn(&ctx, 2, |u| u << 40);
+    let mut tile_scratch = BlindRotateScratch::default();
+    let mut rotation_allocs = |n_t: usize, scalar: bool| {
+        let lwe_sk = LweSecretKey::generate(&mut rng, n_t);
+        let brk = BlindRotateKey::generate(&ctx, &lwe_sk, &sk, 2, params, &mut rng);
+        // Member `m` sits step `m` out, so the active list changes from
+        // step to step.
+        let lwes: Vec<LweCiphertext> = (0..3)
+            .map(|m| LweCiphertext {
+                a: (0..n_t)
+                    .map(|j| if j == m { 0 } else { 17 * (j + m + 1) as u64 })
+                    .collect(),
+                b: m as u64,
+                modulus: 256,
+            })
+            .collect();
         heap_math::simd::force_scalar(scalar);
-        pair(&mut out_pos, &mut out_neg);
-        monomials.factor_into(1, &ctx, &mut factor);
-
+        brk.blind_rotate_batch_with(&ctx, &f, &lwes, &mut tile_scratch);
         ALLOCS.store(0, Ordering::SeqCst);
         TRACK.store(true, Ordering::SeqCst);
-        for step in 0..8 {
-            pair(&mut out_pos, &mut out_neg);
-            monomials.factor_into(step + 1, &ctx, &mut factor);
-            out_pos.mul_eval_factor_assign(&factor, &ctx);
-            monomials.factor_into(255 - step, &ctx, &mut factor);
-            out_neg.mul_eval_factor_assign(&factor, &ctx);
-        }
+        let out = brk.blind_rotate_batch_with(&ctx, &f, &lwes, &mut tile_scratch);
         TRACK.store(false, Ordering::SeqCst);
-        let count = ALLOCS.load(Ordering::SeqCst);
+        heap_math::simd::force_scalar(false);
+        drop(out);
+        ALLOCS.load(Ordering::SeqCst)
+    };
+    for scalar in [true, false] {
+        let (short, long) = (rotation_allocs(2, scalar), rotation_allocs(8, scalar));
         assert_eq!(
-            count, 0,
-            "paired product + factor path allocated {count} times after warm-up \
-             (forced scalar: {scalar})"
+            short, long,
+            "the per-key loop of a warm tile rotation allocates (forced scalar: {scalar})"
         );
     }
 }

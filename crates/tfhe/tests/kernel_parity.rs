@@ -5,10 +5,11 @@
 //! restructured CMux are *exact* rewrites — same canonical output, not
 //! just the same phase up to noise. This suite pins that claim on random
 //! inputs: lazy external products vs [`external_product_reference`], and
-//! the restructured [`BlindRotateKey::blind_rotate`] (plus the key-major
-//! batch schedule) vs [`BlindRotateKey::blind_rotate_reference`],
-//! including the `a_i = 0` skip and `a_i = N` negacyclic-wrap edges. The
-//! 60-bit cases put one shape on each side of the MAC accumulator gate
+//! the key-major tile rotation ([`BlindRotateKey::blind_rotate_batch_with`],
+//! of which [`BlindRotateKey::blind_rotate`] is the batch of one) vs
+//! [`BlindRotateKey::blind_rotate_reference`], including the `a_i = 0`
+//! skip and `a_i = N` negacyclic-wrap edges. The 60-bit cases put one
+//! shape on each side of the MAC accumulator gate
 //! ([`heap_math::mac_path`]) on the same host.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -20,8 +21,8 @@ use heap_tfhe::lwe::LweSecretKey;
 use heap_tfhe::rlwe::{RingSecretKey, RlweCiphertext};
 use heap_tfhe::{
     external_product, external_product_prepared_into, external_product_reference,
-    external_product_with, test_polynomial_from_fn, BlindRotateKey, ExternalProductScratch,
-    LweCiphertext, PreparedRgsw, RgswCiphertext, RgswParams,
+    external_product_with, test_polynomial_from_fn, BlindRotateKey, BlindRotateScratch,
+    ExternalProductScratch, LweCiphertext, PreparedRgsw, RgswCiphertext, RgswParams,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -243,11 +244,15 @@ proptest! {
         assert_bit_identical(&prepared, &strict, "external_product_prepared");
     }
 
-    /// The key-major batch schedule is bit-identical to rotating each LWE
-    /// through the strict reference independently (scratch reuse across
-    /// interleaved accumulators leaks no state).
+    /// The key-major tile is bit-identical, per member, to rotating each
+    /// LWE through the strict reference on its own — for tiles of 1, 2, 3,
+    /// 8 and 9, natively and with SIMD force-disabled (wide `u128` MACs).
+    /// The first steps put `a_i ∈ {0, N}` on a different subset of members
+    /// each, so a step skips some members of a tile and not others, and
+    /// the last step skips the whole tile.
     #[test]
-    fn key_major_batch_matches_reference(seed in any::<u64>()) {
+    fn batch_matches_reference_per_member(seed in any::<u64>()) {
+        let _lock = simd_lock();
         let c = ctx();
         let mut rng = StdRng::seed_from_u64(seed);
         let ring_sk = RingSecretKey::generate(&c, LIMBS, &mut rng);
@@ -255,20 +260,34 @@ proptest! {
         let brk = BlindRotateKey::generate(&c, &lwe_sk, &ring_sk, LIMBS, params(), &mut rng);
         let two_n = 2 * N as u64;
         let f = test_polynomial_from_fn(&c, LIMBS, |u| u << 40);
-        let lwes: Vec<LweCiphertext> = (0..3)
-            .map(|i| LweCiphertext {
-                // Give one ciphertext a zero element so the skip branch
-                // interleaves with active steps inside the batch.
-                a: (0..N_T).map(|j| if i == 1 && j == 0 { 0 } else { rng.gen_range(0..two_n) }).collect(),
+        let lwes: Vec<LweCiphertext> = (0..9)
+            .map(|m| LweCiphertext {
+                a: (0..N_T)
+                    .map(|j| match (m + j) % 4 {
+                        _ if j == N_T - 1 => 0,
+                        0 if j < 4 => 0,
+                        1 if j < 4 => N as u64,
+                        _ => rng.gen_range(0..two_n),
+                    })
+                    .collect(),
                 b: rng.gen_range(0..two_n),
                 modulus: two_n,
             })
             .collect();
-        let (batched, fetches) = brk.blind_rotate_batch_key_major(&c, &f, &lwes);
-        prop_assert_eq!(fetches, N_T as u64);
-        for (got, lwe) in batched.iter().zip(&lwes) {
-            let oracle = brk.blind_rotate_reference(&c, &f, lwe);
-            assert_bit_identical(got, &oracle, "blind_rotate_batch_key_major");
+        let oracle: Vec<RlweCiphertext> =
+            lwes.iter().map(|l| brk.blind_rotate_reference(&c, &f, l)).collect();
+        // One scratch throughout: tiles of different sizes and both MAC
+        // paths reuse it without leaking state.
+        let mut scratch = BlindRotateScratch::default();
+        for scalar in [false, true] {
+            let _scalar = scalar.then(ForcedScalar::new);
+            for size in [1, 2, 3, 8, 9] {
+                let got = brk.blind_rotate_batch_with(&c, &f, &lwes[..size], &mut scratch);
+                prop_assert_eq!(got.len(), size);
+                for (got, want) in got.iter().zip(&oracle) {
+                    assert_bit_identical(got, want, "blind_rotate_batch_with");
+                }
+            }
         }
     }
 }
