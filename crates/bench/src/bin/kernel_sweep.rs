@@ -11,10 +11,9 @@
 //!   external product on the `u128` side of [`heap_math::mac_path`], the
 //!   restructured CMux);
 //! - `simd` — the dispatching kernels on the active vector backend
-//!   (AVX2/NEON lazy butterflies, the same external-product loop nest on
-//!   the Shoup-precomputed `u64` side of the gate). On a host without a
-//!   vector unit this column equals the scalar column and the reported
-//!   backend is `scalar`.
+//!   (AVX2 lazy butterflies, the same external-product loop nest on the
+//!   narrow `u64` side of the gate). On a host without a vector unit this
+//!   column equals the scalar column and the reported backend is `scalar`.
 //!
 //! Rows: `ntt_forward` / `ntt_inverse` at `n ∈ {2^10, 2^13}`,
 //! `external_product` at `n = 2^13` over the paper's gadget (`d = 2`,
@@ -39,9 +38,9 @@ use heap_math::{Modulus, RnsContext};
 use heap_tfhe::lwe::LweSecretKey;
 use heap_tfhe::rlwe::{RingSecretKey, RlweCiphertext};
 use heap_tfhe::{
-    brk_wire_size, external_product_into, external_product_prepared_into,
-    external_product_reference, test_polynomial_from_fn, BlindRotateKey, BlindRotateScratch,
-    ExternalProductScratch, LweCiphertext, PreparedRgsw, RgswCiphertext, RgswParams,
+    brk_wire_size, external_product_into, external_product_reference, test_polynomial_from_fn,
+    BlindRotateKey, BlindRotateScratch, ExternalProductScratch, LweCiphertext, RgswCiphertext,
+    RgswParams,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -191,8 +190,8 @@ fn main() {
     let ring_sk = RingSecretKey::generate(&ctx, limbs, &mut rng);
 
     // External product row: strict oracle vs the one lazy loop nest on its
-    // u128 accumulators (no quotients, SIMD off) vs the same loop nest on
-    // its u64 Shoup accumulators (PreparedRgsw quotients, SIMD on).
+    // u128 accumulators (SIMD off) vs the same loop nest on its narrow u64
+    // accumulators (SIMD on).
     let msg: Vec<i64> = (0..n).map(|i| ((i % 97) as i64) - 48).collect();
     let ct = RlweCiphertext::encrypt(
         &ctx,
@@ -201,15 +200,9 @@ fn main() {
         &mut rng,
     );
     let rgsw = RgswCiphertext::encrypt_scalar(&ctx, &ring_sk, 1, limbs, &params, &mut rng);
-    let prep = PreparedRgsw::new(&rgsw, &ctx);
     let mut scratch = ExternalProductScratch::default();
     let mut out = RlweCiphertext::zero(&ctx, limbs);
-    external_product_prepared_into(&ct, &rgsw, &prep, &ctx, &params, &mut scratch, &mut out);
     let oracle = external_product_reference(&ct, &rgsw, &ctx, &params);
-    assert!(
-        out.a == oracle.a && out.b == oracle.b,
-        "prepared external product diverged"
-    );
     external_product_into(&ct, &rgsw, &ctx, &params, &mut scratch, &mut out);
     assert!(
         out.a == oracle.a && out.b == oracle.b,
@@ -224,7 +217,7 @@ fn main() {
     });
     heap_math::simd::force_scalar(false);
     let simd_ns = measure_ns(2, || {
-        external_product_prepared_into(&ct, &rgsw, &prep, &ctx, &params, &mut scratch, &mut out);
+        external_product_into(&ct, &rgsw, &ctx, &params, &mut scratch, &mut out);
     });
     rows.push(Row {
         kernel: "external_product",
@@ -355,7 +348,7 @@ fn main() {
          \"note\": \"ns per call (best of 3, single thread); reference = strict seed \
          kernels retained as oracles, scalar = Harvey lazy scalar kernels (u128-MAC \
          external product, SIMD force-disabled), simd = dispatching kernels on the \
-         listed backend (Shoup-precomputed u64 FMA external product); blind_rotate \
+         listed backend (narrow u64 FMA-MAC external product); blind_rotate \
          rows sweep the LWE mask length n_mask; key_bytes = seed-expandable wire \
          size of the rotation key; every tier asserted bit-identical to the oracle \
          before timing; batch row rotates 4 LWEs per call; simd_speedup = \

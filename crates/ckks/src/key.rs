@@ -10,7 +10,7 @@
 
 use rand::Rng;
 
-use heap_math::{poly, sample, RnsContext, ShoupPoly};
+use heap_math::{poly, sample};
 
 use crate::context::CkksContext;
 
@@ -122,56 +122,12 @@ impl PublicKey {
 }
 
 /// One component of a key-switching key (limbs over the full chain,
-/// evaluation domain), carrying precomputed Shoup quotients for every limb
-/// (the `ShoupMatrixFMA` idiom) so the key-switch MAC inner loop can run
-/// the vectorized `u64`-accumulator datapath.
+/// evaluation domain). The key-switch MAC reads these limbs as stored, so
+/// they are the whole component: nothing derived to keep in sync.
 #[derive(Debug, Clone)]
 pub struct KsComponent {
     pub(crate) a: Vec<Vec<u64>>,
     pub(crate) b: Vec<Vec<u64>>,
-    /// Shoup quotients for `a[j]` under chain modulus `j`.
-    pub(crate) a_shoup: Vec<ShoupPoly>,
-    pub(crate) b_shoup: Vec<ShoupPoly>,
-}
-
-impl KsComponent {
-    /// Bundles decoded key limbs with their freshly derived Shoup
-    /// quotients.
-    pub(crate) fn new(a: Vec<Vec<u64>>, b: Vec<Vec<u64>>, rns: &RnsContext) -> Self {
-        let a_shoup = a
-            .iter()
-            .enumerate()
-            .map(|(j, limb)| ShoupPoly::new(limb, rns.modulus(j)))
-            .collect();
-        let b_shoup = b
-            .iter()
-            .enumerate()
-            .map(|(j, limb)| ShoupPoly::new(limb, rns.modulus(j)))
-            .collect();
-        Self {
-            a,
-            b,
-            a_shoup,
-            b_shoup,
-        }
-    }
-
-    /// Re-derives the Shoup quotients from the current limbs. Must follow
-    /// any in-place mutation of `a`/`b` (the wire reseed transform).
-    pub(crate) fn rebuild_shoup(&mut self, rns: &RnsContext) {
-        self.a_shoup = self
-            .a
-            .iter()
-            .enumerate()
-            .map(|(j, limb)| ShoupPoly::new(limb, rns.modulus(j)))
-            .collect();
-        self.b_shoup = self
-            .b
-            .iter()
-            .enumerate()
-            .map(|(j, limb)| ShoupPoly::new(limb, rns.modulus(j)))
-            .collect();
-    }
 }
 
 /// A key-switching key from secret `w` to the canonical secret `s`
@@ -227,7 +183,7 @@ impl KeySwitchKey {
                 a.push(aj);
                 b.push(bj);
             }
-            comps.push(KsComponent::new(a, b, ctx.rns()));
+            comps.push(KsComponent { a, b });
         }
         Self { comps }
     }

@@ -51,7 +51,6 @@ pub fn reseed_cks(ksk: &mut KeySwitchKey, ctx: &CkksContext, sk: &SecretKey, see
             poly::add_assign(&mut comp.b[j], &prod, m);
             a_j.copy_from_slice(&fresh);
         }
-        comp.rebuild_shoup(ctx.rns());
     }
 }
 
@@ -151,7 +150,7 @@ pub fn cks_from_wire(buf: &[u8], ctx: &CkksContext) -> Result<KeySwitchKey, Wire
             a.push(aj);
             b.push(bj);
         }
-        out.push(KsComponent::new(a, b, ctx.rns()));
+        out.push(KsComponent { a, b });
     }
     Ok(KeySwitchKey { comps: out })
 }
@@ -252,7 +251,9 @@ pub fn gks_wire_size(
 mod tests {
     use super::*;
     use crate::key::RelinearizationKey;
+    use crate::keyswitch::key_switch;
     use crate::params::CkksParams;
+    use heap_math::RnsPoly;
     use rand::Rng;
 
     fn chain_moduli(ctx: &CkksContext) -> Vec<u64> {
@@ -322,6 +323,15 @@ mod tests {
         assert_eq!(strict.len() - seeded.len(), a_bytes - 8);
         let expanded = cks_from_wire(&seeded, &ctx).unwrap();
         assert_eq!(cks_to_wire(&expanded, &ctx, None), strict, "parity oracle");
+
+        // Switching through the key straight after the in-place reseed —
+        // no rebuild step, the limbs are the whole key — is bit-identical
+        // to switching through its wire expansion.
+        let d_coeffs: Vec<i64> = (0..ctx.n() as i64)
+            .map(|i| (i * 7919) % 2001 - 1000)
+            .collect();
+        let d = RnsPoly::from_signed(ctx.rns(), &d_coeffs, ctx.max_limbs());
+        assert!(key_switch(&ctx, &d, &ksk) == key_switch(&ctx, &d, &expanded));
     }
 
     #[test]

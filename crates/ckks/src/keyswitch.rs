@@ -72,8 +72,8 @@ fn digit_mac(ctx: &CkksContext, digits: &[Vec<u64>], key: &KeySwitchKey) -> (Rns
                 *s = m.reduce_u64(c);
             }
             ntt.forward(&mut spread);
-            acc.mac(0, ntt, &spread, &comp.a[j], Some(&comp.a_shoup[j]));
-            acc.mac(1, ntt, &spread, &comp.b[j], Some(&comp.b_shoup[j]));
+            acc.mac(0, ntt, &spread, &comp.a[j]);
+            acc.mac(1, ntt, &spread, &comp.b[j]);
         }
         acc.reduce_into(0, ntt, out_a);
         acc.reduce_into(1, ntt, out_b);

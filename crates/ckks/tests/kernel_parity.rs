@@ -1,11 +1,13 @@
 //! Bit-identity of the key-switch inner product across MAC accumulators.
 //!
 //! `key_switch` and `apply_galois_hoisted` share one extended-basis digit
-//! MAC; on a vector host it accumulates Shoup products in `u64`, under
-//! `force_scalar` full products in `u128`. Both must reduce to the same
-//! canonical residues — on the same live keys, since the accumulator is
-//! chosen per call. (On a scalar host both halves take the `u128` path and
-//! the test is an identity.)
+//! MAC; where the narrow kernel applies (AVX2 + FMA, 36-bit chain) it
+//! accumulates canonical products in `u64`, under `force_scalar` full
+//! products in `u128`. Both must reduce to the same canonical residues — on
+//! the same live keys, since the accumulator is chosen per call — and the
+//! gate must land on the side the host allows, so a CI host with the kernel
+//! is known to exercise it. (On a scalar host both halves take the `u128`
+//! path and the bit-identity half is an identity.)
 //!
 //! The test lives alone in its own integration binary so the process-wide
 //! `force_scalar` cannot flip the backend under the native half, and has
@@ -14,13 +16,34 @@
 use heap_ckks::keyswitch::{apply_galois_hoisted, key_switch};
 use heap_ckks::{CkksContext, CkksParams, GaloisKeys, KeySwitchKey, SecretKey};
 use heap_math::poly::rotation_exponent;
-use heap_math::{simd, RnsPoly};
+use heap_math::{mac_path, simd, MacPath, RnsPoly};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Whether the narrow MAC's vector kernel runs on this host right now (for
+/// a modulus below `2^48`): what [`mac_path`] is allowed to observe.
+fn narrow_kernel_active() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        simd::active() == simd::Backend::Avx2 && std::arch::is_x86_feature_detected!("fma")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 #[test]
 fn key_switch_and_hoisted_galois_forced_scalar_are_bit_identical() {
-    let ctx = CkksContext::new(CkksParams::test_small());
+    // The paper's 36-bit limbs (special and aux primes included) at N = 2^10.
+    let params = CkksParams::builder().log_n(10).limbs(3).build().unwrap();
+    let ctx = CkksContext::new(params);
+    // `digit_mac`'s gate: every chain modulus it accumulates under, one
+    // term per digit.
+    let gate = || {
+        let chain = (0..ctx.max_limbs()).chain([ctx.special_idx()]);
+        mac_path(chain.map(|j| ctx.rns().ntt(j)), ctx.max_limbs())
+    };
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let sk = SecretKey::generate(&ctx, &mut rng);
     let w_eval: Vec<Vec<u64>> = (0..ctx.boot_limbs())
@@ -41,11 +64,18 @@ fn key_switch_and_hoisted_galois_forced_scalar_are_bit_identical() {
     let msg: Vec<f64> = (0..ctx.slots()).map(|i| (i % 10) as f64 / 50.0).collect();
     let ct = ctx.encrypt_real_sk(&msg, &sk, &mut rng);
 
+    let native = if narrow_kernel_active() {
+        MacPath::Narrow
+    } else {
+        MacPath::Wide
+    };
+    assert_eq!(gate(), native);
     let native_ks = key_switch(&ctx, &d, &ksk);
     let native_rot = apply_galois_hoisted(&ctx, &ct, &exps, &gks);
 
     simd::force_scalar(true);
     assert_eq!(simd::active(), simd::Backend::Scalar);
+    assert_eq!(gate(), MacPath::Wide);
     let scalar_ks = key_switch(&ctx, &d, &ksk);
     let scalar_rot = apply_galois_hoisted(&ctx, &ct, &exps, &gks);
 

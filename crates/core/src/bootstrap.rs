@@ -40,13 +40,14 @@ use crate::stage::StageMetrics;
 
 /// Most accumulators rotated together against one streamed key (HEAP
 /// §IV-E). While a tile of `T` walks one key-row block — one limb of both
-/// parts of a row of `brk_i^+` and `brk_i^-` with their Shoup quotients,
-/// `8·8N` bytes — the cache must also hold the tile's `4T` lazy-MAC slots
-/// of `8N` bytes and the digit polynomial being spread. At `N = 2^11`
-/// that is 128 KB + `T`·64 KB: 640 KB at `T = 8`, which leaves a 2 MB L2
-/// room to stream the tile's digits; 16 would fill it, and below 4 the
+/// parts of a row of `brk_i^+` and `brk_i^-`, `4·8N` bytes, read as stored
+/// — the cache must also hold the tile's `4T` lazy-MAC slots of `8N` bytes
+/// and the digit polynomial being spread. At `N = 2^11` that is 64 KB +
+/// `T`·64 KB: 576 KB at `T = 8`, which leaves a 2 MB L2 room to stream the
+/// tile's digits; at 16 the slots alone take half of it, and below 4 the
 /// key is streamed too often (a worker streams it `ceil(chunk / TILE)`
-/// times per batch).
+/// times per batch). (8 was tuned when the block carried a second 64 KB of
+/// Shoup quotients; retuning is ROADMAP item 1's.)
 const TILE: usize = 8;
 
 /// Configuration of the scheme-switched bootstrap.

@@ -72,10 +72,10 @@ pub fn ckks_traffic(layout: &MemoryLayout) -> Vec<OpTraffic> {
 /// to read the same key again").
 ///
 /// The software follows the same key-major schedule but in tiles: a
-/// worker rotating a chunk of LWEs streams the key (and its Shoup
-/// quotients, which HEAP's Barrett units do not need) once per tile of
-/// `heap-core`'s `TILE = 8` accumulators, i.e. `ceil(chunk / TILE)` times
-/// per batch against this model's once.
+/// worker rotating a chunk of LWEs streams the key — the same bytes this
+/// model counts, with no precomputed companion, like HEAP's Barrett units
+/// — once per tile of `heap-core`'s `TILE = 8` accumulators, i.e.
+/// `ceil(chunk / TILE)` times per batch against this model's once.
 pub fn bootstrap_traffic(layout: &MemoryLayout, brk: &BrkParams, n_br: u64) -> OpTraffic {
     let lwes_in = n_br * layout.lwe_bytes(brk.n_t as usize);
     let results_out = n_br * 2 * layout.limb_bytes();

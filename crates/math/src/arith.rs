@@ -277,8 +277,7 @@ impl ShoupMul {
     ///
     /// The operand is reduced first: an unreduced operand would silently
     /// precompute a garbage quotient (the `[0, 2q)` bound of
-    /// [`Self::mul_lazy`] only holds for canonical operands), which matters
-    /// the moment wire-loaded key material feeds bulk precomputation.
+    /// [`Self::mul_lazy`] only holds for canonical operands).
     #[inline]
     pub fn new(operand: u64, q: &Modulus) -> Self {
         let operand = q.reduce_u64(operand);
@@ -315,60 +314,6 @@ impl ShoupMul {
         self.operand
             .wrapping_mul(x)
             .wrapping_sub(hi.wrapping_mul(q_value))
-    }
-}
-
-/// Precomputed Shoup quotients for a whole polynomial of constant operands
-/// (one key limb) — the software analogue of baking key material into HEAP's
-/// MAC arrays, following the `ShoupMatrixFMA` idiom: convert once at
-/// key-load so the rotation hot loop is a pure multiply-high/subtract with
-/// no Barrett state.
-///
-/// Only the quotients are stored; the MAC kernels read the operands from the
-/// original key row, halving the precomputed footprint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShoupPoly {
-    quotients: Vec<u64>,
-}
-
-impl ShoupPoly {
-    /// Precomputes quotients for `operands` modulo `q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any operand is not a canonical residue (`< q`). Unlike
-    /// [`ShoupMul::new`] this does **not** silently reduce: the MAC kernels
-    /// pair these quotients with the *raw* key rows, so a quotient derived
-    /// from a reduced copy of an unreduced operand would break the
-    /// `[0, 2q)` lazy-product bound.
-    pub fn new(operands: &[u64], q: &Modulus) -> Self {
-        let qv = q.value();
-        let quotients = operands
-            .iter()
-            .map(|&op| {
-                assert!(op < qv, "ShoupPoly operand not a canonical residue");
-                (((op as u128) << 64) / (qv as u128)) as u64
-            })
-            .collect();
-        Self { quotients }
-    }
-
-    /// Number of coefficients.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.quotients.len()
-    }
-
-    /// Whether the polynomial has no coefficients.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.quotients.is_empty()
-    }
-
-    /// The raw quotient words, indexed like the operand row.
-    #[inline]
-    pub fn quotients(&self) -> &[u64] {
-        &self.quotients
     }
 }
 

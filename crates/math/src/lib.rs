@@ -44,7 +44,7 @@ pub mod sample;
 pub mod simd;
 pub mod wire;
 
-pub use arith::{Modulus, ShoupPoly};
+pub use arith::Modulus;
 pub use bigint::BigUint;
 pub use gadget::Gadget;
 pub use mac::{mac_path, MacAcc, MacPath};

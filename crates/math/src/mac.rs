@@ -2,13 +2,13 @@
 //!
 //! HEAP has one lazy-reduction MAC array (§IV-A) serving both the
 //! external-product unit (§IV-E) and the key-switch inner product. The
-//! software form has two accumulator widths — `u64` sums of Shoup products
-//! and `u128` sums of full products — and this module is the only place
-//! that knows which one a MAC chain runs on: [`mac_path`] picks it per call
-//! from what the host and the moduli allow, and [`MacAcc`] carries the
-//! choice so the algorithm loops above it are written once.
+//! software form has two accumulator widths — `u64` sums of canonical
+//! products and `u128` sums of full products — and this module is the only
+//! place that knows which one a MAC chain runs on: [`mac_path`] picks it
+//! per call from what the host and the moduli allow, and [`MacAcc`] carries
+//! the choice so the algorithm loops above it are written once. Both widths
+//! read the key row exactly as it is stored; neither needs a derived copy.
 
-use crate::arith::ShoupPoly;
 use crate::ntt::NttTable;
 use crate::simd;
 
@@ -16,27 +16,28 @@ use crate::simd;
 /// residues of the same congruence class, so results are bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MacPath {
-    /// `u64` accumulators fed by Shoup products in `[0, 2q)`
-    /// ([`NttTable::pointwise_mac_shoup`]); needs precomputed quotients.
-    Shoup,
-    /// `u128` accumulators fed by full products
-    /// ([`NttTable::pointwise_mac_lazy`]).
+    /// `u64` accumulators fed by products already reduced to `[0, q)` — the
+    /// vector `f64` kernel (1.4× the wide path at 36 bits).
+    Narrow,
+    /// `u128` accumulators fed by full products.
     #[default]
     Wide,
 }
 
 /// Picks the accumulator for a chain of `terms` MACs under each of `tables`.
 ///
-/// The Shoup path needs a vector backend (the scalar Shoup product costs
-/// three multiplies against the wide path's one, so it only wins
-/// vectorized) and all `terms` lazy products — each `< 2q` — must fit a
-/// `u64` under every modulus ([`NttTable::shoup_mac_term_limit`]); anything
-/// else takes the wide path. Evaluated per call, so it follows
+/// The narrow path needs its vector kernel under every modulus of the chain
+/// (AVX2 + FMA active and `q < 2^48`: the scalar form of the same product
+/// reduces per term and loses to the wide path's bare multiply) and all
+/// `terms` products must fit a `u64` ([`NttTable::narrow_mac_term_limit`]);
+/// anything else takes the wide path. Evaluated per call, so it follows
 /// [`simd::force_scalar`] flipped on a live key.
 pub fn mac_path<'a>(tables: impl IntoIterator<Item = &'a NttTable>, terms: usize) -> MacPath {
-    let fits = |t: &NttTable| terms as u64 <= t.shoup_mac_term_limit();
-    if simd::active() != simd::Backend::Scalar && tables.into_iter().all(fits) {
-        MacPath::Shoup
+    let narrow = |t: &NttTable| {
+        simd::narrow_mac_ok(t.modulus().value()) && terms as u64 <= t.narrow_mac_term_limit()
+    };
+    if tables.into_iter().all(narrow) {
+        MacPath::Narrow
     } else {
         MacPath::Wide
     }
@@ -59,7 +60,7 @@ impl MacAcc {
         self.path = path;
         self.n = n;
         match path {
-            MacPath::Shoup => {
+            MacPath::Narrow => {
                 self.narrow.clear();
                 self.narrow.resize(slots * n, 0);
             }
@@ -70,27 +71,21 @@ impl MacAcc {
         }
     }
 
-    /// `slot += x ⊙ ops` with no per-term reduction. `quots` are the Shoup
-    /// quotients of `ops`; the wide path ignores them.
+    /// `slot += x ⊙ ops` with no reduction of the sum. `ops` must be
+    /// canonical residues (a key row); `x` may be lazy, in `[0, 4q)`.
+    ///
+    /// A narrow chain stays exact if [`simd::force_scalar`] flips between
+    /// two of its calls: the scalar loop behind the vector kernel adds the
+    /// same canonical terms.
     ///
     /// # Panics
     ///
-    /// Panics on the Shoup path without quotients, if `slot` is out of
-    /// range, or if slice lengths differ from `ntt.n()`.
-    pub fn mac(
-        &mut self,
-        slot: usize,
-        ntt: &NttTable,
-        x: &[u64],
-        ops: &[u64],
-        quots: Option<&ShoupPoly>,
-    ) {
+    /// Panics if `slot` is out of range or if slice lengths differ from
+    /// `ntt.n()`.
+    pub fn mac(&mut self, slot: usize, ntt: &NttTable, x: &[u64], ops: &[u64]) {
         let w = slot * self.n..(slot + 1) * self.n;
         match self.path {
-            MacPath::Shoup => {
-                let quots = quots.expect("Shoup MAC path needs precomputed quotients");
-                ntt.pointwise_mac_shoup(x, ops, quots, &mut self.narrow[w]);
-            }
+            MacPath::Narrow => ntt.pointwise_mac_narrow(x, ops, &mut self.narrow[w]),
             MacPath::Wide => ntt.pointwise_mac_lazy(x, ops, &mut self.wide[w]),
         }
     }
@@ -104,7 +99,7 @@ impl MacAcc {
     pub fn reduce_into(&self, slot: usize, ntt: &NttTable, out: &mut [u64]) {
         let w = slot * self.n..(slot + 1) * self.n;
         match self.path {
-            MacPath::Shoup => ntt.reduce_shoup_acc_into(&self.narrow[w], out),
+            MacPath::Narrow => ntt.reduce_narrow_acc_into(&self.narrow[w], out),
             MacPath::Wide => ntt.reduce_acc_into(&self.wide[w], out),
         }
     }
@@ -117,6 +112,8 @@ mod tests {
     use crate::prime::ntt_primes;
 
     /// Both paths of the accumulator agree with the eager Barrett chain.
+    /// (The narrow path may be *forced* on any host — only the gate ties it
+    /// to the vector kernel — so this also runs its scalar loop.)
     #[test]
     fn both_paths_match_eager_chain() {
         let n = 32;
@@ -133,12 +130,12 @@ mod tests {
         for (x, ops) in &rows {
             t.pointwise_acc(x, ops, &mut want);
         }
-        for path in [MacPath::Shoup, MacPath::Wide] {
+        for path in [MacPath::Narrow, MacPath::Wide] {
             let mut acc = MacAcc::default();
             // Slot 0 stays empty: windows must not bleed into each other.
             acc.reset(path, 2, n);
             for (x, ops) in &rows {
-                acc.mac(1, &t, x, ops, Some(&ShoupPoly::new(ops, &q)));
+                acc.mac(1, &t, x, ops);
             }
             let mut got = vec![1u64; n];
             acc.reduce_into(1, &t, &mut got);
@@ -148,15 +145,18 @@ mod tests {
         }
     }
 
-    /// The gate's term bound: a prime just under 2^60 fits exactly 8 lazy
-    /// terms, and one more goes wide on every host. (The Shoup side needs a
-    /// fixed backend, so `heap-tfhe`'s `kernel_parity` asserts it under a
-    /// lock against `force_scalar`.)
+    /// The gate on every host: a modulus at or past `2^48` has no narrow
+    /// kernel, and a 47-bit one fits `2^16`-odd lazy terms. (The narrow
+    /// side needs a fixed backend, so the `kernel_parity` suites assert it
+    /// under a lock against `force_scalar`.)
     #[test]
-    fn gate_follows_term_limit() {
+    fn gate_follows_modulus_width_and_term_limit() {
         let q60 = Modulus::new(ntt_primes(32, 60, 1)[0]).unwrap();
-        let t = NttTable::new(32, q60);
-        assert_eq!(t.shoup_mac_term_limit(), 8);
-        assert_eq!(mac_path([&t], 9), MacPath::Wide);
+        assert_eq!(mac_path([&NttTable::new(32, q60)], 1), MacPath::Wide);
+        let q47 = Modulus::new(ntt_primes(32, 47, 1)[0]).unwrap();
+        let t = NttTable::new(32, q47);
+        let limit = t.narrow_mac_term_limit();
+        assert!((1 << 16..1 << 17).contains(&limit), "{limit}");
+        assert_eq!(mac_path([&t], limit as usize + 1), MacPath::Wide);
     }
 }

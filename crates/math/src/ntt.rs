@@ -20,7 +20,7 @@
 //! agree, that `inverse(forward(x)) == x`, and that pointwise products
 //! implement negacyclic convolution.
 
-use crate::arith::{Modulus, ShoupMul, ShoupPoly};
+use crate::arith::{Modulus, ShoupMul};
 use crate::prime::primitive_root;
 
 /// Whether butterfly twiddles come from a precomputed table or are generated
@@ -468,8 +468,9 @@ impl NttTable {
 
     /// Lazy pointwise multiply-accumulate into `u128` accumulators:
     /// `acc[i] += a[i] * b[i]` with **no per-term modular reduction** —
-    /// the software form of HEAP's lazy-reduction MAC units (§IV-A).
-    /// Reduce once at the end with [`Self::reduce_acc_into`].
+    /// the software form of HEAP's lazy-reduction MAC units (§IV-A), and
+    /// [`crate::MacAcc`]'s wide path. Reduce once at the end with
+    /// [`Self::reduce_acc_into`].
     ///
     /// Bound argument: operands are reduced residues, so each product is
     /// `< q^2 < 2^124` (`q < 2^62`). The accumulator is kept `< 2^127` by
@@ -485,7 +486,7 @@ impl NttTable {
     /// # Panics
     ///
     /// Panics if slice lengths differ from `self.n()`.
-    pub fn pointwise_mac_lazy(&self, a: &[u64], b: &[u64], acc: &mut [u128]) {
+    pub(crate) fn pointwise_mac_lazy(&self, a: &[u64], b: &[u64], acc: &mut [u128]) {
         assert!(a.len() == self.n && b.len() == self.n && acc.len() == self.n);
         for i in 0..self.n {
             let mut s = acc[i] + (a[i] as u128) * (b[i] as u128);
@@ -503,59 +504,51 @@ impl NttTable {
     /// # Panics
     ///
     /// Panics if slice lengths differ from `self.n()`.
-    pub fn reduce_acc_into(&self, acc: &[u128], out: &mut [u64]) {
+    pub(crate) fn reduce_acc_into(&self, acc: &[u128], out: &mut [u64]) {
         assert!(acc.len() == self.n && out.len() == self.n);
         for (o, &a) in out.iter_mut().zip(acc.iter()) {
             *o = self.modulus.reduce_u128(a);
         }
     }
 
-    /// Maximum number of lazy Shoup terms (each `< 2q`) a `u64` accumulator
-    /// can absorb without overflowing: `floor(u64::MAX / (2q - 1))`.
+    /// Maximum number of narrow MAC terms a `u64` accumulator can absorb
+    /// without overflowing, sized for lazy terms `< 2q`:
+    /// `floor(u64::MAX / (2q - 1))`. (The kernel's terms are canonical, so
+    /// the bound has a factor of two in hand.)
     ///
-    /// Callers of [`Self::pointwise_mac_shoup`] must keep their term count
-    /// at or below this and fall back to the `u128` path
-    /// ([`Self::pointwise_mac_lazy`]) otherwise ([`crate::mac_path`] is that
-    /// gate) — e.g. a 60-bit limb allows 8 to 16 terms (8 for a prime just
-    /// under `2^60`), while the 36-bit production limbs allow ~2^27.
+    /// [`crate::mac_path`] sends a chain with more terms than this to the
+    /// `u128` accumulators — e.g. a 47-bit limb allows 2^16 terms, the
+    /// 36-bit production limbs ~2^27.
     #[inline]
-    pub fn shoup_mac_term_limit(&self) -> u64 {
+    pub fn narrow_mac_term_limit(&self) -> u64 {
         u64::MAX / (2 * self.modulus.value() - 1)
     }
 
-    /// Shoup pointwise multiply-accumulate into `u64` accumulators:
-    /// `acc[i] += ops[i] * x[i]` as a lazy Shoup product in `[0, 2q)` with
-    /// **no per-term reduction** — the `ShoupMatrixFMA` key-switching inner
-    /// loop. `ops` is the raw (canonical) key row and `shoup` its
-    /// precomputed quotients ([`ShoupPoly`]); `x` may be any residues
-    /// (including lazy `[0, 2q)` values).
+    /// Narrow pointwise multiply-accumulate into `u64` accumulators:
+    /// `acc[i] += x[i] * ops[i] mod q` with **no reduction of the sum** —
+    /// [`crate::MacAcc`]'s narrow path and the key-switching inner loop.
+    /// `ops` is the raw (canonical) key row, read as it is stored: no
+    /// per-coefficient precompute rides along. `x` may be any residues in
+    /// the lazy `[0, 4q)` domain.
     ///
-    /// Each term is `< 2q`, so the caller must bound the number of
-    /// accumulated terms by [`Self::shoup_mac_term_limit`]; reduce once at
-    /// the end with [`Self::reduce_shoup_acc_into`]. Dispatches to the
-    /// active SIMD backend, falling back to an identical scalar loop.
+    /// The caller bounds the number of accumulated terms by
+    /// [`Self::narrow_mac_term_limit`] and reduces once at the end with
+    /// [`Self::reduce_narrow_acc_into`]. The vector kernel and the scalar
+    /// loop behind it add identical terms (`simd::mac_narrow`).
     ///
     /// # Panics
     ///
     /// Panics if slice lengths differ from `self.n()`.
-    pub fn pointwise_mac_shoup(&self, x: &[u64], ops: &[u64], shoup: &ShoupPoly, acc: &mut [u64]) {
+    pub(crate) fn pointwise_mac_narrow(&self, x: &[u64], ops: &[u64], acc: &mut [u64]) {
         assert!(
-            x.len() == self.n && ops.len() == self.n && shoup.len() == self.n,
+            x.len() == self.n && ops.len() == self.n && acc.len() == self.n,
             "length mismatch"
         );
-        assert_eq!(acc.len(), self.n, "length mismatch");
-        let q = self.modulus.value();
-        let quots = shoup.quotients();
-        if crate::simd::try_mac_shoup(x, ops, quots, q, acc) {
-            return;
-        }
-        for i in 0..self.n {
-            acc[i] += crate::simd::mul_lazy_scalar(x[i], ops[i], quots[i], q);
-        }
+        crate::simd::mac_narrow(x, ops, self.modulus.value(), acc);
     }
 
     /// Reduces `u64` lazy accumulators (built by
-    /// [`Self::pointwise_mac_shoup`]) to canonical residues in `out`.
+    /// [`Self::pointwise_mac_narrow`]) to canonical residues in `out`.
     ///
     /// The SIMD path uses a single-word Barrett step (`x - mulhi(x,
     /// floor(2^64/q))*q` lands in `[0, 2q)`, one conditional subtract
@@ -565,7 +558,7 @@ impl NttTable {
     /// # Panics
     ///
     /// Panics if slice lengths differ from `self.n()`.
-    pub fn reduce_shoup_acc_into(&self, acc: &[u64], out: &mut [u64]) {
+    pub(crate) fn reduce_narrow_acc_into(&self, acc: &[u64], out: &mut [u64]) {
         assert!(
             acc.len() == self.n && out.len() == self.n,
             "length mismatch"

@@ -3,22 +3,34 @@
 //! HEAP gets its throughput from wide arrays of modular functional units
 //! (paper §IV): butterfly units for the NTT, MAC arrays for key switching and
 //! the external product, and decomposition units feeding them. The CPU
-//! analogue of that data-level parallelism is explicit vectorization: this
-//! module provides AVX2 (x86_64) and NEON (aarch64) implementations of the
-//! three hot loops — the Harvey lazy NTT butterflies, the Shoup
-//! multiply-accumulate inner loop, and signed gadget decomposition — selected
-//! at runtime behind feature detection, with the scalar lazy kernels as the
-//! always-available fallback.
+//! analogue is explicit vectorization: AVX2 (x86_64) implementations of the
+//! hot loops — the Harvey lazy NTT butterflies, the narrow MAC inner loop,
+//! its deferred reduction, and signed gadget decomposition — selected at
+//! runtime behind feature detection, with the scalar lazy kernels as the
+//! always-available fallback (and the only tier on any other architecture).
 //!
-//! Every vector kernel performs the *same* per-element arithmetic as its
-//! scalar counterpart (same wrapping multiplies, same conditional subtracts,
-//! same canonicalization), so the outputs are bit-identical regardless of
-//! which backend runs. The parity proptests in `tests/properties.rs` and the
-//! pinned bootstrap digests enforce this.
+//! Each vector tier is kept by a measured ratio over the scalar lazy kernel
+//! it replaces (N = 2048, best of 61 × 40 calls, 2-core AVX2+FMA host;
+//! EXPERIMENTS.md "Kernel tiers, measured"):
+//!
+//! | tier | kernels | applies when | ratio over scalar |
+//! |---|---|---|---|
+//! | scalar lazy | all | always | 1 (the parity oracle) |
+//! | AVX2 + FMA, `f64` lanes | forward / inverse NTT; narrow MAC | `q < 2^48` | 2.4–2.8× / 2.3–2.4× at 36 bits; 1.4× over the `u128` MAC |
+//! | AVX2, integer lanes | forward / inverse NTT | `2^48 ≤ q < 2^61` | 1.6–1.8× / 1.1–1.3× at 50–60 bits |
+//! | AVX2, integer lanes | narrow reduction; signed decompose; signed lift | any NTT modulus | 3.1×; 4.7–4.9×; 3.6–4.1× |
+//!
+//! DESIGN.md §2 "SIMD dispatch" also lists the tiers that measured too
+//! little to keep and what would bring one back.
+//!
+//! Every vector kernel produces the *same* canonical outputs as its scalar
+//! counterpart, so results are bit-identical regardless of which backend
+//! runs. The parity proptests in `tests/properties.rs` and the pinned
+//! bootstrap digests enforce this.
 //!
 //! Dispatch can be overridden for testing and benchmarking: set the
-//! `HEAP_SIMD` environment variable to `off`/`scalar`/`0` before first use,
-//! or call [`force_scalar`] at runtime.
+//! `HEAP_SIMD` environment variable to `scalar` (or `off`/`0`) before first
+//! use, or call [`force_scalar`] at runtime.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -26,11 +38,9 @@ use std::sync::atomic::{AtomicU8, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Scalar lazy kernels (always available).
-    Scalar,
+    Scalar = 1,
     /// 4×u64 lanes via AVX2 on x86_64.
-    Avx2,
-    /// 2×u64 lanes via NEON on aarch64.
-    Neon,
+    Avx2 = 2,
 }
 
 impl Backend {
@@ -39,40 +49,35 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
-            Backend::Neon => "neon",
         }
     }
-
-    fn is_vector(self) -> bool {
-        !matches!(self, Backend::Scalar)
-    }
 }
 
-/// Cached backend selection: 0 = undetected, 1 = scalar, 2 = avx2, 3 = neon.
+/// Cached backend selection: 0 = undetected, else the `Backend` discriminant.
 static BACKEND: AtomicU8 = AtomicU8::new(0);
 
-fn encode(b: Backend) -> u8 {
-    match b {
-        Backend::Scalar => 1,
-        Backend::Avx2 => 2,
-        Backend::Neon => 3,
-    }
-}
-
-fn decode(v: u8) -> Backend {
-    match v {
-        2 => Backend::Avx2,
-        3 => Backend::Neon,
-        _ => Backend::Scalar,
+/// Parses a `HEAP_SIMD` value: `Some(backend)` pins it, `None` leaves the
+/// choice to feature detection.
+///
+/// # Errors
+///
+/// Any other spelling is an error naming the accepted ones — a typo must
+/// not silently select the native path.
+fn override_from(value: &str) -> Result<Option<Backend>, String> {
+    match value.to_ascii_lowercase().as_str() {
+        "scalar" | "off" | "0" => Ok(Some(Backend::Scalar)),
+        "" | "auto" => Ok(None),
+        other => Err(format!(
+            "HEAP_SIMD={other:?} not recognised: use scalar|off|0 to force the scalar kernels, \
+             auto (or unset) to detect"
+        )),
     }
 }
 
 fn detect() -> Backend {
-    if let Ok(v) = std::env::var("HEAP_SIMD") {
-        let v = v.to_ascii_lowercase();
-        if v == "off" || v == "scalar" || v == "0" {
-            return Backend::Scalar;
-        }
+    let pinned = std::env::var("HEAP_SIMD").map_or(Ok(None), |v| override_from(&v));
+    if let Some(backend) = pinned.unwrap_or_else(|e| panic!("{e}")) {
+        return backend;
     }
     #[cfg(target_arch = "x86_64")]
     {
@@ -80,24 +85,24 @@ fn detect() -> Backend {
             return Backend::Avx2;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return Backend::Neon;
-        }
-    }
     Backend::Scalar
 }
 
 /// The backend the dispatched kernels will use.
+///
+/// # Panics
+///
+/// Panics at first use if `HEAP_SIMD` is set to an unrecognised value.
 pub fn active() -> Backend {
-    let v = BACKEND.load(Ordering::Relaxed);
-    if v != 0 {
-        return decode(v);
+    match BACKEND.load(Ordering::Relaxed) {
+        0 => {
+            let b = detect();
+            BACKEND.store(b as u8, Ordering::Relaxed);
+            b
+        }
+        v if v == Backend::Avx2 as u8 => Backend::Avx2,
+        _ => Backend::Scalar,
     }
-    let b = detect();
-    BACKEND.store(encode(b), Ordering::Relaxed);
-    b
 }
 
 /// Forces the scalar fallback on (`true`) or re-runs detection (`false`).
@@ -106,32 +111,34 @@ pub fn active() -> Backend {
 /// datapaths in one process. Takes effect for all subsequent kernel calls.
 pub fn force_scalar(on: bool) {
     let b = if on { Backend::Scalar } else { detect() };
-    BACKEND.store(encode(b), Ordering::Relaxed);
+    BACKEND.store(b as u8, Ordering::Relaxed);
 }
 
 /// NTT operand bound for the vector path: AVX2's only 64-bit compare is
 /// signed, and forward-butterfly operands ride in `[0, 4q)`, so every
-/// compared value stays below `2^63` only when `q < 2^61`. NEON has unsigned
-/// compares but shares the gate so dispatch behaviour is uniform across
-/// hosts. The 36- and 60-bit production primes are far inside the bound.
+/// compared value stays below `2^63` only when `q < 2^61`. The 36- and
+/// 60-bit production primes are far inside the bound.
 const NTT_Q_LIMIT: u64 = 1 << 61;
 
 fn ntt_simd_ok(n: usize, q: u64) -> bool {
     n >= 8 && n.is_power_of_two() && q < NTT_Q_LIMIT
 }
 
-/// Bound for the double-precision FMA NTT kernels on x86_64: the error-free
-/// float Shoup reduction (two-product + one `round`) is provably exact for
-/// `q < 2^48` (all intermediates are integers below `2^53`, and the nearest-
-/// integer quotient estimate is off by strictly less than one), so for the
-/// 30–47-bit working primes the butterfly costs ~9 FMA-port µops instead of
+/// Bound for the double-precision FMA kernels: the error-free float modular
+/// product (two-product + one `round`) is provably exact for `q < 2^48`
+/// (all intermediates are integers below `2^53`, and the nearest-integer
+/// quotient estimate is off by strictly less than one), so for the
+/// 30–47-bit working primes a butterfly costs ~9 FMA-port µops instead of
 /// the ~30 integer-emulation µops AVX2 needs for a 64-bit `mul_lazy`. Wider
-/// moduli (e.g. the 60-bit parity primes) take the integer kernels.
-const NTT_F64_Q_LIMIT: u64 = 1 << 48;
+/// moduli (e.g. the 60-bit parity primes) take the integer NTT kernels.
+const F64_Q_LIMIT: u64 = 1 << 48;
 
-#[cfg(target_arch = "x86_64")]
 fn f64_kernels_ok(q: u64) -> bool {
-    q < NTT_F64_Q_LIMIT && std::arch::is_x86_feature_detected!("fma")
+    #[cfg(target_arch = "x86_64")]
+    let fma = std::arch::is_x86_feature_detected!("fma");
+    #[cfg(not(target_arch = "x86_64"))]
+    let fma = false;
+    q < F64_Q_LIMIT && fma
 }
 
 /// Runs the full forward lazy NTT on the active vector backend.
@@ -139,10 +146,7 @@ fn f64_kernels_ok(q: u64) -> bool {
 /// `ops`/`quots` are the bit-reversed twiddle operands and Shoup quotients
 /// (same indexing as the scalar kernel's `psi_br`). Returns `false` when no
 /// vector backend applies — the caller must then run the scalar kernel.
-#[cfg_attr(
-    not(any(target_arch = "x86_64", target_arch = "aarch64")),
-    allow(unused_variables)
-)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn try_ntt_forward(a: &mut [u64], ops: &[u64], quots: &[u64], q: u64) -> bool {
     if !ntt_simd_ok(a.len(), q) {
         return false;
@@ -159,12 +163,6 @@ pub(crate) fn try_ntt_forward(a: &mut [u64], ops: &[u64], quots: &[u64], q: u64)
             }
             true
         }
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => {
-            // SAFETY: Neon is only selected after runtime detection.
-            unsafe { neon::ntt_forward(a, ops, quots, q) };
-            true
-        }
         _ => false,
     }
 }
@@ -172,10 +170,7 @@ pub(crate) fn try_ntt_forward(a: &mut [u64], ops: &[u64], quots: &[u64], q: u64)
 /// Runs the full inverse lazy NTT (including the final `n^{-1}` scaling and
 /// canonicalization) on the active vector backend. Returns `false` when no
 /// vector backend applies.
-#[cfg_attr(
-    not(any(target_arch = "x86_64", target_arch = "aarch64")),
-    allow(unused_variables)
-)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn try_ntt_inverse(
     a: &mut [u64],
     ops: &[u64],
@@ -199,59 +194,44 @@ pub(crate) fn try_ntt_inverse(
             }
             true
         }
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => {
-            // SAFETY: Neon is only selected after runtime detection.
-            unsafe { neon::ntt_inverse(a, ops, quots, q, n_inv_op, n_inv_quot) };
-            true
-        }
         _ => false,
     }
 }
 
-/// Accumulates `acc[i] += ops[i] * x[i] mod-ish q` (Shoup lazy product in
-/// `[0, 2q)`) into `u64` accumulators. Returns `false` when no vector
-/// backend applies.
-#[cfg_attr(
-    not(any(target_arch = "x86_64", target_arch = "aarch64")),
-    allow(unused_variables)
-)]
-pub(crate) fn try_mac_shoup(
-    x: &[u64],
-    ops: &[u64],
-    quots: &[u64],
-    q: u64,
-    acc: &mut [u64],
-) -> bool {
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            // SAFETY: Avx2 (and, for the f64 kernel, FMA) is only selected
-            // after runtime detection.
-            if f64_kernels_ok(q) {
-                unsafe { avx2::mac_shoup_f64(x, ops, q, acc) };
-            } else {
-                unsafe { avx2::mac_shoup(x, ops, quots, q, acc) };
-            }
-            true
-        }
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => {
-            // SAFETY: Neon is only selected after runtime detection.
-            unsafe { neon::mac_shoup(x, ops, quots, q, acc) };
-            true
-        }
-        _ => false,
+/// Whether the vector narrow-MAC kernel runs under modulus `q` right now:
+/// AVX2 active, FMA present and `q` inside the exact-`f64` bound. This is
+/// what `mac_path` gates the `u64` accumulators on — the scalar form of the
+/// same product (a `u128` multiply *and* a reduction per term) loses to the
+/// wide path's bare multiply, so the narrow path only pays vectorized.
+pub(crate) fn narrow_mac_ok(q: u64) -> bool {
+    active() == Backend::Avx2 && f64_kernels_ok(q)
+}
+
+/// The narrow MAC: `acc[i] += x[i]·ops[i] mod q` as a canonical term in
+/// `[0, q)`, for `x` anywhere in the lazy `[0, 4q)` domain and canonical
+/// `ops` — no precomputed quotient is read. Where [`narrow_mac_ok`] holds
+/// the `f64` kernel takes every full vector; the exact scalar loop takes
+/// the rest, which is the ragged tail on a vector host and *everything* if
+/// the backend was flipped to scalar after the chain chose its accumulator
+/// — the terms are the same canonical residues either way, so a chain may
+/// mix both.
+pub(crate) fn mac_narrow(x: &[u64], ops: &[u64], q: u64, acc: &mut [u64]) {
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if narrow_mac_ok(q) {
+        // SAFETY: Avx2 and FMA were detected at runtime (`narrow_mac_ok`).
+        done = unsafe { avx2::mac_f64(x, ops, q, acc) };
+    }
+    for i in done..x.len() {
+        acc[i] += ((u128::from(x[i]) * u128::from(ops[i])) % u128::from(q)) as u64;
     }
 }
 
 /// Canonically reduces `u64` accumulators into `out` with a single-word
 /// Barrett step (`barrett_hi = floor(2^64 / q)`). Returns `false` when no
 /// vector backend applies.
-#[cfg_attr(
-    not(any(target_arch = "x86_64", target_arch = "aarch64")),
-    allow(unused_variables)
-)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn try_reduce_barrett(acc: &[u64], out: &mut [u64], q: u64, barrett_hi: u64) -> bool {
     match active() {
         #[cfg(target_arch = "x86_64")]
@@ -260,22 +240,13 @@ pub(crate) fn try_reduce_barrett(acc: &[u64], out: &mut [u64], q: u64, barrett_h
             unsafe { avx2::reduce_barrett(acc, out, q, barrett_hi) };
             true
         }
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => {
-            // SAFETY: Neon is only selected after runtime detection.
-            unsafe { neon::reduce_barrett(acc, out, q, barrett_hi) };
-            true
-        }
         _ => false,
     }
 }
 
 /// Signed gadget decomposition of a coefficient slice into digit-major rows.
 /// Returns `false` when no vector backend applies.
-#[cfg_attr(
-    not(any(target_arch = "x86_64", target_arch = "aarch64")),
-    allow(unused_variables)
-)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn try_decompose_signed(
     coeffs: &[u64],
     q: u64,
@@ -284,7 +255,7 @@ pub(crate) fn try_decompose_signed(
 ) -> bool {
     // Digits stay below 2^32 when base_bits <= 32, keeping every compared
     // value signed-compare-safe (q itself is < 2^62 by construction).
-    if base_bits > 32 || !active().is_vector() {
+    if base_bits > 32 {
         return false;
     }
     match active() {
@@ -292,12 +263,6 @@ pub(crate) fn try_decompose_signed(
         Backend::Avx2 => {
             // SAFETY: Avx2 is only selected after runtime detection.
             unsafe { avx2::decompose_signed(coeffs, q, base_bits, out) };
-            true
-        }
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => {
-            // SAFETY: Neon is only selected after runtime detection.
-            unsafe { neon::decompose_signed(coeffs, q, base_bits, out) };
             true
         }
         _ => false,
@@ -309,10 +274,7 @@ pub(crate) fn try_decompose_signed(
 /// and the spread-digit forward NTT. Lanes outside `(-q, q)` take a scalar
 /// `rem_euclid` (same canonical result as `Modulus::from_i64`). Returns
 /// `false` when no vector backend applies.
-#[cfg_attr(
-    not(any(target_arch = "x86_64", target_arch = "aarch64")),
-    allow(unused_variables)
-)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn try_from_signed(coeffs: &[i64], q: u64, out: &mut [u64]) -> bool {
     // `-q` and `q` must be signed-compare-safe; every NTT modulus is.
     if q >= (1 << 62) {
@@ -335,14 +297,6 @@ pub(crate) fn try_from_signed(coeffs: &[i64], q: u64, out: &mut [u64]) -> bool {
 #[inline]
 pub(crate) fn from_signed_one_scalar(c: i64, q: u64) -> u64 {
     c.rem_euclid(q as i64) as u64
-}
-
-/// Scalar Shoup lazy product, used by the vector kernels' tail loops. Same
-/// arithmetic as `ShoupMul::mul_lazy`: result in `[0, 2q)` for any `x`.
-#[inline]
-pub(crate) fn mul_lazy_scalar(x: u64, op: u64, quot: u64, q: u64) -> u64 {
-    let hi = (((quot as u128) * (x as u128)) >> 64) as u64;
-    op.wrapping_mul(x).wrapping_sub(hi.wrapping_mul(q))
 }
 
 /// Scalar signed decomposition of one coefficient into `out[k][i]`,
@@ -524,7 +478,7 @@ mod avx2 {
 
     /// Forward NTT over doubles: converts in place, runs every butterfly
     /// fully reduced, converts back canonical. Same stage/lane structure as
-    /// the integer kernel. Requires `q < 2^48` and FMA.
+    /// the integer kernel. Requires `q < 2^48` and FMA. 2.4–2.8× scalar.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn ntt_forward_f64(a: &mut [u64], ops: &[u64], q: u64) {
         let n = a.len();
@@ -619,7 +573,7 @@ mod avx2 {
     /// Inverse NTT over doubles; the `n^{-1}` scaling is folded into the
     /// final stage's twiddles (`w` lanes take `n^{-1}`, `z` lanes take
     /// `s * n^{-1} mod q`), and the exit conversion is fused into that
-    /// stage's stores. Requires `q < 2^48` and FMA.
+    /// stage's stores. Requires `q < 2^48` and FMA. 2.3–2.4× scalar.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn ntt_inverse_f64(a: &mut [u64], ops: &[u64], q: u64, n_inv_op: u64) {
         let n = a.len();
@@ -728,6 +682,7 @@ mod avx2 {
         }
     }
 
+    /// Integer-lane forward NTT: 1.6–1.8× the scalar lazy kernel at 50–60 bits.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn ntt_forward(a: &mut [u64], ops: &[u64], quots: &[u64], q: u64) {
         let n = a.len();
@@ -834,6 +789,7 @@ mod avx2 {
         }
     }
 
+    /// Integer-lane inverse NTT: 1.1–1.3× the scalar lazy kernel at 50–60 bits.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn ntt_inverse(
         a: &mut [u64],
@@ -959,37 +915,17 @@ mod avx2 {
         }
     }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mac_shoup(x: &[u64], ops: &[u64], quots: &[u64], q: u64, acc: &mut [u64]) {
-        let n = x.len();
-        let qv = splat(q);
-        let xp = x.as_ptr();
-        let op = ops.as_ptr();
-        let qp = quots.as_ptr();
-        let ap = acc.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let prod = mul_lazy(loadu(xp.add(i)), loadu(op.add(i)), loadu(qp.add(i)), qv);
-            storeu(ap.add(i), _mm256_add_epi64(loadu(ap.add(i)), prod));
-            i += 4;
-        }
-        while i < n {
-            acc[i] += super::mul_lazy_scalar(x[i], ops[i], quots[i], q);
-            i += 1;
-        }
-    }
-
-    /// Float MAC for `q < 2^48`: each term is the *exact canonical*
-    /// `x*op mod q` from [`mulmod_pd`] (valid for `x < 2^50`, which covers
-    /// the `[0, 4q)` lazy domain every call site stays inside), converted
-    /// back and accumulated as a plain integer add. Terms are `[0, q)`
-    /// instead of the integer path's lazy `[0, 2q)` — still congruent sums
-    /// under the same `u64` accumulator semantics, so any mix of float,
-    /// integer, and scalar MAC rounds reduces to identical canonical
-    /// residues, and the Shoup term-count bound is only slackened.
+    /// Float MAC for `q < 2^48` over the full vectors of `x`; returns how
+    /// many coefficients it covered (the caller's scalar loop takes the
+    /// rest). Each term is the *exact canonical* `x*op mod q` from
+    /// [`mulmod_pd`] (valid for `x < 2^50`, which covers the `[0, 4q)` lazy
+    /// domain every call site stays inside), converted back and accumulated
+    /// as a plain integer add: the key row is the only key-side operand.
+    /// 1.4× the scalar `u128` MAC at 36 bits (8 MACs + one reduction).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn mac_shoup_f64(x: &[u64], ops: &[u64], q: u64, acc: &mut [u64]) {
+    pub(super) unsafe fn mac_f64(x: &[u64], ops: &[u64], q: u64, acc: &mut [u64]) -> usize {
         let n = x.len();
+        assert!(ops.len() == n && acc.len() == n, "length mismatch");
         let qd = _mm256_set1_pd(q as f64);
         let inv_q = _mm256_set1_pd(1.0 / q as f64);
         let xp = x.as_ptr();
@@ -1003,17 +939,14 @@ mod avx2 {
             storeu(ap.add(i), _mm256_add_epi64(loadu(ap.add(i)), prod));
             i += 4;
         }
-        while i < n {
-            acc[i] += ((u128::from(x[i]) * u128::from(ops[i])) % u128::from(q)) as u64;
-            i += 1;
-        }
+        i
     }
 
     /// Branchless canonical lift of balanced signed coefficients:
     /// `out[i] = c + (c < 0 ? q : 0)` for lanes inside `(-q, q)` (the
     /// gadget-digit fast path); any block with an out-of-range lane falls
     /// back to the scalar `rem_euclid` lift. Requires `q < 2^62` for signed
-    /// compares.
+    /// compares. 3.6–4.1× the scalar lift on gadget digits.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn from_signed(coeffs: &[i64], q: u64, out: &mut [u64]) {
         let n = coeffs.len();
@@ -1043,6 +976,7 @@ mod avx2 {
         }
     }
 
+    /// Single-word Barrett reduction: 3.1× the scalar divide loop.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn reduce_barrett(acc: &[u64], out: &mut [u64], q: u64, barrett_hi: u64) {
         let n = acc.len();
@@ -1073,6 +1007,7 @@ mod avx2 {
         }
     }
 
+    /// Signed digit chain on four magnitudes at once: 4.7–4.9× the scalar loop.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn decompose_signed(
         coeffs: &[u64],
@@ -1122,299 +1057,6 @@ mod avx2 {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    //! 2×u64-lane kernels. 64-bit lane products are assembled from
-    //! `vmull_u32` 32×32→64 partial products; NEON has native unsigned
-    //! 64-bit compares, but the dispatch gate is shared with AVX2 so the
-    //! two vector backends accept identical operand ranges.
-
-    use core::arch::aarch64::*;
-
-    #[inline(always)]
-    unsafe fn splat(x: u64) -> uint64x2_t {
-        vdupq_n_u64(x)
-    }
-
-    /// Low 64 bits of the 64×64 lane product.
-    #[inline(always)]
-    unsafe fn mul_lo(a: uint64x2_t, b: uint64x2_t) -> uint64x2_t {
-        let a_lo = vmovn_u64(a);
-        let a_hi = vshrn_n_u64(a, 32);
-        let b_lo = vmovn_u64(b);
-        let b_hi = vshrn_n_u64(b, 32);
-        let ll = vmull_u32(a_lo, b_lo);
-        let cross = vaddq_u64(vmull_u32(a_lo, b_hi), vmull_u32(a_hi, b_lo));
-        vaddq_u64(ll, vshlq_n_u64(cross, 32))
-    }
-
-    /// High 64 bits of the 64×64 lane product.
-    #[inline(always)]
-    unsafe fn mul_hi(a: uint64x2_t, b: uint64x2_t) -> uint64x2_t {
-        let lo32 = vdupq_n_u64(0xFFFF_FFFF);
-        let a_lo = vmovn_u64(a);
-        let a_hi = vshrn_n_u64(a, 32);
-        let b_lo = vmovn_u64(b);
-        let b_hi = vshrn_n_u64(b, 32);
-        let ll = vmull_u32(a_lo, b_lo);
-        let lh = vmull_u32(a_lo, b_hi);
-        let hl = vmull_u32(a_hi, b_lo);
-        let hh = vmull_u32(a_hi, b_hi);
-        let mid = vaddq_u64(
-            vaddq_u64(vshrq_n_u64(ll, 32), vandq_u64(lh, lo32)),
-            vandq_u64(hl, lo32),
-        );
-        vaddq_u64(
-            vaddq_u64(hh, vshrq_n_u64(lh, 32)),
-            vaddq_u64(vshrq_n_u64(hl, 32), vshrq_n_u64(mid, 32)),
-        )
-    }
-
-    /// Shoup lazy product `op*x - hi(quot*x)*q`, lanes in `[0, 2q)`.
-    #[inline(always)]
-    unsafe fn mul_lazy(
-        x: uint64x2_t,
-        op: uint64x2_t,
-        quot: uint64x2_t,
-        q: uint64x2_t,
-    ) -> uint64x2_t {
-        let hi = mul_hi(quot, x);
-        vsubq_u64(mul_lo(op, x), mul_lo(hi, q))
-    }
-
-    /// `x - bound` where `x >= bound`, else `x`.
-    #[inline(always)]
-    unsafe fn fold(x: uint64x2_t, bound: uint64x2_t) -> uint64x2_t {
-        let ge = vcgeq_u64(x, bound);
-        vsubq_u64(x, vandq_u64(bound, ge))
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn ntt_forward(a: &mut [u64], ops: &[u64], quots: &[u64], q: u64) {
-        let n = a.len();
-        let p = a.as_mut_ptr();
-        let op_p = ops.as_ptr();
-        let qt_p = quots.as_ptr();
-        let qv = splat(q);
-        let two_q = splat(2 * q);
-
-        // Stages with t >= 2: one broadcast twiddle per butterfly group.
-        let mut t = n;
-        let mut m = 1usize;
-        while m < n / 2 {
-            t >>= 1;
-            for i in 0..m {
-                let s_op = splat(*op_p.add(m + i));
-                let s_qt = splat(*qt_p.add(m + i));
-                let j1 = 2 * i * t;
-                let mut j = j1;
-                while j < j1 + t {
-                    let x = fold(vld1q_u64(p.add(j)), two_q);
-                    let v = mul_lazy(vld1q_u64(p.add(j + t)), s_op, s_qt, qv);
-                    vst1q_u64(p.add(j), vaddq_u64(x, v));
-                    vst1q_u64(p.add(j + t), vsubq_u64(vaddq_u64(x, two_q), v));
-                    j += 2;
-                }
-            }
-            m <<= 1;
-        }
-
-        // t == 1 stage (m = n/2): de-interleaving loads pull two adjacent
-        // groups' x and y lanes apart; twiddles are contiguous.
-        {
-            let m = n / 2;
-            let mut g = 0;
-            while g < m {
-                let base = p.add(2 * g);
-                let pair = vld2q_u64(base);
-                let x = fold(pair.0, two_q);
-                let wo = vld1q_u64(op_p.add(m + g));
-                let wq = vld1q_u64(qt_p.add(m + g));
-                let v = mul_lazy(pair.1, wo, wq, qv);
-                let lo = vaddq_u64(x, v);
-                let hi = vsubq_u64(vaddq_u64(x, two_q), v);
-                vst2q_u64(base, uint64x2x2_t(lo, hi));
-                g += 2;
-            }
-        }
-
-        // Final canonicalization: [0, 4q) -> [0, q).
-        let mut j = 0;
-        while j < n {
-            let x = fold(vld1q_u64(p.add(j)), two_q);
-            vst1q_u64(p.add(j), fold(x, qv));
-            j += 2;
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn ntt_inverse(
-        a: &mut [u64],
-        ops: &[u64],
-        quots: &[u64],
-        q: u64,
-        n_inv_op: u64,
-        n_inv_quot: u64,
-    ) {
-        let n = a.len();
-        let p = a.as_mut_ptr();
-        let op_p = ops.as_ptr();
-        let qt_p = quots.as_ptr();
-        let qv = splat(q);
-        let two_q = splat(2 * q);
-
-        // t == 1 stage (h = n/2): de-interleaving loads, GS butterfly.
-        {
-            let h = n / 2;
-            let mut g = 0;
-            while g < h {
-                let base = p.add(2 * g);
-                let pair = vld2q_u64(base);
-                let u = pair.0;
-                let v = pair.1;
-                let wo = vld1q_u64(op_p.add(h + g));
-                let wq = vld1q_u64(qt_p.add(h + g));
-                let w = fold(vaddq_u64(u, v), two_q);
-                let z = mul_lazy(vsubq_u64(vaddq_u64(u, two_q), v), wo, wq, qv);
-                vst2q_u64(base, uint64x2x2_t(w, z));
-                g += 2;
-            }
-        }
-
-        // Stages with t >= 2: broadcast twiddle per group.
-        let mut t = 2usize;
-        let mut m = n / 2;
-        while m > 1 {
-            let h = m >> 1;
-            for i in 0..h {
-                let s_op = splat(*op_p.add(h + i));
-                let s_qt = splat(*qt_p.add(h + i));
-                let j1 = 2 * i * t;
-                let mut j = j1;
-                while j < j1 + t {
-                    let u = vld1q_u64(p.add(j));
-                    let v = vld1q_u64(p.add(j + t));
-                    let w = fold(vaddq_u64(u, v), two_q);
-                    let z = mul_lazy(vsubq_u64(vaddq_u64(u, two_q), v), s_op, s_qt, qv);
-                    vst1q_u64(p.add(j), w);
-                    vst1q_u64(p.add(j + t), z);
-                    j += 2;
-                }
-            }
-            t <<= 1;
-            m = h;
-        }
-
-        // Final n^{-1} scaling + canonicalization.
-        let ni_op = splat(n_inv_op);
-        let ni_qt = splat(n_inv_quot);
-        let mut j = 0;
-        while j < n {
-            let r = mul_lazy(vld1q_u64(p.add(j)), ni_op, ni_qt, qv);
-            vst1q_u64(p.add(j), fold(r, qv));
-            j += 2;
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn mac_shoup(x: &[u64], ops: &[u64], quots: &[u64], q: u64, acc: &mut [u64]) {
-        let n = x.len();
-        let qv = splat(q);
-        let xp = x.as_ptr();
-        let op = ops.as_ptr();
-        let qp = quots.as_ptr();
-        let ap = acc.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 <= n {
-            let prod = mul_lazy(
-                vld1q_u64(xp.add(i)),
-                vld1q_u64(op.add(i)),
-                vld1q_u64(qp.add(i)),
-                qv,
-            );
-            vst1q_u64(ap.add(i), vaddq_u64(vld1q_u64(ap.add(i)), prod));
-            i += 2;
-        }
-        while i < n {
-            acc[i] += super::mul_lazy_scalar(x[i], ops[i], quots[i], q);
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn reduce_barrett(acc: &[u64], out: &mut [u64], q: u64, barrett_hi: u64) {
-        let n = acc.len();
-        let qv = splat(q);
-        let bh = splat(barrett_hi);
-        let ap = acc.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut i = 0;
-        while i + 2 <= n {
-            let x = vld1q_u64(ap.add(i));
-            let est = mul_hi(x, bh);
-            let r = vsubq_u64(x, mul_lo(est, qv));
-            vst1q_u64(op.add(i), fold(r, qv));
-            i += 2;
-        }
-        while i < n {
-            let x = acc[i];
-            let est = (((x as u128) * (barrett_hi as u128)) >> 64) as u64;
-            let mut r = x.wrapping_sub(est.wrapping_mul(q));
-            if r >= q {
-                r -= q;
-            }
-            out[i] = r;
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn decompose_signed(
-        coeffs: &[u64],
-        q: u64,
-        base_bits: u32,
-        out: &mut [Vec<i64>],
-    ) {
-        let n = coeffs.len();
-        let base = 1u64 << base_bits;
-        let half = base >> 1;
-        let mask = base - 1;
-        let half_q = splat(q / 2);
-        let qv = splat(q);
-        let base_v = splat(base);
-        let half_v = splat(half);
-        let mask_v = splat(mask);
-        let shift = vdupq_n_s64(-(base_bits as i64));
-        let cp = coeffs.as_ptr();
-        let mut i = 0;
-        while i + 2 <= n {
-            let c = vld1q_u64(cp.add(i));
-            let neg = vcgtq_u64(c, half_q);
-            let mut mag = vbslq_u64(neg, vsubq_u64(qv, c), c);
-            for row in out.iter_mut() {
-                let dig = vandq_u64(mag, mask_v);
-                mag = vshlq_u64(mag, shift);
-                let gt = vcgtq_u64(dig, half_v);
-                let dig = vsubq_u64(dig, vandq_u64(base_v, gt));
-                // gt lanes are all-ones where the carry fires, so this adds 1.
-                mag = vsubq_u64(mag, gt);
-                // Conditional two's-complement negate: (d ^ m) - m.
-                let d = vsubq_u64(veorq_u64(dig, neg), neg);
-                vst1q_s64(row.as_mut_ptr().add(i), vreinterpretq_s64_u64(d));
-            }
-            debug_assert!(
-                vgetq_lane_u64(mag, 0) | vgetq_lane_u64(mag, 1) == 0,
-                "value exceeded gadget range"
-            );
-            i += 2;
-        }
-        while i < n {
-            super::decompose_one_scalar(coeffs[i], q, base_bits, out, i);
-            i += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1423,7 +1065,6 @@ mod tests {
     fn backend_names_are_stable() {
         assert_eq!(Backend::Scalar.name(), "scalar");
         assert_eq!(Backend::Avx2.name(), "avx2");
-        assert_eq!(Backend::Neon.name(), "neon");
     }
 
     #[test]
@@ -1433,5 +1074,23 @@ mod tests {
         assert_eq!(active(), Backend::Scalar);
         force_scalar(false);
         assert_eq!(active(), detected);
+    }
+
+    /// A misspelt `HEAP_SIMD` is an error, never a silent "native".
+    #[test]
+    fn override_parser_rejects_unknown_spellings() {
+        for v in ["scalar", "off", "0", "SCALAR", "Off"] {
+            assert_eq!(override_from(v), Ok(Some(Backend::Scalar)), "{v}");
+        }
+        for v in ["", "auto", "AUTO"] {
+            assert_eq!(override_from(v), Ok(None), "{v:?}");
+        }
+        for v in ["sclar", "1", "avx2", "on", " scalar"] {
+            let err = override_from(v).expect_err(v);
+            assert!(
+                err.contains("scalar|off|0") && err.contains("auto"),
+                "{err}"
+            );
+        }
     }
 }

@@ -301,7 +301,7 @@ proptest! {
 /// dispatchers fall back to the scalar kernels and these hold trivially.
 mod simd_parity {
     use super::*;
-    use heap_math::ShoupPoly;
+    use heap_math::{MacAcc, MacPath};
 
     /// A 60-bit NTT prime valid for every ring size used below
     /// (`q ≡ 1 mod 512`).
@@ -392,30 +392,28 @@ mod simd_parity {
             prop_assert_eq!(ShoupMul::new(op, &m).mul(b60, &m), m.mul(m.reduce_u64(op), b60));
         }
 
-        /// The Shoup u64 MAC + single-word Barrett reduction must land on
-        /// the same canonical residues as the u128 lazy MAC it replaces,
-        /// including lazy `[0, 2q)` inputs.
+        /// The narrow u64 MAC + single-word Barrett reduction must land on
+        /// the same canonical residues as the u128 lazy MAC, including lazy
+        /// `[0, 2q)` inputs — both paths driven through the accumulator,
+        /// which is the only documented way in.
         #[test]
-        fn mac_shoup_matches_u128_mac(
+        fn mac_narrow_matches_u128_mac(
             x1 in prop::collection::vec(0..2 * Q36, 32),
             x2 in prop::collection::vec(0..2 * Q36, 32),
             ops1 in prop::collection::vec(0..Q36, 32),
             ops2 in prop::collection::vec(0..Q36, 32),
         ) {
             let t = NttTable::new(32, q());
-            prop_assert!(t.shoup_mac_term_limit() >= 2);
-            let s1 = ShoupPoly::new(&ops1, &q());
-            let s2 = ShoupPoly::new(&ops2, &q());
-            let mut acc64 = vec![0u64; 32];
-            t.pointwise_mac_shoup(&x1, &ops1, &s1, &mut acc64);
-            t.pointwise_mac_shoup(&x2, &ops2, &s2, &mut acc64);
-            let mut acc128 = vec![0u128; 32];
-            t.pointwise_mac_lazy(&x1, &ops1, &mut acc128);
-            t.pointwise_mac_lazy(&x2, &ops2, &mut acc128);
-            let mut got = vec![0u64; 32];
-            let mut want = vec![0u64; 32];
-            t.reduce_shoup_acc_into(&acc64, &mut got);
-            t.reduce_acc_into(&acc128, &mut want);
+            prop_assert!(t.narrow_mac_term_limit() >= 2);
+            let [got, want] = [MacPath::Narrow, MacPath::Wide].map(|path| {
+                let mut acc = MacAcc::default();
+                acc.reset(path, 1, 32);
+                acc.mac(0, &t, &x1, &ops1);
+                acc.mac(0, &t, &x2, &ops2);
+                let mut out = vec![0u64; 32];
+                acc.reduce_into(0, &t, &mut out);
+                out
+            });
             prop_assert_eq!(got, want);
         }
 

@@ -44,7 +44,7 @@ use heap_math::{poly, Domain, RnsContext, RnsPoly};
 use crate::lwe::{LweCiphertext, LweSecretKey};
 use crate::rgsw::{
     copy_into_slot, external_product_core, external_product_reference, ExternalProductScratch,
-    PreparedRgsw, RgswCiphertext, RgswParams,
+    RgswCiphertext, RgswParams,
 };
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
 
@@ -244,14 +244,6 @@ pub struct BlindRotateKey {
     params: RgswParams,
     limbs: usize,
     monomials: MonomialEvals,
-    /// Shoup quotients for every `pos` row limb, precomputed at key
-    /// construction (the `ShoupMatrixFMA` idiom) so the CMux external
-    /// products run the vectorized `u64`-accumulator datapath. Kept at the
-    /// key level (not inside [`RgswCiphertext`]) because the reseed
-    /// transform mutates rows in place and rebuilds these afterwards.
-    prepared_pos: Vec<PreparedRgsw>,
-    /// Shoup quotients for every `neg` row limb.
-    prepared_neg: Vec<PreparedRgsw>,
 }
 
 impl BlindRotateKey {
@@ -284,10 +276,11 @@ impl BlindRotateKey {
         Self::from_parts(ctx, pos, neg, params, limbs)
     }
 
-    /// Rebuilds a key from decoded RGSW ladders (wire decoding); the
-    /// monomial tables are pure functions of the basis and are rebuilt,
-    /// and the Shoup precomputes are derived from the decoded rows — so
-    /// node-side expansion of wire keys gets the prepared form for free.
+    /// Rebuilds a key from decoded RGSW ladders (wire decoding). The rows
+    /// are the whole key — the external product reads them as stored, so
+    /// nothing is derived from them and an in-place mutation (the wire
+    /// reseed transform) needs no follow-up; the monomial tables are pure
+    /// functions of the basis.
     pub(crate) fn from_parts(
         ctx: &RnsContext,
         pos: Vec<RgswCiphertext>,
@@ -295,26 +288,13 @@ impl BlindRotateKey {
         params: RgswParams,
         limbs: usize,
     ) -> Self {
-        let prepared_pos = pos.iter().map(|r| PreparedRgsw::new(r, ctx)).collect();
-        let prepared_neg = neg.iter().map(|r| PreparedRgsw::new(r, ctx)).collect();
         Self {
             pos,
             neg,
             params,
             limbs,
             monomials: MonomialEvals::new(ctx, limbs),
-            prepared_pos,
-            prepared_neg,
         }
-    }
-
-    /// Rebuilds the Shoup precomputes from the current rows. Must be called
-    /// after any in-place mutation of the RGSW ladders (the wire reseed
-    /// transform) — quotients are only valid for the exact operand values
-    /// they were derived from.
-    pub(crate) fn rebuild_prepared(&mut self, ctx: &RnsContext) {
-        self.prepared_pos = self.pos.iter().map(|r| PreparedRgsw::new(r, ctx)).collect();
-        self.prepared_neg = self.neg.iter().map(|r| PreparedRgsw::new(r, ctx)).collect();
     }
 
     /// The positive-coefficient RGSW ladder (wire encoding).
@@ -428,12 +408,8 @@ impl BlindRotateKey {
             active.clear();
             active.extend((0..lwes.len()).filter(|&m| a_i(m) != 0));
             // One shared decomposition of each accumulator feeds both
-            // products; the precomputed Shoup quotients route them onto
-            // the vectorized u64-accumulator datapath when it applies.
-            let keys = [
-                (&self.pos[i], Some(&self.prepared_pos[i])),
-                (&self.neg[i], Some(&self.prepared_neg[i])),
-            ];
+            // products.
+            let keys = [&self.pos[i], &self.neg[i]];
             external_product_core(&accs, active, keys, ctx, &self.params, ep, &mut outs);
             for &m in active.iter() {
                 // Rotation by -a_i·s_i: s=+1 wants X^{-a_i}, s=-1 wants X^{+a_i}.

@@ -271,9 +271,6 @@ pub fn reseed_brk(brk: &mut BlindRotateKey, ctx: &RnsContext, ring_sk: &RingSecr
             a_j.copy_from_slice(&fresh);
         }
     });
-    // The rows just changed under the key's Shoup precomputes; rebuild them
-    // so the prepared external-product path stays exact.
-    brk.rebuild_prepared(ctx);
 }
 
 /// Serializes a blind-rotate key (see [`ksk_to_wire`] for the
@@ -556,7 +553,9 @@ mod tests {
         let expanded = brk_from_wire(&seeded, &ctx).unwrap();
         assert_eq!(brk_to_wire(&expanded, &ctx, None), strict);
         // The expanded key is the reseeded key bit for bit, so rotation
-        // through it is bit-identical to rotating with the original.
+        // through it is bit-identical to rotating with the original —
+        // straight after the in-place reseed, with no rebuild step: the
+        // rows are the whole key.
         let local = brk.blind_rotate(&ctx, &test_poly, &lwe);
         let via_wire = expanded.blind_rotate(&ctx, &test_poly, &lwe);
         for j in 0..2 {

@@ -55,8 +55,8 @@ pub use key_wire::{
 };
 pub use lwe::{LweCiphertext, LweKeySwitchKey, LweSecretKey};
 pub use rgsw::{
-    external_product, external_product_into, external_product_pair_prepared_into,
-    external_product_prepared_into, external_product_reference, external_product_with,
+    external_product, external_product_into, external_product_pair_into,
+    external_product_pair_prepared_into, external_product_reference, external_product_with,
     ExternalProductScratch, PreparedRgsw, RgswCiphertext, RgswParams,
 };
 pub use rlwe::{RingSecretKey, RlweCiphertext};

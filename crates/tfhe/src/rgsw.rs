@@ -16,7 +16,7 @@
 
 use rand::Rng;
 
-use heap_math::{mac_path, poly, Domain, Gadget, MacAcc, MacPath, RnsContext, RnsPoly, ShoupPoly};
+use heap_math::{mac_path, poly, Domain, Gadget, MacAcc, RnsContext, RnsPoly};
 
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
 
@@ -183,49 +183,18 @@ impl RgswCiphertext {
     }
 }
 
-/// Precomputed Shoup quotients for every limb of every row of an RGSW
-/// ciphertext — the `ShoupMatrixFMA` idiom: key material is converted once
-/// at key load (or reseed) so the external-product MAC inner loop is a pure
-/// multiply-high/subtract into `u64` accumulators, with no per-term Barrett
-/// state and no `u128` arithmetic.
-///
-/// Only quotients are stored ([`ShoupPoly`]); the MAC reads operands from
-/// the original key rows.
+/// Former per-key Shoup-quotient store. The MAC reads key rows as they are
+/// stored, so there is nothing left to prepare: an empty marker kept only
+/// because `benchmark/src/api.rs` names it (ROADMAP "Left behind on
+/// purpose").
+#[doc(hidden)]
 #[derive(Debug, Clone)]
-pub struct PreparedRgsw {
-    /// Quotients indexed `[ladder][part][row * limbs + limb]` — ladders
-    /// `[rows_s, rows_1]`, parts `[a, b]`. One vector per part, filled in
-    /// row order: pairing `a` and `b` in one vector of twice the size
-    /// measured +3 MiB peak RSS on a node whose key cache evicts
-    /// (allocator fragmentation), for no gain.
-    quots: [[Vec<ShoupPoly>; 2]; 2],
-    limbs: usize,
-}
+pub struct PreparedRgsw;
 
 impl PreparedRgsw {
-    /// Precomputes quotients for every row limb of `rgsw`.
-    ///
-    /// Must be rebuilt whenever the underlying rows change (e.g. after a
-    /// wire-format reseed) — the quotients are only valid for the exact
-    /// operand values they were derived from.
-    pub fn new(rgsw: &RgswCiphertext, ctx: &RnsContext) -> Self {
-        let limbs = rgsw.rows_s.first().map_or(0, |r| r.a.limb_count());
-        let prep_ladder = |rows: &[RlweCiphertext]| {
-            let mut qa = Vec::with_capacity(rows.len() * limbs);
-            let mut qb = Vec::with_capacity(rows.len() * limbs);
-            for row in rows {
-                for j in 0..limbs {
-                    let m = ctx.modulus(j);
-                    qa.push(ShoupPoly::new(row.a.limb(j), m));
-                    qb.push(ShoupPoly::new(row.b.limb(j), m));
-                }
-            }
-            [qa, qb]
-        };
-        Self {
-            quots: rgsw.ladders().map(prep_ladder),
-            limbs,
-        }
+    #[doc(hidden)]
+    pub fn new(_rgsw: &RgswCiphertext, _ctx: &RnsContext) -> Self {
+        Self
     }
 }
 
@@ -328,37 +297,35 @@ pub fn external_product_with(
 
 /// The one external-product loop nest: a *tile* of ciphertexts — the
 /// members `active` of `cts` — against `K` RGSW operands (`K = 1`, or
-/// `K = 2` for the CMux's `RGSW(s_i^+)` / `RGSW(s_i^-)` pair), each
-/// optionally with its Shoup quotients. Member `m`'s `K` products land in
-/// `outs[m]`; the public external products are the tile of one.
+/// `K = 2` for the CMux's `RGSW(s_i^+)` / `RGSW(s_i^-)` pair). Member
+/// `m`'s `K` products land in `outs[m]`; the public external products are
+/// the tile of one.
 ///
 /// The key row is the stationary operand (HEAP §IV-E: "fetch one key at a
 /// time, perform the external product using the key, and then discard the
 /// key"). Phase 1 inverse-NTTs and gadget-decomposes every member once.
 /// Phase 2 walks **target limb `j` → key row `(ladder, limb i, digit d)` →
 /// member `t`**: one key-row block — limb `j` of both parts of row `r` of
-/// all `K` keys, `2K` operand limbs plus `2K` quotient limbs — stays in
-/// cache while every member's digit polynomial is spread under `q_j`,
-/// NTT'd and MAC'd past it, so a tile streams the key once instead of once
-/// per member. One forward NTT per `(member, part, limb, digit, target
-/// limb)` still feeds `2·K` MACs.
+/// all `K` keys, `2K` operand limbs (`2K·8N` bytes, read as stored: the
+/// MAC needs no precomputed companion) — stays in cache while every
+/// member's digit polynomial is spread under `q_j`, NTT'd and MAC'd past
+/// it, so a tile streams the key once instead of once per member. One
+/// forward NTT per `(member, part, limb, digit, target limb)` still feeds
+/// `2·K` MACs.
 ///
 /// The MAC datapath is *lazy* (HEAP §IV-A): every pointwise product of a
 /// spread-digit NTT with a key row is accumulated **unreduced** in a
 /// [`MacAcc`] — `2K` slots per member, for one target limb at a time — and
 /// each output coefficient is reduced exactly once, as soon as limb `j`'s
-/// rows are done. The accumulator runs the `u64` Shoup path when every
-/// operand brought quotients and [`mac_path`] allows it for the
-/// `2·limbs·digits` terms, the `u128` path otherwise; the deferred
+/// rows are done. [`mac_path`] picks the accumulator for the
+/// `2·limbs·digits` terms — the narrow `u64` path where its vector kernel
+/// applies under every limb, the `u128` path otherwise; the deferred
 /// reduction is exact on both, so the canonical output is bit-identical to
 /// [`external_product_reference`].
-///
-/// Every shape check runs before the path is chosen, so a mismatched
-/// operand fails the same way on every host.
 pub(crate) fn external_product_core<const K: usize>(
     cts: &[RlweCiphertext],
     active: &[usize],
-    keys: [(&RgswCiphertext, Option<&PreparedRgsw>); K],
+    keys: [&RgswCiphertext; K],
     ctx: &RnsContext,
     params: &RgswParams,
     scratch: &mut ExternalProductScratch,
@@ -368,15 +335,12 @@ pub(crate) fn external_product_core<const K: usize>(
         return;
     };
     let limbs = cts[first].limbs();
-    for (rgsw, prep) in &keys {
+    for rgsw in &keys {
         assert_eq!(
             rgsw.row_count(),
             params.rows(limbs),
             "RGSW row count mismatch"
         );
-        if let Some(prep) = prep {
-            assert_eq!(prep.limbs, limbs, "prepared key limb count mismatch");
-        }
     }
     for &m in active {
         assert_eq!(cts[m].limbs(), limbs, "tile limb count mismatch");
@@ -384,11 +348,7 @@ pub(crate) fn external_product_core<const K: usize>(
             assert_eq!(out.limbs(), limbs, "output limb count mismatch");
         }
     }
-    let path = if keys.iter().all(|(_, prep)| prep.is_some()) {
-        mac_path((0..limbs).map(|j| ctx.ntt(j)), 2 * limbs * params.digits)
-    } else {
-        MacPath::Wide
-    };
+    let path = mac_path((0..limbs).map(|j| ctx.ntt(j)), 2 * limbs * params.digits);
     scratch.prepare(ctx, params, limbs, active.len());
     let ExternalProductScratch {
         digit_signed,
@@ -429,12 +389,10 @@ pub(crate) fn external_product_core<const K: usize>(
                     let digit = &digit_signed[digit_base(t, ladder, 0) + r];
                     poly::from_signed_into(digit, ctx.modulus(j), spread);
                     ntt.forward(spread);
-                    for (k, (rgsw, prep)) in keys.iter().enumerate() {
+                    for (k, rgsw) in keys.iter().enumerate() {
                         let row = &rgsw.ladders()[ladder][r];
-                        for (p, part) in [&row.a, &row.b].into_iter().enumerate() {
-                            let quots = prep.map(|prep| &prep.quots[ladder][p][r * limbs + j]);
-                            acc.mac(slot(t, k, p), ntt, spread, part.limb(j), quots);
-                        }
+                        acc.mac(slot(t, k, 0), ntt, spread, row.a.limb(j));
+                        acc.mac(slot(t, k, 1), ntt, spread, row.b.limb(j));
                     }
                 }
             }
@@ -460,9 +418,8 @@ pub(crate) fn external_product_core<const K: usize>(
 /// [`external_product`] into a caller-provided output ciphertext.
 ///
 /// With a warmed-up `scratch` and a matching-shape `out` this performs no
-/// heap allocation at all. Without precomputed quotients the lazy MACs
-/// accumulate in `u128` on every host (the module docs point at the
-/// datapath and its exactness argument).
+/// heap allocation at all (the module docs point at the datapath and its
+/// exactness argument).
 ///
 /// # Panics
 ///
@@ -477,60 +434,26 @@ pub fn external_product_into(
     out: &mut RlweCiphertext,
 ) {
     let cts = std::slice::from_ref(ct);
-    external_product_core(
-        cts,
-        &[0],
-        [(rgsw, None)],
-        ctx,
-        params,
-        scratch,
-        &mut [[out]],
-    );
+    external_product_core(cts, &[0], [rgsw], ctx, params, scratch, &mut [[out]]);
 }
 
-/// [`external_product_into`] over a precomputed key ([`PreparedRgsw`]):
-/// the quotients let the MACs run the vectorized `u64` Shoup datapath
-/// whenever [`mac_path`] allows it — 60-bit limbs fit 8 terms, so e.g.
-/// 2 limbs × 3 digits (12 terms) stay on `u128`. Outputs are bit-identical
-/// either way.
+/// Two external products of the *same* RLWE ciphertext against two RGSW
+/// operands — the CMux hot path. Algorithm 1 multiplies the accumulator by
+/// both `RGSW(s_i^+)` and `RGSW(s_i^-)` per mask element, and the
+/// decomposition/NTT work depends only on the accumulator, so doing the
+/// products separately would double it: here each forward NTT feeds
+/// **four** lazy MACs (`pos.a`, `pos.b`, `neg.a`, `neg.b`).
+/// Allocation-free with a warm `scratch`.
 ///
 /// # Panics
 ///
-/// Panics on RGSW row count mismatch, on a `prep` built for a different
-/// limb count, or if `out` has a different limb count than `ct`.
-pub fn external_product_prepared_into(
-    ct: &RlweCiphertext,
-    rgsw: &RgswCiphertext,
-    prep: &PreparedRgsw,
-    ctx: &RnsContext,
-    params: &RgswParams,
-    scratch: &mut ExternalProductScratch,
-    out: &mut RlweCiphertext,
-) {
-    let cts = std::slice::from_ref(ct);
-    let keys = [(rgsw, Some(prep))];
-    external_product_core(cts, &[0], keys, ctx, params, scratch, &mut [[out]]);
-}
-
-/// Two external products of the *same* RLWE ciphertext against two
-/// precomputed RGSW operands — the CMux hot path. Algorithm 1 multiplies
-/// the accumulator by both `RGSW(s_i^+)` and `RGSW(s_i^-)` per mask
-/// element, and the decomposition/NTT work depends only on the
-/// accumulator, so doing the products separately would double it: here
-/// each forward NTT feeds **four** lazy MACs (`pos.a`, `pos.b`, `neg.a`,
-/// `neg.b`). Allocation-free with a warm `scratch`.
-///
-/// # Panics
-///
-/// Panics on RGSW row count mismatch, prepared-key limb mismatch, or
-/// output limb mismatch (output contents are overwritten, not read).
-#[allow(clippy::too_many_arguments)] // kernel entry point: two keys + their precomputes, two outputs
-pub fn external_product_pair_prepared_into(
+/// Panics on RGSW row count mismatch or output limb mismatch (output
+/// contents are overwritten, not read).
+#[allow(clippy::too_many_arguments)] // kernel entry point: two keys, two outputs
+pub fn external_product_pair_into(
     ct: &RlweCiphertext,
     rgsw_pos: &RgswCiphertext,
     rgsw_neg: &RgswCiphertext,
-    prep_pos: &PreparedRgsw,
-    prep_neg: &PreparedRgsw,
     ctx: &RnsContext,
     params: &RgswParams,
     scratch: &mut ExternalProductScratch,
@@ -538,9 +461,29 @@ pub fn external_product_pair_prepared_into(
     out_neg: &mut RlweCiphertext,
 ) {
     let cts = std::slice::from_ref(ct);
-    let keys = [(rgsw_pos, Some(prep_pos)), (rgsw_neg, Some(prep_neg))];
     let outs = &mut [[out_pos, out_neg]];
-    external_product_core(cts, &[0], keys, ctx, params, scratch, outs);
+    external_product_core(cts, &[0], [rgsw_pos, rgsw_neg], ctx, params, scratch, outs);
+}
+
+/// [`external_product_pair_into`] under the name and signature
+/// `benchmark/src/api.rs` imports; the markers carry nothing.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn external_product_pair_prepared_into(
+    ct: &RlweCiphertext,
+    rgsw_pos: &RgswCiphertext,
+    rgsw_neg: &RgswCiphertext,
+    _prep_pos: &PreparedRgsw,
+    _prep_neg: &PreparedRgsw,
+    ctx: &RnsContext,
+    params: &RgswParams,
+    scratch: &mut ExternalProductScratch,
+    out_pos: &mut RlweCiphertext,
+    out_neg: &mut RlweCiphertext,
+) {
+    external_product_pair_into(
+        ct, rgsw_pos, rgsw_neg, ctx, params, scratch, out_pos, out_neg,
+    );
 }
 
 /// Strict-datapath external product: eager per-digit Barrett MACs

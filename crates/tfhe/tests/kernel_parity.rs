@@ -8,21 +8,22 @@
 //! the key-major tile rotation ([`BlindRotateKey::blind_rotate_batch_with`],
 //! of which [`BlindRotateKey::blind_rotate`] is the batch of one) vs
 //! [`BlindRotateKey::blind_rotate_reference`], including the `a_i = 0`
-//! skip and `a_i = N` negacyclic-wrap edges. The 60-bit cases put one
-//! shape on each side of the MAC accumulator gate
-//! ([`heap_math::mac_path`]) on the same host.
+//! skip and `a_i = N` negacyclic-wrap edges. The gate tests pin which
+//! accumulator ([`heap_math::mac_path`]) a shape lands on: narrow exactly
+//! where the vector kernel applies, wide for every 60-bit shape and under
+//! forced scalar.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use heap_math::prime::ntt_primes;
 use heap_math::simd::{self, Backend};
-use heap_math::{mac_path, MacPath, RnsContext, RnsPoly};
+use heap_math::{mac_path, MacAcc, MacPath, RnsContext, RnsPoly};
 use heap_tfhe::lwe::LweSecretKey;
 use heap_tfhe::rlwe::{RingSecretKey, RlweCiphertext};
 use heap_tfhe::{
-    external_product, external_product_prepared_into, external_product_reference,
-    external_product_with, test_polynomial_from_fn, BlindRotateKey, BlindRotateScratch,
-    ExternalProductScratch, LweCiphertext, PreparedRgsw, RgswCiphertext, RgswParams,
+    external_product, external_product_reference, external_product_with, test_polynomial_from_fn,
+    BlindRotateKey, BlindRotateScratch, ExternalProductScratch, LweCiphertext, RgswCiphertext,
+    RgswParams,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -54,7 +55,7 @@ fn assert_bit_identical(a: &RlweCiphertext, b: &RlweCiphertext, what: &str) {
 static SIMD_LOCK: Mutex<()> = Mutex::new(());
 
 fn simd_lock() -> MutexGuard<'static, ()> {
-    // A `should_panic` test poisons the lock by design.
+    // A failed holder poisons the lock; the others still get their turn.
     SIMD_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -92,57 +93,91 @@ fn product_operands(
     (c, ct, rgsw)
 }
 
-/// Prepared external product over 60-bit limbs == strict reference, with
-/// the accumulator the shape must land on under native dispatch asserted
-/// from `shoup_mac_term_limit()` (a scalar host is wide for every shape).
-fn prepared_60bit_case(limbs: usize, p: RgswParams, shoup_fits: bool) {
+/// Whether the narrow MAC's vector kernel runs on this host right now
+/// (for a modulus below `2^48`): what [`mac_path`] is allowed to observe.
+fn narrow_kernel_active() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        simd::active() == Backend::Avx2 && std::arch::is_x86_feature_detected!("fma")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The paper's shape (36-bit limbs, `d = 2`): narrow exactly when the
+/// vector kernel applies — so an AVX2+FMA CI host is known to exercise it —
+/// and wide under forced scalar, bit-identical to the strict reference on
+/// both.
+#[test]
+fn paper_shape_takes_narrow_path_exactly_where_the_kernel_applies() {
     let _lock = simd_lock();
-    let (c, ct, rgsw) = product_operands(&ntt_primes(N as u64, 60, limbs), &p, 0x60B1);
-    let terms = 2 * limbs * p.digits;
-    let limit = (0..limbs)
-        .map(|j| c.ntt(j).shoup_mac_term_limit())
-        .min()
-        .unwrap();
-    assert_eq!(
-        terms as u64 <= limit,
-        shoup_fits,
-        "{terms} terms vs {limit}"
-    );
-    let want = if shoup_fits && simd::active() != Backend::Scalar {
-        MacPath::Shoup
+    let p = RgswParams::paper();
+    let (c, ct, rgsw) = product_operands(&ntt_primes(N as u64, 36, LIMBS), &p, 0x36B1);
+    let tables = || (0..LIMBS).map(|j| c.ntt(j));
+    let terms = 2 * LIMBS * p.digits;
+    let strict = external_product_reference(&ct, &rgsw, &c, &p);
+
+    let native = if narrow_kernel_active() {
+        MacPath::Narrow
     } else {
         MacPath::Wide
     };
-    assert_eq!(mac_path((0..limbs).map(|j| c.ntt(j)), terms), want);
+    assert_eq!(mac_path(tables(), terms), native);
+    assert_bit_identical(&external_product(&ct, &rgsw, &c, &p), &strict, "native");
 
-    let prep = PreparedRgsw::new(&rgsw, &c);
-    let mut scratch = ExternalProductScratch::default();
-    let mut prepared = RlweCiphertext::zero(&c, limbs);
-    external_product_prepared_into(&ct, &rgsw, &prep, &c, &p, &mut scratch, &mut prepared);
-    let strict = external_product_reference(&ct, &rgsw, &c, &p);
-    assert_bit_identical(&prepared, &strict, "60-bit external_product_prepared");
+    let _scalar = ForcedScalar::new();
+    assert_eq!(mac_path(tables(), terms), MacPath::Wide);
+    assert_bit_identical(&external_product(&ct, &rgsw, &c, &p), &strict, "scalar");
 }
 
-/// 2 limbs × 3 digits = 12 terms: over the 8 a prime just under 2^60
-/// allows, so the wide accumulators run even under native SIMD.
+/// 60-bit limbs have no narrow kernel: 4 terms (1 limb × 2 digits) and 12
+/// terms (2 limbs × 3 digits) both run the wide accumulators under native
+/// dispatch, bit-identical to the strict reference.
 #[test]
-fn prepared_60bit_over_term_limit_takes_wide_path() {
-    let p = RgswParams {
-        base_bits: 20,
-        digits: 3,
-    };
-    prepared_60bit_case(2, p, false);
+fn sixty_bit_shapes_take_wide_path() {
+    let _lock = simd_lock();
+    for (limbs, base_bits, digits) in [(1, 30, 2), (2, 20, 3)] {
+        let p = RgswParams { base_bits, digits };
+        let (c, ct, rgsw) = product_operands(&ntt_primes(N as u64, 60, limbs), &p, 0x60B1);
+        let terms = 2 * limbs * digits;
+        assert_eq!(
+            mac_path((0..limbs).map(|j| c.ntt(j)), terms),
+            MacPath::Wide,
+            "{terms} terms"
+        );
+        let lazy = external_product(&ct, &rgsw, &c, &p);
+        let strict = external_product_reference(&ct, &rgsw, &c, &p);
+        assert_bit_identical(&lazy, &strict, "60-bit external_product");
+    }
 }
 
-/// 1 limb × 2 digits = 4 terms: within the limit, so a vector host runs
-/// the Shoup accumulators over the integer (non-f64) 60-bit kernels.
+/// A narrow chain survives the backend being flipped under it: the first
+/// MAC runs the vector kernel (on a vector host), the second the scalar
+/// loop behind it, and the deferred reduction still lands on the eager
+/// Barrett chain's residues.
 #[test]
-fn prepared_60bit_within_term_limit_takes_shoup_path() {
-    let p = RgswParams {
-        base_bits: 30,
-        digits: 2,
-    };
-    prepared_60bit_case(1, p, true);
+fn narrow_chain_survives_backend_flip() {
+    let _lock = simd_lock();
+    let c = RnsContext::new(N, &ntt_primes(N as u64, 36, 1));
+    let (t, q) = (c.ntt(0), c.modulus(0).value());
+    let mut rng = StdRng::seed_from_u64(0xF11B);
+    let mut row = |bound: u64| -> Vec<u64> { (0..N).map(|_| rng.gen_range(0..bound)).collect() };
+    let terms = [(row(q), row(q)), (row(q), row(q))];
+    let mut want = vec![0u64; N];
+    for (x, ops) in &terms {
+        t.pointwise_acc(x, ops, &mut want);
+    }
+
+    let mut acc = MacAcc::default();
+    acc.reset(MacPath::Narrow, 1, N);
+    acc.mac(0, t, &terms[0].0, &terms[0].1);
+    let _scalar = ForcedScalar::new();
+    acc.mac(0, t, &terms[1].0, &terms[1].1);
+    let mut got = vec![0u64; N];
+    acc.reduce_into(0, t, &mut got);
+    assert_eq!(got, want);
 }
 
 /// A scratch warmed on one context and reused on another of the same shape
@@ -161,28 +196,11 @@ fn scratch_reused_across_contexts_rebuilds_gadgets() {
     assert_bit_identical(&reused, &fresh, "external_product_with (reused scratch)");
 }
 
-/// Shape checks run before the accumulator is chosen: a `PreparedRgsw`
-/// built for another limb count is rejected on the wide path too (forced
-/// scalar here), not only where its quotients would be read.
-#[test]
-#[should_panic(expected = "prepared key limb count mismatch")]
-fn mismatched_prepared_key_rejected_on_scalar_host() {
-    let _lock = simd_lock();
-    let _scalar = ForcedScalar::new();
-    let p = params();
-    let primes = ntt_primes(N as u64, 30, LIMBS);
-    let (c, ct, rgsw) = product_operands(&primes, &p, 3);
-    let (c1, _, rgsw_one_limb) = product_operands(&primes[..1], &p, 4);
-    let prep = PreparedRgsw::new(&rgsw_one_limb, &c1);
-    let mut scratch = ExternalProductScratch::default();
-    let mut out = RlweCiphertext::zero(&c, LIMBS);
-    external_product_prepared_into(&ct, &rgsw, &prep, &c, &p, &mut scratch, &mut out);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Lazy u128-MAC external product == strict reference, on a fresh
+    /// Lazy-MAC external product (narrow accumulators where the host has
+    /// the kernel, wide otherwise) == strict reference, on a fresh
     /// encryption of a random message against RGSW(m) for m ∈ {0, 1, -1}
     /// (the ternary blind-rotate key alphabet).
     #[test]
@@ -222,26 +240,6 @@ proptest! {
         let hot = brk.blind_rotate(&c, &f, &lwe);
         let oracle = brk.blind_rotate_reference(&c, &f, &lwe);
         assert_bit_identical(&hot, &oracle, "blind_rotate");
-    }
-
-    /// Shoup-precomputed (u64-accumulator) external product == strict
-    /// reference: the SIMD FMA datapath with key-load-time quotients must
-    /// produce the same canonical residues as the u128 lazy MAC.
-    #[test]
-    fn prepared_external_product_matches_reference(seed in any::<u64>(), scalar in -1i64..=1) {
-        let c = ctx();
-        let p = params();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sk = RingSecretKey::generate(&c, LIMBS, &mut rng);
-        let msg: Vec<i64> = (0..N).map(|_| rng.gen_range(-500..500)).collect();
-        let ct = RlweCiphertext::encrypt(&c, &sk, &RnsPoly::from_signed(&c, &msg, LIMBS), &mut rng);
-        let rgsw = RgswCiphertext::encrypt_scalar(&c, &sk, scalar, LIMBS, &p, &mut rng);
-        let prep = PreparedRgsw::new(&rgsw, &c);
-        let mut scratch = ExternalProductScratch::default();
-        let mut prepared = RlweCiphertext::zero(&c, LIMBS);
-        external_product_prepared_into(&ct, &rgsw, &prep, &c, &p, &mut scratch, &mut prepared);
-        let strict = external_product_reference(&ct, &rgsw, &c, &p);
-        assert_bit_identical(&prepared, &strict, "external_product_prepared");
     }
 
     /// The key-major tile is bit-identical, per member, to rotating each
@@ -294,7 +292,7 @@ proptest! {
 
 /// Full blind rotation with SIMD force-disabled == the same rotation on
 /// whatever backend the host dispatches (on a vector host this pins the
-/// whole AVX2/NEON + Shoup datapath against the scalar kernels and the
+/// whole AVX2 + narrow-MAC datapath against the scalar kernels and the
 /// wide accumulators, on one live key; on a scalar host it is a no-op
 /// identity).
 #[test]
