@@ -1,5 +1,5 @@
-//! Shared helpers for the table-regeneration binaries and Criterion
-//! benches: plain-text table formatting and common fixtures.
+//! Shared helpers for the table-regeneration binaries: plain-text table
+//! formatting.
 
 /// Renders a simple aligned text table.
 ///

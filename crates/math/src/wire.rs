@@ -191,6 +191,14 @@ impl WireWriter {
         Self::default()
     }
 
+    /// Creates an empty writer with room for `bytes` — one allocation
+    /// for an encoding whose size is known up front.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Appends a single byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -203,6 +211,11 @@ impl WireWriter {
 
     /// Appends a `u32`.
     pub fn put_u32(&mut self, v: u32) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends a `u16`.
+    pub fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -220,6 +233,13 @@ impl WireWriter {
     /// payload primitive used by the runtime's TCP protocol).
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u32(bytes.len() as u32);
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends raw bytes with no length prefix — for a body that runs to
+    /// the end of the buffer ([`WireReader::rest`]) or whose length the
+    /// caller framed itself ([`WireReader::get_raw`]).
+    pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
@@ -251,7 +271,13 @@ impl<'a> WireReader<'a> {
         Self { buf }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    /// Borrows the next `n` raw bytes (the counterpart of
+    /// [`WireWriter::put_raw`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::Truncated`] if fewer than `n` bytes remain.
+    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.buf.len() < n {
             return Err(WireError::Truncated);
         }
@@ -262,20 +288,27 @@ impl<'a> WireReader<'a> {
 
     /// Reads a single byte.
     pub fn get_u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        Ok(self.get_raw(1)?[0])
     }
 
     /// Reads a `u64`.
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
+            self.get_raw(8)?.try_into().expect("8 bytes"),
         ))
     }
 
     /// Reads a `u32`.
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
+            self.get_raw(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+
+    /// Reads a `u16`.
+    pub fn get_u16(&mut self) -> Result<u16, WireError> {
+        Ok(u16::from_le_bytes(
+            self.get_raw(2)?.try_into().expect("2 bytes"),
         ))
     }
 
@@ -286,7 +319,7 @@ impl<'a> WireReader<'a> {
 
     /// Reads `count` packed values of `bits` bits.
     pub fn get_packed(&mut self, bits: u32, count: usize) -> Result<Vec<u64>, WireError> {
-        let bytes = self.take(packed_size(count, bits))?;
+        let bytes = self.get_raw(packed_size(count, bits))?;
         unpack_bits(bytes, bits, count)
     }
 
@@ -299,12 +332,18 @@ impl<'a> WireReader<'a> {
     /// remaining buffer.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.get_u32()? as usize;
-        self.take(len)
+        self.get_raw(len)
     }
 
     /// Remaining unread bytes.
     pub fn remaining(&self) -> usize {
         self.buf.len()
+    }
+
+    /// Consumes the reader, borrowing everything not yet read — a bulk
+    /// body that runs to the end of the buffer, handed on without a copy.
+    pub fn rest(self) -> &'a [u8] {
+        self.buf
     }
 }
 
@@ -419,6 +458,23 @@ mod tests {
         assert_eq!(r.get_bytes().unwrap(), b"hello");
         assert_eq!(r.get_bytes().unwrap(), b"");
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn raw_and_rest_borrow_without_copying() {
+        let mut w = WireWriter::new();
+        w.put_u16(0xBEEF);
+        w.put_raw(b"name");
+        w.put_raw(b"bulk body");
+        let bytes = w.into_bytes();
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(r.get_u16().unwrap(), 0xBEEF);
+        assert_eq!(r.get_raw(4).unwrap(), b"name");
+        assert_eq!(r.get_raw(64), Err(WireError::Truncated));
+        let rest = r.rest();
+        assert_eq!(rest, b"bulk body");
+        assert!(std::ptr::eq(rest.as_ptr(), bytes[6..].as_ptr()));
+        assert_eq!(WireReader::new(&[1]).get_u16(), Err(WireError::Truncated));
     }
 
     #[test]

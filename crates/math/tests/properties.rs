@@ -356,6 +356,33 @@ mod simd_parity {
         }
     }
 
+    /// Three-way parity at the ring sizes the other oracle tests stop
+    /// short of, up to the paper's N = 2^13 on a 36-bit limb: dispatching
+    /// kernel == scalar lazy kernel == strict reference, forward and
+    /// inverse. (The retired `kernel_sweep` binary asserted this before
+    /// it timed anything; nothing ran it.)
+    #[test]
+    fn ntt_three_way_parity_up_to_the_paper_ring() {
+        for n in [1usize << 10, 1 << 13] {
+            let m = Modulus::new(ntt_primes(n as u64, 36, 1)[0]).unwrap();
+            let t = NttTable::new(n, m);
+            let base: Vec<u64> = (0..n as u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % m.value())
+                .collect();
+            let [mut simd, mut scalar, mut strict] = [base.clone(), base.clone(), base];
+            t.forward_lazy(&mut simd);
+            t.forward_lazy_scalar(&mut scalar);
+            t.forward_reference(&mut strict);
+            assert_eq!(simd, strict, "forward_lazy diverged at n = {n}");
+            assert_eq!(scalar, strict, "forward_lazy_scalar diverged at n = {n}");
+            t.inverse_lazy(&mut simd);
+            t.inverse_lazy_scalar(&mut scalar);
+            t.inverse_reference(&mut strict);
+            assert_eq!(simd, strict, "inverse_lazy diverged at n = {n}");
+            assert_eq!(scalar, strict, "inverse_lazy_scalar diverged at n = {n}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 

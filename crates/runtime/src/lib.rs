@@ -27,11 +27,12 @@
 //!    across [`ServiceNode`]s least-loaded-first, reassembling results
 //!    in input order and reassigning a shard when a node fails; the
 //!    pipeline is bit-identical to serial execution.
-//! 4. **Remote backend** (`remote`) — [`RemoteNode`] speaks the
-//!    `remote` frame protocol over `std::net::TcpStream` to a
-//!    `heap-node-serve` process, using the `heap-tfhe` wire encodings, so
-//!    a `TransferLedger` fed by it records bytes *measured on a real
-//!    socket* rather than modeled.
+//! 4. **Remote backend** (`proto`, `remote`, `server`) — [`RemoteNode`]
+//!    speaks the HRT1 frame protocol (`proto`: the one frame table, every
+//!    payload layout, the handshake) over `std::net::TcpStream` to a
+//!    `heap-node-serve` process ([`serve`]), using the `heap-tfhe` wire
+//!    encodings, so a `TransferLedger` fed by it records bytes *measured
+//!    on a real socket* rather than modeled.
 //! 5. **Fault tolerance** (`scheduler`, `fault`) — every node sits
 //!    behind a circuit breaker (Closed → Open → HalfOpen); failed shards
 //!    are retried with exponential backoff and deterministic jitter, a
@@ -71,9 +72,11 @@ mod fault;
 mod job;
 mod node;
 mod preset;
+mod proto;
 mod queue;
 mod remote;
 mod scheduler;
+mod server;
 mod service;
 mod session;
 mod telemetry;
@@ -86,10 +89,9 @@ pub use preset::{
     insecure_deterministic_setup, keyed_setup, DeterministicSetup, KeyedSetup, ParamPreset,
 };
 pub use queue::FairnessPolicy;
-pub use remote::{
-    serve, serve_keyless, NodeKeyStore, NodeTelemetry, NodeTimeouts, RemoteNode, ServeOptions,
-};
+pub use remote::{NodeTimeouts, RemoteNode};
 pub use scheduler::{RetryPolicy, Scheduler, SchedulerStats};
+pub use server::{serve, serve_keyless, NodeKeyStore, NodeTelemetry, ServeOptions};
 pub use service::{
     BootstrapService, PipelineConfig, RuntimeConfig, RuntimeStats, SloPolicy, SubmitOptions,
 };

@@ -68,6 +68,13 @@ impl std::fmt::Display for NodeError {
 
 impl std::error::Error for NodeError {}
 
+/// A transport failure with no phase or deadline to attach.
+impl From<std::io::Error> for NodeError {
+    fn from(e: std::io::Error) -> Self {
+        NodeError::Io(e.to_string())
+    }
+}
+
 /// A shard result carrying the node-side attestation digest.
 ///
 /// The digest is FNV-1a over the canonical wire encoding of the
@@ -90,10 +97,15 @@ pub struct AttestedBatch {
 /// encoding is canonical (decode ∘ encode is the identity), so digesting
 /// the re-encoded batch equals digesting the received payload.
 pub fn attest_digest(ctx: &CkksContext, accs: &[RlweCiphertext]) -> u64 {
+    heap_math::wire::fnv1a(&accumulators_to_wire(ctx, accs))
+}
+
+/// The wire encoding both listeners send and [`attest_digest`] digests.
+pub(crate) fn accumulators_to_wire(ctx: &CkksContext, accs: &[RlweCiphertext]) -> Vec<u8> {
     let moduli: Vec<u64> = (0..ctx.boot_limbs())
         .map(|j| ctx.rns().modulus(j).value())
         .collect();
-    heap_math::wire::fnv1a(&heap_tfhe::rlwe_batch_to_wire(accs, &moduli))
+    heap_tfhe::rlwe_batch_to_wire(accs, &moduli)
 }
 
 /// A compute node the scheduler can dispatch to, with failure reporting.

@@ -4,13 +4,9 @@
 //! in flight per connection — fine between primary and secondaries, but
 //! wasteful for *clients* of the service, which would otherwise need a
 //! socket (and a parked thread) per outstanding job. A session fixes
-//! that with three more HRT1 frame kinds:
-//!
-//! ```text
-//! SubmitReq (10)  tag u64 | tenant u64 | priority u8 | kind u8 | body
-//! SubmitAck (11)  tag u64 | status u8 | detail            (refusal only)
-//! JobDone   (12)  tag u64 | status u8 | result-or-error
-//! ```
+//! that with three more HRT1 frame kinds — `SubmitReq`, `SubmitAck`,
+//! `JobDone`, whose layouts live with the rest of the protocol in
+//! `proto`.
 //!
 //! The client tags every submission; the server answers `SubmitAck`
 //! *only on refusal* (SLO rejection with the retry hint, validation
@@ -19,7 +15,9 @@
 //! never head-of-line-blocks a fast job behind a slow one. The session
 //! handshake is the same `Hello`/`HelloAck` ring-shape check the node
 //! protocol uses, so mismatched parameter sets fail before any
-//! ciphertext moves.
+//! ciphertext moves; a session listener's `HelloAck` carries no key-id
+//! list, which is how either client notices it dialled the wrong kind of
+//! listener.
 //!
 //! Server side, a connection costs two threads (a reader that decodes
 //! and submits, a writer that drains a completion outbox fed by each
@@ -32,7 +30,6 @@
 //! stops receiving the results.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -40,30 +37,17 @@ use std::time::Duration;
 
 use heap_ckks::CkksContext;
 use heap_telemetry::{Counter, Gauge, Registry};
-use heap_tfhe::{lwe_batch_from_wire, lwe_batch_to_wire, rlwe_batch_from_wire, rlwe_batch_to_wire};
+use heap_tfhe::{lwe_batch_from_wire, lwe_batch_to_wire, rlwe_batch_from_wire};
 
 use crate::channel::Channel;
-use crate::job::{JobOutput, JobRequest, JobState, Priority, TenantId};
-use crate::remote::{check_hello, hello_payload, read_frame, write_frame, FrameKind};
+use crate::job::{JobOutput, JobRequest, JobState, TenantId};
+use crate::node::accumulators_to_wire;
+use crate::proto::{
+    self, read_frame, write_frame, FrameKind, JobKind, JobOutcome, Shape, SubmitReq,
+};
+use crate::remote::NodeTimeouts;
 use crate::service::{BootstrapService, SubmitOptions};
 use crate::RuntimeError;
-
-/// `SubmitAck` status bytes (refusals; acceptance sends nothing).
-const ACK_REJECTED_SLO: u8 = 1;
-const ACK_INVALID: u8 = 2;
-const ACK_SHUTDOWN: u8 = 3;
-
-/// `JobDone` status bytes.
-const DONE_OK: u8 = 0;
-const DONE_ERR: u8 = 1;
-
-/// `JobDone` error codes.
-const ERR_ALL_NODES_FAILED: u8 = 1;
-const ERR_SHUTDOWN: u8 = 2;
-
-/// Request kind bytes inside `SubmitReq` / `JobDone` payloads.
-const KIND_BOOTSTRAP: u8 = 0;
-const KIND_BLIND_ROTATE: u8 = 1;
 
 /// Completion tags a connection's writer can buffer before completing
 /// pipeline threads block on the notifier (per-connection backpressure).
@@ -71,23 +55,6 @@ const OUTBOX_DEPTH: usize = 1024;
 
 fn transport(why: impl std::fmt::Display) -> RuntimeError {
     RuntimeError::Transport(why.to_string())
-}
-
-fn priority_to_wire(p: Priority) -> u8 {
-    match p {
-        Priority::Low => 0,
-        Priority::Normal => 1,
-        Priority::High => 2,
-    }
-}
-
-fn priority_from_wire(b: u8) -> Option<Priority> {
-    match b {
-        0 => Some(Priority::Low),
-        1 => Some(Priority::Normal),
-        2 => Some(Priority::High),
-        _ => None,
-    }
 }
 
 /// Per-session-server telemetry (one registry shared by every session).
@@ -246,26 +213,13 @@ fn run_session(
     service: Arc<BootstrapService>,
     telemetry: Arc<SessionTelemetry>,
 ) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_write_timeout(Some(Duration::from_secs(30)))?;
     let ctx = Arc::clone(service.context());
-    let local_hello = hello_payload(&ctx);
-    match read_frame(&mut stream) {
-        Ok((FrameKind::Hello, payload, _)) => {
-            if let Err(why) = check_hello(&local_hello, &payload) {
-                let _ = write_frame(&mut stream, FrameKind::Error, why.as_bytes());
-                return Ok(());
-            }
-            write_frame(&mut stream, FrameKind::HelloAck, &local_hello)?;
-        }
-        _ => return Ok(()),
+    if proto::server_handshake(&mut stream, Shape::of(&ctx), None).is_err() {
+        return Ok(());
     }
     telemetry.open.add(1);
     let _open = OpenSession(Arc::clone(&telemetry.open));
 
-    let moduli: Vec<u64> = (0..ctx.boot_limbs())
-        .map(|j| ctx.rns().modulus(j).value())
-        .collect();
     let shared = Arc::new(ConnShared {
         outbox: Channel::new(OUTBOX_DEPTH),
         pending: Mutex::new(HashMap::new()),
@@ -284,7 +238,7 @@ fn run_session(
                 while let Some(tag) = shared.outbox.recv() {
                     let state = shared.pending.lock().expect("session pending").remove(&tag);
                     if let Some(result) = state.and_then(|s| s.take_result()) {
-                        let frame = encode_job_done(tag, &result, &ctx, &moduli);
+                        let frame = encode_job_done(tag, result, &ctx);
                         // A broken peer doesn't stop the drain: keep
                         // consuming completions so the session always
                         // terminates once its accepted jobs finish.
@@ -328,51 +282,34 @@ fn handle_submit(
     telemetry: &SessionTelemetry,
     payload: &[u8],
 ) {
-    let refuse = |tag: u64, status: u8, detail: &[u8]| {
-        telemetry.rejections.inc();
-        let mut p = Vec::with_capacity(9 + detail.len());
-        p.extend_from_slice(&tag.to_le_bytes());
-        p.push(status);
-        p.extend_from_slice(detail);
-        let _ = shared.write(FrameKind::SubmitAck, &p);
-    };
-    if payload.len() < 18 {
+    let Ok(req) = SubmitReq::decode(payload) else {
         // No tag to address a refusal to; drop the malformed frame.
         return;
-    }
-    let tag = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-    let tenant = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
-    let Some(priority) = priority_from_wire(payload[16]) else {
-        refuse(tag, ACK_INVALID, b"bad priority byte");
-        return;
     };
-    let request = match (payload[17], &payload[18..]) {
-        (KIND_BOOTSTRAP, body) => match ctx.ciphertext_from_wire(body) {
-            Ok(ct) => JobRequest::Bootstrap { ct },
-            Err(e) => {
-                refuse(
-                    tag,
-                    ACK_INVALID,
-                    format!("bad ciphertext: {e:?}").as_bytes(),
-                );
-                return;
-            }
-        },
-        (KIND_BLIND_ROTATE, body) => match lwe_batch_from_wire(body) {
-            Ok(lwes) => JobRequest::BlindRotate { lwes },
-            Err(e) => {
-                refuse(tag, ACK_INVALID, format!("bad LWE batch: {e:?}").as_bytes());
-                return;
-            }
-        },
-        (other, _) => {
-            refuse(
-                tag,
-                ACK_INVALID,
-                format!("bad request kind {other}").as_bytes(),
-            );
-            return;
-        }
+    let tag = req.tag;
+    let refuse = |refusal: RuntimeError| {
+        telemetry.rejections.inc();
+        let _ = shared.write(
+            FrameKind::SubmitAck,
+            &proto::encode_submit_ack(tag, &refusal),
+        );
+    };
+    let Some(priority) = req.priority else {
+        return refuse(RuntimeError::Invalid("bad priority byte"));
+    };
+    let decoded = match req.kind {
+        Some(JobKind::Bootstrap) => ctx
+            .ciphertext_from_wire(req.body)
+            .map(|ct| JobRequest::Bootstrap { ct })
+            .map_err(|e| format!("bad ciphertext: {e:?}")),
+        Some(JobKind::BlindRotate) => lwe_batch_from_wire(req.body)
+            .map(|lwes| JobRequest::BlindRotate { lwes })
+            .map_err(|e| format!("bad LWE batch: {e:?}")),
+        None => Err("bad request kind byte".to_string()),
+    };
+    let request = match decoded {
+        Ok(request) => request,
+        Err(why) => return refuse(transport(why)),
     };
     if shared
         .pending
@@ -380,12 +317,11 @@ fn handle_submit(
         .expect("session pending")
         .contains_key(&tag)
     {
-        refuse(tag, ACK_INVALID, b"duplicate tag");
-        return;
+        return refuse(RuntimeError::Invalid("duplicate tag"));
     }
     let opts = SubmitOptions {
         priority,
-        tenant: TenantId(tenant),
+        tenant: TenantId(req.tenant),
     };
     // Register inserts the pending entry and installs the completion
     // notifier *before* the job can reach the pipeline, so a completion
@@ -408,15 +344,7 @@ fn handle_submit(
         Err(e) => {
             // The job never entered the queue; un-index the tag.
             shared.pending.lock().expect("session pending").remove(&tag);
-            match e {
-                RuntimeError::Rejected { retry_after } => {
-                    let ns = u64::try_from(retry_after.as_nanos()).unwrap_or(u64::MAX);
-                    refuse(tag, ACK_REJECTED_SLO, &ns.to_le_bytes());
-                }
-                RuntimeError::Invalid(why) => refuse(tag, ACK_INVALID, why.as_bytes()),
-                RuntimeError::Shutdown => refuse(tag, ACK_SHUTDOWN, &[]),
-                other => refuse(tag, ACK_INVALID, other.to_string().as_bytes()),
-            }
+            refuse(e);
         }
     }
 }
@@ -424,35 +352,22 @@ fn handle_submit(
 /// `JobDone` payload for a finished job.
 fn encode_job_done(
     tag: u64,
-    result: &Result<JobOutput, RuntimeError>,
+    result: Result<JobOutput, RuntimeError>,
     ctx: &CkksContext,
-    moduli: &[u64],
 ) -> Vec<u8> {
-    let mut p = Vec::with_capacity(64);
-    p.extend_from_slice(&tag.to_le_bytes());
-    match result {
+    let body;
+    let outcome = match result {
         Ok(JobOutput::Bootstrapped(ct)) => {
-            p.push(DONE_OK);
-            p.push(KIND_BOOTSTRAP);
-            p.extend_from_slice(&ctx.ciphertext_to_wire(ct));
+            body = ctx.ciphertext_to_wire(&ct);
+            Ok((JobKind::Bootstrap, body.as_slice()))
         }
         Ok(JobOutput::Accumulators(accs)) => {
-            p.push(DONE_OK);
-            p.push(KIND_BLIND_ROTATE);
-            p.extend_from_slice(&rlwe_batch_to_wire(accs, moduli));
+            body = accumulators_to_wire(ctx, &accs);
+            Ok((JobKind::BlindRotate, body.as_slice()))
         }
-        Err(e) => {
-            p.push(DONE_ERR);
-            let (code, msg) = match e {
-                RuntimeError::AllNodesFailed(last) => (ERR_ALL_NODES_FAILED, last.clone()),
-                RuntimeError::Shutdown => (ERR_SHUTDOWN, String::new()),
-                other => (0, other.to_string()),
-            };
-            p.push(code);
-            p.extend_from_slice(msg.as_bytes());
-        }
-    }
-    p
+        Err(e) => Err(e),
+    };
+    proto::encode_job_done(tag, &outcome)
 }
 
 /// One submission's completion slot on the client.
@@ -537,28 +452,18 @@ impl SessionClient {
     /// Connects and runs the ring-shape handshake. `ctx` must match the
     /// server's parameter set.
     pub fn connect(addr: impl ToSocketAddrs, ctx: &Arc<CkksContext>) -> Result<Self, RuntimeError> {
-        let addr = addr
-            .to_socket_addrs()
-            .map_err(transport)?
-            .next()
-            .ok_or_else(|| transport("no address"))?;
-        let mut stream =
-            TcpStream::connect_timeout(&addr, Duration::from_secs(5)).map_err(transport)?;
-        stream.set_nodelay(true).map_err(transport)?;
-        stream
-            .set_write_timeout(Some(Duration::from_secs(10)))
-            .map_err(transport)?;
-        let local_hello = hello_payload(ctx);
-        write_frame(&mut stream, FrameKind::Hello, &local_hello).map_err(transport)?;
-        match read_frame(&mut stream).map_err(|e| e.into_node("handshake", Duration::ZERO)) {
-            Ok((FrameKind::HelloAck, payload, _)) => {
-                check_hello(&local_hello, &payload).map_err(RuntimeError::Transport)?;
-            }
-            Ok((FrameKind::Error, payload, _)) => {
-                return Err(transport(String::from_utf8_lossy(&payload)));
-            }
-            Ok((kind, ..)) => return Err(transport(format!("unexpected handshake {kind:?}"))),
-            Err(e) => return Err(transport(e)),
+        // A node client's connect and write deadlines; reads are unbounded
+        // because the reader thread idles for as long as no job completes.
+        let t = NodeTimeouts {
+            read: Duration::ZERO,
+            ..NodeTimeouts::default()
+        };
+        let (stream, key_ids) =
+            proto::client_handshake(addr, Shape::of(ctx), t, &|_, _, _| {}).map_err(transport)?;
+        if key_ids.is_some() {
+            return Err(transport(
+                "HelloAck carries a key-id list: the peer is a node listener, not a session",
+            ));
         }
         let shared = Arc::new(ClientShared {
             ctx: Arc::clone(ctx),
@@ -595,20 +500,20 @@ impl SessionClient {
             return Err(transport("session connection lost"));
         }
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
-        let mut p = Vec::with_capacity(64);
-        p.extend_from_slice(&tag.to_le_bytes());
-        p.extend_from_slice(&opts.tenant.0.to_le_bytes());
-        p.push(priority_to_wire(opts.priority));
-        match request {
+        let (kind, body) = match request {
             JobRequest::Bootstrap { ct } => {
-                p.push(KIND_BOOTSTRAP);
-                p.extend_from_slice(&self.shared.ctx.ciphertext_to_wire(ct));
+                (JobKind::Bootstrap, self.shared.ctx.ciphertext_to_wire(ct))
             }
-            JobRequest::BlindRotate { lwes } => {
-                p.push(KIND_BLIND_ROTATE);
-                p.extend_from_slice(&lwe_batch_to_wire(lwes));
-            }
+            JobRequest::BlindRotate { lwes } => (JobKind::BlindRotate, lwe_batch_to_wire(lwes)),
+        };
+        let p = SubmitReq {
+            tag,
+            tenant: opts.tenant.0,
+            priority: Some(opts.priority),
+            kind: Some(kind),
+            body: &body,
         }
+        .encode();
         let slot = SessionSlot::new();
         // Index the tag before the frame can travel: the completion may
         // come back before the write call even returns.
@@ -646,7 +551,6 @@ impl Drop for SessionClient {
         {
             let mut w = self.writer.lock().expect("client writer");
             let _ = write_frame(&mut *w, FrameKind::Shutdown, &[]);
-            let _ = w.flush();
         }
         if let Some(t) = self.reader.take() {
             let _ = t.join();
@@ -664,45 +568,27 @@ fn client_reader(stream: &mut TcpStream, shared: &ClientShared) {
                 return;
             }
         };
-        match kind {
-            FrameKind::SubmitAck if payload.len() >= 9 => {
-                let tag = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-                let detail = &payload[9..];
-                let result = match payload[8] {
-                    ACK_REJECTED_SLO => {
-                        let ns = detail
-                            .get(..8)
-                            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-                            .unwrap_or(0);
-                        Err(RuntimeError::Rejected {
-                            retry_after: Duration::from_nanos(ns),
-                        })
-                    }
-                    ACK_SHUTDOWN => Err(RuntimeError::Shutdown),
-                    _ => Err(transport(format!(
-                        "refused: {}",
-                        String::from_utf8_lossy(detail)
-                    ))),
-                };
-                fill(shared, tag, result);
-            }
-            FrameKind::JobDone if payload.len() >= 9 => {
-                let tag = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-                fill(shared, tag, decode_job_done(&payload[8..], &shared.ctx));
-            }
-            FrameKind::Pong => {}
+        let routed = match kind {
+            FrameKind::SubmitAck => proto::decode_submit_ack(&payload)
+                .map(|(tag, refused)| (tag, Err(refused)))
+                .ok(),
+            FrameKind::JobDone => proto::decode_job_done(&payload)
+                .map(|(tag, outcome)| (tag, decode_job_output(outcome, &shared.ctx)))
+                .ok(),
+            FrameKind::Pong => continue,
             FrameKind::Error => {
-                shared.poison(&format!(
-                    "server error: {}",
-                    String::from_utf8_lossy(&payload)
-                ));
+                shared.poison(&format!("server error: {}", proto::decode_error(&payload)));
                 return;
             }
-            _ => {
-                shared.poison("unexpected frame on session");
-                return;
-            }
-        }
+            _ => None,
+        };
+        // A frame too short to carry its tag has no job to fail: it ends
+        // the session like any other frame that does not belong here.
+        let Some((tag, result)) = routed else {
+            shared.poison("unexpected frame on session");
+            return;
+        };
+        fill(shared, tag, result);
     }
 }
 
@@ -712,26 +598,18 @@ fn fill(shared: &ClientShared, tag: u64, result: Result<JobOutput, RuntimeError>
     }
 }
 
-/// Decodes the post-tag part of a `JobDone` payload.
-fn decode_job_done(body: &[u8], ctx: &CkksContext) -> Result<JobOutput, RuntimeError> {
-    match (body[0], &body[1..]) {
-        (DONE_OK, rest) if !rest.is_empty() && rest[0] == KIND_BLIND_ROTATE => {
-            rlwe_batch_from_wire(&rest[1..])
-                .map(JobOutput::Accumulators)
-                .map_err(|e| transport(format!("bad accumulator batch: {e:?}")))
-        }
-        (DONE_OK, rest) if !rest.is_empty() && rest[0] == KIND_BOOTSTRAP => ctx
-            .ciphertext_from_wire(&rest[1..])
+/// Decodes the result body a `JobDone` carries.
+fn decode_job_output(
+    outcome: JobOutcome<'_>,
+    ctx: &CkksContext,
+) -> Result<JobOutput, RuntimeError> {
+    match outcome? {
+        (JobKind::BlindRotate, body) => rlwe_batch_from_wire(body)
+            .map(JobOutput::Accumulators)
+            .map_err(|e| transport(format!("bad accumulator batch: {e:?}"))),
+        (JobKind::Bootstrap, body) => ctx
+            .ciphertext_from_wire(body)
             .map(JobOutput::Bootstrapped)
             .map_err(|e| transport(format!("bad ciphertext: {e:?}"))),
-        (DONE_ERR, rest) if !rest.is_empty() => {
-            let msg = String::from_utf8_lossy(&rest[1..]).into_owned();
-            Err(match rest[0] {
-                ERR_ALL_NODES_FAILED => RuntimeError::AllNodesFailed(msg),
-                ERR_SHUTDOWN => RuntimeError::Shutdown,
-                _ => transport(msg),
-            })
-        }
-        _ => Err(transport("malformed JobDone frame")),
     }
 }

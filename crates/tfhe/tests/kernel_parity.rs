@@ -318,3 +318,65 @@ fn blind_rotate_forced_scalar_is_bit_identical() {
 
     assert_bit_identical(&native, &scalar, "blind_rotate (forced scalar)");
 }
+
+/// The paper's ring (N = 2^13, two 36-bit limbs, `RgswParams::paper()`):
+/// one external product, one `n_mask = 4` rotation and one 4-LWE key-major
+/// tile, each against its strict oracle — on the host's backend, then again
+/// with SIMD force-disabled. The other oracle comparisons in this file run
+/// at N = 64; until it was retired, the `kernel_sweep` binary was the only
+/// place that asserted these at the ring the paper's tables are about, and
+/// nothing ran it.
+#[test]
+fn paper_ring_matches_reference() {
+    let _lock = simd_lock();
+    let n = 1usize << 13;
+    let (limbs, n_mask) = (2, 4);
+    let c = RnsContext::new(n, &ntt_primes(n as u64, 36, limbs));
+    let p = RgswParams::paper();
+    let mut rng = StdRng::seed_from_u64(2024);
+    let ring_sk = RingSecretKey::generate(&c, limbs, &mut rng);
+    let msg: Vec<i64> = (0..n).map(|i| ((i % 97) as i64) - 48).collect();
+    let ct = RlweCiphertext::encrypt(
+        &c,
+        &ring_sk,
+        &RnsPoly::from_signed(&c, &msg, limbs),
+        &mut rng,
+    );
+    let rgsw = RgswCiphertext::encrypt_scalar(&c, &ring_sk, 1, limbs, &p, &mut rng);
+    let lwe_sk = LweSecretKey::generate(&mut rng, n_mask);
+    let brk = BlindRotateKey::generate(&c, &lwe_sk, &ring_sk, limbs, p, &mut rng);
+    let two_n = 2 * n as u64;
+    let f = test_polynomial_from_fn(&c, limbs, |u| u << 40);
+    let lwes: Vec<LweCiphertext> = (0..4)
+        .map(|_| LweCiphertext {
+            a: (0..n_mask).map(|_| rng.gen_range(0..two_n)).collect(),
+            b: rng.gen_range(0..two_n),
+            modulus: two_n,
+        })
+        .collect();
+    let product_oracle = external_product_reference(&ct, &rgsw, &c, &p);
+    let rotation_oracles: Vec<RlweCiphertext> = lwes
+        .iter()
+        .map(|lwe| brk.blind_rotate_reference(&c, &f, lwe))
+        .collect();
+
+    let check = |backend: &str| {
+        let product = external_product(&ct, &rgsw, &c, &p);
+        assert_bit_identical(&product, &product_oracle, &format!("{backend} product"));
+        let single = brk.blind_rotate(&c, &f, &lwes[0]);
+        assert_bit_identical(
+            &single,
+            &rotation_oracles[0],
+            &format!("{backend} rotation"),
+        );
+        let mut scratch = BlindRotateScratch::default();
+        let tile = brk.blind_rotate_batch_with(&c, &f, &lwes, &mut scratch);
+        assert_eq!(tile.len(), lwes.len());
+        for (got, want) in tile.iter().zip(&rotation_oracles) {
+            assert_bit_identical(got, want, &format!("{backend} key-major tile"));
+        }
+    };
+    check("native");
+    let _scalar = ForcedScalar::new();
+    check("forced-scalar");
+}
