@@ -104,9 +104,31 @@ impl JobOutput {
     }
 }
 
+/// A job's result, from submission to collection. `Taken` is what keeps a
+/// collected job completed: the client can take the result away, but not
+/// the fact that there was one.
+enum Slot {
+    Pending,
+    Ready(Result<JobOutput, RuntimeError>, Duration),
+    Taken,
+}
+
+impl Slot {
+    /// The result and latency, once.
+    fn take(&mut self) -> Option<(Result<JobOutput, RuntimeError>, Duration)> {
+        match std::mem::replace(self, Slot::Taken) {
+            Slot::Ready(result, latency) => Some((result, latency)),
+            other => {
+                *self = other;
+                None
+            }
+        }
+    }
+}
+
 /// Shared completion slot between the service and a [`JobHandle`].
 pub(crate) struct JobState {
-    slot: Mutex<Option<(Result<JobOutput, RuntimeError>, Duration)>>,
+    slot: Mutex<Slot>,
     done: Condvar,
     submitted: Instant,
     /// Completion hook: the session server installs a closure (before
@@ -127,7 +149,7 @@ impl std::fmt::Debug for JobState {
 impl JobState {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(Self {
-            slot: Mutex::new(None),
+            slot: Mutex::new(Slot::Pending),
             done: Condvar::new(),
             submitted: Instant::now(),
             notify: Mutex::new(None),
@@ -150,18 +172,14 @@ impl JobState {
     /// race is possible because completion runs on pipeline threads),
     /// the hook fires immediately instead of being stored.
     pub(crate) fn set_notifier(&self, f: Box<dyn FnOnce() + Send>) {
-        let run_now = {
+        {
             let slot = self.slot.lock().expect("job slot poisoned");
-            if slot.is_some() {
-                true
-            } else {
+            if matches!(*slot, Slot::Pending) {
                 *self.notify.lock().expect("job notifier poisoned") = Some(f);
                 return;
             }
-        };
-        if run_now {
-            f();
         }
+        f();
     }
 
     /// Fulfills the job, asserting nobody beat us to it (tests; the
@@ -172,9 +190,10 @@ impl JobState {
         assert!(self.complete_if_pending(result), "job completed twice");
     }
 
-    /// Fulfills the job unless it already completed; returns whether this
-    /// call won. Racing with a normal completion is harmless (tests; the
-    /// service always settles accounting via [`JobState::complete_and`]).
+    /// Fulfills the job unless it already completed — collected or not;
+    /// returns whether this call won. Racing with a normal completion is
+    /// harmless (tests; the service always settles accounting via
+    /// [`JobState::complete_and`]).
     #[cfg(test)]
     pub(crate) fn complete_if_pending(&self, result: Result<JobOutput, RuntimeError>) -> bool {
         self.complete_and(result, || {})
@@ -193,10 +212,10 @@ impl JobState {
         let latency = self.submitted.elapsed();
         {
             let mut slot = self.slot.lock().expect("job slot poisoned");
-            if slot.is_some() {
+            if !matches!(*slot, Slot::Pending) {
                 return false;
             }
-            *slot = Some((result, latency));
+            *slot = Slot::Ready(result, latency);
             on_win();
             self.done.notify_all();
         }
@@ -210,11 +229,8 @@ impl JobState {
 
     /// Takes the result if the job already finished (non-blocking).
     pub(crate) fn take_result(&self) -> Option<Result<JobOutput, RuntimeError>> {
-        self.slot
-            .lock()
-            .expect("job slot poisoned")
-            .take()
-            .map(|(r, _)| r)
+        let taken = self.slot.lock().expect("job slot poisoned").take();
+        taken.map(|(result, _)| result)
     }
 }
 
@@ -326,6 +342,21 @@ mod tests {
             f.store(true, std::sync::atomic::Ordering::SeqCst)
         }));
         assert!(fired.load(std::sync::atomic::Ordering::SeqCst));
+    }
+
+    /// The client takes the result out of the slot; that must not make
+    /// the job completable again (a panicking stage walks every job of
+    /// its batch, collected ones included, and would settle them twice).
+    #[test]
+    fn a_collected_job_cannot_be_completed_again() {
+        let state = JobState::new();
+        let wins = std::cell::Cell::new(0);
+        let on_win = || wins.set(wins.get() + 1);
+        assert!(state.complete_and(Ok(JobOutput::Accumulators(Vec::new())), on_win));
+        assert!(matches!(state.take_result(), Some(Ok(_))));
+        assert!(!state.complete_and(Err(RuntimeError::Shutdown), on_win));
+        assert_eq!(wins.get(), 1, "on_win ran once");
+        assert!(state.take_result().is_none(), "nothing new to collect");
     }
 
     #[test]

@@ -33,8 +33,10 @@
 //!    `heap-node-serve` process ([`serve`]), using the `heap-tfhe` wire
 //!    encodings, so a `TransferLedger` fed by it records bytes *measured
 //!    on a real socket* rather than modeled.
-//! 5. **Fault tolerance** (`scheduler`, `fault`) — every node sits
-//!    behind a circuit breaker (Closed → Open → HalfOpen); failed shards
+//! 5. **Fault tolerance** (`policy`, `scheduler`, `fault`) — every node
+//!    sits behind a circuit breaker (Closed → Open → HalfOpen; `policy`
+//!    holds that table and every other scheduling decision as pure
+//!    functions, `scheduler` the threads and locks); failed shards
 //!    are retried with exponential backoff and deterministic jitter, a
 //!    background prober pings Open nodes and readmits recovered ones,
 //!    socket operations all carry deadlines (hung peers surface as typed
@@ -71,6 +73,7 @@ mod channel;
 mod fault;
 mod job;
 mod node;
+mod policy;
 mod preset;
 mod proto;
 mod queue;
@@ -85,17 +88,17 @@ pub use batch::BatchPolicy;
 pub use fault::{ChaosNode, FaultAction, FaultPlan, FaultState};
 pub use job::{JobHandle, JobId, JobOutput, JobRequest, Priority, TenantId};
 pub use node::{attest_digest, AttestedBatch, LocalServiceNode, NodeError, ServiceNode};
+pub use policy::RetryPolicy;
 pub use preset::{
     insecure_deterministic_setup, keyed_setup, DeterministicSetup, KeyedSetup, ParamPreset,
 };
 pub use queue::FairnessPolicy;
 pub use remote::{NodeTimeouts, RemoteNode};
-pub use scheduler::{RetryPolicy, Scheduler, SchedulerStats};
+pub use scheduler::Scheduler;
 pub use server::{serve, serve_keyless, NodeKeyStore, NodeTelemetry, ServeOptions};
-pub use service::{
-    BootstrapService, PipelineConfig, RuntimeConfig, RuntimeStats, SloPolicy, SubmitOptions,
-};
+pub use service::{BootstrapService, PipelineConfig, RuntimeConfig, SloPolicy, SubmitOptions};
 pub use session::{SessionClient, SessionJob, SessionServer};
+pub use telemetry::{RuntimeStats, SchedulerStats};
 
 // The key-distribution vocabulary types, re-exported so runtime clients
 // need not depend on `heap-keys` directly.

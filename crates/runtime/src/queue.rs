@@ -156,6 +156,12 @@ impl SubmissionQueue {
         self.inner.lock().expect("queue poisoned").total
     }
 
+    /// Tenants the queue currently holds state for.
+    #[cfg(test)]
+    fn tenant_entries(&self) -> usize {
+        self.inner.lock().expect("queue poisoned").tenants.len()
+    }
+
     /// Blocking submit: waits for capacity (backpressure).
     pub fn submit(&self, job: PendingJob) -> Result<(), RuntimeError> {
         let mut inner = self.inner.lock().expect("queue poisoned");
@@ -236,8 +242,11 @@ impl SubmissionQueue {
             tq.deficit -= cost;
             if tq.heap.is_empty() {
                 // Standard DRR: an idling tenant forfeits its deficit, so
-                // it cannot bank service while absent.
-                tq.deficit = 0;
+                // it cannot bank service while absent — and with nothing
+                // left to remember, its entry goes too: tenant ids arrive
+                // off the wire, and a map that only grows is one retained
+                // heap per id a peer ever sent.
+                inner.tenants.remove(&tenant);
                 inner.ring.pop_front();
             }
             inner.total -= 1;
@@ -480,6 +489,23 @@ mod tests {
         q.submit(job_for(0, Priority::Normal, TenantId(9), 4096))
             .unwrap();
         assert_eq!(q.pop_wait().unwrap().id.0, 0);
+    }
+
+    /// Tenant ids come straight from `SubmitReq` frames: a tenant with
+    /// nothing queued must cost nothing.
+    #[test]
+    fn idle_tenants_leave_no_entry_behind() {
+        let q = SubmissionQueue::new(4);
+        let mut popped = 0;
+        for i in 0..10_000 {
+            q.submit(job_for(i, Priority::Normal, TenantId(i), 1))
+                .unwrap();
+            if q.len() == 4 {
+                popped += (0..4).filter_map(|_| q.pop_wait()).count();
+            }
+        }
+        assert_eq!(popped, 10_000);
+        assert_eq!(q.tenant_entries(), 0);
     }
 
     #[test]

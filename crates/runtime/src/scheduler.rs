@@ -7,359 +7,105 @@
 //! that node, which matters when several batches overlap or nodes differ
 //! in speed).
 //!
-//! Failure handling is a per-node circuit breaker plus per-shard retry
-//! with exponential backoff:
-//!
-//! ```text
-//!            failure (threshold consecutive)
-//!   Closed ────────────────────────────────▶ Open
-//!     ▲                                       │ open_for elapses
-//!     │ success (readmission)                 ▼ (prober)
-//!     └───────────────────────────────── HalfOpen
-//!                 failure: back to Open, doubled duration
-//! ```
+//! Every *decision* along the way — what a failure does to a node's
+//! circuit breaker, how racing attempts settle a shard, how long to back
+//! off, which shard to audit, when and where to hedge — is a pure function
+//! in [`crate::policy`] (its module docs hold the breaker diagram). This
+//! file is what has to touch the world: it calls the node, validates shape
+//! and attestation, takes the lock, asks the table, and applies the answer.
 //!
 //! A node whose breaker is `Open` receives no shards. A background
 //! health prober wakes every `probe_interval`, moves due `Open` breakers
 //! to `HalfOpen`, and probes the node ([`ServiceNode::probe`] — for a
-//! remote node: reconnect, re-handshake, ping). A successful probe (or a
-//! successful `HalfOpen` shard) *readmits* the node into dispatch; a
-//! failed one re-opens the breaker with doubled duration. Failed shards
-//! are reassigned to the surviving nodes with exponential backoff and
-//! deterministic jitter between rounds. When dispatchable capacity drops
-//! below [`RetryPolicy::min_dispatch_nodes`] and a *fallback* node is
-//! configured, the fallback joins the rotation — a batch never fails
-//! while the host itself can still compute. Only when nothing can serve
-//! a shard does the batch fail, with a typed [`RuntimeError`].
+//! remote node: reconnect, re-handshake, ping). Failed shards are
+//! reassigned to the surviving nodes with exponential backoff and
+//! deterministic jitter between rounds. When no regular node is
+//! dispatchable and a *fallback* node is configured, the fallback carries
+//! the round — a batch never fails while the host itself can still
+//! compute. Only when nothing can serve a shard does the batch fail, with
+//! a typed [`RuntimeError`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use heap_ckks::CkksContext;
 use heap_core::Bootstrapper;
 use heap_tfhe::{LweCiphertext, RlweCiphertext};
 
 use crate::node::{NodeError, ServiceNode};
-use crate::telemetry::SchedulerTelemetry;
+use crate::policy::{
+    self, BreakerEvent, BreakerState, RetryPolicy, Role, Settle, Shard, Transition, MAX_ROUNDS,
+};
+use crate::telemetry::{SchedulerStats, SchedulerTelemetry};
 use crate::RuntimeError;
 
-/// Retry, circuit-breaker, probing, hedging, and degradation knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Re-dispatch rounds per batch before giving up (round 0 is the
-    /// initial dispatch).
-    pub max_rounds: usize,
-    /// Backoff before re-dispatch round `r` is
-    /// `min(base_backoff · 2^(r-1), max_backoff)`, stretched by up to
-    /// +50% deterministic jitter. Zero disables backoff sleeps.
-    pub base_backoff: Duration,
-    /// Cap on the exponential backoff.
-    pub max_backoff: Duration,
-    /// Consecutive failures that open a node's breaker.
-    pub breaker_threshold: u32,
-    /// How long a breaker stays open before the prober half-opens it;
-    /// doubles on each consecutive re-open.
-    pub breaker_open_for: Duration,
-    /// Cap on the doubled open duration.
-    pub breaker_max_open: Duration,
-    /// Health-prober wake interval (zero disables the prober).
-    pub probe_interval: Duration,
-    /// When fewer than this many regular nodes are dispatchable and a
-    /// fallback is configured, the fallback joins the rotation.
-    pub min_dispatch_nodes: usize,
-    /// Straggler hedging: when `Some(m)`, a shard still unresolved after
-    /// `max(hedge_min_latency, m × fastest-other-node shard EWMA)` is
-    /// speculatively re-dispatched to the best node that has not yet
-    /// tried it; the first bit-valid result wins and the loser is
-    /// discarded (and counted). `None` disables hedging.
-    pub hedge_after: Option<f64>,
-    /// Floor on the hedge trigger, so tiny EWMAs never cause a hedge
-    /// storm on healthy fleets.
-    pub hedge_min_latency: Duration,
-    /// Shard-latency samples a candidate node needs before its EWMA may
-    /// serve as the hedge reference (cold nodes neither trigger nor
-    /// anchor hedges).
-    pub hedge_min_samples: u64,
-    /// Fraction of shards (deterministically sampled) redundantly
-    /// dispatched to a second node and bit-compared; a digest mismatch
-    /// quarantines both nodes. `0.0` disables auditing.
-    pub audit_fraction: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_rounds: 8,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
-            breaker_threshold: 1,
-            breaker_open_for: Duration::from_millis(250),
-            breaker_max_open: Duration::from_secs(5),
-            probe_interval: Duration::from_millis(100),
-            min_dispatch_nodes: 1,
-            hedge_after: None,
-            hedge_min_latency: Duration::from_millis(25),
-            hedge_min_samples: 3,
-            audit_fraction: 0.0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Millisecond-scale breaker/probe timings for fast deterministic
-    /// tests: failures open immediately, probes run every 10 ms, and
-    /// backoff sleeps stay negligible.
-    pub fn test_fast() -> Self {
-        Self {
-            max_rounds: 8,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(4),
-            breaker_threshold: 1,
-            breaker_open_for: Duration::from_millis(20),
-            breaker_max_open: Duration::from_millis(200),
-            probe_interval: Duration::from_millis(10),
-            min_dispatch_nodes: 1,
-            ..Self::default()
-        }
-    }
-
-    /// [`RetryPolicy::test_fast`] with breakers that never half-open
-    /// within a test's lifetime — for asserting that failed nodes *stay*
-    /// out of dispatch.
-    pub fn test_no_readmission() -> Self {
-        Self {
-            breaker_open_for: Duration::from_secs(3600),
-            breaker_max_open: Duration::from_secs(3600),
-            probe_interval: Duration::from_secs(3600),
-            ..Self::test_fast()
-        }
-    }
-}
-
-/// splitmix64: the deterministic jitter source (no global RNG, no wall
-/// clock — identical runs jitter identically).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// A jitter factor in `[0, 1)` derived from `(batch, round)`.
-fn jitter01(batch: u64, round: usize) -> f64 {
-    (splitmix64(batch.wrapping_mul(31).wrapping_add(round as u64)) >> 11) as f64
-        / (1u64 << 53) as f64
-}
-
-/// An audit-sampling draw in `[0, 1)` derived from `(batch, slot)` —
-/// deterministic like the jitter, but on an independent stream so audit
-/// picks never correlate with backoff stretching.
-fn audit01(batch: u64, slot: usize) -> f64 {
-    (splitmix64(
-        batch
-            .wrapping_mul(0x517C_C1B7_2722_0A95)
-            .wrapping_add(slot as u64),
-    ) >> 11) as f64
-        / (1u64 << 53) as f64
-}
-
-/// Circuit-breaker state for one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerState {
-    /// Dispatchable; counts consecutive failures toward the threshold.
-    Closed { consecutive: u32 },
-    /// Out of dispatch until `until`; `streak` consecutive opens scale
-    /// the next open duration.
-    Open { until: Instant, streak: u32 },
-    /// Trial mode: one probe or shard decides readmission vs re-open.
-    HalfOpen { streak: u32 },
-    /// Caught returning wrong bits (audit mismatch): permanently out of
-    /// dispatch — the prober never half-opens it and successes never
-    /// readmit it. Corruption is not a transient a retry can outwait.
-    Quarantined,
-}
-
-#[derive(Debug)]
-struct Breaker {
-    state: Mutex<BreakerState>,
-}
-
-impl Breaker {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(BreakerState::Closed { consecutive: 0 }),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BreakerState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Closed or HalfOpen nodes accept shards.
-    fn is_dispatchable(&self) -> bool {
-        !matches!(
-            *self.lock(),
-            BreakerState::Open { .. } | BreakerState::Quarantined
-        )
-    }
-
-    /// Permanently removes the node from dispatch (audit mismatch).
-    /// Returns `true` when the node was not already quarantined.
-    fn quarantine(&self) -> bool {
-        let mut state = self.lock();
-        if matches!(*state, BreakerState::Quarantined) {
-            return false;
-        }
-        *state = BreakerState::Quarantined;
-        true
-    }
-
-    /// Records a successful call. Returns `true` when this *readmitted*
-    /// the node (HalfOpen → Closed). Quarantine is sticky: a success
-    /// from a quarantined node (a late hedge loser) changes nothing.
-    fn on_success(&self) -> bool {
-        let mut state = self.lock();
-        if matches!(*state, BreakerState::Quarantined) {
-            return false;
-        }
-        let was_half_open = matches!(*state, BreakerState::HalfOpen { .. });
-        *state = BreakerState::Closed { consecutive: 0 };
-        was_half_open
-    }
-
-    /// Records a failed call. Returns `true` when this opened the
-    /// breaker (Closed past threshold, or a failed HalfOpen trial).
-    fn on_failure(&self, policy: &RetryPolicy, now: Instant) -> bool {
-        let mut state = self.lock();
-        match *state {
-            BreakerState::Quarantined => false,
-            BreakerState::Closed { consecutive } => {
-                let consecutive = consecutive + 1;
-                if consecutive >= policy.breaker_threshold {
-                    *state = BreakerState::Open {
-                        until: now + policy.breaker_open_for,
-                        streak: 1,
-                    };
-                    true
-                } else {
-                    *state = BreakerState::Closed { consecutive };
-                    false
-                }
-            }
-            BreakerState::HalfOpen { streak } | BreakerState::Open { streak, .. } => {
-                let streak = streak.saturating_add(1);
-                let open_for = policy
-                    .breaker_open_for
-                    .saturating_mul(1u32 << (streak - 1).min(16))
-                    .min(policy.breaker_max_open);
-                *state = BreakerState::Open {
-                    until: now + open_for,
-                    streak,
-                };
-                true
-            }
-        }
-    }
-
-    /// Open past its deadline → HalfOpen; returns `true` if the caller
-    /// should now probe the node.
-    fn half_open_if_due(&self, now: Instant) -> bool {
-        let mut state = self.lock();
-        if let BreakerState::Open { until, streak } = *state {
-            if now >= until {
-                *state = BreakerState::HalfOpen { streak };
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// Counters accumulated across a scheduler's lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SchedulerStats {
-    /// Batches executed to completion (success or failure).
-    pub batches: u64,
-    /// Shards dispatched, including reassigned, hedged, audit-twin, and
-    /// fallback ones.
-    pub shards: u64,
-    /// Shards re-dispatched after a failed attempt.
-    pub reassignments: u64,
-    /// Failed node calls (transport, protocol, timeout, short reply,
-    /// integrity).
-    pub node_failures: u64,
-    /// Breaker transitions into `Open`.
-    pub breaker_opens: u64,
-    /// Nodes readmitted into dispatch (HalfOpen → Closed).
-    pub readmissions: u64,
-    /// Shards served by the fallback node.
-    pub fallback_shards: u64,
-    /// Speculative hedge attempts dispatched for straggling shards.
-    pub hedges_issued: u64,
-    /// Shards whose winning result came from a hedge attempt.
-    pub hedges_won: u64,
-    /// Valid results discarded because another attempt already won.
-    pub hedges_wasted: u64,
-    /// Corruption caught by the wire CRC layer.
-    pub corruption_crc: u64,
-    /// Corruption caught by the end-to-end attestation digest.
-    pub corruption_attest: u64,
-    /// Corruption caught by redundant-dispatch audit comparison.
-    pub corruption_audit: u64,
-    /// Nodes permanently quarantined after an audit mismatch.
-    pub quarantines: u64,
+/// Every update under these locks leaves the data valid at every step, so
+/// a panicking holder poisons nothing worth refusing.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 struct NodeSlot {
     node: Box<dyn ServiceNode>,
-    breaker: Breaker,
+    /// A cluster node, or the local last resort used when remote capacity
+    /// is gone; the breaker table treats the two differently.
+    role: Role,
+    breaker: Mutex<BreakerState>,
     /// Blind rotations currently in flight on this node.
     inflight: AtomicUsize,
     /// EWMA of this node's shard round-trip latency in nanoseconds
-    /// (`(3·old + sample) / 4`, successes only) — the hedge trigger's
+    /// ([`policy::ewma_fold`], successes only) — the hedge trigger's
     /// reference clock.
     ewma_ns: AtomicU64,
     /// Successful shard samples folded into the EWMA.
     ewma_samples: AtomicU64,
 }
 
+impl NodeSlot {
+    fn new(node: Box<dyn ServiceNode>, role: Role) -> Self {
+        Self {
+            node,
+            role,
+            breaker: Mutex::new(BreakerState::NEW),
+            inflight: AtomicUsize::new(0),
+            ewma_ns: AtomicU64::new(0),
+            ewma_samples: AtomicU64::new(0),
+        }
+    }
+}
+
 /// One shard's bookkeeping within a dispatch round. Attempts (primary,
-/// audit twin, hedge) race to resolve it; workers mutate this under the
+/// audit twin, hedge) race to settle it; workers mutate this under the
 /// round lock.
 struct ShardRound {
     /// Output slot in the batch.
     slot: usize,
     /// The shard's LWE index range.
-    range: std::ops::Range<usize>,
-    /// Attempts currently in flight.
-    outstanding: usize,
+    range: Range<usize>,
     /// Node indices already attempted (never hedge to one of these).
     tried: Vec<usize>,
-    /// Audit shard: resolves only on two bit-equal validated results
-    /// (or one, if every other attempt failed outright).
-    audit: bool,
-    /// A hedge was issued for this shard.
-    hedged: bool,
     /// When the round's first attempt was dispatched (hedge timing).
     started: Instant,
-    /// First validated result, held for audit comparison.
-    held: Option<(usize, u64, Vec<RlweCiphertext>)>,
-    /// The winning accumulators once resolved.
-    winner: Option<Vec<RlweCiphertext>>,
-    /// A validated result won; late arrivals are discarded.
-    resolved: bool,
-    /// Every attempt failed; the shard re-enters `pending` next round.
-    failed: bool,
+    /// The race itself: attempts out, held audit result, winner.
+    race: Shard<Vec<RlweCiphertext>>,
 }
 
 struct RoundState {
     shards: Vec<ShardRound>,
-    /// Shards neither resolved nor failed yet; the round ends at zero.
+    /// Shards not settled yet; the round ends at zero.
     unresolved: usize,
     last_err: String,
+}
+
+/// What every attempt of a batch computes on. Workers are detached (a
+/// stalled loser must not block the batch), so they share it by `Arc`
+/// rather than borrow.
+struct Batch {
+    ctx: Arc<CkksContext>,
+    boot: Arc<Bootstrapper>,
+    lwes: Vec<LweCiphertext>,
 }
 
 /// Shared between the dispatching batch loop and its detached workers.
@@ -367,29 +113,17 @@ struct RoundState {
 /// hedge losers); they hold their own round's `Arc` and can never touch
 /// a later round's state.
 struct Round {
+    batch: Arc<Batch>,
     state: Mutex<RoundState>,
     cv: Condvar,
 }
 
-impl Round {
-    fn lock(&self) -> std::sync::MutexGuard<'_, RoundState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// Sentinel node index for the fallback in an assignment round.
-const FALLBACK: usize = usize::MAX;
-
 /// State shared between the scheduler handle and its prober thread.
 struct Inner {
+    /// The regular nodes, then the last-resort slot if one is configured.
     slots: Vec<NodeSlot>,
-    /// Local last resort when remote capacity degrades; never breaker-
-    /// gated, but abandoned for good if it ever fails.
-    fallback: Option<Box<dyn ServiceNode>>,
-    fallback_failed: AtomicBool,
-    fallback_inflight: AtomicUsize,
+    /// How many of `slots` are regular nodes.
+    regular: usize,
     policy: RetryPolicy,
     /// Batch sequence for deterministic jitter seeding (distinct from the
     /// telemetry counter so concurrent batches never share a seed).
@@ -403,195 +137,201 @@ struct Inner {
 }
 
 impl Inner {
-    /// Dispatchable node indices: key-holding nodes first (a node that
-    /// already caches the batch's evaluation key skips the upload), then
-    /// least-loaded (stable on ties), with the [`FALLBACK`] sentinel
-    /// appended when capacity has degraded below the policy floor and a
-    /// fallback is available.
+    /// The dispatchable slots by role, in slot order: the regular nodes,
+    /// and the last-resort slot if it is still trusted.
+    fn dispatchable(&self) -> (Vec<usize>, Option<usize>) {
+        let mut regular = Vec::new();
+        let mut last_resort = None;
+        for (i, slot) in self.slots.iter().enumerate() {
+            if lock(&slot.breaker).is_dispatchable() {
+                match slot.role {
+                    Role::Regular => regular.push(i),
+                    Role::LastResort => last_resort = Some(i),
+                }
+            }
+        }
+        (regular, last_resort)
+    }
+
+    /// Dispatch targets: key-holding nodes first (a node that already
+    /// caches the batch's evaluation key skips the upload), then
+    /// least-loaded (stable on ties). The last-resort slot joins when no
+    /// regular node is dispatchable.
     fn ranked_dispatchable(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.slots.len())
-            .filter(|&i| self.slots[i].breaker.is_dispatchable())
-            .collect();
-        idx.sort_by_key(|&i| {
+        let (mut ranked, last_resort) = self.dispatchable();
+        ranked.sort_by_key(|&i| {
             let slot = &self.slots[i];
             (
                 !slot.node.holds_key(),
                 slot.inflight.load(Ordering::Relaxed),
             )
         });
-        if idx.len() < self.policy.min_dispatch_nodes
-            && self.fallback.is_some()
-            && !self.fallback_failed.load(Ordering::Relaxed)
-        {
-            idx.push(FALLBACK);
+        if ranked.is_empty() {
+            ranked.extend(last_resort);
         }
-        idx
+        ranked
     }
 
-    fn node(&self, idx: usize) -> &dyn ServiceNode {
-        if idx == FALLBACK {
-            self.fallback.as_deref().expect("fallback configured")
-        } else {
-            self.slots[idx].node.as_ref()
-        }
-    }
-
-    fn inflight(&self, idx: usize) -> &AtomicUsize {
-        if idx == FALLBACK {
-            &self.fallback_inflight
-        } else {
-            &self.slots[idx].inflight
-        }
-    }
-
-    fn record_success(&self, node_idx: usize) {
-        if node_idx == FALLBACK {
-            return;
-        }
+    /// Feeds one event through a node's breaker table and applies the
+    /// transition it answers with. Returns whether the state changed.
+    fn step(&self, node_idx: usize, event: BreakerEvent, why: &str) -> bool {
         let slot = &self.slots[node_idx];
-        if slot.breaker.on_success() {
-            self.telemetry.readmissions.inc();
-            self.telemetry.events.record(
-                "readmission",
-                &slot.node.name(),
-                "half-open shard succeeded",
-            );
+        let (changed, transition) = {
+            let mut state = lock(&slot.breaker);
+            let (next, transition) = state.on(event, slot.role, &self.policy, Instant::now());
+            let changed = next != *state;
+            *state = next;
+            (changed, transition)
+        };
+        if let Some(transition) = transition {
+            self.apply(slot.node.as_ref(), transition, why);
         }
+        changed
+    }
+
+    /// Books a breaker transition — the one place a transition is counted
+    /// and logged, whichever of a shard, a probe or an audit caused it.
+    fn apply(&self, node: &dyn ServiceNode, transition: Transition, why: &str) {
+        let counters = &self.telemetry.counters;
+        let kind = match transition {
+            Transition::Opened => {
+                counters.breaker_opens.inc();
+                "breaker_open"
+            }
+            Transition::Readmitted => {
+                counters.readmissions.inc();
+                "readmission"
+            }
+            Transition::Quarantined => {
+                counters.quarantines.inc();
+                "quarantine"
+            }
+            // Kept as found: an abandoned last resort books nothing (its
+            // failure itself is counted by `record_failure`).
+            Transition::Abandoned => return,
+        };
+        self.telemetry.events.record(kind, &node.name(), why);
     }
 
     /// Books a failed attempt: failure counter, corruption-layer counter
-    /// for integrity failures, breaker transition. Returns the
-    /// `node: why` string the batch keeps as its last error.
+    /// for integrity failures, breaker event. Returns the `node: why`
+    /// string the batch keeps as its last error.
     fn record_failure(&self, node_idx: usize, err: &NodeError) -> String {
-        self.telemetry.node_failures.inc();
+        let counters = &self.telemetry.counters;
+        let name = self.slots[node_idx].node.name();
         let why = err.to_string();
+        counters.node_failures.inc();
         if let NodeError::Corrupt { phase, .. } = err {
             match *phase {
-                "crc" => self.telemetry.corruption_crc.inc(),
-                "audit" => self.telemetry.corruption_audit.inc(),
-                _ => self.telemetry.corruption_attest.inc(),
+                "crc" => counters.corruption_crc.inc(),
+                _ => counters.corruption_attest.inc(),
             }
-            let name = if node_idx == FALLBACK {
-                self.fallback.as_ref().expect("fallback configured").name()
-            } else {
-                self.slots[node_idx].node.name()
-            };
             self.telemetry.events.record("corruption", &name, &why);
         }
-        if node_idx == FALLBACK {
-            self.fallback_failed.store(true, Ordering::Relaxed);
-            return format!(
-                "{}: {why}",
-                self.fallback.as_ref().expect("fallback configured").name()
-            );
-        }
-        let slot = &self.slots[node_idx];
-        if slot.breaker.on_failure(&self.policy, Instant::now()) {
-            self.telemetry.breaker_opens.inc();
-            self.telemetry
-                .events
-                .record("breaker_open", &slot.node.name(), &why);
-        }
-        format!("{}: {why}", slot.node.name())
+        self.step(node_idx, BreakerEvent::Failed, &why);
+        format!("{name}: {why}")
     }
 
-    /// Permanently removes a node from dispatch after it was caught
-    /// returning wrong bits (audit mismatch). Idempotent: a node is
-    /// counted and logged once.
-    fn quarantine(&self, node_idx: usize, why: &str) {
-        if node_idx == FALLBACK {
-            if !self.fallback_failed.swap(true, Ordering::Relaxed) {
-                self.telemetry.quarantines.inc();
-                self.telemetry.events.record("quarantine", "fallback", why);
+    /// Opens a dispatch round over `pending` and launches each shard's
+    /// first attempt (and an audited shard's twin).
+    fn dispatch_round(
+        self: &Arc<Self>,
+        batch: &Arc<Batch>,
+        pending: &[(usize, Range<usize>)],
+        ranked: &[usize],
+        audited: impl Fn(usize) -> bool,
+    ) -> Arc<Round> {
+        let started = Instant::now();
+        let round = Arc::new(Round {
+            batch: Arc::clone(batch),
+            state: Mutex::new(RoundState {
+                shards: pending
+                    .iter()
+                    .map(|(slot, range)| ShardRound {
+                        slot: *slot,
+                        range: range.clone(),
+                        tried: Vec::new(),
+                        started,
+                        race: Shard::new(audited(*slot)),
+                    })
+                    .collect(),
+                unresolved: pending.len(),
+                last_err: String::new(),
+            }),
+            cv: Condvar::new(),
+        });
+        // Shard j of this round goes to the j-th least-loaded node
+        // (wrapping when shards outnumber dispatchable nodes); an audited
+        // shard also goes to the next node.
+        let mut st = lock(&round.state);
+        for j in 0..pending.len() {
+            self.spawn_attempt(&round, &mut st, j, ranked[j % ranked.len()], false);
+            if st.shards[j].race.is_audit() {
+                self.spawn_attempt(&round, &mut st, j, ranked[(j + 1) % ranked.len()], false);
             }
-            return;
         }
-        let slot = &self.slots[node_idx];
-        if slot.breaker.quarantine() {
-            self.telemetry.quarantines.inc();
-            self.telemetry
-                .events
-                .record("quarantine", &slot.node.name(), why);
-        }
+        drop(st);
+        round
     }
 
     /// Dispatches one attempt of one shard on a detached worker thread.
     /// The caller holds the round lock (`st`) so attempt bookkeeping and
     /// the spawn are atomic with respect to other workers.
-    #[allow(clippy::too_many_arguments)]
     fn spawn_attempt(
         self: &Arc<Self>,
-        ctx: &Arc<CkksContext>,
-        boot: &Arc<Bootstrapper>,
-        lwes: &Arc<Vec<LweCiphertext>>,
         round: &Arc<Round>,
         st: &mut RoundState,
         shard_idx: usize,
         node_idx: usize,
         hedge: bool,
     ) {
+        let counters = &self.telemetry.counters;
+        let slot = &self.slots[node_idx];
         let sh = &mut st.shards[shard_idx];
         let range = sh.range.clone();
-        sh.outstanding += 1;
+        sh.race.launched(hedge);
         sh.tried.push(node_idx);
         if hedge {
-            sh.hedged = true;
-            self.telemetry.hedges_issued.inc();
+            counters.hedges_issued.inc();
         }
-        self.inflight(node_idx)
-            .fetch_add(range.len(), Ordering::Relaxed);
-        self.telemetry.shards.inc();
-        if node_idx == FALLBACK {
-            self.telemetry.fallback_shards.inc();
+        slot.inflight.fetch_add(range.len(), Ordering::Relaxed);
+        counters.shards.inc();
+        if slot.role == Role::LastResort {
+            counters.fallback_shards.inc();
         }
-        let (inner, ctx, boot, lwes, round) = (
-            Arc::clone(self),
-            Arc::clone(ctx),
-            Arc::clone(boot),
-            Arc::clone(lwes),
-            Arc::clone(round),
-        );
+        let (inner, round) = (Arc::clone(self), Arc::clone(round));
         std::thread::Builder::new()
             .name("heap-shard".into())
-            .spawn(move || {
-                inner.shard_attempt(
-                    &ctx, &boot, &lwes, &round, shard_idx, node_idx, hedge, range,
-                )
-            })
+            .spawn(move || inner.shard_attempt(&round, shard_idx, node_idx, hedge, range))
             .expect("spawn shard worker");
     }
 
     /// One attempt, worker-side: call the node, validate shape and
     /// attestation, then settle into the round state. Late results for
-    /// already-resolved shards (hedge losers, stragglers) are discarded
+    /// already-settled shards (hedge losers, stragglers) are discarded
     /// here — they never reach the caller.
-    #[allow(clippy::too_many_arguments)]
     fn shard_attempt(
         &self,
-        ctx: &Arc<CkksContext>,
-        boot: &Arc<Bootstrapper>,
-        lwes: &Arc<Vec<LweCiphertext>>,
         round: &Round,
         shard_idx: usize,
         node_idx: usize,
         hedge: bool,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
     ) {
+        let Batch { ctx, boot, lwes } = &*round.batch;
+        let counters = &self.telemetry.counters;
+        let slot = &self.slots[node_idx];
         let shard = &lwes[range];
         let t0 = Instant::now();
         // A panicking node must not take the whole batch down: treat it
         // as that attempt failing and let retry/hedging handle it.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.node(node_idx)
-                .try_blind_rotate_attested(ctx, boot, shard)
+            slot.node.try_blind_rotate_attested(ctx, boot, shard)
         }))
         .unwrap_or_else(|_| Err(NodeError::Io("node panicked".into())));
-        let elapsed = t0.elapsed();
-        self.telemetry
-            .shard_round_trip_ns
-            .record(elapsed.as_nanos() as u64);
-        self.inflight(node_idx)
-            .fetch_sub(shard.len(), Ordering::Relaxed);
+        let elapsed_ns = t0.elapsed().as_nanos() as u64;
+        self.telemetry.shard_round_trip_ns.record(elapsed_ns);
+        slot.inflight.fetch_sub(shard.len(), Ordering::Relaxed);
         let result = result.and_then(|batch| {
             if batch.accs.len() != shard.len() {
                 return Err(NodeError::Mismatch("short reply"));
@@ -607,128 +347,102 @@ impl Inner {
             }
             Ok(batch)
         });
-        let mut st = round.lock();
-        st.shards[shard_idx].outstanding -= 1;
-        match result {
+        let mut st = lock(&round.state);
+        let result = match result {
             Ok(batch) => {
-                if node_idx != FALLBACK {
-                    let slot = &self.slots[node_idx];
-                    let sample = (elapsed.as_nanos() as u64).max(1);
-                    // Racy read-modify-write is fine: the EWMA only
-                    // anchors the hedge trigger, and writers converge it.
-                    let old = slot.ewma_ns.load(Ordering::Relaxed);
-                    let next = if old == 0 {
-                        sample
-                    } else {
-                        (3 * old + sample) / 4
-                    };
-                    slot.ewma_ns.store(next, Ordering::Relaxed);
-                    slot.ewma_samples.fetch_add(1, Ordering::Relaxed);
-                }
-                self.record_success(node_idx);
-                let sh = &mut st.shards[shard_idx];
-                if sh.resolved || sh.failed {
-                    // A racer already settled this shard; this valid
-                    // result is the discarded loser.
-                    if sh.hedged {
-                        self.telemetry.hedges_wasted.inc();
-                    }
-                } else if sh.audit {
-                    match sh.held.take() {
-                        None if sh.outstanding > 0 => {
-                            sh.held = Some((node_idx, batch.digest, batch.accs));
-                        }
-                        None => {
-                            // The twin failed outright earlier; a single
-                            // validated result stands.
-                            sh.winner = Some(batch.accs);
-                            sh.resolved = true;
-                            st.unresolved -= 1;
-                            round.cv.notify_all();
-                        }
-                        Some((_, other_digest, other_accs)) if other_digest == batch.digest => {
-                            sh.winner = Some(other_accs);
-                            sh.resolved = true;
-                            st.unresolved -= 1;
-                            round.cv.notify_all();
-                        }
-                        Some((other_node, _, _)) => {
-                            // Two "valid" results that disagree: at least
-                            // one node lied convincingly (digest
-                            // consistent with wrong bits). Trust neither;
-                            // quarantine both.
-                            sh.failed = true;
-                            self.telemetry.corruption_audit.inc();
-                            self.quarantine(node_idx, "audit digest mismatch");
-                            self.quarantine(other_node, "audit digest mismatch");
-                            st.last_err = NodeError::Corrupt {
-                                frame: "accumulators".into(),
-                                phase: "audit",
-                            }
-                            .to_string();
-                            st.unresolved -= 1;
-                            round.cv.notify_all();
-                        }
-                    }
-                } else {
-                    sh.winner = Some(batch.accs);
-                    sh.resolved = true;
-                    if hedge {
-                        self.telemetry.hedges_won.inc();
-                    }
-                    st.unresolved -= 1;
-                    round.cv.notify_all();
-                }
+                let old = slot.ewma_ns.load(Ordering::Relaxed);
+                let next = policy::ewma_fold(old, elapsed_ns.max(1));
+                slot.ewma_ns.store(next, Ordering::Relaxed);
+                slot.ewma_samples.fetch_add(1, Ordering::Relaxed);
+                self.step(
+                    node_idx,
+                    BreakerEvent::Succeeded,
+                    "half-open shard succeeded",
+                );
+                Some((batch.digest, batch.accs))
             }
             Err(e) => {
                 st.last_err = self.record_failure(node_idx, &e);
-                let sh = &mut st.shards[shard_idx];
-                if !sh.resolved && !sh.failed && sh.outstanding == 0 {
-                    if let Some((_, _, accs)) = sh.held.take() {
-                        sh.winner = Some(accs);
-                        sh.resolved = true;
-                    } else {
-                        sh.failed = true;
-                    }
-                    st.unresolved -= 1;
-                    round.cv.notify_all();
+                None
+            }
+        };
+        match st.shards[shard_idx].race.on_result(node_idx, hedge, result) {
+            Settle::Pending => return,
+            Settle::Discarded { wasted } => {
+                if wasted {
+                    counters.hedges_wasted.inc();
+                }
+                return;
+            }
+            Settle::Won { by_hedge } => {
+                if by_hedge {
+                    counters.hedges_won.inc();
                 }
             }
+            Settle::Failed => {}
+            Settle::Disagreed { a, b } => {
+                counters.corruption_audit.inc();
+                for liar in [a, b] {
+                    self.step(liar, BreakerEvent::CaughtLying, "audit digest mismatch");
+                }
+                st.last_err = NodeError::Corrupt {
+                    frame: "accumulators".into(),
+                    phase: "audit",
+                }
+                .to_string();
+            }
+        }
+        // The one settled exit: this result ended the shard's race.
+        st.unresolved -= 1;
+        round.cv.notify_all();
+    }
+
+    /// Fires at most one hedge per straggling shard, when and where
+    /// [`policy::hedge_target`] says, among the dispatchable regular
+    /// nodes (the last resort is never a hedge target).
+    fn hedge_stragglers(self: &Arc<Self>, round: &Arc<Round>, st: &mut RoundState) {
+        let now = Instant::now();
+        for j in 0..st.shards.len() {
+            let sh = &st.shards[j];
+            if !sh.race.can_hedge() {
+                continue;
+            }
+            let elapsed = now.saturating_duration_since(sh.started);
+            let candidates = self.dispatchable().0.into_iter().map(|i| {
+                let slot = &self.slots[i];
+                (
+                    i,
+                    slot.ewma_ns.load(Ordering::Relaxed),
+                    slot.ewma_samples.load(Ordering::Relaxed),
+                    sh.tried.contains(&i),
+                )
+            });
+            let Some((target, threshold)) = policy::hedge_target(&self.policy, elapsed, candidates)
+            else {
+                continue;
+            };
+            self.telemetry.events.record(
+                "hedge",
+                &self.slots[target].node.name(),
+                &format!("shard stuck {elapsed:?} (threshold {threshold:?})"),
+            );
+            self.spawn_attempt(round, st, j, target, true);
         }
     }
 
     /// One prober pass: half-open due breakers and probe those nodes.
     fn probe_round(&self) {
-        for slot in &self.slots {
-            let now = Instant::now();
-            if !slot.breaker.half_open_if_due(now) {
+        for (i, slot) in self.slots.iter().enumerate() {
+            // `ProbeDue` changes exactly one kind of state — an `Open`
+            // breaker past its deadline, to `HalfOpen` — and that is the
+            // cue to spend a probe on the node.
+            if !self.step(i, BreakerEvent::ProbeDue, "") {
                 continue;
             }
             match slot.node.probe() {
-                Ok(()) => {
-                    if slot.breaker.on_success() {
-                        self.telemetry.readmissions.inc();
-                        self.telemetry.events.record(
-                            "readmission",
-                            &slot.node.name(),
-                            "probe succeeded",
-                        );
-                    }
-                }
-                Err(e) => {
-                    // HalfOpen failure always re-opens; already counted
-                    // as an open the first time, but each re-open is a
-                    // distinct transition worth counting.
-                    if slot.breaker.on_failure(&self.policy, Instant::now()) {
-                        self.telemetry.breaker_opens.inc();
-                        self.telemetry.events.record(
-                            "breaker_open",
-                            &slot.node.name(),
-                            &format!("probe failed: {e}"),
-                        );
-                    }
-                }
-            }
+                Ok(()) => self.step(i, BreakerEvent::Succeeded, "probe succeeded"),
+                Err(e) => self.step(i, BreakerEvent::Failed, &format!("probe failed: {e}")),
+            };
         }
     }
 }
@@ -750,8 +464,7 @@ impl Scheduler {
     }
 
     /// Builds a scheduler with an explicit policy and an optional local
-    /// fallback node used when remote capacity degrades below
-    /// [`RetryPolicy::min_dispatch_nodes`].
+    /// fallback node used when no regular node is dispatchable.
     pub fn with_policy(
         nodes: Vec<Box<dyn ServiceNode>>,
         fallback: Option<Box<dyn ServiceNode>>,
@@ -772,28 +485,24 @@ impl Scheduler {
         if nodes.is_empty() && fallback.is_none() {
             return Err(RuntimeError::NoNodes);
         }
+        let regular = nodes.len();
+        let slots = nodes
+            .into_iter()
+            .map(|node| NodeSlot::new(node, Role::Regular))
+            .chain(fallback.map(|node| NodeSlot::new(node, Role::LastResort)))
+            .collect();
         let inner = Arc::new(Inner {
-            slots: nodes
-                .into_iter()
-                .map(|node| NodeSlot {
-                    node,
-                    breaker: Breaker::new(),
-                    inflight: AtomicUsize::new(0),
-                    ewma_ns: AtomicU64::new(0),
-                    ewma_samples: AtomicU64::new(0),
-                })
-                .collect(),
-            fallback,
-            fallback_failed: AtomicBool::new(false),
-            fallback_inflight: AtomicUsize::new(0),
+            slots,
+            regular,
             policy,
             batch_seq: AtomicU64::new(0),
             telemetry,
             stop: Mutex::new(false),
             stop_cv: Condvar::new(),
         });
-        let prober = (policy.probe_interval > Duration::ZERO && !inner.slots.is_empty())
-            .then(|| spawn_prober(&inner));
+        // Only regular nodes are ever probed.
+        let prober =
+            (!policy.probe_interval.is_zero() && regular > 0).then(|| spawn_prober(&inner));
         Ok(Self {
             inner,
             prober: Mutex::new(prober),
@@ -802,54 +511,33 @@ impl Scheduler {
 
     /// Total node count (fallback excluded, dispatchable or not).
     pub fn node_count(&self) -> usize {
-        self.inner.slots.len()
+        self.inner.regular
     }
 
     /// Nodes currently dispatchable (breaker Closed or HalfOpen).
     pub fn healthy_count(&self) -> usize {
-        self.inner
-            .slots
-            .iter()
-            .filter(|s| s.breaker.is_dispatchable())
-            .count()
+        self.inner.dispatchable().0.len()
     }
 
     /// Names of the dispatchable nodes.
     pub fn healthy_names(&self) -> Vec<String> {
-        self.inner
-            .slots
-            .iter()
-            .filter(|s| s.breaker.is_dispatchable())
-            .map(|s| s.node.name())
+        let (regular, _) = self.inner.dispatchable();
+        regular
+            .into_iter()
+            .map(|i| self.inner.slots[i].node.name())
             .collect()
     }
 
     /// Whether a fallback node is configured and still trusted.
     pub fn has_fallback(&self) -> bool {
-        self.inner.fallback.is_some() && !self.inner.fallback_failed.load(Ordering::Relaxed)
+        self.inner.dispatchable().1.is_some()
     }
 
     /// Snapshot of the lifetime counters. These read the *same* atomics
     /// the telemetry registry exposes, so a scraped `/metrics` endpoint
     /// and this struct can never disagree.
     pub fn stats(&self) -> SchedulerStats {
-        let t = &self.inner.telemetry;
-        SchedulerStats {
-            batches: t.batches.get(),
-            shards: t.shards.get(),
-            reassignments: t.reassignments.get(),
-            node_failures: t.node_failures.get(),
-            breaker_opens: t.breaker_opens.get(),
-            readmissions: t.readmissions.get(),
-            fallback_shards: t.fallback_shards.get(),
-            hedges_issued: t.hedges_issued.get(),
-            hedges_won: t.hedges_won.get(),
-            hedges_wasted: t.hedges_wasted.get(),
-            corruption_crc: t.corruption_crc.get(),
-            corruption_attest: t.corruption_attest.get(),
-            corruption_audit: t.corruption_audit.get(),
-            quarantines: t.quarantines.get(),
-        }
+        self.inner.telemetry.counters.snapshot()
     }
 
     /// Executes a batch of blind rotations across the dispatchable nodes,
@@ -872,17 +560,15 @@ impl Scheduler {
         lwes: &[LweCiphertext],
     ) -> Result<Vec<RlweCiphertext>, RuntimeError> {
         let inner = &self.inner;
+        let counters = &inner.telemetry.counters;
         let batch_no = inner.batch_seq.fetch_add(1, Ordering::Relaxed);
-        inner.telemetry.batches.inc();
+        counters.batches.inc();
         if lwes.is_empty() {
             return Ok(Vec::new());
         }
-        // Workers are detached (a stalled loser must not block the
-        // batch), so they share the inputs by `Arc` rather than borrow.
-        let lwes: Arc<Vec<LweCiphertext>> = Arc::new(lwes.to_vec());
         let mut out: Vec<Option<Vec<RlweCiphertext>>> = Vec::new();
         // (output slot, shard range) pairs still awaiting a valid result.
-        let mut pending: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        let mut pending: Vec<(usize, Range<usize>)> = Vec::new();
         {
             let ranked = inner.ranked_dispatchable();
             if ranked.is_empty() {
@@ -897,13 +583,18 @@ impl Scheduler {
                 start = end;
             }
         }
+        let batch = Arc::new(Batch {
+            ctx: Arc::clone(ctx),
+            boot: Arc::clone(boot),
+            lwes: lwes.to_vec(),
+        });
+        let tick = policy::round_tick(&inner.policy);
         let mut last_err = String::new();
         let mut round_no = 0usize;
         while !pending.is_empty() {
-            if round_no > inner.policy.max_rounds {
+            if round_no > MAX_ROUNDS {
                 return Err(RuntimeError::AllNodesFailed(format!(
-                    "retry budget exhausted after {} rounds (last error: {last_err})",
-                    inner.policy.max_rounds
+                    "retry budget exhausted after {MAX_ROUNDS} rounds (last error: {last_err})"
                 )));
             }
             let ranked = inner.ranked_dispatchable();
@@ -911,91 +602,40 @@ impl Scheduler {
                 return Err(RuntimeError::AllNodesFailed(last_err));
             }
             if round_no > 0 {
-                inner.telemetry.reassignments.add(pending.len() as u64);
+                counters.reassignments.add(pending.len() as u64);
                 inner.telemetry.events.record(
                     "retry",
                     &format!("batch-{batch_no}"),
                     &format!("round {round_no}: {} shards re-dispatched", pending.len()),
                 );
-                self.backoff(batch_no, round_no);
+                std::thread::sleep(policy::backoff(&inner.policy, batch_no, round_no));
             }
             // Audit sampling happens on the initial round only — retries
             // of a failed shard should converge, not multiply.
-            let audit_on = round_no == 0 && inner.policy.audit_fraction > 0.0 && ranked.len() >= 2;
-            let round = Arc::new(Round {
-                state: Mutex::new(RoundState {
-                    shards: pending
-                        .iter()
-                        .map(|(slot, range)| ShardRound {
-                            slot: *slot,
-                            range: range.clone(),
-                            outstanding: 0,
-                            tried: Vec::new(),
-                            audit: false,
-                            hedged: false,
-                            started: Instant::now(),
-                            held: None,
-                            winner: None,
-                            resolved: false,
-                            failed: false,
-                        })
-                        .collect(),
-                    unresolved: pending.len(),
-                    last_err: String::new(),
-                }),
-                cv: Condvar::new(),
+            let audit_on = round_no == 0 && ranked.len() >= 2;
+            let round = inner.dispatch_round(&batch, &pending, &ranked, |slot| {
+                audit_on && policy::audit_pick(&inner.policy, batch_no, slot)
             });
-            {
-                // Shard j of this round goes to the j-th least-loaded
-                // node (wrapping when shards outnumber dispatchable
-                // nodes); an audited shard also goes to the next node.
-                let mut st = round.lock();
-                for j in 0..st.shards.len() {
-                    let node_idx = ranked[j % ranked.len()];
-                    let audit = audit_on
-                        && audit01(batch_no, st.shards[j].slot) < inner.policy.audit_fraction;
-                    st.shards[j].audit = audit;
-                    inner.spawn_attempt(ctx, boot, &lwes, &round, &mut st, j, node_idx, false);
-                    if audit {
-                        let twin = ranked[(j + 1) % ranked.len()];
-                        inner.spawn_attempt(ctx, boot, &lwes, &round, &mut st, j, twin, false);
-                    }
-                }
-            }
             // Wait for the round to settle, firing hedges for stragglers.
-            let tick = if inner.policy.hedge_after.is_some() {
-                (inner.policy.hedge_min_latency / 4).max(Duration::from_millis(1))
-            } else {
-                Duration::from_secs(60)
-            };
-            loop {
-                let st = round.lock();
-                if st.unresolved == 0 {
-                    break;
-                }
-                let (st, _) = round
+            let mut st = lock(&round.state);
+            while st.unresolved > 0 {
+                (st, _) = round
                     .cv
                     .wait_timeout(st, tick)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if st.unresolved == 0 {
-                    break;
-                }
-                drop(st);
-                if inner.policy.hedge_after.is_some() {
-                    self.hedge_stragglers(ctx, boot, &lwes, &round);
+                    .unwrap_or_else(PoisonError::into_inner);
+                if st.unresolved > 0 && inner.policy.hedge_after.is_some() {
+                    inner.hedge_stragglers(&round, &mut st);
                 }
             }
             // Collect: winners into the output, the rest back to pending.
-            let mut st = round.lock();
             if !st.last_err.is_empty() {
                 last_err = std::mem::take(&mut st.last_err);
             }
             pending.clear();
             for sh in st.shards.iter_mut() {
-                if sh.resolved {
-                    out[sh.slot] = Some(sh.winner.take().expect("resolved shard has winner"));
-                } else {
-                    pending.push((sh.slot, sh.range.clone()));
+                match sh.race.take_won() {
+                    Some(accs) => out[sh.slot] = Some(accs),
+                    None => pending.push((sh.slot, sh.range.clone())),
                 }
             }
             drop(st);
@@ -1006,96 +646,13 @@ impl Scheduler {
             .flat_map(|o| o.expect("every shard resolved"))
             .collect())
     }
-
-    /// Fires at most one hedge per straggling shard: a shard whose round
-    /// has run past `max(hedge_min_latency, hedge_after × fastest other
-    /// node's EWMA)` is re-dispatched to that fastest untried node. The
-    /// reference is the *best other node's* EWMA rather than a fleet
-    /// p99 — one straggler in a small fleet drags the p99 up to its own
-    /// latency, which would disable exactly the hedge meant to beat it.
-    fn hedge_stragglers(
-        &self,
-        ctx: &Arc<CkksContext>,
-        boot: &Arc<Bootstrapper>,
-        lwes: &Arc<Vec<LweCiphertext>>,
-        round: &Arc<Round>,
-    ) {
-        let inner = &self.inner;
-        let Some(multiple) = inner.policy.hedge_after else {
-            return;
-        };
-        let now = Instant::now();
-        let mut st = round.lock();
-        for j in 0..st.shards.len() {
-            let sh = &st.shards[j];
-            if sh.resolved || sh.failed || sh.audit || sh.hedged || sh.outstanding == 0 {
-                continue;
-            }
-            let tried = sh.tried.clone();
-            let elapsed = now.saturating_duration_since(sh.started);
-            // Fastest dispatchable node this shard has not tried, with a
-            // warmed-up EWMA; it is both the trigger reference and the
-            // hedge target.
-            let candidate = inner
-                .ranked_dispatchable()
-                .into_iter()
-                .filter(|&i| i != FALLBACK && !tried.contains(&i))
-                .filter_map(|i| {
-                    let slot = &inner.slots[i];
-                    (slot.ewma_samples.load(Ordering::Relaxed) >= inner.policy.hedge_min_samples)
-                        .then(|| (slot.ewma_ns.load(Ordering::Relaxed), i))
-                })
-                .min();
-            let Some((ewma_ns, target)) = candidate else {
-                continue;
-            };
-            let threshold = inner
-                .policy
-                .hedge_min_latency
-                .max(Duration::from_nanos((ewma_ns as f64 * multiple) as u64));
-            if elapsed < threshold {
-                continue;
-            }
-            inner.telemetry.events.record(
-                "hedge",
-                &inner.node(target).name(),
-                &format!("shard stuck {elapsed:?} (threshold {threshold:?})"),
-            );
-            inner.spawn_attempt(ctx, boot, lwes, round, &mut st, j, target, true);
-        }
-    }
-
-    /// Exponential backoff before re-dispatch round `round`, stretched by
-    /// up to +50% deterministic jitter so retry storms from concurrent
-    /// batches decorrelate reproducibly.
-    fn backoff(&self, batch_no: u64, round: usize) {
-        let policy = &self.inner.policy;
-        if policy.base_backoff.is_zero() {
-            return;
-        }
-        let exp = policy
-            .base_backoff
-            .saturating_mul(1u32 << (round - 1).min(16))
-            .min(policy.max_backoff);
-        let jittered = exp.mul_f64(1.0 + 0.5 * jitter01(batch_no, round));
-        std::thread::sleep(jittered);
-    }
 }
 
 impl Drop for Scheduler {
     fn drop(&mut self) {
-        *self
-            .inner
-            .stop
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
+        *lock(&self.inner.stop) = true;
         self.inner.stop_cv.notify_all();
-        if let Some(handle) = self
-            .prober
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-        {
+        if let Some(handle) = lock(&self.prober).take() {
             let _ = handle.join();
         }
     }
@@ -1108,17 +665,15 @@ fn spawn_prober(inner: &Arc<Inner>) -> std::thread::JoinHandle<()> {
         .name("heap-health-prober".into())
         .spawn(move || loop {
             {
-                let stopped = inner
-                    .stop
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
                 // `_while` looks at the flag before sleeping, so a stop
                 // set (and notified) before this thread got here is seen
                 // instead of slept through.
                 let (stopped, _) = inner
                     .stop_cv
-                    .wait_timeout_while(stopped, inner.policy.probe_interval, |stopped| !*stopped)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    .wait_timeout_while(lock(&inner.stop), inner.policy.probe_interval, |stopped| {
+                        !*stopped
+                    })
+                    .unwrap_or_else(PoisonError::into_inner);
                 if *stopped {
                     return;
                 }
@@ -1140,6 +695,7 @@ mod tests {
     use rand::SeedableRng;
     use std::sync::atomic::AtomicUsize;
     use std::sync::OnceLock;
+    use std::time::Duration;
 
     struct Fixture {
         ctx: Arc<CkksContext>,
@@ -1454,61 +1010,6 @@ mod tests {
         assert!(sched.execute(&fix.ctx, &fix.boot, &[]).unwrap().is_empty());
     }
 
-    #[test]
-    fn jitter_is_deterministic() {
-        for batch in 0..4u64 {
-            for round in 1..4usize {
-                let a = jitter01(batch, round);
-                let b = jitter01(batch, round);
-                assert_eq!(a, b);
-                assert!((0.0..1.0).contains(&a));
-            }
-        }
-        assert_ne!(jitter01(0, 1), jitter01(0, 2));
-    }
-
-    #[test]
-    fn breaker_walks_closed_open_halfopen_closed() {
-        let policy = RetryPolicy {
-            breaker_threshold: 2,
-            ..RetryPolicy::test_fast()
-        };
-        let b = Breaker::new();
-        let t0 = Instant::now();
-        assert!(b.is_dispatchable());
-        assert!(!b.on_failure(&policy, t0), "below threshold stays closed");
-        assert!(b.is_dispatchable());
-        assert!(b.on_failure(&policy, t0), "threshold opens");
-        assert!(!b.is_dispatchable());
-        // Not due yet.
-        assert!(!b.half_open_if_due(t0));
-        assert!(b.half_open_if_due(t0 + policy.breaker_open_for));
-        assert!(b.is_dispatchable(), "half-open accepts a trial");
-        // A failed trial re-opens with a doubled window.
-        assert!(b.on_failure(&policy, t0));
-        assert!(!b.half_open_if_due(t0 + policy.breaker_open_for));
-        assert!(b.half_open_if_due(t0 + 2 * policy.breaker_open_for));
-        assert!(b.on_success(), "half-open success readmits");
-        assert!(b.is_dispatchable());
-        assert!(!b.on_success(), "closed success is not a readmission");
-    }
-
-    #[test]
-    fn quarantine_is_sticky() {
-        let policy = RetryPolicy::test_fast();
-        let b = Breaker::new();
-        assert!(b.quarantine(), "first quarantine counts");
-        assert!(!b.quarantine(), "re-quarantine is idempotent");
-        assert!(!b.is_dispatchable());
-        assert!(!b.on_success(), "success never readmits a quarantined node");
-        assert!(!b.is_dispatchable());
-        assert!(!b.on_failure(&policy, Instant::now()));
-        assert!(
-            !b.half_open_if_due(Instant::now() + Duration::from_secs(3600)),
-            "the prober never half-opens a quarantined node"
-        );
-    }
-
     /// An in-process flip (stale digest, flipped limb) must be caught by
     /// the scheduler's attestation check, counted under the `attest`
     /// layer, and the shard recomputed elsewhere — bit-exact output.
@@ -1591,6 +1092,57 @@ mod tests {
         assert!(stats.corruption_audit >= 1, "{stats:?}");
         assert_eq!(stats.quarantines, 2, "{stats:?}");
         assert_eq!(sched.healthy_count(), 0, "both nodes quarantined");
+    }
+
+    /// Auditing's happy path: two honest nodes compute every shard twice,
+    /// agree, and nothing is counted against either.
+    #[test]
+    fn audit_of_honest_nodes_agrees() {
+        let fix = fixture();
+        let nodes: Vec<Box<dyn ServiceNode>> = vec![
+            Box::new(LocalServiceNode::new(0, Parallelism::serial())),
+            Box::new(LocalServiceNode::new(1, Parallelism::serial())),
+        ];
+        let policy = RetryPolicy {
+            audit_fraction: 1.0,
+            ..RetryPolicy::test_no_readmission()
+        };
+        let sched = Scheduler::with_policy(nodes, None, policy).unwrap();
+        let accs = sched.execute(&fix.ctx, &fix.boot, &fix.lwes).unwrap();
+        assert_eq!(wire(fix, &accs), serial_reference(fix));
+        let stats = sched.stats();
+        assert_eq!(stats.shards, 4, "two shards, each on both nodes: {stats:?}");
+        assert_eq!(stats.corruption_audit, 0, "{stats:?}");
+        assert_eq!(stats.quarantines, 0, "{stats:?}");
+        assert_eq!(stats.node_failures, 0, "{stats:?}");
+        assert_eq!(stats.reassignments, 0, "{stats:?}");
+        assert_eq!(sched.healthy_count(), 2, "both nodes still dispatchable");
+    }
+
+    /// An audited shard whose twin fails outright is not a disagreement:
+    /// the other node's single validated result stands, with no retry.
+    #[test]
+    fn audit_survives_one_twin_failing() {
+        let fix = fixture();
+        let nodes: Vec<Box<dyn ServiceNode>> = vec![
+            Box::new(ChaosNode::new(
+                Box::new(LocalServiceNode::new(0, Parallelism::serial())),
+                "fail".parse::<FaultPlan>().unwrap(),
+            )),
+            Box::new(LocalServiceNode::new(1, Parallelism::serial())),
+        ];
+        let policy = RetryPolicy {
+            audit_fraction: 1.0,
+            ..RetryPolicy::test_no_readmission()
+        };
+        let sched = Scheduler::with_policy(nodes, None, policy).unwrap();
+        let accs = sched.execute(&fix.ctx, &fix.boot, &fix.lwes).unwrap();
+        assert_eq!(wire(fix, &accs), serial_reference(fix));
+        let stats = sched.stats();
+        assert_eq!(stats.node_failures, 1, "{stats:?}");
+        assert_eq!(stats.reassignments, 0, "the single result stood: {stats:?}");
+        assert_eq!(stats.corruption_audit, 0, "{stats:?}");
+        assert_eq!(stats.quarantines, 0, "{stats:?}");
     }
 
     /// A stalled (alive but slow) node must stop setting batch latency

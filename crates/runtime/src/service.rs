@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use heap_ckks::CkksContext;
 use heap_core::Bootstrapper;
 use heap_parallel::Parallelism;
-use heap_telemetry::{EventLog, Exposition, MetricsServer, Registry};
+use heap_telemetry::{EventLog, Exposition, Gauge, MetricsServer, Registry};
 use heap_tfhe::{LweCiphertext, RlweCiphertext};
 
 use crate::batch::{collect_batch, BatchPolicy};
@@ -46,9 +46,10 @@ use crate::job::{
     JobHandle, JobId, JobOutput, JobRequest, JobState, PendingJob, Priority, TenantId,
 };
 use crate::node::{LocalServiceNode, ServiceNode};
+use crate::policy::{self, RetryPolicy};
 use crate::queue::{FairnessPolicy, SubmissionQueue};
-use crate::scheduler::{RetryPolicy, Scheduler, SchedulerStats};
-use crate::telemetry::ServiceTelemetry;
+use crate::scheduler::Scheduler;
+use crate::telemetry::{RuntimeStats, ServiceTelemetry};
 use crate::RuntimeError;
 
 /// Worker-pool shape of the staged pipeline.
@@ -152,21 +153,6 @@ impl From<Priority> for SubmitOptions {
     }
 }
 
-/// Lifetime counters for a service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RuntimeStats {
-    /// Jobs accepted into the queue.
-    pub submitted: u64,
-    /// Jobs completed successfully.
-    pub completed: u64,
-    /// Jobs completed with an error.
-    pub failed: u64,
-    /// Jobs refused by SLO admission control (never queued).
-    pub rejected: u64,
-    /// The scheduler's counters.
-    pub scheduler: SchedulerStats,
-}
-
 /// A batch after primary-side prep: one mega-batch of rotations plus
 /// each job's slice of it.
 struct PreparedBatch {
@@ -180,6 +166,30 @@ struct RotatedBatch {
     jobs: Vec<PendingJob>,
     rotated: Vec<RlweCiphertext>,
     ranges: Vec<Range<usize>>,
+}
+
+/// What travels between pipeline stages: a batch in some state of
+/// completion, whose jobs must all be settled whatever happens to it.
+trait StageItem: Send + 'static {
+    fn jobs(&self) -> &[PendingJob];
+}
+
+impl StageItem for Vec<PendingJob> {
+    fn jobs(&self) -> &[PendingJob] {
+        self
+    }
+}
+
+impl StageItem for PreparedBatch {
+    fn jobs(&self) -> &[PendingJob] {
+        &self.jobs
+    }
+}
+
+impl StageItem for RotatedBatch {
+    fn jobs(&self) -> &[PendingJob] {
+        &self.jobs
+    }
 }
 
 /// Join handles of every pipeline thread, in shutdown order.
@@ -203,9 +213,9 @@ pub struct BootstrapService {
     /// rotations, in ns) — the admission model's unit rate. Zero until
     /// the first batch completes.
     ns_per_lwe: Arc<AtomicU64>,
-    prep_ch: Arc<Channel<Vec<PendingJob>>>,
-    rotate_ch: Arc<Channel<PreparedBatch>>,
-    finish_ch: Arc<Channel<RotatedBatch>>,
+    prep_in: Arc<Inbox<Vec<PendingJob>>>,
+    rotate_in: Arc<Inbox<PreparedBatch>>,
+    finish_in: Arc<Inbox<RotatedBatch>>,
     threads: Mutex<Option<PipelineThreads>>,
     metrics_server: Mutex<Option<MetricsServer>>,
 }
@@ -239,8 +249,8 @@ impl BootstrapService {
     }
 
     /// Starts a service over an explicit node set plus an optional local
-    /// fallback node, used by the scheduler when dispatchable capacity
-    /// drops below [`RetryPolicy::min_dispatch_nodes`].
+    /// fallback node, used by the scheduler when no regular node is
+    /// dispatchable.
     pub fn start_with_cluster(
         ctx: Arc<CkksContext>,
         boot: Arc<Bootstrapper>,
@@ -276,16 +286,17 @@ impl BootstrapService {
             config.retry,
             telemetry.scheduler.clone(),
         )?);
-        let prep_ch = Arc::new(Channel::new(p.channel_capacity));
-        let rotate_ch = Arc::new(Channel::new(p.channel_capacity));
-        let finish_ch = Arc::new(Channel::new(p.channel_capacity));
+        let depth = &telemetry.pipeline;
+        let prep_in = Inbox::new(p.channel_capacity, &depth.prep_depth);
+        let rotate_in = Inbox::new(p.channel_capacity, &depth.rotate_depth);
+        let finish_in = Inbox::new(p.channel_capacity, &depth.finish_depth);
         let ns_per_lwe = Arc::new(AtomicU64::new(0));
 
         let batcher = {
-            let (queue, telemetry, prep_ch) = (
+            let (queue, telemetry, next) = (
                 Arc::clone(&queue),
                 Arc::clone(&telemetry),
-                Arc::clone(&prep_ch),
+                Arc::clone(&prep_in),
             );
             let policy = config.batch;
             std::thread::Builder::new()
@@ -293,94 +304,42 @@ impl BootstrapService {
                 .spawn(move || {
                     while let Some(batch) = collect_batch(&queue, &policy, Some(&telemetry.batcher))
                     {
-                        if let Err(batch) = prep_ch.send(batch) {
-                            abandon(&telemetry, batch);
-                        }
-                        telemetry.pipeline.prep_depth.set(prep_ch.len() as i64);
+                        next.send(&telemetry, batch);
                     }
                 })
                 .expect("spawn batcher")
         };
-        let prep = (0..p.prep_workers)
-            .map(|i| {
-                let (ctx, boot, telemetry, prep_ch, rotate_ch) = (
-                    Arc::clone(&ctx),
-                    Arc::clone(&boot),
-                    Arc::clone(&telemetry),
-                    Arc::clone(&prep_ch),
-                    Arc::clone(&rotate_ch),
-                );
-                std::thread::Builder::new()
-                    .name(format!("heap-prep-{i}"))
-                    .spawn(move || {
-                        while let Some(jobs) = prep_ch.recv() {
-                            telemetry.pipeline.prep_depth.set(prep_ch.len() as i64);
-                            run_stage(&telemetry, jobs, |jobs| {
-                                let prepared = prep_batch(&ctx, &boot, jobs);
-                                if let Err(b) = rotate_ch.send(prepared) {
-                                    abandon(&telemetry, b.jobs);
-                                }
-                                telemetry.pipeline.rotate_depth.set(rotate_ch.len() as i64);
-                            });
-                        }
-                    })
-                    .expect("spawn prep worker")
-            })
-            .collect();
-        let rotate = (0..p.rotate_workers)
-            .map(|i| {
-                let (ctx, boot, scheduler, telemetry, rotate_ch, finish_ch, rate) = (
-                    Arc::clone(&ctx),
-                    Arc::clone(&boot),
-                    Arc::clone(&scheduler),
-                    Arc::clone(&telemetry),
-                    Arc::clone(&rotate_ch),
-                    Arc::clone(&finish_ch),
-                    Arc::clone(&ns_per_lwe),
-                );
-                std::thread::Builder::new()
-                    .name(format!("heap-rotate-{i}"))
-                    .spawn(move || {
-                        while let Some(prepared) = rotate_ch.recv() {
-                            telemetry.pipeline.rotate_depth.set(rotate_ch.len() as i64);
-                            run_stage(&telemetry, prepared.jobs, |jobs| {
-                                let prepared = PreparedBatch { jobs, ..prepared };
-                                rotate_batch(
-                                    &ctx, &boot, &scheduler, &telemetry, &finish_ch, &rate,
-                                    prepared,
-                                );
-                            });
-                        }
-                    })
-                    .expect("spawn rotate worker")
-            })
-            .collect();
-        let finish = (0..p.finish_workers)
-            .map(|i| {
-                let (ctx, boot, telemetry, finish_ch) = (
-                    Arc::clone(&ctx),
-                    Arc::clone(&boot),
-                    Arc::clone(&telemetry),
-                    Arc::clone(&finish_ch),
-                );
-                std::thread::Builder::new()
-                    .name(format!("heap-finish-{i}"))
-                    .spawn(move || {
-                        while let Some(rotated) = finish_ch.recv() {
-                            telemetry.pipeline.finish_depth.set(finish_ch.len() as i64);
-                            run_stage(&telemetry, rotated.jobs, |jobs| {
-                                finish_batch(
-                                    &ctx,
-                                    &boot,
-                                    &telemetry,
-                                    RotatedBatch { jobs, ..rotated },
-                                );
-                            });
-                        }
-                    })
-                    .expect("spawn finish worker")
-            })
-            .collect();
+        let prep = spawn_stage("prep", p.prep_workers, &telemetry, &prep_in, {
+            let (ctx, boot, telemetry, next) = (
+                Arc::clone(&ctx),
+                Arc::clone(&boot),
+                Arc::clone(&telemetry),
+                Arc::clone(&rotate_in),
+            );
+            move |jobs| next.send(&telemetry, prep_batch(&ctx, &boot, jobs))
+        });
+        let rotate = spawn_stage("rotate", p.rotate_workers, &telemetry, &rotate_in, {
+            let (ctx, boot, scheduler, telemetry, rate, next) = (
+                Arc::clone(&ctx),
+                Arc::clone(&boot),
+                Arc::clone(&scheduler),
+                Arc::clone(&telemetry),
+                Arc::clone(&ns_per_lwe),
+                Arc::clone(&finish_in),
+            );
+            move |prepared| {
+                if let Some(rotated) =
+                    rotate_batch(&ctx, &boot, &scheduler, &telemetry, &rate, prepared)
+                {
+                    next.send(&telemetry, rotated);
+                }
+            }
+        });
+        let finish = spawn_stage("finish", p.finish_workers, &telemetry, &finish_in, {
+            let (ctx, boot, telemetry) =
+                (Arc::clone(&ctx), Arc::clone(&boot), Arc::clone(&telemetry));
+            move |rotated| finish_batch(&ctx, &boot, &telemetry, rotated)
+        });
 
         Ok(Self {
             ctx,
@@ -391,9 +350,9 @@ impl BootstrapService {
             next_id: AtomicU64::new(0),
             admission: config.admission,
             ns_per_lwe,
-            prep_ch,
-            rotate_ch,
-            finish_ch,
+            prep_in,
+            rotate_in,
+            finish_in,
             threads: Mutex::new(Some(PipelineThreads {
                 batcher,
                 prep,
@@ -469,7 +428,7 @@ impl BootstrapService {
     }
 
     fn accepted(&self, cost: usize) {
-        self.telemetry.submitted.inc();
+        self.telemetry.jobs.submitted.inc();
         self.telemetry.pipeline.inflight_jobs.add(1);
         self.telemetry.pipeline.inflight_lwes.add(cost as i64);
     }
@@ -500,33 +459,28 @@ impl BootstrapService {
         ))
     }
 
-    /// The SLO deadline model: projected completion of this job is the
-    /// accepted-but-unfinished rotations (plus its own) times the
-    /// measured per-rotation rate. Over-SLO projections are refused with
-    /// a typed retry hint. Until the first batch lands there is no
-    /// measurement and everything capacity allows is admitted.
+    /// SLO admission ([`policy::slo_overrun`] is the deadline model):
+    /// over-SLO projections are refused with a typed retry hint. Until
+    /// the first batch lands there is no measurement and everything
+    /// capacity allows is admitted.
     fn admit(&self, cost: usize) -> Result<(), RuntimeError> {
-        let Some(policy) = self.admission else {
+        let Some(SloPolicy { slo }) = self.admission else {
             return Ok(());
         };
         let rate = self.ns_per_lwe.load(Ordering::Relaxed);
-        if rate == 0 {
-            return Ok(());
-        }
         let backlog = self.telemetry.pipeline.inflight_lwes.get().max(0) as u64 + cost as u64;
-        let projected = Duration::from_nanos(backlog.saturating_mul(rate));
-        if projected <= policy.slo {
+        let Some(projected) = policy::slo_overrun(slo, backlog, rate) else {
             return Ok(());
-        }
-        self.telemetry.rejected.inc();
+        };
+        self.telemetry.jobs.rejected.inc();
         self.telemetry.events.record(
             "admission_rejected",
             "service",
-            &format!("projected {projected:?} > slo {:?}", policy.slo),
+            &format!("projected {projected:?} > slo {slo:?}"),
         );
-        Ok(()).and(Err(RuntimeError::Rejected {
-            retry_after: (projected - policy.slo).max(MIN_RETRY_AFTER),
-        }))
+        Err(RuntimeError::Rejected {
+            retry_after: (projected - slo).max(MIN_RETRY_AFTER),
+        })
     }
 
     /// Shape checks at the door, so the pipeline never panics on client
@@ -574,13 +528,7 @@ impl BootstrapService {
     /// Snapshot of the service counters (the same atomics the metrics
     /// registry exposes).
     pub fn stats(&self) -> RuntimeStats {
-        RuntimeStats {
-            submitted: self.telemetry.submitted.get(),
-            completed: self.telemetry.completed.get(),
-            failed: self.telemetry.failed.get(),
-            rejected: self.telemetry.rejected.get(),
-            scheduler: self.scheduler.stats(),
-        }
+        self.telemetry.jobs.snapshot(self.scheduler.stats())
     }
 
     /// The service's metric registry (jobs, batcher, scheduler counters
@@ -639,15 +587,15 @@ impl BootstrapService {
         // A panicked worker already completed every job it could reach
         // with an error (see `run_stage`); don't propagate panics here.
         let _ = threads.batcher.join();
-        self.prep_ch.close();
+        self.prep_in.ch.close();
         for t in threads.prep {
             let _ = t.join();
         }
-        self.rotate_ch.close();
+        self.rotate_in.ch.close();
         for t in threads.rotate {
             let _ = t.join();
         }
-        self.finish_ch.close();
+        self.finish_in.ch.close();
         for t in threads.finish {
             let _ = t.join();
         }
@@ -662,51 +610,96 @@ impl Drop for BootstrapService {
 
 /// Completes one job and settles its in-flight accounting — under the
 /// job's slot lock, so a woken waiter always sees the settled counters.
-fn settle(telemetry: &ServiceTelemetry, job: &PendingJob, result: Result<JobOutput, RuntimeError>) {
-    let ok = result.is_ok();
-    job.state.complete_and(result, || {
-        if ok {
-            telemetry.completed.inc();
-        } else {
-            telemetry.failed.inc();
-        }
+/// A job that already completed is left alone (and counted once).
+fn settle(
+    telemetry: &ServiceTelemetry,
+    state: &JobState,
+    cost: usize,
+    result: Result<JobOutput, RuntimeError>,
+) {
+    let outcome = match &result {
+        Ok(_) => &telemetry.jobs.completed,
+        Err(_) => &telemetry.jobs.failed,
+    };
+    state.complete_and(result, || {
+        outcome.inc();
         telemetry.pipeline.inflight_jobs.add(-1);
-        telemetry.pipeline.inflight_lwes.add(-(job.cost as i64));
+        telemetry.pipeline.inflight_lwes.add(-(cost as i64));
     });
 }
 
-/// Fails every job of a batch that could not enter the next stage
-/// (shutdown race: its channel closed first).
-fn abandon(telemetry: &ServiceTelemetry, jobs: Vec<PendingJob>) {
-    for job in jobs {
-        settle(telemetry, &job, Err(RuntimeError::Shutdown));
+/// A stage's inbox: the bounded channel its workers drain, and the gauge
+/// that mirrors the channel's depth after every send and receive.
+struct Inbox<T> {
+    ch: Channel<T>,
+    depth: Arc<Gauge>,
+}
+
+impl<T: StageItem> Inbox<T> {
+    fn new(capacity: usize, depth: &Arc<Gauge>) -> Arc<Self> {
+        Arc::new(Self {
+            ch: Channel::new(capacity),
+            depth: Arc::clone(depth),
+        })
     }
+
+    /// Hands a batch to the stage. If the inbox closed first (shutdown
+    /// race), every job of the batch fails with a typed error instead.
+    fn send(&self, telemetry: &ServiceTelemetry, item: T) {
+        if let Err(item) = self.ch.send(item) {
+            for job in item.jobs() {
+                settle(telemetry, &job.state, job.cost, Err(RuntimeError::Shutdown));
+            }
+        }
+        self.depth.set(self.ch.len() as i64);
+    }
+
+    /// The next batch; `None` once the inbox is closed and drained.
+    fn recv(&self) -> Option<T> {
+        let item = self.ch.recv()?;
+        self.depth.set(self.ch.len() as i64);
+        Some(item)
+    }
+}
+
+/// Spawns one stage's worker pool: `workers` threads named
+/// `heap-{stage}-{i}`, each draining `inbox` through `body` under
+/// [`run_stage`].
+fn spawn_stage<T: StageItem>(
+    stage: &'static str,
+    workers: usize,
+    telemetry: &Arc<ServiceTelemetry>,
+    inbox: &Arc<Inbox<T>>,
+    body: impl Fn(T) + Clone + Send + 'static,
+) -> Vec<std::thread::JoinHandle<()>> {
+    (0..workers)
+        .map(|i| {
+            let (telemetry, inbox, body) = (Arc::clone(telemetry), Arc::clone(inbox), body.clone());
+            std::thread::Builder::new()
+                .name(format!("heap-{stage}-{i}"))
+                .spawn(move || {
+                    while let Some(item) = inbox.recv() {
+                        run_stage(&telemetry, item, &body);
+                    }
+                })
+                .expect("spawn pipeline stage worker")
+        })
+        .collect()
 }
 
 /// Runs one stage body panic-safely: if `body` panics, every job of the
 /// batch that is still pending is completed with a typed error, so a
 /// poisoned batch never wedges its clients or the counters.
-fn run_stage(
-    telemetry: &ServiceTelemetry,
-    jobs: Vec<PendingJob>,
-    body: impl FnOnce(Vec<PendingJob>),
-) {
-    let states: Vec<_> = jobs
+fn run_stage<T: StageItem>(telemetry: &ServiceTelemetry, item: T, body: impl FnOnce(T)) {
+    let states: Vec<_> = item
+        .jobs()
         .iter()
         .map(|j| (Arc::clone(&j.state), j.cost))
         .collect();
-    if catch_unwind(AssertUnwindSafe(|| body(jobs))).is_err() {
+    if catch_unwind(AssertUnwindSafe(|| body(item))).is_err() {
+        let panicked = RuntimeError::AllNodesFailed("pipeline stage panicked".into());
         for (state, cost) in states {
-            state.complete_and(
-                Err(RuntimeError::AllNodesFailed(
-                    "pipeline stage panicked".into(),
-                )),
-                || {
-                    telemetry.failed.inc();
-                    telemetry.pipeline.inflight_jobs.add(-1);
-                    telemetry.pipeline.inflight_lwes.add(-(cost as i64));
-                },
-            );
+            settle(telemetry, &state, cost, Err(panicked.clone()));
         }
     }
 }
@@ -732,48 +725,36 @@ fn prep_batch(ctx: &CkksContext, boot: &Bootstrapper, jobs: Vec<PendingJob>) -> 
 }
 
 /// Step 3, sharded across nodes (the only stage that travels). Updates
-/// the admission model's per-rotation EWMA on success.
-#[allow(clippy::too_many_arguments)]
+/// the admission model's per-rotation EWMA on success; on failure every
+/// job of the batch fails with the scheduler's error and nothing moves on.
 fn rotate_batch(
     ctx: &Arc<CkksContext>,
     boot: &Arc<Bootstrapper>,
     scheduler: &Scheduler,
     telemetry: &ServiceTelemetry,
-    finish_ch: &Channel<RotatedBatch>,
     ns_per_lwe: &AtomicU64,
     prepared: PreparedBatch,
-) {
+) -> Option<RotatedBatch> {
     let t0 = Instant::now();
     let rotated = match scheduler.execute(ctx, boot, &prepared.mega) {
         Ok(rotated) => rotated,
         Err(e) => {
-            for job in prepared.jobs {
-                settle(telemetry, &job, Err(e.clone()));
+            for job in &prepared.jobs {
+                settle(telemetry, &job.state, job.cost, Err(e.clone()));
             }
-            return;
+            return None;
         }
     };
     if !prepared.mega.is_empty() {
         let sample = (t0.elapsed().as_nanos() as u64) / prepared.mega.len() as u64;
-        // Racy read-modify-write is fine: the EWMA only feeds the
-        // admission heuristic, and every writer converges it.
         let old = ns_per_lwe.load(Ordering::Relaxed);
-        let next = if old == 0 {
-            sample
-        } else {
-            (3 * old + sample) / 4
-        };
-        ns_per_lwe.store(next.max(1), Ordering::Relaxed);
+        ns_per_lwe.store(policy::ewma_fold(old, sample).max(1), Ordering::Relaxed);
     }
-    let batch = RotatedBatch {
+    Some(RotatedBatch {
         jobs: prepared.jobs,
         rotated,
         ranges: prepared.ranges,
-    };
-    if let Err(b) = finish_ch.send(batch) {
-        abandon(telemetry, b.jobs);
-    }
-    telemetry.pipeline.finish_depth.set(finish_ch.len() as i64);
+    })
 }
 
 /// Primary role, steps 4–5: repack + rescale per job from its slice.
@@ -793,7 +774,7 @@ fn finish_batch(
             }
             JobRequest::BlindRotate { .. } => JobOutput::Accumulators(accs.to_vec()),
         };
-        settle(telemetry, &job, Ok(output));
+        settle(telemetry, &job.state, job.cost, Ok(output));
     }
 }
 
@@ -1059,6 +1040,49 @@ mod tests {
             svc.metrics().snapshot().counter("heap_jobs_rejected_total"),
             Some(1)
         );
+    }
+
+    /// A stage that panics after one of its jobs was already settled *and
+    /// collected* must fail only the job that is still pending: each job
+    /// leaves the in-flight gauges exactly once.
+    #[test]
+    fn stage_panic_after_a_job_was_collected_settles_every_job_once() {
+        let telemetry = ServiceTelemetry::new();
+        let (jobs, mut handles): (Vec<_>, Vec<_>) = (0..2)
+            .map(|i| {
+                let state = JobState::new();
+                let handle = JobHandle {
+                    id: JobId(i),
+                    state: Arc::clone(&state),
+                };
+                telemetry.pipeline.inflight_jobs.add(1);
+                telemetry.pipeline.inflight_lwes.add(3);
+                let job = PendingJob {
+                    id: JobId(i),
+                    priority: Priority::Normal,
+                    tenant: TenantId::default(),
+                    request: JobRequest::BlindRotate { lwes: Vec::new() },
+                    cost: 3,
+                    state,
+                };
+                (job, handle)
+            })
+            .unzip();
+        let first = handles.remove(0);
+        run_stage(&telemetry, jobs, |jobs: Vec<PendingJob>| {
+            let output = JobOutput::Accumulators(Vec::new());
+            settle(&telemetry, &jobs[0].state, jobs[0].cost, Ok(output));
+            assert!(first.wait().is_ok());
+            panic!("stage body dies after job 0 was collected");
+        });
+        assert!(matches!(
+            handles.remove(0).wait(),
+            Err(RuntimeError::AllNodesFailed(_))
+        ));
+        let stats = telemetry.jobs.snapshot(Default::default());
+        assert_eq!((stats.completed, stats.failed), (1, 1));
+        assert_eq!(telemetry.pipeline.inflight_jobs.get(), 0);
+        assert_eq!(telemetry.pipeline.inflight_lwes.get(), 0);
     }
 
     #[test]

@@ -12,33 +12,100 @@ use heap_telemetry::{Counter, EventLog, Gauge, Histogram, Registry};
 /// How many fault events the service retains (oldest evicted first).
 const EVENT_CAPACITY: usize = 1024;
 
+/// Declares a counter set **once**: each row is `field: "metric name"
+/// {"label" = "value"}, "help"` (the label block is optional). From the one listing it produces the handle struct
+/// (an `Arc<Counter>` per row), its `register` constructor, the public
+/// `u64` snapshot struct — whose field docs *are* the help strings — and
+/// `snapshot()`, so a counter cannot exist without all four and adding
+/// one is one line. Fields written inside the snapshot struct's braces
+/// are carried through: `snapshot` takes them as arguments.
+macro_rules! counter_table {
+    (
+        $(#[$hmeta:meta])*
+        $hvis:vis struct $Handles:ident;
+        $(#[$smeta:meta])*
+        $svis:vis struct $Stats:ident { $($(#[$xmeta:meta])* $extra:ident: $Extra:ty,)* }
+        $($field:ident: $name:literal $({$($key:literal = $value:literal),*})?, $help:literal;)*
+    ) => {
+        $(#[$hmeta])*
+        #[derive(Debug, Clone)]
+        $hvis struct $Handles {
+            $(pub $field: Arc<Counter>,)*
+        }
+
+        $(#[$smeta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        $svis struct $Stats {
+            $(#[doc = $help] pub $field: u64,)*
+            $($(#[$xmeta])* pub $extra: $Extra,)*
+        }
+
+        impl $Handles {
+            /// Registers every counter of the table in `registry`, in
+            /// table order.
+            pub(crate) fn register(registry: &Registry) -> Self {
+                Self {
+                    $($field: registry.labeled_counter(
+                        $name,
+                        $help,
+                        &[$($(($key, $value)),*)?],
+                    ),)*
+                }
+            }
+
+            /// Reads every counter of the table — the *same* atomics the
+            /// registry exposes, so a scrape and this struct can never
+            /// disagree.
+            pub(crate) fn snapshot(&self, $($extra: $Extra,)*) -> $Stats {
+                $Stats {
+                    $($field: self.$field.get(),)*
+                    $($extra,)*
+                }
+            }
+        }
+    };
+}
+
+counter_table! {
+    /// Handles to the scheduler's lifetime counters.
+    pub(crate) struct SchedulerCounters;
+    /// Counters accumulated across a scheduler's lifetime.
+    pub struct SchedulerStats {}
+    batches: "heap_scheduler_batches_total",
+        "batches executed to completion (success or failure)";
+    shards: "heap_scheduler_shards_total",
+        "shards dispatched, including reassigned and fallback ones";
+    reassignments: "heap_scheduler_reassignments_total",
+        "shards re-dispatched after a failed attempt";
+    node_failures: "heap_scheduler_node_failures_total",
+        "failed node calls (transport, protocol, timeout, short reply)";
+    breaker_opens: "heap_scheduler_breaker_opens_total",
+        "circuit-breaker transitions into Open";
+    readmissions: "heap_scheduler_readmissions_total",
+        "nodes readmitted into dispatch (HalfOpen to Closed)";
+    fallback_shards: "heap_scheduler_fallback_shards_total",
+        "shards served by the fallback node";
+    hedges_issued: "heap_hedges_issued_total",
+        "speculative duplicate attempts started for straggling shards";
+    hedges_won: "heap_hedges_won_total",
+        "hedged attempts whose result resolved the shard";
+    hedges_wasted: "heap_hedges_wasted_total",
+        "attempts discarded because the shard was already settled";
+    corruption_crc: "heap_corruption_detected_total" {"layer" = "crc"},
+        "corrupted replies caught, by detection layer";
+    corruption_attest: "heap_corruption_detected_total" {"layer" = "attest"},
+        "corrupted replies caught, by detection layer";
+    corruption_audit: "heap_corruption_detected_total" {"layer" = "audit"},
+        "corrupted replies caught, by detection layer";
+    quarantines: "heap_quarantines_total",
+        "nodes permanently removed from dispatch after an audit mismatch";
+}
+
 /// Counters and spans owned by the scheduler (cloned `Arc`s, so a
-/// service-level snapshot and [`crate::SchedulerStats`] read the same
-/// atomics).
+/// service-level snapshot and [`SchedulerStats`] read the same atomics).
 #[derive(Debug, Clone)]
 pub(crate) struct SchedulerTelemetry {
-    pub batches: Arc<Counter>,
-    pub shards: Arc<Counter>,
-    pub reassignments: Arc<Counter>,
-    pub node_failures: Arc<Counter>,
-    pub breaker_opens: Arc<Counter>,
-    pub readmissions: Arc<Counter>,
-    pub fallback_shards: Arc<Counter>,
-    /// Speculative duplicate attempts started for straggling shards.
-    pub hedges_issued: Arc<Counter>,
-    /// Hedged attempts whose result resolved the shard.
-    pub hedges_won: Arc<Counter>,
-    /// Attempts (original or hedge) that completed after the shard was
-    /// already resolved or failed — work discarded.
-    pub hedges_wasted: Arc<Counter>,
-    /// Corruption caught by the wire frame CRC.
-    pub corruption_crc: Arc<Counter>,
-    /// Corruption caught by the end-to-end attestation digest.
-    pub corruption_attest: Arc<Counter>,
-    /// Corruption caught by redundant-dispatch audit comparison.
-    pub corruption_audit: Arc<Counter>,
-    /// Nodes permanently removed from dispatch after an audit mismatch.
-    pub quarantines: Arc<Counter>,
+    pub counters: SchedulerCounters,
     /// Wall-clock of one shard's scatter → compute → gather round trip.
     pub shard_round_trip_ns: Arc<Histogram>,
     /// Fault events: retries, breaker transitions, readmissions.
@@ -49,65 +116,7 @@ impl SchedulerTelemetry {
     /// Registers the scheduler metrics in `registry`.
     pub fn new(registry: &Registry, events: Arc<EventLog>) -> Self {
         Self {
-            batches: registry.counter(
-                "heap_scheduler_batches_total",
-                "batches executed to completion (success or failure)",
-            ),
-            shards: registry.counter(
-                "heap_scheduler_shards_total",
-                "shards dispatched, including reassigned and fallback ones",
-            ),
-            reassignments: registry.counter(
-                "heap_scheduler_reassignments_total",
-                "shards re-dispatched after a failed attempt",
-            ),
-            node_failures: registry.counter(
-                "heap_scheduler_node_failures_total",
-                "failed node calls (transport, protocol, timeout, short reply)",
-            ),
-            breaker_opens: registry.counter(
-                "heap_scheduler_breaker_opens_total",
-                "circuit-breaker transitions into Open",
-            ),
-            readmissions: registry.counter(
-                "heap_scheduler_readmissions_total",
-                "nodes readmitted into dispatch (HalfOpen to Closed)",
-            ),
-            fallback_shards: registry.counter(
-                "heap_scheduler_fallback_shards_total",
-                "shards served by the fallback node",
-            ),
-            hedges_issued: registry.counter(
-                "heap_hedges_issued_total",
-                "speculative duplicate attempts started for straggling shards",
-            ),
-            hedges_won: registry.counter(
-                "heap_hedges_won_total",
-                "hedged attempts whose result resolved the shard",
-            ),
-            hedges_wasted: registry.counter(
-                "heap_hedges_wasted_total",
-                "attempts discarded because the shard was already settled",
-            ),
-            corruption_crc: registry.labeled_counter(
-                "heap_corruption_detected_total",
-                "corrupted replies caught, by detection layer",
-                &[("layer", "crc")],
-            ),
-            corruption_attest: registry.labeled_counter(
-                "heap_corruption_detected_total",
-                "corrupted replies caught, by detection layer",
-                &[("layer", "attest")],
-            ),
-            corruption_audit: registry.labeled_counter(
-                "heap_corruption_detected_total",
-                "corrupted replies caught, by detection layer",
-                &[("layer", "audit")],
-            ),
-            quarantines: registry.counter(
-                "heap_quarantines_total",
-                "nodes permanently removed from dispatch after an audit mismatch",
-            ),
+            counters: SchedulerCounters::register(registry),
             shard_round_trip_ns: registry.histogram(
                 "heap_shard_round_trip_ns",
                 "per-shard scatter/compute/gather round trip in nanoseconds",
@@ -201,17 +210,28 @@ impl PipelineTelemetry {
     }
 }
 
+counter_table! {
+    /// Handles to the service's job-lifecycle counters.
+    pub(crate) struct JobCounters;
+    /// Lifetime counters for a service.
+    pub struct RuntimeStats {
+        /// The scheduler's counters.
+        scheduler: SchedulerStats,
+    }
+    submitted: "heap_jobs_submitted_total", "jobs accepted into the queue";
+    completed: "heap_jobs_completed_total", "jobs completed successfully";
+    failed: "heap_jobs_failed_total", "jobs completed with an error";
+    rejected: "heap_jobs_rejected_total",
+        "jobs refused by SLO admission control (never queued)";
+}
+
 /// Everything a [`crate::BootstrapService`] measures, rooted in one
 /// registry so a single exposition covers the whole service.
 #[derive(Debug)]
 pub(crate) struct ServiceTelemetry {
     pub registry: Arc<Registry>,
     pub events: Arc<EventLog>,
-    pub submitted: Arc<Counter>,
-    pub completed: Arc<Counter>,
-    pub failed: Arc<Counter>,
-    /// Jobs refused by SLO admission control (never queued).
-    pub rejected: Arc<Counter>,
+    pub jobs: JobCounters,
     pub batcher: BatcherTelemetry,
     pub scheduler: SchedulerTelemetry,
     pub pipeline: PipelineTelemetry,
@@ -223,14 +243,7 @@ impl ServiceTelemetry {
         let registry = Arc::new(Registry::new("service"));
         let events = Arc::new(EventLog::new(EVENT_CAPACITY));
         Self {
-            submitted: registry
-                .counter("heap_jobs_submitted_total", "jobs accepted into the queue"),
-            completed: registry.counter("heap_jobs_completed_total", "jobs completed successfully"),
-            failed: registry.counter("heap_jobs_failed_total", "jobs completed with an error"),
-            rejected: registry.counter(
-                "heap_jobs_rejected_total",
-                "jobs refused by SLO admission control (never queued)",
-            ),
+            jobs: JobCounters::register(&registry),
             batcher: BatcherTelemetry::new(&registry),
             scheduler: SchedulerTelemetry::new(&registry, Arc::clone(&events)),
             pipeline: PipelineTelemetry::new(&registry),
@@ -247,10 +260,10 @@ mod tests {
     #[test]
     fn service_telemetry_registers_the_documented_names() {
         let t = ServiceTelemetry::new();
-        t.submitted.inc();
-        t.scheduler.batches.add(2);
+        t.jobs.submitted.inc();
+        t.scheduler.counters.batches.add(2);
         t.batcher.batch_size_lwes.record(7);
-        t.rejected.inc();
+        t.jobs.rejected.inc();
         t.pipeline.inflight_jobs.add(3);
         t.pipeline.rotate_depth.set(2);
         let snap = t.registry.snapshot();
@@ -270,10 +283,10 @@ mod tests {
     #[test]
     fn integrity_counters_register_as_one_labeled_family() {
         let t = ServiceTelemetry::new();
-        t.scheduler.corruption_crc.inc();
-        t.scheduler.corruption_audit.add(2);
-        t.scheduler.hedges_issued.inc();
-        t.scheduler.quarantines.inc();
+        t.scheduler.counters.corruption_crc.inc();
+        t.scheduler.counters.corruption_audit.add(2);
+        t.scheduler.counters.hedges_issued.inc();
+        t.scheduler.counters.quarantines.inc();
         let snap = t.registry.snapshot();
         assert_eq!(
             snap.labeled_counter("heap_corruption_detected_total", &[("layer", "crc")]),
@@ -296,8 +309,8 @@ mod tests {
     #[test]
     fn standalone_scheduler_counters_work_without_a_registry() {
         let t = SchedulerTelemetry::standalone();
-        t.node_failures.inc();
-        assert_eq!(t.node_failures.get(), 1);
+        t.counters.node_failures.inc();
+        assert_eq!(t.counters.snapshot().node_failures, 1);
         t.events.record("breaker_open", "node-0", "1 failure");
         assert_eq!(t.events.total(), 1);
     }
