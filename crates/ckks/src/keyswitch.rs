@@ -38,9 +38,12 @@ pub fn key_switch(ctx: &CkksContext, d: &RnsPoly, key: &KeySwitchKey) -> (RnsPol
 /// q-limbs, position `l` the special-prime limb, evaluation domain. The
 /// `l` digit MACs per position accumulate *unreduced* (lazy-reduction MAC
 /// datapath, HEAP §IV-A) and are reduced once per coefficient before
-/// `ModDown`; [`mac_path`] picks the accumulator width from the `l` terms
-/// and every chain modulus, special prime included, and both widths reduce
-/// to the same canonical residues.
+/// `ModDown`. The `ModUp` costs nothing: a residue below `q_i` is already a
+/// legal lazy input under `q_j`, so each digit goes into
+/// [`MacAcc::mac_digit`] as it is. [`mac_path`] picks the datapath from the
+/// `l` terms, the largest digit modulus and every chain modulus, special
+/// prime included, and both datapaths reduce to the same canonical
+/// residues.
 ///
 /// # Panics
 ///
@@ -55,25 +58,18 @@ fn digit_mac(ctx: &CkksContext, digits: &[Vec<u64>], key: &KeySwitchKey) -> (Rns
     let n = ctx.n();
     let rns = ctx.rns();
     let chain_idx = |pos: usize| if pos == l { ctx.special_idx() } else { pos };
-    let path = mac_path((0..=l).map(|pos| rns.ntt(chain_idx(pos))), l);
+    let digit_bound = (0..l).map(|i| rns.modulus(i).value()).max().unwrap_or(0);
+    let path = mac_path((0..=l).map(|pos| rns.ntt(chain_idx(pos))), l, digit_bound);
 
     let mut acc_a = vec![vec![0u64; n]; l + 1];
     let mut acc_b = vec![vec![0u64; n]; l + 1];
-    let mut spread = vec![0u64; n];
     let mut acc = MacAcc::default();
     for (pos, (out_a, out_b)) in acc_a.iter_mut().zip(&mut acc_b).enumerate() {
         let j = chain_idx(pos);
-        let m = rns.modulus(j);
         let ntt = rns.ntt(j);
         acc.reset(path, 2, n);
         for (digit, comp) in digits.iter().zip(&key.comps) {
-            // ModUp: reinterpret the [0, q_i) representative mod q_j.
-            for (s, &c) in spread.iter_mut().zip(digit) {
-                *s = m.reduce_u64(c);
-            }
-            ntt.forward(&mut spread);
-            acc.mac(0, ntt, &spread, &comp.a[j]);
-            acc.mac(1, ntt, &spread, &comp.b[j]);
+            acc.mac_digit(ntt, digit, [[(0, &comp.a[j]), (1, &comp.b[j])]]);
         }
         acc.reduce_into(0, ntt, out_a);
         acc.reduce_into(1, ntt, out_b);

@@ -1,9 +1,9 @@
 //! Bit-identity of the key-switch inner product across MAC accumulators.
 //!
 //! `key_switch` and `apply_galois_hoisted` share one extended-basis digit
-//! MAC; where the narrow kernel applies (AVX2 + FMA, 36-bit chain) it
-//! accumulates canonical products in `u64`, under `force_scalar` full
-//! products in `u128`. Both must reduce to the same canonical residues — on
+//! MAC; where the narrow kernels apply (AVX2 + FMA, 36-bit chain) each digit
+//! runs from residue to accumulator in `f64` lanes, under `force_scalar` it
+//! is lifted, transformed and summed as full products in `u128`. Both must reduce to the same canonical residues — on
 //! the same live keys, since the accumulator is chosen per call — and the
 //! gate must land on the side the host allows, so a CI host with the kernel
 //! is known to exercise it. (On a scalar host both halves take the `u128`
@@ -20,8 +20,9 @@ use heap_math::{mac_path, simd, MacPath, RnsPoly};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Whether the narrow MAC's vector kernel runs on this host right now (for
-/// a modulus below `2^48`): what [`mac_path`] is allowed to observe.
+/// Whether the narrow MAC's vector kernels run on this host right now (for
+/// a ring and modulus inside their exactness gate): what [`mac_path`] is
+/// allowed to observe.
 fn narrow_kernel_active() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -39,10 +40,15 @@ fn key_switch_and_hoisted_galois_forced_scalar_are_bit_identical() {
     let params = CkksParams::builder().log_n(10).limbs(3).build().unwrap();
     let ctx = CkksContext::new(params);
     // `digit_mac`'s gate: every chain modulus it accumulates under, one
-    // term per digit.
+    // term per digit, digits as large as the largest ciphertext prime.
     let gate = || {
         let chain = (0..ctx.max_limbs()).chain([ctx.special_idx()]);
-        mac_path(chain.map(|j| ctx.rns().ntt(j)), ctx.max_limbs())
+        let digit_bound = (0..ctx.max_limbs()).map(|i| ctx.rns().modulus(i).value());
+        mac_path(
+            chain.map(|j| ctx.rns().ntt(j)),
+            ctx.max_limbs(),
+            digit_bound.max().unwrap(),
+        )
     };
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let sk = SecretKey::generate(&ctx, &mut rng);

@@ -41,13 +41,16 @@ use crate::stage::StageMetrics;
 /// Most accumulators rotated together against one streamed key (HEAP
 /// §IV-E). While a tile of `T` walks one key-row block — one limb of both
 /// parts of a row of `brk_i^+` and `brk_i^-`, `4·8N` bytes, read as stored
-/// — the cache must also hold the tile's `4T` lazy-MAC slots of `8N` bytes
-/// and the digit polynomial being spread. At `N = 2^11` that is 64 KB +
-/// `T`·64 KB: 576 KB at `T = 8`, which leaves a 2 MB L2 room to stream the
-/// tile's digits; at 16 the slots alone take half of it, and below 4 the
-/// key is streamed too often (a worker streams it `ceil(chunk / TILE)`
-/// times per batch). (8 was tuned when the block carried a second 64 KB of
-/// Shoup quotients; retuning is ROADMAP item 1's.)
+/// — the cache must also hold the tile's `4T` lazy-MAC slots (`f64` sums,
+/// `8N` bytes each, as the `u64` ones were), the `8N`-byte operand buffer
+/// the digit is transformed in and the `8N`-byte digit being read. At
+/// `N = 2^11` that is 64 KB + `T`·64 KB + 32 KB: 608 KB at `T = 8`, which
+/// leaves a 2 MB L2 room to stream the tile's digits; at 16 the slots alone
+/// take half of it, and below 4 the key is streamed too often (a worker
+/// streams it `ceil(chunk / TILE)` times per batch). Re-measured after the
+/// datapath went to `f64` lanes (EXPERIMENTS.md "One f64 lane from digit to
+/// accumulator"): on `lib-medium-sparse` tiles of 4 and of 8 differ by 1 %,
+/// inside an 8 % spread between identical binaries, so 8 stays.
 const TILE: usize = 8;
 
 /// Configuration of the scheme-switched bootstrap.

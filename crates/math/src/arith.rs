@@ -220,14 +220,6 @@ impl Modulus {
         }
     }
 
-    /// `floor(2^64 / q)` — the single-word Barrett constant consumed by the
-    /// SIMD accumulator-reduction kernel (`x - mulhi(x, c)*q` lands in
-    /// `[0, 2q)`, so one conditional subtract canonicalizes exactly).
-    #[inline]
-    pub(crate) fn barrett_single_word(&self) -> u64 {
-        self.barrett_hi
-    }
-
     /// Converts a signed integer to its least non-negative residue.
     #[inline]
     pub fn from_i64(&self, x: i64) -> u64 {

@@ -47,6 +47,6 @@ pub mod wire;
 pub use arith::Modulus;
 pub use bigint::BigUint;
 pub use gadget::Gadget;
-pub use mac::{mac_path, MacAcc, MacPath};
+pub use mac::{mac_path, LazyCoeff, MacAcc, MacPath, RowPair};
 pub use ntt::NttTable;
 pub use rns::{BasisConverter, Domain, RnsContext, RnsPoly};

@@ -12,8 +12,7 @@
 //! software analogue of the lazy reduction HEAP applies in its modular MAC
 //! datapath (§IV-A). The strict, eagerly-normalizing kernels are retained as
 //! [`NttTable::forward_reference`] / [`NttTable::inverse_reference`]: they
-//! are the oracles the parity tests and `kernel_sweep` bench compare
-//! against. The paper's grouped schedule ([`NttTable::forward_grouped`])
+//! are the oracles the parity tests compare against. The paper's grouped schedule ([`NttTable::forward_grouped`])
 //! with an on-the-fly twiddle mode ([`TwiddleMode`]) is also provided. All
 //! variants compute the same bijection — bit-identically, since every
 //! output is fully normalized — and unit and property tests assert they
@@ -21,6 +20,7 @@
 //! implement negacyclic convolution.
 
 use crate::arith::{Modulus, ShoupMul};
+use crate::mac::{LazyCoeff, RowPair};
 use crate::prime::primitive_root;
 
 /// Whether butterfly twiddles come from a precomputed table or are generated
@@ -68,6 +68,8 @@ pub struct NttTable {
     psi_ops: Vec<u64>,
     /// `psi_br` Shoup quotients, same indexing.
     psi_quots: Vec<u64>,
+    /// `psi_br` operands as doubles, for the `f64`-lane forward kernel.
+    psi_f64: Vec<f64>,
     /// `ipsi_br` operands.
     ipsi_ops: Vec<u64>,
     /// `ipsi_br` Shoup quotients.
@@ -117,6 +119,7 @@ impl NttTable {
         }
         let n_inv = ShoupMul::new(modulus.inv(n as u64).expect("n < q"), &modulus);
         let psi_ops = psi_br.iter().map(|s| s.operand).collect();
+        let psi_f64 = psi_br.iter().map(|s| s.operand as f64).collect();
         let psi_quots = psi_br.iter().map(|s| s.quotient).collect();
         let ipsi_ops = ipsi_br.iter().map(|s| s.operand).collect();
         let ipsi_quots = ipsi_br.iter().map(|s| s.quotient).collect();
@@ -128,6 +131,7 @@ impl NttTable {
             ipsi_br,
             psi_ops,
             psi_quots,
+            psi_f64,
             ipsi_ops,
             ipsi_quots,
             n_inv,
@@ -195,8 +199,7 @@ impl NttTable {
     /// subtraction).
     ///
     /// Kept as the *reference oracle* for the lazy hot path — the parity
-    /// suites assert `forward_lazy` matches it bit-for-bit and the
-    /// `kernel_sweep` bench measures the speedup against it. Not used on
+    /// suites assert `forward_lazy` matches it bit-for-bit. Not used on
     /// any production path.
     ///
     /// # Panics
@@ -255,10 +258,49 @@ impl NttTable {
         }
     }
 
-    /// Forward NTT with Harvey-style *lazy reduction*: butterfly operands
-    /// ride in `[0, 4q)` and are only normalized once per touch, trading
-    /// comparisons for a final correction pass — the software analogue of
-    /// the "lazy reduction" HEAP applies in its MAC datapath (§IV-A).
+    /// Forward NTT with *lazy reduction*: lazy residues in `[0, 4q)` in,
+    /// canonical residues out, no normalisation per butterfly in between —
+    /// the software analogue of the "lazy reduction" HEAP applies in its
+    /// MAC datapath (§IV-A).
+    ///
+    /// Dispatches to the active SIMD backend (AVX2, see [`crate::simd`])
+    /// when the ring and modulus qualify: the signed-lazy radix-4 `f64`
+    /// kernel where its growth bound `(4 + log2 n)·q ≤ 2^50` holds, the
+    /// Harvey integer-lane kernel for wider moduli. The scalar kernel
+    /// [`Self::forward_lazy_scalar`] is the always-available fallback, and
+    /// all of them are bit-identical to [`Self::forward_reference`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != self.n()`.
+    pub fn forward_lazy(&self, a: &mut [u64]) {
+        assert_eq!(a.len(), self.n, "length mismatch");
+        let q = self.modulus.value();
+        if crate::simd::try_ntt_forward(a, &self.psi_ops, &self.psi_quots, &self.psi_f64, q) {
+            return;
+        }
+        self.forward_lazy_scalar(a);
+    }
+
+    /// [`crate::MacAcc::mac_digit`]'s narrow datapath under this table's
+    /// twiddles: `digit` transformed into `operand` and multiplied into
+    /// `rows`' slots of `acc`, all in `f64` lanes. Returns `false` when the
+    /// kernels do not run right now.
+    pub(crate) fn mac_digit_f64<T: LazyCoeff, const K: usize>(
+        &self,
+        digit: &[T],
+        operand: &mut [f64],
+        rows: [RowPair<'_>; K],
+        acc: &mut [f64],
+    ) -> bool {
+        let q = self.modulus.value();
+        crate::simd::try_mac_digit(digit, &self.psi_f64, q, operand, rows, acc)
+    }
+
+    /// The scalar lazy forward kernel, Harvey-style: butterfly operands ride
+    /// in `[0, 4q)` and are only normalized once per touch, trading
+    /// comparisons for a final correction pass. Public so parity suites can
+    /// pin the SIMD path against it.
     ///
     /// Operand-bound invariant: entering each stage, every slot is
     /// `< 4q`; the upper butterfly input is folded into `[0, 2q)` with one
@@ -266,28 +308,7 @@ impl NttTable {
     /// [`ShoupMul::mul_lazy`] *unreduced* (valid for any `u64`, result in
     /// `[0, 2q)`), so both outputs are `< 4q` and `q < 2^62` keeps all
     /// intermediates inside a `u64`. The final pass folds `[0, 4q) → [0,
-    /// q)` with two conditional subtractions, so outputs are canonical —
-    /// bit-identical to [`Self::forward_reference`].
-    ///
-    /// Dispatches to the active SIMD backend (AVX2/NEON, see
-    /// [`crate::simd`]) when the ring and modulus qualify; the scalar
-    /// kernel [`Self::forward_lazy_scalar`] is the always-available
-    /// fallback and the two paths are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != self.n()`.
-    pub fn forward_lazy(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "length mismatch");
-        if crate::simd::try_ntt_forward(a, &self.psi_ops, &self.psi_quots, self.modulus.value()) {
-            return;
-        }
-        self.forward_lazy_scalar(a);
-    }
-
-    /// The scalar lazy forward kernel (see [`Self::forward_lazy`] for the
-    /// operand-bound invariants). Public so parity suites and benches can
-    /// pin the SIMD path against it.
+    /// q)` with two conditional subtractions, so outputs are canonical.
     ///
     /// # Panics
     ///
@@ -478,7 +499,8 @@ impl NttTable {
     /// past `2^127` — so `acc + product < 2^127 + 2^124 < 2^128` never
     /// overflows. For the 36-bit limbs the parameter sets use, the fold
     /// branch is unreachable before ~`2^55` accumulated terms; an external
-    /// product accumulates `limbs × digits ≤ 8` terms. The fold point
+    /// product accumulates `2 · limbs · digits` terms (20 on the Medium
+    /// preset, 28 at the paper's parameters). The fold point
     /// depends only on operand values, never on timing, so results are
     /// deterministic and the final reduced value is bit-identical to the
     /// eager [`Self::pointwise_acc`] chain.
@@ -508,71 +530,6 @@ impl NttTable {
         assert!(acc.len() == self.n && out.len() == self.n);
         for (o, &a) in out.iter_mut().zip(acc.iter()) {
             *o = self.modulus.reduce_u128(a);
-        }
-    }
-
-    /// Maximum number of narrow MAC terms a `u64` accumulator can absorb
-    /// without overflowing, sized for lazy terms `< 2q`:
-    /// `floor(u64::MAX / (2q - 1))`. (The kernel's terms are canonical, so
-    /// the bound has a factor of two in hand.)
-    ///
-    /// [`crate::mac_path`] sends a chain with more terms than this to the
-    /// `u128` accumulators — e.g. a 47-bit limb allows 2^16 terms, the
-    /// 36-bit production limbs ~2^27.
-    #[inline]
-    pub fn narrow_mac_term_limit(&self) -> u64 {
-        u64::MAX / (2 * self.modulus.value() - 1)
-    }
-
-    /// Narrow pointwise multiply-accumulate into `u64` accumulators:
-    /// `acc[i] += x[i] * ops[i] mod q` with **no reduction of the sum** —
-    /// [`crate::MacAcc`]'s narrow path and the key-switching inner loop.
-    /// `ops` is the raw (canonical) key row, read as it is stored: no
-    /// per-coefficient precompute rides along. `x` may be any residues in
-    /// the lazy `[0, 4q)` domain.
-    ///
-    /// The caller bounds the number of accumulated terms by
-    /// [`Self::narrow_mac_term_limit`] and reduces once at the end with
-    /// [`Self::reduce_narrow_acc_into`]. The vector kernel and the scalar
-    /// loop behind it add identical terms (`simd::mac_narrow`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ from `self.n()`.
-    pub(crate) fn pointwise_mac_narrow(&self, x: &[u64], ops: &[u64], acc: &mut [u64]) {
-        assert!(
-            x.len() == self.n && ops.len() == self.n && acc.len() == self.n,
-            "length mismatch"
-        );
-        crate::simd::mac_narrow(x, ops, self.modulus.value(), acc);
-    }
-
-    /// Reduces `u64` lazy accumulators (built by
-    /// [`Self::pointwise_mac_narrow`]) to canonical residues in `out`.
-    ///
-    /// The SIMD path uses a single-word Barrett step (`x - mulhi(x,
-    /// floor(2^64/q))*q` lands in `[0, 2q)`, one conditional subtract
-    /// canonicalizes); the scalar fallback divides. Both are exact, so the
-    /// results are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths differ from `self.n()`.
-    pub(crate) fn reduce_narrow_acc_into(&self, acc: &[u64], out: &mut [u64]) {
-        assert!(
-            acc.len() == self.n && out.len() == self.n,
-            "length mismatch"
-        );
-        if crate::simd::try_reduce_barrett(
-            acc,
-            out,
-            self.modulus.value(),
-            self.modulus.barrett_single_word(),
-        ) {
-            return;
-        }
-        for (o, &a) in out.iter_mut().zip(acc.iter()) {
-            *o = self.modulus.reduce_u64(a);
         }
     }
 }

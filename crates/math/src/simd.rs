@@ -4,24 +4,30 @@
 //! (paper §IV): butterfly units for the NTT, MAC arrays for key switching and
 //! the external product, and decomposition units feeding them. The CPU
 //! analogue is explicit vectorization: AVX2 (x86_64) implementations of the
-//! hot loops — the Harvey lazy NTT butterflies, the narrow MAC inner loop,
-//! its deferred reduction, and signed gadget decomposition — selected at
-//! runtime behind feature detection, with the scalar lazy kernels as the
+//! hot loops — the NTT butterflies, the digit → NTT → MAC datapath of the
+//! external product, and signed gadget decomposition — selected at runtime
+//! behind feature detection, with the scalar lazy kernels as the
 //! always-available fallback (and the only tier on any other architecture).
 //!
 //! Each vector tier is kept by a measured ratio over the scalar lazy kernel
-//! it replaces (N = 2048, best of 61 × 40 calls, 2-core AVX2+FMA host;
-//! EXPERIMENTS.md "Kernel tiers, measured"):
+//! it replaces (N = 2048, 36-bit limb unless noted, best of 61 × 40 calls,
+//! three process runs, 2-core AVX2+FMA host; EXPERIMENTS.md "One f64 lane
+//! from digit to accumulator"):
 //!
 //! | tier | kernels | applies when | ratio over scalar |
 //! |---|---|---|---|
 //! | scalar lazy | all | always | 1 (the parity oracle) |
-//! | AVX2 + FMA, `f64` lanes | forward / inverse NTT; narrow MAC | `q < 2^48` | 2.4–2.8× / 2.3–2.4× at 36 bits; 1.4× over the `u128` MAC |
-//! | AVX2, integer lanes | forward / inverse NTT | `2^48 ≤ q < 2^61` | 1.6–1.8× / 1.1–1.3× at 50–60 bits |
-//! | AVX2, integer lanes | narrow reduction; signed decompose; signed lift | any NTT modulus | 3.1×; 4.7–4.9×; 3.6–4.1× |
+//! | AVX2 + FMA, `f64` lanes | signed-lazy radix-4 forward NTT | `n ≥ 16`, `C + log2(n)·q ≤ 2^50` | 4.8–4.9× |
+//! | AVX2 + FMA, `f64` lanes | digit → forward NTT → four MACs, one entry | the same, and `terms·q ≤ 2^52` | 4.0–4.4× over lift + NTT + four `u128` MACs |
+//! | AVX2 + FMA, `f64` lanes | inverse NTT (fully reduced) | the forward gate | 2.4–2.6× |
+//! | AVX2, integer lanes | forward / inverse NTT | any other `q < 2^61`, `n ≥ 8` | 1.6–1.8× / 1.1–1.3× at 50–60 bits |
+//! | AVX2, integer lanes | signed decompose; signed lift | any NTT modulus | 4.7–4.9×; 3.6–4.1× |
 //!
-//! DESIGN.md §2 "SIMD dispatch" also lists the tiers that measured too
-//! little to keep and what would bring one back.
+//! `C` is the largest input magnitude (`4q` for [`crate::NttTable::forward`],
+//! half the gadget base for an external product); the `f64` kernels and the
+//! argument that they are exact live in `simd/f64_lanes.rs`. DESIGN.md §2
+//! "SIMD dispatch" also lists the tiers that measured too little to keep
+//! and what would bring one back.
 //!
 //! Every vector kernel produces the *same* canonical outputs as its scalar
 //! counterpart, so results are bit-identical regardless of which backend
@@ -33,6 +39,11 @@
 //! use, or call [`force_scalar`] at runtime.
 
 use std::sync::atomic::{AtomicU8, Ordering};
+
+use crate::mac::{LazyCoeff, RowPair};
+
+#[cfg(target_arch = "x86_64")]
+mod f64_lanes;
 
 /// Which vector datapath is driving the hot kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,30 +135,51 @@ fn ntt_simd_ok(n: usize, q: u64) -> bool {
     n >= 8 && n.is_power_of_two() && q < NTT_Q_LIMIT
 }
 
-/// Bound for the double-precision FMA kernels: the error-free float modular
-/// product (two-product + one `round`) is provably exact for `q < 2^48`
-/// (all intermediates are integers below `2^53`, and the nearest-integer
-/// quotient estimate is off by strictly less than one), so for the
-/// 30–47-bit working primes a butterfly costs ~9 FMA-port µops instead of
-/// the ~30 integer-emulation µops AVX2 needs for a 64-bit `mul_lazy`. Wider
-/// moduli (e.g. the 60-bit parity primes) take the integer NTT kernels.
-const F64_Q_LIMIT: u64 = 1 << 48;
+/// Largest magnitude an `f64` lane may reach as a product input: the
+/// error-free modular product of `simd/f64_lanes.rs` is exact up to here.
+const F64_OPERAND_LIMIT: u128 = 1 << 50;
 
-fn f64_kernels_ok(q: u64) -> bool {
+/// Largest magnitude a sum of `f64` MAC terms may reach and stay an exact
+/// integer with a bit in hand.
+const F64_SUM_LIMIT: u128 = 1 << 52;
+
+/// Whether the `f64`-lane transforms run — and are exact — right now for an
+/// `n`-point ring under `q` on inputs of magnitude at most `input_bound`:
+/// AVX2 active, FMA present, `n ≥ 16`, and the signed-lazy growth bound
+/// `input_bound + log2(n)·q ≤ 2^50`. Every other ring takes the
+/// integer-lane or scalar kernels.
+pub(crate) fn f64_ntt_ok(n: usize, q: u64, input_bound: u64) -> bool {
     #[cfg(target_arch = "x86_64")]
     let fma = std::arch::is_x86_feature_detected!("fma");
     #[cfg(not(target_arch = "x86_64"))]
     let fma = false;
-    q < F64_Q_LIMIT && fma
+    let grown = u128::from(input_bound) + u128::from(n.trailing_zeros()) * u128::from(q);
+    active() == Backend::Avx2 && fma && n.is_power_of_two() && n >= 16 && grown <= F64_OPERAND_LIMIT
 }
 
-/// Runs the full forward lazy NTT on the active vector backend.
+/// [`f64_ntt_ok`] for a chain that also accumulates `terms` products per
+/// coefficient in `f64`: the sum of signed terms below `q` must stay an
+/// exact integer, `terms·q ≤ 2^52`. This is what `mac_path` gates the
+/// narrow accumulators on.
+pub(crate) fn f64_mac_ok(n: usize, q: u64, input_bound: u64, terms: usize) -> bool {
+    f64_ntt_ok(n, q, input_bound) && terms as u128 * u128::from(q) <= F64_SUM_LIMIT
+}
+
+/// Runs the full forward lazy NTT on the active vector backend: lazy
+/// residues in `[0, 4q)` in, canonical residues out.
 ///
-/// `ops`/`quots` are the bit-reversed twiddle operands and Shoup quotients
-/// (same indexing as the scalar kernel's `psi_br`). Returns `false` when no
-/// vector backend applies — the caller must then run the scalar kernel.
+/// `ops`/`quots`/`ops_f64` are the bit-reversed twiddle operands, their
+/// Shoup quotients and the operands as doubles (same indexing as the scalar
+/// kernel's `psi_br`). Returns `false` when no vector backend applies — the
+/// caller must then run the scalar kernel.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn try_ntt_forward(a: &mut [u64], ops: &[u64], quots: &[u64], q: u64) -> bool {
+pub(crate) fn try_ntt_forward(
+    a: &mut [u64],
+    ops: &[u64],
+    quots: &[u64],
+    ops_f64: &[f64],
+    q: u64,
+) -> bool {
     if !ntt_simd_ok(a.len(), q) {
         return false;
     }
@@ -156,10 +188,12 @@ pub(crate) fn try_ntt_forward(a: &mut [u64], ops: &[u64], quots: &[u64], q: u64)
         Backend::Avx2 => {
             // SAFETY: Avx2 (and, for the f64 kernel, FMA) is only selected
             // after runtime detection.
-            if f64_kernels_ok(q) {
-                unsafe { avx2::ntt_forward_f64(a, ops, q) };
-            } else {
-                unsafe { avx2::ntt_forward(a, ops, quots, q) };
+            unsafe {
+                if f64_ntt_ok(a.len(), q, 4 * q) {
+                    f64_lanes::forward_in_place(a, ops_f64, q);
+                } else {
+                    avx2::ntt_forward(a, ops, quots, q);
+                }
             }
             true
         }
@@ -186,11 +220,14 @@ pub(crate) fn try_ntt_inverse(
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => {
             // SAFETY: Avx2 (and, for the f64 kernel, FMA) is only selected
-            // after runtime detection.
-            if f64_kernels_ok(q) {
-                unsafe { avx2::ntt_inverse_f64(a, ops, q, n_inv_op) };
-            } else {
-                unsafe { avx2::ntt_inverse(a, ops, quots, q, n_inv_op, n_inv_quot) };
+            // after runtime detection. The forward gate implies the inverse
+            // kernel's own bound, `q < 2^48`.
+            unsafe {
+                if f64_ntt_ok(a.len(), q, 4 * q) {
+                    f64_lanes::ntt_inverse(a, ops, q, n_inv_op);
+                } else {
+                    avx2::ntt_inverse(a, ops, quots, q, n_inv_op, n_inv_quot);
+                }
             }
             true
         }
@@ -198,50 +235,48 @@ pub(crate) fn try_ntt_inverse(
     }
 }
 
-/// Whether the vector narrow-MAC kernel runs under modulus `q` right now:
-/// AVX2 active, FMA present and `q` inside the exact-`f64` bound. This is
-/// what `mac_path` gates the `u64` accumulators on — the scalar form of the
-/// same product (a `u128` multiply *and* a reduction per term) loses to the
-/// wide path's bare multiply, so the narrow path only pays vectorized.
-pub(crate) fn narrow_mac_ok(q: u64) -> bool {
-    active() == Backend::Avx2 && f64_kernels_ok(q)
-}
-
-/// The narrow MAC: `acc[i] += x[i]·ops[i] mod q` as a canonical term in
-/// `[0, q)`, for `x` anywhere in the lazy `[0, 4q)` domain and canonical
-/// `ops` — no precomputed quotient is read. Where [`narrow_mac_ok`] holds
-/// the `f64` kernel takes every full vector; the exact scalar loop takes
-/// the rest, which is the ragged tail on a vector host and *everything* if
-/// the backend was flipped to scalar after the chain chose its accumulator
-/// — the terms are the same canonical residues either way, so a chain may
-/// mix both.
-pub(crate) fn mac_narrow(x: &[u64], ops: &[u64], q: u64, acc: &mut [u64]) {
-    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
-    let mut done = 0;
-    #[cfg(target_arch = "x86_64")]
-    if narrow_mac_ok(q) {
-        // SAFETY: Avx2 and FMA were detected at runtime (`narrow_mac_ok`).
-        done = unsafe { avx2::mac_f64(x, ops, q, acc) };
-    }
-    for i in done..x.len() {
-        acc[i] += ((u128::from(x[i]) * u128::from(ops[i])) % u128::from(q)) as u64;
-    }
-}
-
-/// Canonically reduces `u64` accumulators into `out` with a single-word
-/// Barrett step (`barrett_hi = floor(2^64 / q)`). Returns `false` when no
-/// vector backend applies.
+/// The narrow MAC datapath in one call: loads `digit` into `f64` lanes,
+/// transforms it into `operand` (signed-lazy, left in `f64`) and adds its
+/// product with every key row into that row's slot of `acc`. Returns
+/// `false` — having touched nothing — when the `f64` kernels do not run for
+/// this ring right now; the caller's exact scalar loop then adds congruent
+/// terms, so a chain may mix both.
+///
+/// The caller's gate ([`f64_mac_ok`]) bounds the input magnitude and the
+/// term count; only the backend and the ring are checked again here.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn try_reduce_barrett(acc: &[u64], out: &mut [u64], q: u64, barrett_hi: u64) -> bool {
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            // SAFETY: Avx2 is only selected after runtime detection.
-            unsafe { avx2::reduce_barrett(acc, out, q, barrett_hi) };
-            true
+pub(crate) fn try_mac_digit<T: LazyCoeff, const K: usize>(
+    digit: &[T],
+    ops_f64: &[f64],
+    q: u64,
+    operand: &mut [f64],
+    rows: [RowPair<'_>; K],
+    acc: &mut [f64],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if f64_ntt_ok(digit.len(), q, 0) {
+        // SAFETY: Avx2 and FMA were detected at runtime (`f64_ntt_ok`).
+        unsafe {
+            f64_lanes::forward_into(digit, ops_f64, q, operand);
+            f64_lanes::mac_rows(operand, rows, q, acc);
         }
-        _ => false,
+        return true;
     }
+    false
+}
+
+/// Reduces `f64` accumulators (exact integers below `2^52` in magnitude) to
+/// canonical residues in `out`. Returns `false` when the `f64` kernels do
+/// not run right now.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn try_reduce_acc(acc: &[f64], q: u64, out: &mut [u64]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if f64_ntt_ok(acc.len(), q, 0) {
+        // SAFETY: Avx2 and FMA were detected at runtime (`f64_ntt_ok`).
+        unsafe { f64_lanes::reduce_acc(acc, q, out) };
+        return true;
+    }
+    false
 }
 
 /// Signed gadget decomposition of a coefficient slice into digit-major rows.
@@ -400,286 +435,6 @@ mod avx2 {
     unsafe fn expand_pair(p: *const u64) -> __m256i {
         let wp = _mm_loadu_si128(p as *const __m128i);
         _mm256_permute4x64_epi64(_mm256_castsi128_si256(wp), 0b0101_0000)
-    }
-
-    // ---- double-precision (FMA) kernels for q < 2^48 ----
-    //
-    // AVX2 has no 64-bit integer multiply, so the integer `mul_lazy` above
-    // costs ~30 µops per 4 lanes. For `q < 2^48` the same exact modular
-    // product fits the classical error-free double-precision scheme in ~9:
-    //
-    //   hi = RN(a*b)            — nearest double to the product
-    //   lo = fma(a, b, -hi)     — *exact* two-product error: hi + lo = a*b
-    //   k  = round(hi * RN(1/q))— nearest integer to a*b/q (error << 1/2,
-    //                             see bound below)
-    //   r  = fma(-k, q, hi) + lo — exact integer a*b - k*q in (-q, q)
-    //
-    // plus one conditional add to land in `[0, q)`. Every intermediate is an
-    // integer below 2^53, every rounding is round-to-nearest-even, so the
-    // result is the *exact* canonical residue on every IEEE-754 host — no
-    // approximation anywhere. Error bound for the k estimate with operands
-    // a < q, b < 2q < 2^49: |hi - ab| <= 2q^2 * 2^-54 and
-    // |RN(1/q) - 1/q| <= 2^-53/q give |k - ab/q| <= 1/2 + q*2^-52 < 1,
-    // hence |r| < q after the single correction.
-    //
-    // These kernels keep every lane *fully reduced* in `[0, q)` instead of
-    // the integer path's lazy `[0, 4q)` — the representatives differ
-    // mid-transform, but both paths canonicalize on exit, so the output
-    // arrays are bit-identical (which is what the parity suites pin).
-    const F64_MAGIC: i64 = 0x4330_0000_0000_0000; // 2^52 as an f64 bit pattern
-
-    /// Exact `u64 -> f64` for lanes below 2^52.
-    #[inline(always)]
-    unsafe fn to_f64(x: __m256i) -> __m256d {
-        let magic = _mm256_set1_epi64x(F64_MAGIC);
-        _mm256_sub_pd(
-            _mm256_castsi256_pd(_mm256_or_si256(x, magic)),
-            _mm256_castsi256_pd(magic),
-        )
-    }
-
-    /// Exact `f64 -> u64` for integer-valued lanes in `[0, 2^52)`.
-    #[inline(always)]
-    unsafe fn to_u64(x: __m256d) -> __m256i {
-        let magic = _mm256_set1_epi64x(F64_MAGIC);
-        _mm256_sub_epi64(
-            _mm256_castpd_si256(_mm256_add_pd(x, _mm256_castsi256_pd(magic))),
-            magic,
-        )
-    }
-
-    /// `x - b` where `x >= b`, else `x` (float lanes).
-    #[inline(always)]
-    unsafe fn cond_sub_pd(x: __m256d, b: __m256d) -> __m256d {
-        let ge = _mm256_cmp_pd(x, b, _CMP_GE_OQ);
-        _mm256_sub_pd(x, _mm256_and_pd(b, ge))
-    }
-
-    /// `x + b` where `x < 0`, else `x` (float lanes).
-    #[inline(always)]
-    unsafe fn cond_add_neg_pd(x: __m256d, b: __m256d) -> __m256d {
-        let lt = _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_LT_OQ);
-        _mm256_add_pd(x, _mm256_and_pd(b, lt))
-    }
-
-    /// Exact `a*b mod q` in `[0, q)` for integer lanes `a < 2q`, `b < q`,
-    /// `q < 2^48` (see the scheme above).
-    #[inline(always)]
-    unsafe fn mulmod_pd(a: __m256d, b: __m256d, qd: __m256d, inv_q: __m256d) -> __m256d {
-        let hi = _mm256_mul_pd(a, b);
-        let lo = _mm256_fmsub_pd(a, b, hi);
-        let k = _mm256_round_pd(
-            _mm256_mul_pd(hi, inv_q),
-            _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC,
-        );
-        let r = _mm256_add_pd(_mm256_fnmadd_pd(k, qd, hi), lo);
-        cond_add_neg_pd(r, qd)
-    }
-
-    /// Forward NTT over doubles: converts in place, runs every butterfly
-    /// fully reduced, converts back canonical. Same stage/lane structure as
-    /// the integer kernel. Requires `q < 2^48` and FMA. 2.4–2.8× scalar.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn ntt_forward_f64(a: &mut [u64], ops: &[u64], q: u64) {
-        let n = a.len();
-        let p = a.as_mut_ptr();
-        let pd = p as *mut f64;
-        let op_p = ops.as_ptr();
-        let qd = _mm256_set1_pd(q as f64);
-        let inv_q = _mm256_set1_pd(1.0 / q as f64);
-        let two_qd = _mm256_set1_pd(2.0 * q as f64);
-
-        // Entry: exact conversion plus [0, 4q) -> [0, q) canonicalization.
-        let mut j = 0;
-        while j < n {
-            let x = to_f64(loadu(p.add(j)));
-            let x = cond_sub_pd(cond_sub_pd(x, two_qd), qd);
-            _mm256_storeu_pd(pd.add(j), x);
-            j += 4;
-        }
-
-        // Stages with t >= 4: one broadcast twiddle per butterfly group.
-        let mut t = n;
-        let mut m = 1usize;
-        while m < n / 4 {
-            t >>= 1;
-            for i in 0..m {
-                let wd = _mm256_set1_pd(*op_p.add(m + i) as f64);
-                let j1 = 2 * i * t;
-                let mut j = j1;
-                while j < j1 + t {
-                    let x = _mm256_loadu_pd(pd.add(j));
-                    let y = _mm256_loadu_pd(pd.add(j + t));
-                    let v = mulmod_pd(y, wd, qd, inv_q);
-                    let lo = cond_sub_pd(_mm256_add_pd(x, v), qd);
-                    let hi = cond_add_neg_pd(_mm256_sub_pd(x, v), qd);
-                    _mm256_storeu_pd(pd.add(j), lo);
-                    _mm256_storeu_pd(pd.add(j + t), hi);
-                    j += 4;
-                }
-            }
-            m <<= 1;
-        }
-
-        // t == 2 stage: same 128-bit half regrouping as the integer kernel.
-        {
-            let m = n / 4;
-            let mut g = 0;
-            while g < m {
-                let base = pd.add(4 * g);
-                let v0 = _mm256_loadu_pd(base);
-                let v1 = _mm256_loadu_pd(base.add(4));
-                let x = _mm256_permute2f128_pd(v0, v1, 0x20);
-                let y = _mm256_permute2f128_pd(v0, v1, 0x31);
-                let w0 = *op_p.add(m + g) as f64;
-                let w1 = *op_p.add(m + g + 1) as f64;
-                let wd = _mm256_set_pd(w1, w1, w0, w0);
-                let v = mulmod_pd(y, wd, qd, inv_q);
-                let lo = cond_sub_pd(_mm256_add_pd(x, v), qd);
-                let hi = cond_add_neg_pd(_mm256_sub_pd(x, v), qd);
-                _mm256_storeu_pd(base, _mm256_permute2f128_pd(lo, hi, 0x20));
-                _mm256_storeu_pd(base.add(4), _mm256_permute2f128_pd(lo, hi, 0x31));
-                g += 2;
-            }
-        }
-
-        // t == 1 stage with the exit conversion fused into its stores;
-        // outputs are already canonical.
-        {
-            let m = n / 2;
-            let mut g = 0;
-            while g < m {
-                let base = pd.add(2 * g);
-                let v0 = _mm256_loadu_pd(base);
-                let v1 = _mm256_loadu_pd(base.add(4));
-                let x = _mm256_unpacklo_pd(v0, v1);
-                let y = _mm256_unpackhi_pd(v0, v1);
-                let wd = _mm256_set_pd(
-                    *op_p.add(m + g + 3) as f64,
-                    *op_p.add(m + g + 1) as f64,
-                    *op_p.add(m + g + 2) as f64,
-                    *op_p.add(m + g) as f64,
-                );
-                let v = mulmod_pd(y, wd, qd, inv_q);
-                let lo = to_u64(cond_sub_pd(_mm256_add_pd(x, v), qd));
-                let hi = to_u64(cond_add_neg_pd(_mm256_sub_pd(x, v), qd));
-                storeu(p.add(2 * g), _mm256_unpacklo_epi64(lo, hi));
-                storeu(p.add(2 * g + 4), _mm256_unpackhi_epi64(lo, hi));
-                g += 4;
-            }
-        }
-    }
-
-    /// Inverse NTT over doubles; the `n^{-1}` scaling is folded into the
-    /// final stage's twiddles (`w` lanes take `n^{-1}`, `z` lanes take
-    /// `s * n^{-1} mod q`), and the exit conversion is fused into that
-    /// stage's stores. Requires `q < 2^48` and FMA. 2.3–2.4× scalar.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn ntt_inverse_f64(a: &mut [u64], ops: &[u64], q: u64, n_inv_op: u64) {
-        let n = a.len();
-        let p = a.as_mut_ptr();
-        let pd = p as *mut f64;
-        let op_p = ops.as_ptr();
-        let qd = _mm256_set1_pd(q as f64);
-        let inv_q = _mm256_set1_pd(1.0 / q as f64);
-
-        // Entry: exact conversion plus [0, 2q) -> [0, q) canonicalization.
-        let mut j = 0;
-        while j < n {
-            let x = to_f64(loadu(p.add(j)));
-            let x = cond_sub_pd(x, qd);
-            _mm256_storeu_pd(pd.add(j), x);
-            j += 4;
-        }
-
-        // t == 1 stage: GS butterfly on unpacked lanes.
-        {
-            let h = n / 2;
-            let mut g = 0;
-            while g < h {
-                let base = pd.add(2 * g);
-                let v0 = _mm256_loadu_pd(base);
-                let v1 = _mm256_loadu_pd(base.add(4));
-                let u = _mm256_unpacklo_pd(v0, v1);
-                let v = _mm256_unpackhi_pd(v0, v1);
-                let wd = _mm256_set_pd(
-                    *op_p.add(h + g + 3) as f64,
-                    *op_p.add(h + g + 1) as f64,
-                    *op_p.add(h + g + 2) as f64,
-                    *op_p.add(h + g) as f64,
-                );
-                let w = cond_sub_pd(_mm256_add_pd(u, v), qd);
-                let z = mulmod_pd(cond_add_neg_pd(_mm256_sub_pd(u, v), qd), wd, qd, inv_q);
-                _mm256_storeu_pd(base, _mm256_unpacklo_pd(w, z));
-                _mm256_storeu_pd(base.add(4), _mm256_unpackhi_pd(w, z));
-                g += 4;
-            }
-        }
-
-        // t == 2 stage: 128-bit half regrouping.
-        {
-            let h = n / 4;
-            let mut g = 0;
-            while g < h {
-                let base = pd.add(4 * g);
-                let v0 = _mm256_loadu_pd(base);
-                let v1 = _mm256_loadu_pd(base.add(4));
-                let u = _mm256_permute2f128_pd(v0, v1, 0x20);
-                let v = _mm256_permute2f128_pd(v0, v1, 0x31);
-                let w0 = *op_p.add(h + g) as f64;
-                let w1 = *op_p.add(h + g + 1) as f64;
-                let wd = _mm256_set_pd(w1, w1, w0, w0);
-                let w = cond_sub_pd(_mm256_add_pd(u, v), qd);
-                let z = mulmod_pd(cond_add_neg_pd(_mm256_sub_pd(u, v), qd), wd, qd, inv_q);
-                _mm256_storeu_pd(base, _mm256_permute2f128_pd(w, z, 0x20));
-                _mm256_storeu_pd(base.add(4), _mm256_permute2f128_pd(w, z, 0x31));
-                g += 2;
-            }
-        }
-
-        // Stages with t >= 4, h > 1.
-        let mut t = 4usize;
-        let mut m = n / 4;
-        while m > 2 {
-            let h = m >> 1;
-            for i in 0..h {
-                let wd = _mm256_set1_pd(*op_p.add(h + i) as f64);
-                let j1 = 2 * i * t;
-                let mut j = j1;
-                while j < j1 + t {
-                    let u = _mm256_loadu_pd(pd.add(j));
-                    let v = _mm256_loadu_pd(pd.add(j + t));
-                    let w = cond_sub_pd(_mm256_add_pd(u, v), qd);
-                    let z = mulmod_pd(cond_add_neg_pd(_mm256_sub_pd(u, v), qd), wd, qd, inv_q);
-                    _mm256_storeu_pd(pd.add(j), w);
-                    _mm256_storeu_pd(pd.add(j + t), z);
-                    j += 4;
-                }
-            }
-            t <<= 1;
-            m = h;
-        }
-
-        // Final stage (h == 1) with n^{-1} folded into the twiddles and the
-        // exit conversion fused into the stores. The `w`-side operand
-        // `u + v < 2q` stays inside the mulmod bound.
-        {
-            let t = n / 2;
-            let s = *op_p.add(1);
-            let s_ni = ((u128::from(s) * u128::from(n_inv_op)) % u128::from(q)) as u64;
-            let ni_d = _mm256_set1_pd(n_inv_op as f64);
-            let sni_d = _mm256_set1_pd(s_ni as f64);
-            let mut j = 0;
-            while j < t {
-                let u = _mm256_loadu_pd(pd.add(j));
-                let v = _mm256_loadu_pd(pd.add(j + t));
-                let w = mulmod_pd(_mm256_add_pd(u, v), ni_d, qd, inv_q);
-                let z = mulmod_pd(cond_add_neg_pd(_mm256_sub_pd(u, v), qd), sni_d, qd, inv_q);
-                storeu(p.add(j), to_u64(w));
-                storeu(p.add(j + t), to_u64(z));
-                j += 4;
-            }
-        }
     }
 
     /// Integer-lane forward NTT: 1.6–1.8× the scalar lazy kernel at 50–60 bits.
@@ -915,33 +670,6 @@ mod avx2 {
         }
     }
 
-    /// Float MAC for `q < 2^48` over the full vectors of `x`; returns how
-    /// many coefficients it covered (the caller's scalar loop takes the
-    /// rest). Each term is the *exact canonical* `x*op mod q` from
-    /// [`mulmod_pd`] (valid for `x < 2^50`, which covers the `[0, 4q)` lazy
-    /// domain every call site stays inside), converted back and accumulated
-    /// as a plain integer add: the key row is the only key-side operand.
-    /// 1.4× the scalar `u128` MAC at 36 bits (8 MACs + one reduction).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn mac_f64(x: &[u64], ops: &[u64], q: u64, acc: &mut [u64]) -> usize {
-        let n = x.len();
-        assert!(ops.len() == n && acc.len() == n, "length mismatch");
-        let qd = _mm256_set1_pd(q as f64);
-        let inv_q = _mm256_set1_pd(1.0 / q as f64);
-        let xp = x.as_ptr();
-        let op = ops.as_ptr();
-        let ap = acc.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let xd = to_f64(loadu(xp.add(i)));
-            let wd = to_f64(loadu(op.add(i)));
-            let prod = to_u64(mulmod_pd(xd, wd, qd, inv_q));
-            storeu(ap.add(i), _mm256_add_epi64(loadu(ap.add(i)), prod));
-            i += 4;
-        }
-        i
-    }
-
     /// Branchless canonical lift of balanced signed coefficients:
     /// `out[i] = c + (c < 0 ? q : 0)` for lanes inside `(-q, q)` (the
     /// gadget-digit fast path); any block with an out-of-range lane falls
@@ -972,37 +700,6 @@ mod avx2 {
         }
         while i < n {
             out[i] = super::from_signed_one_scalar(coeffs[i], q);
-            i += 1;
-        }
-    }
-
-    /// Single-word Barrett reduction: 3.1× the scalar divide loop.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn reduce_barrett(acc: &[u64], out: &mut [u64], q: u64, barrett_hi: u64) {
-        let n = acc.len();
-        let qv = splat(q);
-        let q_m1 = splat(q - 1);
-        let bh = splat(barrett_hi);
-        let ap = acc.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let x = loadu(ap.add(i));
-            // est = floor(x / q) or one less, so x - est*q lands in [0, 2q)
-            // and one conditional subtract canonicalizes exactly.
-            let est = mul_hi(x, bh);
-            let r = _mm256_sub_epi64(x, mul_lo(est, qv));
-            storeu(op.add(i), fold(r, qv, q_m1));
-            i += 4;
-        }
-        while i < n {
-            let x = acc[i];
-            let est = (((x as u128) * (barrett_hi as u128)) >> 64) as u64;
-            let mut r = x.wrapping_sub(est.wrapping_mul(q));
-            if r >= q {
-                r -= q;
-            }
-            out[i] = r;
             i += 1;
         }
     }

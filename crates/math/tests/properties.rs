@@ -419,26 +419,27 @@ mod simd_parity {
             prop_assert_eq!(ShoupMul::new(op, &m).mul(b60, &m), m.mul(m.reduce_u64(op), b60));
         }
 
-        /// The narrow u64 MAC + single-word Barrett reduction must land on
-        /// the same canonical residues as the u128 lazy MAC, including lazy
-        /// `[0, 2q)` inputs — both paths driven through the accumulator,
-        /// which is the only documented way in.
+        /// The narrow `f64` datapath must land on the same canonical
+        /// residues as the wide `u128` one for signed digits and for
+        /// residues of a foreign modulus alike — both driven through the
+        /// accumulator, which is the only documented way in.
         #[test]
-        fn mac_narrow_matches_u128_mac(
-            x1 in prop::collection::vec(0..2 * Q36, 32),
+        fn narrow_datapath_matches_wide(
+            d1 in prop::collection::vec(-(1i64 << 17)..=1 << 17, 32),
             x2 in prop::collection::vec(0..2 * Q36, 32),
             ops1 in prop::collection::vec(0..Q36, 32),
             ops2 in prop::collection::vec(0..Q36, 32),
         ) {
             let t = NttTable::new(32, q());
-            prop_assert!(t.narrow_mac_term_limit() >= 2);
             let [got, want] = [MacPath::Narrow, MacPath::Wide].map(|path| {
                 let mut acc = MacAcc::default();
-                acc.reset(path, 1, 32);
-                acc.mac(0, &t, &x1, &ops1);
-                acc.mac(0, &t, &x2, &ops2);
-                let mut out = vec![0u64; 32];
-                acc.reduce_into(0, &t, &mut out);
+                acc.reset(path, 2, 32);
+                acc.mac_digit(&t, &d1, [[(0, &ops1[..]), (1, &ops2[..])]]);
+                acc.mac_digit(&t, &x2, [[(0, &ops2[..]), (1, &ops1[..])]]);
+                let mut out = vec![0u64; 64];
+                let (a, b) = out.split_at_mut(32);
+                acc.reduce_into(0, &t, a);
+                acc.reduce_into(1, &t, b);
                 out
             });
             prop_assert_eq!(got, want);
@@ -477,6 +478,216 @@ mod simd_parity {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Exactness of the fused digit → NTT → MAC datapath at the edges of its
+/// gate: every shape the gate admits equals the eager Barrett chain over
+/// the strict transform, and every shape it refuses takes the wide path and
+/// equals it too. (Nothing in this binary flips `force_scalar`, so the
+/// backend is whatever `HEAP_SIMD` and the host say for the whole run.)
+mod fused_datapath {
+    use super::*;
+    use heap_math::simd::{self, Backend};
+    use heap_math::{mac_path, LazyCoeff, MacAcc, MacPath};
+
+    /// Whether the `f64`-lane kernels run in this process: what the gate is
+    /// allowed to observe beyond its inequalities.
+    fn narrow_kernel_active() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            simd::active() == Backend::Avx2 && std::arch::is_x86_feature_detected!("fma")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    }
+
+    /// The largest modulus the narrow gate admits for an `n`-point ring on
+    /// inputs up to `input_bound`: `input_bound + log2(n)·q ≤ 2^50`.
+    fn gate_limit(n: usize, input_bound: u64) -> u64 {
+        ((1u64 << 50) - input_bound) / u64::from(n.trailing_zeros())
+    }
+
+    /// The NTT prime for ring `n` nearest to `limit`, at or below it
+    /// (`step = -1`) or above it (`step = 1`).
+    fn prime_near(n: usize, limit: u64, step: i64) -> Modulus {
+        let two_n = 2 * n as u64;
+        let mut cand = limit / two_n * two_n + 1;
+        if (step < 0) == (cand > limit) {
+            cand = cand.wrapping_add_signed(step * two_n as i64);
+        }
+        while !is_prime(cand) {
+            cand = cand.wrapping_add_signed(step * two_n as i64);
+        }
+        Modulus::new(cand).unwrap()
+    }
+
+    fn prime_of(n: usize, bits: u32) -> Modulus {
+        Modulus::new(ntt_primes(n as u64, bits, 1)[0]).unwrap()
+    }
+
+    /// One digit against one key row pair, `terms` times over: the fused
+    /// entry on `path` against the eager chain. Identical terms make the
+    /// sums as large as the count allows; the oracle's `terms`-fold sum is
+    /// one Barrett product by `terms mod q`.
+    fn assert_fused_matches_eager<T: LazyCoeff>(
+        t: &NttTable,
+        path: MacPath,
+        digit: &[T],
+        rows: [&[u64]; 2],
+        terms: usize,
+    ) {
+        let (n, m) = (t.n(), t.modulus());
+        let mut x = vec![0u64; n];
+        T::lift_into(digit, m, &mut x);
+        t.forward_reference(&mut x);
+        let mut acc = MacAcc::default();
+        acc.reset(path, 2, n);
+        for _ in 0..terms {
+            acc.mac_digit(t, digit, [[(0, rows[0]), (1, rows[1])]]);
+        }
+        for (slot, row) in rows.into_iter().enumerate() {
+            let mut once = vec![0u64; n];
+            t.pointwise_acc(&x, row, &mut once);
+            let count = m.reduce_u64(terms as u64);
+            let want: Vec<u64> = once.iter().map(|&p| m.mul(p, count)).collect();
+            let mut got = vec![1u64; n];
+            acc.reduce_into(slot, t, &mut got);
+            assert_eq!(
+                got,
+                want,
+                "n = {n}, q = {}, {terms} terms, {path:?}, slot {slot}",
+                m.value()
+            );
+        }
+    }
+
+    /// `forward` on lazy inputs pinned at `4q − 1` against the strict kernel.
+    fn assert_forward_exact_at_4q(t: &NttTable) {
+        let q = t.modulus().value();
+        let mut hot = vec![4 * q - 1; t.n()];
+        let mut strict = vec![(4 * q - 1) % q; t.n()];
+        t.forward(&mut hot);
+        t.forward_reference(&mut strict);
+        assert_eq!(hot, strict, "forward at 4q - 1, n = {}, q = {q}", t.n());
+    }
+
+    /// The five modulus classes for ring `n` with their gadget base: the
+    /// preset widths, 45 bits, and the largest prime the gate admits for
+    /// digits of half that base.
+    fn modulus_classes(n: usize) -> Vec<(Modulus, u32)> {
+        let mut classes: Vec<_> = [28u32, 30, 36, 45]
+            .iter()
+            .map(|&bits| (prime_of(n, bits), bits.div_ceil(2)))
+            .collect();
+        if n >= 16 {
+            classes.push((prime_near(n, gate_limit(n, 1 << 23), -1), 24));
+        }
+        classes
+    }
+
+    /// Digits pinned at `±2^(base_bits−1)`, residues pinned at `q − 1` and
+    /// at the largest foreign modulus the gate admits, key rows at `q − 1`,
+    /// `0` and random, 28 terms (the paper's `2·7·2`; fewer where a modulus
+    /// near `2^48` admits fewer), `N` from 8 to the paper's `2^13`: the
+    /// fused entry equals the eager chain, and so does `forward` on lazy
+    /// inputs pinned at `4q − 1`.
+    #[test]
+    fn fused_entry_matches_eager_chain_at_the_extremes() {
+        for n in [8usize, 16, 32, 64, 1 << 10, 1 << 11, 1 << 13] {
+            for (m, base_bits) in modulus_classes(n) {
+                let q = m.value();
+                let t = NttTable::new(n, m);
+                let terms = 28.min((1u64 << 52) / q) as usize;
+                let half_base = 1i64 << (base_bits - 1);
+                let random: Vec<u64> = (0..n as u64)
+                    .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % q)
+                    .collect();
+                let rows = [vec![q - 1; n], vec![0; n], random];
+
+                let path = mac_path([&t], terms, half_base as u64);
+                let admitted = n >= 16 && narrow_kernel_active();
+                assert_eq!(path == MacPath::Narrow, admitted, "n = {n}, q = {q}");
+                let digits = [
+                    vec![half_base; n],
+                    vec![-half_base; n],
+                    (0..n)
+                        .map(|i| if i % 3 == 0 { half_base } else { -half_base })
+                        .collect(),
+                ];
+                for digit in &digits {
+                    assert_fused_matches_eager(&t, path, digit, [&rows[0], &rows[2]], terms);
+                    assert_fused_matches_eager(&t, path, digit, [&rows[1], &rows[0]], terms);
+                }
+
+                // Key-switch digits: residues pinned at this modulus' top,
+                // and at the largest magnitude the gate admits.
+                let largest = (1u64 << 50) - u64::from(n.trailing_zeros()) * q;
+                let path = mac_path([&t], terms, largest);
+                assert_eq!(path == MacPath::Narrow, admitted, "n = {n}, q = {q}");
+                for residue in [q - 1, largest] {
+                    let path = mac_path([&t], terms, residue);
+                    let digit = vec![residue; n];
+                    assert_fused_matches_eager(&t, path, &digit, [&rows[0], &rows[2]], terms);
+                }
+
+                assert_forward_exact_at_4q(&t);
+            }
+            // The largest prime `forward` itself admits: `(4 + log2 n)·q ≤ 2^50`.
+            let log_n = u64::from(n.trailing_zeros());
+            assert_forward_exact_at_4q(&NttTable::new(
+                n,
+                prime_near(n, (1 << 50) / (4 + log_n), -1),
+            ));
+        }
+    }
+
+    /// The most terms the gate admits, `⌊2^52 / q⌋`, all pinned at the
+    /// extremes: the sum of signed terms stays exact to the last one, and
+    /// one term more is refused.
+    #[test]
+    fn largest_admitted_term_count_stays_exact() {
+        let n = 16;
+        for (m, base_bits) in modulus_classes(n) {
+            let q = m.value();
+            let t = NttTable::new(n, m);
+            let half_base = 1u64 << (base_bits - 1);
+            let terms = ((1u64 << 52) / q) as usize;
+            let path = mac_path([&t], terms, half_base);
+            assert_eq!(path == MacPath::Narrow, narrow_kernel_active(), "q = {q}");
+            assert_eq!(mac_path([&t], terms + 1, half_base), MacPath::Wide);
+            let digit = vec![-(half_base as i64); n];
+            let rows = [vec![q - 1; n], vec![q / 2; n]];
+            assert_fused_matches_eager(&t, path, &digit, [&rows[0], &rows[1]], terms);
+        }
+    }
+
+    /// Just past the gate — the next prime above the largest admitted one,
+    /// and inputs one past the largest admitted magnitude — lands on the
+    /// wide path and the integer-lane transform on every host, and is still
+    /// bit-identical.
+    #[test]
+    fn shapes_past_the_gate_take_the_wide_path_bit_identically() {
+        for n in [16usize, 1 << 11, 1 << 13] {
+            let (half_base, terms) = (1u64 << 23, 28);
+            let m = prime_near(n, gate_limit(n, half_base), 1);
+            let t = NttTable::new(n, m);
+            let q = m.value();
+            assert_eq!(mac_path([&t], terms, half_base), MacPath::Wide, "n = {n}");
+            let digit = vec![half_base as i64; n];
+            let rows = [vec![q - 1; n], vec![1; n]];
+            assert_fused_matches_eager(&t, MacPath::Wide, &digit, [&rows[0], &rows[1]], terms);
+
+            assert_forward_exact_at_4q(&t);
+
+            // An admitted modulus, inputs one too large.
+            let inside = prime_near(n, gate_limit(n, half_base), -1);
+            let t = NttTable::new(n, inside);
+            let too_large = (1u64 << 50) - u64::from(n.trailing_zeros()) * inside.value() + 1;
+            assert_eq!(mac_path([&t], terms, too_large), MacPath::Wide, "n = {n}");
         }
     }
 }

@@ -429,8 +429,8 @@ impl BlindRotateKey {
     ///
     /// Kept as the oracle for the restructured hot path: the parity suite
     /// asserts [`BlindRotateKey::blind_rotate_batch_with`] is bit-identical
-    /// to this per member, and `kernel_sweep` measures the speedup over
-    /// it. Allocates freely; not used on any production path.
+    /// to this per member. Allocates freely; not used on any production
+    /// path.
     pub fn blind_rotate_reference(
         &self,
         ctx: &RnsContext,

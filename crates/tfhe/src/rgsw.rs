@@ -16,7 +16,7 @@
 
 use rand::Rng;
 
-use heap_math::{mac_path, poly, Domain, Gadget, MacAcc, RnsContext, RnsPoly};
+use heap_math::{mac_path, poly, Domain, Gadget, MacAcc, RnsContext, RnsPoly, RowPair};
 
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
 
@@ -211,7 +211,7 @@ fn add_constant(limb: &mut [u64], c: u64, q: u64) {
 /// on-chip BRAM between steps).
 ///
 /// Once warmed up for a shape, every buffer — the tile's signed digit
-/// polynomials, the per-limb spread, the lazy MAC accumulators, the
+/// polynomials, the lazy MAC accumulators with their operand buffer, the
 /// coefficient-domain operand copy, and the gadget tables — is reused, so
 /// the `*_into` external products perform **zero heap allocations** per
 /// call on either accumulator path (asserted by `tests/alloc_free.rs`).
@@ -220,7 +220,6 @@ pub struct ExternalProductScratch {
     /// Digit polynomial `d` of limb `i` of part `ladder` of tile member `t`
     /// at `((t·2 + ladder)·limbs + i)·digits + d`.
     digit_signed: Vec<Vec<i64>>,
-    spread: Vec<u64>,
     /// One `n`-long slot per `(tile member, key, output part)`, for one
     /// target limb at a time.
     acc: MacAcc,
@@ -238,7 +237,6 @@ impl ExternalProductScratch {
         for d in &mut self.digit_signed[..polys] {
             d.resize(n, 0);
         }
-        self.spread.resize(n, 0);
         // The cached gadgets are only good for the base, digit count and
         // limb moduli they were built from; a scratch may move between
         // contexts of equal shape.
@@ -308,19 +306,20 @@ pub fn external_product_with(
 /// member `t`**: one key-row block — limb `j` of both parts of row `r` of
 /// all `K` keys, `2K` operand limbs (`2K·8N` bytes, read as stored: the
 /// MAC needs no precomputed companion) — stays in cache while every
-/// member's digit polynomial is spread under `q_j`, NTT'd and MAC'd past
-/// it, so a tile streams the key once instead of once per member. One
-/// forward NTT per `(member, part, limb, digit, target limb)` still feeds
-/// `2·K` MACs.
+/// member's digit polynomial goes past it through [`MacAcc::mac_digit`]
+/// (transformed under `q_j`, multiplied into the `2K` slots), so a tile
+/// streams the key once instead of once per member. One forward NTT per
+/// `(member, part, limb, digit, target limb)` still feeds `2·K` MACs.
 ///
-/// The MAC datapath is *lazy* (HEAP §IV-A): every pointwise product of a
-/// spread-digit NTT with a key row is accumulated **unreduced** in a
-/// [`MacAcc`] — `2K` slots per member, for one target limb at a time — and
-/// each output coefficient is reduced exactly once, as soon as limb `j`'s
-/// rows are done. [`mac_path`] picks the accumulator for the
-/// `2·limbs·digits` terms — the narrow `u64` path where its vector kernel
-/// applies under every limb, the `u128` path otherwise; the deferred
-/// reduction is exact on both, so the canonical output is bit-identical to
+/// The MAC datapath is *lazy* (HEAP §IV-A): the signed digit is never
+/// lifted, its transform never normalised, and every pointwise product with
+/// a key row is accumulated **unreduced** in a [`MacAcc`] — `2K` slots per
+/// member, for one target limb at a time — with each output coefficient
+/// reduced exactly once, as soon as limb `j`'s rows are done. [`mac_path`]
+/// picks the datapath for the `2·limbs·digits` terms of digits no larger
+/// than half the gadget base — `f64` lanes from digit to accumulator where
+/// they are exact under every limb, lift + integer NTT + `u128` sums
+/// otherwise; both are exact, so the canonical output is bit-identical to
 /// [`external_product_reference`].
 pub(crate) fn external_product_core<const K: usize>(
     cts: &[RlweCiphertext],
@@ -348,11 +347,14 @@ pub(crate) fn external_product_core<const K: usize>(
             assert_eq!(out.limbs(), limbs, "output limb count mismatch");
         }
     }
-    let path = mac_path((0..limbs).map(|j| ctx.ntt(j)), 2 * limbs * params.digits);
+    let path = mac_path(
+        (0..limbs).map(|j| ctx.ntt(j)),
+        2 * limbs * params.digits,
+        1 << (params.base_bits - 1),
+    );
     scratch.prepare(ctx, params, limbs, active.len());
     let ExternalProductScratch {
         digit_signed,
-        spread,
         acc,
         coeff,
         gadgets,
@@ -385,15 +387,17 @@ pub(crate) fn external_product_core<const K: usize>(
         for ladder in 0..2 {
             for r in 0..limbs * digits {
                 for t in 0..active.len() {
-                    // Spread the signed digit under limb j, NTT, lazy MAC.
+                    // The signed digit under limb j against row r of every
+                    // key: one transform, 2K lazy MACs.
                     let digit = &digit_signed[digit_base(t, ladder, 0) + r];
-                    poly::from_signed_into(digit, ctx.modulus(j), spread);
-                    ntt.forward(spread);
-                    for (k, rgsw) in keys.iter().enumerate() {
-                        let row = &rgsw.ladders()[ladder][r];
-                        acc.mac(slot(t, k, 0), ntt, spread, row.a.limb(j));
-                        acc.mac(slot(t, k, 1), ntt, spread, row.b.limb(j));
-                    }
+                    let rows: [RowPair<'_>; K] = std::array::from_fn(|k| {
+                        let row = &keys[k].ladders()[ladder][r];
+                        [
+                            (slot(t, k, 0), row.a.limb(j)),
+                            (slot(t, k, 1), row.b.limb(j)),
+                        ]
+                    });
+                    acc.mac_digit(ntt, digit, rows);
                 }
             }
         }
@@ -491,8 +495,7 @@ pub fn external_product_pair_prepared_into(
 /// kernels, allocating its buffers per call.
 ///
 /// This is the *oracle* the lazy [`external_product_into`] is proven
-/// bit-identical against (`tests/kernel_parity.rs`) and the baseline the
-/// `kernel_sweep` bench measures speedups over. Not used on any
+/// bit-identical against (`tests/kernel_parity.rs`). Not used on any
 /// production path.
 ///
 /// # Panics

@@ -9,7 +9,7 @@
 //! of which [`BlindRotateKey::blind_rotate`] is the batch of one) vs
 //! [`BlindRotateKey::blind_rotate_reference`], including the `a_i = 0`
 //! skip and `a_i = N` negacyclic-wrap edges. The gate tests pin which
-//! accumulator ([`heap_math::mac_path`]) a shape lands on: narrow exactly
+//! datapath ([`heap_math::mac_path`]) a shape lands on: narrow exactly
 //! where the vector kernel applies, wide for every 60-bit shape and under
 //! forced scalar.
 
@@ -93,8 +93,9 @@ fn product_operands(
     (c, ct, rgsw)
 }
 
-/// Whether the narrow MAC's vector kernel runs on this host right now
-/// (for a modulus below `2^48`): what [`mac_path`] is allowed to observe.
+/// Whether the narrow MAC's vector kernels run on this host right now
+/// (for a ring and modulus inside their exactness gate): what [`mac_path`]
+/// is allowed to observe.
 fn narrow_kernel_active() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -116,7 +117,7 @@ fn paper_shape_takes_narrow_path_exactly_where_the_kernel_applies() {
     let p = RgswParams::paper();
     let (c, ct, rgsw) = product_operands(&ntt_primes(N as u64, 36, LIMBS), &p, 0x36B1);
     let tables = || (0..LIMBS).map(|j| c.ntt(j));
-    let terms = 2 * LIMBS * p.digits;
+    let (terms, digit_bound) = (2 * LIMBS * p.digits, 1 << (p.base_bits - 1));
     let strict = external_product_reference(&ct, &rgsw, &c, &p);
 
     let native = if narrow_kernel_active() {
@@ -124,11 +125,11 @@ fn paper_shape_takes_narrow_path_exactly_where_the_kernel_applies() {
     } else {
         MacPath::Wide
     };
-    assert_eq!(mac_path(tables(), terms), native);
+    assert_eq!(mac_path(tables(), terms, digit_bound), native);
     assert_bit_identical(&external_product(&ct, &rgsw, &c, &p), &strict, "native");
 
     let _scalar = ForcedScalar::new();
-    assert_eq!(mac_path(tables(), terms), MacPath::Wide);
+    assert_eq!(mac_path(tables(), terms, digit_bound), MacPath::Wide);
     assert_bit_identical(&external_product(&ct, &rgsw, &c, &p), &strict, "scalar");
 }
 
@@ -143,7 +144,7 @@ fn sixty_bit_shapes_take_wide_path() {
         let (c, ct, rgsw) = product_operands(&ntt_primes(N as u64, 60, limbs), &p, 0x60B1);
         let terms = 2 * limbs * digits;
         assert_eq!(
-            mac_path((0..limbs).map(|j| c.ntt(j)), terms),
+            mac_path((0..limbs).map(|j| c.ntt(j)), terms, 1 << (base_bits - 1)),
             MacPath::Wide,
             "{terms} terms"
         );
@@ -154,9 +155,9 @@ fn sixty_bit_shapes_take_wide_path() {
 }
 
 /// A narrow chain survives the backend being flipped under it: the first
-/// MAC runs the vector kernel (on a vector host), the second the scalar
-/// loop behind it, and the deferred reduction still lands on the eager
-/// Barrett chain's residues.
+/// digit runs the vector kernels (on a vector host), the second the scalar
+/// loop behind them, and the deferred reduction — scalar too by then —
+/// still lands on the eager Barrett chain's residues.
 #[test]
 fn narrow_chain_survives_backend_flip() {
     let _lock = simd_lock();
@@ -164,20 +165,26 @@ fn narrow_chain_survives_backend_flip() {
     let (t, q) = (c.ntt(0), c.modulus(0).value());
     let mut rng = StdRng::seed_from_u64(0xF11B);
     let mut row = |bound: u64| -> Vec<u64> { (0..N).map(|_| rng.gen_range(0..bound)).collect() };
-    let terms = [(row(q), row(q)), (row(q), row(q))];
-    let mut want = vec![0u64; N];
-    for (x, ops) in &terms {
-        t.pointwise_acc(x, ops, &mut want);
+    let terms = [(row(q), row(q), row(q)), (row(q), row(q), row(q))];
+    let mut want = [vec![0u64; N], vec![0u64; N]];
+    for (digit, ops_a, ops_b) in &terms {
+        let mut x = digit.clone();
+        t.forward_reference(&mut x);
+        t.pointwise_acc(&x, ops_a, &mut want[0]);
+        t.pointwise_acc(&x, ops_b, &mut want[1]);
     }
 
     let mut acc = MacAcc::default();
-    acc.reset(MacPath::Narrow, 1, N);
-    acc.mac(0, t, &terms[0].0, &terms[0].1);
+    acc.reset(MacPath::Narrow, 2, N);
+    let rows = |k: usize| [[(0, &terms[k].1[..]), (1, &terms[k].2[..])]];
+    acc.mac_digit(t, &terms[0].0, rows(0));
     let _scalar = ForcedScalar::new();
-    acc.mac(0, t, &terms[1].0, &terms[1].1);
-    let mut got = vec![0u64; N];
-    acc.reduce_into(0, t, &mut got);
-    assert_eq!(got, want);
+    acc.mac_digit(t, &terms[1].0, rows(1));
+    for (slot, want) in want.iter().enumerate() {
+        let mut got = vec![0u64; N];
+        acc.reduce_into(slot, t, &mut got);
+        assert_eq!(&got, want, "slot {slot}");
+    }
 }
 
 /// A scratch warmed on one context and reused on another of the same shape

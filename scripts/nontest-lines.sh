@@ -19,8 +19,9 @@ if [ "${1:-}" = "--check" ]; then
   limit="${2:?--check needs a line limit}"
 fi
 
-# Files allowed over the limit, each with the ROADMAP item that owns it.
-allow="crates/math/src/simd.rs" # item 4(b): lane wrappers split the AVX2 kernels
+# File allowed over the limit, with the ROADMAP item that owns it (none
+# since simd.rs was split by lane type).
+allow=""
 
 find crates/*/src -name '*.rs' | LC_ALL=C sort | awk -v limit="$limit" -v allow="$allow" '
 function classify(l) {
