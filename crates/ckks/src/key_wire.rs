@@ -17,7 +17,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use heap_math::wire::{derive_seed, packed_size, WireError, WireReader, WireWriter};
+use heap_math::wire::{derive_seed, packed_size, residue_bits, WireError, WireReader, WireWriter};
 use heap_math::{poly, sample};
 
 use crate::context::CkksContext;
@@ -60,8 +60,23 @@ pub fn reseed_cks(ksk: &mut KeySwitchKey, ctx: &CkksContext, sk: &SecretKey, see
 /// stored — the key **must** have been reseeded with that exact seed (via
 /// [`reseed_cks`]) or decoding will not reproduce it.
 pub fn cks_to_wire(ksk: &KeySwitchKey, ctx: &CkksContext, seed: Option<u64>) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(cks_encoded_len(ksk, ctx, seed.is_some()));
+    cks_write(&mut w, ksk, ctx, seed);
+    w.into_bytes()
+}
+
+fn chain_moduli(ctx: &CkksContext) -> Vec<u64> {
+    ctx.rns().moduli().iter().map(|m| m.value()).collect()
+}
+
+/// [`cks_wire_size`] of this key over `ctx` — what [`cks_write`] writes.
+fn cks_encoded_len(ksk: &KeySwitchKey, ctx: &CkksContext, seeded: bool) -> usize {
+    cks_wire_size(ksk.comps.len(), ctx.n(), &chain_moduli(ctx), seeded)
+}
+
+/// Writes [`cks_to_wire`]'s encoding into an open writer.
+fn cks_write(w: &mut WireWriter, ksk: &KeySwitchKey, ctx: &CkksContext, seed: Option<u64>) {
     let chain = ctx.rns().max_limbs();
-    let mut w = WireWriter::new();
     w.put_u32(CKS_MAGIC);
     w.put_u8(if seed.is_some() {
         MODE_SEEDED
@@ -86,7 +101,6 @@ pub fn cks_to_wire(ksk: &KeySwitchKey, ctx: &CkksContext, seed: Option<u64>) -> 
             w.put_packed(&comp.b[j], bits);
         }
     }
-    w.into_bytes()
 }
 
 /// Deserializes a key-switching key written by [`cks_to_wire`], expanding
@@ -126,27 +140,21 @@ pub fn cks_from_wire(buf: &[u8], ctx: &CkksContext) -> Result<KeySwitchKey, Wire
     } else {
         None
     };
+    // Every announced dimension was just pinned to `ctx`, and each mask
+    // limb is expanded one step ahead of the body limb that must follow in
+    // the buffer: a seeded key allocates at most twice its strict size.
     let n = ctx.n();
     let mut out = Vec::with_capacity(comps);
     for _ in 0..comps {
         let mut a = Vec::with_capacity(chain);
         let mut b = Vec::with_capacity(chain);
         for j in 0..chain {
-            let m = ctx.rns().modulus(j);
+            let m = ctx.rns().modulus(j).value();
             let aj = match &mut rng {
-                Some(rng) => sample::uniform_poly(rng, n, m.value()),
-                None => {
-                    let aj = r.get_packed(m.bits(), n)?;
-                    if aj.iter().any(|&x| x >= m.value()) {
-                        return Err(WireError::Corrupt("CKS mask out of range"));
-                    }
-                    aj
-                }
+                Some(rng) => sample::uniform_poly(rng, n, m),
+                None => r.get_residues(n, m, "CKS mask out of range")?,
             };
-            let bj = r.get_packed(m.bits(), n)?;
-            if bj.iter().any(|&x| x >= m.value()) {
-                return Err(WireError::Corrupt("CKS body out of range"));
-            }
+            let bj = r.get_residues(n, m, "CKS body out of range")?;
             a.push(aj);
             b.push(bj);
         }
@@ -161,8 +169,7 @@ pub fn cks_wire_size(comps: usize, n: usize, moduli: &[u64], seeded: bool) -> us
     let per_comp: usize = moduli
         .iter()
         .map(|&m| {
-            let bits = 64 - (m - 1).leading_zeros();
-            let limb = packed_size(n, bits);
+            let limb = packed_size(n, residue_bits(m));
             if seeded {
                 limb
             } else {
@@ -190,16 +197,35 @@ pub fn reseed_galois_keys(gks: &mut GaloisKeys, ctx: &CkksContext, sk: &SecretKe
 /// **must** have been reseeded with [`reseed_galois_keys`] under the same
 /// master.
 pub fn gks_to_wire(gks: &GaloisKeys, ctx: &CkksContext, master: Option<u64>) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut w = WireWriter::with_capacity(gks_encoded_len(gks, ctx, master.is_some()));
+    gks_write(&mut w, gks, ctx, master);
+    w.into_bytes()
+}
+
+/// Exact byte size of [`gks_to_wire`]'s output for this set — what
+/// [`gks_write`] writes ([`gks_wire_size`] when every key has the same
+/// component count).
+pub fn gks_encoded_len(gks: &GaloisKeys, ctx: &CkksContext, seeded: bool) -> usize {
+    let keys = gks.exponents().into_iter().map(|g| {
+        let key = gks.key_for(g).expect("exponent listed");
+        4 + 4 + cks_encoded_len(key, ctx, seeded)
+    });
+    4 + 4 + keys.sum::<usize>()
+}
+
+/// Writes [`gks_to_wire`]'s encoding — exactly [`gks_encoded_len`] bytes
+/// — into an open writer (a container section, or a hashing writer);
+/// each inner key is a section prefixed from [`cks_wire_size`].
+pub fn gks_write(w: &mut WireWriter, gks: &GaloisKeys, ctx: &CkksContext, master: Option<u64>) {
     w.put_u32(GKS_MAGIC);
     w.put_u32(gks.len() as u32);
     for g in gks.exponents() {
         w.put_u32(g as u32);
         let seed = master.map(|m| derive_seed(m, &(g as u64).to_le_bytes()));
         let key = gks.key_for(g).expect("exponent listed");
-        w.put_bytes(&cks_to_wire(key, ctx, seed));
+        let len = cks_encoded_len(key, ctx, master.is_some());
+        w.put_section(len, "Galois key", |w| cks_write(w, key, ctx, seed));
     }
-    w.into_bytes()
 }
 
 /// Deserializes a Galois key set written by [`gks_to_wire`].
@@ -256,12 +282,6 @@ mod tests {
     use heap_math::RnsPoly;
     use rand::Rng;
 
-    fn chain_moduli(ctx: &CkksContext) -> Vec<u64> {
-        (0..ctx.rns().max_limbs())
-            .map(|j| ctx.rns().modulus(j).value())
-            .collect()
-    }
-
     /// Per-component, per-limb phase `b + a·s` in evaluation domain.
     fn phases(ksk: &KeySwitchKey, ctx: &CkksContext, sk: &SecretKey) -> Vec<Vec<u64>> {
         let mut out = Vec::new();
@@ -317,7 +337,7 @@ mod tests {
         // Seeded drops exactly the packed `a` limbs, paying 8 bytes of seed.
         let a_bytes: usize = chain_moduli(&ctx)
             .iter()
-            .map(|&m| packed_size(ctx.n(), 64 - (m - 1).leading_zeros()))
+            .map(|&m| packed_size(ctx.n(), residue_bits(m)))
             .sum::<usize>()
             * ksk.component_count();
         assert_eq!(strict.len() - seeded.len(), a_bytes - 8);
@@ -407,6 +427,41 @@ mod tests {
         let rotated2 = ctx.rotate(&ct, 1, &expanded);
         assert_eq!(rotated2.c0(), rotated.c0());
         assert_eq!(rotated2.c1(), rotated.c1());
+    }
+
+    /// The size functions now write the Galois-key length prefixes (and
+    /// the `EKS1` container's), so they must be exact — both modes, on the
+    /// Tiny and the Small preset.
+    #[test]
+    fn wire_sizes_are_exact_on_tiny_and_small_presets() {
+        for params in [CkksParams::test_tiny(), CkksParams::test_small()] {
+            let ctx = CkksContext::new(params);
+            let mut rng = StdRng::seed_from_u64(46);
+            let sk = SecretKey::generate(&ctx, &mut rng);
+            let mut gks = GaloisKeys::generate(&ctx, &sk, &[1, 3], true, &mut rng);
+            reseed_galois_keys(&mut gks, &ctx, &sk, 5);
+            let moduli = chain_moduli(&ctx);
+            for master in [None, Some(5)] {
+                let seeded = master.is_some();
+                let bytes = gks_to_wire(&gks, &ctx, master);
+                assert_eq!(bytes.len(), gks_encoded_len(&gks, &ctx, seeded));
+                assert_eq!(
+                    bytes.len(),
+                    gks_wire_size(gks.len(), ctx.boot_limbs(), ctx.n(), &moduli, seeded),
+                    "GKS, n = {}, seeded {seeded}",
+                    ctx.n()
+                );
+                let g = gks.exponents()[0];
+                let key = gks.key_for(g).unwrap();
+                let seed = master.map(|m| derive_seed(m, &(g as u64).to_le_bytes()));
+                assert_eq!(
+                    cks_to_wire(key, &ctx, seed).len(),
+                    cks_wire_size(key.component_count(), ctx.n(), &moduli, seeded),
+                    "CKS, n = {}, seeded {seeded}",
+                    ctx.n()
+                );
+            }
+        }
     }
 
     #[test]

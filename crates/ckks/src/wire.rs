@@ -63,12 +63,8 @@ impl CkksContext {
         for _ in 0..2 {
             let mut limb_data = Vec::with_capacity(limbs);
             for j in 0..limbs {
-                let m = rns.modulus(j);
-                let limb = r.get_packed(m.bits(), n)?;
-                if limb.iter().any(|&x| x >= m.value()) {
-                    return Err(WireError::Corrupt("coefficient out of range"));
-                }
-                limb_data.push(limb);
+                let m = rns.modulus(j).value();
+                limb_data.push(r.get_residues(n, m, "coefficient out of range")?);
             }
             let mut poly = RnsPoly::from_limbs(limb_data, Domain::Coeff);
             poly.to_eval(rns);

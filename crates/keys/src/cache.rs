@@ -118,13 +118,19 @@ impl<V> KeyCache<V> {
 
     /// Inserts (or replaces) an entry of `bytes` encoded size, evicting
     /// least-recently-used entries until the budget holds.
-    pub fn insert(&mut self, id: KeyId, value: V, bytes: usize) {
+    ///
+    /// Returns the displaced values instead of dropping them: an expanded
+    /// key set is thousands of allocations to free, and the caller holds
+    /// the node's key lock — it drops them after releasing it.
+    #[must_use = "drop the displaced values after releasing the cache lock"]
+    pub fn insert(&mut self, id: KeyId, value: V, bytes: usize) -> Vec<V> {
         self.clock += 1;
+        let mut displaced = Vec::new();
         if let Some(pos) = self.entries.iter().position(|e| e.id == id) {
             // The displaced entry leaves residency, so it must count as an
             // eviction — otherwise `inserts - evictions` drifts away from
             // the resident-keys gauge on every replace.
-            self.entries.remove(pos);
+            displaced.push(self.entries.remove(pos).value);
             self.evictions.inc();
         }
         self.entries.push(Entry {
@@ -142,10 +148,11 @@ impl<V> KeyCache<V> {
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(i, _)| i)
                 .expect("non-empty");
-            self.entries.remove(lru);
+            displaced.push(self.entries.remove(lru).value);
             self.evictions.inc();
         }
         self.update_gauges();
+        displaced
     }
 
     /// Ids currently resident, most recently used first (what a node
@@ -200,7 +207,7 @@ mod tests {
     fn lookup_counts_hits_and_misses() {
         let mut c = KeyCache::new(1000);
         assert!(c.lookup(KeyId(1)).is_none());
-        c.insert(KeyId(1), 10, 100);
+        drop(c.insert(KeyId(1), 10, 100));
         assert_eq!(c.lookup(KeyId(1)), Some(&10));
         assert_eq!(snapshot_counter(&c, "heap_keycache_hits_total"), 1);
         assert_eq!(snapshot_counter(&c, "heap_keycache_misses_total"), 1);
@@ -212,11 +219,11 @@ mod tests {
     #[test]
     fn eviction_is_lru_under_byte_budget() {
         let mut c = KeyCache::new(250);
-        c.insert(KeyId(1), 1, 100);
-        c.insert(KeyId(2), 2, 100);
+        drop(c.insert(KeyId(1), 1, 100));
+        drop(c.insert(KeyId(2), 2, 100));
         // Touch 1 so 2 is now least recent.
         assert!(c.lookup(KeyId(1)).is_some());
-        c.insert(KeyId(3), 3, 100); // 300 > 250: evict id 2
+        drop(c.insert(KeyId(3), 3, 100)); // 300 > 250: evict id 2
         assert!(c.peek(KeyId(2)).is_none());
         assert!(c.peek(KeyId(1)).is_some());
         assert!(c.peek(KeyId(3)).is_some());
@@ -227,8 +234,8 @@ mod tests {
     #[test]
     fn oversized_entry_still_inserts_alone() {
         let mut c = KeyCache::new(50);
-        c.insert(KeyId(1), 1, 40);
-        c.insert(KeyId(2), 2, 400);
+        drop(c.insert(KeyId(1), 1, 40));
+        drop(c.insert(KeyId(2), 2, 400));
         assert_eq!(c.len(), 1);
         assert!(c.peek(KeyId(2)).is_some());
     }
@@ -236,8 +243,8 @@ mod tests {
     #[test]
     fn ids_are_most_recent_first() {
         let mut c = KeyCache::new(1000);
-        c.insert(KeyId(1), 1, 10);
-        c.insert(KeyId(2), 2, 10);
+        drop(c.insert(KeyId(1), 1, 10));
+        drop(c.insert(KeyId(2), 2, 10));
         assert!(c.lookup(KeyId(1)).is_some());
         assert_eq!(c.ids(), vec![KeyId(1), KeyId(2)]);
     }
@@ -245,14 +252,44 @@ mod tests {
     #[test]
     fn reinsert_replaces_without_double_count() {
         let mut c = KeyCache::new(1000);
-        c.insert(KeyId(1), 1, 100);
-        c.insert(KeyId(1), 2, 120);
+        drop(c.insert(KeyId(1), 1, 100));
+        drop(c.insert(KeyId(1), 2, 120));
         assert_eq!(c.len(), 1);
         assert_eq!(c.resident(), 120);
         assert_eq!(c.peek(KeyId(1)), Some(&2));
         // The displaced first copy counts as an eviction.
         assert_eq!(snapshot_counter(&c, "heap_keycache_evictions_total"), 1);
         assert_eq!(snapshot_counter(&c, "heap_keycache_inserts_total"), 2);
+    }
+
+    /// A value that records its own drop.
+    struct Tracked<'a>(u32, &'a std::cell::RefCell<Vec<u32>>);
+
+    impl Drop for Tracked<'_> {
+        fn drop(&mut self) {
+            self.1.borrow_mut().push(self.0);
+        }
+    }
+
+    /// `insert` hands every displaced value back — replaced and evicted —
+    /// and drops none itself, so the caller frees them outside its lock.
+    #[test]
+    fn insert_returns_displaced_values_undropped() {
+        let dropped = std::cell::RefCell::new(Vec::new());
+        let mut c = KeyCache::new(250);
+        assert!(c.insert(KeyId(1), Tracked(1, &dropped), 100).is_empty());
+        assert!(c.insert(KeyId(2), Tracked(2, &dropped), 100).is_empty());
+        // Replacing 2 displaces its old value; 300 > 250 then evicts 1.
+        let displaced = c.insert(KeyId(2), Tracked(20, &dropped), 200);
+        assert!(dropped.borrow().is_empty(), "dropped under the lock");
+        let mut ids: Vec<u32> = displaced.iter().map(|t| t.0).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [1, 2]);
+        assert_eq!(c.len(), 1);
+        drop(displaced);
+        assert_eq!(dropped.borrow().len(), 2);
+        drop(c);
+        assert_eq!(dropped.borrow().last(), Some(&20));
     }
 
     /// `inserts - evictions == resident_keys` must hold through any mix of
@@ -270,17 +307,17 @@ mod tests {
                 c.len()
             );
         };
-        c.insert(KeyId(1), 1, 100);
+        drop(c.insert(KeyId(1), 1, 100));
         check(&c);
-        c.insert(KeyId(2), 2, 100);
+        drop(c.insert(KeyId(2), 2, 100));
         check(&c);
-        c.insert(KeyId(1), 10, 100); // replace
+        drop(c.insert(KeyId(1), 10, 100)); // replace
         check(&c);
-        c.insert(KeyId(3), 3, 100); // budget eviction
+        drop(c.insert(KeyId(3), 3, 100)); // budget eviction
         check(&c);
-        c.insert(KeyId(3), 30, 240); // replace that also forces evictions
+        drop(c.insert(KeyId(3), 30, 240)); // replace that also forces evictions
         check(&c);
-        c.insert(KeyId(4), 4, 400); // oversized: evicts everything else
+        drop(c.insert(KeyId(4), 4, 400)); // oversized: evicts everything else
         check(&c);
     }
 }

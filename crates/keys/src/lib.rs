@@ -15,19 +15,21 @@
 //!   regenerates the masks deterministically. The strict encoding stays
 //!   as the parity oracle: expanding a seeded buffer and re-encoding
 //!   strictly must reproduce the strict bytes bit for bit — which is also
-//!   how [`EvalKeySet::from_wire`] recomputes and verifies the id.
+//!   how [`EvalKeySet::from_wire`] recomputes the id, streaming that
+//!   re-encoding through the hash without materialising it.
 //! - [`KeyCache`] is the node-side LRU (byte-budgeted) so repeated
 //!   sessions against the same key pay the upload once; hit/miss/eviction
 //!   counts surface through a `heap-telemetry` registry.
 
 pub mod cache;
 
+use heap_ckks::{gks_encoded_len, gks_from_wire, gks_write};
 use heap_ckks::{CkksContext, GaloisKeys};
 use heap_core::{BootstrapConfig, Bootstrapper, GeneratedKeys};
-use heap_math::wire::{derive_seed, fnv1a, WireError, WireReader, WireWriter};
+use heap_math::wire::{derive_seed, WireError, WireReader, WireWriter};
 use heap_tfhe::{
-    brk_from_wire, brk_to_wire, ksk_from_wire, ksk_to_wire, BlindRotateKey, LweKeySwitchKey,
-    RgswParams,
+    brk_encoded_len, brk_from_wire, brk_write, ksk_encoded_len, ksk_from_wire, ksk_write,
+    BlindRotateKey, LweKeySwitchKey, RgswParams,
 };
 
 pub use cache::KeyCache;
@@ -36,6 +38,8 @@ const EKS_MAGIC: u32 = 0x454B_5331; // "EKS1"
 /// Version 1 carried a blind-rotate backend byte after the version (a
 /// 26-byte header); version 2 is the 25-byte header without it.
 const EKS_VERSION: u8 = 2;
+/// Magic, version and the five shape words.
+const EKS_HEADER_BYTES: usize = 4 + 1 + 5 * 4;
 
 /// Content fingerprint of an [`EvalKeySet`]: FNV-1a over its canonical
 /// strict encoding. Nodes advertise the ids they hold; the scheduler
@@ -61,8 +65,9 @@ pub struct EvalKeySet {
 }
 
 impl EvalKeySet {
-    /// Wraps generated keys, computing the content id from the canonical
-    /// strict encoding.
+    /// Wraps generated keys, computing the content id — FNV-1a over the
+    /// canonical strict encoding — by streaming that encoding through a
+    /// hashing writer: the strict bytes are never materialised.
     ///
     /// `reseed` must be the master seed passed to
     /// [`heap_core::generate_keys_reseeded`], or `None` for plainly
@@ -79,7 +84,9 @@ impl EvalKeySet {
             keys,
             reseed,
         };
-        set.id = KeyId(fnv1a(&set.to_strict_wire(ctx)));
+        let mut hasher = WireWriter::hashing();
+        set.encode(ctx, false, &mut hasher);
+        set.id = KeyId(hasher.into_fnv1a());
         set
     }
 
@@ -117,13 +124,36 @@ impl EvalKeySet {
         Bootstrapper::from_keys(ctx, config, self.keys)
     }
 
-    fn encode(&self, ctx: &CkksContext, seeded: bool) -> Vec<u8> {
+    /// Byte sizes of the three key sections in the given mode, from the
+    /// encoders' own size functions — what the length prefixes announce.
+    fn section_lens(&self, ctx: &CkksContext, seeded: bool) -> [usize; 3] {
+        [
+            ksk_encoded_len(&self.keys.ksk, ctx.q_modulus(0), seeded),
+            brk_encoded_len(&self.keys.brk, ctx.rns(), seeded),
+            gks_encoded_len(&self.keys.gks, ctx, seeded),
+        ]
+    }
+
+    /// Exact length of the container in the given mode, with nothing
+    /// encoded.
+    fn encoded_len(&self, ctx: &CkksContext, seeded: bool) -> usize {
+        let sections = self.section_lens(ctx, seeded);
+        EKS_HEADER_BYTES + sections.iter().map(|len| 4 + len).sum::<usize>()
+    }
+
+    /// Writes the container into `w`; each key encoder writes its section
+    /// in place behind a prefix taken from its size function.
+    fn encode(&self, ctx: &CkksContext, seeded: bool, w: &mut WireWriter) {
         assert!(
             !seeded || self.reseed.is_some(),
             "seeded encoding requires reseeded keys"
         );
-        let master = self.reseed.filter(|_| seeded);
-        let mut w = WireWriter::new();
+        let seed = |label: &[u8]| {
+            self.reseed
+                .filter(|_| seeded)
+                .map(|m| derive_seed(m, label))
+        };
+        let [ksk_len, brk_len, gks_len] = self.section_lens(ctx, seeded);
         w.put_u32(EKS_MAGIC);
         w.put_u8(EKS_VERSION);
         w.put_u32(self.config.n_t as u32);
@@ -131,28 +161,32 @@ impl EvalKeySet {
         w.put_u32(self.config.ks_digits as u32);
         w.put_u32(self.config.rgsw.base_bits);
         w.put_u32(self.config.rgsw.digits as u32);
-        w.put_bytes(&ksk_to_wire(
-            &self.keys.ksk,
-            ctx.q_modulus(0),
-            master.map(|m| derive_seed(m, b"ksk")),
-        ));
-        w.put_bytes(&brk_to_wire(
-            &self.keys.brk,
-            ctx.rns(),
-            master.map(|m| derive_seed(m, b"brk")),
-        ));
-        w.put_bytes(&heap_ckks::gks_to_wire(
-            &self.keys.gks,
-            ctx,
-            master.map(|m| derive_seed(m, b"gks")),
-        ));
+        w.put_section(ksk_len, "EKS key-switch key", |w| {
+            ksk_write(w, &self.keys.ksk, ctx.q_modulus(0), seed(b"ksk"));
+        });
+        w.put_section(brk_len, "EKS blind-rotate key", |w| {
+            brk_write(w, &self.keys.brk, ctx.rns(), seed(b"brk"));
+        });
+        w.put_section(gks_len, "EKS Galois keys", |w| {
+            gks_write(w, &self.keys.gks, ctx, seed(b"gks"));
+        });
+    }
+
+    fn to_wire(&self, ctx: &CkksContext, seeded: bool) -> Vec<u8> {
+        let mut w = WireWriter::with_capacity(self.encoded_len(ctx, seeded));
+        self.encode(ctx, seeded, &mut w);
         w.into_bytes()
     }
 
     /// Canonical strict encoding: every mask explicit. This is what
     /// [`KeyId`] fingerprints.
     pub fn to_strict_wire(&self, ctx: &CkksContext) -> Vec<u8> {
-        self.encode(ctx, false)
+        self.to_wire(ctx, false)
+    }
+
+    /// Length of [`Self::to_strict_wire`]'s output, without encoding it.
+    pub fn strict_len(&self, ctx: &CkksContext) -> usize {
+        self.encoded_len(ctx, false)
     }
 
     /// Seed-expandable encoding: uniform masks replaced by embedded PRG
@@ -162,14 +196,22 @@ impl EvalKeySet {
     ///
     /// Panics if the keys were not reseeded.
     pub fn to_seeded_wire(&self, ctx: &CkksContext) -> Vec<u8> {
-        self.encode(ctx, true)
+        self.to_wire(ctx, true)
     }
 
     /// Decodes a container written by [`Self::to_strict_wire`] or
     /// [`Self::to_seeded_wire`], expanding seeded masks and recomputing
-    /// the id from the canonical strict re-encoding — the production
-    /// parity oracle: a receiver comparing this id against the sender's
-    /// offer proves the expansion reproduced the exact key bits.
+    /// the id over the canonical strict encoding of what was expanded —
+    /// the production parity oracle: a receiver comparing this id against
+    /// the sender's offer proves the expansion reproduced the exact key
+    /// bits.
+    ///
+    /// Nothing is expanded before its shape is pinned to `ctx`: the
+    /// key-switch key must map `ctx.n()` to the header's `n_t ≤ ctx.n()`
+    /// with no superfluous gadget digit, and the other two sections are
+    /// checked against `ctx` by their own decoders — so what an upload can
+    /// make a node allocate is bounded by the ring the node was started
+    /// on, not by the upload's headers.
     ///
     /// # Errors
     ///
@@ -188,11 +230,11 @@ impl EvalKeySet {
         let ks_digits = r.get_u32()? as usize;
         let rgsw_base_bits = r.get_u32()?;
         let rgsw_digits = r.get_u32()? as usize;
-        if n_t == 0 || n_t > 1 << 24 || ks_digits == 0 || ks_digits > 64 {
+        if n_t == 0 || n_t > ctx.n() {
             return Err(WireError::Corrupt("EKS shape"));
         }
-        let ksk: LweKeySwitchKey = ksk_from_wire(r.get_bytes()?, ctx.q_modulus(0))?;
-        if ksk.target_dim() != n_t || ksk.base_bits() != ks_base_bits || ksk.digits() != ks_digits {
+        let ksk: LweKeySwitchKey = ksk_from_wire(r.get_bytes()?, ctx.q_modulus(0), ctx.n(), n_t)?;
+        if ksk.base_bits() != ks_base_bits || ksk.digits() != ks_digits {
             return Err(WireError::Corrupt("EKS ksk shape mismatch"));
         }
         let brk: BlindRotateKey = brk_from_wire(r.get_bytes()?, ctx.rns())?;
@@ -202,7 +244,7 @@ impl EvalKeySet {
         {
             return Err(WireError::Corrupt("EKS brk shape mismatch"));
         }
-        let gks: GaloisKeys = heap_ckks::gks_from_wire(r.get_bytes()?, ctx)?;
+        let gks: GaloisKeys = gks_from_wire(r.get_bytes()?, ctx)?;
         let config = BootstrapConfig {
             n_t,
             ks_base_bits,
@@ -225,16 +267,10 @@ impl EvalKeySet {
     /// available, strict otherwise, plus the strict length for reporting
     /// the compression the seed expansion buys.
     pub fn package(&self, ctx: &CkksContext) -> KeyPackage {
-        let strict_len = self.to_strict_wire(ctx).len();
-        let bytes = if self.reseed.is_some() {
-            self.to_seeded_wire(ctx)
-        } else {
-            self.to_strict_wire(ctx)
-        };
         KeyPackage {
             id: self.id,
-            bytes,
-            strict_len,
+            bytes: self.to_wire(ctx, self.reseed.is_some()),
+            strict_len: self.strict_len(ctx),
         }
     }
 }
@@ -257,6 +293,7 @@ mod tests {
     use super::*;
     use heap_ckks::{CkksParams, SecretKey};
     use heap_core::{generate_keys, generate_keys_reseeded};
+    use heap_math::wire::fnv1a;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -297,6 +334,39 @@ mod tests {
         let back = EvalKeySet::from_wire(&ctx, &pkg.bytes).unwrap();
         assert_eq!(back.id(), set.id(), "expand-then-reencode parity");
         assert_eq!(back.to_strict_wire(&ctx), set.to_strict_wire(&ctx));
+    }
+
+    /// The id is hashed as a stream and the lengths come from the size
+    /// functions; both must equal what the materialised strict encoding
+    /// says — for generated, reseeded and wire-decoded sets, on the Tiny
+    /// and the Small preset.
+    #[test]
+    fn streamed_id_and_computed_lengths_match_the_strict_encoding() {
+        for params in [CkksParams::test_tiny(), CkksParams::test_small()] {
+            let ctx = CkksContext::new(params);
+            let mut rng = StdRng::seed_from_u64(7);
+            let sk = SecretKey::generate(&ctx, &mut rng);
+            let config = BootstrapConfig::test_small();
+            let plain = EvalKeySet::new(
+                &ctx,
+                config,
+                generate_keys(&ctx, &sk, config, &mut rng),
+                None,
+            );
+            let keys = generate_keys_reseeded(&ctx, &sk, config, 0xC0DE, &mut rng);
+            let reseeded = EvalKeySet::new(&ctx, config, keys, Some(0xC0DE));
+            let pkg = reseeded.package(&ctx);
+            assert_eq!(pkg.bytes, reseeded.to_seeded_wire(&ctx));
+            assert_eq!(pkg.bytes.len(), reseeded.encoded_len(&ctx, true));
+            assert_eq!(pkg.strict_len, reseeded.strict_len(&ctx));
+            let decoded = EvalKeySet::from_wire(&ctx, &pkg.bytes).unwrap();
+            assert_eq!(decoded.id(), pkg.id);
+            for set in [&plain, &reseeded, &decoded] {
+                let strict = set.to_strict_wire(&ctx);
+                assert_eq!(set.id(), KeyId(fnv1a(&strict)), "n = {}", ctx.n());
+                assert_eq!(set.strict_len(&ctx), strict.len(), "n = {}", ctx.n());
+            }
+        }
     }
 
     #[test]

@@ -28,61 +28,102 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Packs `values` (each `< 2^bits`) into a byte vector, `bits` bits each.
+/// Bits one residue modulo `modulus` costs on the wire (`ceil(log2(m))`):
+/// every ciphertext, key and frame codec packs at this width.
+pub fn residue_bits(modulus: u64) -> u32 {
+    64 - (modulus - 1).leading_zeros()
+}
+
+/// The one packing loop. Writes `values`, `bits` bits each, LSB first,
+/// into `out` a whole little-endian word at a time; `out` must be zeroed
+/// and exactly [`packed_size`] long for the run.
+///
+/// # Panics
+///
+/// Panics if a value does not fit `bits` bits or the iterator's length
+/// disagrees with `out`.
+fn pack_words(out: &mut [u8], values: impl Iterator<Item = u64>, bits: u32) {
+    let (mut acc, mut fill, mut pos, mut seen) = (0u64, 0u32, 0usize, 0u64);
+    values.for_each(|v| {
+        seen |= v;
+        acc |= v << fill;
+        fill += bits;
+        if fill >= 64 {
+            out[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
+            pos += 8;
+            fill -= 64;
+            // What the flushed word had no room for (`fill` bits of `v`).
+            acc = if fill == 0 { 0 } else { v >> (bits - fill) };
+        }
+    });
+    assert!(bits == 64 || seen >> bits == 0, "value exceeds bit width");
+    let tail = (fill as usize).div_ceil(8);
+    assert_eq!(pos + tail, out.len(), "packed run length mismatch");
+    out[pos..].copy_from_slice(&acc.to_le_bytes()[..tail]);
+}
+
+/// The one unpacking loop: reads `count` values of `bits` bits from `buf`
+/// (exactly [`packed_size`] long), one unaligned word read per value —
+/// plus a ninth byte when `bits + 7 > 64`, the most a value can straddle.
+/// Returns the values and the largest of them, so a range check costs no
+/// second pass.
+fn unpack_words(buf: &[u8], bits: u32, count: usize) -> (Vec<u64>, u64) {
+    let bits_us = bits as usize;
+    let mask = u64::MAX >> (64 - bits);
+    let wide = bits > 57;
+    let span = if wide { 9 } else { 8 };
+    let read = |bytes: &[u8], bit: usize| {
+        let (byte, shift) = (bit / 8, (bit % 8) as u32);
+        let word: [u8; 8] = bytes[byte..byte + 8].try_into().expect("8 bytes");
+        let mut v = u64::from_le_bytes(word) >> shift;
+        if wide && shift > 0 {
+            v |= u64::from(bytes[byte + 8]) << (64 - shift);
+        }
+        v & mask
+    };
+    let mut out = Vec::with_capacity(count);
+    let mut max = 0u64;
+    let mut keep = |v: u64| {
+        max = max.max(v);
+        v
+    };
+    // Values whose `span`-byte read stays inside `buf` are read in place;
+    // the last few come from a zero-padded copy of the tail, so nothing
+    // is ever read past the run.
+    let direct = match buf.len().checked_sub(span) {
+        Some(room) => count.min((8 * room + 7) / bits_us + 1),
+        None => 0,
+    };
+    out.extend((0..direct).map(|i| keep(read(buf, i * bits_us))));
+    if direct < count {
+        let from = direct * bits_us / 8;
+        let mut tail = [0u8; 24];
+        tail[..buf.len() - from].copy_from_slice(&buf[from..]);
+        out.extend((direct..count).map(|i| keep(read(&tail, i * bits_us - from * 8))));
+    }
+    (out, max)
+}
+
+/// Packs `values` (each `< 2^bits`) into a byte vector, `bits` bits each
+/// — the free-function spelling of [`WireWriter::put_packed`].
 ///
 /// # Panics
 ///
 /// Panics if `bits` is 0 or above 64, or a value does not fit.
 pub fn pack_bits(values: &[u64], bits: u32) -> Vec<u8> {
-    assert!((1..=64).contains(&bits), "bits out of range");
-    let total_bits = values.len() * bits as usize;
-    let mut out = vec![0u8; total_bits.div_ceil(8)];
-    let mut bit_pos = 0usize;
-    for &v in values {
-        assert!(bits == 64 || v < (1u64 << bits), "value exceeds bit width");
-        let mut remaining = bits;
-        let mut val = v;
-        while remaining > 0 {
-            let byte = bit_pos / 8;
-            let offset = (bit_pos % 8) as u32;
-            let take = (8 - offset).min(remaining);
-            out[byte] |= ((val & ((1u64 << take) - 1)) as u8) << offset;
-            val >>= take;
-            remaining -= take;
-            bit_pos += take as usize;
-        }
-    }
-    out
+    let mut w = WireWriter::with_capacity(packed_size(values.len(), bits));
+    w.put_packed(values, bits);
+    w.into_bytes()
 }
 
-/// Unpacks `count` values of `bits` bits each from a byte slice.
+/// Unpacks `count` values of `bits` bits each from a byte slice — the
+/// free-function spelling of [`WireReader::get_packed`].
 ///
 /// # Errors
 ///
 /// Returns [`WireError::Truncated`] if the buffer is too short.
 pub fn unpack_bits(buf: &[u8], bits: u32, count: usize) -> Result<Vec<u64>, WireError> {
-    assert!((1..=64).contains(&bits), "bits out of range");
-    let needed = (count * bits as usize).div_ceil(8);
-    if buf.len() < needed {
-        return Err(WireError::Truncated);
-    }
-    let mut out = Vec::with_capacity(count);
-    let mut bit_pos = 0usize;
-    for _ in 0..count {
-        let mut val = 0u64;
-        let mut got = 0u32;
-        while got < bits {
-            let byte = bit_pos / 8;
-            let offset = (bit_pos % 8) as u32;
-            let take = (8 - offset).min(bits - got);
-            let chunk = ((buf[byte] >> offset) as u64) & ((1u64 << take) - 1);
-            val |= chunk << got;
-            got += take;
-            bit_pos += take as usize;
-        }
-        out.push(val);
-    }
-    Ok(out)
+    WireReader::new(buf).get_packed(bits, count)
 }
 
 /// Bytes needed to pack `count` values at `bits` bits each.
@@ -90,24 +131,57 @@ pub fn packed_size(count: usize, bits: u32) -> usize {
     (count * bits as usize).div_ceil(8)
 }
 
-/// FNV-1a over a byte slice — the repository's canonical 64-bit content
-/// fingerprint (the same constants the digest gates pin).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Streaming FNV-1a — the repository's canonical 64-bit content
+/// fingerprint (the same constants the digest gates pin). Feed bytes in
+/// any chunking with [`Fnv1a::update`]; a [`WireWriter::hashing`] writer
+/// feeds one as it encodes.
+#[derive(Debug, Clone)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A fresh hasher.
+    pub fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Absorbs `bytes`.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.0 = h;
+    }
+
+    /// Finishes, returning the fingerprint.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
-/// The CRC-32 lookup table (IEEE 802.3 reflected polynomial
-/// `0xEDB88320`), built once per process.
-fn crc32_table() -> &'static [u32; 256] {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// One-shot [`Fnv1a`] over a byte slice.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// The CRC-32 lookup tables (IEEE 802.3 reflected polynomial
+/// `0xEDB88320`), built once per process. `t[0]` is the classic bytewise
+/// table; `t[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// eight lookups advance the register over eight message bytes at once
+/// (slicing-by-8).
+fn crc32_tables() -> &'static [[u32; 256]; 8] {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, slot) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -118,18 +192,25 @@ fn crc32_table() -> &'static [u32; 256] {
             }
             *slot = c;
         }
-        table
+        for k in 1..8 {
+            let (bytewise, prev) = (t[0], t[k - 1]);
+            for (slot, p) in t[k].iter_mut().zip(prev) {
+                *slot = bytewise[(p & 0xFF) as usize] ^ (p >> 8);
+            }
+        }
+        t
     })
 }
 
 /// Streaming CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) —
 /// the frame-integrity checksum of the runtime's HRT1 protocol.
 ///
-/// Table-driven, no dependencies. Feed bytes in any chunking with
-/// [`Crc32::update`]; the digest is chunking-independent. This catches
-/// wire-level bit flips (every 1- and 2-bit error, and any burst up to
-/// 32 bits); end-to-end content integrity is layered on top with
-/// [`fnv1a`] digests computed over the decoded payload.
+/// Table-driven (eight bytes a step, bytewise tail), no dependencies.
+/// Feed bytes in any chunking with [`Crc32::update`]; the digest is
+/// chunking-independent. This catches wire-level bit flips (every 1- and
+/// 2-bit error, and any burst up to 32 bits); end-to-end content
+/// integrity is layered on top with [`fnv1a`] digests computed over the
+/// decoded payload.
 #[derive(Debug, Clone)]
 pub struct Crc32(u32);
 
@@ -141,10 +222,24 @@ impl Crc32 {
 
     /// Absorbs `bytes`.
     pub fn update(&mut self, bytes: &[u8]) {
-        let table = crc32_table();
-        for &b in bytes {
-            self.0 = table[((self.0 ^ u32::from(b)) & 0xFF) as usize] ^ (self.0 >> 8);
+        let t = crc32_tables();
+        let mut crc = self.0;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][w[4] as usize]
+                ^ t[2][w[5] as usize]
+                ^ t[1][w[6] as usize]
+                ^ t[0][w[7] as usize];
         }
+        for &b in words.remainder() {
+            crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.0 = crc;
     }
 
     /// Finishes, returning the checksum.
@@ -173,16 +268,36 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// the uniform halves) and the decoder (which regenerates them) agree on
 /// one PRG stream per key object without shipping more than the master.
 pub fn derive_seed(master: u64, label: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(8 + label.len());
-    buf.extend_from_slice(&master.to_le_bytes());
-    buf.extend_from_slice(label);
-    fnv1a(&buf)
+    let mut h = Fnv1a::new();
+    h.update(&master.to_le_bytes());
+    h.update(label);
+    h.finish()
 }
 
+/// Bytes a [`WireWriter::hashing`] writer stages before feeding its
+/// hasher: small enough to stay in L1 between the pack and the hash.
+const HASH_STAGE_BYTES: usize = 16 << 10;
+
+/// Values [`WireWriter::put_packed_iter`] packs between drains: at most a
+/// stage's worth of bytes, and a multiple of 8 so a piece ends on a byte.
+const PACK_PIECE: usize = HASH_STAGE_BYTES / 8;
+
 /// A growable wire writer with little-endian primitives.
+///
+/// The bytes go to one of two places: a `Vec<u8>` ([`Self::new`],
+/// [`Self::into_bytes`]) or a streaming [`Fnv1a`] ([`Self::hashing`],
+/// [`Self::into_fnv1a`]) — the second fingerprints an encoding without
+/// ever materialising it, so every encoder written against `&mut
+/// WireWriter` is also that encoding's hasher.
 #[derive(Debug, Default)]
 pub struct WireWriter {
+    /// The encoding so far — or, when hashing, only the bytes written
+    /// since the last drain.
     buf: Vec<u8>,
+    /// `Some` when the bytes are hashed instead of kept.
+    hash: Option<Fnv1a>,
+    /// Bytes already drained into `hash`.
+    drained: usize,
 }
 
 impl WireWriter {
@@ -196,6 +311,29 @@ impl WireWriter {
     pub fn with_capacity(bytes: usize) -> Self {
         Self {
             buf: Vec::with_capacity(bytes),
+            ..Self::default()
+        }
+    }
+
+    /// Creates a writer that keeps no bytes: everything written is fed
+    /// to a streaming [`Fnv1a`], read with [`Self::into_fnv1a`].
+    pub fn hashing() -> Self {
+        Self {
+            buf: Vec::with_capacity(2 * HASH_STAGE_BYTES),
+            hash: Some(Fnv1a::new()),
+            drained: 0,
+        }
+    }
+
+    /// When hashing, feeds the staged bytes to the hasher once a stage's
+    /// worth has gathered (the bulk writers call this; scalars ride along).
+    fn drain_stage(&mut self) {
+        if let Some(h) = &mut self.hash {
+            if self.buf.len() >= HASH_STAGE_BYTES {
+                h.update(&self.buf);
+                self.drained += self.buf.len();
+                self.buf.clear();
+            }
         }
     }
 
@@ -224,16 +362,72 @@ impl WireWriter {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
-    /// Appends values packed at `bits` bits each.
+    /// Appends values packed at `bits` bits each (LSB first, the last
+    /// byte zero-padded), in place in the writer's own buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is 0 or above 64, or a value does not fit.
     pub fn put_packed(&mut self, values: &[u64], bits: u32) {
-        self.buf.extend_from_slice(&pack_bits(values, bits));
+        self.put_packed_iter(values.iter().copied(), values.len(), bits);
+    }
+
+    /// [`Self::put_packed`] over `count` values drawn from an iterator —
+    /// one packed run gathered from several slices, with no joined copy.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::put_packed`]; also if `values` does not yield exactly
+    /// `count` items.
+    pub fn put_packed_iter(
+        &mut self,
+        mut values: impl Iterator<Item = u64>,
+        count: usize,
+        bits: u32,
+    ) {
+        assert!((1..=64).contains(&bits), "bits out of range");
+        // Pieces of whole bytes (a multiple of 8 values) leave the bit
+        // stream as one run and let a hashing writer drain between them.
+        let mut left = count;
+        while left > 0 {
+            let piece = left.min(PACK_PIECE);
+            let start = self.buf.len();
+            self.buf.resize(start + packed_size(piece, bits), 0);
+            pack_words(&mut self.buf[start..], values.by_ref().take(piece), bits);
+            self.drain_stage();
+            left -= piece;
+        }
+        assert!(values.next().is_none(), "packed run longer than announced");
+    }
+
+    /// Appends a `u32`-length-prefixed section of exactly `len` bytes
+    /// that `body` writes straight into this writer — the nesting
+    /// primitive for an encoding whose size is known up front (read back
+    /// with [`WireReader::get_bytes`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `what`, if `len` does not fit the prefix (a wrapped
+    /// length would decode as garbage) or `body` writes a different
+    /// number of bytes.
+    pub fn put_section(&mut self, len: usize, what: &str, body: impl FnOnce(&mut Self)) {
+        let Ok(prefix) = u32::try_from(len) else {
+            panic!("{what}: a {len}-byte section exceeds the u32 length prefix");
+        };
+        self.put_u32(prefix);
+        let start = self.len();
+        body(self);
+        assert_eq!(self.len() - start, len, "{what}: section size mismatch");
     }
 
     /// Appends a `u32` length prefix followed by the raw bytes (the frame
     /// payload primitive used by the runtime's TCP protocol).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is too long for the prefix.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.put_u32(bytes.len() as u32);
-        self.buf.extend_from_slice(bytes);
+        self.put_section(bytes.len(), "byte string", |w| w.put_raw(bytes));
     }
 
     /// Appends raw bytes with no length prefix — for a body that runs to
@@ -241,21 +435,36 @@ impl WireWriter {
     /// caller framed itself ([`WireReader::get_raw`]).
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+        self.drain_stage();
     }
 
     /// Finishes, returning the buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`Self::hashing`] writer, which kept no bytes.
     pub fn into_bytes(self) -> Vec<u8> {
+        assert!(self.hash.is_none(), "a hashing writer keeps no bytes");
         self.buf
     }
 
-    /// Current length in bytes.
+    /// Finishes, returning the FNV-1a fingerprint of everything written
+    /// (equal to [`fnv1a`] over [`Self::into_bytes`], whichever way the
+    /// writer was created).
+    pub fn into_fnv1a(self) -> u64 {
+        let mut h = self.hash.unwrap_or_default();
+        h.update(&self.buf);
+        h.finish()
+    }
+
+    /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.drained + self.buf.len()
     }
 
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 }
 
@@ -318,9 +527,36 @@ impl<'a> WireReader<'a> {
     }
 
     /// Reads `count` packed values of `bits` bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is 0 or above 64.
     pub fn get_packed(&mut self, bits: u32, count: usize) -> Result<Vec<u64>, WireError> {
+        assert!((1..=64).contains(&bits), "bits out of range");
         let bytes = self.get_raw(packed_size(count, bits))?;
-        unpack_bits(bytes, bits, count)
+        Ok(unpack_words(bytes, bits, count).0)
+    }
+
+    /// Reads `count` residues modulo `modulus`, packed at
+    /// [`residue_bits`], checking the range in the same pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::Truncated`] if the run is cut short and
+    /// [`WireError::Corrupt`]`(what)` if a value is not below `modulus`.
+    pub fn get_residues(
+        &mut self,
+        count: usize,
+        modulus: u64,
+        what: &'static str,
+    ) -> Result<Vec<u64>, WireError> {
+        let bits = residue_bits(modulus);
+        let bytes = self.get_raw(packed_size(count, bits))?;
+        let (values, max) = unpack_words(bytes, bits, count);
+        if max >= modulus {
+            return Err(WireError::Corrupt(what));
+        }
+        Ok(values)
     }
 
     /// Reads a `u32`-length-prefixed byte string written by
@@ -458,6 +694,71 @@ mod tests {
         assert_eq!(r.get_bytes().unwrap(), b"hello");
         assert_eq!(r.get_bytes().unwrap(), b"");
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "brk: a 4294967296-byte section exceeds the u32 length prefix")]
+    fn oversized_section_length_is_refused_not_wrapped() {
+        // The announced length alone trips the check: nothing is allocated.
+        WireWriter::new().put_section(1 << 32, "brk", |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "gks: section size mismatch")]
+    fn section_body_must_match_its_announced_size() {
+        WireWriter::new().put_section(5, "gks", |w| w.put_u32(1));
+    }
+
+    #[test]
+    fn hashing_writer_fingerprints_what_a_vec_writer_would_hold() {
+        // Long enough to drain several stages, with a run that straddles
+        // pieces and scalars riding between the bulk writes.
+        let values: Vec<u64> = (0..9001u64).map(|i| i * 0x9E37 % (1 << 30)).collect();
+        let encode = |w: &mut WireWriter| {
+            w.put_u32(7);
+            w.put_section(packed_size(values.len(), 30) + 8, "run", |w| {
+                w.put_packed(&values, 30);
+                w.put_u64(u64::MAX);
+            });
+            w.put_packed_iter(values.iter().map(|v| v >> 1).chain([5]), 9002, 29);
+            w.put_raw(&[0xAB; 40_000]);
+            w.put_u8(1);
+        };
+        let (mut kept, mut hashed) = (WireWriter::new(), WireWriter::hashing());
+        encode(&mut kept);
+        encode(&mut hashed);
+        assert_eq!(hashed.len(), kept.len());
+        let bytes = kept.into_bytes();
+        assert_eq!(hashed.into_fnv1a(), fnv1a(&bytes));
+        let mut again = WireWriter::new();
+        again.put_raw(&bytes);
+        assert_eq!(again.into_fnv1a(), fnv1a(&bytes));
+    }
+
+    #[test]
+    fn residues_are_range_checked_in_the_decoding_pass() {
+        let q = 0x0FFF_FFFF_FFFF_FFC5u64; // 60 bits: the two-word case
+        let mut w = WireWriter::new();
+        w.put_packed(&[0, q - 1, 17], residue_bits(q));
+        let ok = w.into_bytes();
+        assert_eq!(
+            WireReader::new(&ok).get_residues(3, q, "r").unwrap(),
+            vec![0, q - 1, 17]
+        );
+        let mut w = WireWriter::new();
+        w.put_packed(&[0, q, 17], residue_bits(q));
+        assert_eq!(
+            WireReader::new(&w.into_bytes()).get_residues(3, q, "limb out of range"),
+            Err(WireError::Corrupt("limb out of range"))
+        );
+        assert_eq!(
+            WireReader::new(&ok[..ok.len() - 1]).get_residues(3, q, "r"),
+            Err(WireError::Truncated)
+        );
+        // Power-of-two moduli (the mod-switched LWE's 2N) pack at log2(m).
+        assert_eq!(residue_bits(256), 8);
+        assert_eq!(residue_bits(257), 9);
     }
 
     #[test]

@@ -692,17 +692,199 @@ mod fused_datapath {
     }
 }
 
+/// The word-level limb codec, the sliced CRC and the streaming FNV against
+/// the loops they replaced. A wrong bit here would otherwise surface only
+/// as a failed key-id parity on a node.
 mod wire_props {
-    use heap_math::wire::{pack_bits, packed_size, unpack_bits};
+    use heap_math::wire::{
+        crc32, fnv1a, pack_bits, packed_size, unpack_bits, Crc32, Fnv1a, WireError, WireReader,
+        WireWriter,
+    };
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The bit-at-a-time packer the word-level codec replaced, kept as
+    /// the layout's definition: LSB first, zero padding.
+    fn pack_oracle(values: &[u64], bits: u32) -> Vec<u8> {
+        let mut out = vec![0u8; (values.len() * bits as usize).div_ceil(8)];
+        let mut bit_pos = 0usize;
+        for &v in values {
+            let (mut remaining, mut val) = (bits, v);
+            while remaining > 0 {
+                let offset = (bit_pos % 8) as u32;
+                let take = (8 - offset).min(remaining);
+                out[bit_pos / 8] |= ((val & ((1u64 << take) - 1)) as u8) << offset;
+                val >>= take;
+                remaining -= take;
+                bit_pos += take as usize;
+            }
+        }
+        out
+    }
+
+    fn unpack_oracle(buf: &[u8], bits: u32, count: usize) -> Vec<u64> {
+        let mut bit_pos = 0usize;
+        (0..count)
+            .map(|_| {
+                let (mut val, mut got) = (0u64, 0u32);
+                while got < bits {
+                    let offset = (bit_pos % 8) as u32;
+                    let take = (8 - offset).min(bits - got);
+                    let chunk = u64::from(buf[bit_pos / 8] >> offset) & ((1u64 << take) - 1);
+                    val |= chunk << got;
+                    got += take;
+                    bit_pos += take as usize;
+                }
+                val
+            })
+            .collect()
+    }
+
+    fn crc32_oracle(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    /// `count` values of `bits` bits: random, with all-ones and zero mixed
+    /// in so carries across every word boundary are exercised.
+    fn values(rng: &mut StdRng, bits: u32, count: usize) -> Vec<u64> {
+        let mask = u64::MAX >> (64 - bits);
+        (0..count)
+            .map(|_| match rng.gen_range(0..4) {
+                0 => mask,
+                1 => 0,
+                _ => rng.gen::<u64>() & mask,
+            })
+            .collect()
+    }
+
+    /// Pack equals the oracle byte for byte; unpack inverts it from a
+    /// buffer that ends exactly at the last value, and one byte short is
+    /// `Truncated`.
+    fn assert_codec_matches_oracle(vals: &[u64], bits: u32) {
+        let packed = pack_bits(vals, bits);
+        assert_eq!(packed, pack_oracle(vals, bits), "pack, {bits} bits");
+        assert_eq!(packed.len(), packed_size(vals.len(), bits));
+        // An exact-size heap allocation: ASan sees any read past the run.
+        let exact = packed.clone().into_boxed_slice();
+        assert_eq!(
+            unpack_bits(&exact, bits, vals.len()).unwrap(),
+            vals,
+            "unpack, {bits} bits × {}",
+            vals.len()
+        );
+        assert_eq!(unpack_oracle(&exact, bits, vals.len()), vals);
+        if let Some(short) = exact.len().checked_sub(1) {
+            assert_eq!(
+                unpack_bits(&exact[..short], bits, vals.len()),
+                Err(WireError::Truncated)
+            );
+        }
+    }
+
+    #[test]
+    fn word_codec_equals_bit_loop_for_every_width_and_short_count() {
+        let mut rng = StdRng::seed_from_u64(24);
+        for bits in 1..=64u32 {
+            let mask = u64::MAX >> (64 - bits);
+            for count in 0..=67usize {
+                assert_codec_matches_oracle(&values(&mut rng, bits, count), bits);
+                assert_codec_matches_oracle(&vec![mask; count], bits);
+            }
+        }
+    }
+
+    #[test]
+    fn word_codec_equals_bit_loop_on_long_runs() {
+        // Past the writer's piece size, so a run spans several pieces;
+        // 58..=64 bits is the nine-byte (two-read) case.
+        let mut rng = StdRng::seed_from_u64(25);
+        for bits in [1u32, 7, 28, 30, 36, 57, 58, 60, 63, 64] {
+            for count in [2047usize, 2048, 2049, 4099, 10_001] {
+                assert_codec_matches_oracle(&values(&mut rng, bits, count), bits);
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_gathered_from_slices_is_the_run_of_their_concatenation() {
+        let mut rng = StdRng::seed_from_u64(26);
+        for bits in [13u32, 28, 36, 61] {
+            let rows: Vec<Vec<u64>> = (0..50).map(|_| values(&mut rng, bits, 97)).collect();
+            let flat: Vec<u64> = rows.iter().flatten().copied().collect();
+            let mut w = WireWriter::new();
+            w.put_packed_iter(rows.iter().flatten().copied(), flat.len(), bits);
+            assert_eq!(w.into_bytes(), pack_oracle(&flat, bits));
+        }
+    }
+
+    #[test]
+    fn reader_stops_exactly_at_the_end_of_a_run() {
+        let mut w = WireWriter::new();
+        w.put_packed(&[1, 2, 3], 60);
+        w.put_u8(0xEE);
+        let bytes = w.into_bytes();
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(r.get_packed(60, 3).unwrap(), [1, 2, 3]);
+        assert_eq!(r.get_u8().unwrap(), 0xEE);
+        assert_eq!(r.remaining(), 0);
+    }
+
+    /// Splits `data` at random points and feeds the pieces to `update`.
+    fn in_random_chunks(rng: &mut StdRng, data: &[u8], mut update: impl FnMut(&[u8])) {
+        let mut rest = data;
+        while !rest.is_empty() {
+            let (head, tail) = rest.split_at(rng.gen_range(0..=rest.len().min(41)));
+            update(head);
+            rest = tail;
+        }
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_definition_under_any_chunking() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        let mut rng = StdRng::seed_from_u64(27);
+        let data: Vec<u8> = (0..4099).map(|_| rng.gen::<u32>() as u8).collect();
+        for len in 0..=data.len() {
+            let want = crc32_oracle(&data[..len]);
+            assert_eq!(crc32(&data[..len]), want, "one shot, {len} bytes");
+            let mut h = Crc32::new();
+            in_random_chunks(&mut rng, &data[..len], |c| h.update(c));
+            assert_eq!(h.finalize(), want, "chunked, {len} bytes");
+        }
+    }
+
+    #[test]
+    fn streamed_fnv1a_equals_the_one_shot() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        let mut rng = StdRng::seed_from_u64(28);
+        let data: Vec<u8> = (0..5000).map(|_| rng.gen::<u32>() as u8).collect();
+        for len in [0usize, 1, 7, 8, 9, 1000, 4999, 5000] {
+            let mut h = Fnv1a::new();
+            in_random_chunks(&mut rng, &data[..len], |c| h.update(c));
+            assert_eq!(h.finish(), fnv1a(&data[..len]), "{len} bytes");
+        }
+    }
 
     proptest! {
         #[test]
         fn pack_unpack_roundtrip(
-            bits in 1u32..=63,
+            bits in 1u32..=64,
             values in prop::collection::vec(any::<u64>(), 0..128),
         ) {
-            let mask = (1u64 << bits) - 1;
+            let mask = u64::MAX >> (64 - bits);
             let masked: Vec<u64> = values.iter().map(|v| v & mask).collect();
             let packed = pack_bits(&masked, bits);
             prop_assert_eq!(packed.len(), packed_size(masked.len(), bits));

@@ -1100,7 +1100,39 @@ mod tests {
             .expect("reject");
         assert_eq!(kind, FrameKind::Error);
         assert!(String::from_utf8_lossy(&reply).contains("parity"));
-        // The session survived both rejections.
+        // A seeded container under its own id with one body bit flipped —
+        // still in range, so it decodes; the CRC covers the flipped byte,
+        // so the frame is honest: only the id recomputed over the
+        // expanded keys tells the node these are not the offered bits.
+        let (pkg, _) = wire_key(0xF11B, 77);
+        let mut upload = pkg.id.0.to_le_bytes().to_vec();
+        upload.extend_from_slice(&pkg.bytes);
+        *upload.last_mut().expect("non-empty") ^= 0x01;
+        write_frame(&mut stream, FrameKind::KeyUpload, &upload).expect("upload");
+        let (kind, reply, _) = read_frame(&mut stream)
+            .map_err(server_frame_err)
+            .expect("reject");
+        assert_eq!(kind, FrameKind::Error);
+        assert!(
+            String::from_utf8_lossy(&reply).contains("parity"),
+            "{}",
+            String::from_utf8_lossy(&reply)
+        );
+        // The same container announcing 2^24-word key-switch masks (header
+        // `n_t` at byte 5, the section's `target_dim` at byte 38): believed,
+        // 80 GiB of PRG output; refused on the header.
+        let mut upload = pkg.id.0.to_le_bytes().to_vec();
+        upload.extend_from_slice(&pkg.bytes);
+        for at in [8 + 5, 8 + 38] {
+            upload[at..at + 4].copy_from_slice(&(1u32 << 24).to_le_bytes());
+        }
+        write_frame(&mut stream, FrameKind::KeyUpload, &upload).expect("upload");
+        let (kind, reply, _) = read_frame(&mut stream)
+            .map_err(server_frame_err)
+            .expect("reject");
+        assert_eq!(kind, FrameKind::Error);
+        assert!(String::from_utf8_lossy(&reply).contains("bad key upload"));
+        // The session survived every rejection.
         write_frame(&mut stream, FrameKind::Ping, &[]).expect("ping");
         let (kind, _, _) = read_frame(&mut stream)
             .map_err(server_frame_err)

@@ -203,8 +203,9 @@ pub fn serve(
 ) -> std::io::Result<()> {
     let store = opts.key_store.take().unwrap_or_default();
     let set = EvalKeySet::from_bootstrapper(&ctx, &boot);
-    let resident = set.to_strict_wire(&ctx).len();
-    store.lock().insert(set.id(), Arc::clone(&boot), resident);
+    let resident = set.strict_len(&ctx);
+    let displaced = store.lock().insert(set.id(), Arc::clone(&boot), resident);
+    drop(displaced);
     opts.key_store = Some(store);
     serve_inner(listener, ctx, Some(boot), opts)
 }
@@ -478,10 +479,15 @@ impl Conn<'_> {
             ));
         }
         let boot = Arc::new(set.into_bootstrapper(self.ctx));
-        self.state
+        // The guard is a temporary of this statement: the evicted
+        // bootstrappers are freed after it, not while every other
+        // connection's `peek` waits on the lock.
+        let evicted = self
+            .state
             .keys
             .lock()
             .insert(KeyId(id), boot, encoded.len());
+        drop(evicted);
         self.reply(FrameKind::KeyAck, &proto::encode_prefixed(id, &[]))
     }
 

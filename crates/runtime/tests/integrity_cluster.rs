@@ -16,7 +16,7 @@
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use heap_parallel::Parallelism;
@@ -28,6 +28,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const SEED: u64 = 31;
+
+/// Each test spawns two node processes of two threads each, and the hedge
+/// test's warm-up asserts that *nothing* was hedged: run side by side on a
+/// two-core host, the other test's nodes make its steady node look like a
+/// straggler. The tests take turns instead; no threshold is loosened.
+static NODES_LOCK: Mutex<()> = Mutex::new(());
+
+fn nodes_lock() -> MutexGuard<'static, ()> {
+    // A failed holder poisons the lock; the other still gets its turn.
+    NODES_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A `heap-node-serve` child killed on drop (tests must not leak
 /// processes on assertion failure).
@@ -169,6 +180,7 @@ fn rotate_and_check(svc: &BootstrapService, client: &Client) {
 /// execution. Wrong bits are never delivered.
 #[test]
 fn wire_flip_is_counted_at_crc_layer_and_never_delivered() {
+    let _turn = nodes_lock();
     let flipper = spawn_node(&["--fault-plan", "flip*4"]);
     let steady = spawn_node(&[]);
     let client = client();
@@ -200,6 +212,7 @@ fn wire_flip_is_counted_at_crc_layer_and_never_delivered() {
 #[test]
 fn stalled_node_is_hedged_and_does_not_set_batch_latency() {
     const STALL_MS: u64 = 10_000;
+    let _turn = nodes_lock();
     // One pass first so the warmup batch seeds every node's latency
     // EWMA, then the long stall.
     let plan = format!("pass,stall:{STALL_MS}");

@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use heap_math::arith::Modulus;
-use heap_math::wire::{packed_size, WireError, WireReader, WireWriter};
+use heap_math::wire::{packed_size, residue_bits, WireError, WireReader, WireWriter};
 use heap_math::{poly, sample, Domain, RnsContext, RnsPoly};
 
 use crate::blind_rotate::BlindRotateKey;
@@ -41,8 +41,12 @@ pub const MODE_STRICT: u8 = 0;
 /// Wire mode: `b` halves plus the PRG seed for the `a` halves.
 pub const MODE_SEEDED: u8 = 1;
 
-fn modulus_bits(modulus: u64) -> u32 {
-    64 - (modulus - 1).leading_zeros()
+fn mode_byte(seed: Option<u64>) -> u8 {
+    if seed.is_some() {
+        MODE_SEEDED
+    } else {
+        MODE_STRICT
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -81,14 +85,28 @@ pub fn reseed_ksk(ksk: &mut LweKeySwitchKey, to_sk: &LweSecretKey, q: &Modulus, 
 /// seeded one (the key must have been [`reseed_ksk`]-transformed with the
 /// same seed, or expansion will not reproduce it).
 pub fn ksk_to_wire(ksk: &LweKeySwitchKey, q: &Modulus, seed: Option<u64>) -> Vec<u8> {
-    let bits = modulus_bits(q.value());
-    let mut w = WireWriter::new();
+    let mut w = WireWriter::with_capacity(ksk_encoded_len(ksk, q, seed.is_some()));
+    ksk_write(&mut w, ksk, q, seed);
+    w.into_bytes()
+}
+
+/// [`ksk_wire_size`] of this key over `q` — what [`ksk_write`] writes.
+pub fn ksk_encoded_len(ksk: &LweKeySwitchKey, q: &Modulus, seeded: bool) -> usize {
+    ksk_wire_size(
+        ksk.source_dim(),
+        ksk.target_dim(),
+        ksk.digits(),
+        q.value(),
+        seeded,
+    )
+}
+
+/// Writes [`ksk_to_wire`]'s encoding — exactly [`ksk_encoded_len`] bytes
+/// — into an open writer (a container section, or a hashing writer).
+pub fn ksk_write(w: &mut WireWriter, ksk: &LweKeySwitchKey, q: &Modulus, seed: Option<u64>) {
+    let bits = residue_bits(q.value());
     w.put_u32(KSK_MAGIC);
-    w.put_u8(if seed.is_some() {
-        MODE_SEEDED
-    } else {
-        MODE_STRICT
-    });
+    w.put_u8(mode_byte(seed));
     w.put_u32(ksk.source_dim() as u32);
     w.put_u32(ksk.target_dim() as u32);
     w.put_u32(ksk.base_bits());
@@ -97,31 +115,37 @@ pub fn ksk_to_wire(ksk: &LweKeySwitchKey, q: &Modulus, seed: Option<u64>) -> Vec
     if let Some(s) = seed {
         w.put_u64(s);
     }
-    let bodies: Vec<u64> = ksk
-        .cts()
-        .iter()
-        .flat_map(|row| row.iter().map(|ct| ct.b))
-        .collect();
-    w.put_packed(&bodies, bits);
+    // Two packed runs across the whole grid: every body, then every mask.
+    let count = ksk.ciphertext_count();
+    let cts = || ksk.cts().iter().flatten();
+    w.put_packed_iter(cts().map(|ct| ct.b), count, bits);
     if seed.is_none() {
-        let masks: Vec<u64> = ksk
-            .cts()
-            .iter()
-            .flat_map(|row| row.iter().flat_map(|ct| ct.a.iter().copied()))
-            .collect();
-        w.put_packed(&masks, bits);
+        let masks = cts().flat_map(|ct| ct.a.iter().copied());
+        w.put_packed_iter(masks, count * ksk.target_dim(), bits);
     }
-    w.into_bytes()
 }
 
-/// Deserializes a key written by [`ksk_to_wire`], expanding the masks
-/// from the embedded seed in seeded mode.
+/// Deserializes a key written by [`ksk_to_wire`] that switches from
+/// dimension `source_dim` to `target_dim`, expanding the masks from the
+/// embedded seed in seeded mode.
+///
+/// The receiver states the shape it expects because a seeded header is a
+/// few dozen bytes that *announce* `source_dim · digits · target_dim`
+/// words of PRG output: every field is checked before the first mask is
+/// expanded, so what a buffer can make this function allocate is bounded
+/// by the caller's own dimensions (and `digits ≤ q.bits()`), not by the
+/// header.
 ///
 /// # Errors
 ///
-/// Returns a [`WireError`] on truncation, corrupted fields, or a modulus
-/// disagreeing with `q`.
-pub fn ksk_from_wire(buf: &[u8], q: &Modulus) -> Result<LweKeySwitchKey, WireError> {
+/// Returns a [`WireError`] on truncation, corrupted fields, a modulus
+/// disagreeing with `q`, or a shape other than the expected one.
+pub fn ksk_from_wire(
+    buf: &[u8],
+    q: &Modulus,
+    source_dim: usize,
+    target_dim: usize,
+) -> Result<LweKeySwitchKey, WireError> {
     let mut r = WireReader::new(buf);
     if r.get_u32()? != KSK_MAGIC {
         return Err(WireError::Corrupt("KSK magic"));
@@ -130,26 +154,20 @@ pub fn ksk_from_wire(buf: &[u8], q: &Modulus) -> Result<LweKeySwitchKey, WireErr
     if mode != MODE_STRICT && mode != MODE_SEEDED {
         return Err(WireError::Corrupt("KSK mode"));
     }
-    let source_dim = r.get_u32()? as usize;
-    let target_dim = r.get_u32()? as usize;
-    let base_bits = r.get_u32()?;
-    let digits = r.get_u32()? as usize;
-    if source_dim == 0
-        || source_dim > 1 << 24
-        || target_dim == 0
-        || target_dim > 1 << 24
-        || digits == 0
-        || digits > 64
-    {
+    if r.get_u32()? as usize != source_dim || r.get_u32()? as usize != target_dim {
         return Err(WireError::Corrupt("KSK shape"));
     }
+    let base_bits = r.get_u32()?;
+    let digits = r.get_u32()? as usize;
     let q_wire = r.get_u64()?;
     if q_wire != q.value() {
         return Err(WireError::Corrupt("KSK modulus"));
     }
-    // Gadget::new panics below this coverage line; reject corrupt headers
-    // with an error instead.
-    if base_bits == 0 || base_bits > 32 || (base_bits as usize) * digits < q.bits() as usize {
+    // The gadget must cover `q` (Gadget::new panics below that line) with
+    // no digit to spare: a superfluous digit is a row of the key nothing
+    // reads, and the only unbounded factor of the expansion below.
+    let covered = |digits: usize| base_bits as usize * digits >= q.bits() as usize;
+    if base_bits == 0 || base_bits > 32 || digits == 0 || !covered(digits) || covered(digits - 1) {
         return Err(WireError::Corrupt("KSK gadget"));
     }
     let seed = if mode == MODE_SEEDED {
@@ -157,21 +175,11 @@ pub fn ksk_from_wire(buf: &[u8], q: &Modulus) -> Result<LweKeySwitchKey, WireErr
     } else {
         None
     };
-    let bits = modulus_bits(q.value());
     let count = source_dim * digits;
-    let bodies = r.get_packed(bits, count)?;
-    if bodies.iter().any(|&b| b >= q.value()) {
-        return Err(WireError::Corrupt("KSK body out of range"));
-    }
+    let bodies = r.get_residues(count, q.value(), "KSK body out of range")?;
     let masks = match seed {
         Some(_) => Vec::new(),
-        None => {
-            let m = r.get_packed(bits, count * target_dim)?;
-            if m.iter().any(|&x| x >= q.value()) {
-                return Err(WireError::Corrupt("KSK mask out of range"));
-            }
-            m
-        }
+        None => r.get_residues(count * target_dim, q.value(), "KSK mask out of range")?,
     };
     let mut rng = seed.map(StdRng::seed_from_u64);
     let mut key = Vec::with_capacity(source_dim);
@@ -209,7 +217,7 @@ pub fn ksk_wire_size(
     q: u64,
     seeded: bool,
 ) -> usize {
-    let bits = modulus_bits(q);
+    let bits = residue_bits(q);
     let header = 4 + 1 + 4 + 4 + 4 + 4 + 8 + if seeded { 8 } else { 0 };
     let bodies = packed_size(source_dim * digits, bits);
     let masks = if seeded {
@@ -276,18 +284,29 @@ pub fn reseed_brk(brk: &mut BlindRotateKey, ctx: &RnsContext, ring_sk: &RingSecr
 /// Serializes a blind-rotate key (see [`ksk_to_wire`] for the
 /// strict/seeded contract).
 pub fn brk_to_wire(brk: &BlindRotateKey, ctx: &RnsContext, seed: Option<u64>) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(brk_encoded_len(brk, ctx, seed.is_some()));
+    brk_write(&mut w, brk, ctx, seed);
+    w.into_bytes()
+}
+
+/// [`brk_wire_size`] of this key over `ctx` — what [`brk_write`] writes.
+pub fn brk_encoded_len(brk: &BlindRotateKey, ctx: &RnsContext, seeded: bool) -> usize {
+    let moduli: Vec<u64> = ctx.moduli()[..brk.limbs()]
+        .iter()
+        .map(Modulus::value)
+        .collect();
+    brk_wire_size(brk.lwe_dim(), ctx.n(), brk.params().digits, &moduli, seeded)
+}
+
+/// Writes [`brk_to_wire`]'s encoding — exactly [`brk_encoded_len`] bytes —
+/// into an open writer (a container section, or a hashing writer).
+pub fn brk_write(w: &mut WireWriter, brk: &BlindRotateKey, ctx: &RnsContext, seed: Option<u64>) {
     let limbs = brk.limbs();
-    let n = ctx.n();
-    let mut w = WireWriter::new();
     w.put_u32(BRK_MAGIC);
-    w.put_u8(if seed.is_some() {
-        MODE_SEEDED
-    } else {
-        MODE_STRICT
-    });
+    w.put_u8(mode_byte(seed));
     w.put_u32(brk.lwe_dim() as u32);
     w.put_u32(limbs as u32);
-    w.put_u32(n as u32);
+    w.put_u32(ctx.n() as u32);
     w.put_u32(brk.params().base_bits);
     w.put_u32(brk.params().digits as u32);
     for j in 0..limbs {
@@ -298,14 +317,13 @@ pub fn brk_to_wire(brk: &BlindRotateKey, ctx: &RnsContext, seed: Option<u64>) ->
     }
     for_each_row(brk, |row| {
         for j in 0..limbs {
-            let bits = modulus_bits(ctx.modulus(j).value());
+            let bits = residue_bits(ctx.modulus(j).value());
             if seed.is_none() {
                 w.put_packed(row.a.limb(j), bits);
             }
             w.put_packed(row.b.limb(j), bits);
         }
     });
-    w.into_bytes()
 }
 
 /// Deserializes a key written by [`brk_to_wire`], expanding masks from
@@ -352,26 +370,21 @@ pub fn brk_from_wire(buf: &[u8], ctx: &RnsContext) -> Result<BlindRotateKey, Wir
     let mut rng = seed.map(StdRng::seed_from_u64);
     let params = RgswParams { base_bits, digits };
     let rows = params.rows(limbs);
+    // Expansion is bounded by the bytes present: a row's masks are drawn
+    // one limb (`n` words, `n = ctx.n()`) ahead of the body limb that must
+    // follow in the buffer, so a seeded key allocates at most twice what a
+    // strict one of the same length would, and a short buffer fails on the
+    // first missing body.
     let read_row = |r: &mut WireReader<'_>, rng: &mut Option<StdRng>| {
         let mut a_limbs = Vec::with_capacity(limbs);
         let mut b_limbs = Vec::with_capacity(limbs);
         for j in 0..limbs {
             let m = ctx.modulus(j).value();
-            let bits = modulus_bits(m);
             let aj = match rng {
                 Some(rng) => sample::uniform_poly(rng, n, m),
-                None => {
-                    let aj = r.get_packed(bits, n)?;
-                    if aj.iter().any(|&x| x >= m) {
-                        return Err(WireError::Corrupt("BRK mask out of range"));
-                    }
-                    aj
-                }
+                None => r.get_residues(n, m, "BRK mask out of range")?,
             };
-            let bj = r.get_packed(bits, n)?;
-            if bj.iter().any(|&x| x >= m) {
-                return Err(WireError::Corrupt("BRK body out of range"));
-            }
+            let bj = r.get_residues(n, m, "BRK body out of range")?;
             a_limbs.push(aj);
             b_limbs.push(bj);
         }
@@ -381,7 +394,8 @@ pub fn brk_from_wire(buf: &[u8], ctx: &RnsContext) -> Result<BlindRotateKey, Wir
         })
     };
     let read_ladder = |r: &mut WireReader<'_>, rng: &mut Option<StdRng>| {
-        let mut ladder = Vec::with_capacity(lwe_dim);
+        // Grown as RGSWs arrive: `lwe_dim` is only announced (≤ 2^24).
+        let mut ladder = Vec::new();
         for _ in 0..lwe_dim {
             let mut rows_s = Vec::with_capacity(rows);
             let mut rows_1 = Vec::with_capacity(rows);
@@ -415,7 +429,7 @@ pub fn brk_wire_size(
     let per_row: usize = moduli
         .iter()
         .map(|&m| {
-            let limb = packed_size(n, modulus_bits(m));
+            let limb = packed_size(n, residue_bits(m));
             if seeded {
                 limb
             } else {
@@ -449,7 +463,7 @@ mod tests {
         let ksk = LweKeySwitchKey::generate(&big, &small, &q, 6, 5, &mut rng);
         let bytes = ksk_to_wire(&ksk, &q, None);
         assert_eq!(bytes.len(), ksk_wire_size(48, 16, 5, q.value(), false));
-        let back = ksk_from_wire(&bytes, &q).unwrap();
+        let back = ksk_from_wire(&bytes, &q, 48, 16).unwrap();
         assert_eq!(ksk_to_wire(&back, &q, None), bytes);
     }
 
@@ -476,8 +490,85 @@ mod tests {
         let seeded = ksk_to_wire(&ksk, &q, Some(0xA11CE));
         assert_eq!(seeded.len(), ksk_wire_size(64, 24, 5, q.value(), true));
         assert!(seeded.len() * 2 < strict.len());
-        let expanded = ksk_from_wire(&seeded, &q).unwrap();
+        let expanded = ksk_from_wire(&seeded, &q, 64, 24).unwrap();
         assert_eq!(ksk_to_wire(&expanded, &q, None), strict);
+    }
+
+    /// The size functions now write the container's length prefixes, so
+    /// they must be exact — both keys, both modes, on the Tiny and Small
+    /// presets' ring shapes (`n_t` cut on Small: sizes are linear in it).
+    #[test]
+    fn wire_sizes_are_exact_on_tiny_and_small_shapes() {
+        for (n, bits, n_t) in [(128usize, 28u32, 32usize), (1024, 30, 3)] {
+            let primes = ntt_primes(n as u64, bits, 4);
+            let ctx = RnsContext::new(n, &primes);
+            let q = *ctx.modulus(0);
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let big = LweSecretKey::generate(&mut rng, n);
+            let small = LweSecretKey::generate(&mut rng, n_t);
+            let ring_sk = RingSecretKey::generate(&ctx, 4, &mut rng);
+            let params = RgswParams {
+                base_bits: 15,
+                digits: 2,
+            };
+            let mut ksk = LweKeySwitchKey::generate(&big, &small, &q, 6, 5, &mut rng);
+            let mut brk = BlindRotateKey::generate(&ctx, &small, &ring_sk, 4, params, &mut rng);
+            reseed_ksk(&mut ksk, &small, &q, 1);
+            reseed_brk(&mut brk, &ctx, &ring_sk, 2);
+            for seed in [None, Some(1)] {
+                assert_eq!(
+                    ksk_to_wire(&ksk, &q, seed).len(),
+                    ksk_wire_size(n, n_t, 5, q.value(), seed.is_some()),
+                    "KSK, n = {n}, seed {seed:?}"
+                );
+            }
+            for seed in [None, Some(2)] {
+                let bytes = brk_to_wire(&brk, &ctx, seed);
+                assert_eq!(
+                    bytes.len(),
+                    brk_wire_size(n_t, n, 2, &primes, seed.is_some()),
+                    "BRK, n = {n}, seed {seed:?}"
+                );
+                assert_eq!(bytes.len(), brk_encoded_len(&brk, &ctx, seed.is_some()));
+            }
+        }
+    }
+
+    /// A seeded header announces its expansion; every way of announcing
+    /// more than the caller expects is refused before a mask is drawn.
+    #[test]
+    fn ksk_shape_and_gadget_are_pinned_before_expansion() {
+        let q = q30();
+        let header = |source: u32, target: u32, base_bits: u32, digits: u32| {
+            let mut w = WireWriter::new();
+            w.put_u32(KSK_MAGIC);
+            w.put_u8(MODE_SEEDED);
+            w.put_u32(source);
+            w.put_u32(target);
+            w.put_u32(base_bits);
+            w.put_u32(digits);
+            w.put_u64(q.value());
+            w.put_u64(0xBAD5EED);
+            w.put_packed(&vec![0; (source * digits).min(4096) as usize], 30);
+            w.into_bytes()
+        };
+        let shape = Some(WireError::Corrupt("KSK shape"));
+        let gadget = Some(WireError::Corrupt("KSK gadget"));
+        for (bytes, want) in [
+            (header(8, 1 << 24, 6, 5), &shape),
+            (header(1 << 24, 4, 6, 5), &shape),
+            (header(9, 4, 6, 5), &shape),
+            (header(8, 4, 6, 4), &gadget),  // 24 bits do not cover q
+            (header(8, 4, 6, 6), &gadget),  // the sixth digit is superfluous
+            (header(8, 4, 1, 64), &gadget), // 34 of them are
+            (header(8, 4, 0, 5), &gadget),
+            (header(8, 4, 33, 1), &gadget),
+            (header(8, 4, 6, 0), &gadget),
+        ] {
+            assert_eq!(&ksk_from_wire(&bytes, &q, 8, 4).err(), want);
+        }
+        assert!(ksk_from_wire(&header(8, 4, 6, 5), &q, 8, 4).is_ok());
+        assert!(ksk_from_wire(&header(8, 4, 1, 30), &q, 8, 4).is_ok());
     }
 
     #[test]
@@ -490,12 +581,15 @@ mod tests {
         reseed_ksk(&mut ksk, &small, &q, 9);
         for bytes in [ksk_to_wire(&ksk, &q, None), ksk_to_wire(&ksk, &q, Some(9))] {
             for cut in 0..bytes.len() {
-                assert!(ksk_from_wire(&bytes[..cut], &q).is_err(), "prefix {cut}");
+                assert!(
+                    ksk_from_wire(&bytes[..cut], &q, 8, 4).is_err(),
+                    "prefix {cut}"
+                );
             }
             let mut bad = bytes.clone();
             bad[0] ^= 0xFF;
             assert_eq!(
-                ksk_from_wire(&bad, &q).err(),
+                ksk_from_wire(&bad, &q, 8, 4).err(),
                 Some(WireError::Corrupt("KSK magic"))
             );
         }

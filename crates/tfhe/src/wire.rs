@@ -13,7 +13,7 @@
 //! evaluation domain exactly as computed, so a remote round trip is
 //! bit-identical to local execution.
 
-use heap_math::wire::{packed_size, WireError, WireReader, WireWriter};
+use heap_math::wire::{packed_size, residue_bits, WireError, WireReader, WireWriter};
 use heap_math::Domain;
 
 use crate::extract::RnsLweCiphertext;
@@ -30,10 +30,6 @@ const ACC_BATCH_MAGIC: u32 = 0x4142_5431; // "ABT1"
 /// against corrupt headers.
 const MAX_BATCH: usize = 1 << 20;
 
-fn modulus_bits(modulus: u64) -> u32 {
-    64 - (modulus - 1).leading_zeros()
-}
-
 impl LweCiphertext {
     /// Serializes at the modulus bit-width.
     pub fn to_wire(&self) -> Vec<u8> {
@@ -44,13 +40,11 @@ impl LweCiphertext {
 
     /// Appends the wire encoding to an open writer (batch encodings).
     pub fn write_wire(&self, w: &mut WireWriter) {
-        let bits = modulus_bits(self.modulus);
         w.put_u32(LWE_MAGIC);
         w.put_u64(self.modulus);
         w.put_u32(self.a.len() as u32);
-        let mut all = self.a.clone();
-        all.push(self.b);
-        w.put_packed(&all, bits);
+        let all = self.a.iter().copied().chain([self.b]);
+        w.put_packed_iter(all, self.a.len() + 1, residue_bits(self.modulus));
     }
 
     /// Deserializes a ciphertext written by [`Self::to_wire`].
@@ -80,18 +74,14 @@ impl LweCiphertext {
         if dim > 1 << 24 {
             return Err(WireError::Corrupt("LWE dimension"));
         }
-        let bits = modulus_bits(modulus);
-        let mut all = r.get_packed(bits, dim + 1)?;
+        let mut all = r.get_residues(dim + 1, modulus, "LWE element out of range")?;
         let b = all.pop().expect("dim + 1 elements");
-        if all.iter().chain([&b]).any(|&x| x >= modulus) {
-            return Err(WireError::Corrupt("LWE element out of range"));
-        }
         Ok(Self { a: all, b, modulus })
     }
 
     /// Wire size in bytes (what a CMAC scatter pays per ciphertext).
     pub fn wire_size(&self) -> usize {
-        4 + 8 + 4 + packed_size(self.a.len() + 1, modulus_bits(self.modulus))
+        4 + 8 + 4 + packed_size(self.a.len() + 1, residue_bits(self.modulus))
     }
 }
 
@@ -166,7 +156,7 @@ impl RlweCiphertext {
         w.put_u32(self.limbs() as u32);
         w.put_u32(n as u32);
         for (j, &m) in moduli.iter().enumerate() {
-            let bits = modulus_bits(m);
+            let bits = residue_bits(m);
             w.put_u64(m);
             w.put_packed(self.a.limb(j), bits);
             w.put_packed(self.b.limb(j), bits);
@@ -206,14 +196,8 @@ impl RlweCiphertext {
             if m < 2 {
                 return Err(WireError::Corrupt("accumulator modulus"));
             }
-            let bits = modulus_bits(m);
-            let aj = r.get_packed(bits, n)?;
-            let bj = r.get_packed(bits, n)?;
-            if aj.iter().chain(&bj).any(|&x| x >= m) {
-                return Err(WireError::Corrupt("accumulator residue out of range"));
-            }
-            a_limbs.push(aj);
-            b_limbs.push(bj);
+            a_limbs.push(r.get_residues(n, m, "accumulator residue out of range")?);
+            b_limbs.push(r.get_residues(n, m, "accumulator residue out of range")?);
         }
         Ok(Self {
             a: RnsPoly::from_limbs(a_limbs, Domain::Eval),
@@ -226,7 +210,7 @@ impl RlweCiphertext {
         let n = self.a.limb(0).len();
         12 + moduli
             .iter()
-            .map(|&m| 8 + 2 * packed_size(n, modulus_bits(m)))
+            .map(|&m| 8 + 2 * packed_size(n, residue_bits(m)))
             .sum::<usize>()
     }
 }
@@ -285,9 +269,8 @@ impl RnsLweCiphertext {
         w.put_u32(self.dim() as u32);
         for (j, &m) in moduli.iter().enumerate() {
             w.put_u64(m);
-            let mut all = self.a[j].clone();
-            all.push(self.b[j]);
-            w.put_packed(&all, modulus_bits(m));
+            let all = self.a[j].iter().copied().chain([self.b[j]]);
+            w.put_packed_iter(all, self.a[j].len() + 1, residue_bits(m));
         }
         w.into_bytes()
     }
@@ -314,7 +297,7 @@ impl RnsLweCiphertext {
             if m < 2 {
                 return Err(WireError::Corrupt("RNS-LWE modulus"));
             }
-            let mut all = r.get_packed(modulus_bits(m), dim + 1)?;
+            let mut all = r.get_residues(dim + 1, m, "RNS-LWE element out of range")?;
             let bj = all.pop().expect("dim + 1 elements");
             a.push(all);
             b.push(bj);
