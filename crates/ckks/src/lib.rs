@@ -47,8 +47,8 @@ pub use conventional::{ConvBootstrapConfig, ConventionalBootstrapper};
 pub use encoding::Encoder;
 pub use key::{GaloisKeys, KeySwitchKey, PublicKey, RelinearizationKey, SecretKey};
 pub use key_wire::{
-    cks_from_wire, cks_to_wire, cks_wire_size, gks_encoded_len, gks_from_wire, gks_to_wire,
-    gks_wire_size, gks_write, reseed_cks, reseed_galois_keys,
+    cks_from_wire, cks_to_wire, gks_from_wire, gks_to_wire, gks_write, reseed_cks,
+    reseed_galois_keys,
 };
 pub use linear::SlotMatrix;
 pub use params::{CkksParams, CkksParamsBuilder, ParamsError};

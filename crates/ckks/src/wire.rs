@@ -4,7 +4,7 @@
 //! `2 × 6 × 8192 × 36 b ≈ 0.44 MB` — exactly §III-C's RLWE size — and this
 //! is the payload the host PCIe path and the FPGA HBM move around.
 
-use heap_math::wire::{packed_size, WireError, WireReader, WireWriter};
+use heap_math::wire::{residue_bits, WireError, WireReader, WireWriter};
 use heap_math::{Domain, RnsPoly};
 
 use crate::ciphertext::Ciphertext;
@@ -17,22 +17,19 @@ impl CkksContext {
     /// domain at each limb's bit-width.
     pub fn ciphertext_to_wire(&self, ct: &Ciphertext) -> Vec<u8> {
         let rns = self.rns();
-        let mut w = WireWriter::new();
-        w.put_u32(CT_MAGIC);
-        w.put_u32(ct.limbs() as u32);
-        w.put_u32(self.n() as u32);
-        w.put_f64(ct.scale());
-        let mut c0 = ct.c0().clone();
-        let mut c1 = ct.c1().clone();
-        c0.to_coeff(rns);
-        c1.to_coeff(rns);
-        for part in [&c0, &c1] {
-            for j in 0..part.limb_count() {
-                let bits = rns.modulus(j).bits();
-                w.put_packed(part.limb(j), bits);
+        let mut parts = [ct.c0().clone(), ct.c1().clone()];
+        parts.iter_mut().for_each(|p| p.to_coeff(rns));
+        WireWriter::encode(|w| {
+            w.put_u32(CT_MAGIC);
+            w.put_u32(ct.limbs() as u32);
+            w.put_u32(self.n() as u32);
+            w.put_f64(ct.scale());
+            for limbs in parts.iter().map(RnsPoly::limbs) {
+                for (limb, m) in limbs.iter().zip(rns.moduli()) {
+                    w.put_packed(limb, residue_bits(m.value()));
+                }
             }
-        }
-        w.into_bytes()
+        })
     }
 
     /// Deserializes a ciphertext written by [`Self::ciphertext_to_wire`].
@@ -74,15 +71,6 @@ impl CkksContext {
         let c0 = parts.pop().expect("two parts");
         Ok(Ciphertext::new(c0, c1, scale))
     }
-
-    /// Wire size of a ciphertext with the given limb count (bytes).
-    pub fn ciphertext_wire_size(&self, limbs: usize) -> usize {
-        let header = 4 + 4 + 4 + 8;
-        let body: usize = (0..limbs)
-            .map(|j| 2 * packed_size(self.n(), self.rns().modulus(j).bits()))
-            .sum();
-        header + body
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +89,6 @@ mod tests {
         let msg = vec![0.1f64, -0.2, 0.05];
         let ct = ctx.encrypt_real_sk(&msg, &sk, &mut rng);
         let bytes = ctx.ciphertext_to_wire(&ct);
-        assert_eq!(bytes.len(), ctx.ciphertext_wire_size(ct.limbs()));
         let back = ctx.ciphertext_from_wire(&bytes).unwrap();
         assert_eq!(back.scale(), ct.scale());
         let dec = ctx.decrypt_real(&back, &sk);
@@ -114,7 +101,11 @@ mod tests {
     fn wire_size_matches_paper_rlwe_size() {
         // Paper §III-C: 2 × 216 × 8192 bits ≈ 0.44 MB for a full ciphertext.
         let ctx = CkksContext::new(CkksParams::heap_paper());
-        let bytes = ctx.ciphertext_wire_size(6);
+        let mut rng = StdRng::seed_from_u64(5);
+        let sk = SecretKey::generate(&ctx, &mut rng);
+        let ct = ctx.encrypt_real_sk(&[0.5], &sk, &mut rng);
+        assert_eq!(ct.limbs(), 6);
+        let bytes = ctx.ciphertext_to_wire(&ct).len();
         assert!(
             (bytes as f64 / 1e6 - 0.4424).abs() < 0.01,
             "{} bytes",

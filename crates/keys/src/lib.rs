@@ -23,13 +23,12 @@
 
 pub mod cache;
 
-use heap_ckks::{gks_encoded_len, gks_from_wire, gks_write};
+use heap_ckks::{gks_from_wire, gks_write};
 use heap_ckks::{CkksContext, GaloisKeys};
 use heap_core::{BootstrapConfig, Bootstrapper, GeneratedKeys};
 use heap_math::wire::{derive_seed, WireError, WireReader, WireWriter};
 use heap_tfhe::{
-    brk_encoded_len, brk_from_wire, brk_write, ksk_encoded_len, ksk_from_wire, ksk_write,
-    BlindRotateKey, LweKeySwitchKey, RgswParams,
+    brk_from_wire, brk_write, ksk_from_wire, ksk_write, BlindRotateKey, LweKeySwitchKey, RgswParams,
 };
 
 pub use cache::KeyCache;
@@ -38,8 +37,6 @@ const EKS_MAGIC: u32 = 0x454B_5331; // "EKS1"
 /// Version 1 carried a blind-rotate backend byte after the version (a
 /// 26-byte header); version 2 is the 25-byte header without it.
 const EKS_VERSION: u8 = 2;
-/// Magic, version and the five shape words.
-const EKS_HEADER_BYTES: usize = 4 + 1 + 5 * 4;
 
 /// Content fingerprint of an [`EvalKeySet`]: FNV-1a over its canonical
 /// strict encoding. Nodes advertise the ids they hold; the scheduler
@@ -124,25 +121,8 @@ impl EvalKeySet {
         Bootstrapper::from_keys(ctx, config, self.keys)
     }
 
-    /// Byte sizes of the three key sections in the given mode, from the
-    /// encoders' own size functions — what the length prefixes announce.
-    fn section_lens(&self, ctx: &CkksContext, seeded: bool) -> [usize; 3] {
-        [
-            ksk_encoded_len(&self.keys.ksk, ctx.q_modulus(0), seeded),
-            brk_encoded_len(&self.keys.brk, ctx.rns(), seeded),
-            gks_encoded_len(&self.keys.gks, ctx, seeded),
-        ]
-    }
-
-    /// Exact length of the container in the given mode, with nothing
-    /// encoded.
-    fn encoded_len(&self, ctx: &CkksContext, seeded: bool) -> usize {
-        let sections = self.section_lens(ctx, seeded);
-        EKS_HEADER_BYTES + sections.iter().map(|len| 4 + len).sum::<usize>()
-    }
-
     /// Writes the container into `w`; each key encoder writes its section
-    /// in place behind a prefix taken from its size function.
+    /// in place behind a prefix measured from that encoder.
     fn encode(&self, ctx: &CkksContext, seeded: bool, w: &mut WireWriter) {
         assert!(
             !seeded || self.reseed.is_some(),
@@ -153,7 +133,6 @@ impl EvalKeySet {
                 .filter(|_| seeded)
                 .map(|m| derive_seed(m, label))
         };
-        let [ksk_len, brk_len, gks_len] = self.section_lens(ctx, seeded);
         w.put_u32(EKS_MAGIC);
         w.put_u8(EKS_VERSION);
         w.put_u32(self.config.n_t as u32);
@@ -161,21 +140,19 @@ impl EvalKeySet {
         w.put_u32(self.config.ks_digits as u32);
         w.put_u32(self.config.rgsw.base_bits);
         w.put_u32(self.config.rgsw.digits as u32);
-        w.put_section(ksk_len, "EKS key-switch key", |w| {
+        w.put_section("EKS key-switch key", |w| {
             ksk_write(w, &self.keys.ksk, ctx.q_modulus(0), seed(b"ksk"));
         });
-        w.put_section(brk_len, "EKS blind-rotate key", |w| {
+        w.put_section("EKS blind-rotate key", |w| {
             brk_write(w, &self.keys.brk, ctx.rns(), seed(b"brk"));
         });
-        w.put_section(gks_len, "EKS Galois keys", |w| {
+        w.put_section("EKS Galois keys", |w| {
             gks_write(w, &self.keys.gks, ctx, seed(b"gks"));
         });
     }
 
     fn to_wire(&self, ctx: &CkksContext, seeded: bool) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(self.encoded_len(ctx, seeded));
-        self.encode(ctx, seeded, &mut w);
-        w.into_bytes()
+        WireWriter::encode(|w| self.encode(ctx, seeded, w))
     }
 
     /// Canonical strict encoding: every mask explicit. This is what
@@ -184,9 +161,10 @@ impl EvalKeySet {
         self.to_wire(ctx, false)
     }
 
-    /// Length of [`Self::to_strict_wire`]'s output, without encoding it.
+    /// Length of [`Self::to_strict_wire`]'s output, measured without
+    /// encoding it.
     pub fn strict_len(&self, ctx: &CkksContext) -> usize {
-        self.encoded_len(ctx, false)
+        WireWriter::measure(|w| self.encode(ctx, false, w))
     }
 
     /// Seed-expandable encoding: uniform masks replaced by embedded PRG
@@ -336,9 +314,8 @@ mod tests {
         assert_eq!(back.to_strict_wire(&ctx), set.to_strict_wire(&ctx));
     }
 
-    /// The id is hashed as a stream and the lengths come from the size
-    /// functions; both must equal what the materialised strict encoding
-    /// says — for generated, reseeded and wire-decoded sets, on the Tiny
+    /// The id is hashed as a stream and the strict length measured; both
+    /// must equal what the materialised strict encoding says — for generated, reseeded and wire-decoded sets, on the Tiny
     /// and the Small preset.
     #[test]
     fn streamed_id_and_computed_lengths_match_the_strict_encoding() {
@@ -357,7 +334,6 @@ mod tests {
             let reseeded = EvalKeySet::new(&ctx, config, keys, Some(0xC0DE));
             let pkg = reseeded.package(&ctx);
             assert_eq!(pkg.bytes, reseeded.to_seeded_wire(&ctx));
-            assert_eq!(pkg.bytes.len(), reseeded.encoded_len(&ctx, true));
             assert_eq!(pkg.strict_len, reseeded.strict_len(&ctx));
             let decoded = EvalKeySet::from_wire(&ctx, &pkg.bytes).unwrap();
             assert_eq!(decoded.id(), pkg.id);

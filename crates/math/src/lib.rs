@@ -41,6 +41,7 @@ pub mod poly;
 pub mod prime;
 pub mod rns;
 pub mod sample;
+pub mod seeded;
 pub mod simd;
 pub mod wire;
 

@@ -228,6 +228,11 @@ impl RnsPoly {
         &self.limbs
     }
 
+    /// Mutable borrows of every limb, in order (lengths fixed).
+    pub fn limbs_mut(&mut self) -> impl Iterator<Item = &mut [u64]> {
+        self.limbs.iter_mut().map(Vec::as_mut_slice)
+    }
+
     /// Converts to evaluation domain in place (no-op if already there).
     pub fn to_eval(&mut self, ctx: &RnsContext) {
         if self.domain == Domain::Eval {

@@ -485,13 +485,13 @@ mod tests {
         // attestation digest).
         assert_eq!(
             ledger.lwe_bytes_sent(),
-            FRAME_HEADER_BYTES + 8 + heap_tfhe::lwe_batch_wire_size(&lwes) as u64
+            FRAME_HEADER_BYTES + 8 + lwe_batch_to_wire(&lwes).len() as u64
         );
         assert_eq!(
             ledger.rlwe_bytes_received(),
             FRAME_HEADER_BYTES
                 + RESP_DIGEST_BYTES
-                + heap_tfhe::rlwe_batch_wire_size(&accs, &moduli) as u64
+                + rlwe_batch_to_wire(&accs, &moduli).len() as u64
         );
         node.shutdown();
     }
@@ -593,7 +593,7 @@ mod tests {
         );
         // The refused request crossed the socket all the same: header +
         // key id + batch, booked as data although nothing ever answers it.
-        let request = FRAME_HEADER_BYTES + 8 + heap_tfhe::lwe_batch_wire_size(&lwes) as u64;
+        let request = FRAME_HEADER_BYTES + 8 + lwe_batch_to_wire(&lwes).len() as u64;
         assert_eq!(ledger.lwe_bytes_sent(), request);
         assert_eq!(ledger.rlwe_bytes_received(), 0);
         assert_eq!(
@@ -782,6 +782,43 @@ mod tests {
         // same session (Error frames keep the connection).
         node.try_blind_rotate_batch(&s.ctx, &s.boot, &test_lwes(1))
             .expect("served after plan exhausted");
+    }
+
+    /// A well-formed batch whose LWE does not fit the key used to panic
+    /// the connection thread in the rotation's shape assert; it is now a
+    /// typed refusal and the connection serves on.
+    #[test]
+    fn wrong_dimension_batch_is_refused_and_the_connection_serves_on() {
+        let s = setup();
+        let addr = spawn_server(ServeOptions {
+            parallelism: Parallelism::serial(),
+            ..ServeOptions::default()
+        });
+        let ledger = Arc::new(TransferLedger::default());
+        let node = RemoteNode::connect_with_ledger(
+            &addr,
+            &s.ctx,
+            NodeTimeouts::default(),
+            Arc::clone(&ledger),
+        )
+        .expect("connect");
+        let mut crafted = test_lwes(3);
+        crafted[1].a.pop();
+        let err = node
+            .try_blind_rotate_batch(&s.ctx, &s.boot, &crafted)
+            .expect_err("wrong dimension");
+        assert!(
+            matches!(err, NodeError::Remote(ref m) if m.contains("dimension")),
+            "{err:?}"
+        );
+        let lwes = test_lwes(2);
+        let served = node
+            .try_blind_rotate_batch(&s.ctx, &s.boot, &lwes)
+            .expect("honest batch after the refusal");
+        assert_eq!(served.len(), 2);
+        // One Hello in total: the refusal kept the connection.
+        assert_eq!(ledger.control_frames_sent(), 1);
+        node.shutdown();
     }
 
     #[test]

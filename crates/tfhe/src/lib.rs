@@ -50,8 +50,8 @@ pub use blind_rotate::{
 };
 pub use extract::{extract_coefficient, extract_constant_rns, lwe_to_rlwe, RnsLweCiphertext};
 pub use key_wire::{
-    brk_encoded_len, brk_from_wire, brk_to_wire, brk_wire_size, brk_write, ksk_encoded_len,
-    ksk_from_wire, ksk_to_wire, ksk_wire_size, ksk_write, reseed_brk, reseed_ksk,
+    brk_from_wire, brk_to_wire, brk_write, ksk_from_wire, ksk_to_wire, ksk_write, reseed_brk,
+    reseed_ksk,
 };
 pub use lwe::{LweCiphertext, LweKeySwitchKey, LweSecretKey};
 pub use rgsw::{
@@ -60,7 +60,4 @@ pub use rgsw::{
     ExternalProductScratch, PreparedRgsw, RgswCiphertext, RgswParams,
 };
 pub use rlwe::{RingSecretKey, RlweCiphertext};
-pub use wire::{
-    lwe_batch_from_wire, lwe_batch_to_wire, lwe_batch_wire_size, rlwe_batch_from_wire,
-    rlwe_batch_to_wire, rlwe_batch_wire_size,
-};
+pub use wire::{lwe_batch_from_wire, lwe_batch_to_wire, rlwe_batch_from_wire, rlwe_batch_to_wire};

@@ -12,7 +12,6 @@ use std::sync::OnceLock;
 use heap_math::prime::ntt_primes;
 use heap_math::wire::WireError;
 use heap_math::{RnsContext, RnsPoly};
-use heap_tfhe::extract::RnsLweCiphertext;
 use heap_tfhe::{
     lwe_batch_from_wire, lwe_batch_to_wire, rlwe_batch_from_wire, rlwe_batch_to_wire,
     LweCiphertext, LweSecretKey, RingSecretKey, RlweCiphertext,
@@ -24,7 +23,6 @@ use rand::SeedableRng;
 /// Valid encodings built once; properties slice and mutate copies.
 struct Fixtures {
     lwe: Vec<u8>,
-    rns_lwe: Vec<u8>,
     rlwe: Vec<u8>,
     lwe_batch: Vec<u8>,
     rlwe_batch: Vec<u8>,
@@ -47,16 +45,8 @@ fn fixtures() -> &'static Fixtures {
         let accs: Vec<RlweCiphertext> = (0..3)
             .map(|_| RlweCiphertext::encrypt(&ctx, &ring_sk, &msg, &mut rng))
             .collect();
-        let rns_lwe = RnsLweCiphertext {
-            a: primes
-                .iter()
-                .map(|&p| (0..24u64).map(|i| i * 13 % p).collect())
-                .collect(),
-            b: primes.iter().map(|&p| p / 2).collect(),
-        };
         Fixtures {
             lwe: lwes[0].to_wire(),
-            rns_lwe: rns_lwe.to_wire(&primes),
             rlwe: accs[0].to_wire(&primes),
             lwe_batch: lwe_batch_to_wire(&lwes),
             rlwe_batch: rlwe_batch_to_wire(&accs, &primes),
@@ -68,9 +58,8 @@ fn fixtures() -> &'static Fixtures {
 fn decode(kind: usize, buf: &[u8]) -> Result<(), WireError> {
     match kind {
         0 => LweCiphertext::from_wire(buf).map(|_| ()),
-        1 => RnsLweCiphertext::from_wire(buf).map(|_| ()),
-        2 => RlweCiphertext::from_wire(buf).map(|_| ()),
-        3 => lwe_batch_from_wire(buf).map(|_| ()),
+        1 => RlweCiphertext::from_wire(buf).map(|_| ()),
+        2 => lwe_batch_from_wire(buf).map(|_| ()),
         _ => rlwe_batch_from_wire(buf).map(|_| ()),
     }
 }
@@ -79,9 +68,8 @@ fn valid(kind: usize) -> &'static [u8] {
     let f = fixtures();
     match kind {
         0 => &f.lwe,
-        1 => &f.rns_lwe,
-        2 => &f.rlwe,
-        3 => &f.lwe_batch,
+        1 => &f.rlwe,
+        2 => &f.lwe_batch,
         _ => &f.rlwe_batch,
     }
 }
@@ -90,7 +78,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn random_prefixes_error_cleanly(kind in 0usize..5, cut in 0usize..1 << 20) {
+    fn random_prefixes_error_cleanly(kind in 0usize..4, cut in 0usize..1 << 20) {
         let bytes = valid(kind);
         // A strict prefix is always missing announced content.
         let cut = cut % bytes.len();
@@ -105,7 +93,7 @@ proptest! {
 
     #[test]
     fn corrupted_copies_never_panic(
-        kind in 0usize..5,
+        kind in 0usize..4,
         pos in 0usize..1 << 20,
         xor in 1u64..256,
     ) {
@@ -119,14 +107,14 @@ proptest! {
     }
 
     #[test]
-    fn pure_noise_never_panics(kind in 0usize..5, words in prop::collection::vec(any::<u64>(), 0..48)) {
+    fn pure_noise_never_panics(kind in 0usize..4, words in prop::collection::vec(any::<u64>(), 0..48)) {
         let noise: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         let _ = decode(kind, &noise);
     }
 
     #[test]
     fn noise_with_valid_magic_never_panics(
-        kind in 0usize..5,
+        kind in 0usize..4,
         words in prop::collection::vec(any::<u64>(), 2..32),
     ) {
         // Keep the magic so decoding proceeds into the shape/payload
