@@ -108,6 +108,27 @@ pub(crate) fn accumulators_to_wire(ctx: &CkksContext, accs: &[RlweCiphertext]) -
     heap_tfhe::rlwe_batch_to_wire(accs, &moduli)
 }
 
+/// Whether `lwes` fit `boot`'s key: each the mod-switched sample of
+/// `ctx`'s ring (modulus 2N) under its LWE key (dimension `n_t`). The
+/// service door and the node server both ask, so a misfit is refused
+/// before the rotation's shape asserts can see it.
+pub(crate) fn check_lwes_fit(
+    ctx: &CkksContext,
+    boot: &Bootstrapper,
+    lwes: &[LweCiphertext],
+) -> Result<(), &'static str> {
+    let two_n = 2 * ctx.n() as u64;
+    for lwe in lwes {
+        if lwe.modulus != two_n {
+            return Err("LWE modulus must be 2N");
+        }
+        if lwe.dim() != boot.config().n_t {
+            return Err("LWE dimension must be n_t");
+        }
+    }
+    Ok(())
+}
+
 /// A compute node the scheduler can dispatch to, with failure reporting.
 pub trait ServiceNode: Send + Sync {
     /// Executes blind rotations for `lwes`, returning one accumulator per
