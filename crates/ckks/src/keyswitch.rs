@@ -101,57 +101,6 @@ fn mod_down(ctx: &CkksContext, mut acc: Vec<Vec<u64>>, l: usize) -> RnsPoly {
     RnsPoly::from_limbs(acc, Domain::Eval)
 }
 
-/// Hoisted rotation: applies several automorphisms to the *same*
-/// ciphertext while decomposing it only once.
-///
-/// The standard trick (used by BSGS linear transforms): the expensive part
-/// of `Rotate` is spreading `c1`'s per-limb digits across the extended
-/// basis; since `σ_g` commutes with the decomposition
-/// (`σ_g([c]_{q_i}) = [σ_g(c)]_{q_i}`), the digits can be decomposed once
-/// and permuted per rotation. With `k` rotations this saves `k-1`
-/// decomposition passes.
-///
-/// Returns the rotated ciphertexts in the order of `exponents`.
-///
-/// # Panics
-///
-/// Panics if a Galois key is missing or the ciphertext exceeds the key's
-/// component count.
-pub fn apply_galois_hoisted(
-    ctx: &CkksContext,
-    ct: &crate::ciphertext::Ciphertext,
-    exponents: &[usize],
-    gks: &crate::key::GaloisKeys,
-) -> Vec<crate::ciphertext::Ciphertext> {
-    let rns = ctx.rns();
-    let l = ct.c0().limb_count();
-    // Decompose c1 once (coefficient domain residues per limb).
-    let mut c1_coeff = ct.c1().clone();
-    c1_coeff.to_coeff(rns);
-    let mut c0_coeff = ct.c0().clone();
-    c0_coeff.to_coeff(rns);
-
-    exponents
-        .iter()
-        .map(|&g| {
-            let key = gks
-                .key_for(g)
-                .unwrap_or_else(|| panic!("missing Galois key for exponent {g}"));
-            // Permute the decomposed digits by sigma_g, then MAC with the
-            // key — one spread-NTT pass per (digit, target limb) as usual,
-            // but the iNTT of c1 was shared across all exponents.
-            let digit_polys: Vec<Vec<u64>> = (0..l)
-                .map(|i| poly::automorphism(c1_coeff.limb(i), g, rns.modulus(i)))
-                .collect();
-            let (ka, kb) = digit_mac(ctx, &digit_polys, key);
-            let mut out_b = c0_coeff.automorphism(g, rns);
-            out_b.to_eval(rns);
-            out_b.add_assign(&kb, rns);
-            crate::ciphertext::Ciphertext::new(out_b, ka, ct.scale())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,42 +195,5 @@ mod tests {
         let (a, b) = key_switch(&ctx, &d, &ksk);
         assert_eq!(a.limb_count(), 2);
         assert_eq!(b.limb_count(), 2);
-    }
-}
-
-#[cfg(test)]
-mod hoisting_tests {
-    use super::*;
-    use crate::key::{GaloisKeys, SecretKey};
-    use crate::params::CkksParams;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn hoisted_rotations_match_one_by_one() {
-        let ctx = CkksContext::new(CkksParams::test_tiny());
-        let mut rng = StdRng::seed_from_u64(55);
-        let sk = SecretKey::generate(&ctx, &mut rng);
-        let gks = GaloisKeys::generate(&ctx, &sk, &[1, 2, 3], false, &mut rng);
-        let msg: Vec<f64> = (0..ctx.slots()).map(|i| (i % 10) as f64 / 50.0).collect();
-        let ct = ctx.encrypt_real_sk(&msg, &sk, &mut rng);
-        let exps: Vec<usize> = [1i64, 2, 3]
-            .iter()
-            .map(|&r| heap_math::poly::rotation_exponent(r, ctx.n()))
-            .collect();
-        let hoisted = apply_galois_hoisted(&ctx, &ct, &exps, &gks);
-        for (k, g) in exps.iter().enumerate() {
-            let single = ctx.apply_galois(&ct, *g, &gks);
-            let a = ctx.decrypt_real(&hoisted[k], &sk);
-            let b = ctx.decrypt_real(&single, &sk);
-            for i in 0..8 {
-                assert!(
-                    (a[i] - b[i]).abs() < 1e-3,
-                    "exp {g}, slot {i}: {} vs {}",
-                    a[i],
-                    b[i]
-                );
-            }
-        }
     }
 }

@@ -1,41 +1,28 @@
 //! Bit-identity of the key-switch inner product across MAC accumulators.
 //!
-//! `key_switch` and `apply_galois_hoisted` share one extended-basis digit
-//! MAC; where the narrow kernels apply (AVX2 + FMA, 36-bit chain) each digit
-//! runs from residue to accumulator in `f64` lanes, under `force_scalar` it
-//! is lifted, transformed and summed as full products in `u128`. Both must reduce to the same canonical residues — on
-//! the same live keys, since the accumulator is chosen per call — and the
-//! gate must land on the side the host allows, so a CI host with the kernel
-//! is known to exercise it. (On a scalar host both halves take the `u128`
-//! path and the bit-identity half is an identity.)
+//! `key_switch` — and through it every rotation, `CkksContext::apply_galois`
+//! — runs one extended-basis digit MAC; where the narrow kernels apply
+//! (AVX2 + FMA, 36-bit chain) each digit runs from residue to accumulator in
+//! `f64` lanes, under `force_scalar` it is lifted, transformed and summed as
+//! full products in `u128`. Both must reduce to the same canonical residues
+//! — on the same live keys, since the accumulator is chosen per call — and
+//! the gate must land on the side the host allows, so a CI host with the
+//! kernel is known to exercise it. (On a scalar host both halves take the
+//! `u128` path and the bit-identity half is an identity.)
 //!
 //! The test lives alone in its own integration binary so the process-wide
 //! `force_scalar` cannot flip the backend under the native half, and has
 //! nobody to restore it for afterwards.
 
-use heap_ckks::keyswitch::{apply_galois_hoisted, key_switch};
+use heap_ckks::keyswitch::key_switch;
 use heap_ckks::{CkksContext, CkksParams, GaloisKeys, KeySwitchKey, SecretKey};
 use heap_math::poly::rotation_exponent;
 use heap_math::{mac_path, simd, MacPath, RnsPoly};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Whether the narrow MAC's vector kernels run on this host right now (for
-/// a ring and modulus inside their exactness gate): what [`mac_path`] is
-/// allowed to observe.
-fn narrow_kernel_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        simd::active() == simd::Backend::Avx2 && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 #[test]
-fn key_switch_and_hoisted_galois_forced_scalar_are_bit_identical() {
+fn key_switch_and_galois_forced_scalar_are_bit_identical() {
     // The paper's 36-bit limbs (special and aux primes included) at N = 2^10.
     let params = CkksParams::builder().log_n(10).limbs(3).build().unwrap();
     let ctx = CkksContext::new(params);
@@ -69,21 +56,27 @@ fn key_switch_and_hoisted_galois_forced_scalar_are_bit_identical() {
         .collect();
     let msg: Vec<f64> = (0..ctx.slots()).map(|i| (i % 10) as f64 / 50.0).collect();
     let ct = ctx.encrypt_real_sk(&msg, &sk, &mut rng);
+    // Collected, so each side runs under the backend it is named for.
+    let rotate = || -> Vec<_> {
+        exps.iter()
+            .map(|&g| ctx.apply_galois(&ct, g, &gks))
+            .collect()
+    };
 
-    let native = if narrow_kernel_active() {
+    let native = if simd::active() == simd::Backend::Avx2 {
         MacPath::Narrow
     } else {
         MacPath::Wide
     };
     assert_eq!(gate(), native);
     let native_ks = key_switch(&ctx, &d, &ksk);
-    let native_rot = apply_galois_hoisted(&ctx, &ct, &exps, &gks);
+    let native_rot = rotate();
 
     simd::force_scalar(true);
     assert_eq!(simd::active(), simd::Backend::Scalar);
     assert_eq!(gate(), MacPath::Wide);
     let scalar_ks = key_switch(&ctx, &d, &ksk);
-    let scalar_rot = apply_galois_hoisted(&ctx, &ct, &exps, &gks);
+    let scalar_rot = rotate();
 
     assert!(
         native_ks == scalar_ks,
@@ -92,7 +85,7 @@ fn key_switch_and_hoisted_galois_forced_scalar_are_bit_identical() {
     for (native, scalar) in native_rot.iter().zip(&scalar_rot) {
         assert!(
             native.c0() == scalar.c0() && native.c1() == scalar.c1(),
-            "apply_galois_hoisted diverged under forced scalar"
+            "apply_galois diverged under forced scalar"
         );
     }
 }

@@ -135,26 +135,7 @@ impl Gadget {
         assert_eq!(out.len(), self.digits);
         let q = self.modulus.value();
         debug_assert!(x < q);
-        let signed = self.modulus.to_signed(x);
-        let neg = signed < 0;
-        let mut mag = signed.unsigned_abs();
-        let base = self.base();
-        let half = base >> 1;
-        let mask = base - 1;
-        for slot in out.iter_mut() {
-            let mut digit = mag & mask;
-            mag >>= self.base_bits;
-            if digit > half {
-                digit = digit.wrapping_sub(base);
-                mag += 1;
-            }
-            let mut d = digit as i64;
-            if neg {
-                d = -d;
-            }
-            *slot = d;
-        }
-        debug_assert_eq!(mag, 0, "value exceeded gadget range");
+        signed_digits(x, q, self.base_bits, out);
     }
 
     /// Signed decomposition of a whole coefficient slice straight into
@@ -197,44 +178,11 @@ impl Gadget {
         for row in out.iter() {
             assert_eq!(row.len(), coeffs.len());
         }
-        let base = self.base();
-        let half = base >> 1;
-        let mask = base - 1;
+        let q = self.modulus.value();
         for (i, &c) in coeffs.iter().enumerate() {
-            debug_assert!(c < self.modulus.value());
-            let signed = self.modulus.to_signed(c);
-            let neg = signed < 0;
-            let mut mag = signed.unsigned_abs();
-            for row in out.iter_mut() {
-                let mut digit = mag & mask;
-                mag >>= self.base_bits;
-                if digit > half {
-                    digit = digit.wrapping_sub(base);
-                    mag += 1;
-                }
-                let mut d = digit as i64;
-                if neg {
-                    d = -d;
-                }
-                row[i] = d;
-            }
-            debug_assert_eq!(mag, 0, "value exceeded gadget range");
+            debug_assert!(c < q);
+            signed_digits(c, q, self.base_bits, out.iter_mut().map(|row| &mut row[i]));
         }
-    }
-
-    /// Decomposes every coefficient of a polynomial into signed digit
-    /// polynomials (digit-major layout).
-    pub fn decompose_poly_signed(&self, poly: &[u64]) -> Vec<Vec<i64>> {
-        let n = poly.len();
-        let mut out = vec![vec![0i64; n]; self.digits];
-        let mut digits = vec![0i64; self.digits];
-        for (i, &c) in poly.iter().enumerate() {
-            self.decompose_scalar_signed_into(c, &mut digits);
-            for (k, &d) in digits.iter().enumerate() {
-                out[k][i] = d;
-            }
-        }
-        out
     }
 
     /// Recomposes digits back into the original residue (test helper /
@@ -247,21 +195,37 @@ impl Gadget {
         }
         acc
     }
+}
 
-    /// Decomposes every coefficient of a polynomial, producing `d` digit
-    /// polynomials (digit-major layout).
-    pub fn decompose_poly(&self, poly: &[u64]) -> Vec<Vec<u64>> {
-        let n = poly.len();
-        let mut out = vec![vec![0u64; n]; self.digits];
-        let mut digits = vec![0u64; self.digits];
-        for (i, &c) in poly.iter().enumerate() {
-            self.decompose_scalar_into(c, &mut digits);
-            for (k, &d) in digits.iter().enumerate() {
-                out[k][i] = d;
-            }
+/// The balanced signed digit chain of one residue `c < q`: digit `k`
+/// (`|d_k| ≤ base/2`, `Σ d_k·2^(k·base_bits) ≡ c mod q`) goes to the `k`-th
+/// slot. Every decomposition — one residue, a slice, the vector kernel's
+/// tail — runs this loop, so they agree bit for bit.
+#[inline]
+pub(crate) fn signed_digits<'a>(
+    c: u64,
+    q: u64,
+    base_bits: u32,
+    slots: impl IntoIterator<Item = &'a mut i64>,
+) {
+    let base = 1u64 << base_bits;
+    let half = base >> 1;
+    let mask = base - 1;
+    // Balanced representative: residues above q/2 are negative (matches
+    // `Modulus::to_signed`).
+    let neg = c > q / 2;
+    let mut mag = if neg { q - c } else { c };
+    for slot in slots {
+        let mut digit = mag & mask;
+        mag >>= base_bits;
+        if digit > half {
+            digit = digit.wrapping_sub(base);
+            mag += 1;
         }
-        out
+        let d = digit as i64;
+        *slot = if neg { -d } else { d };
     }
+    debug_assert_eq!(mag, 0, "value exceeded gadget range");
 }
 
 #[cfg(test)]
@@ -319,13 +283,13 @@ mod tests {
     #[test]
     fn poly_decomposition_layout() {
         let g = gadget(18, 2);
-        let poly = vec![5u64, 10, g.modulus().value() - 1];
-        let ds = g.decompose_poly(&poly);
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds[0].len(), 3);
-        for i in 0..poly.len() {
-            let digits: Vec<u64> = ds.iter().map(|d| d[i]).collect();
-            assert_eq!(g.recompose(&digits), poly[i]);
+        let q = *g.modulus();
+        let poly = vec![5u64, 10, q.value() - 1];
+        let mut ds = vec![vec![0i64; poly.len()]; g.digits()];
+        g.decompose_slice_signed_into(&poly, &mut ds);
+        for (i, &c) in poly.iter().enumerate() {
+            let digits: Vec<u64> = ds.iter().map(|d| q.from_i64(d[i])).collect();
+            assert_eq!(g.recompose(&digits), c);
         }
     }
 

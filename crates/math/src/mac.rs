@@ -16,7 +16,8 @@
 //!   signed-lazy radix-4 transform leaves it there, every product is added
 //!   as a signed term below `q`, and each output coefficient is reduced
 //!   once;
-//! * **wide** — lift to `[0, q)`, the integer or scalar lazy NTT, full
+//! * **wide** — lift to `[0, q)`, [`NttTable::forward`] (its `f64` kernel
+//!   where that kernel's own gate holds, else the scalar lazy NTT), full
 //!   products summed in `u128`, one Barrett reduction per output.
 //!
 //! Both are exact, so they produce the same canonical residues, and both

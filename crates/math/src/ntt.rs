@@ -63,17 +63,10 @@ pub struct NttTable {
     psi_br: Vec<ShoupMul>,
     /// psi^{-brv(i)} in Shoup form.
     ipsi_br: Vec<ShoupMul>,
-    /// `psi_br` operands in structure-of-arrays form for the SIMD kernels
-    /// (contiguous twiddle loads in the t = 1 / t = 2 stages).
-    psi_ops: Vec<u64>,
-    /// `psi_br` Shoup quotients, same indexing.
-    psi_quots: Vec<u64>,
     /// `psi_br` operands as doubles, for the `f64`-lane forward kernel.
     psi_f64: Vec<f64>,
-    /// `ipsi_br` operands.
+    /// `ipsi_br` operands, for the `f64`-lane inverse kernel.
     ipsi_ops: Vec<u64>,
-    /// `ipsi_br` Shoup quotients.
-    ipsi_quots: Vec<u64>,
     /// N^{-1} mod q in Shoup form.
     n_inv: ShoupMul,
     /// Raw primitive 2N-th root (for on-the-fly generation).
@@ -118,22 +111,16 @@ impl NttTable {
             ipsi_br.push(ShoupMul::new(ipow[j], &modulus));
         }
         let n_inv = ShoupMul::new(modulus.inv(n as u64).expect("n < q"), &modulus);
-        let psi_ops = psi_br.iter().map(|s| s.operand).collect();
         let psi_f64 = psi_br.iter().map(|s| s.operand as f64).collect();
-        let psi_quots = psi_br.iter().map(|s| s.quotient).collect();
         let ipsi_ops = ipsi_br.iter().map(|s| s.operand).collect();
-        let ipsi_quots = ipsi_br.iter().map(|s| s.quotient).collect();
         Self {
             n,
             log_n,
             modulus,
             psi_br,
             ipsi_br,
-            psi_ops,
-            psi_quots,
             psi_f64,
             ipsi_ops,
-            ipsi_quots,
             n_inv,
             psi,
             psi_inv,
@@ -263,12 +250,12 @@ impl NttTable {
     /// the software analogue of the "lazy reduction" HEAP applies in its
     /// MAC datapath (§IV-A).
     ///
-    /// Dispatches to the active SIMD backend (AVX2, see [`crate::simd`])
-    /// when the ring and modulus qualify: the signed-lazy radix-4 `f64`
-    /// kernel where its growth bound `(4 + log2 n)·q ≤ 2^50` holds, the
-    /// Harvey integer-lane kernel for wider moduli. The scalar kernel
-    /// [`Self::forward_lazy_scalar`] is the always-available fallback, and
-    /// all of them are bit-identical to [`Self::forward_reference`].
+    /// Runs the signed-lazy radix-4 `f64`-lane kernel (AVX2 + FMA, see
+    /// [`crate::simd`]) where `n ≥ 16` and its growth bound
+    /// `(4 + log2 n)·q ≤ 2^50` hold — every preset's ring; every other ring
+    /// and modulus, and every scalar host, runs the scalar kernel
+    /// [`Self::forward_lazy_scalar`]. Both are bit-identical to
+    /// [`Self::forward_reference`].
     ///
     /// # Panics
     ///
@@ -276,7 +263,7 @@ impl NttTable {
     pub fn forward_lazy(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
         let q = self.modulus.value();
-        if crate::simd::try_ntt_forward(a, &self.psi_ops, &self.psi_quots, &self.psi_f64, q) {
+        if crate::simd::try_ntt_forward(a, &self.psi_f64, q) {
             return;
         }
         self.forward_lazy_scalar(a);
@@ -359,23 +346,17 @@ impl NttTable {
     /// pass uses the lazy Shoup product plus one correction, so outputs
     /// are canonical — bit-identical to [`Self::inverse_reference`].
     ///
-    /// Dispatches to the active SIMD backend when the ring and modulus
-    /// qualify, falling back to [`Self::inverse_lazy_scalar`]; the two
-    /// paths are bit-identical.
+    /// Runs the `f64`-lane kernel under [`Self::forward_lazy`]'s gate and
+    /// [`Self::inverse_lazy_scalar`] everywhere else; the two paths are
+    /// bit-identical.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.n()`.
     pub fn inverse_lazy(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
-        if crate::simd::try_ntt_inverse(
-            a,
-            &self.ipsi_ops,
-            &self.ipsi_quots,
-            self.modulus.value(),
-            self.n_inv.operand,
-            self.n_inv.quotient,
-        ) {
+        let q = self.modulus.value();
+        if crate::simd::try_ntt_inverse(a, &self.ipsi_ops, q, self.n_inv.operand) {
             return;
         }
         self.inverse_lazy_scalar(a);

@@ -338,6 +338,13 @@ mod simd_parity {
         assert_eq!(input, scalar);
     }
 
+    /// Lengths the integer-lane decompose and lift kernels are checked at:
+    /// every remainder of a 4-lane block, the two lengths their proptests
+    /// started with, and one either side of 4096.
+    fn ragged_lengths() -> impl Iterator<Item = usize> {
+        (1..=9).chain([32, 37, 4095, 4097])
+    }
+
     fn assert_inverse_parity(m: Modulus, mut input: Vec<u64>) {
         let t = NttTable::new(input.len(), m);
         let mut scalar = input.clone();
@@ -446,35 +453,41 @@ mod simd_parity {
         }
 
         /// Signed gadget decomposition: SIMD dispatch vs scalar kernel over
-        /// canonical residues (the `q/2` sign boundary is exercised by the
-        /// deterministic edge test above).
+        /// canonical residues at every ragged length (the `q/2` sign
+        /// boundary is exercised by the deterministic edge test above).
         #[test]
-        fn decompose_signed_parity(coeffs in prop::collection::vec(0..Q36, 32)) {
+        fn decompose_signed_parity(all in prop::collection::vec(0..Q36, 4097)) {
             let g = Gadget::new(13, 3, q());
-            let mut simd_out = vec![vec![0i64; 32]; 3];
-            let mut scalar_out = vec![vec![0i64; 32]; 3];
-            g.decompose_slice_signed_into(&coeffs, &mut simd_out);
-            g.decompose_slice_signed_into_scalar(&coeffs, &mut scalar_out);
-            prop_assert_eq!(simd_out, scalar_out);
+            for len in ragged_lengths() {
+                let coeffs = &all[..len];
+                let mut simd_out = vec![vec![0i64; len]; 3];
+                let mut scalar_out = vec![vec![0i64; len]; 3];
+                g.decompose_slice_signed_into(coeffs, &mut simd_out);
+                g.decompose_slice_signed_into_scalar(coeffs, &mut scalar_out);
+                prop_assert_eq!(simd_out, scalar_out, "length {len}");
+            }
         }
 
         /// Signed-lift parity: the branchless SIMD lift (gadget digits,
         /// `|c| < q`) and its out-of-range scalar fallback must both land on
         /// the canonical `rem_euclid` residue for *any* `i64`, at both
-        /// supported modulus widths. Odd lengths exercise the vector tail.
+        /// supported modulus widths, at every ragged length (the vector
+        /// tail and the blocks before it).
         #[test]
         fn from_signed_parity_any_i64(
-            small in prop::collection::vec(-(Q36 as i64 - 1)..Q36 as i64, 37),
-            wild_bits in prop::collection::vec(any::<u64>(), 37),
+            small in prop::collection::vec(-(Q36 as i64 - 1)..Q36 as i64, 4097),
+            wild_bits in prop::collection::vec(any::<u64>(), 4097),
         ) {
             let wild: Vec<i64> = wild_bits.iter().map(|&b| b as i64).collect();
-            for qv in [Q36, q60v()] {
-                let m = Modulus::new(qv).unwrap();
-                for src in [&small, &wild] {
-                    let mut out = vec![0u64; src.len()];
-                    poly::from_signed_into(src, &m, &mut out);
-                    for (&o, &c) in out.iter().zip(src.iter()) {
-                        prop_assert_eq!(o, c.rem_euclid(qv as i64) as u64);
+            for len in ragged_lengths() {
+                for qv in [Q36, q60v()] {
+                    let m = Modulus::new(qv).unwrap();
+                    for src in [&small[..len], &wild[..len]] {
+                        let mut out = vec![0u64; len];
+                        poly::from_signed_into(src, &m, &mut out);
+                        for (&o, &c) in out.iter().zip(src) {
+                            prop_assert_eq!(o, c.rem_euclid(qv as i64) as u64, "length {len}");
+                        }
                     }
                 }
             }
@@ -491,19 +504,6 @@ mod fused_datapath {
     use super::*;
     use heap_math::simd::{self, Backend};
     use heap_math::{mac_path, LazyCoeff, MacAcc, MacPath};
-
-    /// Whether the `f64`-lane kernels run in this process: what the gate is
-    /// allowed to observe beyond its inequalities.
-    fn narrow_kernel_active() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            simd::active() == Backend::Avx2 && std::arch::is_x86_feature_detected!("fma")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
 
     /// The largest modulus the narrow gate admits for an `n`-point ring on
     /// inputs up to `input_bound`: `input_bound + log2(n)·q ≤ 2^50`.
@@ -609,7 +609,7 @@ mod fused_datapath {
                 let rows = [vec![q - 1; n], vec![0; n], random];
 
                 let path = mac_path([&t], terms, half_base as u64);
-                let admitted = n >= 16 && narrow_kernel_active();
+                let admitted = n >= 16 && simd::active() == Backend::Avx2;
                 assert_eq!(path == MacPath::Narrow, admitted, "n = {n}, q = {q}");
                 let digits = [
                     vec![half_base; n],
@@ -657,7 +657,8 @@ mod fused_datapath {
             let half_base = 1u64 << (base_bits - 1);
             let terms = ((1u64 << 52) / q) as usize;
             let path = mac_path([&t], terms, half_base);
-            assert_eq!(path == MacPath::Narrow, narrow_kernel_active(), "q = {q}");
+            let admitted = simd::active() == Backend::Avx2;
+            assert_eq!(path == MacPath::Narrow, admitted, "q = {q}");
             assert_eq!(mac_path([&t], terms + 1, half_base), MacPath::Wide);
             let digit = vec![-(half_base as i64); n];
             let rows = [vec![q - 1; n], vec![q / 2; n]];
@@ -667,7 +668,7 @@ mod fused_datapath {
 
     /// Just past the gate — the next prime above the largest admitted one,
     /// and inputs one past the largest admitted magnitude — lands on the
-    /// wide path and the integer-lane transform on every host, and is still
+    /// wide path and the scalar lazy transform on every host, and is still
     /// bit-identical.
     #[test]
     fn shapes_past_the_gate_take_the_wide_path_bit_identically() {

@@ -93,20 +93,6 @@ fn product_operands(
     (c, ct, rgsw)
 }
 
-/// Whether the narrow MAC's vector kernels run on this host right now
-/// (for a ring and modulus inside their exactness gate): what [`mac_path`]
-/// is allowed to observe.
-fn narrow_kernel_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        simd::active() == Backend::Avx2 && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// The paper's shape (36-bit limbs, `d = 2`): narrow exactly when the
 /// vector kernel applies — so an AVX2+FMA CI host is known to exercise it —
 /// and wide under forced scalar, bit-identical to the strict reference on
@@ -120,7 +106,7 @@ fn paper_shape_takes_narrow_path_exactly_where_the_kernel_applies() {
     let (terms, digit_bound) = (2 * LIMBS * p.digits, 1 << (p.base_bits - 1));
     let strict = external_product_reference(&ct, &rgsw, &c, &p);
 
-    let native = if narrow_kernel_active() {
+    let native = if simd::active() == Backend::Avx2 {
         MacPath::Narrow
     } else {
         MacPath::Wide
