@@ -125,41 +125,6 @@ impl Encoder {
         self.decode(coeffs, scale).iter().map(|z| z.re).collect()
     }
 
-    /// Direct `O(n^2)` special DFT: `out[k] = sum_j v[j] * zeta^{5^k * j}`.
-    ///
-    /// Reference implementation; exposed for tests and the encoder
-    /// ablation bench.
-    pub fn special_dft_direct(&self, v: &[Complex64]) -> Vec<Complex64> {
-        assert_eq!(v.len(), self.slots);
-        let m = 2 * self.n;
-        (0..self.slots)
-            .map(|k| {
-                let g = self.rot_group[k];
-                let mut acc = Complex64::zero();
-                for (j, &x) in v.iter().enumerate() {
-                    acc += x * self.roots[(g * j) % m];
-                }
-                acc
-            })
-            .collect()
-    }
-
-    /// Direct `O(n^2)` inverse special DFT.
-    pub fn special_idft_direct(&self, z: &[Complex64]) -> Vec<Complex64> {
-        assert_eq!(z.len(), self.slots);
-        let m = 2 * self.n;
-        (0..self.slots)
-            .map(|j| {
-                let mut acc = Complex64::zero();
-                for (k, &x) in z.iter().enumerate() {
-                    let g = self.rot_group[k];
-                    acc += x * self.roots[(g * j) % m].conj();
-                }
-                acc.scale(1.0 / self.slots as f64)
-            })
-            .collect()
-    }
-
     /// In-place `O(n log n)` special FFT over the `<5>` orbit (decode
     /// direction).
     pub fn special_fft(&self, v: &mut [Complex64]) {
@@ -230,6 +195,39 @@ fn bit_reverse_permute<T>(v: &mut [T]) {
 mod tests {
     use super::*;
 
+    /// Direct `O(n^2)` special DFT, the oracle for the fast one:
+    /// `out[k] = sum_j v[j] * zeta^{5^k * j}`.
+    fn special_dft_direct(enc: &Encoder, v: &[Complex64]) -> Vec<Complex64> {
+        assert_eq!(v.len(), enc.slots);
+        let m = 2 * enc.n;
+        (0..enc.slots)
+            .map(|k| {
+                let g = enc.rot_group[k];
+                let mut acc = Complex64::zero();
+                for (j, &x) in v.iter().enumerate() {
+                    acc += x * enc.roots[(g * j) % m];
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// Direct `O(n^2)` inverse special DFT.
+    fn special_idft_direct(enc: &Encoder, z: &[Complex64]) -> Vec<Complex64> {
+        assert_eq!(z.len(), enc.slots);
+        let m = 2 * enc.n;
+        (0..enc.slots)
+            .map(|j| {
+                let mut acc = Complex64::zero();
+                for (k, &x) in z.iter().enumerate() {
+                    let g = enc.rot_group[k];
+                    acc += x * enc.roots[(g * j) % m].conj();
+                }
+                acc.scale(1.0 / enc.slots as f64)
+            })
+            .collect()
+    }
+
     fn random_slots(n: usize, seed: u64) -> Vec<Complex64> {
         // Simple deterministic LCG; avoids pulling rand into this module.
         let mut state = seed;
@@ -253,7 +251,7 @@ mod tests {
         for log_n in [2u32, 3, 5, 7] {
             let enc = Encoder::new(1 << log_n);
             let v = random_slots(enc.slots(), 42 + log_n as u64);
-            let direct = enc.special_dft_direct(&v);
+            let direct = special_dft_direct(&enc, &v);
             let mut fast = v.clone();
             enc.special_fft(&mut fast);
             for (a, b) in direct.iter().zip(&fast) {
@@ -267,7 +265,7 @@ mod tests {
         for log_n in [2u32, 4, 6] {
             let enc = Encoder::new(1 << log_n);
             let z = random_slots(enc.slots(), 7 + log_n as u64);
-            let direct = enc.special_idft_direct(&z);
+            let direct = special_idft_direct(&enc, &z);
             let mut fast = z.clone();
             enc.special_ifft(&mut fast);
             for (a, b) in direct.iter().zip(&fast) {

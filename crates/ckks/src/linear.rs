@@ -3,17 +3,16 @@
 //! The conventional CKKS bootstrap's `CoeffToSlot`/`SlotToCoeff` steps are
 //! slot-space multiplications by the (inverse) canonical-embedding DFT
 //! matrix. This module implements general matrix-vector products via the
-//! diagonal method — `M·z = Σ_d diag_d ⊙ rot(z, d)` — both naively (one
-//! rotation per nonzero diagonal) and with the baby-step/giant-step
-//! optimization the bootstrapping literature uses (paper §VIII credits
-//! BSGS with reducing the rotation count; FAB executes exactly these
-//! rotation-heavy transforms sequentially).
+//! diagonal method — `M·z = Σ_d diag_d ⊙ rot(z, d)` — with the
+//! baby-step/giant-step split the bootstrapping literature uses (paper
+//! §VIII credits BSGS with reducing the rotation count; FAB executes
+//! exactly these rotation-heavy transforms sequentially). The naive method,
+//! one rotation per diagonal, is the split at `bs = slots`.
 
 use crate::ciphertext::Ciphertext;
 use crate::complex::Complex64;
 use crate::context::CkksContext;
-use crate::key::{GaloisKeys, SecretKey};
-use rand::Rng;
+use crate::key::GaloisKeys;
 
 /// A slots×slots complex matrix stored by diagonals:
 /// `diag[d][j] = M[j][(j + d) mod slots]`.
@@ -58,13 +57,6 @@ impl SlotMatrix {
         &self.diagonals[d]
     }
 
-    /// Indices of diagonals with any entry above `eps` in magnitude.
-    pub fn nonzero_diagonals(&self, eps: f64) -> Vec<usize> {
-        (0..self.dim())
-            .filter(|&d| self.diagonals[d].iter().any(|z| z.abs() > eps))
-            .collect()
-    }
-
     /// Plaintext reference: `M · z`.
     pub fn apply_plain(&self, z: &[Complex64]) -> Vec<Complex64> {
         let n = self.dim();
@@ -80,15 +72,6 @@ impl SlotMatrix {
             .collect()
     }
 
-    /// The rotations the naive diagonal method needs.
-    pub fn rotations_naive(&self, eps: f64) -> Vec<i64> {
-        self.nonzero_diagonals(eps)
-            .into_iter()
-            .filter(|&d| d != 0)
-            .map(|d| d as i64)
-            .collect()
-    }
-
     /// The rotations the BSGS method needs for a `bs × gs` split.
     pub fn rotations_bsgs(&self, bs: usize) -> Vec<i64> {
         let n = self.dim();
@@ -99,42 +82,10 @@ impl SlotMatrix {
     }
 }
 
-/// Applies `M` to the slots of `ct` with the naive diagonal method
-/// (one rotation + plaintext product per nonzero diagonal, one rescale at
-/// the end). Consumes one level.
-///
-/// # Panics
-///
-/// Panics if `M.dim() != ctx.slots()` or a needed rotation key is missing.
-pub fn apply_matrix(
-    ctx: &CkksContext,
-    ct: &Ciphertext,
-    m: &SlotMatrix,
-    gks: &GaloisKeys,
-) -> Ciphertext {
-    let n = ctx.slots();
-    assert_eq!(m.dim(), n, "matrix must match slot count");
-    let eps = 1e-12;
-    let mut acc: Option<Ciphertext> = None;
-    for d in m.nonzero_diagonals(eps) {
-        let rotated = if d == 0 {
-            ct.clone()
-        } else {
-            ctx.rotate(ct, d as i64, gks)
-        };
-        let term = ctx.mul_plain_scaled(&rotated, m.diagonal(d), ctx.fresh_scale());
-        acc = Some(match acc {
-            None => term,
-            Some(a) => ctx.add(&a, &term),
-        });
-    }
-    let acc = acc.expect("matrix has at least one nonzero diagonal");
-    ctx.rescale(&acc)
-}
-
 /// Applies `M` with the baby-step/giant-step split: `bs` inner rotations
 /// are shared across `gs` giant steps, so only `bs + gs - 2` distinct
-/// rotations are performed instead of `n - 1`.
+/// rotations are performed instead of `n - 1` (`bs = n` is the naive
+/// diagonal method). One rescale at the end: consumes one level.
 ///
 /// Decomposition: `M·z = Σ_k rot^{-kB}( Σ_i diag'_{kB+i} ⊙ rot^{i}(z) )`
 /// with the giant rotation folded into the diagonals
@@ -198,23 +149,6 @@ pub fn apply_matrix_bsgs(
     ctx.rescale(&acc.expect("matrix has at least one nonzero diagonal"))
 }
 
-/// Generates the Galois keys both transform variants need for `M`.
-pub fn matrix_keys<R: Rng + ?Sized>(
-    ctx: &CkksContext,
-    sk: &SecretKey,
-    m: &SlotMatrix,
-    bs: Option<usize>,
-    rng: &mut R,
-) -> GaloisKeys {
-    let mut rots = m.rotations_naive(1e-12);
-    if let Some(bs) = bs {
-        rots.extend(m.rotations_bsgs(bs));
-    }
-    rots.sort_unstable();
-    rots.dedup();
-    GaloisKeys::generate(ctx, sk, &rots, false, rng)
-}
-
 /// The special-DFT matrix `U` (decode direction: slots of the polynomial's
 /// canonical embedding) restricted to the complex fold, and its inverse —
 /// the `SlotToCoeff` / `CoeffToSlot` matrices of the conventional
@@ -251,9 +185,10 @@ pub fn dft_matrices(ctx: &CkksContext) -> (SlotMatrix, SlotMatrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::SecretKey;
     use crate::params::CkksParams;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rand_matrix(n: usize, seed: u64) -> SlotMatrix {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -298,6 +233,8 @@ mod tests {
         }
     }
 
+    /// The naive method is the split at `bs = slots`; both it and a real
+    /// split land on the plaintext product.
     #[test]
     fn homomorphic_matrix_naive_and_bsgs_agree_with_plain() {
         let ctx = CkksContext::new(CkksParams::test_tiny());
@@ -305,38 +242,34 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let sk = SecretKey::generate(&ctx, &mut rng);
         let m = rand_matrix(n, 9);
-        let gks = matrix_keys(&ctx, &sk, &m, Some(8), &mut rng);
+        let mut rots = m.rotations_bsgs(n);
+        rots.extend(m.rotations_bsgs(8));
+        rots.sort_unstable();
+        rots.dedup();
+        let gks = GaloisKeys::generate(&ctx, &sk, &rots, false, &mut rng);
         let z: Vec<Complex64> = (0..n)
             .map(|i| Complex64::new(((i % 7) as f64 - 3.0) / 40.0, ((i % 5) as f64 - 2.0) / 50.0))
             .collect();
         let ct = ctx.encrypt_sk(&z, &sk, &mut rng);
         let want = m.apply_plain(&z);
-
-        let naive = ctx.decrypt(&apply_matrix(&ctx, &ct, &m, &gks), &sk);
-        let bsgs = ctx.decrypt(&apply_matrix_bsgs(&ctx, &ct, &m, 8, &gks), &sk);
-        for i in 0..n {
-            assert!(
-                (naive[i] - want[i]).abs() < 2e-2,
-                "naive slot {i}: {} vs {}",
-                naive[i],
-                want[i]
-            );
-            assert!(
-                (bsgs[i] - want[i]).abs() < 2e-2,
-                "bsgs slot {i}: {} vs {}",
-                bsgs[i],
-                want[i]
-            );
+        for bs in [n, 8] {
+            let got = ctx.decrypt(&apply_matrix_bsgs(&ctx, &ct, &m, bs, &gks), &sk);
+            for i in 0..n {
+                assert!(
+                    (got[i] - want[i]).abs() < 2e-2,
+                    "bs = {bs}, slot {i}: {} vs {}",
+                    got[i],
+                    want[i]
+                );
+            }
         }
     }
 
     #[test]
     fn bsgs_needs_fewer_rotations() {
         let m = rand_matrix(64, 3);
-        let naive = m.rotations_naive(1e-12).len();
-        let bsgs = m.rotations_bsgs(8).len();
-        assert_eq!(naive, 63);
-        assert_eq!(bsgs, 14); // 7 baby + 7 giant
+        assert_eq!(m.rotations_bsgs(64).len(), 63); // naive: one per diagonal
+        assert_eq!(m.rotations_bsgs(8).len(), 14); // 7 baby + 7 giant
     }
 
     #[test]

@@ -28,7 +28,6 @@ use heap_ckks::{Ciphertext, CkksContext, GaloisKeys, SecretKey};
 use heap_math::wire::derive_seed;
 use heap_math::RnsPoly;
 use heap_parallel::{par_chunks_init, par_map, Parallelism};
-use heap_tfhe::blind_rotate::MonomialEvals;
 use heap_tfhe::extract::{extract_coefficient, extract_constant_rns, RnsLweCiphertext};
 use heap_tfhe::{
     test_polynomial_from_fn, BlindRotateKey, BlindRotateScratch, LweCiphertext, LweKeySwitchKey,
@@ -120,34 +119,16 @@ pub struct GeneratedKeys {
 ///
 /// The ephemeral TFHE LWE secret is sampled internally and dropped; only
 /// evaluation-key material is returned. The RNG stream is identical to
-/// [`Bootstrapper::generate`]'s (which delegates here), so fixed-seed key
-/// digests are stable across both entry points.
+/// [`Bootstrapper::generate`]'s (which delegates here) and to
+/// [`generate_keys_reseeded`]'s, so fixed-seed key digests are stable
+/// across all three entry points.
 pub fn generate_keys<R: Rng + ?Sized>(
     ctx: &CkksContext,
     sk: &SecretKey,
     config: BootstrapConfig,
     rng: &mut R,
 ) -> GeneratedKeys {
-    let boot_limbs = ctx.boot_limbs();
-    let rns = ctx.rns();
-    let ring_sk = RingSecretKey::from_coeffs(rns, boot_limbs, sk.coeffs().to_vec());
-    let lwe_sk = LweSecretKey::generate(rng, config.n_t);
-    let ring_as_lwe = LweSecretKey::from_coeffs(sk.coeffs().to_vec());
-    let q0 = ctx.q_modulus(0);
-    let ksk = LweKeySwitchKey::generate(
-        &ring_as_lwe,
-        &lwe_sk,
-        q0,
-        config.ks_base_bits,
-        config.ks_digits,
-        rng,
-    );
-    let brk = BlindRotateKey::generate(rns, &lwe_sk, &ring_sk, boot_limbs, config.rgsw, rng);
-    let mut gks = GaloisKeys::new();
-    for g in repack_exponents(ctx.n()) {
-        gks.add_exponent(ctx, sk, g, rng);
-    }
-    GeneratedKeys { ksk, brk, gks }
+    generate_with_secrets(ctx, sk, config, rng).0
 }
 
 /// [`generate_keys`] followed by the reseed transform: every uniform mask
@@ -163,29 +144,46 @@ pub fn generate_keys_reseeded<R: Rng + ?Sized>(
     master: u64,
     rng: &mut R,
 ) -> GeneratedKeys {
+    let (mut keys, lwe_sk, ring_sk) = generate_with_secrets(ctx, sk, config, rng);
+    let q0 = ctx.q_modulus(0);
+    heap_tfhe::reseed_ksk(&mut keys.ksk, &lwe_sk, q0, derive_seed(master, b"ksk"));
+    heap_tfhe::reseed_brk(
+        &mut keys.brk,
+        ctx.rns(),
+        &ring_sk,
+        derive_seed(master, b"brk"),
+    );
+    heap_ckks::reseed_galois_keys(&mut keys.gks, ctx, sk, derive_seed(master, b"gks"));
+    keys
+}
+
+/// The one keygen body: the keys plus the two secrets the reseed transform
+/// re-encrypts under (the LWE secret and `sk` over the boot basis).
+fn generate_with_secrets<R: Rng + ?Sized>(
+    ctx: &CkksContext,
+    sk: &SecretKey,
+    config: BootstrapConfig,
+    rng: &mut R,
+) -> (GeneratedKeys, LweSecretKey, RingSecretKey) {
     let boot_limbs = ctx.boot_limbs();
     let rns = ctx.rns();
     let ring_sk = RingSecretKey::from_coeffs(rns, boot_limbs, sk.coeffs().to_vec());
     let lwe_sk = LweSecretKey::generate(rng, config.n_t);
     let ring_as_lwe = LweSecretKey::from_coeffs(sk.coeffs().to_vec());
-    let q0 = ctx.q_modulus(0);
-    let mut ksk = LweKeySwitchKey::generate(
+    let ksk = LweKeySwitchKey::generate(
         &ring_as_lwe,
         &lwe_sk,
-        q0,
+        ctx.q_modulus(0),
         config.ks_base_bits,
         config.ks_digits,
         rng,
     );
-    let mut brk = BlindRotateKey::generate(rns, &lwe_sk, &ring_sk, boot_limbs, config.rgsw, rng);
+    let brk = BlindRotateKey::generate(rns, &lwe_sk, &ring_sk, boot_limbs, config.rgsw, rng);
     let mut gks = GaloisKeys::new();
     for g in repack_exponents(ctx.n()) {
         gks.add_exponent(ctx, sk, g, rng);
     }
-    heap_tfhe::reseed_ksk(&mut ksk, &lwe_sk, q0, derive_seed(master, b"ksk"));
-    heap_tfhe::reseed_brk(&mut brk, rns, &ring_sk, derive_seed(master, b"brk"));
-    heap_ckks::reseed_galois_keys(&mut gks, ctx, sk, derive_seed(master, b"gks"));
-    GeneratedKeys { ksk, brk, gks }
+    (GeneratedKeys { ksk, brk, gks }, lwe_sk, ring_sk)
 }
 
 /// Holds all (public) key material and precomputation for bootstrapping.
@@ -202,8 +200,6 @@ pub struct Bootstrapper {
     brk: BlindRotateKey,
     /// Galois keys for the repacking automorphism tree.
     gks: GaloisKeys,
-    /// Monomial evaluation tables for the boot basis.
-    monomials: MonomialEvals,
     /// Test polynomial encoding `g(u) = q_0 · u`.
     test_poly: RnsPoly,
     /// Final plain scalar `t = round(p / (2N·N))`.
@@ -229,11 +225,11 @@ impl Bootstrapper {
 
     /// Builds a bootstrapper from already-generated (possibly
     /// wire-distributed) evaluation keys, rebuilding the secret-free
-    /// precomputation (monomial tables, test polynomial, `t`).
+    /// precomputation (test polynomial, `t`; the repacking tree shifts by
+    /// the blind-rotate key's monomial tables).
     pub fn from_keys(ctx: &CkksContext, config: BootstrapConfig, keys: GeneratedKeys) -> Self {
         let boot_limbs = ctx.boot_limbs();
         let rns = ctx.rns();
-        let monomials = MonomialEvals::new(rns, boot_limbs);
         let q0_val = ctx.q_modulus(0).value() as i64;
         let test_poly = test_polynomial_from_fn(rns, boot_limbs, |u| q0_val * u);
         let denom = 2 * ctx.n() as u64 * repack_factor(ctx.n());
@@ -247,7 +243,6 @@ impl Bootstrapper {
             ksk: keys.ksk,
             brk: keys.brk,
             gks: keys.gks,
-            monomials,
             test_poly,
             t_scalar,
             stages: StageMetrics::new(),
@@ -479,7 +474,7 @@ impl Bootstrapper {
         input_scale: f64,
     ) -> Ciphertext {
         let repack_span = self.stages.repack.time();
-        let (mut a, mut b) = pack_lwes(ctx, &leaves, &self.gks, &self.monomials);
+        let (mut a, mut b) = pack_lwes(ctx, &leaves, &self.gks, self.brk.monomials());
         let rns = ctx.rns();
         a.scalar_mul_assign(self.t_scalar, rns);
         b.scalar_mul_assign(self.t_scalar, rns);

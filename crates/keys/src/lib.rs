@@ -109,12 +109,6 @@ impl EvalKeySet {
         &self.config
     }
 
-    /// Consumes the set, returning the raw keys (feed to
-    /// [`Bootstrapper::from_keys`]).
-    pub fn into_keys(self) -> GeneratedKeys {
-        self.keys
-    }
-
     /// Builds the node-side bootstrapper from this key set.
     pub fn into_bootstrapper(self, ctx: &CkksContext) -> Bootstrapper {
         let config = self.config;

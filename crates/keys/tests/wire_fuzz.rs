@@ -8,8 +8,6 @@
 //! is not enough: a few dozen header bytes *announce* how much PRG output
 //! to expand, and the decoder must refuse before it believes them.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -21,63 +19,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-struct CountingAlloc;
-
-thread_local! {
-    // `const` cells of `Copy` data: no lazy initializer and no destructor,
-    // so the allocator can read them without allocating.
-    static TRACK: Cell<bool> = const { Cell::new(false) };
-    static REQUESTED: Cell<usize> = const { Cell::new(0) };
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-fn track(size: usize) {
-    if TRACK.get() {
-        REQUESTED.set(REQUESTED.get() + size);
-        LARGEST.set(LARGEST.get().max(size));
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        track(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        track(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// What one run of `f` asked the allocator for.
-struct Asked {
-    /// Bytes requested in total (frees not subtracted).
-    total: usize,
-    /// The largest single request.
-    largest: usize,
-}
-
-/// Runs `f` with this thread's counters zeroed and tracking on.
-fn tracked<T>(f: impl FnOnce() -> T) -> (T, Asked) {
-    REQUESTED.set(0);
-    LARGEST.set(0);
-    TRACK.set(true);
-    let out = f();
-    TRACK.set(false);
-    let asked = Asked {
-        total: REQUESTED.get(),
-        largest: LARGEST.get(),
-    };
-    (out, asked)
-}
+#[path = "../../../tests/support/tracking_alloc.rs"]
+mod tracking_alloc;
+use tracking_alloc::tracked;
 
 const MIB: usize = 1 << 20;
 
@@ -169,9 +113,9 @@ fn assert_refused_cheaply(ctx: &CkksContext, bytes: &[u8], why: &str) {
             "{why}: decoded to {result:?}"
         );
         assert!(
-            asked.total < MIB,
+            asked.requested < MIB,
             "{why}: {} bytes requested before the refusal",
-            asked.total
+            asked.requested
         );
     }
     assert!(fastest < 1e-3, "{why}: refusal took {fastest} s");
@@ -274,9 +218,9 @@ fn id_and_package_never_materialise_the_strict_encoding() {
     let strict_len = set.strict_len(&f.ctx);
     assert!(strict_len > 3 * MIB, "fixture shrank: {strict_len}");
     assert!(
-        asked.total < 64 << 10,
+        asked.requested < 64 << 10,
         "EvalKeySet::new requested {} bytes to hash {strict_len}",
-        asked.total
+        asked.requested
     );
     let (pkg, asked) = tracked(|| set.package(&f.ctx));
     assert_eq!(pkg.strict_len, strict_len);
@@ -286,9 +230,9 @@ fn id_and_package_never_materialise_the_strict_encoding() {
         "the container, allocated once"
     );
     assert!(
-        asked.total < pkg.bytes.len() + (64 << 10),
+        asked.requested < pkg.bytes.len() + (64 << 10),
         "package() requested {} bytes for a {}-byte container",
-        asked.total,
+        asked.requested,
         pkg.bytes.len()
     );
     // Decoding holds the expanded keys (about the strict size, in many
@@ -325,7 +269,7 @@ proptest! {
         let bytes = crafted(&f.ctx, shape, bodies);
         let (result, asked) = tracked(|| EvalKeySet::from_wire(&f.ctx, &bytes).map(|_| ()));
         prop_assert!(result.is_err(), "{shape:?} decoded");
-        prop_assert!(asked.total < MIB, "{shape:?}: {} bytes requested", asked.total);
+        prop_assert!(asked.requested < MIB, "{shape:?}: {} bytes requested", asked.requested);
     }
 
     #[test]

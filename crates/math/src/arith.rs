@@ -297,8 +297,8 @@ impl ShoupMul {
     /// `operand*x - hi*q` always lies in `[0, 2q)` because
     /// `quotient = floor(operand * 2^64 / q)` under-approximates the true
     /// ratio by less than one. This is the building block of the Harvey
-    /// lazy-reduction butterflies ([`crate::ntt::NttTable::forward_lazy`] /
-    /// [`crate::ntt::NttTable::inverse_lazy`]), where operands ride in
+    /// lazy-reduction butterflies ([`crate::ntt::NttTable::forward`] /
+    /// [`crate::ntt::NttTable::inverse`]), where operands ride in
     /// `[0, 4q)` between stages (`q < 2^62` keeps `4q` inside a `u64`).
     #[inline]
     pub fn mul_lazy(&self, x: u64, q_value: u64) -> u64 {
@@ -307,17 +307,6 @@ impl ShoupMul {
             .wrapping_mul(x)
             .wrapping_sub(hi.wrapping_mul(q_value))
     }
-}
-
-/// Centered (balanced) remainder of `x` modulo `m`, in `(-m/2, m/2]`.
-#[inline]
-pub fn center_rem(x: i128, m: u64) -> i64 {
-    let m = m as i128;
-    let mut r = x.rem_euclid(m);
-    if r > m / 2 {
-        r -= m;
-    }
-    r as i64
 }
 
 #[cfg(test)]
@@ -416,8 +405,5 @@ mod tests {
         assert_eq!(q.from_i64(-1), Q36 - 1);
         assert_eq!(q.to_signed(Q36 - 1), -1);
         assert_eq!(q.to_signed(1), 1);
-        assert_eq!(center_rem(-1, 8), -1);
-        assert_eq!(center_rem(5, 8), -3);
-        assert_eq!(center_rem(4, 8), 4);
     }
 }

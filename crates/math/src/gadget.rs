@@ -147,8 +147,8 @@ impl Gadget {
     /// pass.
     ///
     /// Dispatches to the active SIMD backend ([`crate::simd`]) when one
-    /// applies, falling back to [`Self::decompose_slice_signed_into_scalar`];
-    /// the two paths are bit-identical.
+    /// applies, falling back to the scalar digit chain; the two paths are
+    /// bit-identical.
     ///
     /// # Panics
     ///
@@ -166,14 +166,13 @@ impl Gadget {
     }
 
     /// The scalar digit-chain kernel behind
-    /// [`Self::decompose_slice_signed_into`]. Public so parity suites can
-    /// pin the SIMD path against it.
+    /// [`Self::decompose_slice_signed_into`].
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.digits()` or any `out[k].len()`
     /// differs from `coeffs.len()`.
-    pub fn decompose_slice_signed_into_scalar(&self, coeffs: &[u64], out: &mut [Vec<i64>]) {
+    pub(crate) fn decompose_slice_signed_into_scalar(&self, coeffs: &[u64], out: &mut [Vec<i64>]) {
         assert_eq!(out.len(), self.digits);
         for row in out.iter() {
             assert_eq!(row.len(), coeffs.len());

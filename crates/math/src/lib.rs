@@ -1,7 +1,8 @@
 //! Mathematical substrate for the HEAP reproduction: word-sized modular
-//! arithmetic, negacyclic NTTs with the paper's grouped datapath schedule,
-//! RNS polynomials with rescaling and basis conversion, gadget
+//! arithmetic, negacyclic NTTs, RNS polynomials with rescaling, gadget
 //! decomposition, exact big-integer CRT, and randomness for key material.
+//! The strict and scalar kernels the parity suites pin the fast paths
+//! against live in the hidden `oracle` module.
 //!
 //! Everything above this crate (CKKS, TFHE, the scheme-switching
 //! bootstrapper, and the hardware model) is built from these primitives;
@@ -37,6 +38,8 @@ pub mod bigint;
 pub mod gadget;
 pub mod mac;
 pub mod ntt;
+#[doc(hidden)]
+pub mod oracle;
 pub mod poly;
 pub mod prime;
 pub mod rns;
@@ -50,4 +53,4 @@ pub use bigint::BigUint;
 pub use gadget::Gadget;
 pub use mac::{mac_path, LazyCoeff, MacAcc, MacPath, RowPair};
 pub use ntt::NttTable;
-pub use rns::{BasisConverter, Domain, RnsContext, RnsPoly};
+pub use rns::{Domain, RnsContext, RnsPoly};

@@ -10,31 +10,16 @@
 //! Harvey-style *lazy reduction*: butterfly operands ride in `[0, 2q)` (and
 //! transiently `[0, 4q)`), with a single correction pass at the end — the
 //! software analogue of the lazy reduction HEAP applies in its modular MAC
-//! datapath (§IV-A). The strict, eagerly-normalizing kernels are retained as
-//! [`NttTable::forward_reference`] / [`NttTable::inverse_reference`]: they
-//! are the oracles the parity tests compare against. The paper's grouped schedule ([`NttTable::forward_grouped`])
-//! with an on-the-fly twiddle mode ([`TwiddleMode`]) is also provided. All
-//! variants compute the same bijection — bit-identically, since every
-//! output is fully normalized — and unit and property tests assert they
-//! agree, that `inverse(forward(x)) == x`, and that pointwise products
-//! implement negacyclic convolution.
+//! datapath (§IV-A). One strict, eagerly-normalizing loop is kept for the
+//! parity suites, with its twiddle either read from the table or generated
+//! on the fly (the paper's §IV-D switch); it and the scalar lazy kernels
+//! are reached through the hidden `crate::oracle` module. Every variant
+//! computes the same bijection — bit-identically, since every output is
+//! fully normalized.
 
 use crate::arith::{Modulus, ShoupMul};
 use crate::mac::{LazyCoeff, RowPair};
 use crate::prime::primitive_root;
-
-/// Whether butterfly twiddles come from a precomputed table or are generated
-/// on the fly (paper §IV-D: "by setting an appropriate control signal, we can
-/// easily switch between reading the twiddle factors from memory versus
-/// generating them on the fly").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TwiddleMode {
-    /// Read precomputed (Shoup-form) twiddles from the table.
-    #[default]
-    Precomputed,
-    /// Recompute each stage's twiddles by repeated multiplication.
-    OnTheFly,
-}
 
 /// Precomputed NTT context for one `(N, q)` pair.
 ///
@@ -71,8 +56,6 @@ pub struct NttTable {
     n_inv: ShoupMul,
     /// Raw primitive 2N-th root (for on-the-fly generation).
     psi: u64,
-    /// Raw inverse root.
-    psi_inv: u64,
 }
 
 fn bit_reverse(x: usize, bits: u32) -> usize {
@@ -123,7 +106,6 @@ impl NttTable {
             ipsi_ops,
             n_inv,
             psi,
-            psi_inv,
         }
     }
 
@@ -145,54 +127,63 @@ impl NttTable {
         self.psi
     }
 
-    /// The inverse of [`Self::psi`] modulo `q`.
-    #[inline]
-    pub fn psi_inv(&self) -> u64 {
-        self.psi_inv
-    }
-
-    /// In-place forward negacyclic NTT (coefficient → evaluation domain).
+    /// In-place forward negacyclic NTT (coefficient → evaluation domain),
+    /// with *lazy reduction*: lazy residues in `[0, 4q)` in, canonical
+    /// residues out, no normalisation per butterfly in between — the
+    /// software analogue of the "lazy reduction" HEAP applies in its MAC
+    /// datapath (§IV-A). Untimed: a transform takes half a microsecond on
+    /// small rings, so latency is recorded per pipeline stage
+    /// (`heap-core`'s `StageMetrics`), not per call.
     ///
-    /// This is the hot-path entry point: the lazy-reduction kernel
-    /// ([`Self::forward_lazy`]), untimed — a transform takes half a
-    /// microsecond on small rings, so latency is recorded per pipeline
-    /// stage (`heap-core`'s `StageMetrics`), not per call. Outputs are
-    /// fully normalized, so results are bit-identical to
-    /// [`Self::forward_reference`].
+    /// Runs the signed-lazy radix-4 `f64`-lane kernel (AVX2 + FMA, see
+    /// [`crate::simd`]) where `n ≥ 16` and its growth bound
+    /// `(4 + log2 n)·q ≤ 2^50` hold — every preset's ring; every other ring
+    /// and modulus, and every scalar host, runs the scalar lazy kernel.
+    /// Both are bit-identical to the strict loop.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.n()`.
-    #[inline]
     pub fn forward(&self, a: &mut [u64]) {
-        self.forward_lazy(a);
+        assert_eq!(a.len(), self.n, "length mismatch");
+        let q = self.modulus.value();
+        if crate::simd::try_ntt_forward(a, &self.psi_f64, q) {
+            return;
+        }
+        self.forward_lazy_scalar(a);
     }
 
-    /// In-place inverse negacyclic NTT (evaluation → coefficient domain).
-    ///
-    /// Hot-path entry point over [`Self::inverse_lazy`]; bit-identical to
-    /// [`Self::inverse_reference`].
+    /// In-place inverse negacyclic NTT (evaluation → coefficient domain),
+    /// the Gentleman–Sande counterpart of [`Self::forward`]: the `f64`-lane
+    /// kernel under the same gate, the scalar lazy kernel everywhere else;
+    /// both bit-identical to the strict loop.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.n()`.
-    #[inline]
     pub fn inverse(&self, a: &mut [u64]) {
-        self.inverse_lazy(a);
+        assert_eq!(a.len(), self.n, "length mismatch");
+        let q = self.modulus.value();
+        if crate::simd::try_ntt_inverse(a, &self.ipsi_ops, q, self.n_inv.operand) {
+            return;
+        }
+        self.inverse_lazy_scalar(a);
     }
 
     /// Strict forward NTT: every butterfly eagerly normalizes into
     /// `[0, q)` (Shoup multiply with correction, add/sub with conditional
-    /// subtraction).
+    /// subtraction). At stage `cs` the `2^cs` groups each share one
+    /// twiddle and their operands sit at `address = i_g + i_nc · 2^cs`
+    /// (§IV-D's grouped schedule); `on_the_fly` regenerates each group's
+    /// twiddle from the raw root instead of reading the table — the paper's
+    /// "control signal" between the two sources.
     ///
-    /// Kept as the *reference oracle* for the lazy hot path — the parity
-    /// suites assert `forward_lazy` matches it bit-for-bit. Not used on
-    /// any production path.
+    /// The oracle for the lazy kernels; no production path runs it.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.n()`.
-    pub fn forward_reference(&self, a: &mut [u64]) {
+    pub(crate) fn forward_strict(&self, a: &mut [u64], on_the_fly: bool) {
         assert_eq!(a.len(), self.n, "length mismatch");
         let q = &self.modulus;
         let mut t = self.n;
@@ -200,7 +191,12 @@ impl NttTable {
         while m < self.n {
             t >>= 1;
             for i in 0..m {
-                let s = self.psi_br[m + i];
+                let s = if on_the_fly {
+                    let e = bit_reverse(m + i, self.log_n);
+                    ShoupMul::new(q.pow(self.psi, e as u64), q)
+                } else {
+                    self.psi_br[m + i]
+                };
                 let j1 = 2 * i * t;
                 for j in j1..j1 + t {
                     let u = a[j];
@@ -213,13 +209,12 @@ impl NttTable {
         }
     }
 
-    /// Strict inverse NTT (see [`Self::forward_reference`]): the reference
-    /// oracle for [`Self::inverse_lazy`].
+    /// Strict inverse NTT (see [`Self::forward_strict`]), table twiddles.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.n()`.
-    pub fn inverse_reference(&self, a: &mut [u64]) {
+    pub(crate) fn inverse_strict(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
         let q = &self.modulus;
         let mut t = 1usize;
@@ -245,30 +240,6 @@ impl NttTable {
         }
     }
 
-    /// Forward NTT with *lazy reduction*: lazy residues in `[0, 4q)` in,
-    /// canonical residues out, no normalisation per butterfly in between —
-    /// the software analogue of the "lazy reduction" HEAP applies in its
-    /// MAC datapath (§IV-A).
-    ///
-    /// Runs the signed-lazy radix-4 `f64`-lane kernel (AVX2 + FMA, see
-    /// [`crate::simd`]) where `n ≥ 16` and its growth bound
-    /// `(4 + log2 n)·q ≤ 2^50` hold — every preset's ring; every other ring
-    /// and modulus, and every scalar host, runs the scalar kernel
-    /// [`Self::forward_lazy_scalar`]. Both are bit-identical to
-    /// [`Self::forward_reference`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != self.n()`.
-    pub fn forward_lazy(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "length mismatch");
-        let q = self.modulus.value();
-        if crate::simd::try_ntt_forward(a, &self.psi_f64, q) {
-            return;
-        }
-        self.forward_lazy_scalar(a);
-    }
-
     /// [`crate::MacAcc::mac_digit`]'s narrow datapath under this table's
     /// twiddles: `digit` transformed into `operand` and multiplied into
     /// `rows`' slots of `acc`, all in `f64` lanes. Returns `false` when the
@@ -286,8 +257,7 @@ impl NttTable {
 
     /// The scalar lazy forward kernel, Harvey-style: butterfly operands ride
     /// in `[0, 4q)` and are only normalized once per touch, trading
-    /// comparisons for a final correction pass. Public so parity suites can
-    /// pin the SIMD path against it.
+    /// comparisons for a final correction pass.
     ///
     /// Operand-bound invariant: entering each stage, every slot is
     /// `< 4q`; the upper butterfly input is folded into `[0, 2q)` with one
@@ -300,7 +270,7 @@ impl NttTable {
     /// # Panics
     ///
     /// Panics if `a.len() != self.n()`.
-    pub fn forward_lazy_scalar(&self, a: &mut [u64]) {
+    pub(crate) fn forward_lazy_scalar(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
         let q = self.modulus.value();
         let two_q = 2 * q;
@@ -335,8 +305,7 @@ impl NttTable {
         }
     }
 
-    /// Inverse NTT with lazy reduction, the Gentleman–Sande counterpart of
-    /// [`Self::forward_lazy`].
+    /// The scalar lazy inverse kernel.
     ///
     /// Operand-bound invariant: every slot stays in `[0, 2q)` across
     /// stages. The butterfly sum `u + v < 4q` is folded back into
@@ -344,32 +313,12 @@ impl NttTable {
     /// computed as `u + 2q - v ∈ (0, 4q)` (no underflow) and fed to
     /// [`ShoupMul::mul_lazy`], landing in `[0, 2q)`. The final `N^{-1}`
     /// pass uses the lazy Shoup product plus one correction, so outputs
-    /// are canonical — bit-identical to [`Self::inverse_reference`].
-    ///
-    /// Runs the `f64`-lane kernel under [`Self::forward_lazy`]'s gate and
-    /// [`Self::inverse_lazy_scalar`] everywhere else; the two paths are
-    /// bit-identical.
+    /// are canonical.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.n()`.
-    pub fn inverse_lazy(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "length mismatch");
-        let q = self.modulus.value();
-        if crate::simd::try_ntt_inverse(a, &self.ipsi_ops, q, self.n_inv.operand) {
-            return;
-        }
-        self.inverse_lazy_scalar(a);
-    }
-
-    /// The scalar lazy inverse kernel (see [`Self::inverse_lazy`] for the
-    /// operand-bound invariants). Public so parity suites and benches can
-    /// pin the SIMD path against it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != self.n()`.
-    pub fn inverse_lazy_scalar(&self, a: &mut [u64]) {
+    pub(crate) fn inverse_lazy_scalar(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
         let q = self.modulus.value();
         let two_q = 2 * q;
@@ -401,43 +350,6 @@ impl NttTable {
                 r -= q;
             }
             *x = r;
-        }
-    }
-
-    /// Forward NTT using the paper's grouped schedule (§IV-D).
-    ///
-    /// Coefficients are grouped per shared twiddle: at stage `cs` there are
-    /// `n_g = 2^cs` groups of `n_c = N / 2^cs` coefficients and the butterfly
-    /// operands live at `address = i_g + i_nc * 2^cs` — the simplified address
-    /// generation HEAP implements in hardware. With
-    /// [`TwiddleMode::OnTheFly`], stage twiddles are produced by repeated
-    /// multiplication instead of a table lookup.
-    ///
-    /// Computes exactly the same transform as [`Self::forward`].
-    pub fn forward_grouped(&self, a: &mut [u64], mode: TwiddleMode) {
-        assert_eq!(a.len(), self.n, "length mismatch");
-        let q = &self.modulus;
-        for cs in 0..self.log_n {
-            let m = 1usize << cs; // groups at this stage
-            let t = self.n >> (cs + 1); // half-group stride
-            for i in 0..m {
-                let s = match mode {
-                    TwiddleMode::Precomputed => self.psi_br[m + i],
-                    TwiddleMode::OnTheFly => {
-                        // psi^brv(m+i) regenerated from the raw root.
-                        let e = bit_reverse(m + i, self.log_n);
-                        debug_assert!(e < self.n);
-                        ShoupMul::new(q.pow(self.psi, e as u64), q)
-                    }
-                };
-                let j1 = 2 * i * t;
-                for j in j1..j1 + t {
-                    let u = a[j];
-                    let v = s.mul(a[j + t], q);
-                    a[j] = q.add(u, v);
-                    a[j + t] = q.sub(u, v);
-                }
-            }
         }
     }
 
@@ -515,33 +427,6 @@ impl NttTable {
     }
 }
 
-/// Schoolbook negacyclic convolution, the `O(N^2)` reference used in tests
-/// and for tiny rings.
-///
-/// # Panics
-///
-/// Panics if `a.len() != b.len()`.
-pub fn negacyclic_convolution(a: &[u64], b: &[u64], q: &Modulus) -> Vec<u64> {
-    assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let mut out = vec![0u64; n];
-    for (i, &ai) in a.iter().enumerate() {
-        if ai == 0 {
-            continue;
-        }
-        for (j, &bj) in b.iter().enumerate() {
-            let p = q.mul(ai, bj);
-            let k = i + j;
-            if k < n {
-                out[k] = q.add(out[k], p);
-            } else {
-                out[k - n] = q.sub(out[k - n], p);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,7 +456,7 @@ mod tests {
     }
 
     #[test]
-    fn grouped_matches_standard() {
+    fn both_twiddle_sources_match_standard() {
         let t = table(8);
         let n = t.n();
         let base: Vec<u64> = (0..n as u64)
@@ -579,69 +464,35 @@ mod tests {
             .collect();
         let mut standard = base.clone();
         t.forward(&mut standard);
-        for mode in [TwiddleMode::Precomputed, TwiddleMode::OnTheFly] {
-            let mut grouped = base.clone();
-            t.forward_grouped(&mut grouped, mode);
-            assert_eq!(grouped, standard, "mode {mode:?} must match standard NTT");
+        for on_the_fly in [false, true] {
+            let mut strict = base.clone();
+            t.forward_strict(&mut strict, on_the_fly);
+            assert_eq!(strict, standard, "on_the_fly = {on_the_fly}");
         }
     }
 
     #[test]
-    fn lazy_forward_matches_reference() {
-        for log_n in [3u32, 6, 9] {
+    fn lazy_kernels_match_strict() {
+        for log_n in [2u32, 3, 6, 9] {
             let t = table(log_n);
             let n = t.n();
             let q = t.modulus().value();
-            let base: Vec<u64> = (0..n as u64).map(|i| (i * 97 + 13) % q).collect();
-            let mut strict = base.clone();
-            t.forward_reference(&mut strict);
-            let mut lazy_out = base.clone();
-            t.forward_lazy(&mut lazy_out);
-            assert_eq!(lazy_out, strict, "log_n = {log_n}");
-            let mut hot = base.clone();
-            t.forward(&mut hot);
-            assert_eq!(
-                hot, strict,
-                "hot path must be bit-identical, log_n = {log_n}"
-            );
+            for base in [
+                (0..n as u64).map(|i| (i * 97 + 13) % q).collect::<Vec<_>>(),
+                vec![q - 1; n],
+            ] {
+                let mut strict = base.clone();
+                t.forward_strict(&mut strict, false);
+                let mut hot = base.clone();
+                t.forward(&mut hot);
+                assert_eq!(hot, strict, "forward, log_n = {log_n}");
+                let mut strict = base.clone();
+                t.inverse_strict(&mut strict);
+                let mut hot = base.clone();
+                t.inverse(&mut hot);
+                assert_eq!(hot, strict, "inverse, log_n = {log_n}");
+            }
         }
-    }
-
-    #[test]
-    fn lazy_inverse_matches_reference() {
-        for log_n in [3u32, 6, 9] {
-            let t = table(log_n);
-            let n = t.n();
-            let q = t.modulus().value();
-            let base: Vec<u64> = (0..n as u64).map(|i| (i * 41 + 3) % q).collect();
-            let mut strict = base.clone();
-            t.inverse_reference(&mut strict);
-            let mut lazy_out = base.clone();
-            t.inverse_lazy(&mut lazy_out);
-            assert_eq!(lazy_out, strict, "log_n = {log_n}");
-            let mut hot = base.clone();
-            t.inverse(&mut hot);
-            assert_eq!(
-                hot, strict,
-                "hot path must be bit-identical, log_n = {log_n}"
-            );
-        }
-    }
-
-    #[test]
-    fn lazy_kernels_handle_extremes() {
-        let t = table(4);
-        let q = t.modulus().value();
-        let mut a = vec![q - 1; t.n()];
-        let mut b = a.clone();
-        t.forward_reference(&mut a);
-        t.forward_lazy(&mut b);
-        assert_eq!(a, b);
-        let mut a = vec![q - 1; t.n()];
-        let mut b = a.clone();
-        t.inverse_reference(&mut a);
-        t.inverse_lazy(&mut b);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -703,7 +554,7 @@ mod tests {
         let q = *t.modulus();
         let a: Vec<u64> = (0..n as u64).map(|i| (3 * i + 1) % q.value()).collect();
         let b: Vec<u64> = (0..n as u64).map(|i| (7 * i + 2) % q.value()).collect();
-        let expect = negacyclic_convolution(&a, &b, &q);
+        let expect = crate::oracle::negacyclic_convolution(&a, &b, &q);
         let mut fa = a.clone();
         let mut fb = b.clone();
         t.forward(&mut fa);
@@ -724,7 +575,7 @@ mod tests {
         a[n - 1] = 1;
         let mut b = vec![0u64; n];
         b[1] = 1;
-        let got = negacyclic_convolution(&a, &b, &q);
+        let got = crate::oracle::negacyclic_convolution(&a, &b, &q);
         let mut expect = vec![0u64; n];
         expect[0] = q.value() - 1;
         assert_eq!(got, expect);

@@ -1,12 +1,11 @@
-//! Residue number system (RNS) polynomials and basis conversion.
+//! Residue number system (RNS) polynomials.
 //!
 //! CKKS ciphertext polynomials live in `R_Q` with `Q = prod q_i` far wider
 //! than a machine word; the RNS decomposition stores one "limb" per prime
 //! `q_i` so all arithmetic is word-sized (paper §II-A). This module provides
 //! the limbed polynomial type [`RnsPoly`], its shared precomputation context
 //! [`RnsContext`], the `Rescale` primitive, exact CRT recombination (via
-//! Garner's algorithm), modulus raising for bootstrapping, and the fast
-//! basis conversion used by `ModUp`/`ModDown` in key switching.
+//! Garner's algorithm) and modulus raising for bootstrapping.
 
 use crate::arith::Modulus;
 use crate::bigint::BigUint;
@@ -339,16 +338,6 @@ impl RnsPoly {
         }
     }
 
-    /// `self += a * b` pointwise (all in evaluation domain).
-    pub fn mul_acc(&mut self, a: &RnsPoly, b: &RnsPoly, ctx: &RnsContext) {
-        a.check_compatible(b);
-        self.check_compatible(a);
-        assert_eq!(self.domain, Domain::Eval);
-        for (i, acc) in self.limbs.iter_mut().enumerate() {
-            ctx.ntt(i).pointwise_acc(&a.limbs[i], &b.limbs[i], acc);
-        }
-    }
-
     /// Multiplies by a signed scalar (domain-independent).
     pub fn scalar_mul_assign(&mut self, s: i64, ctx: &RnsContext) {
         for (i, a) in self.limbs.iter_mut().enumerate() {
@@ -473,136 +462,10 @@ impl RnsPoly {
     }
 }
 
-/// Fast conversion of RNS residues from one prime basis to another
-/// (`ModUp`/`ModDown` workhorse; HEAP runs it on the external-product MAC
-/// datapath, §IV-E).
-///
-/// Uses the floating-point wrap estimate of Halevi–Polyakov–Shoup, which is
-/// exact for the limb counts used here.
-#[derive(Debug)]
-pub struct BasisConverter {
-    from: Vec<Modulus>,
-    to: Vec<Modulus>,
-    /// `(Q/q_i)^{-1} mod q_i`.
-    q_hat_inv: Vec<u64>,
-    /// `(Q/q_i) mod t_j`, indexed `[i][j]`.
-    q_hat_mod_to: Vec<Vec<u64>>,
-    /// `Q mod t_j`.
-    q_mod_to: Vec<u64>,
-}
-
-impl BasisConverter {
-    /// Precomputes conversion constants from basis `from` to basis `to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is empty or the bases share a prime.
-    pub fn new(from: &[Modulus], to: &[Modulus]) -> Self {
-        assert!(!from.is_empty());
-        for t in to {
-            assert!(
-                from.iter().all(|f| f.value() != t.value()),
-                "bases must be disjoint"
-            );
-        }
-        let l = from.len();
-        let mut q_hat_inv = Vec::with_capacity(l);
-        let mut q_hat_mod_to = Vec::with_capacity(l);
-        for i in 0..l {
-            // (prod_{k != i} q_k) mod q_i and mod each t_j.
-            let mut hat_mod_qi = 1u64;
-            for (k, f) in from.iter().enumerate() {
-                if k != i {
-                    hat_mod_qi = from[i].mul(hat_mod_qi, from[i].reduce_u64(f.value()));
-                }
-            }
-            q_hat_inv.push(from[i].inv(hat_mod_qi).expect("distinct primes"));
-            let mut row = Vec::with_capacity(to.len());
-            for t in to {
-                let mut hat = 1u64;
-                for (k, f) in from.iter().enumerate() {
-                    if k != i {
-                        hat = t.mul(hat, t.reduce_u64(f.value()));
-                    }
-                }
-                row.push(hat);
-            }
-            q_hat_mod_to.push(row);
-        }
-        let q_mod_to = to
-            .iter()
-            .map(|t| {
-                let mut acc = 1u64;
-                for f in from {
-                    acc = t.mul(acc, t.reduce_u64(f.value()));
-                }
-                acc
-            })
-            .collect();
-        Self {
-            from: from.to_vec(),
-            to: to.to_vec(),
-            q_hat_inv,
-            q_hat_mod_to,
-            q_mod_to,
-        }
-    }
-
-    /// Source basis.
-    pub fn from_basis(&self) -> &[Modulus] {
-        &self.from
-    }
-
-    /// Destination basis.
-    pub fn to_basis(&self) -> &[Modulus] {
-        &self.to
-    }
-
-    /// Converts coefficient-domain limbs over `from` into limbs over `to`.
-    ///
-    /// The input value `x ∈ [0, Q)` is reproduced exactly in the target
-    /// basis (same integer representative, *not* centered) whenever
-    /// `x < Q·(1 - l·2^-52)`; for `x` within rounding distance of `Q` the
-    /// result may be `x - Q` instead (one extra wrap). Key switching
-    /// tolerates this off-by-`Q` term: it enters the noise scaled by `1/P`
-    /// after `ModDown`, exactly as in the approximate HPS conversion HEAP's
-    /// external-product datapath implements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limbs.len() != from.len()` or lengths are ragged.
-    pub fn convert(&self, limbs: &[&[u64]]) -> Vec<Vec<u64>> {
-        assert_eq!(limbs.len(), self.from.len());
-        let n = limbs[0].len();
-        assert!(limbs.iter().all(|l| l.len() == n));
-        let l = self.from.len();
-        let mut y = vec![0u64; l];
-        let mut out = vec![vec![0u64; n]; self.to.len()];
-        for c in 0..n {
-            let mut frac = 0.0f64;
-            for i in 0..l {
-                let yi = self.from[i].mul(limbs[i][c], self.q_hat_inv[i]);
-                y[i] = yi;
-                frac += yi as f64 / self.from[i].value() as f64;
-            }
-            let v = (frac + 0.5).floor() as u64; // wraps of Q
-            for (j, t) in self.to.iter().enumerate() {
-                let mut acc = 0u64;
-                for (i, &yi) in y.iter().enumerate() {
-                    acc = t.mul_add(t.reduce_u64(yi), self.q_hat_mod_to[i][j], acc);
-                }
-                let wrap = t.mul(t.reduce_u64(v), self.q_mod_to[j]);
-                out[j][c] = t.sub(acc, wrap);
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prime::{ntt_primes, ntt_primes_excluding};
+    use crate::prime::ntt_primes;
 
     fn ctx(log_n: u32, limbs: usize) -> RnsContext {
         let n = 1usize << log_n;
@@ -715,52 +578,6 @@ mod tests {
         let p = RnsPoly::from_limbs(vec![poly::from_signed(&big, c.modulus(0))], Domain::Coeff);
         let raised = p.raise_from_single_limb(&c, 2);
         assert_eq!(raised.to_centered_f64(&c)[0], -1.0);
-    }
-
-    #[test]
-    fn basis_conversion_exact() {
-        let n = 1u64 << 4;
-        let from_p = ntt_primes(n, 36, 2);
-        let to_p = ntt_primes_excluding(n, 36, 2, &from_p);
-        let from: Vec<Modulus> = from_p.iter().map(|&p| Modulus::new(p).unwrap()).collect();
-        let to: Vec<Modulus> = to_p.iter().map(|&p| Modulus::new(p).unwrap()).collect();
-        let conv = BasisConverter::new(&from, &to);
-        // Value x = 123456789123 in both source limbs.
-        let x: u64 = 123_456_789_123;
-        let l0: Vec<u64> = vec![x % from[0].value(); 16];
-        let l1: Vec<u64> = vec![x % from[1].value(); 16];
-        let out = conv.convert(&[&l0, &l1]);
-        assert_eq!(out[0][0], x % to[0].value());
-        assert_eq!(out[1][3], x % to[1].value());
-    }
-
-    #[test]
-    fn basis_conversion_handles_large_values() {
-        // Near-Q values must convert exactly (wrap estimate correctness).
-        let n = 1u64 << 3;
-        let from_p = ntt_primes(n, 20, 3);
-        let to_p = ntt_primes_excluding(n, 20, 1, &from_p);
-        let from: Vec<Modulus> = from_p.iter().map(|&p| Modulus::new(p).unwrap()).collect();
-        let to: Vec<Modulus> = to_p.iter().map(|&p| Modulus::new(p).unwrap()).collect();
-        let conv = BasisConverter::new(&from, &to);
-        let q: u128 = from_p.iter().map(|&p| p as u128).product();
-        for value in [0u128, 1, q - 1, q / 2, q / 2 + 1, q - 12345] {
-            let limbs: Vec<Vec<u64>> = from
-                .iter()
-                .map(|m| vec![(value % m.value() as u128) as u64; 8])
-                .collect();
-            let refs: Vec<&[u64]> = limbs.iter().map(|l| l.as_slice()).collect();
-            let out = conv.convert(&refs);
-            let t0 = to[0].value() as u128;
-            let exact = value % t0;
-            // One extra wrap (x - Q) is permitted near the Q boundary.
-            let minus_q = ((value + t0 * (q / t0 + 1)) - q) % t0;
-            let got = out[0][0] as u128;
-            assert!(
-                got == exact || got == minus_q,
-                "value {value}: got {got}, want {exact} or {minus_q}"
-            );
-        }
     }
 
     #[test]

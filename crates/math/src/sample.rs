@@ -24,12 +24,6 @@ pub fn ternary_secret<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<i64> {
     (0..n).map(|_| rng.gen_range(-1i64..=1)).collect()
 }
 
-/// Samples a binary secret with coefficients in `{0, 1}` (used for LWE
-/// secrets feeding TFHE blind rotation when a binary key is preferred).
-pub fn binary_secret<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<i64> {
-    (0..n).map(|_| rng.gen_range(0i64..=1)).collect()
-}
-
 /// Samples one rounded Gaussian with standard deviation [`NOISE_STD_DEV`].
 pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> i64 {
     gaussian_with(rng, NOISE_STD_DEV)
@@ -75,14 +69,6 @@ mod tests {
             let c = s.iter().filter(|&&x| x == v).count();
             assert!(c > 800, "value {v} count {c} too skewed");
         }
-    }
-
-    #[test]
-    fn binary_secret_is_binary() {
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(binary_secret(&mut rng, 1000)
-            .iter()
-            .all(|&x| x == 0 || x == 1));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 use heap_math::arith::{Modulus, ShoupMul};
 use heap_math::bigint::BigUint;
 use heap_math::gadget::Gadget;
-use heap_math::ntt::{negacyclic_convolution, NttTable, TwiddleMode};
+use heap_math::ntt::NttTable;
+use heap_math::oracle;
 use heap_math::poly;
 use heap_math::prime::{is_prime, ntt_primes};
 use heap_math::rns::{Domain, RnsContext, RnsPoly};
@@ -106,8 +107,8 @@ proptest! {
         let t = NttTable::new(64, q());
         let mut lazy = coeffs.clone();
         let mut strict = coeffs;
-        t.forward_lazy(&mut lazy);
-        t.forward_reference(&mut strict);
+        t.forward(&mut lazy);
+        oracle::forward_reference(&t, &mut strict);
         prop_assert_eq!(lazy, strict);
     }
 
@@ -116,8 +117,8 @@ proptest! {
         let t = NttTable::new(64, q());
         let mut lazy = coeffs.clone();
         let mut strict = coeffs;
-        t.inverse_lazy(&mut lazy);
-        t.inverse_reference(&mut strict);
+        t.inverse(&mut lazy);
+        oracle::inverse_reference(&t, &mut strict);
         prop_assert_eq!(lazy, strict);
     }
 
@@ -131,11 +132,11 @@ proptest! {
         let t = NttTable::new(32, m);
         let mut lazy = reduced.clone();
         let mut strict = reduced;
-        t.forward_lazy(&mut lazy);
-        t.forward_reference(&mut strict);
+        t.forward(&mut lazy);
+        oracle::forward_reference(&t, &mut strict);
         prop_assert_eq!(&lazy, &strict);
-        t.inverse_lazy(&mut lazy);
-        t.inverse_reference(&mut strict);
+        t.inverse(&mut lazy);
+        oracle::inverse_reference(&t, &mut strict);
         prop_assert_eq!(lazy, strict);
     }
 
@@ -146,7 +147,7 @@ proptest! {
         let mut a = coeffs.clone();
         let mut b = coeffs.clone();
         t.forward(&mut a);
-        t.forward_grouped(&mut b, TwiddleMode::OnTheFly);
+        oracle::forward_on_the_fly(&t, &mut b);
         prop_assert_eq!(a, b);
     }
 
@@ -157,7 +158,7 @@ proptest! {
     ) {
         let m = q();
         let t = NttTable::new(16, m);
-        let expect = negacyclic_convolution(&a, &b, &m);
+        let expect = oracle::negacyclic_convolution(&a, &b, &m);
         let mut fa = a.clone();
         let mut fb = b.clone();
         t.forward(&mut fa);
@@ -333,8 +334,8 @@ mod simd_parity {
     fn assert_forward_parity(m: Modulus, mut input: Vec<u64>) {
         let t = NttTable::new(input.len(), m);
         let mut scalar = input.clone();
-        t.forward_lazy(&mut input);
-        t.forward_lazy_scalar(&mut scalar);
+        t.forward(&mut input);
+        oracle::forward_lazy_scalar(&t, &mut scalar);
         assert_eq!(input, scalar);
     }
 
@@ -348,8 +349,8 @@ mod simd_parity {
     fn assert_inverse_parity(m: Modulus, mut input: Vec<u64>) {
         let t = NttTable::new(input.len(), m);
         let mut scalar = input.clone();
-        t.inverse_lazy(&mut input);
-        t.inverse_lazy_scalar(&mut scalar);
+        t.inverse(&mut input);
+        oracle::inverse_lazy_scalar(&t, &mut scalar);
         assert_eq!(input, scalar);
     }
 
@@ -377,15 +378,15 @@ mod simd_parity {
                 .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % m.value())
                 .collect();
             let [mut simd, mut scalar, mut strict] = [base.clone(), base.clone(), base];
-            t.forward_lazy(&mut simd);
-            t.forward_lazy_scalar(&mut scalar);
-            t.forward_reference(&mut strict);
-            assert_eq!(simd, strict, "forward_lazy diverged at n = {n}");
+            t.forward(&mut simd);
+            oracle::forward_lazy_scalar(&t, &mut scalar);
+            oracle::forward_reference(&t, &mut strict);
+            assert_eq!(simd, strict, "forward diverged at n = {n}");
             assert_eq!(scalar, strict, "forward_lazy_scalar diverged at n = {n}");
-            t.inverse_lazy(&mut simd);
-            t.inverse_lazy_scalar(&mut scalar);
-            t.inverse_reference(&mut strict);
-            assert_eq!(simd, strict, "inverse_lazy diverged at n = {n}");
+            t.inverse(&mut simd);
+            oracle::inverse_lazy_scalar(&t, &mut scalar);
+            oracle::inverse_reference(&t, &mut strict);
+            assert_eq!(simd, strict, "inverse diverged at n = {n}");
             assert_eq!(scalar, strict, "inverse_lazy_scalar diverged at n = {n}");
         }
     }
@@ -463,7 +464,7 @@ mod simd_parity {
                 let mut simd_out = vec![vec![0i64; len]; 3];
                 let mut scalar_out = vec![vec![0i64; len]; 3];
                 g.decompose_slice_signed_into(coeffs, &mut simd_out);
-                g.decompose_slice_signed_into_scalar(coeffs, &mut scalar_out);
+                oracle::decompose_slice_signed_into_scalar(&g, coeffs, &mut scalar_out);
                 prop_assert_eq!(simd_out, scalar_out, "length {len}");
             }
         }
@@ -543,7 +544,7 @@ mod fused_datapath {
         let (n, m) = (t.n(), t.modulus());
         let mut x = vec![0u64; n];
         T::lift_into(digit, m, &mut x);
-        t.forward_reference(&mut x);
+        oracle::forward_reference(t, &mut x);
         let mut acc = MacAcc::default();
         acc.reset(path, 2, n);
         for _ in 0..terms {
@@ -571,7 +572,7 @@ mod fused_datapath {
         let mut hot = vec![4 * q - 1; t.n()];
         let mut strict = vec![(4 * q - 1) % q; t.n()];
         t.forward(&mut hot);
-        t.forward_reference(&mut strict);
+        oracle::forward_reference(t, &mut strict);
         assert_eq!(hot, strict, "forward at 4q - 1, n = {}, q = {q}", t.n());
     }
 

@@ -57,8 +57,10 @@
 //!   with an `N`-millisecond deadline; over-SLO submissions get a typed
 //!   rejection with a retry hint instead of queueing.
 
+use std::fmt::Display;
 use std::net::TcpListener;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use heap_ckks::CkksContext;
@@ -97,17 +99,12 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
+        // Every flag but the refusals below takes a value.
+        let value = it.next().ok_or_else(|| format!("{flag} requires a value"));
         match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--preset" => args.preset = value("--preset")?.parse()?,
-            "--insecure-seed" => {
-                args.insecure_seed = Some(
-                    value("--insecure-seed")?
-                        .parse()
-                        .map_err(|e| format!("--insecure-seed: {e}"))?,
-                )
-            }
+            "--addr" => args.addr = value?,
+            "--preset" => args.preset = value?.parse()?,
+            "--insecure-seed" => args.insecure_seed = Some(parse_flag(&flag, value)?),
             "--seed" => {
                 return Err(
                     "--seed was renamed: shared-seed setup hands every node the secret key. \
@@ -116,43 +113,13 @@ fn parse_args() -> Result<Args, String> {
                         .to_string(),
                 )
             }
-            "--key-cache-bytes" => {
-                args.key_cache_bytes = Some(
-                    value("--key-cache-bytes")?
-                        .parse()
-                        .map_err(|e| format!("--key-cache-bytes: {e}"))?,
-                )
-            }
-            "--threads" => {
-                args.threads = Some(
-                    value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--fail-after" => {
-                args.fail_after = Some(
-                    value("--fail-after")?
-                        .parse()
-                        .map_err(|e| format!("--fail-after: {e}"))?,
-                )
-            }
-            "--fault-plan" => {
-                args.fault_plan = Some(
-                    value("--fault-plan")?
-                        .parse()
-                        .map_err(|e| format!("--fault-plan: {e}"))?,
-                )
-            }
-            "--metrics-addr" => args.metrics_addr = Some(value("--metrics-addr")?),
-            "--session-addr" => args.session_addr = Some(value("--session-addr")?),
-            "--slo-ms" => {
-                args.slo_ms = Some(
-                    value("--slo-ms")?
-                        .parse()
-                        .map_err(|e| format!("--slo-ms: {e}"))?,
-                )
-            }
+            "--key-cache-bytes" => args.key_cache_bytes = Some(parse_flag(&flag, value)?),
+            "--threads" => args.threads = Some(parse_flag(&flag, value)?),
+            "--fail-after" => args.fail_after = Some(parse_flag(&flag, value)?),
+            "--fault-plan" => args.fault_plan = Some(parse_flag(&flag, value)?),
+            "--metrics-addr" => args.metrics_addr = Some(value?),
+            "--session-addr" => args.session_addr = Some(value?),
+            "--slo-ms" => args.slo_ms = Some(parse_flag(&flag, value)?),
             "--help" | "-h" => {
                 return Err(
                     "usage: heap-node-serve [--addr HOST:PORT] [--preset tiny|small|medium] \
@@ -166,6 +133,14 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
+}
+
+/// `flag`'s value parsed as `T`, a parse error prefixed with the flag.
+fn parse_flag<T: FromStr>(flag: &str, value: Result<String, String>) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    value?.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn main() -> ExitCode {

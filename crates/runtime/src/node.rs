@@ -108,21 +108,27 @@ pub(crate) fn accumulators_to_wire(ctx: &CkksContext, accs: &[RlweCiphertext]) -
     heap_tfhe::rlwe_batch_to_wire(accs, &moduli)
 }
 
-/// Whether `lwes` fit `boot`'s key: each the mod-switched sample of
-/// `ctx`'s ring (modulus 2N) under its LWE key (dimension `n_t`). The
-/// service door and the node server both ask, so a misfit is refused
-/// before the rotation's shape asserts can see it.
+/// The `(modulus, dimension)` every LWE rotated under `boot` must have:
+/// the mod-switched sample of `ctx`'s ring (modulus 2N) under its LWE key
+/// (dimension `n_t`). Both wire doors decode `LBT1` against it.
+pub(crate) fn lwe_shape(ctx: &CkksContext, boot: &Bootstrapper) -> (u64, usize) {
+    (2 * ctx.n() as u64, boot.config().n_t)
+}
+
+/// Whether in-process `lwes` fit `boot`'s key ([`lwe_shape`]), so the
+/// service door refuses a misfit before the rotation's shape asserts can
+/// see it. Its messages are the `LBT1` decoder's.
 pub(crate) fn check_lwes_fit(
     ctx: &CkksContext,
     boot: &Bootstrapper,
     lwes: &[LweCiphertext],
 ) -> Result<(), &'static str> {
-    let two_n = 2 * ctx.n() as u64;
+    let (modulus, dim) = lwe_shape(ctx, boot);
     for lwe in lwes {
-        if lwe.modulus != two_n {
+        if lwe.modulus != modulus {
             return Err("LWE modulus must be 2N");
         }
-        if lwe.dim() != boot.config().n_t {
+        if lwe.dim() != dim {
             return Err("LWE dimension must be n_t");
         }
     }

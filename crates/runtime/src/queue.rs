@@ -152,7 +152,8 @@ impl SubmissionQueue {
     }
 
     /// Queued (not yet dispatched) job count.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().expect("queue poisoned").total
     }
 

@@ -821,6 +821,60 @@ mod tests {
         node.shutdown();
     }
 
+    /// A 1 MiB `LBT1` batch of one modulus-2 LWE: 8 Mi one-bit residues,
+    /// 64 MiB once unpacked into `u64`s.
+    fn modulus_two_batch() -> Vec<u8> {
+        let bytes = 1 << 20;
+        let mut w = heap_math::wire::WireWriter::new();
+        w.put_u32(0x4C42_5431); // "LBT1"
+        w.put_u32(1);
+        w.put_u32(0x4C57_4531); // "LWE1"
+        w.put_u64(2);
+        w.put_u32(8 * bytes - 1);
+        let mut batch = w.into_bytes();
+        batch.resize(batch.len() + bytes as usize, 0);
+        batch
+    }
+
+    /// A batch whose header does not match the key is refused by the
+    /// decoder before it unpacks anything, with an `Error` reply; the
+    /// connection then serves an honest batch.
+    #[test]
+    fn modulus_two_batch_is_refused_and_the_connection_serves_on() {
+        let s = setup();
+        let addr = spawn_server(ServeOptions {
+            parallelism: Parallelism::serial(),
+            ..ServeOptions::default()
+        });
+        let ledger = Arc::new(TransferLedger::default());
+        let node = RemoteNode::connect_with_ledger(
+            &addr,
+            &s.ctx,
+            NodeTimeouts::default(),
+            Arc::clone(&ledger),
+        )
+        .expect("connect");
+        let request = proto::encode_prefixed(0, &modulus_two_batch());
+        let err = node
+            .exchange(
+                FrameKind::BlindRotateReq,
+                &request,
+                &[FrameKind::BlindRotateResp],
+            )
+            .expect_err("modulus-2 batch");
+        assert!(
+            matches!(err, NodeError::Remote(ref m) if m.contains("modulus")),
+            "{err:?}"
+        );
+        let served = node
+            .try_blind_rotate_batch(&s.ctx, &s.boot, &test_lwes(2))
+            .expect("honest batch after the refusal");
+        assert_eq!(served.len(), 2);
+        // One Hello in total: the refusal kept the connection.
+        assert_eq!(ledger.control_frames_sent(), 1);
+        node.shutdown();
+    }
+
     #[test]
     fn fault_plan_corrupt_frame_is_protocol_error_then_recovers() {
         let s = setup();

@@ -32,9 +32,10 @@ use std::time::Instant;
 
 use heap_ckks::CkksContext;
 use heap_core::Bootstrapper;
+use heap_math::{Domain, RnsPoly};
 use heap_tfhe::{LweCiphertext, RlweCiphertext};
 
-use crate::node::{NodeError, ServiceNode};
+use crate::node::{AttestedBatch, NodeError, ServiceNode};
 use crate::policy::{
     self, BreakerEvent, BreakerState, RetryPolicy, Role, Settle, Shard, Transition, MAX_ROUNDS,
 };
@@ -122,8 +123,6 @@ struct Round {
 struct Inner {
     /// The regular nodes, then the last-resort slot if one is configured.
     slots: Vec<NodeSlot>,
-    /// How many of `slots` are regular nodes.
-    regular: usize,
     policy: RetryPolicy,
     /// Batch sequence for deterministic jitter seeding (distinct from the
     /// telemetry counter so concurrent batches never share a seed).
@@ -323,30 +322,21 @@ impl Inner {
         let slot = &self.slots[node_idx];
         let shard = &lwes[range];
         let t0 = Instant::now();
-        // A panicking node must not take the whole batch down: treat it
-        // as that attempt failing and let retry/hedging handle it.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            slot.node.try_blind_rotate_attested(ctx, boot, shard)
-        }))
-        .unwrap_or_else(|_| Err(NodeError::Io("node panicked".into())));
-        let elapsed_ns = t0.elapsed().as_nanos() as u64;
+        // A panicking node — or a reply whose validation panics — must not
+        // take the whole batch down: it is that attempt failing, so every
+        // launched attempt reports exactly once and retry/hedging handle it.
+        let attempt = || {
+            let reply = slot.node.try_blind_rotate_attested(ctx, boot, shard);
+            (
+                t0.elapsed(),
+                reply.and_then(|b| check_reply(ctx, shard.len(), b)),
+            )
+        };
+        let (elapsed, result) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(attempt))
+            .unwrap_or_else(|_| (t0.elapsed(), Err(NodeError::Io("node panicked".into()))));
+        let elapsed_ns = elapsed.as_nanos() as u64;
         self.telemetry.shard_round_trip_ns.record(elapsed_ns);
         slot.inflight.fetch_sub(shard.len(), Ordering::Relaxed);
-        let result = result.and_then(|batch| {
-            if batch.accs.len() != shard.len() {
-                return Err(NodeError::Mismatch("short reply"));
-            }
-            // Re-encode what we received and recompute the digest: the
-            // wire encoding is canonical, so this equals digesting the
-            // bytes the node sent — end-to-end, transport-independent.
-            if crate::node::attest_digest(ctx, &batch.accs) != batch.digest {
-                return Err(NodeError::Corrupt {
-                    frame: "accumulators".into(),
-                    phase: "attest",
-                });
-            }
-            Ok(batch)
-        });
         let mut st = lock(&round.state);
         let result = match result {
             Ok(batch) => {
@@ -447,6 +437,37 @@ impl Inner {
     }
 }
 
+/// Validates one reply: one accumulator per LWE, each over `ctx`'s boot
+/// basis in evaluation domain (the re-encoding below asserts all three),
+/// and an attestation digest equal to the re-encoded accumulators'.
+fn check_reply(
+    ctx: &CkksContext,
+    lwes: usize,
+    batch: AttestedBatch,
+) -> Result<AttestedBatch, NodeError> {
+    if batch.accs.len() != lwes {
+        return Err(NodeError::Mismatch("short reply"));
+    }
+    let fits = |p: &RnsPoly| {
+        p.limb_count() == ctx.boot_limbs()
+            && p.limb(0).len() == ctx.n()
+            && p.domain() == Domain::Eval
+    };
+    if !batch.accs.iter().all(|acc| fits(&acc.a) && fits(&acc.b)) {
+        return Err(NodeError::Mismatch("accumulator shape"));
+    }
+    // Re-encode what we received and recompute the digest: the wire
+    // encoding is canonical, so this equals digesting the bytes the node
+    // sent — end-to-end, transport-independent.
+    if crate::node::attest_digest(ctx, &batch.accs) != batch.digest {
+        return Err(NodeError::Corrupt {
+            frame: "accumulators".into(),
+            phase: "attest",
+        });
+    }
+    Ok(batch)
+}
+
 /// Dispatches LWE batches across a fixed set of [`ServiceNode`]s with
 /// circuit breaking, retry, readmission, and graceful degradation.
 pub struct Scheduler {
@@ -493,7 +514,6 @@ impl Scheduler {
             .collect();
         let inner = Arc::new(Inner {
             slots,
-            regular,
             policy,
             batch_seq: AtomicU64::new(0),
             telemetry,
@@ -507,11 +527,6 @@ impl Scheduler {
             inner,
             prober: Mutex::new(prober),
         })
-    }
-
-    /// Total node count (fallback excluded, dispatchable or not).
-    pub fn node_count(&self) -> usize {
-        self.inner.regular
     }
 
     /// Nodes currently dispatchable (breaker Closed or HalfOpen).
@@ -1092,6 +1107,71 @@ mod tests {
         assert!(stats.corruption_audit >= 1, "{stats:?}");
         assert_eq!(stats.quarantines, 2, "{stats:?}");
         assert_eq!(sched.healthy_count(), 0, "both nodes quarantined");
+    }
+
+    /// Replies with one limb instead of the boot basis's, under an honest
+    /// digest over what it sends — a reply the re-encoding cannot take.
+    struct OneLimbNode {
+        inner: LocalServiceNode,
+    }
+
+    impl ServiceNode for OneLimbNode {
+        fn try_blind_rotate_batch(
+            &self,
+            ctx: &CkksContext,
+            boot: &Bootstrapper,
+            lwes: &[LweCiphertext],
+        ) -> Result<Vec<RlweCiphertext>, NodeError> {
+            let first = |p: &RnsPoly| RnsPoly::from_limbs(vec![p.limb(0).to_vec()], Domain::Eval);
+            let accs = self.inner.try_blind_rotate_batch(ctx, boot, lwes)?;
+            Ok(accs
+                .iter()
+                .map(|acc| RlweCiphertext {
+                    a: first(&acc.a),
+                    b: first(&acc.b),
+                })
+                .collect())
+        }
+
+        fn try_blind_rotate_attested(
+            &self,
+            ctx: &CkksContext,
+            boot: &Bootstrapper,
+            lwes: &[LweCiphertext],
+        ) -> Result<AttestedBatch, NodeError> {
+            let accs = self.try_blind_rotate_batch(ctx, boot, lwes)?;
+            let q0 = [ctx.rns().modulus(0).value()];
+            let digest = heap_math::wire::fnv1a(&heap_tfhe::rlwe_batch_to_wire(&accs, &q0));
+            Ok(AttestedBatch { accs, digest })
+        }
+    }
+
+    /// A wrong-shape reply fails its attempt and the shard moves on. Before
+    /// the shape check the re-encoding panicked outside the node guard, the
+    /// shard never settled, and `execute` waited forever — so the batch
+    /// runs under a watchdog, on the default (unhedged) policy.
+    #[test]
+    fn wrong_shape_reply_is_reassigned_not_hung() {
+        let fix = fixture();
+        let nodes: Vec<Box<dyn ServiceNode>> = vec![
+            Box::new(LocalServiceNode::new(0, Parallelism::serial())),
+            Box::new(OneLimbNode {
+                inner: LocalServiceNode::new(1, Parallelism::serial()),
+            }),
+        ];
+        let sched = Arc::new(Scheduler::new(nodes).unwrap());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = Arc::clone(&sched);
+        let batch = std::thread::spawn(move || {
+            let _ = tx.send(worker.execute(&fix.ctx, &fix.boot, &fix.lwes));
+        });
+        let accs = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("execute hung on a wrong-shape reply")
+            .unwrap();
+        batch.join().expect("batch thread");
+        assert_eq!(wire(fix, &accs), serial_reference(fix));
+        assert_eq!(sched.stats().node_failures, 1);
     }
 
     /// Auditing's happy path: two honest nodes compute every shard twice,

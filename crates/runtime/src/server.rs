@@ -22,7 +22,7 @@ use heap_telemetry::{Counter, MetricValue, Registry, Snapshot};
 use heap_tfhe::lwe_batch_from_wire;
 
 use crate::fault::{FaultAction, FaultPlan, FaultState};
-use crate::node::{accumulators_to_wire, check_lwes_fit, NodeError};
+use crate::node::{accumulators_to_wire, lwe_shape, NodeError};
 use crate::proto::{self, FrameError, FrameKind, Shape, FRAME_HEADER_BYTES};
 
 /// How long a server-side `hang` action sleeps when the plan gives no
@@ -416,15 +416,14 @@ impl Conn<'_> {
                 format!("key {key_id:016x} not resident")
             });
         };
-        let lwes = match lwe_batch_from_wire(batch) {
+        // Decoded against the resolved key, so a batch that is not for it
+        // is refused before anything is unpacked; the frame was whole, so
+        // the connection serves on.
+        let (modulus, dim) = lwe_shape(self.ctx, &boot);
+        let lwes = match lwe_batch_from_wire(batch, modulus, dim) {
             Ok(lwes) => lwes,
-            Err(e) => return Err(self.reject(format!("bad LWE batch: {e:?}"))),
+            Err(e) => return self.refuse(&format!("bad LWE batch: {e:?}")),
         };
-        // Well-formed but not for this key: refused like a foreign key
-        // upload, before the rotation's shape asserts can see it.
-        if let Err(why) = check_lwes_fit(self.ctx, &boot, &lwes) {
-            return self.refuse(why);
-        }
         let mut accs = boot.blind_rotate_batch_par(self.ctx, &lwes, state.parallelism);
         if tamper == Tamper::Truncate {
             // The old shape-bug model: the digest covers the truncated

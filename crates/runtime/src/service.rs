@@ -505,14 +505,14 @@ impl BootstrapService {
         }
     }
 
-    /// Queued (not yet dispatched) job count.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// The CKKS context the service was started with.
     pub(crate) fn context(&self) -> &Arc<CkksContext> {
         &self.ctx
+    }
+
+    /// The `(modulus, dimension)` its blind-rotate jobs' LWEs must have.
+    pub(crate) fn lwe_shape(&self) -> (u64, usize) {
+        crate::node::lwe_shape(&self.ctx, &self.boot)
     }
 
     /// The scheduler (node health, names).

@@ -302,9 +302,12 @@ fn handle_submit(
             .ciphertext_from_wire(req.body)
             .map(|ct| JobRequest::Bootstrap { ct })
             .map_err(|e| format!("bad ciphertext: {e:?}")),
-        Some(JobKind::BlindRotate) => lwe_batch_from_wire(req.body)
-            .map(|lwes| JobRequest::BlindRotate { lwes })
-            .map_err(|e| format!("bad LWE batch: {e:?}")),
+        Some(JobKind::BlindRotate) => {
+            let (modulus, dim) = service.lwe_shape();
+            lwe_batch_from_wire(req.body, modulus, dim)
+                .map(|lwes| JobRequest::BlindRotate { lwes })
+                .map_err(|e| format!("bad LWE batch: {e:?}"))
+        }
         None => Err("bad request kind byte".to_string()),
     };
     let request = match decoded {

@@ -16,7 +16,7 @@
 //! mod-`q` arithmetic, `EP(acc, RGSW_triv(1)) = acc` exactly by gadget
 //! recomposition, and the evaluation-domain monomial factors commute with
 //! the pointwise MACs — so outputs are *bit-identical* to the one-product
-//! form, which is retained as [`BlindRotateKey::blind_rotate_reference`]
+//! form, which is retained as the hidden `crate::oracle::blind_rotate_reference`
 //! and asserted against in `tests/kernel_parity.rs`. The constant
 //! coefficient of the result is the lookup `f[phase]` — which is how the
 //! scheme switch evaluates the wrap-removal function during CKKS
@@ -43,8 +43,7 @@ use heap_math::{poly, Domain, RnsContext, RnsPoly};
 
 use crate::lwe::{LweCiphertext, LweSecretKey};
 use crate::rgsw::{
-    copy_into_slot, external_product_core, external_product_reference, ExternalProductScratch,
-    RgswCiphertext, RgswParams,
+    copy_into_slot, external_product_core, ExternalProductScratch, RgswCiphertext, RgswParams,
 };
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
 
@@ -114,21 +113,12 @@ impl MonomialTable {
             *o = q.sub(self.pow_at(a, e), 1);
         }
     }
-
-    /// Writes the evaluation-domain representation of `X^a` into `out`
-    /// (used by the repacking tree's interleaving shifts).
-    pub fn monomial(&self, a: usize, out: &mut [u64]) {
-        debug_assert_eq!(out.len(), self.slot_exp.len());
-        for (o, &e) in out.iter_mut().zip(&self.slot_exp) {
-            *o = self.pow_at(a, e);
-        }
-    }
 }
 
 /// Monomial tables for every limb of a basis prefix.
 #[derive(Debug, Clone)]
 pub struct MonomialEvals {
-    tables: Vec<MonomialTable>,
+    pub(crate) tables: Vec<MonomialTable>,
 }
 
 impl MonomialEvals {
@@ -137,18 +127,6 @@ impl MonomialEvals {
         Self {
             tables: (0..limbs).map(|i| MonomialTable::new(ctx.ntt(i))).collect(),
         }
-    }
-
-    /// Evaluation-domain `X^a - 1`, flat across limbs (limb `j` occupies
-    /// `[j·n, (j+1)·n)`). Only the reference CMux materializes it; the hot
-    /// path fuses the lookup into its accumulator update.
-    pub fn factor(&self, a: usize, ctx: &RnsContext) -> Vec<u64> {
-        let n = ctx.n();
-        let mut out = vec![0; self.tables.len() * n];
-        for (j, t) in self.tables.iter().enumerate() {
-            t.monomial_minus_one(a, ctx.modulus(j), &mut out[j * n..(j + 1) * n]);
-        }
-        out
     }
 
     /// The CMux accumulator update in one pass over the coefficients:
@@ -201,18 +179,6 @@ impl MonomialEvals {
                 }
             }
         }
-    }
-
-    /// Evaluation-domain `X^a` per limb.
-    pub fn monomial(&self, a: usize, ctx: &RnsContext) -> Vec<Vec<u64>> {
-        self.tables
-            .iter()
-            .map(|t| {
-                let mut out = vec![0u64; ctx.n()];
-                t.monomial(a, &mut out);
-                out
-            })
-            .collect()
     }
 
     /// Multiplies an evaluation-domain [`RnsPoly`] by `X^a` in place.
@@ -330,6 +296,12 @@ impl BlindRotateKey {
         self.limbs
     }
 
+    /// The monomial tables of the accumulator basis (the repacking tree
+    /// shifts by them too).
+    pub fn monomials(&self) -> &MonomialEvals {
+        &self.monomials
+    }
+
     /// Runs the blind rotation of `test_poly` by (the negated phase of)
     /// `lwe`, returning an RLWE ciphertext whose constant coefficient
     /// encrypts `lut(phase)` as built by [`test_polynomial_from_fn`].
@@ -370,8 +342,9 @@ impl BlindRotateKey {
     /// `(X^0 − 1)` terms vanish and the accumulator passes through the
     /// exact trivial identity.
     ///
-    /// Returns the accumulators in input order, each bit-identical to
-    /// [`BlindRotateKey::blind_rotate_reference`] of its LWE. The tile's
+    /// Returns the accumulators in input order, each bit-identical to the
+    /// one-product oracle (`crate::oracle::blind_rotate_reference`) of its
+    /// LWE. The tile's
     /// buffers (digit store, `2·len` product outputs) live in `scratch`;
     /// once it is warm for a tile size the per-key loop runs with no heap
     /// allocation (`tests/alloc_free.rs`). Callers size the tile — the
@@ -421,37 +394,10 @@ impl BlindRotateKey {
         accs
     }
 
-    /// Strict-datapath blind rotation: Algorithm 1 exactly as the seed
-    /// implemented it — per step, assemble
-    /// `RGSW(1) + (X^{-a_i}−1)·RGSW(s_i^+) + (X^{a_i}−1)·RGSW(s_i^-)`
-    /// (two RGSW copies, two full-RGSW monomial scalings, two RGSW adds)
-    /// and run **one** external product over the strict reference kernels.
-    ///
-    /// Kept as the oracle for the restructured hot path: the parity suite
-    /// asserts [`BlindRotateKey::blind_rotate_batch_with`] is bit-identical
-    /// to this per member. Allocates freely; not used on any production
-    /// path.
-    pub fn blind_rotate_reference(
-        &self,
-        ctx: &RnsContext,
-        test_poly: &RnsPoly,
-        lwe: &LweCiphertext,
-    ) -> RlweCiphertext {
-        let lwes = std::slice::from_ref(lwe);
-        let mut acc = self
-            .initial_accumulators(ctx, test_poly, lwes, &mut None)
-            .pop()
-            .expect("one accumulator per LWE");
-        for i in 0..lwe.a.len() {
-            self.cmux_step_reference(ctx, lwe.a[i], i, &mut acc);
-        }
-        acc
-    }
-
     /// `ACC = trivial(f · X^{-b})` for every LWE ciphertext; the test
     /// polynomial is brought to coefficient form once (into `test_coeff`)
     /// and every member rotates from that.
-    fn initial_accumulators(
+    pub(crate) fn initial_accumulators(
         &self,
         ctx: &RnsContext,
         test_poly: &RnsPoly,
@@ -474,27 +420,6 @@ impl BlindRotateKey {
                 RlweCiphertext::trivial(ctx, rotated)
             })
             .collect()
-    }
-
-    /// One Algorithm-1 accumulator update in its original one-product
-    /// form: `ACC ⊡ (RGSW(1) + (X^{-a_i}−1)·RGSW(s_i^+) +
-    /// (X^{a_i}−1)·RGSW(s_i^-))` over the strict kernels (the oracle for
-    /// one step of [`Self::blind_rotate_batch_with`]).
-    fn cmux_step_reference(&self, ctx: &RnsContext, a_i: u64, i: usize, acc: &mut RlweCiphertext) {
-        let two_n = 2 * ctx.n();
-        let ai = (a_i % two_n as u64) as usize;
-        if ai == 0 {
-            return;
-        }
-        let neg_exp = two_n - ai;
-        let mut combined = RgswCiphertext::trivial_one(ctx, self.limbs, &self.params);
-        for (source, exp) in [(&self.pos[i], neg_exp), (&self.neg[i], ai)] {
-            let mut term = source.clone();
-            let factor = self.monomials.factor(exp, ctx);
-            term.mul_eval_factor_assign(&factor, ctx);
-            combined.add_assign(&term, ctx);
-        }
-        *acc = external_product_reference(acc, &combined, ctx, &self.params);
     }
 }
 
@@ -692,7 +617,7 @@ mod tests {
             for a in [1, N - 1, N, N + 1, 2 * N - 1] {
                 let mut want = acc.clone();
                 for (term, exp) in [(&pos, 2 * N - a), (&neg, a)] {
-                    let factor = monomials.factor(exp, &c);
+                    let factor = crate::oracle::factor(&monomials, exp, &c);
                     for (out, part) in [(&mut want.a, &term.a), (&mut want.b, &term.b)] {
                         for j in 0..2 {
                             let q = c.modulus(j);

@@ -40,6 +40,8 @@ pub mod extract;
 pub mod gates;
 pub mod key_wire;
 pub mod lwe;
+#[doc(hidden)]
+pub mod oracle;
 pub mod pbs;
 pub mod rgsw;
 pub mod rlwe;
@@ -56,8 +58,8 @@ pub use key_wire::{
 pub use lwe::{LweCiphertext, LweKeySwitchKey, LweSecretKey};
 pub use rgsw::{
     external_product, external_product_into, external_product_pair_into,
-    external_product_pair_prepared_into, external_product_reference, external_product_with,
-    ExternalProductScratch, PreparedRgsw, RgswCiphertext, RgswParams,
+    external_product_pair_prepared_into, external_product_with, ExternalProductScratch,
+    PreparedRgsw, RgswCiphertext, RgswParams,
 };
 pub use rlwe::{RingSecretKey, RlweCiphertext};
 pub use wire::{lwe_batch_from_wire, lwe_batch_to_wire, rlwe_batch_from_wire, rlwe_batch_to_wire};

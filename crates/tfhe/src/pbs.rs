@@ -22,7 +22,7 @@ use heap_math::prime::ntt_primes;
 use heap_math::RnsContext;
 
 use crate::blind_rotate::{test_polynomial_from_fn, BlindRotateKey};
-use crate::extract::{extract_coefficient, extract_constant_rns};
+use crate::extract::extract_constant_rns;
 use crate::lwe::{LweCiphertext, LweKeySwitchKey, LweSecretKey};
 use crate::rgsw::{external_product, RgswCiphertext, RgswParams};
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
@@ -221,16 +221,6 @@ pub fn internal_product(
         .map(|row| external_product(row, a, ctx, params))
         .collect();
     RgswCiphertext { rows_s, rows_1 }
-}
-
-/// Extracts an arbitrary coefficient of a single-limb RLWE ciphertext as a
-/// plain LWE sample (re-exported convenience over [`extract_coefficient`]).
-pub fn extract_index(ctx: &TfheContext, ct: &RlweCiphertext, index: usize) -> LweCiphertext {
-    let mut a = ct.a.clone();
-    let mut b = ct.b.clone();
-    a.to_coeff(ctx.ring());
-    b.to_coeff(ctx.ring());
-    extract_coefficient(a.limb(0), b.limb(0), index, ctx.q())
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 
 use rand::Rng;
 
-use heap_math::{mac_path, poly, Domain, Gadget, MacAcc, RnsContext, RnsPoly, RowPair};
+use heap_math::{mac_path, Domain, Gadget, MacAcc, RnsContext, RnsPoly, RowPair};
 
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
 
@@ -98,30 +98,6 @@ impl RgswCiphertext {
         Self { rows_s, rows_1 }
     }
 
-    /// The noiseless RGSW encryption of 1 (gadget constants in the clear).
-    ///
-    /// Used as the identity term of the paper's Algorithm 1 accumulator
-    /// update.
-    pub fn trivial_one(ctx: &RnsContext, limbs: usize, params: &RgswParams) -> Self {
-        let mut rows_s = Vec::with_capacity(params.rows(limbs));
-        let mut rows_1 = Vec::with_capacity(params.rows(limbs));
-        for i in 0..limbs {
-            let base = 1u64 << params.base_bits;
-            let mi = ctx.modulus(i);
-            let mut bk = 1u64 % mi.value();
-            for _ in 0..params.digits {
-                let mut row_s = RlweCiphertext::zero(ctx, limbs);
-                let mut row_1 = RlweCiphertext::zero(ctx, limbs);
-                add_constant(row_s.a.limb_mut(i), bk, mi.value());
-                add_constant(row_1.b.limb_mut(i), bk, mi.value());
-                rows_s.push(row_s);
-                rows_1.push(row_1);
-                bk = mi.mul(bk, mi.reduce_u64(base));
-            }
-        }
-        Self { rows_s, rows_1 }
-    }
-
     /// Number of gadget rows per ladder.
     pub fn row_count(&self) -> usize {
         self.rows_s.len()
@@ -131,55 +107,6 @@ impl RgswCiphertext {
     /// digits respectively.
     fn ladders(&self) -> [&[RlweCiphertext]; 2] {
         [&self.rows_s, &self.rows_1]
-    }
-
-    /// Overwrites `self` with `other`, reusing row allocations when shapes
-    /// match (falls back to a clone on shape change).
-    pub fn copy_from(&mut self, other: &RgswCiphertext) {
-        if self.rows_s.len() != other.rows_s.len() || self.rows_1.len() != other.rows_1.len() {
-            *self = other.clone();
-            return;
-        }
-        for (dst, src) in self.rows_s.iter_mut().zip(&other.rows_s) {
-            dst.copy_from(src);
-        }
-        for (dst, src) in self.rows_1.iter_mut().zip(&other.rows_1) {
-            dst.copy_from(src);
-        }
-    }
-
-    /// `self += other` row-wise (message addition).
-    pub fn add_assign(&mut self, other: &RgswCiphertext, ctx: &RnsContext) {
-        assert_eq!(self.row_count(), other.row_count());
-        for (s, o) in self.rows_s.iter_mut().zip(&other.rows_s) {
-            s.add_assign(o, ctx);
-        }
-        for (s, o) in self.rows_1.iter_mut().zip(&other.rows_1) {
-            s.add_assign(o, ctx);
-        }
-    }
-
-    /// Multiplies every row by an evaluation-domain polynomial factor
-    /// (flat layout: limb `j` at `factor[j*n..(j+1)*n]`). Used by the
-    /// *reference* CMux to scale whole RGSW matrices — the hot path fuses
-    /// the factors into its accumulator update instead.
-    pub fn mul_eval_factor_assign(&mut self, factor: &[u64], ctx: &RnsContext) {
-        let n = ctx.n();
-        for rows in [&mut self.rows_s, &mut self.rows_1] {
-            for row in rows.iter_mut() {
-                for part in [&mut row.a, &mut row.b] {
-                    let limbs = part.limb_count();
-                    assert!(factor.len() >= limbs * n, "factor too short");
-                    for j in 0..limbs {
-                        let m = ctx.modulus(j);
-                        let f = &factor[j * n..(j + 1) * n];
-                        for (x, &fx) in part.limb_mut(j).iter_mut().zip(f) {
-                            *x = m.mul(*x, fx);
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -198,7 +125,7 @@ impl PreparedRgsw {
     }
 }
 
-fn add_constant(limb: &mut [u64], c: u64, q: u64) {
+pub(crate) fn add_constant(limb: &mut [u64], c: u64, q: u64) {
     // In evaluation domain the constant polynomial is the constant vector.
     for x in limb.iter_mut() {
         let s = *x + c;
@@ -320,7 +247,7 @@ pub fn external_product_with(
 /// than half the gadget base — `f64` lanes from digit to accumulator where
 /// they are exact under every limb, lift + integer NTT + `u128` sums
 /// otherwise; both are exact, so the canonical output is bit-identical to
-/// [`external_product_reference`].
+/// the strict oracle (`crate::oracle::external_product_reference`).
 pub(crate) fn external_product_core<const K: usize>(
     cts: &[RlweCiphertext],
     active: &[usize],
@@ -490,64 +417,6 @@ pub fn external_product_pair_prepared_into(
     );
 }
 
-/// Strict-datapath external product: eager per-digit Barrett MACs
-/// ([`heap_math::NttTable::pointwise_acc`]) over the strict reference NTT
-/// kernels, allocating its buffers per call.
-///
-/// This is the *oracle* the lazy [`external_product_into`] is proven
-/// bit-identical against (`tests/kernel_parity.rs`). Not used on any
-/// production path.
-///
-/// # Panics
-///
-/// Panics on RGSW row count mismatch.
-pub fn external_product_reference(
-    ct: &RlweCiphertext,
-    rgsw: &RgswCiphertext,
-    ctx: &RnsContext,
-    params: &RgswParams,
-) -> RlweCiphertext {
-    let limbs = ct.limbs();
-    assert_eq!(
-        rgsw.row_count(),
-        params.rows(limbs),
-        "RGSW row count mismatch"
-    );
-    let gadgets = params.gadgets(ctx, limbs);
-    let n = ctx.n();
-    let mut a_coeff = ct.a.clone();
-    let mut b_coeff = ct.b.clone();
-    for part in [&mut a_coeff, &mut b_coeff] {
-        if part.domain() == Domain::Eval {
-            for j in 0..limbs {
-                ctx.ntt(j).inverse_reference(part.limb_mut(j));
-            }
-            part.set_domain(Domain::Coeff);
-        }
-    }
-    let mut out = RlweCiphertext::zero(ctx, limbs);
-    let mut digit_signed = vec![vec![0i64; n]; params.digits];
-    let mut spread = vec![0u64; n];
-
-    for (part_coeff, rows) in [(&a_coeff, &rgsw.rows_s), (&b_coeff, &rgsw.rows_1)] {
-        for i in 0..limbs {
-            gadgets[i].decompose_slice_signed_into(part_coeff.limb(i), &mut digit_signed);
-            for (k, digits) in digit_signed.iter().enumerate() {
-                let row = &rows[i * params.digits + k];
-                for j in 0..limbs {
-                    let m = ctx.modulus(j);
-                    let ntt = ctx.ntt(j);
-                    poly::from_signed_into(digits, m, &mut spread);
-                    ntt.forward_reference(&mut spread);
-                    ntt.pointwise_acc(&spread, row.a.limb(j), out.a.limb_mut(j));
-                    ntt.pointwise_acc(&spread, row.b.limb(j), out.b.limb_mut(j));
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,7 +483,7 @@ mod tests {
         let msg: Vec<i64> = (0..128).map(|i| (i as i64 - 64) * 50_000).collect();
         let ct = RlweCiphertext::encrypt(&c, &sk, &RnsPoly::from_signed(&c, &msg, 2), &mut rng);
         let base_phase = ct.phase(&c, &sk).to_centered_f64(&c);
-        let one = RgswCiphertext::trivial_one(&c, 2, &p);
+        let one = crate::oracle::trivial_one(&c, 2, &p);
         let out = external_product(&ct, &one, &c, &p);
         let got = out.phase(&c, &sk).to_centered_f64(&c);
         // Only decomposition rounding, no encryption noise.

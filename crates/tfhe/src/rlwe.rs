@@ -133,13 +133,6 @@ impl RlweCiphertext {
         self.a.limb_count()
     }
 
-    /// Overwrites `self` with `other`, reusing both component allocations
-    /// when shapes match (see [`RnsPoly::copy_from`]).
-    pub fn copy_from(&mut self, other: &RlweCiphertext) {
-        self.a.copy_from(&other.a);
-        self.b.copy_from(&other.b);
-    }
-
     /// `self += other`.
     pub fn add_assign(&mut self, other: &RlweCiphertext, ctx: &RnsContext) {
         self.a.add_assign(&other.a, ctx);

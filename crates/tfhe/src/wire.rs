@@ -50,15 +50,13 @@ impl LweCiphertext {
     /// Returns a [`WireError`] on truncation or corrupted fields.
     pub fn from_wire(buf: &[u8]) -> Result<Self, WireError> {
         let mut r = WireReader::new(buf);
-        Self::read_wire(&mut r)
+        Self::read_wire(&mut r, None)
     }
 
-    /// Reads one ciphertext from an open reader (batch encodings).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on truncation or corrupted fields.
-    pub fn read_wire(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    /// Reads one ciphertext from an open reader. With `shape`, a header
+    /// whose `(modulus, dimension)` differs is refused before any residue
+    /// is unpacked.
+    fn read_wire(r: &mut WireReader<'_>, shape: Option<(u64, usize)>) -> Result<Self, WireError> {
         if r.get_u32()? != LWE_MAGIC {
             return Err(WireError::Corrupt("LWE magic"));
         }
@@ -69,6 +67,14 @@ impl LweCiphertext {
         let dim = r.get_u32()? as usize;
         if dim > 1 << 24 {
             return Err(WireError::Corrupt("LWE dimension"));
+        }
+        if let Some((want_modulus, want_dim)) = shape {
+            if modulus != want_modulus {
+                return Err(WireError::Corrupt("LWE modulus must be 2N"));
+            }
+            if dim != want_dim {
+                return Err(WireError::Corrupt("LWE dimension must be n_t"));
+            }
         }
         let mut all = r.get_residues(dim + 1, modulus, "LWE element out of range")?;
         let b = all.pop().expect("dim + 1 elements");
@@ -91,13 +97,23 @@ pub fn lwe_batch_to_wire(lwes: &[LweCiphertext]) -> Vec<u8> {
     })
 }
 
-/// Deserializes a batch written by [`lwe_batch_to_wire`].
+/// Deserializes a batch written by [`lwe_batch_to_wire`] for the key it
+/// will be rotated under: every member must be at `modulus` (the key's
+/// `2N`) with mask dimension `dim` (its `n_t`). A member header that
+/// differs is refused before its residues are unpacked, so a batch makes
+/// the decoder allocate no more than the key's own packing width implies
+/// (a modulus-2 header would otherwise unpack each 1-bit value into a
+/// `u64`).
 ///
 /// # Errors
 ///
-/// Returns a [`WireError`] on truncation, a bad magic/count, or any
-/// corrupted element.
-pub fn lwe_batch_from_wire(buf: &[u8]) -> Result<Vec<LweCiphertext>, WireError> {
+/// Returns a [`WireError`] on truncation, a bad magic/count, a member that
+/// does not fit the key, or any corrupted element.
+pub fn lwe_batch_from_wire(
+    buf: &[u8],
+    modulus: u64,
+    dim: usize,
+) -> Result<Vec<LweCiphertext>, WireError> {
     let mut r = WireReader::new(buf);
     if r.get_u32()? != LWE_BATCH_MAGIC {
         return Err(WireError::Corrupt("LWE batch magic"));
@@ -108,7 +124,7 @@ pub fn lwe_batch_from_wire(buf: &[u8]) -> Result<Vec<LweCiphertext>, WireError> 
     }
     let mut out = Vec::with_capacity(count.min(4096));
     for _ in 0..count {
-        out.push(LweCiphertext::read_wire(&mut r)?);
+        out.push(LweCiphertext::read_wire(&mut r, Some((modulus, dim)))?);
     }
     Ok(out)
 }
@@ -330,11 +346,20 @@ mod tests {
         let bytes = lwe_batch_to_wire(&lwes);
         let members: usize = lwes.iter().map(LweCiphertext::wire_size).sum();
         assert_eq!(bytes.len(), 8 + members);
-        let back = lwe_batch_from_wire(&bytes).unwrap();
+        let back = lwe_batch_from_wire(&bytes, q, 24).unwrap();
         assert_eq!(back, lwes);
+        // A member that does not fit the key is refused by its header.
+        assert_eq!(
+            lwe_batch_from_wire(&bytes, q, 23),
+            Err(WireError::Corrupt("LWE dimension must be n_t"))
+        );
+        assert_eq!(
+            lwe_batch_from_wire(&bytes, 2, 24),
+            Err(WireError::Corrupt("LWE modulus must be 2N"))
+        );
         // Empty batches are legal (a node with no work assigned).
         assert_eq!(
-            lwe_batch_from_wire(&lwe_batch_to_wire(&[])).unwrap(),
+            lwe_batch_from_wire(&lwe_batch_to_wire(&[]), q, 24).unwrap(),
             Vec::<LweCiphertext>::new()
         );
     }
@@ -361,7 +386,7 @@ mod tests {
         w.put_u32(0x4C42_5431);
         w.put_u32(u32::MAX);
         assert_eq!(
-            lwe_batch_from_wire(&w.into_bytes()),
+            lwe_batch_from_wire(&w.into_bytes(), 512, 4),
             Err(WireError::Corrupt("LWE batch count"))
         );
     }

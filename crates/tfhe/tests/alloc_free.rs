@@ -14,9 +14,6 @@
 //! Counting is per thread, so the two tests — and the harness printing
 //! their results — cannot taint each other's windows.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use heap_math::prime::ntt_primes;
 use heap_math::{RnsContext, RnsPoly};
 use heap_tfhe::{
@@ -27,53 +24,9 @@ use heap_tfhe::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-struct CountingAlloc;
-
-thread_local! {
-    // `const` cells of `Copy` data: no lazy initializer and no destructor,
-    // so the allocator can read them without allocating.
-    static TRACK: Cell<bool> = const { Cell::new(false) };
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-}
-
-fn track(allocs: u64, live: i64) {
-    if TRACK.get() {
-        ALLOCS.set(ALLOCS.get() + allocs);
-        LIVE.set(LIVE.get() + live);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        track(1, layout.size() as i64);
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        track(1, new_size as i64 - layout.size() as i64);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        track(0, -(layout.size() as i64));
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Runs `f` with this thread's counters zeroed and tracking on; returns
-/// its value with `(allocations, live bytes it left behind)`.
-fn tracked<T>(f: impl FnOnce() -> T) -> (T, u64, i64) {
-    ALLOCS.set(0);
-    LIVE.set(0);
-    TRACK.set(true);
-    let out = f();
-    TRACK.set(false);
-    (out, ALLOCS.get(), LIVE.get())
-}
+#[path = "../../../tests/support/tracking_alloc.rs"]
+mod tracking_alloc;
+use tracking_alloc::tracked;
 
 #[test]
 fn external_product_into_is_allocation_free_when_warm() {
@@ -93,14 +46,15 @@ fn external_product_into_is_allocation_free_when_warm() {
     // Warm-up: fills scratch buffers (the only calls allowed to allocate).
     external_product_into(&ct, &rgsw, &ctx, &params, &mut scratch, &mut out);
 
-    let ((), count, _) = tracked(|| {
+    let ((), counts) = tracked(|| {
         for _ in 0..8 {
             external_product_into(&ct, &rgsw, &ctx, &params, &mut scratch, &mut out);
         }
     });
     assert_eq!(
-        count, 0,
-        "external_product_into allocated {count} times after warm-up"
+        counts.allocs, 0,
+        "external_product_into allocated {} times after warm-up",
+        counts.allocs
     );
 
     // The key-major tile rotation: per key index, one paired external
@@ -130,10 +84,10 @@ fn external_product_into_is_allocation_free_when_warm() {
             .collect();
         heap_math::simd::force_scalar(scalar);
         brk.blind_rotate_batch_with(&ctx, &f, &lwes, &mut tile_scratch);
-        let (_out, count, _) =
+        let (_out, counts) =
             tracked(|| brk.blind_rotate_batch_with(&ctx, &f, &lwes, &mut tile_scratch));
         heap_math::simd::force_scalar(false);
-        count
+        counts.allocs
     };
     for scalar in [true, false] {
         let (short, long) = (rotation_allocs(2, scalar), rotation_allocs(8, scalar));
@@ -158,8 +112,9 @@ fn blind_rotate_key_is_stored_once() {
     let mut rng = StdRng::seed_from_u64(7);
     let sk = RingSecretKey::generate(&ctx, LIMBS, &mut rng);
     let lwe_sk = LweSecretKey::generate(&mut rng, N_T);
-    let (_brk, _, live) =
+    let (_brk, counts) =
         tracked(|| BlindRotateKey::generate(&ctx, &lwe_sk, &sk, LIMBS, params, &mut rng));
+    let live = counts.live;
     let rows = 2 * N_T * 2 * params.rows(LIMBS) * 2 * LIMBS * N * 8;
     assert!(live >= rows as i64, "{live} B live under {rows} B of rows");
     assert!(

@@ -4,10 +4,10 @@
 //! The lazy-reduction NTT, the `u128`-MAC external product, and the
 //! restructured CMux are *exact* rewrites — same canonical output, not
 //! just the same phase up to noise. This suite pins that claim on random
-//! inputs: lazy external products vs [`external_product_reference`], and
+//! inputs: lazy external products vs `oracle::external_product_reference`, and
 //! the key-major tile rotation ([`BlindRotateKey::blind_rotate_batch_with`],
 //! of which [`BlindRotateKey::blind_rotate`] is the batch of one) vs
-//! [`BlindRotateKey::blind_rotate_reference`], including the `a_i = 0`
+//! `oracle::blind_rotate_reference`, including the `a_i = 0`
 //! skip and `a_i = N` negacyclic-wrap edges. The gate tests pin which
 //! datapath ([`heap_math::mac_path`]) a shape lands on: narrow exactly
 //! where the vector kernel applies, wide for every 60-bit shape and under
@@ -19,11 +19,11 @@ use heap_math::prime::ntt_primes;
 use heap_math::simd::{self, Backend};
 use heap_math::{mac_path, MacAcc, MacPath, RnsContext, RnsPoly};
 use heap_tfhe::lwe::LweSecretKey;
+use heap_tfhe::oracle::{blind_rotate_reference, external_product_reference};
 use heap_tfhe::rlwe::{RingSecretKey, RlweCiphertext};
 use heap_tfhe::{
-    external_product, external_product_reference, external_product_with, test_polynomial_from_fn,
-    BlindRotateKey, BlindRotateScratch, ExternalProductScratch, LweCiphertext, RgswCiphertext,
-    RgswParams,
+    external_product, external_product_with, test_polynomial_from_fn, BlindRotateKey,
+    BlindRotateScratch, ExternalProductScratch, LweCiphertext, RgswCiphertext, RgswParams,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -155,7 +155,7 @@ fn narrow_chain_survives_backend_flip() {
     let mut want = [vec![0u64; N], vec![0u64; N]];
     for (digit, ops_a, ops_b) in &terms {
         let mut x = digit.clone();
-        t.forward_reference(&mut x);
+        heap_math::oracle::forward_reference(t, &mut x);
         t.pointwise_acc(&x, ops_a, &mut want[0]);
         t.pointwise_acc(&x, ops_b, &mut want[1]);
     }
@@ -231,7 +231,7 @@ proptest! {
         };
         let lwe = LweCiphertext { a, b: rng.gen_range(0..two_n), modulus: two_n };
         let hot = brk.blind_rotate(&c, &f, &lwe);
-        let oracle = brk.blind_rotate_reference(&c, &f, &lwe);
+        let oracle = blind_rotate_reference(&brk, &c, &f, &lwe);
         assert_bit_identical(&hot, &oracle, "blind_rotate");
     }
 
@@ -266,7 +266,7 @@ proptest! {
             })
             .collect();
         let oracle: Vec<RlweCiphertext> =
-            lwes.iter().map(|l| brk.blind_rotate_reference(&c, &f, l)).collect();
+            lwes.iter().map(|l| blind_rotate_reference(&brk, &c, &f, l)).collect();
         // One scratch throughout: tiles of different sizes and both MAC
         // paths reuse it without leaking state.
         let mut scratch = BlindRotateScratch::default();
@@ -350,7 +350,7 @@ fn paper_ring_matches_reference() {
     let product_oracle = external_product_reference(&ct, &rgsw, &c, &p);
     let rotation_oracles: Vec<RlweCiphertext> = lwes
         .iter()
-        .map(|lwe| brk.blind_rotate_reference(&c, &f, lwe))
+        .map(|lwe| blind_rotate_reference(&brk, &c, &f, lwe))
         .collect();
 
     let check = |backend: &str| {

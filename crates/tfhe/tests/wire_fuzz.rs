@@ -5,12 +5,14 @@
 //! [`WireError`], never a panic or runaway allocation. Each property
 //! feeds (a) every random strict prefix of a valid encoding — which must
 //! decode to `Err` — and (b) randomly corrupted copies and pure-noise
-//! buffers — which must return *something* without panicking.
+//! buffers — which must return *something* without panicking. The binary
+//! counts allocations, because a well-formed header can still announce
+//! far more than its bytes carry.
 
 use std::sync::OnceLock;
 
 use heap_math::prime::ntt_primes;
-use heap_math::wire::WireError;
+use heap_math::wire::{WireError, WireWriter};
 use heap_math::{RnsContext, RnsPoly};
 use heap_tfhe::{
     lwe_batch_from_wire, lwe_batch_to_wire, rlwe_batch_from_wire, rlwe_batch_to_wire,
@@ -20,8 +22,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+#[path = "../../../tests/support/tracking_alloc.rs"]
+mod tracking_alloc;
+use tracking_alloc::tracked;
+
 /// Valid encodings built once; properties slice and mutate copies.
 struct Fixtures {
+    /// The `(modulus, dimension)` the LWE batch is decoded against.
+    lwe_shape: (u64, usize),
     lwe: Vec<u8>,
     rlwe: Vec<u8>,
     lwe_batch: Vec<u8>,
@@ -46,6 +54,7 @@ fn fixtures() -> &'static Fixtures {
             .map(|_| RlweCiphertext::encrypt(&ctx, &ring_sk, &msg, &mut rng))
             .collect();
         Fixtures {
+            lwe_shape: (q.value(), 24),
             lwe: lwes[0].to_wire(),
             rlwe: accs[0].to_wire(&primes),
             lwe_batch: lwe_batch_to_wire(&lwes),
@@ -59,7 +68,10 @@ fn decode(kind: usize, buf: &[u8]) -> Result<(), WireError> {
     match kind {
         0 => LweCiphertext::from_wire(buf).map(|_| ()),
         1 => RlweCiphertext::from_wire(buf).map(|_| ()),
-        2 => lwe_batch_from_wire(buf).map(|_| ()),
+        2 => {
+            let (modulus, dim) = fixtures().lwe_shape;
+            lwe_batch_from_wire(buf, modulus, dim).map(|_| ())
+        }
         _ => rlwe_batch_from_wire(buf).map(|_| ()),
     }
 }
@@ -72,6 +84,37 @@ fn valid(kind: usize) -> &'static [u8] {
         2 => &f.lwe_batch,
         _ => &f.rlwe_batch,
     }
+}
+
+/// A 1 MiB `LBT1` batch of one modulus-2 LWE: 8 Mi one-bit residues,
+/// 64 MiB once unpacked into `u64`s.
+fn modulus_two_batch() -> Vec<u8> {
+    let bytes = 1 << 20;
+    let mut w = WireWriter::new();
+    w.put_u32(0x4C42_5431); // "LBT1"
+    w.put_u32(1);
+    w.put_u32(0x4C57_4531); // "LWE1"
+    w.put_u64(2);
+    w.put_u32(8 * bytes - 1);
+    let mut batch = w.into_bytes();
+    batch.resize(batch.len() + bytes as usize, 0);
+    batch
+}
+
+/// Decoded for a key, the batch is refused by its header before anything
+/// is unpacked: the decoder asks for at most twice the payload.
+#[test]
+fn modulus_two_batch_is_refused_before_unpacking() {
+    let batch = modulus_two_batch();
+    let (modulus, dim) = fixtures().lwe_shape;
+    let (result, asked) = tracked(|| lwe_batch_from_wire(&batch, modulus, dim).map(|_| ()));
+    assert_eq!(result, Err(WireError::Corrupt("LWE modulus must be 2N")));
+    assert!(
+        asked.requested <= 2 * batch.len(),
+        "{} bytes requested to refuse a {}-byte batch",
+        asked.requested,
+        batch.len()
+    );
 }
 
 proptest! {
