@@ -48,7 +48,7 @@ pub enum MacPath {
 /// `input_bound + log2(n)·q ≤ 2^50` (every product input stays an exact
 /// `f64` integer through the signed-lazy transform) and `terms·q ≤ 2^52`
 /// (so does the sum). Anything else takes the wide path. Evaluated per
-/// call, so it follows `simd::force_scalar` flipped on a live key.
+/// call, so it follows [`simd::force_scalar`] flipped on a live key.
 pub fn mac_path<'a>(
     tables: impl IntoIterator<Item = &'a NttTable>,
     terms: usize,
@@ -135,7 +135,7 @@ impl MacAcc {
     /// reduction of the sums. Rows must be canonical residues; `digit` must
     /// respect the `input_bound` the path was chosen for.
     ///
-    /// A narrow chain stays exact if `simd::force_scalar` flips between
+    /// A narrow chain stays exact if [`simd::force_scalar`] flips between
     /// two of its calls: the scalar loop behind the vector kernel adds
     /// terms of the same residue classes, below `q` like the kernel's.
     ///

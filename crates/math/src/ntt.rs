@@ -473,7 +473,7 @@ mod tests {
 
     #[test]
     fn lazy_kernels_match_strict() {
-        for log_n in [2u32, 3, 6, 9] {
+        for log_n in [2u32, 3, 4, 6, 9] {
             let t = table(log_n);
             let n = t.n();
             let q = t.modulus().value();

@@ -40,7 +40,7 @@
 //!
 //! Dispatch can be overridden for testing and benchmarking: set the
 //! `HEAP_SIMD` environment variable to `scalar` (or `off`/`0`) before first
-//! use, or call `force_scalar` at runtime.
+//! use, or call [`force_scalar`] at runtime.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -124,10 +124,8 @@ pub fn active() -> Backend {
 
 /// Forces the scalar fallback on (`true`) or re-runs detection (`false`).
 ///
-/// A switch for the parity tests that exercise both datapaths in one
-/// process (hidden from the docs with the oracles). Takes effect for all
-/// subsequent kernel calls.
-#[doc(hidden)]
+/// Intended for parity tests and benchmarks that need to exercise both
+/// datapaths in one process. Takes effect for all subsequent kernel calls.
 pub fn force_scalar(on: bool) {
     let b = if on { Backend::Scalar } else { detect() };
     BACKEND.store(b as u8, Ordering::Relaxed);

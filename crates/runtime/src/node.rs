@@ -117,22 +117,15 @@ pub(crate) fn lwe_shape(ctx: &CkksContext, boot: &Bootstrapper) -> (u64, usize) 
 
 /// Whether in-process `lwes` fit `boot`'s key ([`lwe_shape`]), so the
 /// service door refuses a misfit before the rotation's shape asserts can
-/// see it. Its messages are the `LBT1` decoder's.
+/// see it. The rule and its messages are the `LBT1` decoder's.
 pub(crate) fn check_lwes_fit(
     ctx: &CkksContext,
     boot: &Bootstrapper,
     lwes: &[LweCiphertext],
 ) -> Result<(), &'static str> {
-    let (modulus, dim) = lwe_shape(ctx, boot);
-    for lwe in lwes {
-        if lwe.modulus != modulus {
-            return Err("LWE modulus must be 2N");
-        }
-        if lwe.dim() != dim {
-            return Err("LWE dimension must be n_t");
-        }
-    }
-    Ok(())
+    let want = lwe_shape(ctx, boot);
+    lwes.iter()
+        .try_for_each(|lwe| LweCiphertext::check_shape(lwe.modulus, lwe.dim(), want))
 }
 
 /// A compute node the scheduler can dispatch to, with failure reporting.

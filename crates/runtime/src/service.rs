@@ -948,7 +948,7 @@ mod tests {
                 Priority::Normal
             )
             .err(),
-            Some(RuntimeError::Invalid("LWE modulus must be 2N"))
+            Some(RuntimeError::Invalid("LWE modulus does not match the key"))
         );
         // A wrong dimension would trip the rotation's assert and fail
         // every job coalesced into the same batch; it is refused here.
@@ -960,7 +960,9 @@ mod tests {
                 Priority::Normal
             )
             .err(),
-            Some(RuntimeError::Invalid("LWE dimension must be n_t"))
+            Some(RuntimeError::Invalid(
+                "LWE dimension does not match the key"
+            ))
         );
         assert_eq!(svc.stats().submitted, 0);
     }

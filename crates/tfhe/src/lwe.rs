@@ -33,6 +33,20 @@ impl LweCiphertext {
         self.a.len()
     }
 
+    /// Checks a sample's `(modulus, dimension)` against `want`, the shape
+    /// of the key it is for, naming the first field that differs. The
+    /// batch decoder runs it on each member header before unpacking, and
+    /// in-process callers on samples they were handed.
+    pub fn check_shape(modulus: u64, dim: usize, want: (u64, usize)) -> Result<(), &'static str> {
+        if modulus != want.0 {
+            return Err("LWE modulus does not match the key");
+        }
+        if dim != want.1 {
+            return Err("LWE dimension does not match the key");
+        }
+        Ok(())
+    }
+
     /// The trivial (noiseless, keyless) encryption of `m`.
     pub fn trivial(m: u64, dim: usize, modulus: u64) -> Self {
         Self {

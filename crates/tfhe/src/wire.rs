@@ -68,13 +68,8 @@ impl LweCiphertext {
         if dim > 1 << 24 {
             return Err(WireError::Corrupt("LWE dimension"));
         }
-        if let Some((want_modulus, want_dim)) = shape {
-            if modulus != want_modulus {
-                return Err(WireError::Corrupt("LWE modulus must be 2N"));
-            }
-            if dim != want_dim {
-                return Err(WireError::Corrupt("LWE dimension must be n_t"));
-            }
+        if let Some(want) = shape {
+            Self::check_shape(modulus, dim, want).map_err(WireError::Corrupt)?;
         }
         let mut all = r.get_residues(dim + 1, modulus, "LWE element out of range")?;
         let b = all.pop().expect("dim + 1 elements");
@@ -351,11 +346,11 @@ mod tests {
         // A member that does not fit the key is refused by its header.
         assert_eq!(
             lwe_batch_from_wire(&bytes, q, 23),
-            Err(WireError::Corrupt("LWE dimension must be n_t"))
+            Err(WireError::Corrupt("LWE dimension does not match the key"))
         );
         assert_eq!(
             lwe_batch_from_wire(&bytes, 2, 24),
-            Err(WireError::Corrupt("LWE modulus must be 2N"))
+            Err(WireError::Corrupt("LWE modulus does not match the key"))
         );
         // Empty batches are legal (a node with no work assigned).
         assert_eq!(

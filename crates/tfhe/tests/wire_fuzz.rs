@@ -108,7 +108,10 @@ fn modulus_two_batch_is_refused_before_unpacking() {
     let batch = modulus_two_batch();
     let (modulus, dim) = fixtures().lwe_shape;
     let (result, asked) = tracked(|| lwe_batch_from_wire(&batch, modulus, dim).map(|_| ()));
-    assert_eq!(result, Err(WireError::Corrupt("LWE modulus must be 2N")));
+    assert_eq!(
+        result,
+        Err(WireError::Corrupt("LWE modulus does not match the key"))
+    );
     assert!(
         asked.requested <= 2 * batch.len(),
         "{} bytes requested to refuse a {}-byte batch",
