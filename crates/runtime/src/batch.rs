@@ -1,26 +1,40 @@
 //! Dynamic batching: coalesce queued jobs into one LWE mega-batch.
 //!
-//! Blind-rotation throughput on a node is batch-size-friendly (the batch
-//! amortizes thread spawn and keeps every worker busy), but a client's
-//! latency budget caps how long the service may hold its job waiting for
-//! co-travellers. [`BatchPolicy`] expresses the trade: a batch flushes as
-//! soon as it holds [`BatchPolicy::max_lwes`] blind rotations *or* its
-//! oldest job has waited [`BatchPolicy::max_delay`], whichever comes
-//! first. A single job bigger than `max_lwes` (a fully-packed bootstrap
-//! contributes `N` rotations) always flushes alone rather than starving.
+//! Jobs that share a mega-batch share one scatter/gather round trip, but
+//! waiting for co-travellers pays only while the rotate stage is busy: a
+//! batch held back from a stage that could start it now just adds the hold
+//! to every job in it. So the batcher is work-conserving. A batch flushes
+//! at the earliest of three events:
+//!
+//! - it holds [`BatchPolicy::max_lwes`] blind rotations;
+//! - the rotate stage can start it now: fewer batches sit between the
+//!   batcher's flush and the end of their rotation (the queue's count of
+//!   live `RotateClaim`s) than there are rotate workers;
+//! - its oldest job has waited [`BatchPolicy::max_delay`].
+//!
+//! A batch that opens on an idle rotate stage takes what is already
+//! queued and goes. While every worker is busy it keeps collecting, and a
+//! worker that frees wakes it through the queue's condvar, so no batch
+//! flushes later than it would on the timer alone. A single job bigger
+//! than `max_lwes` (a fully-packed bootstrap contributes `N` rotations)
+//! always flushes alone rather than starving. Batching only decides which
+//! jobs share a mega-batch, so it never changes a job's output.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::job::PendingJob;
-use crate::queue::{Popped, SubmissionQueue};
+use crate::queue::{Popped, RotateClaim, SubmissionQueue};
 use crate::telemetry::BatcherTelemetry;
 
-/// When to flush a forming batch.
+/// When to flush a forming batch. The third flush event, a free rotate
+/// worker, needs no setting: the pipeline's shape decides it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Flush once the batch holds this many blind rotations.
     pub max_lwes: usize,
-    /// Flush once the oldest job in the batch has waited this long.
+    /// The longest a batch waits for co-travellers while rotation is
+    /// busy, counted from its oldest job's submission.
     pub max_delay: Duration,
 }
 
@@ -34,8 +48,7 @@ impl Default for BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// Flush immediately: every job becomes its own batch. Useful for
-    /// latency measurements and deterministic tests.
+    /// One job per batch, for deterministic batch boundaries.
     pub fn immediate() -> Self {
         Self {
             max_lwes: 1,
@@ -44,19 +57,26 @@ impl BatchPolicy {
     }
 }
 
-/// Blocks for the next batch: the first job opens the batch and starts
-/// the delay clock; further jobs join until the policy says flush.
-/// Returns `None` once the queue is closed and drained.
+/// A flushed batch: its jobs, and the claim on the rotate stage that
+/// travels with them until their rotation ends.
+pub(crate) struct Batch {
+    pub jobs: Vec<PendingJob>,
+    pub claim: RotateClaim,
+}
+
+/// Blocks for the next batch: the first job opens it, further jobs join
+/// until one of the three flush events. Returns `None` once the queue is
+/// closed and drained.
 ///
 /// Admission is peek-based: a queued job whose cost would push the batch
 /// past `max_lwes` stays queued for the next batch instead of being
 /// admitted and overshooting the cap (only the batch-opening job may
 /// exceed it — that is the "oversized job flushes alone" rule).
 pub(crate) fn collect_batch(
-    queue: &SubmissionQueue,
+    queue: &Arc<SubmissionQueue>,
     policy: &BatchPolicy,
     telemetry: Option<&BatcherTelemetry>,
-) -> Option<Vec<PendingJob>> {
+) -> Option<Batch> {
     let first = queue.pop_wait()?;
     let opened = Instant::now();
     // The delay clock starts at the first job's *enqueue* time, not at
@@ -65,27 +85,31 @@ pub(crate) fn collect_batch(
     // wait another full `max_delay` for co-travellers.
     let deadline = first.state.submitted_at() + policy.max_delay;
     let mut cost = first.cost;
-    let mut batch = vec![first];
+    let mut jobs = vec![first];
     while cost < policy.max_lwes {
         match queue.pop_deadline_within(deadline, policy.max_lwes - cost) {
             Popped::Job(job) => {
                 cost += job.cost;
-                batch.push(job);
+                jobs.push(job);
             }
             // Oversized: the queue head cannot fit; flush now, it opens
-            // the next batch. Closed still flushes what we have; the
+            // the next batch. Idle: a rotate worker is free and nothing
+            // else is queued. Closed still flushes what we have; the
             // *next* call returns `None` and ends the dispatcher.
-            Popped::Oversized | Popped::TimedOut | Popped::Closed => break,
+            Popped::Oversized | Popped::Idle | Popped::TimedOut | Popped::Closed => break,
         }
     }
     if let Some(t) = telemetry {
-        for job in &batch {
+        for job in &jobs {
             t.queue_wait_ns.record_duration(job.state.queue_age());
         }
         t.batch_linger_ns.record_duration(opened.elapsed());
         t.batch_size_lwes.record(cost as u64);
     }
-    Some(batch)
+    Some(Batch {
+        jobs,
+        claim: queue.claim_rotation(),
+    })
 }
 
 #[cfg(test)]
@@ -107,9 +131,17 @@ mod tests {
         }
     }
 
+    fn queue() -> Arc<SubmissionQueue> {
+        Arc::new(SubmissionQueue::new(16))
+    }
+
+    fn ids(batch: &Batch) -> Vec<u64> {
+        batch.jobs.iter().map(|j| j.id.0).collect()
+    }
+
     #[test]
     fn flushes_on_size() {
-        let q = SubmissionQueue::new(16);
+        let q = queue();
         for i in 0..5 {
             q.submit(job(i, 2)).unwrap();
         }
@@ -119,13 +151,45 @@ mod tests {
         };
         let batch = collect_batch(&q, &policy, None).unwrap();
         // 2 + 2 + 2 = 6 reaches the threshold; the rest stay queued.
-        assert_eq!(batch.len(), 3);
+        assert_eq!(batch.jobs.len(), 3);
         assert_eq!(q.len(), 2);
     }
 
     #[test]
-    fn flushes_on_deadline_with_partial_batch() {
-        let q = SubmissionQueue::new(16);
+    fn idle_rotation_flushes_at_once_with_what_is_queued() {
+        let q = queue();
+        let policy = BatchPolicy {
+            max_lwes: 3,
+            max_delay: Duration::from_secs(10),
+        };
+        for i in 0..2 {
+            q.submit(job(i, 1)).unwrap();
+        }
+        let start = Instant::now();
+        let batch = collect_batch(&q, &policy, None).unwrap();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            start.elapsed()
+        );
+        assert_eq!(
+            ids(&batch),
+            [0, 1],
+            "takes what is queued, short of the cap"
+        );
+        drop(batch);
+        for i in 2..7 {
+            q.submit(job(i, 1)).unwrap();
+        }
+        let batch = collect_batch(&q, &policy, None).unwrap();
+        assert_eq!(ids(&batch), [2, 3, 4], "but never past it");
+        assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn busy_throughout_waits_for_max_delay() {
+        let q = queue();
+        let _busy = q.claim_rotation();
         q.submit(job(0, 1)).unwrap();
         let policy = BatchPolicy {
             max_lwes: 1000,
@@ -133,8 +197,40 @@ mod tests {
         };
         let start = Instant::now();
         let batch = collect_batch(&q, &policy, None).unwrap();
-        assert_eq!(batch.len(), 1);
+        assert_eq!(batch.jobs.len(), 1);
         assert!(start.elapsed() >= Duration::from_millis(10));
+    }
+
+    #[test]
+    fn busy_then_idle_flushes_at_the_wake_with_its_co_travellers() {
+        let q = queue();
+        let busy = q.claim_rotation();
+        q.submit(job(0, 1)).unwrap();
+        let policy = BatchPolicy {
+            max_lwes: 1000,
+            max_delay: Duration::from_secs(10),
+        };
+        let helper = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(50));
+                q.submit(job(1, 1)).unwrap();
+                std::thread::sleep(Duration::from_millis(50));
+                let released = Instant::now();
+                drop(busy);
+                released
+            })
+        };
+        let batch = collect_batch(&q, &policy, None).unwrap();
+        let flushed = Instant::now();
+        let released = helper.join().unwrap();
+        assert_eq!(ids(&batch), [0, 1], "a job that arrived while busy joins");
+        assert!(flushed >= released, "flushed before the rotation ended");
+        assert!(
+            flushed - released < Duration::from_millis(50),
+            "flushed {:?} after the wake",
+            flushed - released
+        );
     }
 
     #[test]
@@ -142,8 +238,10 @@ mod tests {
         // Regression: the old batcher started the flush timer when it
         // *popped* the first job, so a job that had already waited out
         // `max_delay` in a backed-up queue lingered a second full
-        // `max_delay`. The deadline must anchor to enqueue time.
-        let q = SubmissionQueue::new(16);
+        // `max_delay`. The deadline must anchor to enqueue time. Rotation
+        // stays busy, so only the deadline can flush.
+        let q = queue();
+        let _busy = q.claim_rotation();
         q.submit(job(0, 1)).unwrap();
         std::thread::sleep(Duration::from_millis(250));
         let policy = BatchPolicy {
@@ -152,7 +250,7 @@ mod tests {
         };
         let start = Instant::now();
         let batch = collect_batch(&q, &policy, None).unwrap();
-        assert_eq!(batch.len(), 1);
+        assert_eq!(batch.jobs.len(), 1);
         assert!(
             start.elapsed() < Duration::from_millis(100),
             "pre-aged job must flush immediately, lingered {:?}",
@@ -162,7 +260,7 @@ mod tests {
 
     #[test]
     fn oversized_job_flushes_alone() {
-        let q = SubmissionQueue::new(16);
+        let q = queue();
         q.submit(job(0, 999)).unwrap();
         q.submit(job(1, 1)).unwrap();
         let policy = BatchPolicy {
@@ -170,8 +268,7 @@ mod tests {
             max_delay: Duration::from_secs(10),
         };
         let batch = collect_batch(&q, &policy, None).unwrap();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].id.0, 0);
+        assert_eq!(ids(&batch), [0]);
     }
 
     #[test]
@@ -180,7 +277,7 @@ mod tests {
         // `cost < max_lwes`, so a 1-cost opener followed by a cap-sized
         // job produced a batch of max_lwes + 1 rotations. Peek-based
         // admission keeps the big job queued for the next batch.
-        let q = SubmissionQueue::new(16);
+        let q = queue();
         q.submit(job(0, 1)).unwrap();
         q.submit(job(1, 8)).unwrap();
         let policy = BatchPolicy {
@@ -188,22 +285,20 @@ mod tests {
             max_delay: Duration::from_secs(10),
         };
         let batch = collect_batch(&q, &policy, None).unwrap();
-        let cost: usize = batch.iter().map(|j| j.cost).sum();
+        let cost: usize = batch.jobs.iter().map(|j| j.cost).sum();
         assert!(cost <= policy.max_lwes, "batch overshot: {cost} LWEs");
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].id.0, 0);
+        assert_eq!(ids(&batch), [0]);
         assert_eq!(q.len(), 1, "deferred job stays queued");
         // The deferred job opens (and fills) the next batch.
         let next = collect_batch(&q, &policy, None).unwrap();
-        assert_eq!(next.len(), 1);
-        assert_eq!(next[0].id.0, 1);
+        assert_eq!(ids(&next), [1]);
     }
 
     #[test]
     fn exact_fit_follower_is_admitted() {
         // Budget admission is `cost <= remaining`, not strict-less:
         // a follower that lands the batch exactly on the cap joins it.
-        let q = SubmissionQueue::new(16);
+        let q = queue();
         q.submit(job(0, 3)).unwrap();
         q.submit(job(1, 5)).unwrap();
         let policy = BatchPolicy {
@@ -211,15 +306,14 @@ mod tests {
             max_delay: Duration::from_secs(10),
         };
         let batch = collect_batch(&q, &policy, None).unwrap();
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch.iter().map(|j| j.cost).sum::<usize>(), 8);
+        assert_eq!(ids(&batch), [0, 1]);
     }
 
     #[test]
     fn telemetry_records_wait_linger_and_size() {
         let registry = heap_telemetry::Registry::new("test");
         let telemetry = BatcherTelemetry::new(&registry);
-        let q = SubmissionQueue::new(16);
+        let q = queue();
         q.submit(job(0, 2)).unwrap();
         q.submit(job(1, 2)).unwrap();
         let policy = BatchPolicy {
@@ -227,7 +321,7 @@ mod tests {
             max_delay: Duration::from_secs(10),
         };
         let batch = collect_batch(&q, &policy, Some(&telemetry)).unwrap();
-        assert_eq!(batch.len(), 2);
+        assert_eq!(batch.jobs.len(), 2);
         let snap = registry.snapshot();
         assert_eq!(snap.histogram("heap_queue_wait_ns").unwrap().count, 2);
         assert_eq!(snap.histogram("heap_batch_linger_ns").unwrap().count, 1);
@@ -238,7 +332,7 @@ mod tests {
 
     #[test]
     fn closed_queue_flushes_remainder_then_ends() {
-        let q = SubmissionQueue::new(16);
+        let q = queue();
         q.submit(job(0, 1)).unwrap();
         q.submit(job(1, 1)).unwrap();
         q.close();
@@ -247,7 +341,7 @@ mod tests {
             max_delay: Duration::from_secs(10),
         };
         let batch = collect_batch(&q, &policy, None).unwrap();
-        assert_eq!(batch.len(), 2);
+        assert_eq!(batch.jobs.len(), 2);
         assert!(collect_batch(&q, &policy, None).is_none());
     }
 }

@@ -19,7 +19,8 @@
 //!    light ones.
 //! 3. **Streaming pipeline** (`service`, `batch`, `scheduler`) — a
 //!    dynamic batcher coalesces queued jobs into LWE mega-batches
-//!    (flushing on size or deadline) and feeds a staged pipeline whose
+//!    (flushing on size, as soon as a rotate worker is free, or at a
+//!    deadline while none is) and feeds a staged pipeline whose
 //!    stage groups (extract/mod-switch prep, blind rotation, repack/
 //!    rescale finish) each run in their own worker pool connected by
 //!    bounded channels ([`PipelineConfig`]), so batch k+1's prep

@@ -14,13 +14,21 @@
 //! With a single tenant the ring degenerates to the old global priority
 //! queue.
 //!
-//! The deadline-bounded pop (what the dynamic batcher's flush timer is
+//! The deadline-bounded pop (what the dynamic batcher's flush rule is
 //! built from) still supports peek-based budget admission: an oversized
 //! head stays queued and is reported as [`Popped::Oversized`].
+//!
+//! The queue also keeps the one number that rule needs from downstream:
+//! how many flushed batches have not yet finished their rotation. Each is
+//! a [`RotateClaim`]; dropping one wakes the batcher through the same
+//! condvar a new job does, so a batch lingering for co-travellers learns
+//! the moment a rotate worker frees.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
+
+use heap_telemetry::Gauge;
 
 use crate::job::{PendingJob, Priority, TenantId};
 use crate::RuntimeError;
@@ -100,6 +108,9 @@ pub(crate) enum Popped {
     /// would violate both priority order and fairness, so the caller
     /// should flush and come back.
     Oversized,
+    /// The queue is empty and a rotate worker is free: waiting longer
+    /// would hold the batch back from a stage that could start it now.
+    Idle,
     /// The deadline passed with the queue empty.
     TimedOut,
     /// The queue is closed and fully drained.
@@ -116,23 +127,37 @@ enum Head {
 /// The bounded fair queue; see module docs.
 pub(crate) struct SubmissionQueue {
     inner: Mutex<Inner>,
-    /// Signals consumers: a job arrived or the queue closed.
+    /// Signals consumers: a job arrived, a rotation ended, or the queue
+    /// closed.
     ready: Condvar,
     /// Signals producers: capacity freed up.
     space: Condvar,
     capacity: usize,
     quantum: u64,
     weights: HashMap<TenantId, u32>,
+    /// Batches the rotate stage can run at once.
+    rotate_workers: usize,
+    /// Live [`RotateClaim`]s: batches flushed and not yet through
+    /// rotation. The gauge is the count itself, not a mirror of it.
+    rotating: Arc<Gauge>,
 }
 
 impl SubmissionQueue {
-    /// Default fairness (tests; the service always passes its policy).
+    /// Default fairness, one rotate worker, an unregistered gauge (tests;
+    /// the service always passes its own).
     #[cfg(test)]
     pub fn new(capacity: usize) -> Self {
-        Self::with_fairness(capacity, &FairnessPolicy::default())
+        Self::with_fairness(capacity, &FairnessPolicy::default(), 1, Arc::default())
     }
 
-    pub fn with_fairness(capacity: usize, fairness: &FairnessPolicy) -> Self {
+    /// A queue draining into a rotate stage of `rotate_workers` workers,
+    /// whose in-flight batches are counted in `rotating`.
+    pub fn with_fairness(
+        capacity: usize,
+        fairness: &FairnessPolicy,
+        rotate_workers: usize,
+        rotating: Arc<Gauge>,
+    ) -> Self {
         assert!(capacity >= 1, "queue needs capacity for at least one job");
         assert!(fairness.quantum_lwes >= 1, "quantum must be at least 1");
         Self {
@@ -148,6 +173,8 @@ impl SubmissionQueue {
             capacity,
             quantum: fairness.quantum_lwes as u64,
             weights: fairness.weights.iter().copied().collect(),
+            rotate_workers,
+            rotating,
         }
     }
 
@@ -272,11 +299,12 @@ impl SubmissionQueue {
         }
     }
 
-    /// Pops the next fair-queue job, waiting at most until `deadline`,
-    /// but only if its cost fits within `budget` — an oversized head is
-    /// *peeked*, left queued, and reported as [`Popped::Oversized`]. This
-    /// is how the batcher respects its size cap without ever dequeuing a
-    /// job it cannot admit.
+    /// Pops the next fair-queue job, but only if its cost fits within
+    /// `budget` — an oversized head is *peeked*, left queued, and reported
+    /// as [`Popped::Oversized`]. This is how the batcher respects its size
+    /// cap without ever dequeuing a job it cannot admit. With the queue
+    /// empty it waits only while every rotate worker is claimed, and at
+    /// most until `deadline`.
     pub fn pop_deadline_within(&self, deadline: Instant, budget: usize) -> Popped {
         let mut inner = self.inner.lock().expect("queue poisoned");
         loop {
@@ -288,23 +316,28 @@ impl SubmissionQueue {
             if inner.closed {
                 return Popped::Closed;
             }
+            // Read under the lock a releasing claim takes before it
+            // notifies, so a release cannot fall between check and wait.
+            if self.rotating.get() < self.rotate_workers as i64 {
+                return Popped::Idle;
+            }
             let now = Instant::now();
             if now >= deadline {
                 return Popped::TimedOut;
             }
-            let (guard, timeout) = self
+            inner = self
                 .ready
                 .wait_timeout(inner, deadline - now)
-                .expect("queue poisoned");
-            inner = guard;
-            if timeout.timed_out() && inner.total == 0 {
-                return if inner.closed {
-                    Popped::Closed
-                } else {
-                    Popped::TimedOut
-                };
-            }
+                .expect("queue poisoned")
+                .0;
         }
+    }
+
+    /// Counts a flushed batch against the rotate stage until the returned
+    /// claim drops.
+    pub fn claim_rotation(self: &Arc<Self>) -> RotateClaim {
+        self.rotating.add(1);
+        RotateClaim(Arc::clone(self))
     }
 
     /// Closes the queue: submits fail, consumers drain what remains.
@@ -313,6 +346,24 @@ impl SubmissionQueue {
         inner.closed = true;
         self.ready.notify_all();
         self.space.notify_all();
+    }
+}
+
+/// One flushed batch's hold on the rotate stage, from the batcher's flush
+/// to the end of its rotation. Dropping it is the only release, so every
+/// way a batch can leave — rotated, failed by the scheduler, unwound by a
+/// panicking stage, refused by a closed inbox — gives the worker back; a
+/// leaked count would turn idle flushing off for the life of the service.
+pub(crate) struct RotateClaim(Arc<SubmissionQueue>);
+
+impl Drop for RotateClaim {
+    fn drop(&mut self) {
+        let queue = &self.0;
+        queue.rotating.add(-1);
+        // Poison is ignored: this runs during a stage panic's unwind, and
+        // the count is not guarded by the lock, only the wake-up is.
+        let _inner = queue.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        queue.ready.notify_all();
     }
 }
 
@@ -325,6 +376,15 @@ mod tests {
 
     fn job(id: u64, priority: Priority) -> PendingJob {
         job_for(id, priority, TenantId::default(), 1)
+    }
+
+    /// A one-rotation quantum, so tenants interleave job by job.
+    fn quantum_one(capacity: usize, weights: Vec<(TenantId, u32)>) -> SubmissionQueue {
+        let fairness = FairnessPolicy {
+            quantum_lwes: 1,
+            weights,
+        };
+        SubmissionQueue::with_fairness(capacity, &fairness, 1, Arc::default())
     }
 
     fn job_for(id: u64, priority: Priority, tenant: TenantId, cost: usize) -> PendingJob {
@@ -376,17 +436,28 @@ mod tests {
 
     #[test]
     fn deadline_pop_times_out_then_delivers() {
-        let q = SubmissionQueue::new(4);
+        let q = Arc::new(SubmissionQueue::new(4));
+        // An idle rotate stage: an empty queue is nothing to wait for.
+        let far = Instant::now() + Duration::from_secs(5);
+        assert!(matches!(
+            q.pop_deadline_within(far, usize::MAX),
+            Popped::Idle
+        ));
+        // Its one worker claimed: the pop waits out the deadline.
+        let claim = q.claim_rotation();
         let deadline = Instant::now() + Duration::from_millis(10);
         assert!(matches!(
             q.pop_deadline_within(deadline, usize::MAX),
             Popped::TimedOut
         ));
+        assert!(Instant::now() >= deadline);
         q.submit(job(5, Priority::Normal)).unwrap();
         match q.pop_deadline_within(Instant::now() + Duration::from_secs(5), usize::MAX) {
             Popped::Job(j) => assert_eq!(j.id.0, 5),
             _ => panic!("expected job"),
         }
+        drop(claim);
+        assert_eq!(q.rotating.get(), 0);
     }
 
     #[test]
@@ -428,13 +499,7 @@ mod tests {
     fn drr_interleaves_backlogged_tenants() {
         // Two equal-weight tenants, each flooding: drains must alternate
         // in quantum-sized runs rather than FIFO by submission order.
-        let q = SubmissionQueue::with_fairness(
-            64,
-            &FairnessPolicy {
-                quantum_lwes: 1,
-                weights: Vec::new(),
-            },
-        );
+        let q = quantum_one(64, Vec::new());
         let (a, b) = (TenantId(1), TenantId(2));
         for i in 0..6 {
             q.submit(job_for(i, Priority::Normal, a, 1)).unwrap();
@@ -456,13 +521,7 @@ mod tests {
     #[test]
     fn drr_respects_weights_two_to_one() {
         let (a, b) = (TenantId(1), TenantId(2));
-        let q = SubmissionQueue::with_fairness(
-            128,
-            &FairnessPolicy {
-                quantum_lwes: 1,
-                weights: vec![(a, 2), (b, 1)],
-            },
-        );
+        let q = quantum_one(128, vec![(a, 2), (b, 1)]);
         for i in 0..30 {
             q.submit(job_for(i, Priority::Normal, a, 1)).unwrap();
             q.submit(job_for(100 + i, Priority::Normal, b, 1)).unwrap();
@@ -480,13 +539,7 @@ mod tests {
     fn lone_tenant_is_served_without_deficit_stalls() {
         // A single backlogged tenant must not spin waiting for quanta,
         // even when its job cost dwarfs the quantum.
-        let q = SubmissionQueue::with_fairness(
-            4,
-            &FairnessPolicy {
-                quantum_lwes: 1,
-                weights: Vec::new(),
-            },
-        );
+        let q = quantum_one(4, Vec::new());
         q.submit(job_for(0, Priority::Normal, TenantId(9), 4096))
             .unwrap();
         assert_eq!(q.pop_wait().unwrap().id.0, 0);
@@ -512,13 +565,7 @@ mod tests {
     #[test]
     fn idle_tenant_forfeits_banked_deficit() {
         let (a, b) = (TenantId(1), TenantId(2));
-        let q = SubmissionQueue::with_fairness(
-            64,
-            &FairnessPolicy {
-                quantum_lwes: 1,
-                weights: Vec::new(),
-            },
-        );
+        let q = quantum_one(64, Vec::new());
         // Tenant a drains fully (deficit resets on idle), then both
         // return: service still interleaves instead of a burning banked
         // credit from its earlier round.

@@ -17,7 +17,10 @@
 //! so the prep of batch `k+1` overlaps the blind rotation of batch `k`
 //! and the repack of batch `k-1` — the paper's parallelized-bootstrapping
 //! shape, with the scheduler's retry/breaker/fallback semantics intact in
-//! the rotate stage. Bounded channels propagate backpressure batch by
+//! the rotate stage. The batcher holds a batch for co-travellers only
+//! while every rotate worker is taken: each flushed batch carries a
+//! `RotateClaim` until its rotation ends, and dropping it wakes the
+//! batcher. Bounded channels propagate backpressure batch by
 //! batch all the way to the submission queue; shutdown closes stage by
 //! stage in topological order so every accepted job still completes.
 //!
@@ -40,14 +43,14 @@ use heap_parallel::Parallelism;
 use heap_telemetry::{EventLog, Exposition, Gauge, MetricsServer, Registry};
 use heap_tfhe::{LweCiphertext, RlweCiphertext};
 
-use crate::batch::{collect_batch, BatchPolicy};
+use crate::batch::{collect_batch, Batch, BatchPolicy};
 use crate::channel::Channel;
 use crate::job::{
     JobHandle, JobId, JobOutput, JobRequest, JobState, PendingJob, Priority, TenantId,
 };
 use crate::node::{check_lwes_fit, LocalServiceNode, ServiceNode};
 use crate::policy::{self, RetryPolicy};
-use crate::queue::{FairnessPolicy, SubmissionQueue};
+use crate::queue::{FairnessPolicy, RotateClaim, SubmissionQueue};
 use crate::scheduler::Scheduler;
 use crate::telemetry::{RuntimeStats, ServiceTelemetry};
 use crate::RuntimeError;
@@ -154,11 +157,12 @@ impl From<Priority> for SubmitOptions {
 }
 
 /// A batch after primary-side prep: one mega-batch of rotations plus
-/// each job's slice of it.
+/// each job's slice of it, still holding its claim on the rotate stage.
 struct PreparedBatch {
     jobs: Vec<PendingJob>,
     mega: Vec<LweCiphertext>,
     ranges: Vec<Range<usize>>,
+    claim: RotateClaim,
 }
 
 /// A batch after the rotate stage, carrying the accumulators.
@@ -174,9 +178,9 @@ trait StageItem: Send + 'static {
     fn jobs(&self) -> &[PendingJob];
 }
 
-impl StageItem for Vec<PendingJob> {
+impl StageItem for Batch {
     fn jobs(&self) -> &[PendingJob] {
-        self
+        &self.jobs
     }
 }
 
@@ -213,7 +217,7 @@ pub struct BootstrapService {
     /// rotations, in ns) — the admission model's unit rate. Zero until
     /// the first batch completes.
     ns_per_lwe: Arc<AtomicU64>,
-    prep_in: Arc<Inbox<Vec<PendingJob>>>,
+    prep_in: Arc<Inbox<Batch>>,
     rotate_in: Arc<Inbox<PreparedBatch>>,
     finish_in: Arc<Inbox<RotatedBatch>>,
     threads: Mutex<Option<PipelineThreads>>,
@@ -275,11 +279,13 @@ impl BootstrapService {
         if config.fairness.quantum_lwes == 0 {
             return Err(RuntimeError::Invalid("fairness quantum must be at least 1"));
         }
+        let telemetry = Arc::new(ServiceTelemetry::new());
         let queue = Arc::new(SubmissionQueue::with_fairness(
             config.queue_capacity,
             &config.fairness,
+            p.rotate_workers,
+            Arc::clone(&telemetry.pipeline.rotating_batches),
         ));
-        let telemetry = Arc::new(ServiceTelemetry::new());
         let scheduler = Arc::new(Scheduler::with_telemetry(
             nodes,
             fallback,
@@ -316,7 +322,7 @@ impl BootstrapService {
                 Arc::clone(&telemetry),
                 Arc::clone(&rotate_in),
             );
-            move |jobs| next.send(&telemetry, prep_batch(&ctx, &boot, jobs))
+            move |batch| next.send(&telemetry, prep_batch(&ctx, &boot, batch))
         });
         let rotate = spawn_stage("rotate", p.rotate_workers, &telemetry, &rotate_in, {
             let (ctx, boot, scheduler, telemetry, rate, next) = (
@@ -701,7 +707,8 @@ fn run_stage<T: StageItem>(telemetry: &ServiceTelemetry, item: T, body: impl FnO
 
 /// Primary role, steps 1–2: extract + modulus-switch per bootstrap job,
 /// then concatenate every job's LWEs into one mega-batch.
-fn prep_batch(ctx: &CkksContext, boot: &Bootstrapper, jobs: Vec<PendingJob>) -> PreparedBatch {
+fn prep_batch(ctx: &CkksContext, boot: &Bootstrapper, batch: Batch) -> PreparedBatch {
+    let Batch { jobs, claim } = batch;
     let all_indices: Vec<usize> = (0..ctx.n()).collect();
     let mut mega: Vec<LweCiphertext> = Vec::new();
     let mut ranges: Vec<Range<usize>> = Vec::with_capacity(jobs.len());
@@ -716,7 +723,12 @@ fn prep_batch(ctx: &CkksContext, boot: &Bootstrapper, jobs: Vec<PendingJob>) -> 
         }
         ranges.push(start..mega.len());
     }
-    PreparedBatch { jobs, mega, ranges }
+    PreparedBatch {
+        jobs,
+        mega,
+        ranges,
+        claim,
+    }
 }
 
 /// Step 3, sharded across nodes (the only stage that travels). Updates
@@ -731,7 +743,11 @@ fn rotate_batch(
     prepared: PreparedBatch,
 ) -> Option<RotatedBatch> {
     let t0 = Instant::now();
-    let rotated = match scheduler.execute(ctx, boot, &prepared.mega) {
+    let result = scheduler.execute(ctx, boot, &prepared.mega);
+    // The rotation is over whatever its outcome: hand the worker back to
+    // the batcher before any job hears how it went.
+    drop(prepared.claim);
+    let rotated = match result {
         Ok(rotated) => rotated,
         Err(e) => {
             for job in &prepared.jobs {
@@ -1053,34 +1069,29 @@ mod tests {
 
     /// A stage that panics after one of its jobs was already settled *and
     /// collected* must fail only the job that is still pending: each job
-    /// leaves the in-flight gauges exactly once.
+    /// leaves the in-flight gauges exactly once, and the batch's rotate
+    /// claim is released by the unwind.
     #[test]
     fn stage_panic_after_a_job_was_collected_settles_every_job_once() {
         let telemetry = ServiceTelemetry::new();
+        let queue = rotate_queue(&telemetry);
         let (jobs, mut handles): (Vec<_>, Vec<_>) = (0..2)
             .map(|i| {
-                let state = JobState::new();
-                let handle = JobHandle {
-                    id: JobId(i),
-                    state: Arc::clone(&state),
-                };
                 telemetry.pipeline.inflight_jobs.add(1);
                 telemetry.pipeline.inflight_lwes.add(3);
-                let job = PendingJob {
-                    id: JobId(i),
-                    priority: Priority::Normal,
-                    tenant: TenantId::default(),
-                    request: JobRequest::BlindRotate { lwes: Vec::new() },
-                    cost: 3,
-                    state,
-                };
-                (job, handle)
+                unchecked_job(i, JobRequest::BlindRotate { lwes: Vec::new() }, 3)
             })
             .unzip();
         let first = handles.remove(0);
-        run_stage(&telemetry, jobs, |jobs: Vec<PendingJob>| {
+        let batch = Batch {
+            jobs,
+            claim: queue.claim_rotation(),
+        };
+        assert_eq!(telemetry.pipeline.rotating_batches.get(), 1);
+        run_stage(&telemetry, batch, |batch: Batch| {
             let output = JobOutput::Accumulators(Vec::new());
-            settle(&telemetry, &jobs[0].state, jobs[0].cost, Ok(output));
+            let job = &batch.jobs[0];
+            settle(&telemetry, &job.state, job.cost, Ok(output));
             assert!(first.wait().is_ok());
             panic!("stage body dies after job 0 was collected");
         });
@@ -1092,6 +1103,25 @@ mod tests {
         assert_eq!((stats.completed, stats.failed), (1, 1));
         assert_eq!(telemetry.pipeline.inflight_jobs.get(), 0);
         assert_eq!(telemetry.pipeline.inflight_lwes.get(), 0);
+        assert_eq!(telemetry.pipeline.rotating_batches.get(), 0);
+    }
+
+    /// A batch that meets a closed inbox at shutdown fails its jobs and
+    /// gives its rotate claim back.
+    #[test]
+    fn batch_refused_by_a_closed_inbox_releases_its_claim() {
+        let telemetry = ServiceTelemetry::new();
+        let queue = rotate_queue(&telemetry);
+        let inbox = Inbox::new(1, &telemetry.pipeline.prep_depth);
+        inbox.ch.close();
+        let (job, handle) = unchecked_job(0, JobRequest::BlindRotate { lwes: Vec::new() }, 1);
+        let batch = Batch {
+            jobs: vec![job],
+            claim: queue.claim_rotation(),
+        };
+        inbox.send(&telemetry, batch);
+        assert_eq!(handle.wait().err(), Some(RuntimeError::Shutdown));
+        assert_eq!(telemetry.pipeline.rotating_batches.get(), 0);
     }
 
     #[test]
@@ -1111,5 +1141,218 @@ mod tests {
         let snap = svc.metrics().snapshot();
         assert_eq!(snap.gauge("heap_jobs_inflight"), Some(0));
         assert_eq!(snap.gauge("heap_lwes_inflight"), Some(0));
+    }
+
+    /// A one-worker rotate stage counted in `telemetry`'s gauge.
+    fn rotate_queue(telemetry: &ServiceTelemetry) -> Arc<SubmissionQueue> {
+        Arc::new(SubmissionQueue::with_fairness(
+            1,
+            &FairnessPolicy::default(),
+            1,
+            Arc::clone(&telemetry.pipeline.rotating_batches),
+        ))
+    }
+
+    /// A job as `prepare` builds one, minus `validate` and admission.
+    fn unchecked_job(id: u64, request: JobRequest, cost: usize) -> (PendingJob, JobHandle) {
+        let state = JobState::new();
+        let handle = JobHandle {
+            id: JobId(id),
+            state: Arc::clone(&state),
+        };
+        let job = PendingJob {
+            id: JobId(id),
+            priority: Priority::Normal,
+            tenant: TenantId::default(),
+            request,
+            cost,
+            state,
+        };
+        (job, handle)
+    }
+
+    /// One local node behind `plan`, and a batcher that lingers for
+    /// co-travellers up to 10 s while rotation is busy, so only an
+    /// idle-stage flush can finish a job promptly.
+    fn chaos_service(plan: &str) -> BootstrapService {
+        let s = setup();
+        let local = LocalServiceNode::new(0, Parallelism::with_threads(2));
+        let node = crate::ChaosNode::new(Box::new(local), plan.parse().expect("fault plan"));
+        let config = RuntimeConfig {
+            batch: BatchPolicy {
+                max_delay: Duration::from_secs(10),
+                ..BatchPolicy::default()
+            },
+            retry: RetryPolicy::test_fast(),
+            ..RuntimeConfig::default()
+        };
+        BootstrapService::start_with_nodes(
+            Arc::clone(&s.ctx),
+            Arc::clone(&s.boot),
+            vec![Box::new(node)],
+            config,
+        )
+        .unwrap()
+    }
+
+    /// `count` mod-switched extractions of one fresh exhausted ciphertext.
+    fn rotation_inputs(seed: u64, count: usize) -> Vec<LweCiphertext> {
+        let s = setup();
+        let (ct, _) = exhausted_ct(s, seed);
+        let indices: Vec<usize> = (0..count).collect();
+        s.boot
+            .modulus_switch(&s.ctx, &s.boot.extract_lwes(&s.ctx, &ct, &indices))
+    }
+
+    fn rotating_batches(svc: &BootstrapService) -> Option<i64> {
+        svc.metrics()
+            .snapshot()
+            .gauge("heap_pipeline_rotating_batches")
+    }
+
+    /// The count a leaked rotate claim would leave behind is back to 0,
+    /// and a lone job flushes at once instead of lingering `max_delay`.
+    fn assert_rotate_stage_released(svc: &BootstrapService) {
+        assert_eq!(rotating_batches(svc), Some(0));
+        let lwes = rotation_inputs(77, 2);
+        let t0 = Instant::now();
+        let result = svc
+            .submit(JobRequest::BlindRotate { lwes }, Priority::Normal)
+            .unwrap()
+            .wait();
+        assert!(result.is_ok(), "{:?}", result.err());
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "lone job took {:?}",
+            t0.elapsed()
+        );
+        assert_eq!(rotating_batches(svc), Some(0));
+    }
+
+    #[test]
+    fn failed_rotation_releases_the_rotate_stage() {
+        let svc = chaos_service("fail");
+        let lwes = rotation_inputs(60, 2);
+        let failed = svc
+            .submit(JobRequest::BlindRotate { lwes }, Priority::Normal)
+            .unwrap()
+            .wait();
+        assert!(
+            matches!(failed, Err(RuntimeError::AllNodesFailed(_))),
+            "{failed:?}"
+        );
+        // The sole node's breaker opened; its plan is spent, so the
+        // prober readmits it.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while svc.scheduler().healthy_count() == 0 {
+            assert!(Instant::now() < deadline, "node never readmitted");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_rotate_stage_released(&svc);
+    }
+
+    #[test]
+    fn stage_panic_releases_the_rotate_stage() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let s = setup();
+        let svc = chaos_service("");
+        // A two-limb ciphertext trips the extraction's single-limb assert
+        // in the prep stage. `validate` refuses it at the door, so it goes
+        // straight into the queue.
+        let mut rng = StdRng::seed_from_u64(61);
+        let coeffs = vec![0; s.ctx.n()];
+        let ct = s
+            .ctx
+            .encrypt_coeffs_sk(&coeffs, s.ctx.fresh_scale(), 2, &s.sk, &mut rng);
+        let cost = s.ctx.n();
+        let (job, handle) = unchecked_job(u64::MAX, JobRequest::Bootstrap { ct }, cost);
+        svc.queue.submit(job).unwrap();
+        svc.accepted(cost);
+        match handle.wait() {
+            Err(RuntimeError::AllNodesFailed(why)) => assert!(why.contains("panicked"), "{why}"),
+            other => panic!("expected the stage panic's error, got {other:?}"),
+        }
+        assert_rotate_stage_released(&svc);
+    }
+
+    /// While rotation is busy, jobs that queue behind it share one batch,
+    /// flushed when the rotation ends, not at `max_delay`.
+    #[test]
+    fn busy_rotation_coalesces_the_jobs_queued_behind_it() {
+        let s = setup();
+        let inputs: Vec<Vec<LweCiphertext>> = rotation_inputs(62, 14)
+            .chunks(2)
+            .map(<[_]>::to_vec)
+            .collect();
+        let svc = Arc::new(chaos_service("delay:300"));
+        let t0 = Instant::now();
+        let first = svc
+            .submit(
+                JobRequest::BlindRotate {
+                    lwes: inputs[0].clone(),
+                },
+                Priority::Normal,
+            )
+            .unwrap();
+        // Its batch flushed at once (the stage was idle) and now rotates
+        // for 300 ms.
+        while rotating_batches(&svc) != Some(1) {
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "first batch never flushed"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Three threads submit two jobs each: inputs 1–2, 3–4, 5–6.
+        let submitters: Vec<_> = (0..3)
+            .map(|t| {
+                let (svc, inputs) = (Arc::clone(&svc), inputs.clone());
+                std::thread::spawn(move || {
+                    (1 + 2 * t..3 + 2 * t)
+                        .map(|i| {
+                            let lwes = inputs[i].clone();
+                            let request = JobRequest::BlindRotate { lwes };
+                            (i, svc.submit(request, Priority::Normal).unwrap())
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut handles = vec![(0, first)];
+        for t in submitters {
+            handles.extend(t.join().unwrap());
+        }
+        let outputs: Vec<_> = handles
+            .into_iter()
+            .map(|(i, h)| (i, h.wait().unwrap().into_accumulators()))
+            .collect();
+        assert!(
+            t0.elapsed() < Duration::from_secs(2),
+            "took {:?}",
+            t0.elapsed()
+        );
+
+        let snap = svc.metrics().snapshot();
+        let sizes = snap.histogram("heap_batch_size_lwes").unwrap();
+        assert_eq!(
+            (sizes.count, sizes.sum),
+            (2, 14),
+            "the six shared one batch"
+        );
+        assert_eq!(snap.histogram("heap_batch_linger_ns").unwrap().count, 2);
+        assert_eq!(snap.gauge("heap_pipeline_rotating_batches"), Some(0));
+        let moduli: Vec<u64> = (0..s.ctx.boot_limbs())
+            .map(|j| s.ctx.rns().modulus(j).value())
+            .collect();
+        let wire = |accs: &[RlweCiphertext]| -> Vec<Vec<u8>> {
+            accs.iter().map(|a| a.to_wire(&moduli)).collect()
+        };
+        for (i, accs) in outputs {
+            let direct = s
+                .boot
+                .blind_rotate_batch_par(&s.ctx, &inputs[i], Parallelism::serial());
+            assert_eq!(wire(&accs), wire(&direct), "job {i}");
+        }
     }
 }

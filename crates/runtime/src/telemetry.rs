@@ -176,6 +176,9 @@ pub(crate) struct PipelineTelemetry {
     pub rotate_depth: Arc<Gauge>,
     /// Rotated batches parked before the finish workers.
     pub finish_depth: Arc<Gauge>,
+    /// Batches flushed by the batcher and not yet through rotation: the
+    /// count the batcher's idle-flush rule reads (`queue::RotateClaim`).
+    pub rotating_batches: Arc<Gauge>,
     /// Jobs accepted and not yet completed (queued or in any stage).
     pub inflight_jobs: Arc<Gauge>,
     /// Blind rotations accepted and not yet completed.
@@ -197,6 +200,10 @@ impl PipelineTelemetry {
             finish_depth: registry.gauge(
                 "heap_pipeline_finish_depth",
                 "rotated batches buffered before the finish workers",
+            ),
+            rotating_batches: registry.gauge(
+                "heap_pipeline_rotating_batches",
+                "batches flushed by the batcher and not yet through rotation",
             ),
             inflight_jobs: registry.gauge(
                 "heap_jobs_inflight",
@@ -274,6 +281,7 @@ mod tests {
         assert_eq!(snap.gauge("heap_pipeline_rotate_depth"), Some(2));
         assert!(snap.gauge("heap_pipeline_prep_depth").is_some());
         assert!(snap.gauge("heap_pipeline_finish_depth").is_some());
+        assert_eq!(snap.gauge("heap_pipeline_rotating_batches"), Some(0));
         assert!(snap.gauge("heap_lwes_inflight").is_some());
         assert_eq!(snap.histogram("heap_batch_size_lwes").unwrap().count, 1);
         assert!(snap.histogram("heap_queue_wait_ns").is_some());

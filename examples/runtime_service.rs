@@ -58,6 +58,9 @@ fn main() {
                 queue_capacity: 16,
                 batch: BatchPolicy {
                     max_lwes: 2 * setup.ctx.n(),
+                    // A job waits for co-travellers only while the rotate
+                    // stage is busy, and at most this long; on an idle
+                    // stage its batch flushes at once.
                     max_delay: Duration::from_millis(5),
                 },
                 ..RuntimeConfig::default()
