@@ -326,22 +326,38 @@ impl CkksContext {
 
     /// Applies the automorphism `X ↦ X^g` followed by key switching.
     pub fn apply_galois(&self, ct: &Ciphertext, g: usize, gks: &GaloisKeys) -> Ciphertext {
+        let (c1, c0) = self.apply_galois_pair(ct.c1(), ct.c0(), g, gks);
+        Ciphertext::new(c0, c1, ct.scale())
+    }
+
+    /// The one `σ_g` + key-switch body, on a bare pair with phase `b + a·s`
+    /// given in either domain: returns `(a', b')` in evaluation domain with
+    /// phase `σ_g(b + a·s)` under `s`. [`Self::apply_galois`] and the
+    /// repacking tree's `EvalAuto` both run it. `σ_g(a)` goes to
+    /// [`key_switch`] in the coefficient domain its digits are cut in, so it
+    /// is never transformed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gks` has no key for `g`.
+    pub fn apply_galois_pair(
+        &self,
+        a: &RnsPoly,
+        b: &RnsPoly,
+        g: usize,
+        gks: &GaloisKeys,
+    ) -> (RnsPoly, RnsPoly) {
         let key = gks
             .key_for(g)
             .unwrap_or_else(|| panic!("missing Galois key for exponent {g}"));
         let rns = self.rns();
-        let mut c0 = ct.c0().clone();
-        let mut c1 = ct.c1().clone();
-        c0.to_coeff(rns);
-        c1.to_coeff(rns);
-        let mut sc0 = c0.automorphism(g, rns);
-        let sc1 = c1.automorphism(g, rns);
-        sc0.to_eval(rns);
-        let mut sc1_eval = sc1;
-        sc1_eval.to_eval(rns);
-        let (ka, kb) = key_switch(self, &sc1_eval, key);
-        let mut out0 = sc0;
-        out0.add_assign(&kb, rns);
-        Ciphertext::new(out0, ka, ct.scale())
+        let [mut a, mut b] = [a.clone(), b.clone()];
+        a.to_coeff(rns);
+        b.to_coeff(rns);
+        let (ka, kb) = key_switch(self, &a.automorphism(g, rns), key);
+        let mut out_b = b.automorphism(g, rns);
+        out_b.to_eval(rns);
+        out_b.add_assign(&kb, rns);
+        (ka, out_b)
     }
 }

@@ -36,8 +36,8 @@ impl CkksContext {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] if the buffer is malformed or does not match
-    /// this context's ring dimension / prime chain.
+    /// Returns a [`WireError`] if the buffer is malformed, does not match
+    /// this context's ring dimension / prime chain, or has trailing bytes.
     pub fn ciphertext_from_wire(&self, buf: &[u8]) -> Result<Ciphertext, WireError> {
         let rns = self.rns();
         let mut r = WireReader::new(buf);
@@ -58,14 +58,14 @@ impl CkksContext {
         }
         let mut parts = Vec::with_capacity(2);
         for _ in 0..2 {
-            let mut limb_data = Vec::with_capacity(limbs);
-            for j in 0..limbs {
-                let m = rns.modulus(j).value();
-                limb_data.push(r.get_residues(n, m, "coefficient out of range")?);
-            }
-            let mut poly = RnsPoly::from_limbs(limb_data, Domain::Coeff);
+            let limb_data = (0..limbs)
+                .map(|j| r.get_residues(n, rns.modulus(j).value(), "coefficient out of range"))
+                .collect::<Result<_, _>>()?;
+            parts.push(RnsPoly::from_limbs(limb_data, Domain::Coeff));
+        }
+        r.finish()?;
+        for poly in &mut parts {
             poly.to_eval(rns);
-            parts.push(poly);
         }
         let c1 = parts.pop().expect("two parts");
         let c0 = parts.pop().expect("two parts");

@@ -1,13 +1,15 @@
 //! Adversarial-input hardening of `CkksContext::ciphertext_from_wire`.
 //!
 //! Same contract as the TFHE wire fuzz suite: random strict prefixes of a
-//! valid encoding must decode to `Err`, and corrupted or pure-noise
+//! valid encoding, and the encoding with bytes appended, must decode to
+//! `Err`, and corrupted or pure-noise
 //! buffers must never panic — the runtime's TCP framing hands these
 //! decoders untrusted bytes.
 
 use std::sync::OnceLock;
 
 use heap_ckks::{CkksContext, CkksParams, SecretKey};
+use heap_math::wire::WireError;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,6 +44,17 @@ proptest! {
             f.bytes.len()
         );
         prop_assert!(f.ctx.ciphertext_from_wire(&f.bytes).is_ok());
+    }
+
+    #[test]
+    fn trailing_bytes_are_refused(extra in prop::collection::vec(any::<u8>(), 1..16)) {
+        let f = fixture();
+        let mut padded = f.bytes.clone();
+        padded.extend(&extra);
+        prop_assert_eq!(
+            f.ctx.ciphertext_from_wire(&padded).err(),
+            Some(WireError::Corrupt("trailing bytes"))
+        );
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!    recovers `q_0·u ≈ 2N·(Δm + e)`, eliminating the `k·q_0` wrap term
 //!    by construction (the mod-`2N` phase cannot see it);
 //! 4. **Repack** the rotation outputs into one RLWE ciphertext
-//!    (automorphism tree, factor `N`);
+//!    (automorphism tree, factor `N`). Algorithm 2 extracts each output's
+//!    constant coefficient and re-embeds it first; that round trip keeps
+//!    `a` and `b_0`, so each accumulator is cut to its leaf directly
+//!    ([`crate::repack::accumulator_leaf`]);
 //! 5. **Combine**: multiply by `t = round(p / (2N·N))` and `Rescale` by
 //!    the auxiliary prime `p`, landing on a fresh `L`-limb ciphertext.
 //!
@@ -28,13 +31,13 @@ use heap_ckks::{Ciphertext, CkksContext, GaloisKeys, SecretKey};
 use heap_math::wire::derive_seed;
 use heap_math::RnsPoly;
 use heap_parallel::{par_chunks_init, par_map, Parallelism};
-use heap_tfhe::extract::{extract_coefficient, extract_constant_rns, RnsLweCiphertext};
+use heap_tfhe::extract::extract_coefficient;
 use heap_tfhe::{
     test_polynomial_from_fn, BlindRotateKey, BlindRotateScratch, LweCiphertext, LweKeySwitchKey,
     LweSecretKey, RgswParams, RingSecretKey, RlweCiphertext,
 };
 
-use crate::repack::{pack_lwes, repack_exponents, repack_factor};
+use crate::repack::{accumulator_leaf, pack_lwes, repack_exponents, repack_factor};
 use crate::stage::StageMetrics;
 
 /// Most accumulators rotated together against one streamed key (HEAP
@@ -310,11 +313,7 @@ impl Bootstrapper {
         ct: &Ciphertext,
         indices: &[usize],
     ) -> Ciphertext {
-        let lwes = self.extract_lwes(ctx, ct, indices);
-        let switched = self.modulus_switch(ctx, &lwes);
-        let rotated = self.blind_rotate_batch(ctx, &switched);
-        let leaves = self.to_leaves(ctx, &rotated, indices);
-        self.finish(ctx, leaves, ct.scale())
+        self.run(ctx, ct, indices, &self.test_poly)
     }
 
     /// Functional bootstrap (paper §III-A): refreshes the ciphertext while
@@ -333,18 +332,30 @@ impl Bootstrapper {
         indices: &[usize],
         f: impl Fn(f64) -> f64,
     ) -> Ciphertext {
-        let lwes = self.extract_lwes(ctx, ct, indices);
-        let switched = self.modulus_switch(ctx, &lwes);
         // Custom LUT: u ↦ 2N·Δ·f(u·q_0 / (2N·Δ)), the generalization of the
         // identity LUT q_0·u used by the plain bootstrap.
         let n = ctx.n() as f64;
         let q0 = ctx.q_modulus(0).value() as f64;
         let delta = ct.scale();
-        let lut = heap_tfhe::test_polynomial_from_fn(ctx.rns(), ctx.boot_limbs(), |u| {
+        let lut = test_polynomial_from_fn(ctx.rns(), ctx.boot_limbs(), |u| {
             let m_in = u as f64 * q0 / (2.0 * n * delta);
             (2.0 * n * delta * f(m_in)).round() as i64
         });
-        let rotated = self.rotate_tiled(ctx, &lut, &switched, self.config.parallelism);
+        self.run(ctx, ct, indices, &lut)
+    }
+
+    /// The five steps over one LUT: the plain bootstrap rotates by
+    /// `self.test_poly`, the functional one by its own.
+    fn run(
+        &self,
+        ctx: &CkksContext,
+        ct: &Ciphertext,
+        indices: &[usize],
+        lut: &RnsPoly,
+    ) -> Ciphertext {
+        let lwes = self.extract_lwes(ctx, ct, indices);
+        let switched = self.modulus_switch(ctx, &lwes);
+        let rotated = self.rotate_tiled(ctx, lut, &switched, self.config.parallelism);
         let leaves = self.to_leaves(ctx, &rotated, indices);
         self.finish(ctx, leaves, ct.scale())
     }
@@ -414,15 +425,15 @@ impl Bootstrapper {
         lwes: &[LweCiphertext],
         par: Parallelism,
     ) -> Vec<RlweCiphertext> {
-        let _span = self.stages.blind_rotate.time();
         self.rotate_tiled(ctx, &self.test_poly, lwes, par)
     }
 
-    /// Rotates `lwes` by `lut`: every worker walks its contiguous chunk in
-    /// evenly sized key-major tiles of at most [`TILE`] members, with one
-    /// scratch per worker so the rotation loop never allocates. A tile is
-    /// bit-identical to rotating its members one by one, so the result
-    /// depends on neither the thread count nor the tiling.
+    /// Rotates `lwes` by `lut`, timed as the `blind_rotate` stage: every
+    /// worker walks its contiguous chunk in evenly sized key-major tiles of
+    /// at most [`TILE`] members, with one scratch per worker so the rotation
+    /// loop never allocates. A tile is bit-identical to rotating its members
+    /// one by one, so the result depends on neither the thread count nor
+    /// the tiling.
     fn rotate_tiled(
         &self,
         ctx: &CkksContext,
@@ -430,6 +441,7 @@ impl Bootstrapper {
         lwes: &[LweCiphertext],
         par: Parallelism,
     ) -> Vec<RlweCiphertext> {
+        let _span = self.stages.blind_rotate.time();
         par_chunks_init(
             par,
             lwes,
@@ -449,18 +461,19 @@ impl Bootstrapper {
         self.brk.blind_rotate(ctx.rns(), &self.test_poly, lwe)
     }
 
-    /// Step 4a — extract each rotation's constant coefficient and position
-    /// it on the repacking tree.
+    /// Step 4a — cut each rotation to its repacking leaf (Extract then
+    /// re-embed, without the round trip: [`accumulator_leaf`]) and position
+    /// it on the tree.
     pub fn to_leaves(
         &self,
         ctx: &CkksContext,
         rotated: &[RlweCiphertext],
         indices: &[usize],
-    ) -> Vec<Option<RnsLweCiphertext>> {
+    ) -> Vec<Option<RlweCiphertext>> {
         assert_eq!(rotated.len(), indices.len());
-        let mut leaves: Vec<Option<RnsLweCiphertext>> = vec![None; ctx.n()];
+        let mut leaves = vec![None; ctx.n()];
         for (acc, &i) in rotated.iter().zip(indices) {
-            leaves[i] = Some(extract_constant_rns(acc, ctx.rns()));
+            leaves[i] = Some(accumulator_leaf(acc, ctx.rns()));
         }
         leaves
     }
@@ -470,11 +483,11 @@ impl Bootstrapper {
     pub fn finish(
         &self,
         ctx: &CkksContext,
-        leaves: Vec<Option<RnsLweCiphertext>>,
+        leaves: Vec<Option<RlweCiphertext>>,
         input_scale: f64,
     ) -> Ciphertext {
         let repack_span = self.stages.repack.time();
-        let (mut a, mut b) = pack_lwes(ctx, &leaves, &self.gks, self.brk.monomials());
+        let (mut a, mut b) = pack_lwes(ctx, leaves, &self.gks, self.brk.monomials());
         let rns = ctx.rns();
         a.scalar_mul_assign(self.t_scalar, rns);
         b.scalar_mul_assign(self.t_scalar, rns);
@@ -629,6 +642,19 @@ mod tests {
                 (a[i] / eval.scale() - b[i] / direct.scale()).abs() < 1e-3,
                 "index {i}"
             );
+        }
+    }
+
+    #[test]
+    fn functional_bootstrap_records_each_stage_once() {
+        use crate::stage::{stage_metric_name, PIPELINE_STAGES};
+        let (ctx, sk, boot, mut rng) = setup();
+        let ct = ctx.encrypt_coeffs_sk(&vec![0; ctx.n()], ctx.fresh_scale(), 1, &sk, &mut rng);
+        boot.bootstrap_eval(&ctx, &ct, &[0, 64], |x| x);
+        let snap = boot.stage_metrics().registry().snapshot();
+        for stage in PIPELINE_STAGES {
+            let h = snap.histogram(&stage_metric_name(stage)).expect(stage);
+            assert_eq!(h.count, 1, "{stage}");
         }
     }
 

@@ -1,26 +1,20 @@
-//! LWE → RLWE repacking (Chen et al., adopted by HEAP §II-B).
+//! RLWE repacking (Chen et al., adopted by HEAP §II-B).
 //!
-//! After the parallel blind rotations, every refreshed coefficient lives in
-//! its own LWE ciphertext; this module recombines them into a single RLWE
+//! After the parallel blind rotations, every refreshed coefficient is the
+//! constant coefficient of its own accumulator, which [`accumulator_leaf`]
+//! cuts to a leaf. This module recombines the leaves into one RLWE
 //! ciphertext with an automorphism tree: at each level two packings are
 //! interleaved as `(E + X^t·O) + σ_g(E − X^t·O)` with `g = m + 1`, which
 //! doubles the wanted coefficients, cancels the unwanted ones, and after
 //! `log N` levels yields an exact encryption of `N · Σ_j m_j X^j`
-//! (the factor `N` is divided away by the bootstrap's final rescale).
-//!
-//! The automorphism key switches reuse the CKKS hybrid key-switching
-//! machinery over the raised basis `Q·p` — and with it the lazy-reduction
-//! datapaths: the key-switch inner products accumulate in `u128` and the
-//! NTTs run the Harvey lazy kernels, so repacking inherits the optimized
-//! kernels with no changes here (outputs are bit-identical; see the
-//! kernel parity CI step).
+//! (the factor `N` is divided away by the bootstrap's final rescale). The
+//! automorphisms are CKKS's own ([`CkksContext::apply_galois_pair`]) over
+//! the raised basis `Q·p`.
 
-use heap_ckks::keyswitch::key_switch;
 use heap_ckks::{CkksContext, GaloisKeys};
-use heap_math::RnsPoly;
+use heap_math::{Domain, RnsContext, RnsPoly};
 use heap_tfhe::blind_rotate::MonomialEvals;
-use heap_tfhe::extract::RnsLweCiphertext;
-use heap_tfhe::{lwe_to_rlwe, RlweCiphertext};
+use heap_tfhe::RlweCiphertext;
 
 /// The automorphism exponents the repacking tree needs: `2^k + 1` for
 /// `k = 1..=log2(N)`.
@@ -43,8 +37,29 @@ pub fn repack_factor(n: usize) -> u64 {
     n as u64
 }
 
-/// Packs up to `N` LWE ciphertexts (position `j` in the slice lands on
-/// coefficient `j`) into one RLWE ciphertext over the boot basis.
+/// The repacking leaf of a blind-rotation accumulator: `a` as it is (in
+/// evaluation domain), and `b` replaced by the constant polynomial `b_0`,
+/// which in evaluation domain is `b_0` in every slot. This is, bit for bit,
+/// Algorithm 2's leaf: Extract's coefficient-0 mask is the negacyclic
+/// adjoint of `a`, and re-embedding the LWE sample takes the adjoint again.
+/// It costs one inverse transform of `b` per limb instead of four
+/// transforms.
+pub fn accumulator_leaf(acc: &RlweCiphertext, rns: &RnsContext) -> RlweCiphertext {
+    let mut a = acc.a.clone();
+    a.to_eval(rns);
+    let mut b = acc.b.clone();
+    b.to_coeff(rns);
+    for limb in b.limbs_mut() {
+        let b0 = limb[0];
+        limb.fill(b0);
+    }
+    b.set_domain(Domain::Eval);
+    RlweCiphertext { a, b }
+}
+
+/// Packs up to `N` leaves (position `j` in the vector lands on coefficient
+/// `j`, in the constant coefficient of the leaf's phase) into one RLWE
+/// ciphertext over the boot basis.
 ///
 /// `None` entries are treated as exact zeros (sparse packing): HEAP's
 /// `n_br` knob maps to the number of `Some` entries, which is also the
@@ -58,25 +73,21 @@ pub fn repack_factor(n: usize) -> u64 {
 /// Panics if `leaves.len() != ctx.n()` or a required Galois key is missing.
 pub fn pack_lwes(
     ctx: &CkksContext,
-    leaves: &[Option<RnsLweCiphertext>],
+    leaves: Vec<Option<RlweCiphertext>>,
     gks: &GaloisKeys,
     monomials: &MonomialEvals,
 ) -> (RnsPoly, RnsPoly) {
-    let n = ctx.n();
-    assert_eq!(leaves.len(), n, "need one (optional) leaf per coefficient");
-    let limbs = ctx.boot_limbs();
-    let rns = ctx.rns();
-    let cts: Vec<Option<RlweCiphertext>> = leaves
-        .iter()
-        .map(|l| l.as_ref().map(|lwe| lwe_to_rlwe(lwe, rns)))
-        .collect();
-    let packed = pack_recursive(ctx, cts, gks, monomials);
-    match packed {
+    assert_eq!(
+        leaves.len(),
+        ctx.n(),
+        "need one (optional) leaf per coefficient"
+    );
+    match pack_recursive(ctx, leaves, gks, monomials) {
         Some(ct) => (ct.a, ct.b),
-        None => (
-            RnsPoly::zero(rns, limbs, heap_math::Domain::Eval),
-            RnsPoly::zero(rns, limbs, heap_math::Domain::Eval),
-        ),
+        None => {
+            let zero = RnsPoly::zero(ctx.rns(), ctx.boot_limbs(), Domain::Eval);
+            (zero.clone(), zero)
+        }
     }
 }
 
@@ -138,38 +149,22 @@ fn combine(
 }
 
 /// Homomorphic automorphism `X ↦ X^g` with key switching (the `EvalAuto`
-/// of the repacking paper; identical machinery to CKKS `Rotate`).
+/// of the repacking paper; the same body as CKKS `Rotate`).
 pub fn eval_auto(
     ctx: &CkksContext,
     ct: &RlweCiphertext,
     g: usize,
     gks: &GaloisKeys,
 ) -> RlweCiphertext {
-    let rns = ctx.rns();
-    let key = gks
-        .key_for(g)
-        .unwrap_or_else(|| panic!("missing repack Galois key for exponent {g}"));
-    let mut a = ct.a.clone();
-    let mut b = ct.b.clone();
-    a.to_coeff(rns);
-    b.to_coeff(rns);
-    let sa = a.automorphism(g, rns);
-    let mut sb = b.automorphism(g, rns);
-    sb.to_eval(rns);
-    let mut sa_eval = sa;
-    sa_eval.to_eval(rns);
-    let (ka, kb) = key_switch(ctx, &sa_eval, key);
-    let mut out_b = sb;
-    out_b.add_assign(&kb, rns);
-    RlweCiphertext { a: ka, b: out_b }
+    let (a, b) = ctx.apply_galois_pair(&ct.a, &ct.b, g, gks);
+    RlweCiphertext { a, b }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use heap_ckks::{CkksParams, SecretKey};
-    use heap_math::{poly, Domain};
-    use heap_tfhe::extract::extract_constant_rns;
+    use heap_math::poly;
     use heap_tfhe::RingSecretKey;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -194,17 +189,15 @@ mod tests {
         (ctx, sk, ring_sk, gks, monomials, rng)
     }
 
-    /// Builds a leaf whose LWE phase is exactly `value` (trivial
+    /// Builds a leaf whose phase is exactly the constant `value` (trivial
     /// encryption) at the boot basis.
-    fn trivial_leaf(ctx: &CkksContext, value: i64) -> RnsLweCiphertext {
-        let limbs = ctx.boot_limbs();
-        let n = ctx.n();
-        RnsLweCiphertext {
-            a: vec![vec![0u64; n]; limbs],
-            b: (0..limbs)
-                .map(|j| ctx.rns().modulus(j).from_i64(value))
-                .collect(),
+    fn trivial_leaf(ctx: &CkksContext, value: i64) -> RlweCiphertext {
+        let rns = ctx.rns();
+        let mut leaf = RlweCiphertext::zero(rns, ctx.boot_limbs());
+        for (j, limb) in leaf.b.limbs_mut().enumerate() {
+            limb.fill(rns.modulus(j).from_i64(value));
         }
+        leaf
     }
 
     #[test]
@@ -218,11 +211,11 @@ mod tests {
         let (ctx, sk, ring_sk, gks, monomials, _rng) = setup();
         let n = ctx.n();
         let values: Vec<i64> = (0..n).map(|j| (j as i64 % 23) - 11).collect();
-        let leaves: Vec<Option<RnsLweCiphertext>> = values
+        let leaves = values
             .iter()
             .map(|&v| Some(trivial_leaf(&ctx, v * 1_000)))
             .collect();
-        let (a, b) = pack_lwes(&ctx, &leaves, &gks, &monomials);
+        let (a, b) = pack_lwes(&ctx, leaves, &gks, &monomials);
         let ct = RlweCiphertext { a, b };
         let phase = ct.phase(ctx.rns(), &ring_sk).to_centered_f64(ctx.rns());
         let factor = repack_factor(n) as f64;
@@ -243,7 +236,7 @@ mod tests {
         let (ctx, _sk, ring_sk, gks, monomials, _rng) = setup();
         let n = ctx.n();
         let stride = 8usize;
-        let leaves: Vec<Option<RnsLweCiphertext>> = (0..n)
+        let leaves = (0..n)
             .map(|j| {
                 if j % stride == 0 {
                     Some(trivial_leaf(&ctx, 5_000 + j as i64))
@@ -252,7 +245,7 @@ mod tests {
                 }
             })
             .collect();
-        let (a, b) = pack_lwes(&ctx, &leaves, &gks, &monomials);
+        let (a, b) = pack_lwes(&ctx, leaves, &gks, &monomials);
         let ct = RlweCiphertext { a, b };
         let phase = ct.phase(ctx.rns(), &ring_sk).to_centered_f64(ctx.rns());
         let factor = repack_factor(n) as f64;
@@ -267,24 +260,24 @@ mod tests {
     }
 
     #[test]
-    fn pack_of_real_extracted_lwes() {
-        // End-to-end: encrypt a poly, extract constants of rotated copies,
+    fn pack_of_real_accumulator_leaves() {
+        // End-to-end: encrypt constants, cut each ciphertext to its leaf,
         // repack, compare phases.
         let (ctx, _sk, ring_sk, gks, monomials, mut rng) = setup();
         let n = ctx.n();
         let rns = ctx.rns();
         // Create independent RLWE cts each encrypting value_j in constant.
-        let mut leaves: Vec<Option<RnsLweCiphertext>> = vec![None; n];
+        let mut leaves = vec![None; n];
         let mut wants = vec![0f64; n];
         for j in (0..n).step_by(n / 4) {
             let mut coeffs = vec![0i64; n];
             coeffs[0] = (j as i64 + 1) * 100_000;
             let msg = RnsPoly::from_signed(rns, &coeffs, ctx.boot_limbs());
             let ct = RlweCiphertext::encrypt(rns, &ring_sk, &msg, &mut rng);
-            leaves[j] = Some(extract_constant_rns(&ct, rns));
+            leaves[j] = Some(accumulator_leaf(&ct, rns));
             wants[j] = (repack_factor(n) * (j as u64 + 1) * 100_000) as f64;
         }
-        let (a, b) = pack_lwes(&ctx, &leaves, &gks, &monomials);
+        let (a, b) = pack_lwes(&ctx, leaves, &gks, &monomials);
         let ct = RlweCiphertext { a, b };
         let phase = ct.phase(rns, &ring_sk).to_centered_f64(rns);
         for j in 0..n {
@@ -319,6 +312,5 @@ mod tests {
                 expected[j]
             );
         }
-        let _ = Domain::Eval;
     }
 }

@@ -187,8 +187,8 @@ impl EvalKeySet {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on truncation or any field inconsistent
-    /// with `ctx` or between header and inner encodings.
+    /// Returns a [`WireError`] on truncation, any field inconsistent with
+    /// `ctx` or between header and inner encodings, or trailing bytes.
     pub fn from_wire(ctx: &CkksContext, buf: &[u8]) -> Result<Self, WireError> {
         let mut r = WireReader::new(buf);
         if r.get_u32()? != EKS_MAGIC {
@@ -209,14 +209,18 @@ impl EvalKeySet {
         if ksk.base_bits() != ks_base_bits || ksk.digits() != ks_digits {
             return Err(WireError::Corrupt("EKS ksk shape mismatch"));
         }
-        let brk: BlindRotateKey = brk_from_wire(r.get_bytes()?, ctx.rns())?;
+        // The other two sections are sliced, and the buffer's end checked,
+        // before either is expanded: a padded upload costs no expansion.
+        let (brk_bytes, gks_bytes) = (r.get_bytes()?, r.get_bytes()?);
+        r.finish()?;
+        let brk: BlindRotateKey = brk_from_wire(brk_bytes, ctx.rns())?;
         if brk.lwe_dim() != n_t
             || brk.params().base_bits != rgsw_base_bits
             || brk.params().digits != rgsw_digits
         {
             return Err(WireError::Corrupt("EKS brk shape mismatch"));
         }
-        let gks: GaloisKeys = gks_from_wire(r.get_bytes()?, ctx)?;
+        let gks: GaloisKeys = gks_from_wire(gks_bytes, ctx)?;
         let config = BootstrapConfig {
             n_t,
             ks_base_bits,

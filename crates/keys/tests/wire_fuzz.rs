@@ -1,6 +1,7 @@
 //! Adversarial-input hardening of the `EKS1` evaluation-key container —
-//! same contract as the other `*_from_wire` suites: truncated prefixes
-//! must decode to `Err`, corrupted or noise buffers must never panic.
+//! same contract as the other `*_from_wire` suites: truncated prefixes and
+//! padded copies must decode to `Err`, corrupted or noise buffers must
+//! never panic.
 
 //!
 //! The binary's allocator counts what each test thread requests (the
@@ -283,6 +284,19 @@ proptest! {
             bytes.len()
         );
         prop_assert!(EvalKeySet::from_wire(&f.ctx, bytes).is_ok(), "kind {kind}: full buffer");
+    }
+
+    /// A padded container (a `KeyUpload` the node would otherwise charge
+    /// its padding against the cache budget) is refused before the
+    /// rotation and Galois sections are expanded.
+    #[test]
+    fn trailing_bytes_are_refused(kind in 0usize..2, extra in prop::collection::vec(any::<u8>(), 1..16)) {
+        let f = fixtures();
+        let mut padded = valid(kind).to_vec();
+        padded.extend(&extra);
+        let (result, asked) = tracked(|| EvalKeySet::from_wire(&f.ctx, &padded).map(|_| ()));
+        prop_assert_eq!(result, Err(WireError::Corrupt("trailing bytes")));
+        prop_assert!(asked.requested < MIB, "{} bytes requested", asked.requested);
     }
 
     #[test]

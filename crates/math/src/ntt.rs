@@ -402,7 +402,10 @@ impl NttTable {
     ///
     /// Panics if slice lengths differ from `self.n()`.
     pub(crate) fn pointwise_mac_lazy(&self, a: &[u64], b: &[u64], acc: &mut [u128]) {
-        assert!(a.len() == self.n && b.len() == self.n && acc.len() == self.n);
+        assert!(
+            a.len() == self.n && b.len() == self.n && acc.len() == self.n,
+            "length mismatch"
+        );
         for i in 0..self.n {
             let mut s = acc[i] + (a[i] as u128) * (b[i] as u128);
             if s >> 127 != 0 {

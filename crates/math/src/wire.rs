@@ -643,6 +643,21 @@ impl<'a> WireReader<'a> {
         self.buf.len()
     }
 
+    /// Ends a strict parse: the layout read so far must be the whole
+    /// buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::Corrupt`]`("trailing bytes")` if any byte is
+    /// left unread.
+    pub fn finish(self) -> Result<(), WireError> {
+        if self.buf.is_empty() {
+            Ok(())
+        } else {
+            Err(WireError::Corrupt("trailing bytes"))
+        }
+    }
+
     /// Consumes the reader, borrowing everything not yet read — a bulk
     /// body that runs to the end of the buffer, handed on without a copy.
     pub fn rest(self) -> &'a [u8] {

@@ -694,6 +694,112 @@ mod fused_datapath {
     }
 }
 
+/// Ragged shapes at the `f64`-lane entry points, `NttTable::{forward,
+/// inverse}` and `MacAcc::mac_digit`, for CI's ASan step to run both ways.
+/// Rings are powers of two, so "ragged" means a ring below the 16-point
+/// vector gate, which must take the scalar kernels and agree with the
+/// strict oracle, or a slice that is not the ring's length, which must
+/// panic with the entry point's own message before any lane is read.
+mod ragged_entry_points {
+    use super::*;
+    use heap_math::{MacAcc, MacPath};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// The message `f` panics with; fails the test if it returns.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = catch_unwind(AssertUnwindSafe(f)).expect_err("ragged call returned");
+        match err.downcast::<String>() {
+            Ok(s) => *s,
+            Err(err) => err
+                .downcast::<&str>()
+                .map_or_else(|_| String::new(), |s| s.to_string()),
+        }
+    }
+
+    fn residues(n: usize, salt: u64) -> Vec<u64> {
+        (0..n as u64)
+            .map(|i| (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) % Q36)
+            .collect()
+    }
+
+    #[test]
+    fn rings_below_the_vector_gate_match_the_strict_oracle() {
+        for n in [2usize, 4, 8] {
+            let t = NttTable::new(n, q());
+            let [mut fast, mut strict] = [residues(n, 1), residues(n, 1)];
+            t.forward(&mut fast);
+            oracle::forward_reference(&t, &mut strict);
+            assert_eq!(fast, strict, "forward, n = {n}");
+            t.inverse(&mut fast);
+            oracle::inverse_reference(&t, &mut strict);
+            assert_eq!(fast, strict, "inverse, n = {n}");
+
+            let digit: Vec<i64> = (0..n as i64).map(|i| (i - 3) << 16).collect();
+            let rows = [residues(n, 2), residues(n, 3)];
+            let [narrow, wide] = [MacPath::Narrow, MacPath::Wide].map(|path| {
+                let mut acc = MacAcc::default();
+                acc.reset(path, 2, n);
+                acc.mac_digit(&t, &digit, [[(0, &rows[0][..]), (1, &rows[1][..])]]);
+                acc.mac_digit(&t, &digit, [[(0, &rows[1][..]), (1, &rows[0][..])]]);
+                let mut out = vec![0u64; 2 * n];
+                let (a, b) = out.split_at_mut(n);
+                acc.reduce_into(0, &t, a);
+                acc.reduce_into(1, &t, b);
+                out
+            });
+            assert_eq!(narrow, wide, "mac_digit, n = {n}");
+        }
+    }
+
+    #[test]
+    fn mismatched_lengths_panic_cleanly() {
+        for n in [4usize, 16, 64] {
+            let t = NttTable::new(n, q());
+            for len in [n / 2, n - 1, n + 1, 2 * n] {
+                for inverse in [false, true] {
+                    let mut a = residues(len, 4);
+                    let msg = panic_message(|| {
+                        if inverse {
+                            t.inverse(&mut a)
+                        } else {
+                            t.forward(&mut a)
+                        }
+                    });
+                    assert!(
+                        msg.contains("length mismatch"),
+                        "n = {n}, len = {len}: {msg}"
+                    );
+                }
+            }
+            let other = NttTable::new(2 * n, q());
+            let good = vec![1i64; n];
+            let row = residues(n, 5);
+            for path in [MacPath::Narrow, MacPath::Wide] {
+                let mut acc = MacAcc::default();
+                acc.reset(path, 2, n);
+                for len in [n - 1, n + 1] {
+                    let short = vec![1i64; len];
+                    let ragged_row = residues(len, 6);
+                    // (what is ragged, table, digit, second key row)
+                    let cases = [
+                        ("digit", &t, &short, &row),
+                        ("key row", &t, &good, &ragged_row),
+                        ("table", &other, &good, &row),
+                    ];
+                    for (what, table, digit, row2) in cases {
+                        let rows = [[(0, &row[..]), (1, &row2[..])]];
+                        let msg = panic_message(|| acc.mac_digit(table, digit, rows));
+                        assert!(
+                            msg.contains("length mismatch"),
+                            "{what}, {path:?}, n = {n}, len = {len}: {msg}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The word-level limb codec, the sliced CRC and the streaming FNV against
 /// the loops they replaced. A wrong bit here would otherwise surface only
 /// as a failed key-id parity on a node.

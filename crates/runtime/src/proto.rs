@@ -307,9 +307,7 @@ impl Shape {
             q0: r.get_u64()?,
         };
         // Like every schema without a trailing body, a strict parse.
-        if r.remaining() != 0 {
-            return Err(WireError::Corrupt("trailing bytes"));
-        }
+        r.finish()?;
         Ok(shape)
     }
 
@@ -408,9 +406,7 @@ pub(crate) fn decode_stats(payload: &[u8]) -> Result<Vec<(String, u64)>, WireErr
             .map_err(|_| WireError::Corrupt("stats name is not UTF-8"))?;
         entries.push((name.to_string(), r.get_u64()?));
     }
-    if r.remaining() != 0 {
-        return Err(WireError::Corrupt("trailing bytes"));
-    }
+    r.finish()?;
     Ok(entries)
 }
 

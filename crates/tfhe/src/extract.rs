@@ -4,14 +4,15 @@
 //! ciphertext under the same secret (read as a coefficient vector):
 //! `a⃗^(i) = (a_i, a_{i-1}, …, a_0, -a_{N-1}, …, -a_{i+1})`, body `b_i`.
 //! The scheme switch extracts every packed coefficient before the parallel
-//! blind rotations, and extracts the constant coefficient of every rotation
-//! result before repacking.
+//! blind rotations, and the standalone PBS extracts the constant
+//! coefficient of its accumulator. The scheme switch does *not* extract its
+//! rotation results: Extract's coefficient-0 mask is the negacyclic adjoint
+//! of `a`, so re-embedding it for repacking gives back `a` itself, and each
+//! accumulator becomes its own repacking leaf (`heap_core::repack`).
 
 use heap_math::arith::Modulus;
-use heap_math::{Domain, RnsContext, RnsPoly};
 
 use crate::lwe::LweCiphertext;
-use crate::rlwe::RlweCiphertext;
 
 /// Extracts coefficient `index` of a single-limb RLWE pair `(a, b)` given
 /// as coefficient-domain slices.
@@ -39,87 +40,13 @@ pub fn extract_coefficient(a: &[u64], b: &[u64], index: usize, q: &Modulus) -> L
     }
 }
 
-/// An LWE ciphertext held limb-wise over an RNS basis (dimension `N`), the
-/// form produced by extracting from a multi-limb accumulator.
-#[derive(Debug, Clone)]
-pub struct RnsLweCiphertext {
-    /// Mask per limb.
-    pub a: Vec<Vec<u64>>,
-    /// Body per limb.
-    pub b: Vec<u64>,
-}
-
-impl RnsLweCiphertext {
-    /// Number of limbs.
-    pub fn limbs(&self) -> usize {
-        self.a.len()
-    }
-
-    /// Mask dimension (`N`).
-    pub fn dim(&self) -> usize {
-        self.a.first().map_or(0, |l| l.len())
-    }
-}
-
-/// Extracts the constant coefficient of a multi-limb RLWE ciphertext as an
-/// RNS LWE sample.
-///
-/// This is the `Extract` step that follows `BlindRotate` (paper §II-B).
-pub fn extract_constant_rns(ct: &RlweCiphertext, ctx: &RnsContext) -> RnsLweCiphertext {
-    let mut a_coeff = ct.a.clone();
-    let mut b_coeff = ct.b.clone();
-    a_coeff.to_coeff(ctx);
-    b_coeff.to_coeff(ctx);
-    let limbs = a_coeff.limb_count();
-    let mut a = Vec::with_capacity(limbs);
-    let mut b = Vec::with_capacity(limbs);
-    for j in 0..limbs {
-        let q = ctx.modulus(j);
-        let lwe = extract_coefficient(a_coeff.limb(j), b_coeff.limb(j), 0, q);
-        a.push(lwe.a);
-        b.push(lwe.b);
-    }
-    RnsLweCiphertext { a, b }
-}
-
-/// Re-embeds an RNS LWE sample as a "naive" RLWE ciphertext whose phase has
-/// the LWE phase in its constant coefficient (the first step of the
-/// Chen et al. repacking adopted by HEAP).
-///
-/// The adjoint trick: `â_0 = a_0`, `â_k = -a_{N-k}` makes
-/// `(â·s)_0 = <a⃗, s⃗>`.
-pub fn lwe_to_rlwe(lwe: &RnsLweCiphertext, ctx: &RnsContext) -> RlweCiphertext {
-    let n = lwe.dim();
-    assert_eq!(n, ctx.n(), "LWE dimension must equal ring dimension");
-    let limbs = lwe.limbs();
-    let mut a_limbs = Vec::with_capacity(limbs);
-    let mut b_limbs = Vec::with_capacity(limbs);
-    for j in 0..limbs {
-        let q = ctx.modulus(j);
-        let src = &lwe.a[j];
-        let mut adj = vec![0u64; n];
-        adj[0] = src[0];
-        for k in 1..n {
-            adj[k] = q.neg(src[n - k]);
-        }
-        let mut body = vec![0u64; n];
-        body[0] = lwe.b[j];
-        a_limbs.push(adj);
-        b_limbs.push(body);
-    }
-    let mut a = RnsPoly::from_limbs(a_limbs, Domain::Coeff);
-    let mut b = RnsPoly::from_limbs(b_limbs, Domain::Coeff);
-    a.to_eval(ctx);
-    b.to_eval(ctx);
-    RlweCiphertext { a, b }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rlwe::RingSecretKey;
+    use crate::rlwe::{RingSecretKey, RlweCiphertext};
     use heap_math::prime::ntt_primes;
     use heap_math::sample;
+    use heap_math::{RnsContext, RnsPoly};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -151,26 +78,6 @@ mod tests {
                 phase_poly[idx]
             );
         }
-    }
-
-    #[test]
-    fn lwe_to_rlwe_keeps_constant_coefficient() {
-        let c = ctx();
-        let mut rng = StdRng::seed_from_u64(2);
-        let sk = RingSecretKey::generate(&c, 2, &mut rng);
-        let msg: Vec<i64> = (0..32).map(|i| (i as i64) * 31_337).collect();
-        let ct = RlweCiphertext::encrypt(&c, &sk, &RnsPoly::from_signed(&c, &msg, 2), &mut rng);
-        let lwe = extract_constant_rns(&ct, &c);
-        assert_eq!(lwe.limbs(), 2);
-        assert_eq!(lwe.dim(), 32);
-        let back = lwe_to_rlwe(&lwe, &c);
-        let phase = back.phase(&c, &sk).to_centered_f64(&c);
-        assert!(
-            (phase[0] - msg[0] as f64).abs() < 64.0,
-            "constant coeff {} vs {}",
-            phase[0],
-            msg[0]
-        );
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod wire;
 pub use blind_rotate::{
     test_polynomial_from_fn, BlindRotateKey, BlindRotateScratch, MonomialEvals,
 };
-pub use extract::{extract_coefficient, extract_constant_rns, lwe_to_rlwe, RnsLweCiphertext};
+pub use extract::extract_coefficient;
 pub use key_wire::{
     brk_from_wire, brk_to_wire, brk_write, ksk_from_wire, ksk_to_wire, ksk_write, reseed_brk,
     reseed_ksk,

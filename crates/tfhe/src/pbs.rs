@@ -22,7 +22,7 @@ use heap_math::prime::ntt_primes;
 use heap_math::RnsContext;
 
 use crate::blind_rotate::{test_polynomial_from_fn, BlindRotateKey};
-use crate::extract::extract_constant_rns;
+use crate::extract::extract_coefficient;
 use crate::lwe::{LweCiphertext, LweKeySwitchKey, LweSecretKey};
 use crate::rgsw::{external_product, RgswCiphertext, RgswParams};
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
@@ -171,14 +171,11 @@ pub fn programmable_bootstrap(
     let small = ct.modulus_switch(two_n);
     // BlindRotate with the LUT.
     let f = test_polynomial_from_fn(ctx.ring(), 1, g);
-    let acc = keys.brk.blind_rotate(ctx.ring(), &f, &small);
+    let mut acc = keys.brk.blind_rotate(ctx.ring(), &f, &small);
     // Extract the constant coefficient (dimension N, modulus q).
-    let rns_lwe = extract_constant_rns(&acc, ctx.ring());
-    let big = LweCiphertext {
-        a: rns_lwe.a[0].clone(),
-        b: rns_lwe.b[0],
-        modulus: ctx.q().value(),
-    };
+    acc.a.to_coeff(ctx.ring());
+    acc.b.to_coeff(ctx.ring());
+    let big = extract_coefficient(acc.a.limb(0), acc.b.limb(0), 0, ctx.q());
     // KeySwitch back to n_t.
     keys.ksk.switch(&big, ctx.q())
 }

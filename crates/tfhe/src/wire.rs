@@ -47,10 +47,13 @@ impl LweCiphertext {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on truncation or corrupted fields.
+    /// Returns a [`WireError`] on truncation, corrupted fields or trailing
+    /// bytes.
     pub fn from_wire(buf: &[u8]) -> Result<Self, WireError> {
         let mut r = WireReader::new(buf);
-        Self::read_wire(&mut r, None)
+        let ct = Self::read_wire(&mut r, None)?;
+        r.finish()?;
+        Ok(ct)
     }
 
     /// Reads one ciphertext from an open reader. With `shape`, a header
@@ -103,7 +106,7 @@ pub fn lwe_batch_to_wire(lwes: &[LweCiphertext]) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns a [`WireError`] on truncation, a bad magic/count, a member that
-/// does not fit the key, or any corrupted element.
+/// does not fit the key, any corrupted element, or trailing bytes.
 pub fn lwe_batch_from_wire(
     buf: &[u8],
     modulus: u64,
@@ -121,6 +124,7 @@ pub fn lwe_batch_from_wire(
     for _ in 0..count {
         out.push(LweCiphertext::read_wire(&mut r, Some((modulus, dim)))?);
     }
+    r.finish()?;
     Ok(out)
 }
 
@@ -166,10 +170,13 @@ impl RlweCiphertext {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on truncation or corrupted fields.
+    /// Returns a [`WireError`] on truncation, corrupted fields or trailing
+    /// bytes.
     pub fn from_wire(buf: &[u8]) -> Result<Self, WireError> {
         let mut r = WireReader::new(buf);
-        Self::read_wire(&mut r)
+        let acc = Self::read_wire(&mut r)?;
+        r.finish()?;
+        Ok(acc)
     }
 
     /// Reads one accumulator from an open reader (batch encodings).
@@ -228,8 +235,8 @@ pub fn rlwe_batch_to_wire(accs: &[RlweCiphertext], moduli: &[u64]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns a [`WireError`] on truncation, a bad magic/count, or any
-/// corrupted element.
+/// Returns a [`WireError`] on truncation, a bad magic/count, any corrupted
+/// element, or trailing bytes.
 pub fn rlwe_batch_from_wire(buf: &[u8]) -> Result<Vec<RlweCiphertext>, WireError> {
     let mut r = WireReader::new(buf);
     if r.get_u32()? != ACC_BATCH_MAGIC {
@@ -243,6 +250,7 @@ pub fn rlwe_batch_from_wire(buf: &[u8]) -> Result<Vec<RlweCiphertext>, WireError
     for _ in 0..count {
         out.push(RlweCiphertext::read_wire(&mut r)?);
     }
+    r.finish()?;
     Ok(out)
 }
 

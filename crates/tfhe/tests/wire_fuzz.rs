@@ -3,9 +3,10 @@
 //! The distributed runtime feeds these decoders bytes straight off a TCP
 //! socket, so a truncated or corrupted buffer must surface as a
 //! [`WireError`], never a panic or runaway allocation. Each property
-//! feeds (a) every random strict prefix of a valid encoding — which must
-//! decode to `Err` — and (b) randomly corrupted copies and pure-noise
-//! buffers — which must return *something* without panicking. The binary
+//! feeds (a) every random strict prefix of a valid encoding, and every
+//! valid encoding with bytes appended — which must decode to `Err` — and
+//! (b) randomly corrupted copies and pure-noise buffers — which must
+//! return *something* without panicking. The binary
 //! counts allocations, because a well-formed header can still announce
 //! far more than its bytes carry.
 
@@ -135,6 +136,15 @@ proptest! {
         );
         // The full buffer still decodes (fixture sanity).
         prop_assert!(decode(kind, bytes).is_ok(), "kind {kind}: full buffer");
+    }
+
+    /// A valid encoding with bytes appended is refused, not half-read: the
+    /// four decoders are strict parses, like every HRT1 schema.
+    #[test]
+    fn trailing_bytes_are_refused(kind in 0usize..4, extra in prop::collection::vec(any::<u8>(), 1..16)) {
+        let mut padded = valid(kind).to_vec();
+        padded.extend(&extra);
+        prop_assert_eq!(decode(kind, &padded), Err(WireError::Corrupt("trailing bytes")));
     }
 
     #[test]
