@@ -63,7 +63,7 @@ fn key_switch_and_galois_forced_scalar_are_bit_identical() {
             .collect()
     };
 
-    let native = if simd::active() == simd::Backend::Avx2 {
+    let native = if simd::active().has_f64_lanes() {
         MacPath::Narrow
     } else {
         MacPath::Wide

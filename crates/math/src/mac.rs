@@ -5,26 +5,32 @@
 //! external-product unit and the key-switch inner product. The software
 //! form is [`MacAcc::mac_digit`]: one coefficient-domain digit polynomial
 //! goes in, is transformed under the target limb, and is multiplied into
-//! the accumulator slots of every key row it meets. This module is the only
-//! place that knows which of two datapaths a chain runs on — [`mac_path`]
-//! picks it per call from what the host, the ring and the moduli allow, and
-//! [`MacAcc`] carries the choice so the algorithm loops above it are
-//! written once:
+//! the accumulator slots of every key row it meets. A chain ends in one
+//! reduction per output coefficient: [`MacAcc::reduce_into`] writes a
+//! slot's residues, and [`MacAcc::fold_into`] — the CMux step — adds two
+//! slots, each times its factor, into a canonical accumulator. This module
+//! is the only place that knows which of two datapaths a chain runs on —
+//! [`mac_path`] and [`fold_path`] pick it per call from what the host, the
+//! ring and the moduli allow, and [`MacAcc`] carries the choice so the
+//! algorithm loops above it are written once:
 //!
 //! * **narrow** — one `f64` lane from digit to accumulator (`simd`'s
-//!   AVX2 + FMA kernels): the digit is loaded straight into doubles, the
-//!   signed-lazy radix-4 transform leaves it there, every product is added
-//!   as a signed term below `q`, and each output coefficient is reduced
-//!   once;
+//!   AVX-512F or AVX2 + FMA kernels): the digit is loaded straight into
+//!   doubles, the signed-lazy radix-4 transform leaves it there, every
+//!   product is added as a signed term below `q`, and each output
+//!   coefficient is reduced once;
 //! * **wide** — lift to `[0, q)`, [`NttTable::forward`] (its `f64` kernel
 //!   where that kernel's own gate holds, else the scalar lazy NTT), full
 //!   products summed in `u128`, one Barrett reduction per output.
 //!
 //! Both are exact, so they produce the same canonical residues, and both
-//! read the key row exactly as it is stored.
+//! read the key row exactly as it is stored. A narrow chain counts its
+//! terms and panics rather than pass the bound its sums are exact under,
+//! so no call sequence returns a wrong residue from a path picked by hand.
 
 use crate::arith::Modulus;
 use crate::ntt::NttTable;
+use crate::simd::{F64_OPERAND_LIMIT, F64_SUM_LIMIT};
 use crate::{poly, simd};
 
 /// The datapath of one lazy MAC chain. Both produce canonical residues of
@@ -32,7 +38,8 @@ use crate::{poly, simd};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MacPath {
     /// `f64` lanes from digit to accumulator (4× the scalar wide path at 36
-    /// bits). Only [`mac_path`] knows when it is exact.
+    /// bits). [`mac_path`] and [`fold_path`] know when it is exact; a chain
+    /// past its term bound panics.
     Narrow,
     /// `u128` accumulators fed by full products of canonical operands.
     #[default]
@@ -41,10 +48,11 @@ pub enum MacPath {
 
 /// Picks the datapath for a chain of `terms` MACs under each of `tables`,
 /// on digits of magnitude at most `input_bound` (half the gadget base for
-/// signed digits, the largest source modulus for residues).
+/// signed digits, the largest source modulus for residues), that ends in
+/// [`MacAcc::reduce_into`].
 ///
 /// The narrow path needs its kernels to run, and to be exact, under every
-/// modulus of the chain: AVX2 + FMA active, `n ≥ 16`,
+/// modulus of the chain: an `f64`-lane tier active, `n ≥ 16`,
 /// `input_bound + log2(n)·q ≤ 2^50` (every product input stays an exact
 /// `f64` integer through the signed-lazy transform) and `terms·q ≤ 2^52`
 /// (so does the sum). Anything else takes the wide path. Evaluated per
@@ -54,7 +62,28 @@ pub fn mac_path<'a>(
     terms: usize,
     input_bound: u64,
 ) -> MacPath {
-    let narrow = |t: &NttTable| simd::f64_mac_ok(t.n(), t.modulus().value(), input_bound, terms);
+    path_under(tables, terms, input_bound, F64_SUM_LIMIT)
+}
+
+/// [`mac_path`] for a chain that ends in [`MacAcc::fold_into`]: the fold
+/// multiplies each sum by its factor, so the narrow path also needs the
+/// sums inside the product bound, `terms·q ≤ 2^50`.
+pub fn fold_path<'a>(
+    tables: impl IntoIterator<Item = &'a NttTable>,
+    terms: usize,
+    input_bound: u64,
+) -> MacPath {
+    path_under(tables, terms, input_bound, F64_OPERAND_LIMIT)
+}
+
+fn path_under<'a>(
+    tables: impl IntoIterator<Item = &'a NttTable>,
+    terms: usize,
+    input_bound: u64,
+    sum_limit: u128,
+) -> MacPath {
+    let narrow =
+        |t: &NttTable| simd::f64_mac_ok(t.n(), t.modulus().value(), input_bound, terms, sum_limit);
     if tables.into_iter().all(narrow) {
         MacPath::Narrow
     } else {
@@ -102,6 +131,10 @@ pub type RowPair<'a> = [(usize, &'a [u64]); 2];
 pub struct MacAcc {
     path: MacPath,
     n: usize,
+    /// Narrow: the most terms any slot has taken since the reset, and the
+    /// largest modulus they were taken under — the chain's sum bound.
+    terms: usize,
+    q_max: u64,
     /// Narrow: the transformed digit, signed-lazy, and the sums of signed
     /// terms — exact integers in `f64`.
     operand: Vec<f64>,
@@ -117,6 +150,8 @@ impl MacAcc {
     pub fn reset(&mut self, path: MacPath, slots: usize, n: usize) {
         self.path = path;
         self.n = n;
+        self.terms = 0;
+        self.q_max = 0;
         match path {
             MacPath::Narrow => {
                 self.operand.resize(n, 0.0);
@@ -142,7 +177,9 @@ impl MacAcc {
     /// # Panics
     ///
     /// Panics if a slot is out of range or if `digit`, a row or `ntt`
-    /// differ in length from the `n` of [`Self::reset`].
+    /// differ in length from the `n` of [`Self::reset`], and on a narrow
+    /// chain whose sums this call would take past `2^52` (`terms·q`, the
+    /// bound [`mac_path`] admits).
     pub fn mac_digit<T: LazyCoeff, const K: usize>(
         &mut self,
         ntt: &NttTable,
@@ -151,10 +188,11 @@ impl MacAcc {
     ) {
         let n = self.n;
         assert!(digit.len() == n && ntt.n() == n, "length mismatch");
-        if self.path == MacPath::Narrow
-            && ntt.mac_digit_f64(digit, &mut self.operand, rows, &mut self.narrow)
-        {
-            return;
+        if self.path == MacPath::Narrow {
+            self.count_terms(&rows, ntt.modulus().value());
+            if ntt.mac_digit_f64(digit, &mut self.operand, rows, &mut self.narrow) {
+                return;
+            }
         }
         self.spread.resize(n, 0);
         T::lift_into(digit, ntt.modulus(), &mut self.spread);
@@ -174,6 +212,37 @@ impl MacAcc {
         }
     }
 
+    /// Adds this call's terms to the narrow chain's count — one per slot
+    /// occurrence, so the count bounds every slot's — and refuses a chain
+    /// whose sums could pass `2^52`.
+    fn count_terms<const K: usize>(&mut self, rows: &[RowPair<'_>; K], q: u64) {
+        let flat = rows.as_flattened();
+        let most = flat
+            .iter()
+            .map(|&(slot, _)| flat.iter().filter(|&&(s, _)| s == slot).count())
+            .max()
+            .unwrap_or(0);
+        self.terms += most;
+        self.q_max = self.q_max.max(q);
+        self.assert_narrow_within(F64_SUM_LIMIT, "its exact bound");
+    }
+
+    /// Refuses a narrow chain whose sums, `terms·q` at most, may exceed
+    /// `limit`.
+    fn assert_narrow_within(&self, limit: u128, bound: &str) {
+        assert!(
+            self.terms as u128 * u128::from(self.q_max) <= limit,
+            "narrow MAC chain past {bound}: {} terms under a {}-bit modulus",
+            self.terms,
+            64 - self.q_max.leading_zeros()
+        );
+    }
+
+    /// The slot's window of `n` coefficients.
+    fn window(&self, slot: usize) -> std::ops::Range<usize> {
+        slot * self.n..(slot + 1) * self.n
+    }
+
     /// Writes the canonical residues of `slot` to `out` — the single
     /// deferred reduction per coefficient.
     ///
@@ -181,7 +250,7 @@ impl MacAcc {
     ///
     /// Panics if `slot` is out of range or `out.len() != ntt.n()`.
     pub fn reduce_into(&self, slot: usize, ntt: &NttTable, out: &mut [u64]) {
-        let w = slot * self.n..(slot + 1) * self.n;
+        let w = self.window(slot);
         let q = ntt.modulus().value();
         match self.path {
             MacPath::Narrow => {
@@ -189,13 +258,75 @@ impl MacAcc {
                 assert_eq!(out.len(), acc.len(), "length mismatch");
                 if !simd::try_reduce_acc(acc, q, out) {
                     for (o, &a) in out.iter_mut().zip(acc) {
-                        *o = (a as i64).rem_euclid(q as i64) as u64;
+                        *o = narrow_residue(a, q);
                     }
                 }
             }
             MacPath::Wide => ntt.reduce_acc_into(&self.wide[w], out),
         }
     }
+
+    /// The CMux step's one reduction: `acc ← acc + f₀·S₀ + f₁·S₁ mod q`,
+    /// where `S_k` is the unreduced sum in `slots[k]` and `f_k` its factor.
+    /// `acc` and both factors must be canonical residues. Narrow sums are
+    /// folded in `f64` lanes straight from the accumulators, wide ones from
+    /// their `u128` sums; either way no product is materialised.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot is out of range or a factor or `acc` differs in
+    /// length from `ntt.n()`, and on a narrow chain whose sums may exceed
+    /// `2^50` (`terms·q`, the bound [`fold_path`] admits).
+    pub fn fold_into(
+        &self,
+        slots: [usize; 2],
+        factors: [&[u64]; 2],
+        ntt: &NttTable,
+        acc: &mut [u64],
+    ) {
+        let n = self.n;
+        let fits = |x: &[u64]| x.len() == n;
+        assert!(
+            ntt.n() == n && fits(acc) && factors.iter().all(|f| fits(f)),
+            "length mismatch"
+        );
+        let m = ntt.modulus();
+        match self.path {
+            MacPath::Narrow => {
+                self.assert_narrow_within(F64_OPERAND_LIMIT, "the fold's exact bound");
+                let sums = slots.map(|s| &self.narrow[self.window(s)]);
+                if !simd::try_fold_acc(sums, factors, m.value(), acc) {
+                    fold_residues(m, factors, acc, |k, i| {
+                        narrow_residue(sums[k][i], m.value())
+                    });
+                }
+            }
+            MacPath::Wide => {
+                let sums = slots.map(|s| &self.wide[self.window(s)]);
+                fold_residues(m, factors, acc, |k, i| m.reduce_u128(sums[k][i]));
+            }
+        }
+    }
+}
+
+/// The scalar fold, `acc + f₀·s₀ + f₁·s₁ mod q` from the residues
+/// `s_k = residue(k, i)` of the two sums: exact in `u128` for `q < 2^62`.
+fn fold_residues(
+    m: &Modulus,
+    factors: [&[u64]; 2],
+    acc: &mut [u64],
+    residue: impl Fn(usize, usize) -> u64,
+) {
+    for (i, a) in acc.iter_mut().enumerate() {
+        let term = |k: usize| u128::from(residue(k, i)) * u128::from(factors[k][i]);
+        *a = m.reduce_u128(term(0) + term(1) + u128::from(*a));
+    }
+}
+
+/// The canonical residue of a narrow sum: an exact integer below `2^52` in
+/// magnitude.
+fn narrow_residue(sum: f64, q: u64) -> u64 {
+    (sum as i64).rem_euclid(q as i64) as u64
 }
 
 #[cfg(test)]

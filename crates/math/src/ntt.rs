@@ -423,7 +423,10 @@ impl NttTable {
     ///
     /// Panics if slice lengths differ from `self.n()`.
     pub(crate) fn reduce_acc_into(&self, acc: &[u128], out: &mut [u64]) {
-        assert!(acc.len() == self.n && out.len() == self.n);
+        assert!(
+            acc.len() == self.n && out.len() == self.n,
+            "length mismatch"
+        );
         for (o, &a) in out.iter_mut().zip(acc.iter()) {
             *o = self.modulus.reduce_u128(a);
         }

@@ -3,29 +3,34 @@
 //! HEAP gets its throughput from wide arrays of modular functional units
 //! (paper §IV): butterfly units for the NTT, MAC arrays for key switching and
 //! the external product, and decomposition units feeding them. The CPU
-//! analogue is explicit vectorization: AVX2 + FMA (x86_64) implementations
-//! of the hot loops — the NTT butterflies, the digit → NTT → MAC datapath of
-//! the external product, and signed gadget decomposition — selected at
-//! runtime behind feature detection, with the scalar lazy kernels as the
-//! always-available fallback (and the only tier on any other architecture).
+//! analogue is explicit vectorization: AVX-512F and AVX2 + FMA (x86_64)
+//! implementations of the hot loops — the NTT butterflies, the digit → NTT
+//! → MAC datapath of the external product, the CMux fold, and signed gadget
+//! decomposition — selected at runtime behind feature detection, with the
+//! scalar lazy kernels as the always-available fallback (and the only tier
+//! on any other architecture).
 //!
-//! Each vector tier is kept by a measured ratio over the scalar lazy kernel
-//! it replaces (N = 2048, 36-bit limb unless noted, best of 61 × 40 calls,
-//! three process runs, 2-core AVX2+FMA host; EXPERIMENTS.md "One f64 lane
-//! from digit to accumulator"):
+//! Each vector tier is kept by a measured ratio over the kernel it replaces
+//! (N = 2048, 36-bit limb unless noted, best of 61 × 40 calls, three
+//! process runs, 2-core AVX-512F host; EXPERIMENTS.md "One f64 lane from
+//! digit to accumulator" and "Eight lanes"):
 //!
-//! | tier | kernels | applies when | ratio over scalar |
+//! | tier | kernels | applies when | ratio |
 //! |---|---|---|---|
 //! | scalar lazy | all | always | 1 (the parity oracle) |
-//! | `f64` lanes | signed-lazy radix-4 forward NTT | `n ≥ 16`, `C + log2(n)·q ≤ 2^50` | 4.8–4.9× |
-//! | `f64` lanes | digit → forward NTT → four MACs, one entry | the same, and `terms·q ≤ 2^52` | 4.0–4.4× over lift + NTT + four `u128` MACs |
-//! | `f64` lanes | inverse NTT (fully reduced) | the forward gate | 2.4–2.6× |
-//! | integer lanes | signed decompose; signed lift | any NTT modulus | 4.7–4.9×; 3.6–4.1× |
+//! | `f64` lanes ×4 | signed-lazy radix-4 forward NTT | `n ≥ 16`, `C + log2(n)·q ≤ 2^50` | 4.8–4.9× over scalar |
+//! | `f64` lanes ×4 | digit → forward NTT → four MACs, one entry | the same, and `terms·q ≤ 2^52` | 4.0–4.4× over lift + NTT + four `u128` MACs |
+//! | `f64` lanes ×4 | CMux fold into the accumulator | the same, and `terms·q ≤ 2^50` | 5.3× over the `u128` fold |
+//! | `f64` lanes ×4 | inverse NTT (fully reduced) | the forward gate | 2.4–2.6× over scalar |
+//! | `f64` lanes ×8 | forward NTT; digit → NTT → four MACs; fold | the ×4 gates, and AVX-512F | over ×4: 1.4–1.6×; 1.25× (1.0× at N = 2^13, L2-bound); 1.4–2.0× |
+//! | integer lanes ×4 | signed decompose; signed lift | any NTT modulus | 4.7–4.9×; 3.6–4.1× over scalar |
 //! | integer lanes | forward / inverse NTT | — | **deleted**: 1.6–1.8× / 1.1–1.3× at 50–60 bits, but no workload has a modulus past the `f64` gate |
 //!
-//! Every other ring and modulus runs the scalar lazy NTT. The integer-lane
-//! NTT returns from commit `6ed5204` together with a benchmark workload
-//! whose modulus is 46 bits or wider on an AVX2 host, not before.
+//! The 8-lane tier runs the forward transform, the MAC and the fold; the
+//! inverse transform and the integer lanes keep their AVX2 bodies, which it
+//! runs too. Every other ring and modulus runs the scalar lazy NTT. The
+//! integer-lane NTT returns from commit `6ed5204` together with a benchmark
+//! workload whose modulus is 46 bits or wider on an AVX2 host, not before.
 //!
 //! `C` is the largest input magnitude (`4q` for [`crate::NttTable::forward`],
 //! half the gadget base for an external product); the `f64` kernels and the
@@ -39,8 +44,9 @@
 //! bootstrap digests enforce this.
 //!
 //! Dispatch can be overridden for testing and benchmarking: set the
-//! `HEAP_SIMD` environment variable to `scalar` (or `off`/`0`) before first
-//! use, or call [`force_scalar`] at runtime.
+//! `HEAP_SIMD` environment variable before first use to `scalar` (or
+//! `off`/`0`) for the scalar kernels, or to `avx2` to stop at the 4-lane
+//! tier; or call [`force_scalar`] at runtime.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -49,14 +55,18 @@ use crate::mac::{LazyCoeff, RowPair};
 #[cfg(target_arch = "x86_64")]
 mod f64_lanes;
 
-/// Which vector datapath is driving the hot kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which vector datapath is driving the hot kernels. Ordered by width, so
+/// a `HEAP_SIMD` cap is the smaller of itself and what the host has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Backend {
     /// Scalar lazy kernels (always available).
     Scalar = 1,
     /// AVX2 and FMA together on x86_64: 4×u64 and 4×f64 lanes. A CPU with
     /// AVX2 but no FMA runs the scalar kernels.
     Avx2 = 2,
+    /// AVX-512F on top of AVX2 + FMA: the `f64`-lane forward transform,
+    /// MAC and fold run 8 lanes wide; everything else as [`Backend::Avx2`].
+    Avx512 = 3,
 }
 
 impl Backend {
@@ -65,15 +75,21 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
+            Backend::Avx512 => "avx512",
         }
+    }
+
+    /// Whether this tier runs the `f64`-lane kernels (at either width).
+    pub fn has_f64_lanes(self) -> bool {
+        self != Backend::Scalar
     }
 }
 
 /// Cached backend selection: 0 = undetected, else the `Backend` discriminant.
 static BACKEND: AtomicU8 = AtomicU8::new(0);
 
-/// Parses a `HEAP_SIMD` value: `Some(backend)` pins it, `None` leaves the
-/// choice to feature detection.
+/// Parses a `HEAP_SIMD` value: `Some(backend)` caps dispatch at that tier,
+/// `None` leaves the choice to feature detection.
 ///
 /// # Errors
 ///
@@ -82,27 +98,38 @@ static BACKEND: AtomicU8 = AtomicU8::new(0);
 fn override_from(value: &str) -> Result<Option<Backend>, String> {
     match value.to_ascii_lowercase().as_str() {
         "scalar" | "off" | "0" => Ok(Some(Backend::Scalar)),
+        "avx2" => Ok(Some(Backend::Avx2)),
         "" | "auto" => Ok(None),
         other => Err(format!(
             "HEAP_SIMD={other:?} not recognised: use scalar|off|0 to force the scalar kernels, \
-             auto (or unset) to detect"
+             avx2 to stop at the 4-lane tier, auto (or unset) to detect"
         )),
     }
 }
 
-fn detect() -> Backend {
-    let pinned = std::env::var("HEAP_SIMD").map_or(Ok(None), |v| override_from(&v));
-    if let Some(backend) = pinned.unwrap_or_else(|e| panic!("{e}")) {
-        return backend;
-    }
+/// The widest tier this host supports.
+fn native() -> Backend {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Backend::Avx512;
+            }
             return Backend::Avx2;
         }
     }
     Backend::Scalar
+}
+
+/// The host's widest tier, capped by `HEAP_SIMD`: a cap can narrow the
+/// choice, never widen it past what the CPU has.
+fn detect() -> Backend {
+    let pinned = std::env::var("HEAP_SIMD").map_or(Ok(None), |v| override_from(&v));
+    match pinned.unwrap_or_else(|e| panic!("{e}")) {
+        Some(cap) => cap.min(native()),
+        None => native(),
+    }
 }
 
 /// The backend the dispatched kernels will use.
@@ -117,6 +144,7 @@ pub fn active() -> Backend {
             BACKEND.store(b as u8, Ordering::Relaxed);
             b
         }
+        v if v == Backend::Avx512 as u8 => Backend::Avx512,
         v if v == Backend::Avx2 as u8 => Backend::Avx2,
         _ => Backend::Scalar,
     }
@@ -133,28 +161,66 @@ pub fn force_scalar(on: bool) {
 
 /// Largest magnitude an `f64` lane may reach as a product input: the
 /// error-free modular product of `simd/f64_lanes.rs` is exact up to here.
-const F64_OPERAND_LIMIT: u128 = 1 << 50;
+/// A sum the CMux fold multiplies by its factor is such an input.
+pub(crate) const F64_OPERAND_LIMIT: u128 = 1 << 50;
 
 /// Largest magnitude a sum of `f64` MAC terms may reach and stay an exact
 /// integer with a bit in hand.
-const F64_SUM_LIMIT: u128 = 1 << 52;
+pub(crate) const F64_SUM_LIMIT: u128 = 1 << 52;
 
 /// Whether the `f64`-lane transforms run — and are exact — right now for an
 /// `n`-point ring under `q` on inputs of magnitude at most `input_bound`:
-/// the AVX2 + FMA backend active, `n ≥ 16`, and the signed-lazy growth
-/// bound `input_bound + log2(n)·q ≤ 2^50`. Every other ring takes the
-/// scalar kernels.
+/// an `f64`-lane tier active, `n ≥ 16`, and the signed-lazy growth bound
+/// `input_bound + log2(n)·q ≤ 2^50`. Every other ring takes the scalar
+/// kernels.
 pub(crate) fn f64_ntt_ok(n: usize, q: u64, input_bound: u64) -> bool {
     let grown = u128::from(input_bound) + u128::from(n.trailing_zeros()) * u128::from(q);
-    active() == Backend::Avx2 && n.is_power_of_two() && n >= 16 && grown <= F64_OPERAND_LIMIT
+    active().has_f64_lanes() && n.is_power_of_two() && n >= 16 && grown <= F64_OPERAND_LIMIT
 }
 
 /// [`f64_ntt_ok`] for a chain that also accumulates `terms` products per
-/// coefficient in `f64`: the sum of signed terms below `q` must stay an
-/// exact integer, `terms·q ≤ 2^52`. This is what `mac_path` gates the
-/// narrow accumulators on.
-pub(crate) fn f64_mac_ok(n: usize, q: u64, input_bound: u64, terms: usize) -> bool {
-    f64_ntt_ok(n, q, input_bound) && terms as u128 * u128::from(q) <= F64_SUM_LIMIT
+/// coefficient in `f64`, each a signed term below `q`: the sum must stay an
+/// exact integer inside `sum_limit` — [`F64_SUM_LIMIT`] for a chain that
+/// ends in a reduction, [`F64_OPERAND_LIMIT`] for one the CMux fold
+/// multiplies by its factor. This is what `mac_path` gates the narrow
+/// accumulators on.
+pub(crate) fn f64_mac_ok(
+    n: usize,
+    q: u64,
+    input_bound: u64,
+    terms: usize,
+    sum_limit: u128,
+) -> bool {
+    f64_ntt_ok(n, q, input_bound) && terms as u128 * u128::from(q) <= sum_limit
+}
+
+/// Runs `f64_lanes::<tier>::$kernel(args…)` on the active `f64`-lane tier
+/// and yields `true`, or yields `false` — having touched nothing — on the
+/// scalar one.
+#[cfg(target_arch = "x86_64")]
+macro_rules! on_f64_tier {
+    ($kernel:ident($($arg:expr),* $(,)?)) => {
+        match active() {
+            // SAFETY: a tier is active only after runtime detection of its
+            // features (`detect`).
+            Backend::Avx512 => {
+                unsafe { f64_lanes::avx512::$kernel($($arg),*) };
+                true
+            }
+            Backend::Avx2 => {
+                unsafe { f64_lanes::avx2::$kernel($($arg),*) };
+                true
+            }
+            Backend::Scalar => false,
+        }
+    };
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+macro_rules! on_f64_tier {
+    ($($call:tt)*) => {
+        false
+    };
 }
 
 /// Runs the full forward lazy NTT in `f64` lanes: lazy residues in
@@ -165,24 +231,20 @@ pub(crate) fn f64_mac_ok(n: usize, q: u64, input_bound: u64, terms: usize) -> bo
 /// scalar kernel.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn try_ntt_forward(a: &mut [u64], ops_f64: &[f64], q: u64) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if f64_ntt_ok(a.len(), q, 4 * q) {
-        // SAFETY: AVX2 and FMA were detected at runtime (`f64_ntt_ok`).
-        unsafe { f64_lanes::forward_in_place(a, ops_f64, q) };
-        return true;
-    }
-    false
+    f64_ntt_ok(a.len(), q, 4 * q) && on_f64_tier!(forward_in_place(a, ops_f64, q))
 }
 
 /// Runs the full inverse lazy NTT (including the final `n^{-1}` scaling and
-/// canonicalization) in `f64` lanes, under the forward kernel's gate.
-/// Returns `false` when it does not run right now.
+/// canonicalization) in `f64` lanes, under the forward kernel's gate; both
+/// tiers run the one AVX2 body. Returns `false` when it does not run right
+/// now.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn try_ntt_inverse(a: &mut [u64], ops: &[u64], q: u64, n_inv_op: u64) -> bool {
     #[cfg(target_arch = "x86_64")]
     if f64_ntt_ok(a.len(), q, 4 * q) {
-        // SAFETY: AVX2 and FMA were detected at runtime (`f64_ntt_ok`). The
-        // forward gate implies the inverse kernel's own bound, `q < 2^48`.
+        // SAFETY: both `f64`-lane tiers have AVX2 and FMA, detected at
+        // runtime (`f64_ntt_ok`). The forward gate implies the inverse
+        // kernel's own bound, `q < 2^48`.
         unsafe { f64_lanes::ntt_inverse(a, ops, q, n_inv_op) };
         return true;
     }
@@ -207,16 +269,7 @@ pub(crate) fn try_mac_digit<T: LazyCoeff, const K: usize>(
     rows: [RowPair<'_>; K],
     acc: &mut [f64],
 ) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if f64_ntt_ok(digit.len(), q, 0) {
-        // SAFETY: AVX2 and FMA were detected at runtime (`f64_ntt_ok`).
-        unsafe {
-            f64_lanes::forward_into(digit, ops_f64, q, operand);
-            f64_lanes::mac_rows(operand, rows, q, acc);
-        }
-        return true;
-    }
-    false
+    f64_ntt_ok(digit.len(), q, 0) && on_f64_tier!(mac_digit(digit, ops_f64, q, operand, rows, acc))
 }
 
 /// Reduces `f64` accumulators (exact integers below `2^52` in magnitude) to
@@ -224,13 +277,20 @@ pub(crate) fn try_mac_digit<T: LazyCoeff, const K: usize>(
 /// not run right now.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn try_reduce_acc(acc: &[f64], q: u64, out: &mut [u64]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if f64_ntt_ok(acc.len(), q, 0) {
-        // SAFETY: AVX2 and FMA were detected at runtime (`f64_ntt_ok`).
-        unsafe { f64_lanes::reduce_acc(acc, q, out) };
-        return true;
-    }
-    false
+    f64_ntt_ok(acc.len(), q, 0) && on_f64_tier!(reduce_acc(acc, q, out))
+}
+
+/// The CMux fold in `f64` lanes: `acc ← canonical(acc + S⁺·f⁺ + S⁻·f⁻)`
+/// for exact integer sums `|S| ≤ 2^50` and canonical factors and `acc`.
+/// Returns `false` when the `f64` kernels do not run right now.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn try_fold_acc(
+    sums: [&[f64]; 2],
+    factors: [&[u64]; 2],
+    q: u64,
+    acc: &mut [u64],
+) -> bool {
+    f64_ntt_ok(acc.len(), q, 0) && on_f64_tier!(fold_acc(sums, factors, q, acc))
 }
 
 /// Signed gadget decomposition of a coefficient slice into digit-major rows.
@@ -249,8 +309,9 @@ pub(crate) fn try_decompose_signed(
     }
     match active() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            // SAFETY: Avx2 is only selected after runtime detection.
+        Backend::Avx2 | Backend::Avx512 => {
+            // SAFETY: both tiers are only selected after runtime detection
+            // of AVX2 (and more).
             unsafe { avx2::decompose_signed(coeffs, q, base_bits, out) };
             true
         }
@@ -271,8 +332,9 @@ pub(crate) fn try_from_signed(coeffs: &[i64], q: u64, out: &mut [u64]) -> bool {
     }
     match active() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            // SAFETY: Avx2 is only selected after runtime detection.
+        Backend::Avx2 | Backend::Avx512 => {
+            // SAFETY: both tiers are only selected after runtime detection
+            // of AVX2 (and more).
             unsafe { avx2::from_signed(coeffs, q, out) };
             true
         }
@@ -416,6 +478,17 @@ mod tests {
     fn backend_names_are_stable() {
         assert_eq!(Backend::Scalar.name(), "scalar");
         assert_eq!(Backend::Avx2.name(), "avx2");
+        assert_eq!(Backend::Avx512.name(), "avx512");
+    }
+
+    /// Names the tier this process dispatches to (CI's SIMD-parity step
+    /// runs it with `--nocapture` ahead of each round); a `HEAP_SIMD` cap
+    /// never selects more than the host has.
+    #[test]
+    fn reports_the_active_backend() {
+        let b = active();
+        println!("simd::active() = {}", b.name());
+        assert!(b <= native(), "{b:?} above the host's {:?}", native());
     }
 
     #[test]
@@ -433,10 +506,13 @@ mod tests {
         for v in ["scalar", "off", "0", "SCALAR", "Off"] {
             assert_eq!(override_from(v), Ok(Some(Backend::Scalar)), "{v}");
         }
+        for v in ["avx2", "AVX2"] {
+            assert_eq!(override_from(v), Ok(Some(Backend::Avx2)), "{v}");
+        }
         for v in ["", "auto", "AUTO"] {
             assert_eq!(override_from(v), Ok(None), "{v:?}");
         }
-        for v in ["sclar", "1", "avx2", "on", " scalar"] {
+        for v in ["sclar", "1", "avx512", "avx", "on", " scalar"] {
             let err = override_from(v).expect_err(v);
             assert!(
                 err.contains("scalar|off|0") && err.contains("auto"),

@@ -364,14 +364,15 @@ mod simd_parity {
         }
     }
 
-    /// Three-way parity at the ring sizes the other oracle tests stop
-    /// short of, up to the paper's N = 2^13 on a 36-bit limb: dispatching
-    /// kernel == scalar lazy kernel == strict reference, forward and
-    /// inverse. (The retired `kernel_sweep` binary asserted this before
-    /// it timed anything; nothing ran it.)
+    /// Three-way parity at every ring the vector tiers take, up to the
+    /// paper's N = 2^13 on a 36-bit limb — both last-pass shapes of either
+    /// width, and `n = 16`, which has no radix-4 pass at 8 lanes:
+    /// dispatching kernel == scalar lazy kernel == strict reference,
+    /// forward and inverse. (The retired `kernel_sweep` binary asserted
+    /// this before it timed anything; nothing ran it.)
     #[test]
     fn ntt_three_way_parity_up_to_the_paper_ring() {
-        for n in [1usize << 10, 1 << 13] {
+        for n in (4..=13).map(|log_n| 1usize << log_n) {
             let m = Modulus::new(ntt_primes(n as u64, 36, 1)[0]).unwrap();
             let t = NttTable::new(n, m);
             let base: Vec<u64> = (0..n as u64)
@@ -503,8 +504,8 @@ mod simd_parity {
 /// backend is whatever `HEAP_SIMD` and the host say for the whole run.)
 mod fused_datapath {
     use super::*;
-    use heap_math::simd::{self, Backend};
-    use heap_math::{mac_path, LazyCoeff, MacAcc, MacPath};
+    use heap_math::simd;
+    use heap_math::{fold_path, mac_path, LazyCoeff, MacAcc, MacPath};
 
     /// The largest modulus the narrow gate admits for an `n`-point ring on
     /// inputs up to `input_bound`: `input_bound + log2(n)·q ≤ 2^50`.
@@ -593,12 +594,12 @@ mod fused_datapath {
     /// Digits pinned at `±2^(base_bits−1)`, residues pinned at `q − 1` and
     /// at the largest foreign modulus the gate admits, key rows at `q − 1`,
     /// `0` and random, 28 terms (the paper's `2·7·2`; fewer where a modulus
-    /// near `2^48` admits fewer), `N` from 8 to the paper's `2^13`: the
-    /// fused entry equals the eager chain, and so does `forward` on lazy
-    /// inputs pinned at `4q − 1`.
+    /// near `2^48` admits fewer), every `N` from 8 to the paper's `2^13`:
+    /// the fused entry equals the eager chain, and so does `forward` on
+    /// lazy inputs pinned at `4q − 1`.
     #[test]
     fn fused_entry_matches_eager_chain_at_the_extremes() {
-        for n in [8usize, 16, 32, 64, 1 << 10, 1 << 11, 1 << 13] {
+        for n in (3..=13).map(|log_n| 1usize << log_n) {
             for (m, base_bits) in modulus_classes(n) {
                 let q = m.value();
                 let t = NttTable::new(n, m);
@@ -610,7 +611,7 @@ mod fused_datapath {
                 let rows = [vec![q - 1; n], vec![0; n], random];
 
                 let path = mac_path([&t], terms, half_base as u64);
-                let admitted = n >= 16 && simd::active() == Backend::Avx2;
+                let admitted = n >= 16 && simd::active().has_f64_lanes();
                 assert_eq!(path == MacPath::Narrow, admitted, "n = {n}, q = {q}");
                 let digits = [
                     vec![half_base; n],
@@ -658,12 +659,122 @@ mod fused_datapath {
             let half_base = 1u64 << (base_bits - 1);
             let terms = ((1u64 << 52) / q) as usize;
             let path = mac_path([&t], terms, half_base);
-            let admitted = simd::active() == Backend::Avx2;
+            let admitted = simd::active().has_f64_lanes();
             assert_eq!(path == MacPath::Narrow, admitted, "q = {q}");
             assert_eq!(mac_path([&t], terms + 1, half_base), MacPath::Wide);
             let digit = vec![-(half_base as i64); n];
             let rows = [vec![q - 1; n], vec![q / 2; n]];
             assert_fused_matches_eager(&t, path, &digit, [&rows[0], &rows[1]], terms);
+        }
+    }
+
+    /// A narrow chain outside the gate: three `mac_digit` calls on a 60-bit
+    /// table, where each product is near `2^60` and no `f64` sum is exact.
+    /// Whatever the host, the chain must not return a wrong residue — it
+    /// either equals the eager chain or refuses with the bound's message.
+    #[test]
+    fn narrow_chain_outside_the_gate_never_returns_a_wrong_residue() {
+        let n = 32;
+        let t = NttTable::new(n, prime_of(n, 60));
+        let q = t.modulus().value();
+        let digits: Vec<Vec<u64>> = (0..3u64)
+            .map(|r| (0..n as u64).map(|i| (q - 1 - i * 977 - r) % q).collect())
+            .collect();
+        let row: Vec<u64> = (0..n as u64).map(|i| q - 1 - i * 31).collect();
+        let mut want = vec![0u64; n];
+        for digit in &digits {
+            let mut x = digit.clone();
+            oracle::forward_reference(&t, &mut x);
+            t.pointwise_acc(&x, &row, &mut want);
+        }
+        let chain = std::panic::catch_unwind(|| {
+            let mut acc = MacAcc::default();
+            acc.reset(MacPath::Narrow, 2, n);
+            for digit in &digits {
+                acc.mac_digit(&t, digit, [[(0, &row[..]), (1, &row[..])]]);
+            }
+            let mut got = vec![0u64; 2 * n];
+            let (a, b) = got.split_at_mut(n);
+            acc.reduce_into(0, &t, a);
+            acc.reduce_into(1, &t, b);
+            got
+        });
+        match chain {
+            Ok(got) => assert_eq!(
+                got,
+                [&want[..], &want[..]].concat(),
+                "a narrow 60-bit chain returned"
+            ),
+            Err(err) => {
+                let msg = err
+                    .downcast::<String>()
+                    .map_or_else(|_| String::new(), |s| *s);
+                assert!(msg.contains("past its exact bound"), "{msg}");
+            }
+        }
+    }
+
+    /// The CMux fold on both paths against the eager sequence it replaces
+    /// — reduce each sum, scale it by its factor, add both to the
+    /// accumulator — with sums as large as the fold's gate admits, factors
+    /// and accumulator pinned at `q − 1` and random. One term more than the
+    /// gate admits is refused, by the gate and by a narrow chain itself.
+    #[test]
+    fn fold_matches_the_eager_sequence_at_its_gate() {
+        for n in [16usize, 64, 1 << 11] {
+            let t = NttTable::new(n, prime_of(n, 36));
+            let m = *t.modulus();
+            let q = m.value();
+            let terms = ((1u64 << 50) / q) as usize;
+            let half_base = 1u64 << 17;
+            let path = fold_path([&t], terms, half_base);
+            assert_eq!(path, mac_path([&t], terms, half_base), "n = {n}");
+            assert_eq!(fold_path([&t], terms + 1, half_base), MacPath::Wide);
+            let random = |salt: u64| -> Vec<u64> {
+                (0..n as u64)
+                    .map(|i| (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) % q)
+                    .collect()
+            };
+            let digit = vec![-(half_base as i64); n];
+            let rows = [vec![q - 1; n], random(1)];
+            let factors = [vec![q - 1; n], random(2)];
+            let start = random(3);
+            let mut sums = [vec![0u64; n], vec![0u64; n]];
+            let mut x = poly::from_signed(&digit, &m);
+            oracle::forward_reference(&t, &mut x);
+            for (sum, row) in sums.iter_mut().zip(&rows) {
+                t.pointwise_acc(&x, row, sum);
+                let count = m.reduce_u64(terms as u64);
+                sum.iter_mut().for_each(|s| *s = m.mul(*s, count));
+            }
+            let want: Vec<u64> = (0..n)
+                .map(|i| {
+                    m.add(
+                        start[i],
+                        m.add(
+                            m.mul(sums[0][i], factors[0][i]),
+                            m.mul(sums[1][i], factors[1][i]),
+                        ),
+                    )
+                })
+                .collect();
+            for path in [path, MacPath::Wide] {
+                let mut acc = MacAcc::default();
+                acc.reset(path, 2, n);
+                for _ in 0..terms {
+                    acc.mac_digit(&t, &digit, [[(0, &rows[0][..]), (1, &rows[1][..])]]);
+                }
+                let mut got = start.clone();
+                acc.fold_into([0, 1], [&factors[0], &factors[1]], &t, &mut got);
+                assert_eq!(got, want, "n = {n}, {path:?}");
+                if path == MacPath::Narrow {
+                    acc.mac_digit(&t, &digit, [[(0, &rows[0][..]), (1, &rows[1][..])]]);
+                    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        acc.fold_into([0, 1], [&factors[0], &factors[1]], &t, &mut got)
+                    }));
+                    assert!(refused.is_err(), "a narrow fold past 2^50 ran, n = {n}");
+                }
+            }
         }
     }
 
@@ -722,10 +833,15 @@ mod ragged_entry_points {
             .collect()
     }
 
+    /// Rings below the vector gate take the scalar kernels; `n = 16` is
+    /// one 8-lane block with no radix-4 pass and `n = 32` one radix-4 pass
+    /// and the shorter last pass. Forward, inverse, the signed MAC on both
+    /// paths and the fold on both paths agree with the strict oracle.
     #[test]
-    fn rings_below_the_vector_gate_match_the_strict_oracle() {
-        for n in [2usize, 4, 8] {
+    fn smallest_rings_match_the_strict_oracle() {
+        for n in [2usize, 4, 8, 16, 32] {
             let t = NttTable::new(n, q());
+            let m = *t.modulus();
             let [mut fast, mut strict] = [residues(n, 1), residues(n, 1)];
             t.forward(&mut fast);
             oracle::forward_reference(&t, &mut strict);
@@ -736,18 +852,35 @@ mod ragged_entry_points {
 
             let digit: Vec<i64> = (0..n as i64).map(|i| (i - 3) << 16).collect();
             let rows = [residues(n, 2), residues(n, 3)];
-            let [narrow, wide] = [MacPath::Narrow, MacPath::Wide].map(|path| {
+            let mut x = poly::from_signed(&digit, &m);
+            oracle::forward_reference(&t, &mut x);
+            let mut want = [vec![0u64; n], vec![0u64; n]];
+            for (w, row) in want.iter_mut().zip(&rows) {
+                t.pointwise_acc(&x, row, w);
+                t.pointwise_acc(&x, row, w);
+            }
+            let factors = [residues(n, 4), residues(n, 5)];
+            let start = residues(n, 6);
+            let folded: Vec<u64> = (0..n)
+                .map(|i| {
+                    let scaled = |k: usize| m.mul(want[k][i], factors[k][i]);
+                    m.add(start[i], m.add(scaled(0), scaled(1)))
+                })
+                .collect();
+            for path in [MacPath::Narrow, MacPath::Wide] {
                 let mut acc = MacAcc::default();
                 acc.reset(path, 2, n);
                 acc.mac_digit(&t, &digit, [[(0, &rows[0][..]), (1, &rows[1][..])]]);
-                acc.mac_digit(&t, &digit, [[(0, &rows[1][..]), (1, &rows[0][..])]]);
-                let mut out = vec![0u64; 2 * n];
-                let (a, b) = out.split_at_mut(n);
-                acc.reduce_into(0, &t, a);
-                acc.reduce_into(1, &t, b);
-                out
-            });
-            assert_eq!(narrow, wide, "mac_digit, n = {n}");
+                acc.mac_digit(&t, &digit, [[(0, &rows[0][..]), (1, &rows[1][..])]]);
+                for (slot, w) in want.iter().enumerate() {
+                    let mut got = vec![0u64; n];
+                    acc.reduce_into(slot, &t, &mut got);
+                    assert_eq!(&got, w, "mac_digit, {path:?}, n = {n}, slot {slot}");
+                }
+                let mut got = start.clone();
+                acc.fold_into([0, 1], [&factors[0], &factors[1]], &t, &mut got);
+                assert_eq!(got, folded, "fold_into, {path:?}, n = {n}");
+            }
         }
     }
 
@@ -792,6 +925,28 @@ mod ragged_entry_points {
                         assert!(
                             msg.contains("length mismatch"),
                             "{what}, {path:?}, n = {n}, len = {len}: {msg}"
+                        );
+                    }
+                    // The chain's two ends: the reduction's output, and the
+                    // fold's factors, accumulator and table.
+                    let mut ragged_out = residues(len, 7);
+                    let msg = panic_message(|| acc.reduce_into(0, &t, &mut ragged_out));
+                    assert!(
+                        msg.contains("length mismatch"),
+                        "reduce_into, {path:?}: {msg}"
+                    );
+                    let mut good_acc = residues(n, 8);
+                    let fold_cases = [
+                        ("factor", &t, &ragged_row, &mut good_acc.clone()),
+                        ("accumulator", &t, &row, &mut ragged_out.clone()),
+                        ("table", &other, &row, &mut good_acc),
+                    ];
+                    for (what, table, factor, acc_limb) in fold_cases {
+                        let factors = [&row[..], &factor[..]];
+                        let msg = panic_message(|| acc.fold_into([0, 1], factors, table, acc_limb));
+                        assert!(
+                            msg.contains("length mismatch"),
+                            "fold {what}, {path:?}, n = {n}, len = {len}: {msg}"
                         );
                     }
                 }

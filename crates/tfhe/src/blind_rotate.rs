@@ -31,10 +31,12 @@
 //! key") with the key row, not the accumulator, as the stationary operand
 //! of the external product. A single rotation is the tile of one. The two
 //! external products of a step share one gadget decomposition and one
-//! spread-NTT per digit, and the accumulator update is one fused pass: the
+//! spread-NTT per digit, and neither is ever reduced on its own: the
 //! monomial factors are looked up in precomputed root-power tables (HEAP's
-//! rotation unit + NTT datapath combination) and applied as
-//! `reduce(f⁺·EP⁺ + f⁻·EP⁻ + acc)` per coefficient, never materialized.
+//! rotation unit + NTT datapath combination) and the MAC's one deferred
+//! reduction per coefficient *is* the update,
+//! `acc ← canonical(acc + f⁺·S⁺ + f⁻·S⁻)` from the unreduced sums `S±`
+//! (`crate::rgsw::Finish::Fold`). No `EP⁺`/`EP⁻` buffer exists.
 
 use rand::Rng;
 
@@ -43,7 +45,8 @@ use heap_math::{poly, Domain, RnsContext, RnsPoly};
 
 use crate::lwe::{LweCiphertext, LweSecretKey};
 use crate::rgsw::{
-    copy_into_slot, external_product_core, ExternalProductScratch, RgswCiphertext, RgswParams,
+    copy_into_slot, external_product_core, ExternalProductScratch, Finish, RgswCiphertext,
+    RgswParams,
 };
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
 
@@ -126,58 +129,6 @@ impl MonomialEvals {
     pub fn new(ctx: &RnsContext, limbs: usize) -> Self {
         Self {
             tables: (0..limbs).map(|i| MonomialTable::new(ctx.ntt(i))).collect(),
-        }
-    }
-
-    /// The CMux accumulator update in one pass over the coefficients:
-    /// `acc += (X^{-a} − 1)·pos + (X^{a} − 1)·neg` for `a ∈ [0, 2N)`.
-    ///
-    /// Per coefficient: two table look-ups for the factors `f⁺`, `f⁻` and
-    /// one `reduce(f⁺·p + f⁻·n + acc)` per component. The sum is exact
-    /// mod-`q` arithmetic on canonical residues (`2q² + q < 2^128` for
-    /// every `q < 2^62`), so the result is bit-identical to multiplying
-    /// each product by its materialized factor and adding them in turn.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any operand is in coefficient domain, if limb counts
-    /// differ, or if there are more limbs than tables.
-    fn cmux_update(
-        &self,
-        a: usize,
-        pos: &RlweCiphertext,
-        neg: &RlweCiphertext,
-        acc: &mut RlweCiphertext,
-        ctx: &RnsContext,
-    ) {
-        let limbs = acc.limbs();
-        assert!(limbs <= self.tables.len());
-        assert!(
-            pos.limbs() == limbs && neg.limbs() == limbs,
-            "limb mismatch"
-        );
-        for part in [&acc.a, &acc.b, &pos.a, &pos.b, &neg.a, &neg.b] {
-            assert_eq!(part.domain(), Domain::Eval, "needs Eval domain");
-        }
-        let n = ctx.n();
-        for (j, t) in self.tables[..limbs].iter().enumerate() {
-            let q = ctx.modulus(j);
-            let two_n = t.pow.len();
-            let (pa, pb) = (&pos.a.limb(j)[..n], &pos.b.limb(j)[..n]);
-            let (na, nb) = (&neg.a.limb(j)[..n], &neg.b.limb(j)[..n]);
-            let slot_exp = &t.slot_exp[..n];
-            for (part, p, m) in [(&mut acc.a, pa, na), (&mut acc.b, pb, nb)] {
-                let out = &mut part.limb_mut(j)[..n];
-                for idx in 0..n {
-                    // X^{a} at this slot is psi^x; X^{-a} is psi^{2N − x}.
-                    let x = (a * slot_exp[idx]) & (two_n - 1);
-                    let f_neg = q.sub(t.pow[x], 1) as u128;
-                    let f_pos = q.sub(t.pow[(two_n - x) & (two_n - 1)], 1) as u128;
-                    out[idx] = q.reduce_u128(
-                        f_pos * p[idx] as u128 + f_neg * m[idx] as u128 + out[idx] as u128,
-                    );
-                }
-            }
         }
     }
 
@@ -345,7 +296,7 @@ impl BlindRotateKey {
     /// Returns the accumulators in input order, each bit-identical to the
     /// one-product oracle (`crate::oracle::blind_rotate_reference`) of its
     /// LWE. The tile's
-    /// buffers (digit store, `2·len` product outputs) live in `scratch`;
+    /// buffers (digit store, MAC accumulators, factors) live in `scratch`;
     /// once it is warm for a tile size the per-key loop runs with no heap
     /// allocation (`tests/alloc_free.rs`). Callers size the tile — the
     /// parallel engine walks each worker's chunk in tiles, one scratch per
@@ -363,33 +314,23 @@ impl BlindRotateKey {
     ) -> Vec<RlweCiphertext> {
         let mut accs = self.initial_accumulators(ctx, test_poly, lwes, &mut scratch.test_coeff);
         let BlindRotateScratch {
-            ep, outs, active, ..
+            ep, exps, active, ..
         } = scratch;
-        if outs.len() < lwes.len() {
-            let zero = || RlweCiphertext::zero(ctx, self.limbs);
-            outs.resize_with(lwes.len(), || [zero(), zero()]);
-        }
-        let mut outs: Vec<_> = outs[..lwes.len()]
-            .iter_mut()
-            .map(|o| o.each_mut())
-            .collect();
-        active.clear();
-        active.reserve(lwes.len());
         let two_n = 2 * ctx.n() as u64;
         for i in 0..self.lwe_dim() {
-            let a_i = |m: usize| (lwes[m].a[i] % two_n) as usize;
+            exps.clear();
+            exps.extend(lwes.iter().map(|lwe| (lwe.a[i] % two_n) as usize));
             active.clear();
-            active.extend((0..lwes.len()).filter(|&m| a_i(m) != 0));
+            active.extend((0..lwes.len()).filter(|&m| exps[m] != 0));
             // One shared decomposition of each accumulator feeds both
-            // products.
+            // products, which fold into it.
             let keys = [&self.pos[i], &self.neg[i]];
-            external_product_core(&accs, active, keys, ctx, &self.params, ep, &mut outs);
-            for &m in active.iter() {
-                // Rotation by -a_i·s_i: s=+1 wants X^{-a_i}, s=-1 wants X^{+a_i}.
-                let [pos, neg] = &outs[m];
-                self.monomials
-                    .cmux_update(a_i(m), pos, neg, &mut accs[m], ctx);
-            }
+            let finish = Finish::Fold {
+                accs: &mut accs,
+                exps,
+                monomials: &self.monomials,
+            };
+            external_product_core(active, keys, ctx, &self.params, ep, finish);
         }
         accs
     }
@@ -429,9 +370,8 @@ impl BlindRotateKey {
 #[derive(Debug, Default)]
 pub struct BlindRotateScratch {
     ep: ExternalProductScratch,
-    /// `[EP(acc, brk_i^+), EP(acc, brk_i^-)]` per tile member, reused
-    /// across steps.
-    outs: Vec<[RlweCiphertext; 2]>,
+    /// Each tile member's mask element of the current step, reduced mod `2N`.
+    exps: Vec<usize>,
     /// Tile members taking part in the current step (`a_i ≢ 0`).
     active: Vec<usize>,
     test_coeff: Option<RnsPoly>,
@@ -590,30 +530,63 @@ mod tests {
         brk.blind_rotate(&c, &f, &lwe);
     }
 
-    /// The fused update against the sequence it replaced — materialize
-    /// `X^{∓a} − 1`, scale each product by it, add the two to the
-    /// accumulator in turn — at the exponents around the negacyclic wrap,
-    /// on the paper's 36-bit limbs and on 60-bit ones (largest `2q² + q`).
+    /// The CMux fold against the sequence it replaced — reduce both
+    /// external products, scale each by its materialized `X^{∓a} − 1`, add
+    /// the two to the accumulator in turn — at the exponents around the
+    /// negacyclic wrap, on the paper's 36-bit limbs (the narrow fold where
+    /// the host has `f64` lanes) and on 60-bit ones (the wide fold from
+    /// `u128` sums).
     #[test]
     fn fused_cmux_update_matches_factor_multiply_add() {
         const N: usize = 64;
-        for bits in [36, 60] {
+        let shapes = [
+            (36, RgswParams::paper()),
+            (
+                60,
+                RgswParams {
+                    base_bits: 20,
+                    digits: 3,
+                },
+            ),
+        ];
+        for (bits, p) in shapes {
             let c = RnsContext::new(N, &ntt_primes(N as u64, bits, 2));
             let monomials = MonomialEvals::new(&c, 2);
             let mut rng = StdRng::seed_from_u64(u64::from(bits));
-            let mut random = || {
-                let mut part = || {
-                    let limbs = (0..2).map(|j| {
-                        heap_math::sample::uniform_poly(&mut rng, N, c.modulus(j).value())
-                    });
-                    RnsPoly::from_limbs(limbs.collect(), Domain::Eval)
-                };
-                RlweCiphertext {
-                    a: part(),
-                    b: part(),
-                }
+            let sk = RingSecretKey::generate(&c, 2, &mut rng);
+            let keys = [1, -1].map(|m| RgswCiphertext::encrypt_scalar(&c, &sk, m, 2, &p, &mut rng));
+            let mut part = || {
+                let limbs = (0..2)
+                    .map(|j| heap_math::sample::uniform_poly(&mut rng, N, c.modulus(j).value()));
+                RnsPoly::from_limbs(limbs.collect(), Domain::Eval)
             };
-            let (pos, neg, acc) = (random(), random(), random());
+            let acc = RlweCiphertext {
+                a: part(),
+                b: part(),
+            };
+
+            let terms = 2 * 2 * p.digits;
+            let path =
+                heap_math::fold_path((0..2).map(|j| c.ntt(j)), terms, 1 << (p.base_bits - 1));
+            let narrow = bits == 36 && heap_math::simd::active().has_f64_lanes();
+            assert_eq!(
+                path == heap_math::MacPath::Narrow,
+                narrow,
+                "{bits}-bit fold path"
+            );
+
+            let mut scratch = ExternalProductScratch::default();
+            let [mut pos, mut neg] = [0, 1].map(|_| RlweCiphertext::zero(&c, 2));
+            crate::rgsw::external_product_pair_into(
+                &acc,
+                &keys[0],
+                &keys[1],
+                &c,
+                &p,
+                &mut scratch,
+                &mut pos,
+                &mut neg,
+            );
             for a in [1, N - 1, N, N + 1, 2 * N - 1] {
                 let mut want = acc.clone();
                 for (term, exp) in [(&pos, 2 * N - a), (&neg, a)] {
@@ -630,8 +603,14 @@ mod tests {
                         }
                     }
                 }
-                let mut got = acc.clone();
-                monomials.cmux_update(a, &pos, &neg, &mut got, &c);
+                let mut accs = vec![acc.clone()];
+                let finish = Finish::Fold {
+                    accs: &mut accs,
+                    exps: &[a],
+                    monomials: &monomials,
+                };
+                external_product_core(&[0], [&keys[0], &keys[1]], &c, &p, &mut scratch, finish);
+                let got = &accs[0];
                 assert!(got.a == want.a && got.b == want.b, "{bits}-bit, a = {a}");
             }
         }

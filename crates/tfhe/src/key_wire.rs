@@ -30,7 +30,7 @@ use heap_math::wire::{residue_bits, WireError, WireReader, WireWriter};
 use heap_math::{sample, Domain, RnsContext, RnsPoly};
 
 use crate::blind_rotate::BlindRotateKey;
-use crate::lwe::{LweCiphertext, LweKeySwitchKey, LweSecretKey};
+use crate::lwe::{LweKeySwitchKey, LweSecretKey};
 use crate::rgsw::{RgswCiphertext, RgswParams};
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
 
@@ -44,8 +44,8 @@ const BRK_MAGIC: u32 = 0x4252_4B31; // "BRK1"
 /// Replaces every mask of `ksk` with the PRG stream for `seed`, fixing
 /// bodies so all phases are unchanged (`b′ = b + ⟨a − a′, s⟩`).
 ///
-/// Stream order: ciphertexts `key[j][k]` for `j` in source order, `k` in
-/// digit order — the order [`ksk_from_wire`] expands in.
+/// Stream order: rows `(j, k)` for `j` in source order, `k` in digit order
+/// — the order [`ksk_from_wire`] expands in.
 ///
 /// # Panics
 ///
@@ -54,16 +54,15 @@ pub fn reseed_ksk(ksk: &mut LweKeySwitchKey, to_sk: &LweSecretKey, q: &Modulus, 
     assert_eq!(to_sk.dim(), ksk.target_dim(), "target secret mismatch");
     let n_t = ksk.target_dim();
     let mut rng = StdRng::seed_from_u64(seed);
-    for row in ksk.cts_mut() {
-        for ct in row {
-            let fresh = sample::uniform_poly(&mut rng, n_t, q.value());
-            let mut delta_dot = 0u64;
-            for ((&old, &new), &s) in ct.a.iter().zip(&fresh).zip(to_sk.coeffs()) {
-                delta_dot = q.mul_add(q.sub(old, new), q.from_i64(s), delta_dot);
-            }
-            ct.b = q.add(ct.b, delta_dot);
-            ct.a = fresh;
+    for row in ksk.rows_mut() {
+        let (a, b) = row.split_at_mut(n_t);
+        let fresh = sample::uniform_poly(&mut rng, n_t, q.value());
+        let mut delta_dot = 0u64;
+        for ((&old, &new), &s) in a.iter().zip(&fresh).zip(to_sk.coeffs()) {
+            delta_dot = q.mul_add(q.sub(old, new), q.from_i64(s), delta_dot);
         }
+        b[0] = q.add(b[0], delta_dot);
+        a.copy_from_slice(&fresh);
     }
 }
 
@@ -89,12 +88,11 @@ pub fn ksk_write(w: &mut WireWriter, ksk: &LweKeySwitchKey, q: &Modulus, seed: O
     w.put_u64(q.value());
     put_seed(w, seed);
     // Two packed runs across the whole grid: every body, then every mask.
-    let count = ksk.ciphertext_count();
-    let cts = || ksk.cts().iter().flatten();
-    w.put_packed_iter(cts().map(|ct| ct.b), count, bits);
+    let (count, n_t) = (ksk.ciphertext_count(), ksk.target_dim());
+    w.put_packed_iter(ksk.rows().map(|row| row[n_t]), count, bits);
     if seed.is_none() {
-        let masks = cts().flat_map(|ct| ct.a.iter().copied());
-        w.put_packed_iter(masks, count * ksk.target_dim(), bits);
+        let masks = ksk.rows().flat_map(|row| row[..n_t].iter().copied());
+        w.put_packed_iter(masks, count * n_t, bits);
     }
 }
 
@@ -147,28 +145,16 @@ pub fn ksk_from_wire(
         Some(_) => Vec::new(),
         None => r.get_residues(count * target_dim, q.value(), "KSK mask out of range")?,
     };
-    let mut key = Vec::with_capacity(source_dim);
-    let mut idx = 0usize;
-    for j in 0..source_dim {
-        let mut row = Vec::with_capacity(digits);
-        for k in 0..digits {
-            let a = match &mut prg {
-                Some(prg) => sample::uniform_poly(prg, target_dim, q.value()),
-                None => {
-                    idx += target_dim;
-                    masks[idx - target_dim..idx].to_vec()
-                }
-            };
-            row.push(LweCiphertext {
-                a,
-                b: bodies[j * digits + k],
-                modulus: q.value(),
-            });
+    let mut rows = Vec::with_capacity(count * (target_dim + 1));
+    for (r, &b) in bodies.iter().enumerate() {
+        match &mut prg {
+            Some(prg) => rows.extend(sample::uniform_poly(prg, target_dim, q.value())),
+            None => rows.extend_from_slice(&masks[r * target_dim..(r + 1) * target_dim]),
         }
-        key.push(row);
+        rows.push(b);
     }
     Ok(LweKeySwitchKey::from_parts(
-        key, q, base_bits, digits, target_dim,
+        rows, q, base_bits, digits, target_dim,
     ))
 }
 
@@ -285,6 +271,7 @@ pub fn brk_from_wire(buf: &[u8], ctx: &RnsContext) -> Result<BlindRotateKey, Wir
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lwe::LweCiphertext;
     use heap_math::prime::ntt_primes;
     use heap_math::seeded::MODE_SEEDED;
     use rand::Rng;

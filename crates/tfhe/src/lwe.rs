@@ -140,14 +140,40 @@ impl LweSecretKey {
 /// LWE→LWE key-switching key: switches dimension-`N` samples (extracted
 /// from ring ciphertexts) down to the blind-rotation mask dimension `n_t`.
 ///
-/// Layout: `key[j][k]` encrypts `s_j · B^k` under the target secret — a
-/// vector of `N · d` LWE ciphertexts, exactly the shape the paper states
-/// for the key-switching key (§II-B).
+/// Layout: row `j·d + k` encrypts `s_j · B^k` under the target secret — `N ·
+/// d` LWE ciphertexts, exactly the shape the paper states for the
+/// key-switching key (§II-B). The rows are stored flat, each as its mask
+/// followed by its body (`n_t + 1` words), so the switch is one contiguous
+/// multiply-add per nonzero digit.
 #[derive(Debug, Clone)]
 pub struct LweKeySwitchKey {
-    key: Vec<Vec<LweCiphertext>>,
+    rows: Vec<u64>,
     gadget: Gadget,
+    source_dim: usize,
     target_dim: usize,
+    /// Terms one exact sum of `digit × entry` holds before the switch folds
+    /// it back to a residue ([`Self::fold_interval`]).
+    fold_every: usize,
+    /// Whether the sums need `i128` words: two terms overflow `i64`.
+    wide: bool,
+}
+
+/// An exact accumulator word for [`LweKeySwitchKey::switch`].
+trait SumWord: Copy + Default + From<i64> + std::ops::AddAssign + std::ops::Mul<Output = Self> {
+    /// The canonical residue of the sum modulo `q`.
+    fn residue(self, q: u64) -> u64;
+}
+
+impl SumWord for i64 {
+    fn residue(self, q: u64) -> u64 {
+        self.rem_euclid(q as i64) as u64
+    }
+}
+
+impl SumWord for i128 {
+    fn residue(self, q: u64) -> u64 {
+        self.rem_euclid(i128::from(q)) as u64
+    }
 }
 
 impl LweKeySwitchKey {
@@ -163,52 +189,63 @@ impl LweKeySwitchKey {
         rng: &mut R,
     ) -> Self {
         let gadget = Gadget::new(base_bits, digits, *q);
-        let key = from
-            .coeffs()
-            .iter()
-            .map(|&sj| {
-                gadget
-                    .powers()
-                    .iter()
-                    .map(|&bk| {
-                        let msg = q.mul(q.from_i64(sj), bk);
-                        to.encrypt(msg, q, rng)
-                    })
-                    .collect()
-            })
-            .collect();
-        Self {
-            key,
-            gadget,
-            target_dim: to.dim(),
+        let mut rows = Vec::with_capacity(from.dim() * digits * (to.dim() + 1));
+        for &sj in from.coeffs() {
+            for &bk in gadget.powers() {
+                let ct = to.encrypt(q.mul(q.from_i64(sj), bk), q, rng);
+                rows.extend_from_slice(&ct.a);
+                rows.push(ct.b);
+            }
         }
+        Self::from_parts(rows, q, base_bits, digits, to.dim())
     }
 
-    /// Rebuilds a key from decoded parts (wire decoding).
+    /// Rebuilds a key from its flat rows (wire decoding); the source
+    /// dimension is what the rows add up to.
     pub(crate) fn from_parts(
-        key: Vec<Vec<LweCiphertext>>,
+        rows: Vec<u64>,
         q: &Modulus,
         base_bits: u32,
         digits: usize,
         target_dim: usize,
     ) -> Self {
+        let gadget = Gadget::new(base_bits, digits, *q);
+        // The largest term: a balanced digit `|d| ≤ B/2` times an entry
+        // below `q`. A folded sum carries one term's worth of residue.
+        let term = u128::from(gadget.base() / 2) * u128::from(q.value() - 1);
+        let fits = |max: u128| (max / term.max(1)).min(usize::MAX as u128) as usize;
+        let wide = fits(i64::MAX as u128) < 2;
+        let word_max = if wide {
+            i128::MAX as u128
+        } else {
+            i64::MAX as u128
+        };
+        let stride = (target_dim + 1) * digits;
+        assert!(
+            stride > 0 && rows.len().is_multiple_of(stride),
+            "key rows mismatch"
+        );
         Self {
-            key,
-            gadget: Gadget::new(base_bits, digits, *q),
+            source_dim: rows.len() / stride,
+            rows,
+            gadget,
             target_dim,
+            fold_every: fits(word_max),
+            wide,
         }
     }
 
-    /// The stored ciphertext grid `key[j][k]` (wire encoding).
+    /// The stored rows, `N · d` of them, each mask then body (wire
+    /// encoding).
     #[inline]
-    pub(crate) fn cts(&self) -> &[Vec<LweCiphertext>] {
-        &self.key
+    pub(crate) fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.rows.chunks_exact(self.target_dim + 1)
     }
 
-    /// Mutable ciphertext grid (seed-reseeding transform).
+    /// Mutable rows (seed-reseeding transform).
     #[inline]
-    pub(crate) fn cts_mut(&mut self) -> &mut [Vec<LweCiphertext>] {
-        &mut self.key
+    pub(crate) fn rows_mut(&mut self) -> std::slice::ChunksExactMut<'_, u64> {
+        self.rows.chunks_exact_mut(self.target_dim + 1)
     }
 
     /// Bits per gadget digit.
@@ -226,7 +263,7 @@ impl LweKeySwitchKey {
     /// Source dimension `N`.
     #[inline]
     pub fn source_dim(&self) -> usize {
-        self.key.len()
+        self.source_dim
     }
 
     /// Target dimension `n_t`.
@@ -238,43 +275,77 @@ impl LweKeySwitchKey {
     /// Total ciphertexts stored (`N · d`), as reported in the paper's key
     /// sizing.
     pub fn ciphertext_count(&self) -> usize {
-        self.key.len() * self.gadget.digits()
+        self.source_dim * self.gadget.digits()
     }
 
-    /// Switches an LWE ciphertext to the target dimension.
+    /// How many `digit × entry` terms a sum holds before the switch folds
+    /// it back to a residue: `⌊(2^63 − 1) / ((B/2)·(q − 1))⌋` in `i64`,
+    /// fixed when the key is built. Every preset's `N·d` stays below it, so
+    /// its switch never folds; a gadget for which two terms overflow `i64`
+    /// sums in `i128` (and reports its interval there).
+    pub fn fold_interval(&self) -> usize {
+        self.fold_every
+    }
+
+    fn modulus(&self) -> u64 {
+        self.gadget.modulus().value()
+    }
+
+    /// Switches an LWE ciphertext to the target dimension: every nonzero
+    /// digit `d` of `a_j` adds `d ×` row `(j, k)` to one exact integer sum
+    /// per output word, folded back to a residue only every
+    /// [`Self::fold_interval`] terms, and each output is reduced once.
     ///
     /// # Panics
     ///
     /// Panics if the ciphertext dimension or modulus disagrees with the key.
     pub fn switch(&self, ct: &LweCiphertext, q: &Modulus) -> LweCiphertext {
-        assert_eq!(ct.dim(), self.key.len(), "dimension mismatch");
+        assert_eq!(ct.dim(), self.source_dim, "dimension mismatch");
         assert_eq!(ct.modulus, q.value(), "modulus mismatch");
-        let n_t = self.target_dim;
-        let mut out_a = vec![0u64; n_t];
-        let mut out_b = q.reduce_u64(ct.b);
+        assert_eq!(q.value(), self.modulus(), "modulus mismatch");
+        if self.wide {
+            self.switch_in::<i128>(ct)
+        } else {
+            self.switch_in::<i64>(ct)
+        }
+    }
+
+    fn switch_in<W: SumWord>(&self, ct: &LweCiphertext) -> LweCiphertext {
+        let q = self.modulus();
+        let width = self.target_dim + 1;
+        // Mask sums, then the body: the switched encryptions of `s_j·B^k`
+        // are *added* (phase convention `b + <a, s>`).
+        let mut sum = vec![W::default(); width];
+        sum[self.target_dim] = W::from((ct.b % q) as i64);
         let mut digits = vec![0i64; self.gadget.digits()];
-        for (j, &aj) in ct.a.iter().enumerate() {
+        // The body's residue counts as one term.
+        let mut terms = 1;
+        for (&aj, rows) in
+            ct.a.iter()
+                .zip(self.rows.chunks_exact(width * digits.len()))
+        {
             self.gadget
-                .decompose_scalar_signed_into(q.reduce_u64(aj), &mut digits);
-            for (k, &d) in digits.iter().enumerate() {
+                .decompose_scalar_signed_into(aj % q, &mut digits);
+            for (&d, row) in digits.iter().zip(rows.chunks_exact(width)) {
                 if d == 0 {
                     continue;
                 }
-                let dk = q.from_i64(d);
-                let ks = &self.key[j][k];
-                // Phase convention is `b + <a, s>`, so the decomposed mask
-                // *adds* the switched encryptions of `s_j·B^k`.
-                for (o, &ka) in out_a.iter_mut().zip(&ks.a) {
-                    *o = q.add(*o, q.mul(dk, ka));
+                if terms == self.fold_every {
+                    for s in &mut sum {
+                        *s = W::from(s.residue(q) as i64);
+                    }
+                    terms = 1;
                 }
-                out_b = q.add(out_b, q.mul(dk, ks.b));
+                let d = W::from(d);
+                for (s, &r) in sum.iter_mut().zip(row) {
+                    *s += d * W::from(r as i64);
+                }
+                terms += 1;
             }
         }
-        LweCiphertext {
-            a: out_a,
-            b: out_b,
-            modulus: q.value(),
-        }
+        let mut a: Vec<u64> = sum.iter().map(|s| s.residue(q)).collect();
+        let b = a.pop().expect("the body word");
+        LweCiphertext { a, b, modulus: q }
     }
 }
 

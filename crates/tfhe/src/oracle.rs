@@ -6,10 +6,10 @@
 //! public (and hidden from the docs) only so the test suites can reach it.
 
 use heap_math::oracle::{forward_reference, inverse_reference};
-use heap_math::{poly, Domain, RnsContext, RnsPoly};
+use heap_math::{poly, Domain, Gadget, Modulus, RnsContext, RnsPoly};
 
 use crate::blind_rotate::{BlindRotateKey, MonomialEvals};
-use crate::lwe::LweCiphertext;
+use crate::lwe::{LweCiphertext, LweKeySwitchKey};
 use crate::rgsw::{add_constant, RgswCiphertext, RgswParams};
 use crate::rlwe::RlweCiphertext;
 
@@ -172,5 +172,47 @@ fn mul_eval_factor_assign(part: &mut RnsPoly, factor: &[u64], ctx: &RnsContext) 
         for (x, &fx) in part.limb_mut(j).iter_mut().zip(f) {
             *x = m.mul(*x, fx);
         }
+    }
+}
+
+/// The LWE key switch as first written: every `digit × entry` term reduced
+/// on its own (one Barrett product and one modular add per word), the
+/// oracle [`LweKeySwitchKey::switch`]'s one reduction per output is pinned
+/// against.
+///
+/// # Panics
+///
+/// Panics if the ciphertext dimension or modulus disagrees with the key.
+pub fn lwe_key_switch_reference(
+    ksk: &LweKeySwitchKey,
+    ct: &LweCiphertext,
+    q: &Modulus,
+) -> LweCiphertext {
+    assert_eq!(ct.dim(), ksk.source_dim(), "dimension mismatch");
+    assert_eq!(ct.modulus, q.value(), "modulus mismatch");
+    let n_t = ksk.target_dim();
+    let gadget = Gadget::new(ksk.base_bits(), ksk.digits(), *q);
+    let rows: Vec<&[u64]> = ksk.rows().collect();
+    let mut out_a = vec![0u64; n_t];
+    let mut out_b = q.reduce_u64(ct.b);
+    let mut digits = vec![0i64; ksk.digits()];
+    for (j, &aj) in ct.a.iter().enumerate() {
+        gadget.decompose_scalar_signed_into(q.reduce_u64(aj), &mut digits);
+        for (k, &d) in digits.iter().enumerate() {
+            if d == 0 {
+                continue;
+            }
+            let dk = q.from_i64(d);
+            let (ka, kb) = rows[j * ksk.digits() + k].split_at(n_t);
+            for (o, &x) in out_a.iter_mut().zip(ka) {
+                *o = q.add(*o, q.mul(dk, x));
+            }
+            out_b = q.add(out_b, q.mul(dk, kb[0]));
+        }
+    }
+    LweCiphertext {
+        a: out_a,
+        b: out_b,
+        modulus: q.value(),
     }
 }

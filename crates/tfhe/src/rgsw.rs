@@ -16,8 +16,9 @@
 
 use rand::Rng;
 
-use heap_math::{mac_path, Domain, Gadget, MacAcc, RnsContext, RnsPoly, RowPair};
+use heap_math::{fold_path, mac_path, Domain, Gadget, MacAcc, RnsContext, RnsPoly, RowPair};
 
+use crate::blind_rotate::MonomialEvals;
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
 
 /// Gadget configuration for RGSW/external products.
@@ -139,7 +140,8 @@ pub(crate) fn add_constant(limb: &mut [u64], c: u64, q: u64) {
 ///
 /// Once warmed up for a shape, every buffer — the tile's signed digit
 /// polynomials, the lazy MAC accumulators with their operand buffer, the
-/// coefficient-domain operand copy, and the gadget tables — is reused, so
+/// coefficient-domain operand copy, the CMux factors, and the gadget
+/// tables — is reused, so
 /// the `*_into` external products perform **zero heap allocations** per
 /// call on either accumulator path (asserted by `tests/alloc_free.rs`).
 #[derive(Debug, Default)]
@@ -151,12 +153,18 @@ pub struct ExternalProductScratch {
     /// target limb at a time.
     acc: MacAcc,
     coeff: Option<RnsPoly>,
+    /// The CMux fold's evaluation-domain `X^{-a} − 1` and `X^{a} − 1`, for
+    /// one member under one target limb.
+    factors: [Vec<u64>; 2],
     gadgets: Vec<Gadget>,
 }
 
 impl ExternalProductScratch {
     fn prepare(&mut self, ctx: &RnsContext, params: &RgswParams, limbs: usize, tile: usize) {
         let n = ctx.n();
+        for f in &mut self.factors {
+            f.resize(n, 0);
+        }
         let polys = tile * 2 * limbs * params.digits;
         if self.digit_signed.len() < polys {
             self.digit_signed.resize_with(polys, Vec::new);
@@ -220,11 +228,33 @@ pub fn external_product_with(
     out
 }
 
+/// How the MAC chains of [`external_product_core`] end: its one reduction
+/// per output coefficient, for each target limb.
+pub(crate) enum Finish<'a, 'o, const K: usize> {
+    /// The external products themselves: the `K` products of member `m`
+    /// of `cts` are reduced into `outs[m]`.
+    Reduce {
+        cts: &'a [RlweCiphertext],
+        outs: &'a mut [[&'o mut RlweCiphertext; K]],
+    },
+    /// The CMux step (`K = 2`, keys `RGSW(s_i^+)` then `RGSW(s_i^-)`):
+    /// member `m` of `accs`, whose mask element is `exps[m]`, becomes
+    /// `acc + (X^{-a} − 1)·EP⁺ + (X^{a} − 1)·EP⁻`, folded straight from the
+    /// unreduced sums ([`MacAcc::fold_into`]) — neither product is ever
+    /// reduced on its own.
+    Fold {
+        accs: &'a mut [RlweCiphertext],
+        exps: &'a [usize],
+        monomials: &'a MonomialEvals,
+    },
+}
+
 /// The one external-product loop nest: a *tile* of ciphertexts — the
-/// members `active` of `cts` — against `K` RGSW operands (`K = 1`, or
-/// `K = 2` for the CMux's `RGSW(s_i^+)` / `RGSW(s_i^-)` pair). Member
-/// `m`'s `K` products land in `outs[m]`; the public external products are
-/// the tile of one.
+/// members `active` of the finish step's inputs — against `K` RGSW
+/// operands (`K = 1`, or `K = 2` for the CMux's `RGSW(s_i^+)` /
+/// `RGSW(s_i^-)` pair). The public external products are the tile of one
+/// ending in [`Finish::Reduce`]; the blind rotation's CMux step ends in
+/// [`Finish::Fold`].
 ///
 /// The key row is the stationary operand (HEAP §IV-E: "fetch one key at a
 /// time, perform the external product using the key, and then discard the
@@ -242,21 +272,27 @@ pub fn external_product_with(
 /// lifted, its transform never normalised, and every pointwise product with
 /// a key row is accumulated **unreduced** in a [`MacAcc`] — `2K` slots per
 /// member, for one target limb at a time — with each output coefficient
-/// reduced exactly once, as soon as limb `j`'s rows are done. [`mac_path`]
-/// picks the datapath for the `2·limbs·digits` terms of digits no larger
-/// than half the gadget base — `f64` lanes from digit to accumulator where
-/// they are exact under every limb, lift + integer NTT + `u128` sums
-/// otherwise; both are exact, so the canonical output is bit-identical to
-/// the strict oracle (`crate::oracle::external_product_reference`).
+/// reduced exactly once, as soon as limb `j`'s rows are done: into the
+/// product's output, or folded into the CMux accumulator. [`mac_path`] (or
+/// [`fold_path`], whose sums must also fit the fold's product) picks the
+/// datapath for the `2·limbs·digits` terms of digits no larger than half
+/// the gadget base — `f64` lanes from digit to accumulator where they are
+/// exact under every limb, lift + integer NTT + `u128` sums otherwise; both
+/// are exact, so the canonical output is bit-identical to the strict oracle
+/// (`crate::oracle::external_product_reference`,
+/// `crate::oracle::blind_rotate_reference`).
 pub(crate) fn external_product_core<const K: usize>(
-    cts: &[RlweCiphertext],
     active: &[usize],
     keys: [&RgswCiphertext; K],
     ctx: &RnsContext,
     params: &RgswParams,
     scratch: &mut ExternalProductScratch,
-    outs: &mut [[&mut RlweCiphertext; K]],
+    mut finish: Finish<'_, '_, K>,
 ) {
+    let cts: &[RlweCiphertext] = match &finish {
+        Finish::Reduce { cts, .. } => cts,
+        Finish::Fold { accs, .. } => accs,
+    };
     let Some(&first) = active.first() else {
         return;
     };
@@ -270,20 +306,37 @@ pub(crate) fn external_product_core<const K: usize>(
     }
     for &m in active {
         assert_eq!(cts[m].limbs(), limbs, "tile limb count mismatch");
-        for out in &outs[m] {
-            assert_eq!(out.limbs(), limbs, "output limb count mismatch");
-        }
     }
-    let path = mac_path(
-        (0..limbs).map(|j| ctx.ntt(j)),
-        2 * limbs * params.digits,
-        1 << (params.base_bits - 1),
-    );
+    let tables = || (0..limbs).map(|j| ctx.ntt(j));
+    let (terms, digit_bound) = (2 * limbs * params.digits, 1 << (params.base_bits - 1));
+    let path = match &finish {
+        Finish::Reduce { outs, .. } => {
+            for &m in active {
+                for out in &outs[m] {
+                    assert_eq!(out.limbs(), limbs, "output limb count mismatch");
+                }
+            }
+            mac_path(tables(), terms, digit_bound)
+        }
+        Finish::Fold {
+            accs, monomials, ..
+        } => {
+            assert_eq!(K, 2, "a CMux step folds two products");
+            assert!(monomials.tables.len() >= limbs, "too few monomial tables");
+            for &m in active {
+                for part in [&accs[m].a, &accs[m].b] {
+                    assert_eq!(part.domain(), Domain::Eval, "needs Eval domain");
+                }
+            }
+            fold_path(tables(), terms, digit_bound)
+        }
+    };
     scratch.prepare(ctx, params, limbs, active.len());
     let ExternalProductScratch {
         digit_signed,
         acc,
         coeff,
+        factors,
         gadgets,
     } = scratch;
     let n = ctx.n();
@@ -329,19 +382,44 @@ pub(crate) fn external_product_core<const K: usize>(
             }
         }
         // Single deferred reduction per coefficient.
-        for (t, &m) in active.iter().enumerate() {
-            for (k, out) in outs[m].iter_mut().enumerate() {
-                acc.reduce_into(slot(t, k, 0), ntt, out.a.limb_mut(j));
-                acc.reduce_into(slot(t, k, 1), ntt, out.b.limb_mut(j));
+        match &mut finish {
+            Finish::Reduce { outs, .. } => {
+                for (t, &m) in active.iter().enumerate() {
+                    for (k, out) in outs[m].iter_mut().enumerate() {
+                        acc.reduce_into(slot(t, k, 0), ntt, out.a.limb_mut(j));
+                        acc.reduce_into(slot(t, k, 1), ntt, out.b.limb_mut(j));
+                    }
+                }
+            }
+            Finish::Fold {
+                accs,
+                exps,
+                monomials,
+            } => {
+                let (table, q) = (&monomials.tables[j], ctx.modulus(j));
+                for (t, &m) in active.iter().enumerate() {
+                    // Rotation by −a·s_i: s_i = +1 wants X^{−a}, s_i = −1
+                    // wants X^{a}.
+                    table.monomial_minus_one(2 * n - exps[m], q, &mut factors[0]);
+                    table.monomial_minus_one(exps[m], q, &mut factors[1]);
+                    let member = &mut accs[m];
+                    for (p, part) in [&mut member.a, &mut member.b].into_iter().enumerate() {
+                        let slots = [slot(t, 0, p), slot(t, 1, p)];
+                        let factors = [&factors[0][..], &factors[1][..]];
+                        acc.fold_into(slots, factors, ntt, part.limb_mut(j));
+                    }
+                }
             }
         }
     }
     // The writes cover every limb wholesale, so re-tagging the domain
     // suffices (no zero-fill).
-    for &m in active {
-        for out in outs[m].iter_mut() {
-            out.a.set_domain(Domain::Eval);
-            out.b.set_domain(Domain::Eval);
+    if let Finish::Reduce { outs, .. } = finish {
+        for &m in active {
+            for out in outs[m].iter_mut() {
+                out.a.set_domain(Domain::Eval);
+                out.b.set_domain(Domain::Eval);
+            }
         }
     }
 }
@@ -365,7 +443,15 @@ pub fn external_product_into(
     out: &mut RlweCiphertext,
 ) {
     let cts = std::slice::from_ref(ct);
-    external_product_core(cts, &[0], [rgsw], ctx, params, scratch, &mut [[out]]);
+    let outs = &mut [[out]];
+    external_product_core(
+        &[0],
+        [rgsw],
+        ctx,
+        params,
+        scratch,
+        Finish::Reduce { cts, outs },
+    );
 }
 
 /// Two external products of the *same* RLWE ciphertext against two RGSW
@@ -393,7 +479,8 @@ pub fn external_product_pair_into(
 ) {
     let cts = std::slice::from_ref(ct);
     let outs = &mut [[out_pos, out_neg]];
-    external_product_core(cts, &[0], [rgsw_pos, rgsw_neg], ctx, params, scratch, outs);
+    let finish = Finish::Reduce { cts, outs };
+    external_product_core(&[0], [rgsw_pos, rgsw_neg], ctx, params, scratch, finish);
 }
 
 /// [`external_product_pair_into`] under the name and signature

@@ -19,11 +19,14 @@ use heap_math::prime::ntt_primes;
 use heap_math::simd::{self, Backend};
 use heap_math::{mac_path, MacAcc, MacPath, RnsContext, RnsPoly};
 use heap_tfhe::lwe::LweSecretKey;
-use heap_tfhe::oracle::{blind_rotate_reference, external_product_reference};
+use heap_tfhe::oracle::{
+    blind_rotate_reference, external_product_reference, lwe_key_switch_reference,
+};
 use heap_tfhe::rlwe::{RingSecretKey, RlweCiphertext};
 use heap_tfhe::{
     external_product, external_product_with, test_polynomial_from_fn, BlindRotateKey,
-    BlindRotateScratch, ExternalProductScratch, LweCiphertext, RgswCiphertext, RgswParams,
+    BlindRotateScratch, ExternalProductScratch, LweCiphertext, LweKeySwitchKey, RgswCiphertext,
+    RgswParams,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -106,7 +109,7 @@ fn paper_shape_takes_narrow_path_exactly_where_the_kernel_applies() {
     let (terms, digit_bound) = (2 * LIMBS * p.digits, 1 << (p.base_bits - 1));
     let strict = external_product_reference(&ct, &rgsw, &c, &p);
 
-    let native = if simd::active() == Backend::Avx2 {
+    let native = if simd::active().has_f64_lanes() {
         MacPath::Narrow
     } else {
         MacPath::Wide
@@ -372,4 +375,51 @@ fn paper_ring_matches_reference() {
     check("native");
     let _scalar = ForcedScalar::new();
     check("forced-scalar");
+}
+
+/// The LWE key switch — exact `digit × entry` sums, folded to a residue
+/// every `fold_interval()` terms, one reduction per output — against the
+/// per-term loop it replaced, on the Tiny and Medium shapes (which never
+/// fold), a 60-bit `N = 2^13` key that folds every few terms, and a 60-bit
+/// gadget whose terms overflow `i64`, so it sums in `i128` without folding. Inputs are random
+/// samples plus masks pinned at the digits' extremes (`q − 1` and the
+/// balanced `±B/2` boundary).
+#[test]
+fn lwe_key_switch_matches_the_per_term_loop() {
+    // (ring N, modulus bits, base bits, digits, n_t, folds)
+    let shapes = [
+        (1 << 7, 28, 6, 5, 32, false),
+        (1 << 11, 36, 12, 3, 500, false),
+        (1 << 13, 60, 2, 30, 8, true),
+        (64, 60, 20, 3, 16, false),
+    ];
+    for (n, bits, base_bits, digits, n_t, folds) in shapes {
+        let q = heap_math::Modulus::new(ntt_primes(n as u64, bits, 1)[0]).unwrap();
+        let mut rng = StdRng::seed_from_u64(u64::from(bits) * n as u64);
+        let from = LweSecretKey::generate(&mut rng, n);
+        let to = LweSecretKey::generate(&mut rng, n_t);
+        let ksk = LweKeySwitchKey::generate(&from, &to, &q, base_bits, digits, &mut rng);
+        let shape = format!("N = {n}, {bits}-bit, B = 2^{base_bits}, d = {digits}");
+        assert_eq!(ksk.fold_interval() < n * digits, folds, "{shape}");
+        let qv = q.value();
+        let half_base = 1u64 << (base_bits - 1);
+        let pinned = LweCiphertext {
+            a: (0..n as u64)
+                .map(|i| [qv - 1, half_base, qv - half_base, 0][i as usize % 4])
+                .collect(),
+            b: qv - 1,
+            modulus: qv,
+        };
+        for ct in [
+            pinned,
+            from.encrypt(qv / 3, &q, &mut rng),
+            from.encrypt(0, &q, &mut rng),
+        ] {
+            assert_eq!(
+                ksk.switch(&ct, &q),
+                lwe_key_switch_reference(&ksk, &ct, &q),
+                "{shape}"
+            );
+        }
+    }
 }
