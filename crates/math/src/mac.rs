@@ -24,9 +24,11 @@
 //!   products summed in `u128`, one Barrett reduction per output.
 //!
 //! Both are exact, so they produce the same canonical residues, and both
-//! read the key row exactly as it is stored. A narrow chain counts its
-//! terms and panics rather than pass the bound its sums are exact under,
-//! so no call sequence returns a wrong residue from a path picked by hand.
+//! read the key row exactly as it is stored. A narrow chain bounds each
+//! slot's sum — a tile of many members shares one chain, but a slot holds
+//! only its own member's terms — and panics rather than pass the bound it
+//! is exact under, so no call sequence returns a wrong residue from a path
+//! picked by hand.
 
 use crate::arith::Modulus;
 use crate::ntt::NttTable;
@@ -131,10 +133,10 @@ pub type RowPair<'a> = [(usize, &'a [u64]); 2];
 pub struct MacAcc {
     path: MacPath,
     n: usize,
-    /// Narrow: the most terms any slot has taken since the reset, and the
-    /// largest modulus they were taken under — the chain's sum bound.
-    terms: usize,
-    q_max: u64,
+    /// Narrow: per slot, the sum of the moduli its terms were taken under
+    /// since the reset — a bound on that slot's sum, as each term is below
+    /// its `q` in magnitude.
+    bounds: Vec<u64>,
     /// Narrow: the transformed digit, signed-lazy, and the sums of signed
     /// terms — exact integers in `f64`.
     operand: Vec<f64>,
@@ -150,10 +152,10 @@ impl MacAcc {
     pub fn reset(&mut self, path: MacPath, slots: usize, n: usize) {
         self.path = path;
         self.n = n;
-        self.terms = 0;
-        self.q_max = 0;
         match path {
             MacPath::Narrow => {
+                self.bounds.clear();
+                self.bounds.resize(slots, 0);
                 self.operand.resize(n, 0.0);
                 self.narrow.clear();
                 self.narrow.resize(slots * n, 0.0);
@@ -178,8 +180,8 @@ impl MacAcc {
     ///
     /// Panics if a slot is out of range or if `digit`, a row or `ntt`
     /// differ in length from the `n` of [`Self::reset`], and on a narrow
-    /// chain whose sums this call would take past `2^52` (`terms·q`, the
-    /// bound [`mac_path`] admits).
+    /// chain where this call could take a slot's sum past `2^52` (`terms·q`
+    /// per slot, the bound [`mac_path`] admits).
     pub fn mac_digit<T: LazyCoeff, const K: usize>(
         &mut self,
         ntt: &NttTable,
@@ -189,7 +191,11 @@ impl MacAcc {
         let n = self.n;
         assert!(digit.len() == n && ntt.n() == n, "length mismatch");
         if self.path == MacPath::Narrow {
-            self.count_terms(&rows, ntt.modulus().value());
+            let q = ntt.modulus().value();
+            for &(slot, _) in rows.as_flattened() {
+                self.bounds[slot] = self.bounds[slot].saturating_add(q);
+                self.assert_narrow_within(slot, F64_SUM_LIMIT, "its exact bound");
+            }
             if ntt.mac_digit_f64(digit, &mut self.operand, rows, &mut self.narrow) {
                 return;
             }
@@ -212,29 +218,13 @@ impl MacAcc {
         }
     }
 
-    /// Adds this call's terms to the narrow chain's count — one per slot
-    /// occurrence, so the count bounds every slot's — and refuses a chain
-    /// whose sums could pass `2^52`.
-    fn count_terms<const K: usize>(&mut self, rows: &[RowPair<'_>; K], q: u64) {
-        let flat = rows.as_flattened();
-        let most = flat
-            .iter()
-            .map(|&(slot, _)| flat.iter().filter(|&&(s, _)| s == slot).count())
-            .max()
-            .unwrap_or(0);
-        self.terms += most;
-        self.q_max = self.q_max.max(q);
-        self.assert_narrow_within(F64_SUM_LIMIT, "its exact bound");
-    }
-
-    /// Refuses a narrow chain whose sums, `terms·q` at most, may exceed
-    /// `limit`.
-    fn assert_narrow_within(&self, limit: u128, bound: &str) {
+    /// Refuses a narrow chain whose sum in `slot` may exceed `limit`.
+    fn assert_narrow_within(&self, slot: usize, limit: u128, bound: &str) {
+        let sum = self.bounds[slot];
         assert!(
-            self.terms as u128 * u128::from(self.q_max) <= limit,
-            "narrow MAC chain past {bound}: {} terms under a {}-bit modulus",
-            self.terms,
-            64 - self.q_max.leading_zeros()
+            u128::from(sum) <= limit,
+            "narrow MAC chain past {bound}: slot {slot} may sum to {sum} (2^{:.1})",
+            (sum as f64).log2()
         );
     }
 
@@ -275,8 +265,9 @@ impl MacAcc {
     /// # Panics
     ///
     /// Panics if a slot is out of range or a factor or `acc` differs in
-    /// length from `ntt.n()`, and on a narrow chain whose sums may exceed
-    /// `2^50` (`terms·q`, the bound [`fold_path`] admits).
+    /// length from `ntt.n()`, and on a narrow chain where either slot's
+    /// sum may exceed `2^50` (`terms·q` per slot, the bound [`fold_path`]
+    /// admits).
     pub fn fold_into(
         &self,
         slots: [usize; 2],
@@ -293,7 +284,9 @@ impl MacAcc {
         let m = ntt.modulus();
         match self.path {
             MacPath::Narrow => {
-                self.assert_narrow_within(F64_OPERAND_LIMIT, "the fold's exact bound");
+                for s in slots {
+                    self.assert_narrow_within(s, F64_OPERAND_LIMIT, "the fold's exact bound");
+                }
                 let sums = slots.map(|s| &self.narrow[self.window(s)]);
                 if !simd::try_fold_acc(sums, factors, m.value(), acc) {
                     fold_residues(m, factors, acc, |k, i| {
@@ -371,6 +364,45 @@ mod tests {
             acc.reduce_into(0, &t, &mut got);
             assert_eq!(got, vec![0u64; n], "{path:?} slot 0");
         }
+    }
+
+    /// The bound is per slot: eight members, each with its own two slots,
+    /// take `terms` calls apiece, so the chain makes `8·terms` calls while
+    /// every slot stays at the fold's `terms·q ≤ 2^50`. Both paths fold
+    /// every member to the same residues; one more term in one slot is
+    /// refused.
+    #[test]
+    fn narrow_bound_is_kept_per_slot() {
+        let n = 16;
+        let t = NttTable::new(n, Modulus::new(ntt_primes(n as u64, 45, 1)[0]).unwrap());
+        let q = t.modulus().value();
+        let (members, terms) = (8, ((1u64 << 50) / q) as usize);
+        assert!((members * terms) as u128 * u128::from(q) > F64_SUM_LIMIT);
+        let digit: Vec<i64> = (0..n as i64).map(|i| i * 977 - 5000).collect();
+        let rows: Vec<u64> = (0..n as u64).map(|i| q - 1 - i * 31).collect();
+        let factors = [&rows[..], &rows[..]];
+        let [narrow, wide] = [MacPath::Narrow, MacPath::Wide].map(|path| {
+            let mut acc = MacAcc::default();
+            acc.reset(path, 2 * members, n);
+            for _ in 0..terms {
+                for m in 0..members {
+                    acc.mac_digit(&t, &digit, [[(2 * m, &rows[..]), (2 * m + 1, &rows[..])]]);
+                }
+            }
+            let mut out = vec![7u64; n * members];
+            for (m, o) in out.chunks_mut(n).enumerate() {
+                acc.fold_into([2 * m, 2 * m + 1], factors, &t, o);
+            }
+            if path == MacPath::Narrow {
+                acc.mac_digit(&t, &digit, [[(0, &rows[..]), (1, &rows[..])]]);
+                let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    acc.fold_into([0, 1], factors, &t, &mut out[..n])
+                }));
+                assert!(refused.is_err(), "a slot folded past 2^50");
+            }
+            out
+        });
+        assert_eq!(narrow, wide);
     }
 
     /// The gate on every host: each inequality is what sends a chain wide.

@@ -13,7 +13,7 @@
 //! Each vector tier is kept by a measured ratio over the kernel it replaces
 //! (N = 2048, 36-bit limb unless noted, best of 61 × 40 calls, three
 //! process runs, 2-core AVX-512F host; EXPERIMENTS.md "One f64 lane from
-//! digit to accumulator" and "Eight lanes"):
+//! digit to accumulator", "Eight lanes" and "Eight lanes against four"):
 //!
 //! | tier | kernels | applies when | ratio |
 //! |---|---|---|---|
@@ -22,7 +22,7 @@
 //! | `f64` lanes ×4 | digit → forward NTT → four MACs, one entry | the same, and `terms·q ≤ 2^52` | 4.0–4.4× over lift + NTT + four `u128` MACs |
 //! | `f64` lanes ×4 | CMux fold into the accumulator | the same, and `terms·q ≤ 2^50` | 5.3× over the `u128` fold |
 //! | `f64` lanes ×4 | inverse NTT (fully reduced) | the forward gate | 2.4–2.6× over scalar |
-//! | `f64` lanes ×8 | forward NTT; digit → NTT → four MACs; fold | the ×4 gates, and AVX-512F | over ×4: 1.4–1.6×; 1.25× (1.0× at N = 2^13, L2-bound); 1.4–2.0× |
+//! | `f64` lanes ×8 | forward NTT; digit → NTT → four MACs; fold | the ×4 gates, and AVX-512F | over ×4: 1.4–1.6×; 1.25× (1.0× at N = 2^13, L2-bound); 1.4–2.0×; `job_ms_p50` −14 % / −16 % on `cluster-tiny-full` / `lib-medium-sparse` |
 //! | integer lanes ×4 | signed decompose; signed lift | any NTT modulus | 4.7–4.9×; 3.6–4.1× over scalar |
 //! | integer lanes | forward / inverse NTT | — | **deleted**: 1.6–1.8× / 1.1–1.3× at 50–60 bits, but no workload has a modulus past the `f64` gate |
 //!

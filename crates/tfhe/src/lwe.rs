@@ -283,7 +283,7 @@ impl LweKeySwitchKey {
     /// fixed when the key is built. Every preset's `N·d` stays below it, so
     /// its switch never folds; a gadget for which two terms overflow `i64`
     /// sums in `i128` (and reports its interval there).
-    pub fn fold_interval(&self) -> usize {
+    pub(crate) fn fold_interval(&self) -> usize {
         self.fold_every
     }
 
@@ -294,7 +294,8 @@ impl LweKeySwitchKey {
     /// Switches an LWE ciphertext to the target dimension: every nonzero
     /// digit `d` of `a_j` adds `d ×` row `(j, k)` to one exact integer sum
     /// per output word, folded back to a residue only every
-    /// [`Self::fold_interval`] terms, and each output is reduced once.
+    /// `⌊(2^63 − 1) / ((B/2)·(q − 1))⌋` terms (fixed when the key is built;
+    /// never, on every preset), and each output is reduced once.
     ///
     /// # Panics
     ///

@@ -175,6 +175,12 @@ fn mul_eval_factor_assign(part: &mut RnsPoly, factor: &[u64], ctx: &RnsContext) 
     }
 }
 
+/// How many terms [`LweKeySwitchKey::switch`] sums before it folds back
+/// to a residue, so a parity suite can tell which shapes fold.
+pub fn lwe_key_switch_fold_interval(ksk: &LweKeySwitchKey) -> usize {
+    ksk.fold_interval()
+}
+
 /// The LWE key switch as first written: every `digit × entry` term reduced
 /// on its own (one Barrett product and one modular add per word), the
 /// oracle [`LweKeySwitchKey::switch`]'s one reduction per output is pinned

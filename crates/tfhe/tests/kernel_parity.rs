@@ -17,10 +17,11 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use heap_math::prime::ntt_primes;
 use heap_math::simd::{self, Backend};
-use heap_math::{mac_path, MacAcc, MacPath, RnsContext, RnsPoly};
+use heap_math::{fold_path, mac_path, MacAcc, MacPath, RnsContext, RnsPoly};
 use heap_tfhe::lwe::LweSecretKey;
 use heap_tfhe::oracle::{
-    blind_rotate_reference, external_product_reference, lwe_key_switch_reference,
+    blind_rotate_reference, external_product_reference, lwe_key_switch_fold_interval,
+    lwe_key_switch_reference,
 };
 use heap_tfhe::rlwe::{RingSecretKey, RlweCiphertext};
 use heap_tfhe::{
@@ -286,6 +287,51 @@ proptest! {
     }
 }
 
+/// A tile shares one MAC chain, but each accumulator slot holds only its
+/// own member's terms. At 45 bits with `d = 3` one member's `6·q` sits
+/// inside the fold's `2^50` while eight members' `48·q` do not: the tile
+/// still takes the narrow fold where the kernel applies, and each member
+/// equals the strict oracle.
+#[test]
+fn tile_whose_total_terms_pass_the_fold_bound_matches_reference() {
+    let _lock = simd_lock();
+    let c = RnsContext::new(N, &ntt_primes(N as u64, 45, 1));
+    let p = RgswParams {
+        base_bits: 15,
+        digits: 3,
+    };
+    let (terms, tile) = (2 * p.digits, 8);
+    let q = u128::from(c.modulus(0).value());
+    assert!(terms as u128 * q <= 1 << 50 && (tile * terms) as u128 * q > 1 << 50);
+    let native = if simd::active().has_f64_lanes() {
+        MacPath::Narrow
+    } else {
+        MacPath::Wide
+    };
+    assert_eq!(fold_path([c.ntt(0)], terms, 1 << (p.base_bits - 1)), native);
+
+    let mut rng = StdRng::seed_from_u64(0x45B1);
+    let ring_sk = RingSecretKey::generate(&c, 1, &mut rng);
+    let lwe_sk = LweSecretKey::generate(&mut rng, N_T);
+    let brk = BlindRotateKey::generate(&c, &lwe_sk, &ring_sk, 1, p, &mut rng);
+    let two_n = 2 * N as u64;
+    let f = test_polynomial_from_fn(&c, 1, |u| u << 30);
+    let lwes: Vec<LweCiphertext> = (0..tile)
+        .map(|_| LweCiphertext {
+            a: (0..N_T).map(|_| rng.gen_range(1..two_n)).collect(),
+            b: rng.gen_range(0..two_n),
+            modulus: two_n,
+        })
+        .collect();
+    let mut scratch = BlindRotateScratch::default();
+    let got = brk.blind_rotate_batch_with(&c, &f, &lwes, &mut scratch);
+    assert_eq!(got.len(), tile);
+    for (got, lwe) in got.iter().zip(&lwes) {
+        let want = blind_rotate_reference(&brk, &c, &f, lwe);
+        assert_bit_identical(got, &want, "45-bit tile of 8");
+    }
+}
+
 /// Full blind rotation with SIMD force-disabled == the same rotation on
 /// whatever backend the host dispatches (on a vector host this pins the
 /// whole AVX2 + narrow-MAC datapath against the scalar kernels and the
@@ -378,7 +424,7 @@ fn paper_ring_matches_reference() {
 }
 
 /// The LWE key switch — exact `digit × entry` sums, folded to a residue
-/// every `fold_interval()` terms, one reduction per output — against the
+/// every `lwe_key_switch_fold_interval` terms, one reduction per output — against the
 /// per-term loop it replaced, on the Tiny and Medium shapes (which never
 /// fold), a 60-bit `N = 2^13` key that folds every few terms, and a 60-bit
 /// gadget whose terms overflow `i64`, so it sums in `i128` without folding. Inputs are random
@@ -400,7 +446,11 @@ fn lwe_key_switch_matches_the_per_term_loop() {
         let to = LweSecretKey::generate(&mut rng, n_t);
         let ksk = LweKeySwitchKey::generate(&from, &to, &q, base_bits, digits, &mut rng);
         let shape = format!("N = {n}, {bits}-bit, B = 2^{base_bits}, d = {digits}");
-        assert_eq!(ksk.fold_interval() < n * digits, folds, "{shape}");
+        assert_eq!(
+            lwe_key_switch_fold_interval(&ksk) < n * digits,
+            folds,
+            "{shape}"
+        );
         let qv = q.value();
         let half_base = 1u64 << (base_bits - 1);
         let pinned = LweCiphertext {
