@@ -9,7 +9,7 @@
 //! shares between CKKS `KeySwitch` and TFHE `BlindRotate`, §IV-A/§IV-E),
 //! and the special prime is divided away at the end (the `ModDown`).
 
-use heap_math::{mac_path, poly, Domain, MacAcc, RnsPoly};
+use heap_math::{poly, ChainEnd, Domain, MacAcc, RnsPoly};
 
 use crate::context::CkksContext;
 use crate::key::KeySwitchKey;
@@ -40,10 +40,10 @@ pub fn key_switch(ctx: &CkksContext, d: &RnsPoly, key: &KeySwitchKey) -> (RnsPol
 /// datapath, HEAP §IV-A) and are reduced once per coefficient before
 /// `ModDown`. The `ModUp` costs nothing: a residue below `q_i` is already a
 /// legal lazy input under `q_j`, so each digit goes into
-/// [`MacAcc::mac_digit`] as it is. [`mac_path`] picks the datapath from the
-/// `l` terms, the largest digit modulus and every chain modulus, special
-/// prime included, and both datapaths reduce to the same canonical
-/// residues.
+/// [`MacAcc::mac_digit`] as it is. Each position is one chain of `l` terms
+/// on digits below the largest digit modulus; [`MacAcc::reset`] picks its
+/// datapath under that position's modulus, and both datapaths reduce to
+/// the same canonical residues.
 ///
 /// # Panics
 ///
@@ -59,7 +59,6 @@ fn digit_mac(ctx: &CkksContext, digits: &[Vec<u64>], key: &KeySwitchKey) -> (Rns
     let rns = ctx.rns();
     let chain_idx = |pos: usize| if pos == l { ctx.special_idx() } else { pos };
     let digit_bound = (0..l).map(|i| rns.modulus(i).value()).max().unwrap_or(0);
-    let path = mac_path((0..=l).map(|pos| rns.ntt(chain_idx(pos))), l, digit_bound);
 
     let mut acc_a = vec![vec![0u64; n]; l + 1];
     let mut acc_b = vec![vec![0u64; n]; l + 1];
@@ -67,7 +66,7 @@ fn digit_mac(ctx: &CkksContext, digits: &[Vec<u64>], key: &KeySwitchKey) -> (Rns
     for (pos, (out_a, out_b)) in acc_a.iter_mut().zip(&mut acc_b).enumerate() {
         let j = chain_idx(pos);
         let ntt = rns.ntt(j);
-        acc.reset(path, 2, n);
+        acc.reset(ntt, 2, l, digit_bound, ChainEnd::Reduce);
         for (digit, comp) in digits.iter().zip(&key.comps) {
             acc.mac_digit(ntt, digit, [[(0, &comp.a[j]), (1, &comp.b[j])]]);
         }
@@ -80,7 +79,7 @@ fn digit_mac(ctx: &CkksContext, digits: &[Vec<u64>], key: &KeySwitchKey) -> (Rns
 /// Divides the special prime out of an extended-basis accumulator (last
 /// entry is the `P` limb), returning an `l`-limb evaluation-domain
 /// polynomial.
-fn mod_down(ctx: &CkksContext, mut acc: Vec<Vec<u64>>, l: usize) -> RnsPoly {
+pub(crate) fn mod_down(ctx: &CkksContext, mut acc: Vec<Vec<u64>>, l: usize) -> RnsPoly {
     let rns = ctx.rns();
     let sp = ctx.special_idx();
     let p = rns.modulus(sp);

@@ -36,6 +36,8 @@ pub mod key_wire;
 pub mod keyswitch;
 pub mod linear;
 pub mod ops;
+#[doc(hidden)]
+pub mod oracle;
 pub mod params;
 pub mod plaintext;
 pub mod wire;

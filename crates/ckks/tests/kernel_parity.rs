@@ -1,91 +1,92 @@
-//! Bit-identity of the key-switch inner product across MAC accumulators.
+//! Bit-identity of the key-switch inner product against its per-term
+//! oracle.
 //!
 //! `key_switch` — and through it every rotation, `CkksContext::apply_galois`
-//! — runs one extended-basis digit MAC; where the narrow kernels apply
-//! (AVX2 + FMA, 36-bit chain) each digit runs from residue to accumulator in
-//! `f64` lanes, under `force_scalar` it is lifted, transformed and summed as
-//! full products in `u128`. Both must reduce to the same canonical residues
-//! — on the same live keys, since the accumulator is chosen per call — and
-//! the gate must land on the side the host allows, so a CI host with the
-//! kernel is known to exercise it. (On a scalar host both halves take the
-//! `u128` path and the bit-identity half is an identity.)
-//!
-//! The test lives alone in its own integration binary so the process-wide
-//! `force_scalar` cannot flip the backend under the native half, and has
-//! nobody to restore it for afterwards.
+//! — runs one extended-basis digit MAC chain per limb. On the paper's
+//! 36-bit limbs each chain runs narrow where the process's SIMD tier has
+//! `f64` lanes (each digit from residue to accumulator in `f64`), on 60-bit
+//! limbs it runs wide on every tier (lifted, transformed and summed as
+//! full products in `u128`). Either way it must reduce to the residues of
+//! `heap_ckks::oracle::key_switch_reference`, which reduces every term
+//! eagerly over the strict transform; and the gate must land on the side
+//! the tier allows, so a CI host with the kernel is known to exercise it.
+//! Each tier is covered by running this suite under it
+//! (`HEAP_SIMD=auto|avx2|scalar`).
 
 use heap_ckks::keyswitch::key_switch;
+use heap_ckks::oracle::key_switch_reference;
 use heap_ckks::{CkksContext, CkksParams, GaloisKeys, KeySwitchKey, SecretKey};
 use heap_math::poly::rotation_exponent;
-use heap_math::{mac_path, simd, MacPath, RnsPoly};
+use heap_math::{simd, ChainEnd, MacAcc, MacPath, RnsPoly};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 #[test]
-fn key_switch_and_galois_forced_scalar_are_bit_identical() {
-    // The paper's 36-bit limbs (special and aux primes included) at N = 2^10.
-    let params = CkksParams::builder().log_n(10).limbs(3).build().unwrap();
-    let ctx = CkksContext::new(params);
-    // `digit_mac`'s gate: every chain modulus it accumulates under, one
-    // term per digit, digits as large as the largest ciphertext prime.
-    let gate = || {
-        let chain = (0..ctx.max_limbs()).chain([ctx.special_idx()]);
-        let digit_bound = (0..ctx.max_limbs()).map(|i| ctx.rns().modulus(i).value());
-        mac_path(
-            chain.map(|j| ctx.rns().ntt(j)),
-            ctx.max_limbs(),
-            digit_bound.max().unwrap(),
-        )
-    };
-    let mut rng = StdRng::seed_from_u64(0x5EED);
-    let sk = SecretKey::generate(&ctx, &mut rng);
-    let w_eval: Vec<Vec<u64>> = (0..ctx.boot_limbs())
-        .map(|j| sk.eval_limb(j).to_vec())
-        .collect();
-    let ksk = KeySwitchKey::generate(&ctx, &sk, &w_eval, &mut rng);
-    let d_coeffs: Vec<i64> = (0..ctx.n())
-        .map(|i| ((i * 7919) % 2001) as i64 - 1000)
-        .collect();
-    let mut d = RnsPoly::from_signed(ctx.rns(), &d_coeffs, ctx.max_limbs());
-    d.to_eval(ctx.rns());
+fn key_switch_and_galois_match_the_per_term_oracle() {
+    for bits in [36, 60] {
+        let params = CkksParams::builder()
+            .log_n(10)
+            .limbs(3)
+            .limb_bits(bits)
+            .aux_bits(bits)
+            .special_bits(bits)
+            .build()
+            .unwrap();
+        let ctx = CkksContext::new(params);
+        let rns = ctx.rns();
+        let l = ctx.max_limbs();
 
-    let gks = GaloisKeys::generate(&ctx, &sk, &[1, 5], false, &mut rng);
-    let exps: Vec<usize> = [1i64, 5]
-        .iter()
-        .map(|&r| rotation_exponent(r, ctx.n()))
-        .collect();
-    let msg: Vec<f64> = (0..ctx.slots()).map(|i| (i % 10) as f64 / 50.0).collect();
-    let ct = ctx.encrypt_real_sk(&msg, &sk, &mut rng);
-    // Collected, so each side runs under the backend it is named for.
-    let rotate = || -> Vec<_> {
-        exps.iter()
-            .map(|&g| ctx.apply_galois(&ct, g, &gks))
-            .collect()
-    };
+        // `digit_mac`'s chains: one per chain modulus, special prime
+        // included, of one term per digit, digits as large as the largest
+        // ciphertext prime.
+        let digit_bound = (0..l).map(|i| rns.modulus(i).value()).max().unwrap();
+        let narrow = bits == 36 && simd::active().has_f64_lanes();
+        for j in (0..l).chain([ctx.special_idx()]) {
+            let mut acc = MacAcc::default();
+            acc.reset(rns.ntt(j), 2, l, digit_bound, ChainEnd::Reduce);
+            assert_eq!(
+                acc.path() == MacPath::Narrow,
+                narrow,
+                "{bits} bits, limb {j}"
+            );
+        }
 
-    let native = if simd::active().has_f64_lanes() {
-        MacPath::Narrow
-    } else {
-        MacPath::Wide
-    };
-    assert_eq!(gate(), native);
-    let native_ks = key_switch(&ctx, &d, &ksk);
-    let native_rot = rotate();
-
-    simd::force_scalar(true);
-    assert_eq!(simd::active(), simd::Backend::Scalar);
-    assert_eq!(gate(), MacPath::Wide);
-    let scalar_ks = key_switch(&ctx, &d, &ksk);
-    let scalar_rot = rotate();
-
-    assert!(
-        native_ks == scalar_ks,
-        "key_switch diverged under forced scalar"
-    );
-    for (native, scalar) in native_rot.iter().zip(&scalar_rot) {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let sk = SecretKey::generate(&ctx, &mut rng);
+        let w_eval: Vec<Vec<u64>> = (0..ctx.boot_limbs())
+            .map(|j| sk.eval_limb(j).to_vec())
+            .collect();
+        let ksk = KeySwitchKey::generate(&ctx, &sk, &w_eval, &mut rng);
+        let d_coeffs: Vec<i64> = (0..ctx.n())
+            .map(|i| ((i * 7919) % 2001) as i64 - 1000)
+            .collect();
+        let mut d = RnsPoly::from_signed(rns, &d_coeffs, l);
+        d.to_eval(rns);
         assert!(
-            native.c0() == scalar.c0() && native.c1() == scalar.c1(),
-            "apply_galois diverged under forced scalar"
+            key_switch(&ctx, &d, &ksk) == key_switch_reference(&ctx, &d, &ksk),
+            "{bits}-bit key_switch diverged from the per-term oracle"
         );
+
+        // `apply_galois` is σ_g then the same key switch; rebuilt here from
+        // the oracle and the public ring operations.
+        let gks = GaloisKeys::generate(&ctx, &sk, &[1, 5], false, &mut rng);
+        let msg: Vec<f64> = (0..ctx.slots()).map(|i| (i % 10) as f64 / 50.0).collect();
+        let ct = ctx.encrypt_real_sk(&msg, &sk, &mut rng);
+        for r in [1i64, 5] {
+            let g = rotation_exponent(r, ctx.n());
+            let got = ctx.apply_galois(&ct, g, &gks);
+            let [mut c0, mut c1] = [ct.c0().clone(), ct.c1().clone()];
+            c0.to_coeff(rns);
+            c1.to_coeff(rns);
+            let key = gks.key_for(g).unwrap();
+            let (ka, kb) = key_switch_reference(&ctx, &c1.automorphism(g, rns), key);
+            let mut b = c0.automorphism(g, rns);
+            b.to_eval(rns);
+            b.add_assign(&kb, rns);
+            assert!(
+                *got.c0() == b && *got.c1() == ka,
+                "{bits}-bit apply_galois by {r} diverged from the per-term oracle"
+            );
+        }
     }
 }

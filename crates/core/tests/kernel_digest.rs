@@ -61,26 +61,29 @@ fn fixed_seed_bootstrap_digest_is_pinned() {
     );
 }
 
-/// The same pinned digest with SIMD force-disabled: the scalar fallback
-/// kernels must produce the identical bootstrap bit-for-bit, so the pin
-/// holds on every host regardless of which backend dispatches. Restores
-/// native dispatch on exit (safe either way — the paths are bit-identical,
-/// so a concurrently running digest test sees the same result).
+/// The same pinned digest on the other two tiers: the test above re-run as
+/// a child of this binary under `HEAP_SIMD=scalar` and `HEAP_SIMD=avx2`
+/// (capped at what the host has), so a plain `cargo test` holds the pin on
+/// every tier. The tier is fixed per process, so a child is the only way
+/// to run another one. Skipped when `HEAP_SIMD` is already set — the run
+/// is then one round of a loop over the tiers, and must not recurse.
 #[test]
-fn fixed_seed_bootstrap_digest_is_pinned_forced_scalar() {
-    struct RestoreSimd;
-    impl Drop for RestoreSimd {
-        fn drop(&mut self) {
-            heap_math::simd::force_scalar(false);
-        }
+fn fixed_seed_bootstrap_digest_is_pinned_on_every_tier() {
+    if std::env::var_os("HEAP_SIMD").is_some() {
+        return;
     }
-    let _restore = RestoreSimd;
-    heap_math::simd::force_scalar(true);
-    assert_eq!(heap_math::simd::active(), heap_math::simd::Backend::Scalar);
-    let digest = bootstrap_digest();
-    assert_eq!(
-        digest, PINNED_DIGEST,
-        "forced-scalar bootstrap digest changed: got {digest:#018x} — the \
-         scalar fallback diverged from the pinned reference run"
-    );
+    for tier in ["scalar", "avx2"] {
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "fixed_seed_bootstrap_digest_is_pinned"])
+            .env("HEAP_SIMD", tier)
+            .output()
+            .expect("re-run this test binary");
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(
+            child.status.success() && stdout.contains("1 passed"),
+            "HEAP_SIMD={tier}: {}\n{stdout}{}",
+            child.status,
+            String::from_utf8_lossy(&child.stderr)
+        );
+    }
 }

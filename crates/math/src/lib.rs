@@ -51,6 +51,6 @@ pub mod wire;
 pub use arith::Modulus;
 pub use bigint::BigUint;
 pub use gadget::Gadget;
-pub use mac::{fold_path, mac_path, LazyCoeff, MacAcc, MacPath, RowPair};
+pub use mac::{ChainEnd, LazyCoeff, MacAcc, MacPath, RowPair};
 pub use ntt::NttTable;
 pub use rns::{Domain, RnsContext, RnsPoly};

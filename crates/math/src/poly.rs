@@ -59,9 +59,6 @@ pub fn from_signed(coeffs: &[i64], q: &Modulus) -> Vec<u64> {
 /// Panics if `out.len() != coeffs.len()`.
 pub fn from_signed_into(coeffs: &[i64], q: &Modulus, out: &mut [u64]) {
     assert_eq!(out.len(), coeffs.len());
-    if crate::simd::try_from_signed(coeffs, q.value(), out) {
-        return;
-    }
     let qv = q.value() as i64;
     for (o, &c) in out.iter_mut().zip(coeffs) {
         // Gadget digits (the hot-path caller) satisfy |c| < q, so lifting is

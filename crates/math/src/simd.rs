@@ -6,9 +6,9 @@
 //! analogue is explicit vectorization: AVX-512F and AVX2 + FMA (x86_64)
 //! implementations of the hot loops — the NTT butterflies, the digit → NTT
 //! → MAC datapath of the external product, the CMux fold, and signed gadget
-//! decomposition — selected at runtime behind feature detection, with the
-//! scalar lazy kernels as the always-available fallback (and the only tier
-//! on any other architecture).
+//! decomposition — selected once per process behind feature detection, with
+//! the scalar lazy kernels as the always-available fallback (and the only
+//! tier on any other architecture).
 //!
 //! Each vector tier is kept by a measured ratio over the kernel it replaces
 //! (N = 2048, 36-bit limb unless noted, best of 61 × 40 calls, three
@@ -23,14 +23,16 @@
 //! | `f64` lanes ×4 | CMux fold into the accumulator | the same, and `terms·q ≤ 2^50` | 5.3× over the `u128` fold |
 //! | `f64` lanes ×4 | inverse NTT (fully reduced) | the forward gate | 2.4–2.6× over scalar |
 //! | `f64` lanes ×8 | forward NTT; digit → NTT → four MACs; fold | the ×4 gates, and AVX-512F | over ×4: 1.4–1.6×; 1.25× (1.0× at N = 2^13, L2-bound); 1.4–2.0×; `job_ms_p50` −14 % / −16 % on `cluster-tiny-full` / `lib-medium-sparse` |
-//! | integer lanes ×4 | signed decompose; signed lift | any NTT modulus | 4.7–4.9×; 3.6–4.1× over scalar |
+//! | integer lanes ×4 | signed decompose | any NTT modulus | 4.7–4.9× over scalar |
 //! | integer lanes | forward / inverse NTT | — | **deleted**: 1.6–1.8× / 1.1–1.3× at 50–60 bits, but no workload has a modulus past the `f64` gate |
+//! | integer lanes ×4 | signed lift (wide MAC path) | — | **deleted**: 3.6–4.1×, but every preset's chain is narrow on an `f64`-lane host, so no workload reached it |
 //!
 //! The 8-lane tier runs the forward transform, the MAC and the fold; the
-//! inverse transform and the integer lanes keep their AVX2 bodies, which it
-//! runs too. Every other ring and modulus runs the scalar lazy NTT. The
-//! integer-lane NTT returns from commit `6ed5204` together with a benchmark
-//! workload whose modulus is 46 bits or wider on an AVX2 host, not before.
+//! inverse transform and the integer-lane decomposition keep their AVX2
+//! bodies, which it runs too. Every other ring and modulus runs the scalar
+//! lazy NTT. The integer-lane NTT (commit `6ed5204`) and signed lift return
+//! together with a benchmark workload whose modulus is 46 bits or wider on
+//! an AVX2 host, not before.
 //!
 //! `C` is the largest input magnitude (`4q` for [`crate::NttTable::forward`],
 //! half the gadget base for an external product); the `f64` kernels and the
@@ -43,12 +45,13 @@
 //! runs. The parity proptests in `tests/properties.rs` and the pinned
 //! bootstrap digests enforce this.
 //!
-//! Dispatch can be overridden for testing and benchmarking: set the
-//! `HEAP_SIMD` environment variable before first use to `scalar` (or
-//! `off`/`0`) for the scalar kernels, or to `avx2` to stop at the 4-lane
-//! tier; or call [`force_scalar`] at runtime.
+//! The tier is a fact of the process: [`active`] detects it at first use
+//! and never changes it. The `HEAP_SIMD` environment variable caps it for
+//! testing and benchmarking — `scalar` (or `off`/`0`) for the scalar
+//! kernels, `avx2` to stop at the 4-lane tier — so each tier is exercised
+//! by running a process under it, not by switching one that is running.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 use crate::mac::{LazyCoeff, RowPair};
 
@@ -84,9 +87,6 @@ impl Backend {
         self != Backend::Scalar
     }
 }
-
-/// Cached backend selection: 0 = undetected, else the `Backend` discriminant.
-static BACKEND: AtomicU8 = AtomicU8::new(0);
 
 /// Parses a `HEAP_SIMD` value: `Some(backend)` caps dispatch at that tier,
 /// `None` leaves the choice to feature detection.
@@ -132,31 +132,15 @@ fn detect() -> Backend {
     }
 }
 
-/// The backend the dispatched kernels will use.
+/// The backend the dispatched kernels use: detected at first use, then
+/// fixed for the life of the process.
 ///
 /// # Panics
 ///
 /// Panics at first use if `HEAP_SIMD` is set to an unrecognised value.
 pub fn active() -> Backend {
-    match BACKEND.load(Ordering::Relaxed) {
-        0 => {
-            let b = detect();
-            BACKEND.store(b as u8, Ordering::Relaxed);
-            b
-        }
-        v if v == Backend::Avx512 as u8 => Backend::Avx512,
-        v if v == Backend::Avx2 as u8 => Backend::Avx2,
-        _ => Backend::Scalar,
-    }
-}
-
-/// Forces the scalar fallback on (`true`) or re-runs detection (`false`).
-///
-/// Intended for parity tests and benchmarks that need to exercise both
-/// datapaths in one process. Takes effect for all subsequent kernel calls.
-pub fn force_scalar(on: bool) {
-    let b = if on { Backend::Scalar } else { detect() };
-    BACKEND.store(b as u8, Ordering::Relaxed);
+    static BACKEND: OnceLock<Backend> = OnceLock::new();
+    *BACKEND.get_or_init(detect)
 }
 
 /// Largest magnitude an `f64` lane may reach as a product input: the
@@ -168,7 +152,7 @@ pub(crate) const F64_OPERAND_LIMIT: u128 = 1 << 50;
 /// integer with a bit in hand.
 pub(crate) const F64_SUM_LIMIT: u128 = 1 << 52;
 
-/// Whether the `f64`-lane transforms run — and are exact — right now for an
+/// Whether the `f64`-lane transforms run — and are exact — for an
 /// `n`-point ring under `q` on inputs of magnitude at most `input_bound`:
 /// an `f64`-lane tier active, `n ≥ 16`, and the signed-lazy growth bound
 /// `input_bound + log2(n)·q ≤ 2^50`. Every other ring takes the scalar
@@ -182,7 +166,7 @@ pub(crate) fn f64_ntt_ok(n: usize, q: u64, input_bound: u64) -> bool {
 /// coefficient in `f64`, each a signed term below `q`: the sum must stay an
 /// exact integer inside `sum_limit` — [`F64_SUM_LIMIT`] for a chain that
 /// ends in a reduction, [`F64_OPERAND_LIMIT`] for one the CMux fold
-/// multiplies by its factor. This is what `mac_path` gates the narrow
+/// multiplies by its factor. This is what `MacAcc::reset` gates the narrow
 /// accumulators on.
 pub(crate) fn f64_mac_ok(
     n: usize,
@@ -227,8 +211,7 @@ macro_rules! on_f64_tier {
 /// `[0, 4q)` in, canonical residues out. `ops_f64` holds the bit-reversed
 /// twiddle operands as doubles (same indexing as the scalar kernel's
 /// `psi_br`). Returns `false` — having touched nothing — when the kernel
-/// does not run for this ring right now; the caller must then run the
-/// scalar kernel.
+/// does not run for this ring; the caller must then run the scalar kernel.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn try_ntt_forward(a: &mut [u64], ops_f64: &[f64], q: u64) -> bool {
     f64_ntt_ok(a.len(), q, 4 * q) && on_f64_tier!(forward_in_place(a, ops_f64, q))
@@ -236,8 +219,7 @@ pub(crate) fn try_ntt_forward(a: &mut [u64], ops_f64: &[f64], q: u64) -> bool {
 
 /// Runs the full inverse lazy NTT (including the final `n^{-1}` scaling and
 /// canonicalization) in `f64` lanes, under the forward kernel's gate; both
-/// tiers run the one AVX2 body. Returns `false` when it does not run right
-/// now.
+/// tiers run the one AVX2 body. Returns `false` when it does not run.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn try_ntt_inverse(a: &mut [u64], ops: &[u64], q: u64, n_inv_op: u64) -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -255,8 +237,7 @@ pub(crate) fn try_ntt_inverse(a: &mut [u64], ops: &[u64], q: u64, n_inv_op: u64)
 /// transforms it into `operand` (signed-lazy, left in `f64`) and adds its
 /// product with every key row into that row's slot of `acc`. Returns
 /// `false` — having touched nothing — when the `f64` kernels do not run for
-/// this ring right now; the caller's exact scalar loop then adds congruent
-/// terms, so a chain may mix both.
+/// this ring; a narrow chain asserts that they did.
 ///
 /// The caller's gate ([`f64_mac_ok`]) bounds the input magnitude and the
 /// term count; only the backend and the ring are checked again here.
@@ -274,7 +255,7 @@ pub(crate) fn try_mac_digit<T: LazyCoeff, const K: usize>(
 
 /// Reduces `f64` accumulators (exact integers below `2^52` in magnitude) to
 /// canonical residues in `out`. Returns `false` when the `f64` kernels do
-/// not run right now.
+/// not run.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn try_reduce_acc(acc: &[f64], q: u64, out: &mut [u64]) -> bool {
     f64_ntt_ok(acc.len(), q, 0) && on_f64_tier!(reduce_acc(acc, q, out))
@@ -282,7 +263,7 @@ pub(crate) fn try_reduce_acc(acc: &[f64], q: u64, out: &mut [u64]) -> bool {
 
 /// The CMux fold in `f64` lanes: `acc ← canonical(acc + S⁺·f⁺ + S⁻·f⁻)`
 /// for exact integer sums `|S| ≤ 2^50` and canonical factors and `acc`.
-/// Returns `false` when the `f64` kernels do not run right now.
+/// Returns `false` when the `f64` kernels do not run.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn try_fold_acc(
     sums: [&[f64]; 2],
@@ -319,42 +300,11 @@ pub(crate) fn try_decompose_signed(
     }
 }
 
-/// Lifts balanced signed coefficients to canonical residues (`c + q` for
-/// negative lanes): the hot inner conversion between gadget decomposition
-/// and the spread-digit forward NTT. Lanes outside `(-q, q)` take a scalar
-/// `rem_euclid` (same canonical result as `Modulus::from_i64`). Returns
-/// `false` when no vector backend applies.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn try_from_signed(coeffs: &[i64], q: u64, out: &mut [u64]) -> bool {
-    // `-q` and `q` must be signed-compare-safe; every NTT modulus is.
-    if q >= (1 << 62) {
-        return false;
-    }
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 | Backend::Avx512 => {
-            // SAFETY: both tiers are only selected after runtime detection
-            // of AVX2 (and more).
-            unsafe { avx2::from_signed(coeffs, q, out) };
-            true
-        }
-        _ => false,
-    }
-}
-
-/// Scalar canonical lift for `try_from_signed`'s out-of-range and tail
-/// lanes. `rem_euclid` lands in `[0, q)` — the unique canonical residue, so
-/// it bit-matches every other correct lift.
-#[inline]
-pub(crate) fn from_signed_one_scalar(c: i64, q: u64) -> u64 {
-    c.rem_euclid(q as i64) as u64
-}
-
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! 4×u64-lane kernels: signed decomposition and the signed lift.
+    //! 4×u64-lane kernel: signed decomposition.
     //! Compares use the signed `_mm256_cmpgt_epi64`, sound because the
-    //! dispatch gates keep every compared value below `2^63`. Each kernel
+    //! dispatch gate keeps every compared value below `2^63`. The kernel
     //! asserts the slice lengths its pointer arithmetic relies on.
 
     use core::arch::x86_64::*;
@@ -368,50 +318,6 @@ mod avx2 {
     #[inline(always)]
     unsafe fn loadu(p: *const u64) -> __m256i {
         _mm256_loadu_si256(p as *const __m256i)
-    }
-
-    #[inline(always)]
-    unsafe fn storeu(p: *mut u64, v: __m256i) {
-        _mm256_storeu_si256(p as *mut __m256i, v)
-    }
-
-    /// Branchless canonical lift of balanced signed coefficients:
-    /// `out[i] = c + (c < 0 ? q : 0)` for lanes inside `(-q, q)` (the
-    /// gadget-digit fast path); any block with an out-of-range lane falls
-    /// back to the scalar `rem_euclid` lift. Requires `q < 2^62` for signed
-    /// compares. 3.6–4.1× the scalar lift on gadget digits.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn from_signed(coeffs: &[i64], q: u64, out: &mut [u64]) {
-        let n = coeffs.len();
-        assert_eq!(out.len(), n, "length mismatch");
-        let cp = coeffs.as_ptr();
-        let op = out.as_mut_ptr();
-        let qv = splat(q);
-        let neg_q = _mm256_set1_epi64x(-(q as i64));
-        let zero = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 4 <= n {
-            let c = loadu(cp.add(i) as *const u64);
-            let in_range =
-                _mm256_and_si256(_mm256_cmpgt_epi64(c, neg_q), _mm256_cmpgt_epi64(qv, c));
-            if _mm256_movemask_pd(_mm256_castsi256_pd(in_range)) == 0xf {
-                let lift = _mm256_and_si256(qv, _mm256_cmpgt_epi64(zero, c));
-                storeu(op.add(i), _mm256_add_epi64(c, lift));
-            } else {
-                for k in i..i + 4 {
-                    out[k] = super::from_signed_one_scalar(coeffs[k], q);
-                }
-            }
-            i += 4;
-        }
-        while i < n {
-            out[i] = super::from_signed_one_scalar(coeffs[i], q);
-            i += 1;
-        }
     }
 
     /// Signed digit chain on four magnitudes at once: 4.7–4.9× the scalar loop.
@@ -489,15 +395,6 @@ mod tests {
         let b = active();
         println!("simd::active() = {}", b.name());
         assert!(b <= native(), "{b:?} above the host's {:?}", native());
-    }
-
-    #[test]
-    fn force_scalar_round_trips() {
-        let detected = active();
-        force_scalar(true);
-        assert_eq!(active(), Backend::Scalar);
-        force_scalar(false);
-        assert_eq!(active(), detected);
     }
 
     /// A misspelt `HEAP_SIMD` is an error, never a silent "native".

@@ -298,11 +298,12 @@ proptest! {
 /// SIMD/scalar parity: the dispatching kernels must be bit-identical to
 /// the always-available scalar kernels for every qualifying modulus class
 /// and the full lazy operand range — `[0, 4q)` into the forward NTT,
-/// `[0, 2q)` into the inverse. On hosts without a vector unit the
-/// dispatchers fall back to the scalar kernels and these hold trivially.
+/// `[0, 2q)` into the inverse. Under `HEAP_SIMD=scalar`, or on hosts
+/// without a vector unit, the dispatchers run the scalar kernels and these
+/// hold trivially.
 mod simd_parity {
     use super::*;
-    use heap_math::{MacAcc, MacPath};
+    use heap_math::{ChainEnd, MacAcc};
 
     /// A 60-bit NTT prime valid for every ring size used below
     /// (`q ≡ 1 mod 512`).
@@ -428,29 +429,38 @@ mod simd_parity {
             prop_assert_eq!(ShoupMul::new(op, &m).mul(b60, &m), m.mul(m.reduce_u64(op), b60));
         }
 
-        /// The narrow `f64` datapath must land on the same canonical
-        /// residues as the wide `u128` one for signed digits and for
-        /// residues of a foreign modulus alike — both driven through the
-        /// accumulator, which is the only documented way in.
+        /// The MAC chain — narrow `f64` lanes where the tier has them,
+        /// wide `u128` sums otherwise — must land on the eager Barrett
+        /// chain's canonical residues for signed digits and for residues
+        /// of a foreign modulus alike, driven through the accumulator,
+        /// which is the only documented way in.
         #[test]
-        fn narrow_datapath_matches_wide(
+        fn mac_chain_matches_eager_chain(
             d1 in prop::collection::vec(-(1i64 << 17)..=1 << 17, 32),
             x2 in prop::collection::vec(0..2 * Q36, 32),
             ops1 in prop::collection::vec(0..Q36, 32),
             ops2 in prop::collection::vec(0..Q36, 32),
         ) {
             let t = NttTable::new(32, q());
-            let [got, want] = [MacPath::Narrow, MacPath::Wide].map(|path| {
-                let mut acc = MacAcc::default();
-                acc.reset(path, 2, 32);
-                acc.mac_digit(&t, &d1, [[(0, &ops1[..]), (1, &ops2[..])]]);
-                acc.mac_digit(&t, &x2, [[(0, &ops2[..]), (1, &ops1[..])]]);
-                let mut out = vec![0u64; 64];
-                let (a, b) = out.split_at_mut(32);
-                acc.reduce_into(0, &t, a);
-                acc.reduce_into(1, &t, b);
-                out
-            });
+            let mut acc = MacAcc::default();
+            acc.reset(&t, 2, 2, 2 * Q36, ChainEnd::Reduce);
+            acc.mac_digit(&t, &d1, [[(0, &ops1[..]), (1, &ops2[..])]]);
+            acc.mac_digit(&t, &x2, [[(0, &ops2[..]), (1, &ops1[..])]]);
+            let mut got = vec![0u64; 64];
+            let (a, b) = got.split_at_mut(32);
+            acc.reduce_into(0, &t, a);
+            acc.reduce_into(1, &t, b);
+
+            let mut x1 = poly::from_signed(&d1, &q());
+            let mut x2: Vec<u64> = x2.iter().map(|&x| x % Q36).collect();
+            oracle::forward_reference(&t, &mut x1);
+            oracle::forward_reference(&t, &mut x2);
+            let mut want = vec![0u64; 64];
+            let (a, b) = want.split_at_mut(32);
+            for (x, [r0, r1]) in [(&x1, [&ops1, &ops2]), (&x2, [&ops2, &ops1])] {
+                t.pointwise_acc(x, r0, a);
+                t.pointwise_acc(x, r1, b);
+            }
             prop_assert_eq!(got, want);
         }
 
@@ -470,11 +480,10 @@ mod simd_parity {
             }
         }
 
-        /// Signed-lift parity: the branchless SIMD lift (gadget digits,
-        /// `|c| < q`) and its out-of-range scalar fallback must both land on
-        /// the canonical `rem_euclid` residue for *any* `i64`, at both
-        /// supported modulus widths, at every ragged length (the vector
-        /// tail and the blocks before it).
+        /// The signed lift: the conditional add (gadget digits, `|c| < q`)
+        /// and its out-of-range fallback must both land on the canonical
+        /// `rem_euclid` residue for *any* `i64`, at both supported modulus
+        /// widths, at every ragged length.
         #[test]
         fn from_signed_parity_any_i64(
             small in prop::collection::vec(-(Q36 as i64 - 1)..Q36 as i64, 4097),
@@ -500,12 +509,28 @@ mod simd_parity {
 /// Exactness of the fused digit → NTT → MAC datapath at the edges of its
 /// gate: every shape the gate admits equals the eager Barrett chain over
 /// the strict transform, and every shape it refuses takes the wide path and
-/// equals it too. (Nothing in this binary flips `force_scalar`, so the
-/// backend is whatever `HEAP_SIMD` and the host say for the whole run.)
+/// equals it too. (The tier is whatever `HEAP_SIMD` and the host say, for
+/// the whole run.)
 mod fused_datapath {
     use super::*;
     use heap_math::simd;
-    use heap_math::{fold_path, mac_path, LazyCoeff, MacAcc, MacPath};
+    use heap_math::{ChainEnd, LazyCoeff, MacAcc, MacPath};
+
+    /// The path [`MacAcc::reset`] picks for a one-slot chain.
+    fn path_of(t: &NttTable, terms: usize, input_bound: u64, end: ChainEnd) -> MacPath {
+        let mut acc = MacAcc::default();
+        acc.reset(t, 1, terms, input_bound, end);
+        acc.path()
+    }
+
+    /// The path a chain the gate admits takes on this tier.
+    fn lanes() -> MacPath {
+        if simd::active().has_f64_lanes() {
+            MacPath::Narrow
+        } else {
+            MacPath::Wide
+        }
+    }
 
     /// The largest modulus the narrow gate admits for an `n`-point ring on
     /// inputs up to `input_bound`: `input_bound + log2(n)·q ≤ 2^50`.
@@ -531,23 +556,25 @@ mod fused_datapath {
         Modulus::new(ntt_primes(n as u64, bits, 1)[0]).unwrap()
     }
 
-    /// One digit against one key row pair, `terms` times over: the fused
-    /// entry on `path` against the eager chain. Identical terms make the
-    /// sums as large as the count allows; the oracle's `terms`-fold sum is
-    /// one Barrett product by `terms mod q`.
+    /// One digit against one key row pair, `terms` times over, on a chain
+    /// reset for digits up to `input_bound`: the fused entry against the
+    /// eager chain. Identical terms make the sums as large as the count
+    /// allows; the oracle's `terms`-fold sum is one Barrett product by
+    /// `terms mod q`. Returns the path the chain ran on.
     fn assert_fused_matches_eager<T: LazyCoeff>(
         t: &NttTable,
-        path: MacPath,
+        input_bound: u64,
         digit: &[T],
         rows: [&[u64]; 2],
         terms: usize,
-    ) {
+    ) -> MacPath {
         let (n, m) = (t.n(), t.modulus());
         let mut x = vec![0u64; n];
         T::lift_into(digit, m, &mut x);
         oracle::forward_reference(t, &mut x);
         let mut acc = MacAcc::default();
-        acc.reset(path, 2, n);
+        acc.reset(t, 2, terms, input_bound, ChainEnd::Reduce);
+        let path = acc.path();
         for _ in 0..terms {
             acc.mac_digit(t, digit, [[(0, rows[0]), (1, rows[1])]]);
         }
@@ -565,6 +592,7 @@ mod fused_datapath {
                 m.value()
             );
         }
+        path
     }
 
     /// `forward` on lazy inputs pinned at `4q − 1` against the strict kernel.
@@ -610,9 +638,7 @@ mod fused_datapath {
                     .collect();
                 let rows = [vec![q - 1; n], vec![0; n], random];
 
-                let path = mac_path([&t], terms, half_base as u64);
-                let admitted = n >= 16 && simd::active().has_f64_lanes();
-                assert_eq!(path == MacPath::Narrow, admitted, "n = {n}, q = {q}");
+                let admitted = if n >= 16 { lanes() } else { MacPath::Wide };
                 let digits = [
                     vec![half_base; n],
                     vec![-half_base; n],
@@ -621,19 +647,30 @@ mod fused_datapath {
                         .collect(),
                 ];
                 for digit in &digits {
-                    assert_fused_matches_eager(&t, path, digit, [&rows[0], &rows[2]], terms);
-                    assert_fused_matches_eager(&t, path, digit, [&rows[1], &rows[0]], terms);
+                    for pair in [[&rows[0], &rows[2]], [&rows[1], &rows[0]]] {
+                        let pair = pair.map(|r| &r[..]);
+                        let path =
+                            assert_fused_matches_eager(&t, half_base as u64, digit, pair, terms);
+                        assert_eq!(path, admitted, "n = {n}, q = {q}");
+                    }
                 }
 
-                // Key-switch digits: residues pinned at this modulus' top,
-                // and at the largest magnitude the gate admits.
+                // Key-switch digits: residues pinned at this modulus' top
+                // (narrow only where it fits the gate), and at the largest
+                // magnitude the gate admits.
                 let largest = (1u64 << 50) - u64::from(n.trailing_zeros()) * q;
-                let path = mac_path([&t], terms, largest);
-                assert_eq!(path == MacPath::Narrow, admitted, "n = {n}, q = {q}");
                 for residue in [q - 1, largest] {
-                    let path = mac_path([&t], terms, residue);
                     let digit = vec![residue; n];
-                    assert_fused_matches_eager(&t, path, &digit, [&rows[0], &rows[2]], terms);
+                    let path = assert_fused_matches_eager(
+                        &t,
+                        residue,
+                        &digit,
+                        [&rows[0], &rows[2]],
+                        terms,
+                    );
+                    if residue == largest {
+                        assert_eq!(path, admitted, "n = {n}, q = {q}");
+                    }
                 }
 
                 assert_forward_exact_at_4q(&t);
@@ -658,40 +695,53 @@ mod fused_datapath {
             let t = NttTable::new(n, m);
             let half_base = 1u64 << (base_bits - 1);
             let terms = ((1u64 << 52) / q) as usize;
-            let path = mac_path([&t], terms, half_base);
-            let admitted = simd::active().has_f64_lanes();
-            assert_eq!(path == MacPath::Narrow, admitted, "q = {q}");
-            assert_eq!(mac_path([&t], terms + 1, half_base), MacPath::Wide);
+            let reduce = ChainEnd::Reduce;
+            assert_eq!(path_of(&t, terms + 1, half_base, reduce), MacPath::Wide);
             let digit = vec![-(half_base as i64); n];
             let rows = [vec![q - 1; n], vec![q / 2; n]];
-            assert_fused_matches_eager(&t, path, &digit, [&rows[0], &rows[1]], terms);
+            let path =
+                assert_fused_matches_eager(&t, half_base, &digit, [&rows[0], &rows[1]], terms);
+            assert_eq!(path, lanes(), "q = {q}");
         }
     }
 
-    /// A narrow chain outside the gate: three `mac_digit` calls on a 60-bit
-    /// table, where each product is near `2^60` and no `f64` sum is exact.
-    /// Whatever the host, the chain must not return a wrong residue — it
-    /// either equals the eager chain or refuses with the bound's message.
+    /// A chain fed past what it was reset for never returns a wrong
+    /// residue. A table of another modulus is refused on either path.
+    /// More terms than declared either equal the eager chain (wide) or are
+    /// refused once a slot could pass `2^52` (narrow).
     #[test]
-    fn narrow_chain_outside_the_gate_never_returns_a_wrong_residue() {
+    fn chain_fed_past_its_reset_never_returns_a_wrong_residue() {
         let n = 32;
-        let t = NttTable::new(n, prime_of(n, 60));
+        let t = NttTable::new(n, prime_of(n, 45));
         let q = t.modulus().value();
-        let digits: Vec<Vec<u64>> = (0..3u64)
-            .map(|r| (0..n as u64).map(|i| (q - 1 - i * 977 - r) % q).collect())
-            .collect();
+        let digit: Vec<u64> = (0..n as u64).map(|i| (q - 1 - i * 977) % q).collect();
         let row: Vec<u64> = (0..n as u64).map(|i| q - 1 - i * 31).collect();
-        let mut want = vec![0u64; n];
-        for digit in &digits {
-            let mut x = digit.clone();
-            oracle::forward_reference(&t, &mut x);
-            t.pointwise_acc(&x, &row, &mut want);
-        }
+        let sixty = NttTable::new(n, prime_of(n, 60));
+        let err_text = |err: Box<dyn std::any::Any + Send>| {
+            err.downcast::<String>()
+                .map_or_else(|_| String::new(), |s| *s)
+        };
+
+        let mut acc = MacAcc::default();
+        acc.reset(&t, 2, 1, q, ChainEnd::Reduce);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            acc.mac_digit(&sixty, &digit, [[(0, &row[..]), (1, &row[..])]])
+        }));
+        let msg = err_text(refused.expect_err("a chain ran under another modulus"));
+        assert!(msg.contains("not reset for"), "{msg}");
+
+        let terms = ((1u64 << 52) / q) as usize + 1;
+        let mut x = digit.clone();
+        oracle::forward_reference(&t, &mut x);
+        let mut once = vec![0u64; n];
+        t.pointwise_acc(&x, &row, &mut once);
+        let count = t.modulus().reduce_u64(terms as u64);
+        let want: Vec<u64> = once.iter().map(|&p| t.modulus().mul(p, count)).collect();
         let chain = std::panic::catch_unwind(|| {
             let mut acc = MacAcc::default();
-            acc.reset(MacPath::Narrow, 2, n);
-            for digit in &digits {
-                acc.mac_digit(&t, digit, [[(0, &row[..]), (1, &row[..])]]);
+            acc.reset(&t, 2, 1, q, ChainEnd::Reduce);
+            for _ in 0..terms {
+                acc.mac_digit(&t, &digit, [[(0, &row[..]), (1, &row[..])]]);
             }
             let mut got = vec![0u64; 2 * n];
             let (a, b) = got.split_at_mut(n);
@@ -700,25 +750,24 @@ mod fused_datapath {
             got
         });
         match chain {
-            Ok(got) => assert_eq!(
-                got,
-                [&want[..], &want[..]].concat(),
-                "a narrow 60-bit chain returned"
-            ),
+            Ok(got) => {
+                assert_eq!(lanes(), MacPath::Wide, "a narrow chain passed 2^52");
+                assert_eq!(got, [&want[..], &want[..]].concat());
+            }
             Err(err) => {
-                let msg = err
-                    .downcast::<String>()
-                    .map_or_else(|_| String::new(), |s| *s);
+                let msg = err_text(err);
                 assert!(msg.contains("past its exact bound"), "{msg}");
             }
         }
     }
 
-    /// The CMux fold on both paths against the eager sequence it replaces
-    /// — reduce each sum, scale it by its factor, add both to the
-    /// accumulator — with sums as large as the fold's gate admits, factors
-    /// and accumulator pinned at `q − 1` and random. One term more than the
-    /// gate admits is refused, by the gate and by a narrow chain itself.
+    /// The CMux fold against the eager sequence it replaces — reduce each
+    /// sum, scale it by its factor, add both to the accumulator — with sums
+    /// as large as the fold's gate admits, factors and accumulator pinned
+    /// at `q − 1` and random: on the chain the gate admits (narrow where the
+    /// tier has `f64` lanes) and on one declared a term longer, which the
+    /// gate sends wide. A narrow chain refuses to fold a term past its
+    /// bound.
     #[test]
     fn fold_matches_the_eager_sequence_at_its_gate() {
         for n in [16usize, 64, 1 << 11] {
@@ -727,9 +776,7 @@ mod fused_datapath {
             let q = m.value();
             let terms = ((1u64 << 50) / q) as usize;
             let half_base = 1u64 << 17;
-            let path = fold_path([&t], terms, half_base);
-            assert_eq!(path, mac_path([&t], terms, half_base), "n = {n}");
-            assert_eq!(fold_path([&t], terms + 1, half_base), MacPath::Wide);
+            assert_eq!(path_of(&t, terms, half_base, ChainEnd::Reduce), lanes());
             let random = |salt: u64| -> Vec<u64> {
                 (0..n as u64)
                     .map(|i| (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) % q)
@@ -758,9 +805,10 @@ mod fused_datapath {
                     )
                 })
                 .collect();
-            for path in [path, MacPath::Wide] {
+            for (declared, path) in [(terms, lanes()), (terms + 1, MacPath::Wide)] {
                 let mut acc = MacAcc::default();
-                acc.reset(path, 2, n);
+                acc.reset(&t, 2, declared, half_base, ChainEnd::Fold);
+                assert_eq!(acc.path(), path, "n = {n}, {declared} terms");
                 for _ in 0..terms {
                     acc.mac_digit(&t, &digit, [[(0, &rows[0][..]), (1, &rows[1][..])]]);
                 }
@@ -789,10 +837,11 @@ mod fused_datapath {
             let m = prime_near(n, gate_limit(n, half_base), 1);
             let t = NttTable::new(n, m);
             let q = m.value();
-            assert_eq!(mac_path([&t], terms, half_base), MacPath::Wide, "n = {n}");
             let digit = vec![half_base as i64; n];
             let rows = [vec![q - 1; n], vec![1; n]];
-            assert_fused_matches_eager(&t, MacPath::Wide, &digit, [&rows[0], &rows[1]], terms);
+            let path =
+                assert_fused_matches_eager(&t, half_base, &digit, [&rows[0], &rows[1]], terms);
+            assert_eq!(path, MacPath::Wide, "n = {n}");
 
             assert_forward_exact_at_4q(&t);
 
@@ -800,21 +849,29 @@ mod fused_datapath {
             let inside = prime_near(n, gate_limit(n, half_base), -1);
             let t = NttTable::new(n, inside);
             let too_large = (1u64 << 50) - u64::from(n.trailing_zeros()) * inside.value() + 1;
-            assert_eq!(mac_path([&t], terms, too_large), MacPath::Wide, "n = {n}");
+            let path = path_of(&t, terms, too_large, ChainEnd::Reduce);
+            assert_eq!(path, MacPath::Wide, "n = {n}");
         }
     }
 }
 
 /// Ragged shapes at the `f64`-lane entry points, `NttTable::{forward,
-/// inverse}` and `MacAcc::mac_digit`, for CI's ASan step to run both ways.
-/// Rings are powers of two, so "ragged" means a ring below the 16-point
-/// vector gate, which must take the scalar kernels and agree with the
-/// strict oracle, or a slice that is not the ring's length, which must
+/// inverse}` and `MacAcc::mac_digit`, for CI's ASan step to run on every
+/// tier. Rings are powers of two, so "ragged" means a ring below the
+/// 16-point vector gate, which must take the scalar kernels and agree with
+/// the strict oracle, or a slice that is not the ring's length, which must
 /// panic with the entry point's own message before any lane is read.
 mod ragged_entry_points {
     use super::*;
-    use heap_math::{MacAcc, MacPath};
+    use heap_math::{ChainEnd, MacAcc, MacPath};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// The two moduli each ring runs under: 36 bits, whose MAC chains run
+    /// narrow from `n = 16` where the tier has `f64` lanes, and 60 bits,
+    /// whose chains run wide on every tier.
+    fn moduli() -> [Modulus; 2] {
+        [q(), Modulus::new(ntt_primes(256, 60, 1)[0]).unwrap()]
+    }
 
     /// The message `f` panics with; fails the test if it returns.
     fn panic_message(f: impl FnOnce()) -> String {
@@ -833,15 +890,18 @@ mod ragged_entry_points {
             .collect()
     }
 
-    /// Rings below the vector gate take the scalar kernels; `n = 16` is
-    /// one 8-lane block with no radix-4 pass and `n = 32` one radix-4 pass
-    /// and the shorter last pass. Forward, inverse, the signed MAC on both
-    /// paths and the fold on both paths agree with the strict oracle.
+    /// Rings below the vector gate take the scalar kernels and the wide
+    /// MAC path; `n = 16` is one 8-lane block with no radix-4 pass and
+    /// `n = 32` one radix-4 pass and the shorter last pass. Forward,
+    /// inverse, the signed MAC and the fold agree with the strict oracle
+    /// under both [`moduli`].
     #[test]
     fn smallest_rings_match_the_strict_oracle() {
-        for n in [2usize, 4, 8, 16, 32] {
-            let t = NttTable::new(n, q());
-            let m = *t.modulus();
+        for (n, m) in [2usize, 4, 8, 16, 32]
+            .into_iter()
+            .flat_map(|n| moduli().map(|m| (n, m)))
+        {
+            let t = NttTable::new(n, m);
             let [mut fast, mut strict] = [residues(n, 1), residues(n, 1)];
             t.forward(&mut fast);
             oracle::forward_reference(&t, &mut strict);
@@ -867,20 +927,22 @@ mod ragged_entry_points {
                     m.add(start[i], m.add(scaled(0), scaled(1)))
                 })
                 .collect();
-            for path in [MacPath::Narrow, MacPath::Wide] {
-                let mut acc = MacAcc::default();
-                acc.reset(path, 2, n);
-                acc.mac_digit(&t, &digit, [[(0, &rows[0][..]), (1, &rows[1][..])]]);
-                acc.mac_digit(&t, &digit, [[(0, &rows[0][..]), (1, &rows[1][..])]]);
-                for (slot, w) in want.iter().enumerate() {
-                    let mut got = vec![0u64; n];
-                    acc.reduce_into(slot, &t, &mut got);
-                    assert_eq!(&got, w, "mac_digit, {path:?}, n = {n}, slot {slot}");
-                }
-                let mut got = start.clone();
-                acc.fold_into([0, 1], [&factors[0], &factors[1]], &t, &mut got);
-                assert_eq!(got, folded, "fold_into, {path:?}, n = {n}");
+            let mut acc = MacAcc::default();
+            acc.reset(&t, 2, 2, 1 << 21, ChainEnd::Fold);
+            let path = acc.path();
+            if n < 16 || m.value() > Q36 {
+                assert_eq!(path, MacPath::Wide, "n = {n}, q = {}", m.value());
             }
+            acc.mac_digit(&t, &digit, [[(0, &rows[0][..]), (1, &rows[1][..])]]);
+            acc.mac_digit(&t, &digit, [[(0, &rows[0][..]), (1, &rows[1][..])]]);
+            for (slot, w) in want.iter().enumerate() {
+                let mut got = vec![0u64; n];
+                acc.reduce_into(slot, &t, &mut got);
+                assert_eq!(&got, w, "mac_digit, {path:?}, n = {n}, slot {slot}");
+            }
+            let mut got = start.clone();
+            acc.fold_into([0, 1], [&factors[0], &factors[1]], &t, &mut got);
+            assert_eq!(got, folded, "fold_into, {path:?}, n = {n}");
         }
     }
 
@@ -904,12 +966,13 @@ mod ragged_entry_points {
                     );
                 }
             }
-            let other = NttTable::new(2 * n, q());
             let good = vec![1i64; n];
             let row = residues(n, 5);
-            for path in [MacPath::Narrow, MacPath::Wide] {
+            for m in moduli() {
+                let (t, other) = (NttTable::new(n, m), NttTable::new(2 * n, m));
                 let mut acc = MacAcc::default();
-                acc.reset(path, 2, n);
+                acc.reset(&t, 2, 2, 1, ChainEnd::Fold);
+                let path = acc.path();
                 for len in [n - 1, n + 1] {
                     let short = vec![1i64; len];
                     let ragged_row = residues(len, 6);

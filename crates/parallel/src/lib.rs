@@ -58,20 +58,6 @@ impl Parallelism {
         Self::with_threads(available_threads())
     }
 
-    /// Reads the per-node thread budget from the `HEAP_THREADS`
-    /// environment variable (used by `heap-node-serve`, whose pool is the
-    /// software analogue of one FPGA's fixed compute). Unset, empty, or
-    /// unparsable values fall back to [`Parallelism::max`].
-    pub fn from_env() -> Self {
-        match std::env::var("HEAP_THREADS") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(t) if t >= 1 => Self::with_threads(t),
-                _ => Self::max(),
-            },
-            Err(_) => Self::max(),
-        }
-    }
-
     /// Effective worker count for a batch of `len` items.
     pub fn workers_for(&self, len: usize) -> usize {
         if len < MIN_PAR_BATCH {
@@ -253,17 +239,6 @@ mod tests {
         assert_eq!(par.workers_for(2), 2);
         assert_eq!(par.workers_for(100), 8);
         assert_eq!(Parallelism::serial().workers_for(1 << 20), 1);
-    }
-
-    #[test]
-    fn from_env_parses_thread_budget() {
-        // Env mutation is process-global: run the three cases in one test.
-        std::env::set_var("HEAP_THREADS", "3");
-        assert_eq!(Parallelism::from_env().threads, 3);
-        std::env::set_var("HEAP_THREADS", "not-a-number");
-        assert_eq!(Parallelism::from_env(), Parallelism::max());
-        std::env::remove_var("HEAP_THREADS");
-        assert_eq!(Parallelism::from_env(), Parallelism::max());
     }
 
     #[test]

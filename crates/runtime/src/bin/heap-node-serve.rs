@@ -26,8 +26,8 @@
 //!   and client started with the same pair agree bit-for-bit. Only for
 //!   reproduction runs on trusted hosts — the seed derives the secret
 //!   key, which is why the flag says so.
-//! - `--threads N` — blind-rotation thread budget (default: the
-//!   `HEAP_THREADS` env var, else all hardware threads)
+//! - `--threads N` — blind-rotation thread budget (default: all
+//!   hardware threads)
 //! - `--fail-after N` — serve `N` blind-rotate requests, then drop the
 //!   connection and refuse all future ones (failure injection for the
 //!   reassignment tests)
@@ -151,10 +151,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let parallelism = match args.threads {
-        Some(t) => Parallelism::with_threads(t),
-        None => Parallelism::from_env(),
-    };
+    let parallelism = args
+        .threads
+        .map_or_else(Parallelism::max, Parallelism::with_threads);
     let key_store = NodeKeyStore::new(args.key_cache_bytes);
     let insecure = args.insecure_seed.map(|seed| {
         eprintln!(

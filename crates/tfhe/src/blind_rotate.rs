@@ -566,14 +566,17 @@ mod tests {
             };
 
             let terms = 2 * 2 * p.digits;
-            let path =
-                heap_math::fold_path((0..2).map(|j| c.ntt(j)), terms, 1 << (p.base_bits - 1));
             let narrow = bits == 36 && heap_math::simd::active().has_f64_lanes();
-            assert_eq!(
-                path == heap_math::MacPath::Narrow,
-                narrow,
-                "{bits}-bit fold path"
-            );
+            for j in 0..2 {
+                let mut chain = heap_math::MacAcc::default();
+                let end = heap_math::ChainEnd::Fold;
+                chain.reset(c.ntt(j), 2, terms, 1 << (p.base_bits - 1), end);
+                assert_eq!(
+                    chain.path() == heap_math::MacPath::Narrow,
+                    narrow,
+                    "{bits}-bit fold path"
+                );
+            }
 
             let mut scratch = ExternalProductScratch::default();
             let [mut pos, mut neg] = [0, 1].map(|_| RlweCiphertext::zero(&c, 2));

@@ -16,7 +16,7 @@
 
 use rand::Rng;
 
-use heap_math::{fold_path, mac_path, Domain, Gadget, MacAcc, RnsContext, RnsPoly, RowPair};
+use heap_math::{ChainEnd, Domain, Gadget, MacAcc, RnsContext, RnsPoly, RowPair};
 
 use crate::blind_rotate::MonomialEvals;
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
@@ -273,12 +273,12 @@ pub(crate) enum Finish<'a, 'o, const K: usize> {
 /// a key row is accumulated **unreduced** in a [`MacAcc`] — `2K` slots per
 /// member, for one target limb at a time — with each output coefficient
 /// reduced exactly once, as soon as limb `j`'s rows are done: into the
-/// product's output, or folded into the CMux accumulator. [`mac_path`] (or
-/// [`fold_path`], whose sums must also fit the fold's product) picks the
-/// datapath for the `2·limbs·digits` terms of digits no larger than half
-/// the gadget base — `f64` lanes from digit to accumulator where they are
-/// exact under every limb, lift + integer NTT + `u128` sums otherwise; both
-/// are exact, so the canonical output is bit-identical to the strict oracle
+/// product's output, or folded into the CMux accumulator. Each limb's
+/// chain is `2·limbs·digits` terms per slot of digits no larger than half
+/// the gadget base, and [`MacAcc::reset`] picks its datapath — `f64` lanes
+/// from digit to accumulator where they are exact under `q_j`, lift +
+/// integer NTT + `u128` sums otherwise; both are exact, so the canonical
+/// output is bit-identical to the strict oracle
 /// (`crate::oracle::external_product_reference`,
 /// `crate::oracle::blind_rotate_reference`).
 pub(crate) fn external_product_core<const K: usize>(
@@ -307,16 +307,15 @@ pub(crate) fn external_product_core<const K: usize>(
     for &m in active {
         assert_eq!(cts[m].limbs(), limbs, "tile limb count mismatch");
     }
-    let tables = || (0..limbs).map(|j| ctx.ntt(j));
     let (terms, digit_bound) = (2 * limbs * params.digits, 1 << (params.base_bits - 1));
-    let path = match &finish {
+    let end = match &finish {
         Finish::Reduce { outs, .. } => {
             for &m in active {
                 for out in &outs[m] {
                     assert_eq!(out.limbs(), limbs, "output limb count mismatch");
                 }
             }
-            mac_path(tables(), terms, digit_bound)
+            ChainEnd::Reduce
         }
         Finish::Fold {
             accs, monomials, ..
@@ -328,7 +327,7 @@ pub(crate) fn external_product_core<const K: usize>(
                     assert_eq!(part.domain(), Domain::Eval, "needs Eval domain");
                 }
             }
-            fold_path(tables(), terms, digit_bound)
+            ChainEnd::Fold
         }
     };
     scratch.prepare(ctx, params, limbs, active.len());
@@ -363,7 +362,7 @@ pub(crate) fn external_product_core<const K: usize>(
     let slot = |t: usize, k: usize, p: usize| (t * K + k) * 2 + p;
     for j in 0..limbs {
         let ntt = ctx.ntt(j);
-        acc.reset(path, active.len() * K * 2, n);
+        acc.reset(ntt, active.len() * K * 2, terms, digit_bound, end);
         for ladder in 0..2 {
             for r in 0..limbs * digits {
                 for t in 0..active.len() {

@@ -62,38 +62,43 @@ fn external_product_into_is_allocation_free_when_warm() {
     // active member. A warm call still allocates its outputs, so the
     // per-key loop is isolated by rotating the same tile under a 2-step
     // and an 8-step key: equal counts mean the six extra steps allocated
-    // nothing. Same warm-then-count protocol (kept inside this one test,
-    // the only one here that flips `force_scalar`), once per accumulator
-    // path: forced scalar takes the `u128` accumulators, native dispatch
-    // the narrow `u64` ones on a vector host.
-    let f = test_polynomial_from_fn(&ctx, 2, |u| u << 40);
-    let mut tile_scratch = BlindRotateScratch::default();
-    let mut rotation_allocs = |n_t: usize, scalar: bool| {
-        let lwe_sk = LweSecretKey::generate(&mut rng, n_t);
-        let brk = BlindRotateKey::generate(&ctx, &lwe_sk, &sk, 2, params, &mut rng);
-        // Member `m` sits step `m` out, so the active list changes from
-        // step to step.
-        let lwes: Vec<LweCiphertext> = (0..3)
-            .map(|m| LweCiphertext {
-                a: (0..n_t)
-                    .map(|j| if j == m { 0 } else { 17 * (j + m + 1) as u64 })
-                    .collect(),
-                b: m as u64,
-                modulus: 256,
-            })
-            .collect();
-        heap_math::simd::force_scalar(scalar);
-        brk.blind_rotate_batch_with(&ctx, &f, &lwes, &mut tile_scratch);
-        let (_out, counts) =
-            tracked(|| brk.blind_rotate_batch_with(&ctx, &f, &lwes, &mut tile_scratch));
-        heap_math::simd::force_scalar(false);
-        counts.allocs
+    // nothing. Same warm-then-count protocol, once per accumulator path:
+    // the 30-bit ring above takes the narrow `f64` accumulators where the
+    // tier has them, a 60-bit ring the wide `u128` ones on every tier.
+    let wide_ctx = RnsContext::new(128, &ntt_primes(128, 60, 2));
+    let wide_params = RgswParams {
+        base_bits: 20,
+        digits: 3,
     };
-    for scalar in [true, false] {
-        let (short, long) = (rotation_allocs(2, scalar), rotation_allocs(8, scalar));
+    let wide_sk = RingSecretKey::generate(&wide_ctx, 2, &mut rng);
+    let mut tile_scratch = BlindRotateScratch::default();
+    for (ctx, params, sk) in [(&ctx, params, &sk), (&wide_ctx, wide_params, &wide_sk)] {
+        let f = test_polynomial_from_fn(ctx, 2, |u| u << 40);
+        let mut rotation_allocs = |n_t: usize| {
+            let lwe_sk = LweSecretKey::generate(&mut rng, n_t);
+            let brk = BlindRotateKey::generate(ctx, &lwe_sk, sk, 2, params, &mut rng);
+            // Member `m` sits step `m` out, so the active list changes from
+            // step to step.
+            let lwes: Vec<LweCiphertext> = (0..3)
+                .map(|m| LweCiphertext {
+                    a: (0..n_t)
+                        .map(|j| if j == m { 0 } else { 17 * (j + m + 1) as u64 })
+                        .collect(),
+                    b: m as u64,
+                    modulus: 256,
+                })
+                .collect();
+            brk.blind_rotate_batch_with(ctx, &f, &lwes, &mut tile_scratch);
+            let (_out, counts) =
+                tracked(|| brk.blind_rotate_batch_with(ctx, &f, &lwes, &mut tile_scratch));
+            counts.allocs
+        };
+        let (short, long) = (rotation_allocs(2), rotation_allocs(8));
         assert_eq!(
-            short, long,
-            "the per-key loop of a warm tile rotation allocates (forced scalar: {scalar})"
+            short,
+            long,
+            "the per-key loop of a warm tile rotation allocates ({} bits)",
+            64 - ctx.modulus(0).value().leading_zeros()
         );
     }
 }
