@@ -40,10 +40,10 @@ pub fn key_switch(ctx: &CkksContext, d: &RnsPoly, key: &KeySwitchKey) -> (RnsPol
 /// datapath, HEAP §IV-A) and are reduced once per coefficient before
 /// `ModDown`. The `ModUp` costs nothing: a residue below `q_i` is already a
 /// legal lazy input under `q_j`, so each digit goes into
-/// [`MacAcc::mac_digit`] as it is. Each position is one chain of `l` terms
-/// on digits below the largest digit modulus; [`MacAcc::reset`] picks its
-/// datapath under that position's modulus, and both datapaths reduce to
-/// the same canonical residues.
+/// [`MacAcc::mac_tile`] as it is, the tile of one. Each position is one
+/// chain of `l` terms on digits below the largest digit modulus;
+/// [`MacAcc::reset`] picks its datapath under that position's modulus, and
+/// both datapaths reduce to the same canonical residues.
 ///
 /// # Panics
 ///
@@ -68,7 +68,7 @@ fn digit_mac(ctx: &CkksContext, digits: &[Vec<u64>], key: &KeySwitchKey) -> (Rns
         let ntt = rns.ntt(j);
         acc.reset(ntt, 2, l, digit_bound, ChainEnd::Reduce);
         for (digit, comp) in digits.iter().zip(&key.comps) {
-            acc.mac_digit(ntt, digit, [[(0, &comp.a[j]), (1, &comp.b[j])]]);
+            acc.mac_tile(ntt, [(0, &digit[..])], [[&comp.a[j][..], &comp.b[j][..]]]);
         }
         acc.reduce_into(0, ntt, out_a);
         acc.reduce_into(1, ntt, out_b);

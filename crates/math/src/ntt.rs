@@ -18,7 +18,7 @@
 //! fully normalized.
 
 use crate::arith::{Modulus, ShoupMul};
-use crate::mac::{LazyCoeff, RowPair};
+use crate::mac::LazyCoeff;
 use crate::prime::primitive_root;
 
 /// Precomputed NTT context for one `(N, q)` pair.
@@ -50,8 +50,8 @@ pub struct NttTable {
     ipsi_br: Vec<ShoupMul>,
     /// `psi_br` operands as doubles, for the `f64`-lane forward kernel.
     psi_f64: Vec<f64>,
-    /// `ipsi_br` operands, for the `f64`-lane inverse kernel.
-    ipsi_ops: Vec<u64>,
+    /// `ipsi_br` operands as doubles, for the `f64`-lane inverse kernel.
+    ipsi_f64: Vec<f64>,
     /// N^{-1} mod q in Shoup form.
     n_inv: ShoupMul,
     /// Raw primitive 2N-th root (for on-the-fly generation).
@@ -95,7 +95,7 @@ impl NttTable {
         }
         let n_inv = ShoupMul::new(modulus.inv(n as u64).expect("n < q"), &modulus);
         let psi_f64 = psi_br.iter().map(|s| s.operand as f64).collect();
-        let ipsi_ops = ipsi_br.iter().map(|s| s.operand).collect();
+        let ipsi_f64 = ipsi_br.iter().map(|s| s.operand as f64).collect();
         Self {
             n,
             log_n,
@@ -103,7 +103,7 @@ impl NttTable {
             psi_br,
             ipsi_br,
             psi_f64,
-            ipsi_ops,
+            ipsi_f64,
             n_inv,
             psi,
         }
@@ -154,9 +154,11 @@ impl NttTable {
     }
 
     /// In-place inverse negacyclic NTT (evaluation → coefficient domain),
-    /// the Gentleman–Sande counterpart of [`Self::forward`]: the `f64`-lane
-    /// kernel under the same gate, the scalar lazy kernel everywhere else;
-    /// both bit-identical to the strict loop.
+    /// the Gentleman–Sande counterpart of [`Self::forward`]: lazy residues
+    /// in `[0, 2q)` in — the range every kernel accepts — canonical residues
+    /// out. Runs the signed-lazy radix-4 `f64`-lane kernel under the
+    /// forward kernel's gate, the scalar lazy kernel everywhere else; both
+    /// are bit-identical to the strict loop.
     ///
     /// # Panics
     ///
@@ -164,10 +166,26 @@ impl NttTable {
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
         let q = self.modulus.value();
-        if crate::simd::try_ntt_inverse(a, &self.ipsi_ops, q, self.n_inv.operand) {
+        if crate::simd::try_ntt_inverse(a, &self.ipsi_f64, q, self.n_inv.operand) {
             return;
         }
         self.inverse_lazy_scalar(a);
+    }
+
+    /// [`Self::inverse`] of `limb` fused with the balanced signed digit
+    /// chain of a `base_bits` gadget, in `f64` lanes: digit `k` of
+    /// coefficient `i` lands in `out[k·n + i]`, and `work` is the
+    /// transform's buffer. Returns `false` — having touched nothing — when
+    /// the kernel does not run for this ring.
+    pub(crate) fn inverse_digits_f64(
+        &self,
+        limb: &[u64],
+        work: &mut [u64],
+        base_bits: u32,
+        out: &mut [i32],
+    ) -> bool {
+        let qn = (self.modulus.value(), self.n_inv.operand);
+        crate::simd::try_inverse_digits(limb, work, &self.ipsi_f64, qn, base_bits, out)
     }
 
     /// Strict forward NTT: every butterfly eagerly normalizes into
@@ -240,19 +258,12 @@ impl NttTable {
         }
     }
 
-    /// [`crate::MacAcc::mac_digit`]'s narrow datapath under this table's
-    /// twiddles: `digit` transformed into `operand` and multiplied into
-    /// `rows`' slots of `acc`, all in `f64` lanes. Returns `false` when the
-    /// kernels do not run right now.
-    pub(crate) fn mac_digit_f64<T: LazyCoeff, const K: usize>(
-        &self,
-        digit: &[T],
-        operand: &mut [f64],
-        rows: [RowPair<'_>; K],
-        acc: &mut [f64],
-    ) -> bool {
+    /// [`crate::MacAcc::mac_tile`]'s narrow transform under this table's
+    /// twiddles: `digit` into `operand`, signed-lazy and left in `f64`.
+    /// Returns `false` when the kernel does not run for this ring.
+    pub(crate) fn forward_f64<T: LazyCoeff>(&self, digit: &[T], operand: &mut [f64]) -> bool {
         let q = self.modulus.value();
-        crate::simd::try_mac_digit(digit, &self.psi_f64, q, operand, rows, acc)
+        crate::simd::try_forward_f64(digit, &self.psi_f64, q, operand)
     }
 
     /// The scalar lazy forward kernel, Harvey-style: butterfly operands ride
@@ -386,6 +397,9 @@ impl NttTable {
     /// [`crate::MacAcc`]'s wide path. Reduce once at the end with
     /// [`Self::reduce_acc_into`].
     ///
+    /// The slices may be any one block of the ring, as long as they agree
+    /// in length.
+    ///
     /// Bound argument: operands are reduced residues, so each product is
     /// `< q^2 < 2^124` (`q < 2^62`). The accumulator is kept `< 2^127` by
     /// folding with a full Barrett reduction whenever a term would push it
@@ -400,13 +414,13 @@ impl NttTable {
     ///
     /// # Panics
     ///
-    /// Panics if slice lengths differ from `self.n()`.
+    /// Panics if the slice lengths differ.
     pub(crate) fn pointwise_mac_lazy(&self, a: &[u64], b: &[u64], acc: &mut [u128]) {
         assert!(
-            a.len() == self.n && b.len() == self.n && acc.len() == self.n,
+            a.len() == acc.len() && b.len() == acc.len(),
             "length mismatch"
         );
-        for i in 0..self.n {
+        for i in 0..acc.len() {
             let mut s = acc[i] + (a[i] as u128) * (b[i] as u128);
             if s >> 127 != 0 {
                 s = self.modulus.reduce_u128(s) as u128;
@@ -417,16 +431,14 @@ impl NttTable {
 
     /// Reduces `u128` lazy accumulators (built by
     /// [`Self::pointwise_mac_lazy`]) to canonical residues in `out` —
-    /// the single deferred reduction per coefficient.
+    /// the single deferred reduction per coefficient, on a block of any
+    /// length.
     ///
     /// # Panics
     ///
-    /// Panics if slice lengths differ from `self.n()`.
+    /// Panics if the slice lengths differ.
     pub(crate) fn reduce_acc_into(&self, acc: &[u128], out: &mut [u64]) {
-        assert!(
-            acc.len() == self.n && out.len() == self.n,
-            "length mismatch"
-        );
+        assert_eq!(acc.len(), out.len(), "length mismatch");
         for (o, &a) in out.iter_mut().zip(acc.iter()) {
             *o = self.modulus.reduce_u128(a);
         }
