@@ -235,7 +235,9 @@ pub fn brk_from_wire(buf: &[u8], ctx: &RnsContext) -> Result<BlindRotateKey, Wir
     if n != ctx.n() || limbs > ctx.max_limbs() {
         return Err(WireError::Corrupt("BRK basis mismatch"));
     }
-    if base_bits == 0 || base_bits > 32 || digits == 0 || digits > 64 {
+    // The external product writes balanced digits as `i32`: a base above
+    // `2^31` is refused here, not at the first rotation.
+    if base_bits == 0 || base_bits > RgswParams::MAX_BASE_BITS || digits == 0 || digits > 64 {
         return Err(WireError::Corrupt("BRK gadget"));
     }
     for m in &ctx.moduli()[..limbs] {
@@ -470,5 +472,34 @@ mod tests {
         );
         let other = RnsContext::new(32, &ntt_primes(32, 30, 1));
         assert!(brk_from_wire(&bytes, &other).is_err());
+    }
+
+    /// The header's gadget base (after the magic, the mode byte and three
+    /// `u32` shape fields): `2^31` is the largest whose balanced digits fit
+    /// the external product's `i32`s, and `2^32` is refused as a typed
+    /// error rather than decoded into a key that panics when it rotates.
+    #[test]
+    fn brk_refuses_a_gadget_base_whose_digits_overflow_i32() {
+        let ctx = rns();
+        let mut rng = StdRng::seed_from_u64(8);
+        let lwe_sk = LweSecretKey::generate(&mut rng, 1);
+        let ring_sk = RingSecretKey::generate(&ctx, 1, &mut rng);
+        let params = RgswParams::paper();
+        let brk = BlindRotateKey::generate(&ctx, &lwe_sk, &ring_sk, 1, params, &mut rng);
+        let bytes = brk_to_wire(&brk, &ctx, None);
+        let at = 4 + 1 + 3 * 4;
+        assert_eq!(bytes[at..at + 4], 18u32.to_le_bytes());
+        let with_base = |bits: u32| {
+            let mut b = bytes.clone();
+            b[at..at + 4].copy_from_slice(&bits.to_le_bytes());
+            brk_from_wire(&b, &ctx)
+        };
+        assert_eq!(with_base(31).map(|k| k.params().base_bits), Ok(31));
+        for bits in [32, 33, u32::MAX] {
+            assert_eq!(
+                with_base(bits).err(),
+                Some(WireError::Corrupt("BRK gadget"))
+            );
+        }
     }
 }

@@ -74,12 +74,12 @@ fn external_product_into_is_allocation_free_when_warm() {
     let mut tile_scratch = BlindRotateScratch::default();
     for (ctx, params, sk) in [(&ctx, params, &sk), (&wide_ctx, wide_params, &wide_sk)] {
         let f = test_polynomial_from_fn(ctx, 2, |u| u << 40);
-        let mut rotation_allocs = |n_t: usize| {
+        let mut rotation_allocs = |n_t: usize, tile: usize| {
             let lwe_sk = LweSecretKey::generate(&mut rng, n_t);
             let brk = BlindRotateKey::generate(ctx, &lwe_sk, sk, 2, params, &mut rng);
             // Member `m` sits step `m` out, so the active list changes from
             // step to step.
-            let lwes: Vec<LweCiphertext> = (0..3)
+            let lwes: Vec<LweCiphertext> = (0..tile)
                 .map(|m| LweCiphertext {
                     a: (0..n_t)
                         .map(|j| if j == m { 0 } else { 17 * (j + m + 1) as u64 })
@@ -93,13 +93,16 @@ fn external_product_into_is_allocation_free_when_warm() {
                 tracked(|| brk.blind_rotate_batch_with(ctx, &f, &lwes, &mut tile_scratch));
             counts.allocs
         };
-        let (short, long) = (rotation_allocs(2), rotation_allocs(8));
-        assert_eq!(
-            short,
-            long,
-            "the per-key loop of a warm tile rotation allocates ({} bits)",
-            64 - ctx.modulus(0).value().leading_zeros()
-        );
+        // Tiles of 8 (the bootstrap's `TILE`) and 3, each warm.
+        for tile in [8, 3] {
+            let (short, long) = (rotation_allocs(2, tile), rotation_allocs(8, tile));
+            assert_eq!(
+                short,
+                long,
+                "the per-key loop of a warm tile of {tile} allocates ({} bits)",
+                64 - ctx.modulus(0).value().leading_zeros()
+            );
+        }
     }
 }
 
