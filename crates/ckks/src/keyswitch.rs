@@ -41,9 +41,9 @@ pub fn key_switch(ctx: &CkksContext, d: &RnsPoly, key: &KeySwitchKey) -> (RnsPol
 /// `ModDown`. The `ModUp` costs nothing: a residue below `q_i` is already a
 /// legal lazy input under `q_j`, so each digit goes into
 /// [`MacAcc::mac_tile`] as it is, the tile of one. Each position is one
-/// chain of `l` terms on digits below the largest digit modulus;
-/// [`MacAcc::reset`] picks its datapath under that position's modulus, and
-/// both datapaths reduce to the same canonical residues.
+/// chain of `l` terms on digits below the largest digit modulus, which
+/// [`MacAcc::reset`] admits under that position's modulus for every
+/// parameter set `CkksParams` builds.
 ///
 /// # Panics
 ///

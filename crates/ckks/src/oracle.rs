@@ -15,8 +15,8 @@ use crate::keyswitch::mod_down;
 /// limb, transformed by the strict NTT and multiplied in with one Barrett
 /// MAC per term ([`heap_math::NttTable::pointwise_acc`]), then the same
 /// `ModDown` — the oracle the lazy MAC chain of
-/// [`crate::keyswitch::key_switch`] is proven bit-identical against, on
-/// whichever datapath it runs.
+/// [`crate::keyswitch::key_switch`] is proven bit-identical against, at
+/// whichever SIMD width it runs.
 ///
 /// # Panics
 ///

@@ -10,7 +10,8 @@
 ///
 /// Construct via [`CkksParams::builder`] or a preset. The ciphertext modulus
 /// is `Q = prod q_i` over `limbs` primes of `limb_bits` bits; key switching
-/// uses one extra special prime of `special_bits` bits.
+/// uses one extra special prime of `special_bits` bits. Every prime is at
+/// most [`CkksParams::MAX_PRIME_BITS`] wide.
 ///
 /// # Examples
 ///
@@ -39,7 +40,7 @@ pub enum ParamsError {
     BadRingDimension(u32),
     /// Fewer than 2 or more than 40 limbs requested.
     BadLimbCount(usize),
-    /// Limb or special prime size outside `[20, 60]` bits.
+    /// Limb, auxiliary or special prime size outside `[20, 45]` bits.
     BadPrimeSize(u32),
     /// Scale must fit within one limb (`scale_bits <= limb_bits`).
     ScaleTooLarge { scale_bits: u32, limb_bits: u32 },
@@ -50,7 +51,11 @@ impl std::fmt::Display for ParamsError {
         match self {
             ParamsError::BadRingDimension(l) => write!(f, "log_n {l} outside [4, 16]"),
             ParamsError::BadLimbCount(l) => write!(f, "limb count {l} outside [2, 40]"),
-            ParamsError::BadPrimeSize(b) => write!(f, "prime size {b} outside [20, 60] bits"),
+            ParamsError::BadPrimeSize(b) => write!(
+                f,
+                "prime size {b} outside [20, {}] bits",
+                CkksParams::MAX_PRIME_BITS
+            ),
             ParamsError::ScaleTooLarge {
                 scale_bits,
                 limb_bits,
@@ -62,6 +67,13 @@ impl std::fmt::Display for ParamsError {
 impl std::error::Error for ParamsError {}
 
 impl CkksParams {
+    /// The widest prime the builder accepts. Every table it leads to is
+    /// inside the `f64` lanes' bounds: `(4 + log2 N)·q ≤ 20·2^45 < 2^50`
+    /// for the NTT at `N ≤ 2^16`, and the key switch's chains — at most 41
+    /// terms, one per limb of the raised basis, on digits below `2^45` —
+    /// stay inside theirs (`heap_math::MacAcc::admits`).
+    pub const MAX_PRIME_BITS: u32 = 45;
+
     /// Starts a builder with HEAP-like defaults (36-bit limbs, scale
     /// `2^36`).
     pub fn builder() -> CkksParamsBuilder {
@@ -255,7 +267,7 @@ impl CkksParamsBuilder {
             return Err(ParamsError::BadLimbCount(self.limbs));
         }
         for bits in [self.limb_bits, self.aux_bits, self.special_bits] {
-            if !(20..=60).contains(&bits) {
+            if !(20..=CkksParams::MAX_PRIME_BITS).contains(&bits) {
                 return Err(ParamsError::BadPrimeSize(bits));
             }
         }
@@ -308,6 +320,30 @@ mod tests {
             CkksParams::builder().scale_bits(40).limb_bits(36).build(),
             Err(ParamsError::ScaleTooLarge { .. })
         ));
+    }
+
+    /// 45-bit limb, auxiliary and special primes build, at the largest
+    /// ring and limb count the builder takes; 46-bit ones are refused.
+    #[test]
+    fn primes_are_capped_at_45_bits() {
+        let build = |limb: u32, aux: u32, special: u32| {
+            CkksParams::builder()
+                .log_n(16)
+                .limbs(40)
+                .limb_bits(limb)
+                .aux_bits(aux)
+                .special_bits(special)
+                .scale_bits(limb.min(36))
+                .build()
+        };
+        assert!(build(45, 45, 45).is_ok());
+        for bits in [(46, 45, 45), (45, 46, 45), (45, 45, 46)] {
+            assert_eq!(
+                build(bits.0, bits.1, bits.2),
+                Err(ParamsError::BadPrimeSize(46)),
+                "{bits:?}"
+            );
+        }
     }
 
     #[test]

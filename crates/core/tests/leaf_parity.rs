@@ -5,14 +5,14 @@
 //! here, as the oracle.
 //!
 //! Accumulators are uniformly random in evaluation domain, over the Tiny
-//! and Small boot bases and a 60-bit two-limb ring; a sparse vector of
-//! leaves must also pack to the same bits either way.
+//! and Small boot bases and a two-limb ring at the ceiling, the largest
+//! primes the tables admit; a sparse vector of leaves must also pack to the
+//! same bits either way.
 
 use std::sync::OnceLock;
 
 use heap_ckks::{CkksContext, CkksParams, GaloisKeys, SecretKey};
 use heap_core::repack::{accumulator_leaf, pack_lwes, repack_exponents};
-use heap_math::prime::ntt_primes;
 use heap_math::{Domain, RnsContext, RnsPoly};
 use heap_tfhe::blind_rotate::MonomialEvals;
 use heap_tfhe::extract::extract_coefficient;
@@ -20,6 +20,10 @@ use heap_tfhe::RlweCiphertext;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+#[path = "../../../tests/support/ceiling.rs"]
+mod ceiling;
+use ceiling::largest_admitted_primes;
 
 /// An LWE sample held limb-wise: mask and body per limb.
 struct RnsLwe {
@@ -121,9 +125,9 @@ fn small() -> &'static CkksContext {
     S.get_or_init(|| CkksContext::new(CkksParams::test_small()))
 }
 
-fn wide() -> &'static RnsContext {
+fn top() -> &'static RnsContext {
     static W: OnceLock<RnsContext> = OnceLock::new();
-    W.get_or_init(|| RnsContext::new(64, &ntt_primes(64, 60, 2)))
+    W.get_or_init(|| RnsContext::new(64, &largest_admitted_primes(64, 2)))
 }
 
 /// Ring `i`: its basis and the limb count accumulators live over.
@@ -131,7 +135,7 @@ fn ring(i: usize) -> (&'static RnsContext, usize, &'static str) {
     match i {
         0 => (tiny().ctx.rns(), tiny().ctx.boot_limbs(), "Tiny boot basis"),
         1 => (small().rns(), small().boot_limbs(), "Small boot basis"),
-        _ => (wide(), 2, "60-bit two-limb ring"),
+        _ => (top(), 2, "two-limb ring at the ceiling"),
     }
 }
 
@@ -139,7 +143,7 @@ fn ring(i: usize) -> (&'static RnsContext, usize, &'static str) {
 fn the_rings_are_the_ones_named() {
     assert_eq!(ring(0).0.n(), 1 << 7);
     assert_eq!(ring(1).0.n(), 1 << 10);
-    assert!(wide().moduli().iter().all(|q| q.value() >> 59 == 1));
+    assert!(top().moduli().iter().all(|q| q.value() >> 46 == 1));
 }
 
 proptest! {

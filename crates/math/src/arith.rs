@@ -296,10 +296,8 @@ impl ShoupMul {
     /// residue: with `hi = floor(quotient * x / 2^64)` the difference
     /// `operand*x - hi*q` always lies in `[0, 2q)` because
     /// `quotient = floor(operand * 2^64 / q)` under-approximates the true
-    /// ratio by less than one. This is the building block of the Harvey
-    /// lazy-reduction butterflies ([`crate::ntt::NttTable::forward`] /
-    /// [`crate::ntt::NttTable::inverse`]), where operands ride in
-    /// `[0, 4q)` between stages (`q < 2^62` keeps `4q` inside a `u64`).
+    /// ratio by less than one. [`Self::mul`] is this product plus one
+    /// correction.
     #[inline]
     pub fn mul_lazy(&self, x: u64, q_value: u64) -> u64 {
         let hi = (((self.quotient as u128) * (x as u128)) >> 64) as u64;

@@ -50,7 +50,7 @@ impl Gadget {
         assert!(base_bits > 0 && base_bits <= 32, "base_bits out of range");
         assert!(digits > 0, "digits must be positive");
         assert!(
-            (base_bits as usize) * digits >= modulus.bits() as usize,
+            Self::covers(base_bits, digits, &modulus),
             "gadget does not cover the modulus: {}*{} < {}",
             base_bits,
             digits,
@@ -69,6 +69,12 @@ impl Gadget {
             modulus,
             powers,
         }
+    }
+
+    /// Whether `digits` digits of `base_bits` bits cover `modulus`
+    /// (`base_bits · digits ≥ bits(q)`), the rule [`Self::new`] asserts.
+    pub fn covers(base_bits: u32, digits: usize, modulus: &Modulus) -> bool {
+        (base_bits as usize).saturating_mul(digits) >= modulus.bits() as usize
     }
 
     /// The decomposition base `B = 2^base_bits`.
@@ -163,13 +169,12 @@ impl Gadget {
 
     /// The external product's decomposer: the signed digits of one limb,
     /// digit-major as `i32` (`out[k·n + i]` is digit `k` of coefficient
-    /// `i`). An evaluation-domain `limb` (residues in `[0, 2q)`) is first
-    /// brought back by `ntt`'s inverse transform, in `work`; where the
-    /// `f64`-lane kernels run, that transform and the digit chain are one
-    /// pass, with no canonical coefficient vector in between. A
-    /// coefficient-domain `limb` (canonical residues) is decomposed as it
-    /// is. Either way the digits equal [`Self::decompose_slice_signed_into`]
-    /// of the canonical coefficients.
+    /// `i`). An evaluation-domain `limb` (residues in `[0, 2q)`) is brought
+    /// back by `ntt`'s inverse transform in `work`, fused with the digit
+    /// chain in one `f64`-lane pass, with no canonical coefficient vector in
+    /// between. A coefficient-domain `limb` (canonical residues) is
+    /// decomposed as it is. Either way the digits equal
+    /// [`Self::decompose_slice_signed_into`] of the canonical coefficients.
     ///
     /// # Panics
     ///
@@ -200,18 +205,11 @@ impl Gadget {
             "signed digits of {} bits do not fit an i32",
             self.base_bits
         );
-        let coeffs = match domain {
-            Domain::Coeff => limb,
-            Domain::Eval => {
-                if ntt.inverse_digits_f64(limb, work, self.base_bits, out) {
-                    return;
-                }
-                work.copy_from_slice(limb);
-                ntt.inverse(work);
-                &*work
-            }
-        };
-        for (i, &c) in coeffs.iter().enumerate() {
+        if domain == Domain::Eval {
+            ntt.inverse_digits(limb, work, self.base_bits, out);
+            return;
+        }
+        for (i, &c) in limb.iter().enumerate() {
             debug_assert!(c < q);
             signed_digits(c, q, self.base_bits, self.digits, |k, d| {
                 out[k * n + i] = d as i32;
@@ -233,9 +231,9 @@ impl Gadget {
 
 /// The balanced signed digit chain of one residue `c < q`: digit `k` of
 /// `digits` (`|d_k| ≤ base/2`, `Σ d_k·2^(k·base_bits) ≡ c mod q`) goes to
-/// `put(k, d_k)`. Every scalar decomposition runs this loop; the `f64`-lane
-/// one (`simd/f64_lanes.rs`) runs the same chain on `|c|` and is pinned to
-/// it by the parity suites.
+/// `put(k, d_k)`. Every integer decomposition runs this loop; the fused
+/// `f64`-lane one (`simd/f64_lanes.rs`) runs the same chain on `|c|` and is
+/// pinned to it by the parity suites.
 #[inline]
 pub(crate) fn signed_digits(
     c: u64,

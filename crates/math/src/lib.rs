@@ -1,8 +1,8 @@
 //! Mathematical substrate for the HEAP reproduction: word-sized modular
 //! arithmetic, negacyclic NTTs, RNS polynomials with rescaling, gadget
 //! decomposition, exact big-integer CRT, and randomness for key material.
-//! The strict and scalar kernels the parity suites pin the fast paths
-//! against live in the hidden `oracle` module.
+//! The strict kernels the parity suites pin the fast paths against live
+//! in the hidden `oracle` module.
 //!
 //! Everything above this crate (CKKS, TFHE, the scheme-switching
 //! bootstrapper, and the hardware model) is built from these primitives;
@@ -51,6 +51,6 @@ pub mod wire;
 pub use arith::Modulus;
 pub use bigint::BigUint;
 pub use gadget::Gadget;
-pub use mac::{ChainEnd, LazyCoeff, MacAcc, MacPath, RowPair};
+pub use mac::{ChainEnd, LazyCoeff, MacAcc, RowPair};
 pub use ntt::NttTable;
 pub use rns::{Domain, RnsContext, RnsPoly};

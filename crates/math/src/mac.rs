@@ -11,46 +11,26 @@
 //! target limb and ends in one reduction per output coefficient:
 //! [`MacAcc::reduce_into`] writes a slot's residues, and
 //! [`MacAcc::fold_into`] — the CMux step — adds two slots, each times its
-//! factor, into a canonical accumulator. [`MacAcc::reset`] is told the
-//! chain's table, its terms per slot, its digit bound and how it ends, and
-//! picks one of two datapaths from that and the process's SIMD tier, so
-//! the algorithm loops above it never name one:
+//! factor, into a canonical accumulator.
 //!
-//! * **narrow** — one `f64` lane from digit to accumulator (`simd`'s
-//!   AVX-512F or AVX2 + FMA kernels): the digit is loaded straight into
-//!   doubles, the signed-lazy radix-4 transform leaves it there, every
-//!   product is added as a signed term below `q`, and each output
-//!   coefficient is reduced once;
-//! * **wide** — lift to `[0, q)`, [`NttTable::forward`] (its `f64` kernel
-//!   where that kernel's own gate holds, else the scalar lazy NTT), full
-//!   products summed in `u128`, one Barrett reduction per output.
-//!
-//! Both are exact, so they produce the same canonical residues, and both
-//! read the key row exactly as it is stored. The tier never changes inside
-//! a process, so a narrow chain only ever runs the `f64`-lane kernels. It
-//! bounds each slot's sum — a tile of many members shares one chain, but a
-//! slot holds only its own member's terms — and panics rather than pass
-//! the bound it is exact under, so no call sequence returns a wrong residue.
+//! There is one datapath, `f64` lanes from digit to accumulator at the
+//! process's width ([`crate::simd`]): the digit is loaded straight into
+//! doubles, the signed-lazy radix-4 transform leaves it there, every
+//! product is added as a signed term below `q`, and each output coefficient
+//! is reduced once, to the canonical residue the strict eager chain gives.
+//! The key row is read exactly as it is stored. [`MacAcc::reset`] is told
+//! the chain's table, its terms per slot, its digit bound and how it ends,
+//! and refuses a chain whose digits or sums could pass the bounds it is
+//! exact under ([`MacAcc::admits`]); every later call bounds each slot's
+//! sum — a tile of many members shares one chain, but a slot holds only its
+//! own member's terms — and panics rather than pass them, so no call
+//! sequence returns a wrong residue.
 
-use crate::arith::Modulus;
 use crate::ntt::NttTable;
 use crate::simd;
 use crate::simd::{F64_OPERAND_LIMIT, F64_SUM_LIMIT};
 
-/// The datapath [`MacAcc::reset`] picked for a chain ([`MacAcc::path`]).
-/// Both produce canonical residues of the same congruence class, so
-/// results are bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MacPath {
-    /// `f64` lanes from digit to accumulator (4× the scalar wide path at 36
-    /// bits).
-    Narrow,
-    /// `u128` accumulators fed by full products of canonical operands.
-    #[default]
-    Wide,
-}
-
-/// How a MAC chain ends, which bounds the sums a narrow chain may build.
+/// How a MAC chain ends, which bounds the sums it may build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChainEnd {
     /// [`MacAcc::reduce_into`]: each sum is reduced as it is, so it must
@@ -75,37 +55,16 @@ pub(crate) mod sealed {
 
 /// A digit coefficient the MAC datapath takes unreduced: `i32` (balanced
 /// gadget digits) or `u64` (residues of another modulus). Sealed — the
-/// vector kernel loads a `[T]` as integer lanes of its width.
-pub trait LazyCoeff: Copy + sealed::Sealed {
-    /// Canonical residues of `src` modulo `m`, for the wide path.
-    fn lift_into(src: &[Self], m: &Modulus, out: &mut [u64]);
-}
+/// lane kernels load a `[T]` as integer lanes of its width.
+pub trait LazyCoeff: Copy + sealed::Sealed {}
 
-impl LazyCoeff for i32 {
-    fn lift_into(src: &[Self], m: &Modulus, out: &mut [u64]) {
-        assert_eq!(out.len(), src.len(), "length mismatch");
-        for (o, &c) in out.iter_mut().zip(src) {
-            *o = m.from_i64(i64::from(c));
-        }
-    }
-}
+impl LazyCoeff for i32 {}
 
-impl LazyCoeff for u64 {
-    fn lift_into(src: &[Self], m: &Modulus, out: &mut [u64]) {
-        for (o, &c) in out.iter_mut().zip(src) {
-            *o = m.reduce_u64(c);
-        }
-    }
-}
+impl LazyCoeff for u64 {}
 
 /// The two polynomials of one key row under one limb (an RLWE row's `a` and
 /// `b`).
 pub type RowPair<'a> = [&'a [u64]; 2];
-
-/// What a narrow chain's `f64`-lane kernel reports if it did not run. The
-/// tier is fixed and [`MacAcc::reset`] only picks the narrow path where the
-/// kernels run for the chain's table, so this never fires.
-const OFF_KERNEL: &str = "narrow MAC chain off its f64-lane kernel";
 
 /// Coefficients per slot per block of the accumulators. A tile's MAC walks
 /// one block at a time: one block of every slot (padded), of every
@@ -128,14 +87,13 @@ pub(crate) const MAC_BLOCK: usize = 128;
 /// alias a load from the next at a 4 KB distance).
 pub(crate) const MAC_PAD: usize = 8;
 
-/// Lazy MAC accumulators: `slots` windows of `n` coefficients each, on the
-/// path [`Self::reset`] picked, laid out block-major (the first
-/// `MAC_BLOCK` coefficients of every slot, then the next), plus one
-/// operand buffer per tile member the digits are transformed in. Buffers
-/// are kept across resets, so a warm accumulator never allocates.
+/// Lazy MAC accumulators: `slots` windows of `n` coefficients each, laid
+/// out block-major (the first `MAC_BLOCK` coefficients of every slot, then
+/// the next), plus one operand buffer per tile member the digits are
+/// transformed in. Buffers are kept across resets, so a warm accumulator
+/// never allocates.
 #[derive(Debug, Default)]
 pub struct MacAcc {
-    path: MacPath,
     n: usize,
     /// The modulus of the chain's table.
     q: u64,
@@ -144,32 +102,42 @@ pub struct MacAcc {
     block: usize,
     /// Distance between two slots' runs in a block: `block + MAC_PAD`.
     stride: usize,
-    /// Narrow: per slot, the sum of the moduli its terms were taken under
-    /// since the reset — a bound on that slot's sum, as each term is below
-    /// `q` in magnitude.
+    /// Per slot, the sum of the moduli its terms were taken under since the
+    /// reset — a bound on that slot's sum, as each term is below `q` in
+    /// magnitude.
     bounds: Vec<u64>,
     /// The first slot of each member of the current call.
     firsts: Vec<usize>,
-    /// Narrow: each member's transformed digit, signed-lazy, and the sums
-    /// of signed terms — exact integers in `f64`.
+    /// Each member's transformed digit, signed-lazy, and the sums of signed
+    /// terms — exact integers in `f64`.
     operands: Vec<f64>,
-    narrow: Vec<f64>,
-    /// Wide: the transformed digit as canonical residues, and the sums.
-    spread: Vec<u64>,
-    wide: Vec<u128>,
+    sums: Vec<f64>,
 }
 
 impl MacAcc {
+    /// Whether a chain under `ntt` of at most `terms` MACs per slot, on
+    /// digits of magnitude at most `input_bound`, that ends in `end` is
+    /// exact in `f64` lanes: `input_bound + log2(n)·q ≤ 2^50` (every
+    /// product input stays an exact `f64` integer through the signed-lazy
+    /// transform) and `terms·q` inside `end`'s bound (so does every sum).
+    /// [`Self::reset`] asserts it.
+    pub fn admits(ntt: &NttTable, terms: usize, input_bound: u64, end: ChainEnd) -> bool {
+        let q = ntt.modulus().value();
+        let sum_limit = match end {
+            ChainEnd::Reduce => F64_SUM_LIMIT,
+            ChainEnd::Fold => F64_OPERAND_LIMIT,
+        };
+        simd::f64_ntt_ok(ntt.n(), q, input_bound) && terms as u128 * u128::from(q) <= sum_limit
+    }
+
     /// Zeroes `slots` windows for a chain under `ntt` of at most `terms`
     /// MACs per slot, on digits of magnitude at most `input_bound` (half the
     /// gadget base for signed digits, the largest source modulus for
-    /// residues), that ends in `end` — and picks the chain's datapath.
+    /// residues), that ends in `end`.
     ///
-    /// The narrow path needs its kernels to run, and to be exact, for this
-    /// chain: an `f64`-lane tier active, `n ≥ 16`, `input_bound +
-    /// log2(n)·q ≤ 2^50` (every product input stays an exact `f64` integer
-    /// through the signed-lazy transform) and `terms·q` inside `end`'s
-    /// bound (so does the sum). Anything else takes the wide path.
+    /// # Panics
+    ///
+    /// Panics if the chain is not exact in `f64` lanes ([`Self::admits`]).
     pub fn reset(
         &mut self,
         ntt: &NttTable,
@@ -179,51 +147,37 @@ impl MacAcc {
         end: ChainEnd,
     ) {
         let (n, q) = (ntt.n(), ntt.modulus().value());
-        let sum_limit = match end {
-            ChainEnd::Reduce => F64_SUM_LIMIT,
-            ChainEnd::Fold => F64_OPERAND_LIMIT,
-        };
+        assert!(
+            Self::admits(ntt, terms, input_bound, end),
+            "MAC chain past the f64 lanes' bounds: {terms} terms of digits up to \
+             {input_bound} under q = {q} at n = {n}, ending in {end:?}"
+        );
         let block = n.min(MAC_BLOCK);
         (self.n, self.q, self.slots, self.block) = (n, q, slots, block);
         self.stride = block + MAC_PAD;
-        let len = slots * (n / block) * self.stride;
-        if simd::f64_mac_ok(n, q, input_bound, terms, sum_limit) {
-            self.path = MacPath::Narrow;
-            self.bounds.clear();
-            self.bounds.resize(slots, 0);
-            self.narrow.clear();
-            self.narrow.resize(len, 0.0);
-        } else {
-            self.path = MacPath::Wide;
-            self.spread.resize(n, 0);
-            self.wide.clear();
-            self.wide.resize(len, 0);
-        }
-    }
-
-    /// The datapath [`Self::reset`] picked for the current chain.
-    pub fn path(&self) -> MacPath {
-        self.path
+        self.bounds.clear();
+        self.bounds.resize(slots, 0);
+        self.sums.clear();
+        self.sums.resize(slots * (n / block) * self.stride, 0.0);
     }
 
     /// One key row against a tile: transforms each member's
     /// coefficient-domain digit under `ntt` and adds its pointwise product
     /// with every row into that member's slots, with no reduction of the
     /// sums. A member is `(first, digit)`; its product with `rows[k][p]`
-    /// goes to slot `first + 2k + p`. The narrow path asks the cache for the
-    /// rows, transforms all the digits while they arrive, then walks the
+    /// goes to slot `first + 2k + p`. Asks the cache for the rows,
+    /// transforms all the digits while they arrive, then walks the
     /// accumulators block by block, converting each key vector once for the
-    /// whole tile. Rows must be canonical
-    /// residues; digits must respect the `input_bound` the chain was reset
-    /// for. The table, the lengths and every slot's bound are checked once
-    /// per call.
+    /// whole tile. Rows must be canonical residues; digits must respect the
+    /// `input_bound` the chain was reset for. The table, the lengths and
+    /// every slot's bound are checked once per call.
     ///
     /// # Panics
     ///
     /// Panics if a slot is out of range, if `ntt` is not the chain's table,
-    /// or if a digit or a row differs in length from it, and on a narrow
-    /// chain where this call could take a slot's sum past `2^52` (`terms·q`
-    /// per slot, the most [`Self::reset`] admits).
+    /// or if a digit or a row differs in length from it, and where this
+    /// call could take a slot's sum past `2^52` (`terms·q` per slot, the
+    /// most [`Self::reset`] admits).
     pub fn mac_tile<'d, T: LazyCoeff + 'd, const K: usize>(
         &mut self,
         ntt: &NttTable,
@@ -236,55 +190,35 @@ impl MacAcc {
             rows.as_flattened().iter().all(|r| r.len() == n),
             "key row length mismatch"
         );
-        if self.path == MacPath::Narrow {
-            // The first block of each row; the hardware prefetcher follows
-            // the MAC's sequential walk through the rest.
-            for row in rows.as_flattened() {
-                simd::prefetch(&row[..self.block]);
-            }
+        // The first block of each row; the hardware prefetcher follows the
+        // MAC's sequential walk through the rest.
+        for row in rows.as_flattened() {
+            simd::prefetch(&row[..self.block]);
         }
         self.firsts.clear();
         for (t, (first, digit)) in members.into_iter().enumerate() {
             assert_eq!(digit.len(), n, "length mismatch");
             assert!(first + 2 * K <= self.slots, "accumulator slot out of range");
             self.firsts.push(first);
-            match self.path {
-                MacPath::Narrow => {
-                    for slot in first..first + 2 * K {
-                        self.bounds[slot] = self.bounds[slot].saturating_add(self.q);
-                        self.assert_narrow_within(slot, F64_SUM_LIMIT, "its exact bound");
-                    }
-                    let at = t * (n + MAC_PAD);
-                    if self.operands.len() < at + n + MAC_PAD {
-                        self.operands.resize(at + n + MAC_PAD, 0.0);
-                    }
-                    let operand = &mut self.operands[at..at + n];
-                    assert!(ntt.forward_f64(digit, operand), "{OFF_KERNEL}");
-                }
-                MacPath::Wide => {
-                    T::lift_into(digit, ntt.modulus(), &mut self.spread);
-                    ntt.forward(&mut self.spread);
-                    for b in 0..n / self.block {
-                        let cols = b * self.block..(b + 1) * self.block;
-                        for (s, row) in rows.as_flattened().iter().enumerate() {
-                            let w = self.window(first + s, b);
-                            let x = &self.spread[cols.clone()];
-                            ntt.pointwise_mac_lazy(x, &row[cols.clone()], &mut self.wide[w]);
-                        }
-                    }
-                }
+            for slot in first..first + 2 * K {
+                self.bounds[slot] = self.bounds[slot].saturating_add(self.q);
+                self.assert_within(slot, F64_SUM_LIMIT, "its exact bound");
             }
+            let at = t * (n + MAC_PAD);
+            if self.operands.len() < at + n + MAC_PAD {
+                self.operands.resize(at + n + MAC_PAD, 0.0);
+            }
+            ntt.forward_f64(digit, &mut self.operands[at..at + n]);
         }
-        if self.path == MacPath::Narrow && !self.firsts.is_empty() {
+        if !self.firsts.is_empty() {
             let operands = &self.operands[..self.firsts.len() * (n + MAC_PAD)];
-            let (acc, block) = (&mut self.narrow, self.block);
-            let ran = simd::try_mac_tile(operands, &self.firsts, rows, self.q, acc, block);
-            assert!(ran, "{OFF_KERNEL}");
+            let (sums, q, block) = (&mut self.sums, self.q, self.block);
+            simd::mac_tile(operands, &self.firsts, rows, q, sums, block);
         }
     }
 
     /// Refuses a table other than the one the chain was reset for: its
-    /// ring fixes every slice length, and its modulus the narrow gate.
+    /// ring fixes every slice length, and its modulus the chain's bounds.
     fn check_table(&self, ntt: &NttTable) {
         assert_eq!(ntt.n(), self.n, "length mismatch");
         assert_eq!(
@@ -294,12 +228,12 @@ impl MacAcc {
         );
     }
 
-    /// Refuses a narrow chain whose sum in `slot` may exceed `limit`.
-    fn assert_narrow_within(&self, slot: usize, limit: u128, bound: &str) {
+    /// Refuses a chain whose sum in `slot` may exceed `limit`.
+    fn assert_within(&self, slot: usize, limit: u128, bound: &str) {
         let sum = self.bounds[slot];
         assert!(
             u128::from(sum) <= limit,
-            "narrow MAC chain past {bound}: slot {slot} may sum to {sum} (2^{:.1})",
+            "MAC chain past {bound}: slot {slot} may sum to {sum} (2^{:.1})",
             (sum as f64).log2()
         );
     }
@@ -322,29 +256,22 @@ impl MacAcc {
         self.check_table(ntt);
         assert_eq!(out.len(), self.n, "length mismatch");
         for (b, out) in out.chunks_exact_mut(self.block).enumerate() {
-            let w = self.window(slot, b);
-            match self.path {
-                MacPath::Narrow => {
-                    let ran = simd::try_reduce_acc(&self.narrow[w], self.q, out);
-                    assert!(ran, "{OFF_KERNEL}");
-                }
-                MacPath::Wide => ntt.reduce_acc_into(&self.wide[w], out),
-            }
+            simd::reduce_acc(&self.sums[self.window(slot, b)], self.q, out);
         }
     }
 
     /// The CMux step's one reduction: `acc ← acc + f₀·S₀ + f₁·S₁ mod q`,
     /// where `S_k` is the unreduced sum in `slots[k]` and `f_k` its factor.
-    /// `acc` and both factors must be canonical residues. Narrow sums are
-    /// folded in `f64` lanes straight from the accumulators, wide ones from
-    /// their `u128` sums; either way no product is materialised.
+    /// `acc` and both factors must be canonical residues. The sums are
+    /// folded in `f64` lanes straight from the accumulators; no product is
+    /// materialised.
     ///
     /// # Panics
     ///
     /// Panics if a slot is out of range, if `ntt` is not the chain's table
-    /// or a factor or `acc` differs in length from it, and on a narrow
-    /// chain where either slot's sum may exceed `2^50` (`terms·q` per slot,
-    /// the most [`Self::reset`] admits for [`ChainEnd::Fold`]).
+    /// or a factor or `acc` differs in length from it, and where either
+    /// slot's sum may exceed `2^50` (`terms·q` per slot, the most
+    /// [`Self::reset`] admits for [`ChainEnd::Fold`]).
     pub fn fold_into(
         &self,
         slots: [usize; 2],
@@ -358,33 +285,14 @@ impl MacAcc {
             fits(acc) && factors.iter().all(|f| fits(f)),
             "length mismatch"
         );
-        if self.path == MacPath::Narrow {
-            for s in slots {
-                self.assert_narrow_within(s, F64_OPERAND_LIMIT, "the fold's exact bound");
-            }
+        for s in slots {
+            self.assert_within(s, F64_OPERAND_LIMIT, "the fold's exact bound");
         }
-        let m = ntt.modulus();
         for (b, acc) in acc.chunks_exact_mut(self.block).enumerate() {
             let cols = b * self.block..(b + 1) * self.block;
             let factors = factors.map(|f| &f[cols.clone()]);
-            let [w0, w1] = slots.map(|s| self.window(s, b));
-            match self.path {
-                MacPath::Narrow => {
-                    let sums = [&self.narrow[w0], &self.narrow[w1]];
-                    let ran = simd::try_fold_acc(sums, factors, self.q, acc);
-                    assert!(ran, "{OFF_KERNEL}");
-                }
-                MacPath::Wide => {
-                    // Exact in `u128` for `q < 2^62`.
-                    let sums = [&self.wide[w0], &self.wide[w1]];
-                    for (i, a) in acc.iter_mut().enumerate() {
-                        let term = |k: usize| {
-                            u128::from(m.reduce_u128(sums[k][i])) * u128::from(factors[k][i])
-                        };
-                        *a = m.reduce_u128(term(0) + term(1) + u128::from(*a));
-                    }
-                }
-            }
+            let sums = slots.map(|s| &self.sums[self.window(s, b)]);
+            simd::fold_acc(sums, factors, self.q, acc);
         }
     }
 }
@@ -392,6 +300,7 @@ impl MacAcc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arith::Modulus;
     use crate::poly;
     use crate::prime::ntt_primes;
 
@@ -399,11 +308,18 @@ mod tests {
         NttTable::new(n, Modulus::new(ntt_primes(n as u64, bits, 1)[0]).unwrap())
     }
 
-    /// The path [`MacAcc::reset`] picks for a one-slot chain.
-    fn path_of(t: &NttTable, terms: usize, input_bound: u64, end: ChainEnd) -> MacPath {
-        let mut acc = MacAcc::default();
-        acc.reset(t, 1, terms, input_bound, end);
-        acc.path()
+    /// Whether [`MacAcc::reset`] takes a one-slot chain; a refusal must
+    /// name the bound, and agree with [`MacAcc::admits`].
+    fn resets(t: &NttTable, terms: usize, input_bound: u64, end: ChainEnd) -> bool {
+        let reset = std::panic::catch_unwind(|| {
+            MacAcc::default().reset(t, 1, terms, input_bound, end);
+        });
+        if let Err(err) = &reset {
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("past the f64 lanes' bounds"), "{msg}");
+        }
+        assert_eq!(reset.is_ok(), MacAcc::admits(t, terms, input_bound, end));
+        reset.is_ok()
     }
 
     /// The eager Barrett chain over the strict transform: `Σ digit·row`.
@@ -418,14 +334,13 @@ mod tests {
         want
     }
 
-    /// Whichever path the accumulator picks — narrow for 36 bits on an
-    /// `f64`-lane tier, wide for 60 bits on every tier — it lands on the
-    /// eager chain's residues, and its windows do not bleed into each
-    /// other.
+    /// At 36 bits and at 45 — the widest class every ring up to `2^16`
+    /// admits — the chain lands on the eager chain's residues, and its
+    /// windows do not bleed into each other.
     #[test]
-    fn either_path_matches_eager_chain() {
+    fn chain_matches_eager_chain() {
         let n = 32;
-        for bits in [36, 60] {
+        for bits in [36, 45] {
             let t = table(n, bits);
             let q = t.modulus().value();
             let terms: Vec<(Vec<i32>, Vec<u64>)> = (0..3u64)
@@ -439,8 +354,6 @@ mod tests {
             let mut acc = MacAcc::default();
             // Slot 0 stays empty: windows must not bleed into each other.
             acc.reset(&t, 3, terms.len(), 2048, ChainEnd::Reduce);
-            let narrow = bits == 36 && simd::active().has_f64_lanes();
-            assert_eq!(acc.path() == MacPath::Narrow, narrow, "{bits} bits");
             for (digit, ops) in &terms {
                 acc.mac_tile(&t, [(1, &digit[..])], [[&ops[..], &ops[..]]]);
             }
@@ -457,10 +370,10 @@ mod tests {
     /// The bound is per slot: eight members, each with its own two slots,
     /// take `terms` calls apiece, so the chain makes `8·terms` calls while
     /// every slot stays at the fold's `terms·q ≤ 2^50`. Every member folds
-    /// to the eager sequence's residues; on a narrow chain one more term in
-    /// one slot is refused.
+    /// to the eager sequence's residues, and one more term in one slot is
+    /// refused.
     #[test]
-    fn narrow_bound_is_kept_per_slot() {
+    fn bound_is_kept_per_slot() {
         let n = 16;
         let t = table(n, 45);
         let m = *t.modulus();
@@ -481,10 +394,6 @@ mod tests {
 
         let mut acc = MacAcc::default();
         acc.reset(&t, 2 * members, terms, 5000, ChainEnd::Fold);
-        assert_eq!(
-            acc.path() == MacPath::Narrow,
-            simd::active().has_f64_lanes()
-        );
         for _ in 0..terms {
             for m in 0..members {
                 acc.mac_tile(&t, [(2 * m, &digit[..])], [[&rows[..], &rows[..]]]);
@@ -495,45 +404,31 @@ mod tests {
             acc.fold_into([2 * m, 2 * m + 1], factors, &t, o);
             assert_eq!(o, want, "member {m}");
         }
-        if acc.path() == MacPath::Narrow {
-            acc.mac_tile(&t, [(0, &digit[..])], [[&rows[..], &rows[..]]]);
-            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                acc.fold_into([0, 1], factors, &t, &mut out[..n])
-            }));
-            assert!(refused.is_err(), "a slot folded past 2^50");
-        }
+        acc.mac_tile(&t, [(0, &digit[..])], [[&rows[..], &rows[..]]]);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            acc.fold_into([0, 1], factors, &t, &mut out[..n])
+        }));
+        assert!(refused.is_err(), "a slot folded past 2^50");
     }
 
-    /// The gate: the paper's shape runs narrow exactly where the tier has
-    /// `f64` lanes, and each inequality is what sends a chain wide.
+    /// The gate: the paper's shape resets, and each inequality is what has
+    /// `reset` refuse a chain.
     #[test]
-    fn reset_picks_the_path_from_tier_ring_modulus_input_terms_and_end() {
+    fn reset_refuses_a_chain_past_each_bound() {
         let reduce = ChainEnd::Reduce;
         let t = table(1 << 11, 36);
         let q = t.modulus().value();
-        let lanes = if simd::active().has_f64_lanes() {
-            MacPath::Narrow
-        } else {
-            MacPath::Wide
-        };
         // The paper's external product: 2·7·2 terms, digits of half 2^18.
-        assert_eq!(path_of(&t, 28, 1 << 17, reduce), lanes);
-        assert_eq!(path_of(&t, 28, 1 << 17, ChainEnd::Fold), lanes);
-        // 60 bits: past the operand bound before any growth.
-        assert_eq!(path_of(&table(32, 60), 1, 0, reduce), MacPath::Wide);
-        // n = 8 has no radix-4 pass.
-        assert_eq!(path_of(&table(8, 36), 1, 0, reduce), MacPath::Wide);
+        assert!(resets(&t, 28, 1 << 17, reduce));
+        assert!(resets(&t, 28, 1 << 17, ChainEnd::Fold));
         // 2^50 of input leaves no room to grow.
-        assert_eq!(path_of(&t, 1, 1 << 50, reduce), MacPath::Wide);
+        assert!(!resets(&t, 1, 1 << 50, reduce));
         // 2^52 / q terms is the last count whose sum stays exact, 2^50 / q
         // the last one whose sum the fold may multiply.
         let (sum_terms, fold_terms) = (((1u64 << 52) / q) as usize, ((1u64 << 50) / q) as usize);
-        assert_eq!(path_of(&t, sum_terms, 0, reduce), lanes);
-        assert_eq!(path_of(&t, sum_terms + 1, 0, reduce), MacPath::Wide);
-        assert_eq!(path_of(&t, fold_terms, 0, ChainEnd::Fold), lanes);
-        assert_eq!(
-            path_of(&t, fold_terms + 1, 0, ChainEnd::Fold),
-            MacPath::Wide
-        );
+        assert!(resets(&t, sum_terms, 0, reduce));
+        assert!(!resets(&t, sum_terms + 1, 0, reduce));
+        assert!(resets(&t, fold_terms, 0, ChainEnd::Fold));
+        assert!(!resets(&t, fold_terms + 1, 0, ChainEnd::Fold));
     }
 }

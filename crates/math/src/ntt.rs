@@ -6,16 +6,18 @@
 //! `address = i_g + i_nc * 2^cs` and twiddles can optionally be generated on
 //! the fly when on-chip memory is scarce.
 //!
-//! The hot path ([`NttTable::forward`] / [`NttTable::inverse`]) uses
-//! Harvey-style *lazy reduction*: butterfly operands ride in `[0, 2q)` (and
-//! transiently `[0, 4q)`), with a single correction pass at the end — the
-//! software analogue of the lazy reduction HEAP applies in its modular MAC
-//! datapath (§IV-A). One strict, eagerly-normalizing loop is kept for the
-//! parity suites, with its twiddle either read from the table or generated
-//! on the fly (the paper's §IV-D switch); it and the scalar lazy kernels
-//! are reached through the hidden `crate::oracle` module. Every variant
-//! computes the same bijection — bit-identically, since every output is
-//! fully normalized.
+//! The hot path ([`NttTable::forward`] / [`NttTable::inverse`]) is the
+//! signed-lazy radix-4 transform on `f64` lanes ([`crate::simd`]): no
+//! butterfly output is normalised, and one reduction per coefficient lands
+//! on the canonical residue — the software analogue of the lazy reduction
+//! HEAP applies in its modular MAC datapath (§IV-A). It is exact for every
+//! table [`NttTable::new`] builds, which is why that constructor refuses a
+//! ring below 16 points or a modulus past the lanes' growth bound. One
+//! strict, eagerly-normalizing loop is kept for the parity suites, with its
+//! twiddle either read from the table or generated on the fly (the paper's
+//! §IV-D switch); it is reached through the hidden `crate::oracle` module.
+//! Both compute the same bijection — bit-identically, since every output
+//! is fully normalized.
 
 use crate::arith::{Modulus, ShoupMul};
 use crate::mac::LazyCoeff;
@@ -63,17 +65,24 @@ fn bit_reverse(x: usize, bits: u32) -> usize {
 }
 
 impl NttTable {
-    /// Builds the table for ring dimension `n` (power of two) and prime
-    /// modulus `q ≡ 1 (mod 2n)`.
+    /// Builds the table for ring dimension `n` (power of two, at least 16)
+    /// and prime modulus `q ≡ 1 (mod 2n)` inside the `f64` lanes' growth
+    /// bound, `(4 + log2 n)·q ≤ 2^50` — every modulus of 45 bits or fewer
+    /// up to `n = 2^16`.
     ///
     /// # Panics
     ///
-    /// Panics if `n` is not a power of two or `q - 1` is not divisible by
-    /// `2n`.
+    /// Panics if `n` is not a power of two of at least 16, if `q` is past
+    /// the growth bound, or if `q - 1` is not divisible by `2n`.
     pub fn new(n: usize, modulus: Modulus) -> Self {
         assert!(
-            n.is_power_of_two() && n >= 2,
-            "n must be a power of two >= 2"
+            n.is_power_of_two() && n >= 16,
+            "n must be a power of two >= 16"
+        );
+        let q = modulus.value();
+        assert!(
+            crate::simd::f64_ntt_ok(n, q, 4 * q),
+            "q = {q} is past the f64 lanes' bound for n = {n}: (4 + log2 n)·q must be at most 2^50"
         );
         let log_n = n.trailing_zeros();
         let psi = primitive_root(&modulus, 2 * n as u64);
@@ -135,30 +144,22 @@ impl NttTable {
     /// small rings, so latency is recorded per pipeline stage
     /// (`heap-core`'s `StageMetrics`), not per call.
     ///
-    /// Runs the signed-lazy radix-4 `f64`-lane kernel (AVX2 + FMA, see
-    /// [`crate::simd`]) where `n ≥ 16` and its growth bound
-    /// `(4 + log2 n)·q ≤ 2^50` hold — every preset's ring; every other ring
-    /// and modulus, and every scalar host, runs the scalar lazy kernel.
-    /// Both are bit-identical to the strict loop.
+    /// Runs the signed-lazy radix-4 `f64`-lane kernel at the process's
+    /// width ([`crate::simd`]), bit-identical to the strict loop.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.n()`.
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
-        let q = self.modulus.value();
-        if crate::simd::try_ntt_forward(a, &self.psi_f64, q) {
-            return;
-        }
-        self.forward_lazy_scalar(a);
+        crate::simd::ntt_forward(a, &self.psi_f64, self.modulus.value());
     }
 
     /// In-place inverse negacyclic NTT (evaluation → coefficient domain),
     /// the Gentleman–Sande counterpart of [`Self::forward`]: lazy residues
     /// in `[0, 2q)` in — the range every kernel accepts — canonical residues
-    /// out. Runs the signed-lazy radix-4 `f64`-lane kernel under the
-    /// forward kernel's gate, the scalar lazy kernel everywhere else; both
-    /// are bit-identical to the strict loop.
+    /// out. Runs the signed-lazy radix-4 `f64`-lane kernel, bit-identical
+    /// to the strict loop.
     ///
     /// # Panics
     ///
@@ -166,26 +167,22 @@ impl NttTable {
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
         let q = self.modulus.value();
-        if crate::simd::try_ntt_inverse(a, &self.ipsi_f64, q, self.n_inv.operand) {
-            return;
-        }
-        self.inverse_lazy_scalar(a);
+        crate::simd::ntt_inverse(a, &self.ipsi_f64, q, self.n_inv.operand);
     }
 
     /// [`Self::inverse`] of `limb` fused with the balanced signed digit
     /// chain of a `base_bits` gadget, in `f64` lanes: digit `k` of
     /// coefficient `i` lands in `out[k·n + i]`, and `work` is the
-    /// transform's buffer. Returns `false` — having touched nothing — when
-    /// the kernel does not run for this ring.
-    pub(crate) fn inverse_digits_f64(
+    /// transform's buffer.
+    pub(crate) fn inverse_digits(
         &self,
         limb: &[u64],
         work: &mut [u64],
         base_bits: u32,
         out: &mut [i32],
-    ) -> bool {
+    ) {
         let qn = (self.modulus.value(), self.n_inv.operand);
-        crate::simd::try_inverse_digits(limb, work, &self.ipsi_f64, qn, base_bits, out)
+        crate::simd::inverse_digits(limb, work, &self.ipsi_f64, qn, base_bits, out);
     }
 
     /// Strict forward NTT: every butterfly eagerly normalizes into
@@ -196,7 +193,7 @@ impl NttTable {
     /// twiddle from the raw root instead of reading the table — the paper's
     /// "control signal" between the two sources.
     ///
-    /// The oracle for the lazy kernels; no production path runs it.
+    /// The oracle for the `f64`-lane kernels; no production path runs it.
     ///
     /// # Panics
     ///
@@ -258,110 +255,10 @@ impl NttTable {
         }
     }
 
-    /// [`crate::MacAcc::mac_tile`]'s narrow transform under this table's
+    /// [`crate::MacAcc::mac_tile`]'s transform under this table's
     /// twiddles: `digit` into `operand`, signed-lazy and left in `f64`.
-    /// Returns `false` when the kernel does not run for this ring.
-    pub(crate) fn forward_f64<T: LazyCoeff>(&self, digit: &[T], operand: &mut [f64]) -> bool {
-        let q = self.modulus.value();
-        crate::simd::try_forward_f64(digit, &self.psi_f64, q, operand)
-    }
-
-    /// The scalar lazy forward kernel, Harvey-style: butterfly operands ride
-    /// in `[0, 4q)` and are only normalized once per touch, trading
-    /// comparisons for a final correction pass.
-    ///
-    /// Operand-bound invariant: entering each stage, every slot is
-    /// `< 4q`; the upper butterfly input is folded into `[0, 2q)` with one
-    /// conditional subtraction, the lower input feeds
-    /// [`ShoupMul::mul_lazy`] *unreduced* (valid for any `u64`, result in
-    /// `[0, 2q)`), so both outputs are `< 4q` and `q < 2^62` keeps all
-    /// intermediates inside a `u64`. The final pass folds `[0, 4q) → [0,
-    /// q)` with two conditional subtractions, so outputs are canonical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != self.n()`.
-    pub(crate) fn forward_lazy_scalar(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "length mismatch");
-        let q = self.modulus.value();
-        let two_q = 2 * q;
-        let mut t = self.n;
-        let mut m = 1usize;
-        while m < self.n {
-            t >>= 1;
-            for i in 0..m {
-                let s = self.psi_br[m + i];
-                let j1 = 2 * i * t;
-                for j in j1..j1 + t {
-                    // Normalize x into [0, 2q) lazily.
-                    let mut x = a[j];
-                    if x >= two_q {
-                        x -= two_q;
-                    }
-                    // Shoup product without the final correction: [0, 2q).
-                    let v = s.mul_lazy(a[j + t], q);
-                    a[j] = x + v; // < 4q
-                    a[j + t] = x + two_q - v; // < 4q
-                }
-            }
-            m <<= 1;
-        }
-        for x in a.iter_mut() {
-            if *x >= two_q {
-                *x -= two_q;
-            }
-            if *x >= q {
-                *x -= q;
-            }
-        }
-    }
-
-    /// The scalar lazy inverse kernel.
-    ///
-    /// Operand-bound invariant: every slot stays in `[0, 2q)` across
-    /// stages. The butterfly sum `u + v < 4q` is folded back into
-    /// `[0, 2q)` with one conditional subtraction; the difference is
-    /// computed as `u + 2q - v ∈ (0, 4q)` (no underflow) and fed to
-    /// [`ShoupMul::mul_lazy`], landing in `[0, 2q)`. The final `N^{-1}`
-    /// pass uses the lazy Shoup product plus one correction, so outputs
-    /// are canonical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != self.n()`.
-    pub(crate) fn inverse_lazy_scalar(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n, "length mismatch");
-        let q = self.modulus.value();
-        let two_q = 2 * q;
-        let mut t = 1usize;
-        let mut m = self.n;
-        while m > 1 {
-            let h = m >> 1;
-            let mut j1 = 0usize;
-            for i in 0..h {
-                let s = self.ipsi_br[h + i];
-                for j in j1..j1 + t {
-                    let u = a[j];
-                    let v = a[j + t];
-                    let mut w = u + v; // < 4q
-                    if w >= two_q {
-                        w -= two_q;
-                    }
-                    a[j] = w;
-                    a[j + t] = s.mul_lazy(u + two_q - v, q);
-                }
-                j1 += 2 * t;
-            }
-            t <<= 1;
-            m = h;
-        }
-        for x in a.iter_mut() {
-            let mut r = self.n_inv.mul_lazy(*x, q);
-            if r >= q {
-                r -= q;
-            }
-            *x = r;
-        }
+    pub(crate) fn forward_f64<T: LazyCoeff>(&self, digit: &[T], operand: &mut [f64]) {
+        crate::simd::forward_f64(digit, &self.psi_f64, self.modulus.value(), operand);
     }
 
     /// Pointwise (Hadamard) product of two evaluation-domain vectors into
@@ -390,59 +287,6 @@ impl NttTable {
             acc[i] = self.modulus.mul_add(a[i], b[i], acc[i]);
         }
     }
-
-    /// Lazy pointwise multiply-accumulate into `u128` accumulators:
-    /// `acc[i] += a[i] * b[i]` with **no per-term modular reduction** —
-    /// the software form of HEAP's lazy-reduction MAC units (§IV-A), and
-    /// [`crate::MacAcc`]'s wide path. Reduce once at the end with
-    /// [`Self::reduce_acc_into`].
-    ///
-    /// The slices may be any one block of the ring, as long as they agree
-    /// in length.
-    ///
-    /// Bound argument: operands are reduced residues, so each product is
-    /// `< q^2 < 2^124` (`q < 2^62`). The accumulator is kept `< 2^127` by
-    /// folding with a full Barrett reduction whenever a term would push it
-    /// past `2^127` — so `acc + product < 2^127 + 2^124 < 2^128` never
-    /// overflows. For the 36-bit limbs the parameter sets use, the fold
-    /// branch is unreachable before ~`2^55` accumulated terms; an external
-    /// product accumulates `2 · limbs · digits` terms (20 on the Medium
-    /// preset, 28 at the paper's parameters). The fold point
-    /// depends only on operand values, never on timing, so results are
-    /// deterministic and the final reduced value is bit-identical to the
-    /// eager [`Self::pointwise_acc`] chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    pub(crate) fn pointwise_mac_lazy(&self, a: &[u64], b: &[u64], acc: &mut [u128]) {
-        assert!(
-            a.len() == acc.len() && b.len() == acc.len(),
-            "length mismatch"
-        );
-        for i in 0..acc.len() {
-            let mut s = acc[i] + (a[i] as u128) * (b[i] as u128);
-            if s >> 127 != 0 {
-                s = self.modulus.reduce_u128(s) as u128;
-            }
-            acc[i] = s;
-        }
-    }
-
-    /// Reduces `u128` lazy accumulators (built by
-    /// [`Self::pointwise_mac_lazy`]) to canonical residues in `out` —
-    /// the single deferred reduction per coefficient, on a block of any
-    /// length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    pub(crate) fn reduce_acc_into(&self, acc: &[u128], out: &mut [u64]) {
-        assert_eq!(acc.len(), out.len(), "length mismatch");
-        for (o, &a) in out.iter_mut().zip(acc.iter()) {
-            *o = self.modulus.reduce_u128(a);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -458,7 +302,7 @@ mod tests {
 
     #[test]
     fn roundtrip_various_sizes() {
-        for log_n in [1u32, 2, 4, 8, 11] {
+        for log_n in [4u32, 5, 8, 11] {
             let t = table(log_n);
             let n = t.n();
             let mut a: Vec<u64> = (0..n as u64).map(|i| i * i + 7).collect();
@@ -491,7 +335,7 @@ mod tests {
 
     #[test]
     fn lazy_kernels_match_strict() {
-        for log_n in [2u32, 3, 4, 6, 9] {
+        for log_n in [4u32, 5, 6, 9] {
             let t = table(log_n);
             let n = t.n();
             let q = t.modulus().value();
@@ -511,58 +355,6 @@ mod tests {
                 assert_eq!(hot, strict, "inverse, log_n = {log_n}");
             }
         }
-    }
-
-    #[test]
-    fn lazy_mac_matches_eager_chain() {
-        let t = table(5);
-        let n = t.n();
-        let q = *t.modulus();
-        let rows: Vec<(Vec<u64>, Vec<u64>)> = (0..6u64)
-            .map(|r| {
-                (
-                    (0..n as u64)
-                        .map(|i| (i * 13 + r * 7 + 1) % q.value())
-                        .collect(),
-                    (0..n as u64)
-                        .map(|i| (i * 29 + r * 3 + 2) % q.value())
-                        .collect(),
-                )
-            })
-            .collect();
-        let mut eager = vec![0u64; n];
-        for (a, b) in &rows {
-            t.pointwise_acc(a, b, &mut eager);
-        }
-        let mut acc = vec![0u128; n];
-        for (a, b) in &rows {
-            t.pointwise_mac_lazy(a, b, &mut acc);
-        }
-        let mut lazy = vec![0u64; n];
-        t.reduce_acc_into(&acc, &mut lazy);
-        assert_eq!(lazy, eager);
-    }
-
-    #[test]
-    fn lazy_mac_fold_keeps_residue() {
-        // Force the 2^127 overflow-guard fold with a near-maximal modulus
-        // and check the residue is still exact.
-        let n = 2usize;
-        let q = Modulus::new(ntt_primes(n as u64, 61, 1)[0]).unwrap();
-        let t = NttTable::new(n, q);
-        let a = vec![q.value() - 1; n];
-        let b = vec![q.value() - 1; n];
-        let mut acc = vec![0u128; n];
-        let mut expect = vec![0u64; n];
-        // Each product is ~2^122; nine terms exceed 2^125... keep going
-        // until the fold branch must have fired (>= 33 terms > 2^127).
-        for _ in 0..40 {
-            t.pointwise_mac_lazy(&a, &b, &mut acc);
-            t.pointwise_acc(&a, &b, &mut expect);
-        }
-        let mut got = vec![0u64; n];
-        t.reduce_acc_into(&acc, &mut got);
-        assert_eq!(got, expect);
     }
 
     #[test]
@@ -614,7 +406,7 @@ mod tests {
     fn forward_is_evaluation_at_odd_root_powers() {
         // NTT(a)[brv-order] corresponds to evaluations a(psi^(2j+1)); check
         // one specific point for a small ring.
-        let t = table(3);
+        let t = table(4);
         let n = t.n();
         let q = *t.modulus();
         let a: Vec<u64> = (1..=n as u64).collect();

@@ -24,16 +24,6 @@ pub fn inverse_reference(t: &NttTable, a: &mut [u64]) {
     t.inverse_strict(a);
 }
 
-/// The scalar lazy forward kernel the `f64` lanes fall back to.
-pub fn forward_lazy_scalar(t: &NttTable, a: &mut [u64]) {
-    t.forward_lazy_scalar(a);
-}
-
-/// The scalar lazy inverse kernel the `f64` lanes fall back to.
-pub fn inverse_lazy_scalar(t: &NttTable, a: &mut [u64]) {
-    t.inverse_lazy_scalar(a);
-}
-
 /// Schoolbook negacyclic convolution, the `O(N^2)` product the transform
 /// must reproduce.
 ///

@@ -42,7 +42,8 @@ impl RnsContext {
     /// # Panics
     ///
     /// Panics if `primes` is empty or contains duplicates, or if any prime
-    /// is unusable for the negacyclic NTT at dimension `n`.
+    /// is unusable for the negacyclic NTT at dimension `n` (see
+    /// [`NttTable::new`]: `n ≥ 16`, `(4 + log2 n)·q ≤ 2^50`).
     pub fn new(n: usize, primes: &[u64]) -> Self {
         assert!(!primes.is_empty(), "at least one prime required");
         let mut moduli = Vec::with_capacity(primes.len());
@@ -282,7 +283,7 @@ impl RnsPoly {
     /// coefficient data.
     ///
     /// For hot paths that overwrite every limb wholesale (e.g. the lazy
-    /// external product reduces its `u128` accumulators straight into the
+    /// external product reduces its MAC accumulators straight into the
     /// output limbs): the write already establishes the new
     /// representation, so a [`Self::clear`] zero-fill beforehand would be
     /// wasted work. The caller asserts the data really is in `domain`.
@@ -615,8 +616,8 @@ mod tests {
 
     #[test]
     fn automorphism_limbwise() {
-        let c = ctx(3, 2);
-        let coeffs: Vec<i64> = (0..8).map(|i| i as i64).collect();
+        let c = ctx(4, 2);
+        let coeffs: Vec<i64> = (0..16).map(|i| i as i64).collect();
         let p = RnsPoly::from_signed(&c, &coeffs, 2);
         let rot = p.automorphism(3, &c);
         let got = rot.to_centered_f64(&c);

@@ -2,73 +2,72 @@
 //!
 //! HEAP gets its throughput from wide arrays of modular functional units
 //! (paper §IV): butterfly units for the NTT, MAC arrays for key switching and
-//! the external product, and decomposition units feeding them. The CPU
-//! analogue is explicit vectorization: AVX-512F and AVX2 + FMA (x86_64)
-//! implementations of the hot loops — the NTT butterflies, the inverse NTT
-//! fused with signed gadget decomposition, the digit → NTT → MAC datapath of
-//! the external product, and the CMux fold — selected once per process
-//! behind feature detection, with
-//! the scalar lazy kernels as the always-available fallback (and the only
-//! tier on any other architecture).
+//! the external product, and decomposition units feeding them, all one
+//! modular datapath at one word width. The CPU analogue is one datapath on
+//! `f64` lanes — the NTT butterflies, the inverse NTT fused with signed
+//! gadget decomposition, the digit → NTT → MAC chain of the external
+//! product, and the CMux fold — written once and run at the widest width
+//! the host has: AVX-512F or AVX2 + FMA on x86_64, selected once per process
+//! behind feature detection, and one lane in portable Rust on every host
+//! (the only width on any other architecture).
 //!
-//! Each vector tier is kept by a measured ratio over the kernel it replaces
+//! Each vector width is kept by a measured ratio over the kernel it replaced
 //! (N = 2048, 36-bit limb unless noted, best of 61 × 40 calls, three
 //! process runs, 2-core AVX-512F host; EXPERIMENTS.md "One f64 lane from
 //! digit to accumulator", "Eight lanes", "Eight lanes against four" and
 //! "The CMux tail at full width"):
 //!
-//! | tier | kernels | applies when | ratio |
-//! |---|---|---|---|
-//! | scalar lazy | all | always | 1 (the parity oracle) |
-//! | `f64` lanes ×4 | signed-lazy radix-4 forward NTT | `n ≥ 16`, `C + log2(n)·q ≤ 2^50` | 4.8–4.9× over scalar |
-//! | `f64` lanes ×4 | a tile's digits → forward NTTs → one blocked MAC per key row | the same, and `terms·q ≤ 2^52` | 4.0–4.4× over lift + NTT + four `u128` MACs |
-//! | `f64` lanes ×4 | CMux fold into the accumulator | the same, and `terms·q ≤ 2^50` | 5.3× over the `u128` fold |
-//! | `f64` lanes ×4 | signed-lazy radix-4 inverse NTT, and fused with the signed digit chain (`i32` digits out) | the forward gate | over the fully reduced radix-2 body it replaced: 1.2–1.7×; fused, over copy + inverse + integer-lane decompose: 1.2–1.6× |
-//! | `f64` lanes ×8 | all of the above | the ×4 gates, and AVX-512F | over ×4: forward 1.4–1.6×; fold 1.4–2.0×; inverse 1.5–1.7×, 2.2–2.8× over the radix-2 body (within 5 % of a forward transform); fused decompose 1.8× / 2.3× / 2.5× at N = 2^7 / 2^11 / 2^13 over the path it replaced; a tile's MAC 1.6× at N = 2^11 over one call per member |
-//! | integer lanes | signed decompose | — | **deleted**: fused into the inverse transform's exit |
-//! | integer lanes | forward / inverse NTT | — | **deleted**: 1.6–1.8× / 1.1–1.3× at 50–60 bits, but no workload has a modulus past the `f64` gate |
-//! | integer lanes ×4 | signed lift (wide MAC path) | — | **deleted**: 3.6–4.1×, but every preset's chain is narrow on an `f64`-lane host, so no workload reached it |
+//! | tier | kernels | ratio |
+//! |---|---|---|
+//! | `f64` lanes ×1 | all | the width `HEAP_SIMD=scalar` and non-x86 hosts run; no workload times it |
+//! | `f64` lanes ×4 | signed-lazy radix-4 forward NTT | 4.8–4.9× over the scalar lazy NTT |
+//! | `f64` lanes ×4 | a tile's digits → forward NTTs → one blocked MAC per key row | 4.0–4.4× over lift + NTT + four `u128` MACs |
+//! | `f64` lanes ×4 | CMux fold into the accumulator | 5.3× over the `u128` fold |
+//! | `f64` lanes ×4 | signed-lazy radix-4 inverse NTT, and fused with the signed digit chain (`i32` digits out) | over the fully reduced radix-2 body it replaced: 1.2–1.7×; fused, over copy + inverse + integer-lane decompose: 1.2–1.6× |
+//! | `f64` lanes ×8 | all of the above | over ×4: forward 1.4–1.6×; fold 1.4–2.0×; inverse 1.5–1.7×, 2.2–2.8× over the radix-2 body (within 5 % of a forward transform); fused decompose 1.8× / 2.3× / 2.5× at N = 2^7 / 2^11 / 2^13 over the path it replaced; a tile's MAC 1.6× at N = 2^11 over one call per member |
+//! | scalar lazy NTTs, `u128` MAC | all | **deleted**: a second datapath for rings below 16 points and moduli past the gate, which no workload reached |
+//! | integer lanes | signed decompose | **deleted**: fused into the inverse transform's exit |
+//! | integer lanes | forward / inverse NTT | **deleted**: 1.6–1.8× / 1.1–1.3× at 50–60 bits, but no workload has a modulus past the `f64` gate |
+//! | integer lanes ×4 | signed lift (wide MAC path) | **deleted**: 3.6–4.1×, but every preset's chain was narrow on an `f64`-lane host, so no workload reached it |
 //!
-//! Both tiers run every kernel at their own width. Every other ring and
-//! modulus runs the scalar lazy kernels. The integer-lane NTT (commit
-//! `6ed5204`) and signed lift return together with a benchmark workload
-//! whose modulus is 46 bits or wider on an AVX2 host, not before.
+//! Every tier runs every kernel at its own width, and every table is inside
+//! the gate the kernels are exact under: `NttTable::new` refuses a ring
+//! below 16 points or a modulus with `(4 + log2 n)·q > 2^50`, and
+//! `MacAcc::reset` a chain whose digits or sums could pass their bounds.
+//! The integer-lane NTT (commit `6ed5204`) returns with a benchmark
+//! workload whose modulus is 46 bits or wider, not before.
 //!
-//! `C` is the largest input magnitude (`4q` for [`crate::NttTable::forward`],
-//! half the gadget base for an external product); the `f64` kernels and the
-//! argument that they are exact live in `simd/f64_lanes.rs`. DESIGN.md §2
-//! "SIMD dispatch" also lists the tiers that measured too little to keep
-//! and what would bring one back.
+//! The `f64` kernels and the argument that they are exact live in
+//! `simd/f64_lanes.rs`. DESIGN.md §2 "SIMD dispatch" also lists the tiers
+//! that measured too little to keep and what would bring one back.
 //!
-//! Every vector kernel produces the *same* canonical outputs as its scalar
-//! counterpart, so results are bit-identical regardless of which backend
-//! runs. The parity proptests in `tests/properties.rs` and the pinned
-//! bootstrap digests enforce this.
+//! Every width produces the *same* canonical outputs as the strict integer
+//! loops of the hidden `oracle` module, so results are bit-identical
+//! regardless of which tier runs. The parity proptests in
+//! `tests/properties.rs` and the pinned bootstrap digests enforce this.
 //!
 //! The tier is a fact of the process: [`active`] detects it at first use
 //! and never changes it. The `HEAP_SIMD` environment variable caps it for
-//! testing and benchmarking — `scalar` (or `off`/`0`) for the scalar
-//! kernels, `avx2` to stop at the 4-lane tier — so each tier is exercised
-//! by running a process under it, not by switching one that is running.
+//! testing and benchmarking — `scalar` (or `off`/`0`) for the width-1
+//! lane, `avx2` to stop at the 4-lane tier — so each tier is exercised by
+//! running a process under it, not by switching one that is running.
 
 use std::sync::OnceLock;
 
 use crate::mac::{LazyCoeff, RowPair};
 
-#[cfg(target_arch = "x86_64")]
 mod f64_lanes;
 
-/// Which vector datapath is driving the hot kernels. Ordered by width, so
-/// a `HEAP_SIMD` cap is the smaller of itself and what the host has.
+/// Which width the `f64`-lane kernels run at. Ordered by width, so a
+/// `HEAP_SIMD` cap is the smaller of itself and what the host has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Backend {
-    /// Scalar lazy kernels (always available).
+    /// One lane in portable Rust (every host).
     Scalar = 1,
     /// AVX2 and FMA together on x86_64: 4×f64 lanes. A CPU with AVX2 but
-    /// no FMA runs the scalar kernels.
+    /// no FMA runs one lane.
     Avx2 = 2,
-    /// AVX-512F on top of AVX2 + FMA: the `f64`-lane kernels run 8 lanes
-    /// wide.
+    /// AVX-512F on top of AVX2 + FMA: 8×f64 lanes.
     Avx512 = 3,
 }
 
@@ -80,11 +79,6 @@ impl Backend {
             Backend::Avx2 => "avx2",
             Backend::Avx512 => "avx512",
         }
-    }
-
-    /// Whether this tier runs the `f64`-lane kernels (at either width).
-    pub fn has_f64_lanes(self) -> bool {
-        self != Backend::Scalar
     }
 }
 
@@ -101,7 +95,7 @@ fn override_from(value: &str) -> Result<Option<Backend>, String> {
         "avx2" => Ok(Some(Backend::Avx2)),
         "" | "auto" => Ok(None),
         other => Err(format!(
-            "HEAP_SIMD={other:?} not recognised: use scalar|off|0 to force the scalar kernels, \
+            "HEAP_SIMD={other:?} not recognised: use scalar|off|0 to force one lane, \
              avx2 to stop at the 4-lane tier, auto (or unset) to detect"
         )),
     }
@@ -152,135 +146,89 @@ pub(crate) const F64_OPERAND_LIMIT: u128 = 1 << 50;
 /// integer with a bit in hand.
 pub(crate) const F64_SUM_LIMIT: u128 = 1 << 52;
 
-/// Whether the `f64`-lane transforms run — and are exact — for an
-/// `n`-point ring under `q` on inputs of magnitude at most `input_bound`:
-/// an `f64`-lane tier active, `n ≥ 16`, and the signed-lazy growth bound
-/// `input_bound + log2(n)·q ≤ 2^50`. Every other ring takes the scalar
-/// kernels.
+/// Whether the `f64`-lane transforms are exact for an `n`-point ring under
+/// `q` on inputs of magnitude at most `input_bound`: `n ≥ 16` and the
+/// signed-lazy growth bound `input_bound + log2(n)·q ≤ 2^50`.
+/// `NttTable::new` asserts it for the `[0, 4q)` inputs of its forward
+/// transform, which covers its inverse.
 pub(crate) fn f64_ntt_ok(n: usize, q: u64, input_bound: u64) -> bool {
     let grown = u128::from(input_bound) + u128::from(n.trailing_zeros()) * u128::from(q);
-    active().has_f64_lanes() && n.is_power_of_two() && n >= 16 && grown <= F64_OPERAND_LIMIT
+    n.is_power_of_two() && n >= 16 && grown <= F64_OPERAND_LIMIT
 }
 
-/// [`f64_ntt_ok`] for a chain that also accumulates `terms` products per
-/// coefficient in `f64`, each a signed term below `q`: the sum must stay an
-/// exact integer inside `sum_limit` — [`F64_SUM_LIMIT`] for a chain that
-/// ends in a reduction, [`F64_OPERAND_LIMIT`] for one the CMux fold
-/// multiplies by its factor. This is what `MacAcc::reset` gates the narrow
-/// accumulators on.
-pub(crate) fn f64_mac_ok(
-    n: usize,
-    q: u64,
-    input_bound: u64,
-    terms: usize,
-    sum_limit: u128,
-) -> bool {
-    f64_ntt_ok(n, q, input_bound) && terms as u128 * u128::from(q) <= sum_limit
-}
-
-/// Runs `f64_lanes::<tier>::$kernel(args…)` on the active `f64`-lane tier
-/// and yields `true`, or yields `false` — having touched nothing — on the
-/// scalar one.
-#[cfg(target_arch = "x86_64")]
-macro_rules! on_f64_tier {
+/// Runs `f64_lanes::<tier>::$kernel(args…)` on the active tier.
+macro_rules! on_tier {
     ($kernel:ident($($arg:expr),* $(,)?)) => {
+        // SAFETY: a vector tier is active only after runtime detection of
+        // its features (`detect`); the width-1 one needs none.
         match active() {
-            // SAFETY: a tier is active only after runtime detection of its
-            // features (`detect`).
-            Backend::Avx512 => {
-                unsafe { f64_lanes::avx512::$kernel($($arg),*) };
-                true
-            }
-            Backend::Avx2 => {
-                unsafe { f64_lanes::avx2::$kernel($($arg),*) };
-                true
-            }
-            Backend::Scalar => false,
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512 => unsafe { f64_lanes::avx512::$kernel($($arg),*) },
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => unsafe { f64_lanes::avx2::$kernel($($arg),*) },
+            _ => unsafe { f64_lanes::portable::$kernel($($arg),*) },
         }
     };
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-macro_rules! on_f64_tier {
-    ($($call:tt)*) => {
-        false
-    };
+// The kernels below take `q` from an `NttTable`, whose constructor holds it
+// inside the transforms' gate (`f64_ntt_ok`); `MacAcc::reset` holds a
+// chain's digits and sums inside theirs.
+
+/// The full forward NTT: lazy residues in `[0, 4q)` in, canonical residues
+/// out. `ops_f64` holds the bit-reversed twiddle operands as doubles.
+pub(crate) fn ntt_forward(a: &mut [u64], ops_f64: &[f64], q: u64) {
+    on_tier!(forward_in_place(a, ops_f64, q))
 }
 
-/// Runs the full forward lazy NTT in `f64` lanes: lazy residues in
-/// `[0, 4q)` in, canonical residues out. `ops_f64` holds the bit-reversed
-/// twiddle operands as doubles (same indexing as the scalar kernel's
-/// `psi_br`). Returns `false` — having touched nothing — when the kernel
-/// does not run for this ring; the caller must then run the scalar kernel.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn try_ntt_forward(a: &mut [u64], ops_f64: &[f64], q: u64) -> bool {
-    f64_ntt_ok(a.len(), q, 4 * q) && on_f64_tier!(forward_in_place(a, ops_f64, q))
-}
-
-/// Runs the full inverse NTT (scaling by `n^{-1}` included) in `f64`
-/// lanes on residues in `[0, 2q)`, canonical out, under the forward
-/// kernel's gate; `ops_f64` holds the bit-reversed inverse twiddles as
-/// doubles. Returns `false` — having touched nothing — when it does not run.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn try_ntt_inverse(a: &mut [u64], ops_f64: &[f64], q: u64, n_inv: u64) -> bool {
-    f64_ntt_ok(a.len(), q, 4 * q) && on_f64_tier!(inverse(a, None, ops_f64, q, n_inv, None))
+/// The full inverse NTT (scaling by `n^{-1}` included) on residues in
+/// `[0, 2q)`, canonical out; `ops_f64` holds the bit-reversed inverse
+/// twiddles as doubles.
+pub(crate) fn ntt_inverse(a: &mut [u64], ops_f64: &[f64], q: u64, n_inv: u64) {
+    on_tier!(inverse(a, None, ops_f64, q, n_inv, None))
 }
 
 /// The inverse NTT of `limb` (residues in `[0, 2q)`) fused with the
 /// balanced signed gadget decomposition of its output: digit `k` of
 /// coefficient `i` goes to `out[k·n + i]` as an `i32`, with `work` as the
-/// transform's buffer. Returns `false` when the `f64` kernels do not run.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn try_inverse_digits(
+/// transform's buffer.
+pub(crate) fn inverse_digits(
     limb: &[u64],
     work: &mut [u64],
     ops_f64: &[f64],
     (q, n_inv): (u64, u64),
     base_bits: u32,
     out: &mut [i32],
-) -> bool {
-    f64_ntt_ok(limb.len(), q, 4 * q)
-        && on_f64_tier!(inverse(
-            work,
-            Some(limb),
-            ops_f64,
-            q,
-            n_inv,
-            Some((out, base_bits))
-        ))
+) {
+    on_tier!(inverse(
+        work,
+        Some(limb),
+        ops_f64,
+        q,
+        n_inv,
+        Some((out, base_bits))
+    ))
 }
 
 /// The signed-lazy forward NTT of a digit polynomial (any [`LazyCoeff`]
-/// below the gate's input bound), left in `f64` in `out` for
-/// [`try_mac_tile`]. Returns `false` when the `f64` kernels do not run for
-/// this ring.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn try_forward_f64<T: LazyCoeff>(
-    digit: &[T],
-    ops_f64: &[f64],
-    q: u64,
-    out: &mut [f64],
-) -> bool {
-    f64_ntt_ok(digit.len(), q, 0) && on_f64_tier!(forward_into(digit, ops_f64, q, out))
+/// below the chain's input bound), left in `f64` in `out` for
+/// [`mac_tile`].
+pub(crate) fn forward_f64<T: LazyCoeff>(digit: &[T], ops_f64: &[f64], q: u64, out: &mut [f64]) {
+    on_tier!(forward_into(digit, ops_f64, q, out))
 }
 
-/// The narrow MAC of a tile: member `t`'s transformed digit
-/// (`operands[t·n..]`) times `rows[k][p]` into slot `firsts[t] + 2k + p`
-/// of the block-major accumulators `acc` (`block` coefficients per slot
-/// per block). Returns `false` when the `f64` kernels do not run.
-///
-/// The caller's gate ([`f64_mac_ok`]) bounds the input magnitude and the
-/// term count; only the backend is checked again here.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn try_mac_tile<const K: usize>(
+/// The MAC of a tile: member `t`'s transformed digit (`operands[t·n..]`)
+/// times `rows[k][p]` into slot `firsts[t] + 2k + p` of the block-major
+/// accumulators `acc` (`block` coefficients per slot per block).
+pub(crate) fn mac_tile<const K: usize>(
     operands: &[f64],
     firsts: &[usize],
     rows: [RowPair<'_>; K],
     q: u64,
     acc: &mut [f64],
     block: usize,
-) -> bool {
-    on_f64_tier!(mac_tile(operands, firsts, rows, q, acc, block))
+) {
+    on_tier!(mac_tile(operands, firsts, rows, q, acc, block))
 }
 
 /// Asks the cache for `words` ahead of a MAC that reads them. A key row is
@@ -299,24 +247,15 @@ pub(crate) fn prefetch(words: &[u64]) {
 }
 
 /// Reduces `f64` accumulators (exact integers below `2^52` in magnitude) to
-/// canonical residues in `out`. Returns `false` when the `f64` kernels do
-/// not run.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn try_reduce_acc(acc: &[f64], q: u64, out: &mut [u64]) -> bool {
-    on_f64_tier!(reduce_acc(acc, q, out))
+/// canonical residues in `out`.
+pub(crate) fn reduce_acc(acc: &[f64], q: u64, out: &mut [u64]) {
+    on_tier!(reduce_acc(acc, q, out))
 }
 
 /// The CMux fold in `f64` lanes: `acc ← canonical(acc + S⁺·f⁺ + S⁻·f⁻)`
 /// for exact integer sums `|S| ≤ 2^50` and canonical factors and `acc`.
-/// Returns `false` when the `f64` kernels do not run.
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-pub(crate) fn try_fold_acc(
-    sums: [&[f64]; 2],
-    factors: [&[u64]; 2],
-    q: u64,
-    acc: &mut [u64],
-) -> bool {
-    on_f64_tier!(fold_acc(sums, factors, q, acc))
+pub(crate) fn fold_acc(sums: [&[f64]; 2], factors: [&[u64]; 2], q: u64, acc: &mut [u64]) {
+    on_tier!(fold_acc(sums, factors, q, acc))
 }
 
 #[cfg(test)]

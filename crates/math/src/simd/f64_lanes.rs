@@ -1,8 +1,9 @@
 //! Kernels on `f64` lanes, written once over a private lane type and
-//! instantiated at two widths: AVX2 + FMA (4 lanes) and AVX-512F (8 lanes).
-//! They cover the signed-lazy radix-4 forward NTT, the MAC it feeds, the
-//! accumulator reduction and the CMux fold; the inverse NTT has one AVX2
-//! body, which both tiers run.
+//! instantiated at three widths: one lane in portable Rust, AVX2 + FMA (4
+//! lanes) and AVX-512F (8 lanes). They cover the signed-lazy radix-4
+//! forward and inverse NTTs, the inverse fused with the signed digit
+//! chain, the MAC a tile's digits feed, the accumulator reduction and the
+//! CMux fold: the one modular datapath of this crate.
 //!
 //! AVX2 has no 64-bit integer multiply, so an integer Shoup product costs
 //! ~30 µops per 4 lanes. A double holds every integer below `2^53` exactly,
@@ -34,10 +35,10 @@
 //! product input therefore stays inside `2^50` exactly when
 //! `C + log2(N)·q ≤ 2^50`, which is the gate `simd::f64_ntt_ok` computes;
 //! sums of `terms` MAC products stay exact integers while
-//! `terms·q ≤ 2^52` (`simd::f64_mac_ok`). One reduction per output
+//! `terms·q ≤ 2^52` (`MacAcc::admits`). One reduction per output
 //! coefficient (`reduce_acc`, `fold_acc`, or the canonicalising exit of
 //! `forward_in_place`) lands on the canonical residue, so results are
-//! bit-identical to the integer kernels. The fold multiplies a sum by a
+//! bit-identical to the strict integer loops. The fold multiplies a sum by a
 //! factor, so it needs the sum inside the product bound: `terms·q ≤ 2^50`.
 //!
 //! **The inverse transform** is signed-lazy too. Its Gentleman–Sande
@@ -61,28 +62,32 @@
 //! `(−B/2, B/2]`, as the scalar chain's mask-and-carry does, and each
 //! digit row is stored as `i32`.
 //!
-//! **Two widths, one body.** The lane type's methods are `#[inline(always)]`
-//! and carry no target features of their own; the generic kernels are
-//! inlined into one `#[target_feature]` entry point per tier (the `tier!`
-//! modules), so every intrinsic compiles under that tier's features. A
-//! closure in a generic body does not inherit them and is not always
-//! inlined, and an intrinsic called from it becomes a call, so the generic
-//! bodies use local macros and loops instead. Only the fused last pass of
+//! **Three widths, one body.** The lane type's methods are
+//! `#[inline(always)]` and carry no target features of their own; the
+//! generic kernels are inlined into one entry point per tier (the `tier!`
+//! modules), `#[target_feature]` for the x86 ones, so every intrinsic
+//! compiles under that tier's features. A closure in a generic body does
+//! not inherit them and is not always inlined, and an intrinsic called
+//! from it becomes a call, so the generic bodies use local macros and
+//! loops instead. Only the fused last pass of
 //! the forward transform, and its mirror image, the inverse's first pass,
 //! differ by width: 4 lanes fuse two or three stages on blocks of 8
-//! coefficients, 8 lanes three or four on blocks of 16, so the radix-4
-//! passes run while their quarter distance is at least one vector.
+//! coefficients, 8 lanes three or four on blocks of 16, and one lane none
+//! or one on pairs, so the radix-4 passes run while their quarter distance
+//! is at least one vector.
 //!
 //! Every function here is `unsafe` because it executes its tier's
-//! instructions; the ones that dereference pointers each check the slice
-//! lengths their pointer arithmetic relies on.
+//! instructions or dereferences raw pointers; the entry points each check
+//! the slice lengths their pointer arithmetic relies on.
 
 use crate::mac::{LazyCoeff, MAC_PAD};
 use crate::simd::F64_OPERAND_LIMIT;
 
 mod lane;
 
-use lane::{Avx2, Avx512, Lane};
+#[cfg(target_arch = "x86_64")]
+use lane::{Avx2, Avx512};
+use lane::{Lane, Portable};
 
 /// `1.5·2^52`: doubles in `[2^52, 2^53)` are the integers, so adding this
 /// to `|t| < 2^51` rounds `t` to the nearest one.
@@ -357,11 +362,11 @@ fn assert_ring(n: usize, tw: &[f64]) {
     assert_eq!(tw.len(), n, "twiddle table length mismatch");
 }
 
-/// One `#[target_feature]` entry point per kernel for a tier: the generic
-/// bodies above, compiled under that tier's features. Each checks the
-/// slice lengths its pointer arithmetic relies on.
+/// One entry point per kernel for a tier: the generic bodies above,
+/// compiled under that tier's target features, if it has any. Each checks
+/// the slice lengths its pointer arithmetic relies on.
 macro_rules! tier {
-    ($(#[$doc:meta])* $name:ident: $lane:ty, $features:literal) => {
+    ($(#[$doc:meta])* $name:ident: $lane:ty $(, $features:literal)?) => {
         $(#[$doc])*
         pub(in crate::simd) mod $name {
             use super::*;
@@ -376,7 +381,7 @@ macro_rules! tier {
             /// # Safety
             ///
             /// The CPU must support this tier's features.
-            #[target_feature(enable = $features)]
+            $(#[target_feature(enable = $features)])?
             pub(in crate::simd) unsafe fn forward_into<T: LazyCoeff>(
                 input: &[T],
                 tw: &[f64],
@@ -397,7 +402,7 @@ macro_rules! tier {
             /// # Safety
             ///
             /// The CPU must support this tier's features.
-            #[target_feature(enable = $features)]
+            $(#[target_feature(enable = $features)])?
             pub(in crate::simd) unsafe fn forward_in_place(a: &mut [u64], tw: &[f64], q: u64) {
                 let n = a.len();
                 assert_ring(n, tw);
@@ -416,7 +421,7 @@ macro_rules! tier {
             /// # Safety
             ///
             /// The CPU must support this tier's features.
-            #[target_feature(enable = $features)]
+            $(#[target_feature(enable = $features)])?
             pub(in crate::simd) unsafe fn inverse(
                 work: &mut [u64],
                 src: Option<&[u64]>,
@@ -475,7 +480,7 @@ macro_rules! tier {
             /// # Safety
             ///
             /// The CPU must support this tier's features.
-            #[target_feature(enable = $features)]
+            $(#[target_feature(enable = $features)])?
             pub(in crate::simd) unsafe fn mac_tile<const K: usize>(
                 operands: &[f64],
                 firsts: &[usize],
@@ -535,7 +540,7 @@ macro_rules! tier {
             /// # Safety
             ///
             /// The CPU must support this tier's features.
-            #[target_feature(enable = $features)]
+            $(#[target_feature(enable = $features)])?
             pub(in crate::simd) unsafe fn reduce_acc(acc: &[f64], q: u64, out: &mut [u64]) {
                 let n = acc.len();
                 assert_eq!(out.len(), n, "length mismatch");
@@ -559,7 +564,7 @@ macro_rules! tier {
             /// # Safety
             ///
             /// The CPU must support this tier's features.
-            #[target_feature(enable = $features)]
+            $(#[target_feature(enable = $features)])?
             pub(in crate::simd) unsafe fn fold_acc(
                 sums: [&[f64]; 2],
                 factors: [&[u64]; 2],
@@ -591,10 +596,16 @@ macro_rules! tier {
 }
 
 tier!(
+    /// The width-1 tier: portable Rust, no target features.
+    portable: Portable
+);
+tier!(
+    #[cfg(target_arch = "x86_64")]
     /// The 4-lane tier: AVX2 + FMA.
     avx2: Avx2, "avx2,fma"
 );
 tier!(
+    #[cfg(target_arch = "x86_64")]
     /// The 8-lane tier: AVX-512F (with AVX2 + FMA, which its integer
     /// conversions use).
     avx512: Avx512, "avx512f,avx2,fma"

@@ -12,10 +12,26 @@ use heap_math::prime::{is_prime, ntt_primes};
 use heap_math::rns::{Domain, RnsContext, RnsPoly};
 use proptest::prelude::*;
 
+#[path = "../../../tests/support/ceiling.rs"]
+mod ceiling;
+use ceiling::{largest_admitted, prime_near};
+
 const Q36: u64 = 0x0000_000F_FFFC_4001;
 
 fn q() -> Modulus {
     Modulus::new(Q36).unwrap()
+}
+
+/// The message `f` panics with; fails the test if it returns.
+fn panic_message(f: impl FnOnce()) -> String {
+    let err =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("the call returned");
+    match err.downcast::<String>() {
+        Ok(s) => *s,
+        Err(err) => err
+            .downcast::<&str>()
+            .map_or_else(|_| String::new(), |s| s.to_string()),
+    }
 }
 
 proptest! {
@@ -123,10 +139,12 @@ proptest! {
     }
 
     #[test]
-    fn lazy_parity_holds_at_61_bits(coeffs in prop::collection::vec(any::<u64>(), 32)) {
-        // Largest supported modulus class (q < 2^62, so 4q < 2^64): the
-        // lazy operand bound is tightest here.
-        let m = Modulus::new(ntt_primes(32, 61, 1)[0]).unwrap();
+    fn lazy_parity_holds_at_the_largest_admitted_modulus(
+        coeffs in prop::collection::vec(any::<u64>(), 32),
+    ) {
+        // The growth bound is tightest here: the last stage's sums sit
+        // closest to 2^50.
+        let m = largest_admitted(32);
         let qv = m.value();
         let reduced: Vec<u64> = coeffs.iter().map(|&c| c % qv).collect();
         let t = NttTable::new(32, m);
@@ -295,18 +313,17 @@ proptest! {
     }
 }
 
-/// SIMD/scalar parity: the dispatching kernels must be bit-identical to
-/// the always-available scalar kernels for every qualifying modulus class
-/// and the full lazy operand range — `[0, 4q)` into the forward NTT,
-/// `[0, 2q)` into the inverse. Under `HEAP_SIMD=scalar`, or on hosts
-/// without a vector unit, the dispatchers run the scalar kernels and these
-/// hold trivially.
+/// Kernel parity: the `f64`-lane kernels, at whatever width `HEAP_SIMD`
+/// and the host give this process, must be bit-identical to the strict
+/// integer loops for every admitted modulus class and the full lazy
+/// operand range — `[0, 4q)` into the forward NTT, `[0, 2q)` into the
+/// inverse. CI runs this module under each of the three widths.
 mod simd_parity {
     use super::*;
     use heap_math::{ChainEnd, MacAcc};
 
-    /// A 60-bit NTT prime valid for every ring size used below
-    /// (`q ≡ 1 mod 512`).
+    /// A 60-bit prime, for the `Modulus` arithmetic that has no transform
+    /// behind it (`q ≡ 1 mod 512`).
     fn q60v() -> u64 {
         ntt_primes(256, 60, 1)[0]
     }
@@ -334,10 +351,10 @@ mod simd_parity {
 
     fn assert_forward_parity(m: Modulus, mut input: Vec<u64>) {
         let t = NttTable::new(input.len(), m);
-        let mut scalar = input.clone();
+        let mut strict: Vec<u64> = input.iter().map(|&x| x % m.value()).collect();
         t.forward(&mut input);
-        oracle::forward_lazy_scalar(&t, &mut scalar);
-        assert_eq!(input, scalar);
+        oracle::forward_reference(&t, &mut strict);
+        assert_eq!(input, strict);
     }
 
     /// Lengths the slice decomposition and the signed lift are checked at:
@@ -349,56 +366,43 @@ mod simd_parity {
 
     fn assert_inverse_parity(m: Modulus, mut input: Vec<u64>) {
         let t = NttTable::new(input.len(), m);
-        let mut scalar = input.clone();
+        let mut strict: Vec<u64> = input.iter().map(|&x| x % m.value()).collect();
         t.inverse(&mut input);
-        oracle::inverse_lazy_scalar(&t, &mut scalar);
-        assert_eq!(input, scalar);
+        oracle::inverse_reference(&t, &mut strict);
+        assert_eq!(input, strict);
     }
 
     #[test]
     fn ntt_parity_at_operand_bound_edges() {
-        for n in [8usize, 64, 256] {
+        for n in [16usize, 64, 256] {
+            let big = largest_admitted(n);
             assert_forward_parity(q(), edge_vector(Q36, 4 * Q36, n));
             assert_inverse_parity(q(), edge_vector(Q36, 2 * Q36, n));
-            assert_forward_parity(q60(), edge_vector(q60v(), 4 * q60v(), n));
-            assert_inverse_parity(q60(), edge_vector(q60v(), 2 * q60v(), n));
+            assert_forward_parity(big, edge_vector(big.value(), 4 * big.value(), n));
+            assert_inverse_parity(big, edge_vector(big.value(), 2 * big.value(), n));
         }
     }
 
-    /// Three-way parity at every ring the vector tiers take, up to the
-    /// paper's N = 2^13 on a 36-bit limb — both last-pass shapes of either
-    /// width, and `n = 16`, which has no radix-4 pass at 8 lanes:
-    /// dispatching kernel == scalar lazy kernel == strict reference,
-    /// forward and inverse. (The retired `kernel_sweep` binary asserted
-    /// this before it timed anything; nothing ran it.)
+    /// Parity at every ring the tables admit, up to the paper's N = 2^13 on
+    /// a 36-bit limb — both last-pass shapes of every width, and `n = 16`,
+    /// which has no radix-4 pass at 8 lanes: dispatching kernel == strict
+    /// reference, forward and inverse.
     #[test]
-    fn ntt_three_way_parity_up_to_the_paper_ring() {
+    fn ntt_matches_strict_up_to_the_paper_ring() {
         for n in (4..=13).map(|log_n| 1usize << log_n) {
             let m = Modulus::new(ntt_primes(n as u64, 36, 1)[0]).unwrap();
             let t = NttTable::new(n, m);
             let base: Vec<u64> = (0..n as u64)
                 .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % m.value())
                 .collect();
-            let [mut simd, mut scalar, mut strict] = [base.clone(), base.clone(), base];
-            t.forward(&mut simd);
-            oracle::forward_lazy_scalar(&t, &mut scalar);
+            let [mut fast, mut strict] = [base.clone(), base];
+            t.forward(&mut fast);
             oracle::forward_reference(&t, &mut strict);
-            assert_eq!(simd, strict, "forward diverged at n = {n}");
-            assert_eq!(scalar, strict, "forward_lazy_scalar diverged at n = {n}");
-            t.inverse(&mut simd);
-            oracle::inverse_lazy_scalar(&t, &mut scalar);
+            assert_eq!(fast, strict, "forward diverged at n = {n}");
+            t.inverse(&mut fast);
             oracle::inverse_reference(&t, &mut strict);
-            assert_eq!(simd, strict, "inverse diverged at n = {n}");
-            assert_eq!(scalar, strict, "inverse_lazy_scalar diverged at n = {n}");
+            assert_eq!(fast, strict, "inverse diverged at n = {n}");
         }
-    }
-
-    /// The largest NTT prime for ring `n` that the `f64`-lane transforms
-    /// admit: `(4 + log2 n)·q ≤ 2^50`, the forward gate on `[0, 4q)` inputs,
-    /// which the inverse shares.
-    fn largest_admitted(n: usize) -> Modulus {
-        let limit = (1u64 << 50) / (4 + u64::from(n.trailing_zeros()));
-        super::fused_datapath::prime_near(n, limit, -1)
     }
 
     /// The inverse transform against the strict oracle on `[0, 2q)` edge
@@ -440,8 +444,8 @@ mod simd_parity {
     /// balanced digit chain in one pass, `i32` digits out — against
     /// `oracle::inverse_reference` followed by the scalar signed digit
     /// chain, `Gadget::decompose_slice_signed_into`, on the Tiny and Medium
-    /// presets' gadgets, on a 60-bit ring (past the gate: the scalar
-    /// inverse and digit chain), and on the largest admitted modulus with a
+    /// presets' gadgets, on the largest modulus a 64-point ring admits with
+    /// three digits, and on the largest one `N = 2^11` admits with a
     /// `2^31` base, whose digits reach `±2^30`. Inputs cover the
     /// lazy range `[0, 2q)` and the `q/2` sign boundary of the outputs; a
     /// coefficient-domain limb is decomposed as it is.
@@ -461,12 +465,7 @@ mod simd_parity {
                 18,
                 2,
             ),
-            (
-                1 << 6,
-                Modulus::new(ntt_primes(1 << 6, 60, 1)[0]).unwrap(),
-                20,
-                3,
-            ),
+            (1 << 6, largest_admitted(1 << 6), 16, 3),
             (1 << 11, big, 31, 2),
         ];
         for (n, m, base_bits, digits) in shapes {
@@ -512,7 +511,7 @@ mod simd_parity {
     #[test]
     #[should_panic(expected = "do not fit an i32")]
     fn fused_decomposition_refuses_a_base_of_two_to_the_32() {
-        let m = Modulus::new(ntt_primes(16, 60, 1)[0]).unwrap();
+        let m = largest_admitted(16);
         let (t, g) = (NttTable::new(16, m), Gadget::new(32, 2, m));
         let (limb, mut work, mut out) = (vec![0u64; 16], vec![0u64; 16], vec![0i32; 32]);
         g.decompose_limb_into(&t, &limb, Domain::Eval, &mut work, &mut out);
@@ -532,15 +531,21 @@ mod simd_parity {
         }
 
         #[test]
-        fn forward_parity_60bit_lazy_range(raw in prop::collection::vec(any::<u64>(), 32)) {
-            let coeffs: Vec<u64> = raw.iter().map(|&c| c % (4 * q60v())).collect();
-            assert_forward_parity(q60(), coeffs);
+        fn forward_parity_lazy_range_at_the_largest_admitted_modulus(
+            raw in prop::collection::vec(any::<u64>(), 32),
+        ) {
+            let m = largest_admitted(32);
+            let coeffs: Vec<u64> = raw.iter().map(|&c| c % (4 * m.value())).collect();
+            assert_forward_parity(m, coeffs);
         }
 
         #[test]
-        fn inverse_parity_60bit_lazy_range(raw in prop::collection::vec(any::<u64>(), 32)) {
-            let coeffs: Vec<u64> = raw.iter().map(|&c| c % (2 * q60v())).collect();
-            assert_inverse_parity(q60(), coeffs);
+        fn inverse_parity_lazy_range_at_the_largest_admitted_modulus(
+            raw in prop::collection::vec(any::<u64>(), 32),
+        ) {
+            let m = largest_admitted(32);
+            let coeffs: Vec<u64> = raw.iter().map(|&c| c % (2 * m.value())).collect();
+            assert_inverse_parity(m, coeffs);
         }
 
         /// `ShoupMul::new` reduces its operand, so precomputing from *any*
@@ -554,11 +559,10 @@ mod simd_parity {
             prop_assert_eq!(ShoupMul::new(op, &m).mul(b60, &m), m.mul(m.reduce_u64(op), b60));
         }
 
-        /// The MAC chain — narrow `f64` lanes where the tier has them,
-        /// wide `u128` sums otherwise — must land on the eager Barrett
-        /// chain's canonical residues for signed digits and for residues
-        /// of a foreign modulus alike, driven through the accumulator,
-        /// which is the only documented way in.
+        /// The MAC chain must land on the eager Barrett chain's canonical
+        /// residues for signed digits and for residues of a foreign
+        /// modulus alike, driven through the accumulator, which is the
+        /// only documented way in.
         #[test]
         fn mac_chain_matches_eager_chain(
             d1 in prop::collection::vec(-(1i32 << 17)..=1 << 17, 32),
@@ -637,56 +641,35 @@ mod simd_parity {
 
 /// Exactness of the fused digit → NTT → MAC datapath at the edges of its
 /// gate: every shape the gate admits equals the eager Barrett chain over
-/// the strict transform, and every shape it refuses takes the wide path and
-/// equals it too. (The tier is whatever `HEAP_SIMD` and the host say, for
-/// the whole run.)
+/// the strict transform, and every shape past it is refused — by
+/// `NttTable::new` or by `MacAcc::reset` — before any lane is computed.
+/// (The width is whatever `HEAP_SIMD` and the host say, for the whole run.)
 mod fused_datapath {
     use super::*;
-    use heap_math::simd;
-    use heap_math::{ChainEnd, LazyCoeff, MacAcc, MacPath};
+    use heap_math::{ChainEnd, LazyCoeff, MacAcc};
 
-    /// The path [`MacAcc::reset`] picks for a one-slot chain.
-    fn path_of(t: &NttTable, terms: usize, input_bound: u64, end: ChainEnd) -> MacPath {
+    /// Whether [`MacAcc::reset`] refuses a one-slot chain, naming the
+    /// bound it would pass.
+    fn refused(t: &NttTable, terms: usize, input_bound: u64, end: ChainEnd) -> bool {
         let mut acc = MacAcc::default();
-        acc.reset(t, 1, terms, input_bound, end);
-        acc.path()
-    }
-
-    /// The path a chain the gate admits takes on this tier.
-    fn lanes() -> MacPath {
-        if simd::active().has_f64_lanes() {
-            MacPath::Narrow
-        } else {
-            MacPath::Wide
-        }
-    }
-
-    /// The largest modulus the narrow gate admits for an `n`-point ring on
-    /// inputs up to `input_bound`: `input_bound + log2(n)·q ≤ 2^50`.
-    fn gate_limit(n: usize, input_bound: u64) -> u64 {
-        ((1u64 << 50) - input_bound) / u64::from(n.trailing_zeros())
-    }
-
-    /// The NTT prime for ring `n` nearest to `limit`, at or below it
-    /// (`step = -1`) or above it (`step = 1`).
-    pub(super) fn prime_near(n: usize, limit: u64, step: i64) -> Modulus {
-        let two_n = 2 * n as u64;
-        let mut cand = limit / two_n * two_n + 1;
-        if (step < 0) == (cand > limit) {
-            cand = cand.wrapping_add_signed(step * two_n as i64);
-        }
-        while !is_prime(cand) {
-            cand = cand.wrapping_add_signed(step * two_n as i64);
-        }
-        Modulus::new(cand).unwrap()
+        let reset = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            acc.reset(t, 1, terms, input_bound, end)
+        }));
+        let Err(err) = reset else {
+            return false;
+        };
+        let msg = err
+            .downcast::<String>()
+            .map_or_else(|_| String::new(), |s| *s);
+        assert!(msg.contains("past the f64 lanes' bounds"), "{msg}");
+        true
     }
 
     fn prime_of(n: usize, bits: u32) -> Modulus {
         Modulus::new(ntt_primes(n as u64, bits, 1)[0]).unwrap()
     }
 
-    /// A digit coefficient's canonical residue, taken apart from the
-    /// [`LazyCoeff`] lift the wide path runs.
+    /// A digit coefficient's canonical residue, for the oracle.
     trait Residue: LazyCoeff {
         fn residue(self, q: u64) -> u64;
     }
@@ -707,20 +690,19 @@ mod fused_datapath {
     /// reset for digits up to `input_bound`: the fused entry against the
     /// eager chain. Identical terms make the sums as large as the count
     /// allows; the oracle's `terms`-fold sum is one Barrett product by
-    /// `terms mod q`. Returns the path the chain ran on.
+    /// `terms mod q`.
     fn assert_fused_matches_eager<T: Residue>(
         t: &NttTable,
         input_bound: u64,
         digit: &[T],
         rows: [&[u64]; 2],
         terms: usize,
-    ) -> MacPath {
+    ) {
         let (n, m) = (t.n(), t.modulus());
         let mut x: Vec<u64> = digit.iter().map(|&d| d.residue(m.value())).collect();
         oracle::forward_reference(t, &mut x);
         let mut acc = MacAcc::default();
         acc.reset(t, 2, terms, input_bound, ChainEnd::Reduce);
-        let path = acc.path();
         for _ in 0..terms {
             acc.mac_tile(t, [(0, digit)], [rows]);
         }
@@ -734,11 +716,10 @@ mod fused_datapath {
             assert_eq!(
                 got,
                 want,
-                "n = {n}, q = {}, {terms} terms, {path:?}, slot {slot}",
+                "n = {n}, q = {}, {terms} terms, slot {slot}",
                 m.value()
             );
         }
-        path
     }
 
     /// `forward` on lazy inputs pinned at `4q − 1` against the strict kernel.
@@ -752,39 +733,58 @@ mod fused_datapath {
     }
 
     /// The five modulus classes for ring `n` with their gadget base: the
-    /// preset widths, 45 bits, and the largest prime the gate admits for
-    /// digits of half that base.
+    /// preset widths, 45 bits, and the largest prime the table admits,
+    /// with digits of half a `2^24` base.
     fn modulus_classes(n: usize) -> Vec<(Modulus, u32)> {
         let mut classes: Vec<_> = [28u32, 30, 36, 45]
             .iter()
             .map(|&bits| (prime_of(n, bits), bits.div_ceil(2)))
             .collect();
-        if n >= 16 {
-            classes.push((prime_near(n, gate_limit(n, 1 << 23), -1), 24));
-        }
+        classes.push((largest_admitted(n), 24));
         classes
+    }
+
+    /// `NttTable::new`'s gate at its edges: the largest admitted prime
+    /// builds at `n = 16` and at `n = 2^16`, and transforms exactly at the
+    /// lazy input bound; the next NTT prime above it and an 8-point ring
+    /// are refused, each naming its bound.
+    #[test]
+    fn ntt_table_admits_the_largest_prime_and_refuses_the_next() {
+        for n in [16usize, 1 << 16] {
+            let m = largest_admitted(n);
+            let growth = u128::from(4 + n.trailing_zeros()) * u128::from(m.value());
+            assert!(growth <= 1 << 50, "n = {n}");
+            assert_forward_exact_at_4q(&NttTable::new(n, m));
+            let next = prime_near(n, m.value(), 1);
+            let msg = panic_message(|| drop(NttTable::new(n, next)));
+            assert!(
+                msg.contains("(4 + log2 n)·q must be at most 2^50"),
+                "n = {n}: {msg}"
+            );
+        }
+        let small = Modulus::new(ntt_primes(8, 36, 1)[0]).unwrap();
+        let msg = panic_message(|| drop(NttTable::new(8, small)));
+        assert!(msg.contains("power of two >= 16"), "{msg}");
     }
 
     /// Digits pinned at `±2^(base_bits−1)`, residues pinned at `q − 1` and
     /// at the largest foreign modulus the gate admits, key rows at `q − 1`,
-    /// `0` and random, 28 terms (the paper's `2·7·2`; fewer where a modulus
-    /// near `2^48` admits fewer), every `N` from 8 to the paper's `2^13`:
-    /// the fused entry equals the eager chain, and so does `forward` on
-    /// lazy inputs pinned at `4q − 1`.
+    /// `0` and random, 28 terms (the paper's `2·7·2`), every `N` from 16 to
+    /// the paper's `2^13`: the fused entry equals the eager chain, and so
+    /// does `forward` on lazy inputs pinned at `4q − 1`.
     #[test]
     fn fused_entry_matches_eager_chain_at_the_extremes() {
-        for n in (3..=13).map(|log_n| 1usize << log_n) {
+        for n in (4..=13).map(|log_n| 1usize << log_n) {
             for (m, base_bits) in modulus_classes(n) {
                 let q = m.value();
                 let t = NttTable::new(n, m);
-                let terms = 28.min((1u64 << 52) / q) as usize;
+                let terms = 28;
                 let half_base = 1i32 << (base_bits - 1);
                 let random: Vec<u64> = (0..n as u64)
                     .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % q)
                     .collect();
                 let rows = [vec![q - 1; n], vec![0; n], random];
 
-                let admitted = if n >= 16 { lanes() } else { MacPath::Wide };
                 let digits = [
                     vec![half_base; n],
                     vec![-half_base; n],
@@ -795,38 +795,21 @@ mod fused_datapath {
                 for digit in &digits {
                     for pair in [[&rows[0], &rows[2]], [&rows[1], &rows[0]]] {
                         let pair = pair.map(|r| &r[..]);
-                        let path =
-                            assert_fused_matches_eager(&t, half_base as u64, digit, pair, terms);
-                        assert_eq!(path, admitted, "n = {n}, q = {q}");
+                        assert_fused_matches_eager(&t, half_base as u64, digit, pair, terms);
                     }
                 }
 
-                // Key-switch digits: residues pinned at this modulus' top
-                // (narrow only where it fits the gate), and at the largest
-                // magnitude the gate admits.
+                // Key-switch digits: residues pinned at this modulus' top,
+                // and at the largest magnitude the gate admits.
                 let largest = (1u64 << 50) - u64::from(n.trailing_zeros()) * q;
                 for residue in [q - 1, largest] {
                     let digit = vec![residue; n];
-                    let path = assert_fused_matches_eager(
-                        &t,
-                        residue,
-                        &digit,
-                        [&rows[0], &rows[2]],
-                        terms,
-                    );
-                    if residue == largest {
-                        assert_eq!(path, admitted, "n = {n}, q = {q}");
-                    }
+                    let pair = [&rows[0][..], &rows[2][..]];
+                    assert_fused_matches_eager(&t, residue, &digit, pair, terms);
                 }
 
                 assert_forward_exact_at_4q(&t);
             }
-            // The largest prime `forward` itself admits: `(4 + log2 n)·q ≤ 2^50`.
-            let log_n = u64::from(n.trailing_zeros());
-            assert_forward_exact_at_4q(&NttTable::new(
-                n,
-                prime_near(n, (1 << 50) / (4 + log_n), -1),
-            ));
         }
     }
 
@@ -841,20 +824,16 @@ mod fused_datapath {
             let t = NttTable::new(n, m);
             let half_base = 1u64 << (base_bits - 1);
             let terms = ((1u64 << 52) / q) as usize;
-            let reduce = ChainEnd::Reduce;
-            assert_eq!(path_of(&t, terms + 1, half_base, reduce), MacPath::Wide);
+            assert!(refused(&t, terms + 1, half_base, ChainEnd::Reduce));
             let digit = vec![-(half_base as i32); n];
             let rows = [vec![q - 1; n], vec![q / 2; n]];
-            let path =
-                assert_fused_matches_eager(&t, half_base, &digit, [&rows[0], &rows[1]], terms);
-            assert_eq!(path, lanes(), "q = {q}");
+            assert_fused_matches_eager(&t, half_base, &digit, [&rows[0], &rows[1]], terms);
         }
     }
 
     /// A chain fed past what it was reset for never returns a wrong
-    /// residue. A table of another modulus is refused on either path.
-    /// More terms than declared either equal the eager chain (wide) or are
-    /// refused once a slot could pass `2^52` (narrow).
+    /// residue: a table of another modulus is refused, and so are more
+    /// terms than declared once a slot could pass `2^52`.
     #[test]
     fn chain_fed_past_its_reset_never_returns_a_wrong_residue() {
         let n = 32;
@@ -862,58 +841,29 @@ mod fused_datapath {
         let q = t.modulus().value();
         let digit: Vec<u64> = (0..n as u64).map(|i| (q - 1 - i * 977) % q).collect();
         let row: Vec<u64> = (0..n as u64).map(|i| q - 1 - i * 31).collect();
-        let sixty = NttTable::new(n, prime_of(n, 60));
-        let err_text = |err: Box<dyn std::any::Any + Send>| {
-            err.downcast::<String>()
-                .map_or_else(|_| String::new(), |s| *s)
-        };
+        let other = NttTable::new(n, prime_of(n, 36));
 
         let mut acc = MacAcc::default();
         acc.reset(&t, 2, 1, q, ChainEnd::Reduce);
-        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            acc.mac_tile(&sixty, [(0, &digit[..])], [[&row[..], &row[..]]])
-        }));
-        let msg = err_text(refused.expect_err("a chain ran under another modulus"));
+        let msg = panic_message(|| acc.mac_tile(&other, [(0, &digit[..])], [[&row[..], &row[..]]]));
         assert!(msg.contains("not reset for"), "{msg}");
 
         let terms = ((1u64 << 52) / q) as usize + 1;
-        let mut x = digit.clone();
-        oracle::forward_reference(&t, &mut x);
-        let mut once = vec![0u64; n];
-        t.pointwise_acc(&x, &row, &mut once);
-        let count = t.modulus().reduce_u64(terms as u64);
-        let want: Vec<u64> = once.iter().map(|&p| t.modulus().mul(p, count)).collect();
-        let chain = std::panic::catch_unwind(|| {
+        let msg = panic_message(|| {
             let mut acc = MacAcc::default();
             acc.reset(&t, 2, 1, q, ChainEnd::Reduce);
             for _ in 0..terms {
                 acc.mac_tile(&t, [(0, &digit[..])], [[&row[..], &row[..]]]);
             }
-            let mut got = vec![0u64; 2 * n];
-            let (a, b) = got.split_at_mut(n);
-            acc.reduce_into(0, &t, a);
-            acc.reduce_into(1, &t, b);
-            got
         });
-        match chain {
-            Ok(got) => {
-                assert_eq!(lanes(), MacPath::Wide, "a narrow chain passed 2^52");
-                assert_eq!(got, [&want[..], &want[..]].concat());
-            }
-            Err(err) => {
-                let msg = err_text(err);
-                assert!(msg.contains("past its exact bound"), "{msg}");
-            }
-        }
+        assert!(msg.contains("past its exact bound"), "{msg}");
     }
 
     /// The CMux fold against the eager sequence it replaces — reduce each
     /// sum, scale it by its factor, add both to the accumulator — with sums
     /// as large as the fold's gate admits, factors and accumulator pinned
-    /// at `q − 1` and random: on the chain the gate admits (narrow where the
-    /// tier has `f64` lanes) and on one declared a term longer, which the
-    /// gate sends wide. A narrow chain refuses to fold a term past its
-    /// bound.
+    /// at `q − 1` and random. A chain declared a term longer is refused at
+    /// `reset`, and one fed a term past its declaration refuses to fold.
     #[test]
     fn fold_matches_the_eager_sequence_at_its_gate() {
         for n in [16usize, 64, 1 << 11] {
@@ -922,7 +872,7 @@ mod fused_datapath {
             let q = m.value();
             let terms = ((1u64 << 50) / q) as usize;
             let half_base = 1u64 << 17;
-            assert_eq!(path_of(&t, terms, half_base, ChainEnd::Reduce), lanes());
+            assert!(refused(&t, terms + 1, half_base, ChainEnd::Fold), "n = {n}");
             let random = |salt: u64| -> Vec<u64> {
                 (0..n as u64)
                     .map(|i| (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) % q)
@@ -951,52 +901,37 @@ mod fused_datapath {
                     )
                 })
                 .collect();
-            for (declared, path) in [(terms, lanes()), (terms + 1, MacPath::Wide)] {
-                let mut acc = MacAcc::default();
-                acc.reset(&t, 2, declared, half_base, ChainEnd::Fold);
-                assert_eq!(acc.path(), path, "n = {n}, {declared} terms");
-                for _ in 0..terms {
-                    acc.mac_tile(&t, [(0, &digit[..])], [[&rows[0][..], &rows[1][..]]]);
-                }
-                let mut got = start.clone();
-                acc.fold_into([0, 1], [&factors[0], &factors[1]], &t, &mut got);
-                assert_eq!(got, want, "n = {n}, {path:?}");
-                if path == MacPath::Narrow {
-                    acc.mac_tile(&t, [(0, &digit[..])], [[&rows[0][..], &rows[1][..]]]);
-                    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        acc.fold_into([0, 1], [&factors[0], &factors[1]], &t, &mut got)
-                    }));
-                    assert!(refused.is_err(), "a narrow fold past 2^50 ran, n = {n}");
-                }
+            let mut acc = MacAcc::default();
+            acc.reset(&t, 2, terms, half_base, ChainEnd::Fold);
+            for _ in 0..terms {
+                acc.mac_tile(&t, [(0, &digit[..])], [[&rows[0][..], &rows[1][..]]]);
             }
+            let mut got = start.clone();
+            acc.fold_into([0, 1], [&factors[0], &factors[1]], &t, &mut got);
+            assert_eq!(got, want, "n = {n}");
+            acc.mac_tile(&t, [(0, &digit[..])], [[&rows[0][..], &rows[1][..]]]);
+            let msg =
+                panic_message(|| acc.fold_into([0, 1], [&factors[0], &factors[1]], &t, &mut got));
+            assert!(msg.contains("the fold's exact bound"), "n = {n}: {msg}");
         }
     }
 
     /// Just past the gate — the next prime above the largest admitted one,
-    /// and inputs one past the largest admitted magnitude — lands on the
-    /// wide path and the scalar lazy transform on every host, and is still
-    /// bit-identical.
+    /// and inputs one past the largest admitted magnitude — is refused on
+    /// every host: the modulus by `NttTable::new`, the inputs by
+    /// `MacAcc::reset`.
     #[test]
-    fn shapes_past_the_gate_take_the_wide_path_bit_identically() {
+    fn shapes_past_the_gate_are_refused_at_new_or_reset() {
         for n in [16usize, 1 << 11, 1 << 13] {
-            let (half_base, terms) = (1u64 << 23, 28);
-            let m = prime_near(n, gate_limit(n, half_base), 1);
-            let t = NttTable::new(n, m);
-            let q = m.value();
-            let digit = vec![half_base as i32; n];
-            let rows = [vec![q - 1; n], vec![1; n]];
-            let path =
-                assert_fused_matches_eager(&t, half_base, &digit, [&rows[0], &rows[1]], terms);
-            assert_eq!(path, MacPath::Wide, "n = {n}");
+            let inside = largest_admitted(n);
+            let past = prime_near(n, inside.value(), 1);
+            let msg = panic_message(|| drop(NttTable::new(n, past)));
+            assert!(msg.contains("2^50"), "n = {n}: {msg}");
 
-            assert_forward_exact_at_4q(&t);
-
-            // An admitted modulus, inputs one too large.
-            let inside = prime_near(n, gate_limit(n, half_base), -1);
             let t = NttTable::new(n, inside);
-            let too_large = (1u64 << 50) - u64::from(n.trailing_zeros()) * inside.value() + 1;
-            let path = path_of(&t, terms, too_large, ChainEnd::Reduce);
-            assert_eq!(path, MacPath::Wide, "n = {n}");
+            let fits = (1u64 << 50) - u64::from(n.trailing_zeros()) * inside.value();
+            assert!(!refused(&t, 28, fits, ChainEnd::Reduce), "n = {n}");
+            assert!(refused(&t, 28, fits + 1, ChainEnd::Reduce), "n = {n}");
         }
     }
 }
@@ -1004,31 +939,19 @@ mod fused_datapath {
 /// Ragged shapes at the `f64`-lane entry points, `NttTable::{forward,
 /// inverse}`, `Gadget::decompose_limb_into` and `MacAcc::mac_tile`, for
 /// CI's ASan step to run on every
-/// tier. Rings are powers of two, so "ragged" means a ring below the
-/// 16-point vector gate, which must take the scalar kernels and agree with
-/// the strict oracle, or a slice that is not the ring's length, which must
-/// panic with the entry point's own message before any lane is read.
+/// tier. Rings are powers of two, so "ragged" means the smallest rings the
+/// tables admit, which must agree with the strict oracle, or a slice that
+/// is not the ring's length, which must panic with the entry point's own
+/// message before any lane is read.
 mod ragged_entry_points {
     use super::*;
-    use heap_math::{ChainEnd, MacAcc, MacPath};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use heap_math::{ChainEnd, MacAcc};
 
-    /// The two moduli each ring runs under: 36 bits, whose MAC chains run
-    /// narrow from `n = 16` where the tier has `f64` lanes, and 60 bits,
-    /// whose chains run wide on every tier.
+    /// The two moduli each ring runs under: 36 bits, and the largest
+    /// modulus a 256-point ring admits — an NTT prime for every ring up to
+    /// 256, inside every smaller ring's bound.
     fn moduli() -> [Modulus; 2] {
-        [q(), Modulus::new(ntt_primes(256, 60, 1)[0]).unwrap()]
-    }
-
-    /// The message `f` panics with; fails the test if it returns.
-    fn panic_message(f: impl FnOnce()) -> String {
-        let err = catch_unwind(AssertUnwindSafe(f)).expect_err("ragged call returned");
-        match err.downcast::<String>() {
-            Ok(s) => *s,
-            Err(err) => err
-                .downcast::<&str>()
-                .map_or_else(|_| String::new(), |s| s.to_string()),
-        }
+        [q(), largest_admitted(256)]
     }
 
     fn residues(n: usize, salt: u64) -> Vec<u64> {
@@ -1037,14 +960,14 @@ mod ragged_entry_points {
             .collect()
     }
 
-    /// Rings below the vector gate take the scalar kernels and the wide
-    /// MAC path; `n = 16` is one 8-lane block with no radix-4 pass and
-    /// `n = 32` one radix-4 pass and the shorter last pass. Forward,
-    /// inverse, the signed MAC and the fold agree with the strict oracle
-    /// under both [`moduli`], and so does the fused decomposer.
+    /// The smallest rings the tables admit: `n = 16` is one 8-lane block
+    /// with no radix-4 pass and `n = 32` one radix-4 pass and the shorter
+    /// last pass. Forward, inverse, the signed MAC and the fold agree with
+    /// the strict oracle under both [`moduli`], and so does the fused
+    /// decomposer.
     #[test]
-    fn smallest_rings_match_the_strict_oracle() {
-        for (n, m) in [2usize, 4, 8, 16, 32]
+    fn smallest_admitted_rings_match_the_strict_oracle() {
+        for (n, m) in [16usize, 32]
             .into_iter()
             .flat_map(|n| moduli().map(|m| (n, m)))
         {
@@ -1090,26 +1013,27 @@ mod ragged_entry_points {
                 .collect();
             let mut acc = MacAcc::default();
             acc.reset(&t, 2, 2, 1 << 21, ChainEnd::Fold);
-            let path = acc.path();
-            if n < 16 || m.value() > Q36 {
-                assert_eq!(path, MacPath::Wide, "n = {n}, q = {}", m.value());
-            }
             acc.mac_tile(&t, [(0, &digit[..])], [[&rows[0][..], &rows[1][..]]]);
             acc.mac_tile(&t, [(0, &digit[..])], [[&rows[0][..], &rows[1][..]]]);
             for (slot, w) in want.iter().enumerate() {
                 let mut got = vec![0u64; n];
                 acc.reduce_into(slot, &t, &mut got);
-                assert_eq!(&got, w, "mac_tile, {path:?}, n = {n}, slot {slot}");
+                assert_eq!(&got, w, "mac_tile, n = {n}, slot {slot}");
             }
             let mut got = start.clone();
             acc.fold_into([0, 1], [&factors[0], &factors[1]], &t, &mut got);
-            assert_eq!(got, folded, "fold_into, {path:?}, n = {n}");
+            assert_eq!(got, folded, "fold_into, n = {n}");
+        }
+        for n in [2usize, 4, 8] {
+            let m = Modulus::new(ntt_primes(n as u64, 36, 1)[0]).unwrap();
+            let msg = panic_message(|| drop(NttTable::new(n, m)));
+            assert!(msg.contains(">= 16"), "n = {n}: {msg}");
         }
     }
 
     #[test]
     fn mismatched_lengths_panic_cleanly() {
-        for n in [4usize, 16, 64] {
+        for n in [16usize, 64] {
             let t = NttTable::new(n, q());
             for len in [n / 2, n - 1, n + 1, 2 * n] {
                 for inverse in [false, true] {
@@ -1150,7 +1074,6 @@ mod ragged_entry_points {
                 let (t, other) = (NttTable::new(n, m), NttTable::new(2 * n, m));
                 let mut acc = MacAcc::default();
                 acc.reset(&t, 2, 2, 1, ChainEnd::Fold);
-                let path = acc.path();
                 for len in [n - 1, n + 1] {
                     let short = vec![1i32; len];
                     let ragged_row = residues(len, 6);
@@ -1165,7 +1088,7 @@ mod ragged_entry_points {
                         let msg = panic_message(|| acc.mac_tile(table, [(0, &digit[..])], rows));
                         assert!(
                             msg.contains("length mismatch"),
-                            "{what}, {path:?}, n = {n}, len = {len}: {msg}"
+                            "{what}, n = {n}, len = {len}: {msg}"
                         );
                     }
                     // The chain's two ends: the reduction's output, and the
@@ -1174,7 +1097,7 @@ mod ragged_entry_points {
                     let msg = panic_message(|| acc.reduce_into(0, &t, &mut ragged_out));
                     assert!(
                         msg.contains("length mismatch"),
-                        "reduce_into, {path:?}: {msg}"
+                        "reduce_into, n = {n}: {msg}"
                     );
                     let mut good_acc = residues(n, 8);
                     let fold_cases = [
@@ -1187,7 +1110,7 @@ mod ragged_entry_points {
                         let msg = panic_message(|| acc.fold_into([0, 1], factors, table, acc_limb));
                         assert!(
                             msg.contains("length mismatch"),
-                            "fold {what}, {path:?}, n = {n}, len = {len}: {msg}"
+                            "fold {what}, n = {n}, len = {len}: {msg}"
                         );
                     }
                 }

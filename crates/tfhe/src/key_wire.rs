@@ -27,7 +27,7 @@ use rand::SeedableRng;
 use heap_math::arith::Modulus;
 use heap_math::seeded::{get_mode, get_prg, get_row, put_mode, put_row, put_seed, reseed_row};
 use heap_math::wire::{residue_bits, WireError, WireReader, WireWriter};
-use heap_math::{sample, Domain, RnsContext, RnsPoly};
+use heap_math::{sample, ChainEnd, Domain, Gadget, MacAcc, RnsContext, RnsPoly};
 
 use crate::blind_rotate::BlindRotateKey;
 use crate::lwe::{LweKeySwitchKey, LweSecretKey};
@@ -216,8 +216,9 @@ pub fn brk_write(w: &mut WireWriter, brk: &BlindRotateKey, ctx: &RnsContext, see
 ///
 /// # Errors
 ///
-/// Returns a [`WireError`] on truncation, corrupted fields, or a shape
-/// disagreeing with `ctx`.
+/// Returns a [`WireError`] on truncation, corrupted fields, a shape
+/// disagreeing with `ctx`, or a gadget the key could not rotate with on
+/// `ctx`.
 pub fn brk_from_wire(buf: &[u8], ctx: &RnsContext) -> Result<BlindRotateKey, WireError> {
     let mut r = WireReader::new(buf);
     if r.get_u32()? != BRK_MAGIC {
@@ -239,6 +240,17 @@ pub fn brk_from_wire(buf: &[u8], ctx: &RnsContext) -> Result<BlindRotateKey, Wir
     // `2^31` is refused here, not at the first rotation.
     if base_bits == 0 || base_bits > RgswParams::MAX_BASE_BITS || digits == 0 || digits > 64 {
         return Err(WireError::Corrupt("BRK gadget"));
+    }
+    // So are a gadget that does not cover a limb, and one whose CMux fold —
+    // `2·limbs·digits` terms per slot under each limb — passes what the
+    // MAC chain admits on this ring.
+    let (terms, digit_bound) = (2 * limbs * digits, 1u64 << (base_bits - 1));
+    for j in 0..limbs {
+        if !Gadget::covers(base_bits, digits, ctx.modulus(j))
+            || !MacAcc::admits(ctx.ntt(j), terms, digit_bound, ChainEnd::Fold)
+        {
+            return Err(WireError::Corrupt("BRK gadget"));
+        }
     }
     for m in &ctx.moduli()[..limbs] {
         if r.get_u64()? != m.value() {
@@ -478,6 +490,9 @@ mod tests {
     /// `u32` shape fields): `2^31` is the largest whose balanced digits fit
     /// the external product's `i32`s, and `2^32` is refused as a typed
     /// error rather than decoded into a key that panics when it rotates.
+    /// So is a base whose two digits do not cover the 30-bit ring (`2^14`,
+    /// `2^1`), while `2^15` covers it exactly; and, on a 45-bit ring, a
+    /// digit count whose CMux fold passes `2^50`.
     #[test]
     fn brk_refuses_a_gadget_base_whose_digits_overflow_i32() {
         let ctx = rns();
@@ -494,12 +509,31 @@ mod tests {
             b[at..at + 4].copy_from_slice(&bits.to_le_bytes());
             brk_from_wire(&b, &ctx)
         };
-        assert_eq!(with_base(31).map(|k| k.params().base_bits), Ok(31));
-        for bits in [32, 33, u32::MAX] {
+        for bits in [15, 31] {
+            assert_eq!(with_base(bits).map(|k| k.params().base_bits), Ok(bits));
+        }
+        for bits in [32, 33, u32::MAX, 14, 1] {
             assert_eq!(
                 with_base(bits).err(),
-                Some(WireError::Corrupt("BRK gadget"))
+                Some(WireError::Corrupt("BRK gadget")),
+                "base 2^{bits}"
             );
         }
+
+        // Two 45-bit limbs: 2·2·8 terms fold within 2^50, 2·2·9 do not.
+        let ctx = RnsContext::new(64, &ntt_primes(64, 45, 2));
+        let ring_sk = RingSecretKey::generate(&ctx, 2, &mut rng);
+        let params = RgswParams {
+            base_bits: 6,
+            digits: 8,
+        };
+        let brk = BlindRotateKey::generate(&ctx, &lwe_sk, &ring_sk, 2, params, &mut rng);
+        let mut bytes = brk_to_wire(&brk, &ctx, None);
+        assert_eq!(brk_from_wire(&bytes, &ctx).map(|k| *k.params()), Ok(params));
+        bytes[at + 4..at + 8].copy_from_slice(&9u32.to_le_bytes());
+        assert_eq!(
+            brk_from_wire(&bytes, &ctx).err(),
+            Some(WireError::Corrupt("BRK gadget"))
+        );
     }
 }

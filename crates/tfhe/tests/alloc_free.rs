@@ -28,6 +28,10 @@ use rand::SeedableRng;
 mod tracking_alloc;
 use tracking_alloc::tracked;
 
+#[path = "../../../tests/support/ceiling.rs"]
+mod ceiling;
+use ceiling::largest_admitted_primes;
+
 #[test]
 fn external_product_into_is_allocation_free_when_warm() {
     let ctx = RnsContext::new(128, &ntt_primes(128, 30, 2));
@@ -62,17 +66,16 @@ fn external_product_into_is_allocation_free_when_warm() {
     // active member. A warm call still allocates its outputs, so the
     // per-key loop is isolated by rotating the same tile under a 2-step
     // and an 8-step key: equal counts mean the six extra steps allocated
-    // nothing. Same warm-then-count protocol, once per accumulator path:
-    // the 30-bit ring above takes the narrow `f64` accumulators where the
-    // tier has them, a 60-bit ring the wide `u128` ones on every tier.
-    let wide_ctx = RnsContext::new(128, &ntt_primes(128, 60, 2));
-    let wide_params = RgswParams {
-        base_bits: 20,
-        digits: 3,
+    // nothing. Same warm-then-count protocol on the 30-bit ring above and
+    // on one at the ceiling, the largest primes the tables admit.
+    let top_ctx = RnsContext::new(128, &largest_admitted_primes(128, 2));
+    let top_params = RgswParams {
+        base_bits: 24,
+        digits: 2,
     };
-    let wide_sk = RingSecretKey::generate(&wide_ctx, 2, &mut rng);
+    let top_sk = RingSecretKey::generate(&top_ctx, 2, &mut rng);
     let mut tile_scratch = BlindRotateScratch::default();
-    for (ctx, params, sk) in [(&ctx, params, &sk), (&wide_ctx, wide_params, &wide_sk)] {
+    for (ctx, params, sk) in [(&ctx, params, &sk), (&top_ctx, top_params, &top_sk)] {
         let f = test_polynomial_from_fn(ctx, 2, |u| u << 40);
         let mut rotation_allocs = |n_t: usize, tile: usize| {
             let lwe_sk = LweSecretKey::generate(&mut rng, n_t);

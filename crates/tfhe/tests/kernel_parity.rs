@@ -1,23 +1,22 @@
 //! Bit-identity parity suite: every optimized kernel against its retained
 //! strict oracle.
 //!
-//! The lazy-reduction NTT, the `u128`-MAC external product, and the
+//! The lazy-reduction NTT, the lazy-MAC external product, and the
 //! restructured CMux are *exact* rewrites — same canonical output, not
 //! just the same phase up to noise. This suite pins that claim on random
 //! inputs: lazy external products vs `oracle::external_product_reference`, and
 //! the key-major tile rotation ([`BlindRotateKey::blind_rotate_batch_with`],
 //! of which [`BlindRotateKey::blind_rotate`] is the batch of one) vs
 //! `oracle::blind_rotate_reference`, including the `a_i = 0`
-//! skip and `a_i = N` negacyclic-wrap edges. The gate tests pin which
-//! datapath [`MacAcc::reset`] picks for a shape: narrow exactly where the
-//! process's tier has the vector kernel, wide for every 60-bit shape. The
-//! SIMD tier is fixed per process, so the wide path is covered on every
-//! tier by 60-bit rings, and each tier by running this suite under it
+//! skip and `a_i = N` negacyclic-wrap edges. The shape tests run on 30-
+//! or 36-bit limbs and again at the ceiling — the largest primes
+//! `NttTable::new` admits, with a gadget whose fold chain
+//! [`MacAcc::reset`] still admits. The SIMD width is fixed per process, so
+//! each width is covered by running this suite under it
 //! (`HEAP_SIMD=auto|avx2|scalar`).
 
 use heap_math::prime::ntt_primes;
-use heap_math::simd;
-use heap_math::{ChainEnd, MacAcc, MacPath, RnsContext, RnsPoly};
+use heap_math::{ChainEnd, MacAcc, RnsContext, RnsPoly};
 use heap_tfhe::lwe::LweSecretKey;
 use heap_tfhe::oracle::{
     blind_rotate_reference, external_product_reference, lwe_key_switch_fold_interval,
@@ -32,6 +31,10 @@ use heap_tfhe::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+#[path = "../../../tests/support/ceiling.rs"]
+mod ceiling;
+use ceiling::largest_admitted_primes;
 
 const N: usize = 64;
 const LIMBS: usize = 2;
@@ -48,47 +51,32 @@ fn params() -> RgswParams {
     }
 }
 
-/// A gadget that covers a 60-bit limb: wide on every tier.
-fn wide_params() -> RgswParams {
+/// A gadget that covers the largest admitted primes in two digits, whose
+/// CMux fold over two limbs, `8·q`, stays inside `2^50`.
+fn ceiling_params() -> RgswParams {
     RgswParams {
-        base_bits: 20,
-        digits: 3,
+        base_bits: 24,
+        digits: 2,
     }
 }
 
-/// The two shapes every oracle comparison below runs: [`ctx`], narrow
-/// where the tier has `f64` lanes, and two 60-bit limbs, wide everywhere.
+/// The two shapes every oracle comparison below runs: [`ctx`], and two
+/// limbs at the ceiling.
 fn shapes() -> [(RnsContext, RgswParams); 2] {
     [
         (ctx(), params()),
         (
-            RnsContext::new(N, &ntt_primes(N as u64, 60, LIMBS)),
-            wide_params(),
+            RnsContext::new(N, &largest_admitted_primes(N, LIMBS)),
+            ceiling_params(),
         ),
     ]
 }
 
-/// The datapath the process's tier gives a chain the `f64` kernels admit.
-fn native() -> MacPath {
-    if simd::active().has_f64_lanes() {
-        MacPath::Narrow
-    } else {
-        MacPath::Wide
-    }
-}
-
-/// The datapath [`MacAcc::reset`] picks for limb `j`'s chain of an
-/// external product over `limbs` limbs.
-fn chain_path(c: &RnsContext, j: usize, p: &RgswParams, limbs: usize, end: ChainEnd) -> MacPath {
-    let mut acc = MacAcc::default();
-    acc.reset(
-        c.ntt(j),
-        2,
-        2 * limbs * p.digits,
-        1 << (p.base_bits - 1),
-        end,
-    );
-    acc.path()
+/// Whether [`MacAcc::reset`] admits limb `j`'s chain of an external
+/// product over `limbs` limbs.
+fn admits(c: &RnsContext, j: usize, p: &RgswParams, limbs: usize, end: ChainEnd) -> bool {
+    let (terms, digit_bound) = (2 * limbs * p.digits, 1 << (p.base_bits - 1));
+    MacAcc::admits(c.ntt(j), terms, digit_bound, end)
 }
 
 fn assert_bit_identical(a: &RlweCiphertext, b: &RlweCiphertext, what: &str) {
@@ -111,16 +99,14 @@ fn product_operands(
     (c, ct, rgsw)
 }
 
-/// The paper's shape (36-bit limbs, `d = 2`): narrow exactly when the
-/// tier has the vector kernel — so an AVX2+FMA CI host is known to exercise
-/// it — and wide under `HEAP_SIMD=scalar`, bit-identical to the strict
-/// reference either way.
+/// The paper's shape (36-bit limbs, `d = 2`): admitted, and bit-identical
+/// to the strict reference.
 #[test]
-fn paper_shape_takes_narrow_path_exactly_where_the_kernel_applies() {
+fn paper_shape_is_admitted_and_matches_reference() {
     let p = RgswParams::paper();
     let (c, ct, rgsw) = product_operands(&ntt_primes(N as u64, 36, LIMBS), &p, 0x36B1);
     for j in 0..LIMBS {
-        assert_eq!(chain_path(&c, j, &p, LIMBS, ChainEnd::Reduce), native());
+        assert!(admits(&c, j, &p, LIMBS, ChainEnd::Reduce));
     }
     let strict = external_product_reference(&ct, &rgsw, &c, &p);
     assert_bit_identical(
@@ -130,21 +116,22 @@ fn paper_shape_takes_narrow_path_exactly_where_the_kernel_applies() {
     );
 }
 
-/// 60-bit limbs have no narrow kernel: 4 terms (1 limb × 2 digits) and 12
-/// terms (2 limbs × 3 digits) both run the wide accumulators under native
-/// dispatch, bit-identical to the strict reference.
+/// The largest primes the tables admit: 4 terms (1 limb × 2 digits) and
+/// 12 terms (2 limbs × 3 digits) are admitted and bit-identical to the
+/// strict reference.
 #[test]
-fn sixty_bit_shapes_take_wide_path() {
-    for (limbs, base_bits, digits) in [(1, 30, 2), (2, 20, 3)] {
+fn ceiling_shapes_match_reference() {
+    for (limbs, base_bits, digits) in [(1, 24, 2), (2, 16, 3)] {
         let p = RgswParams { base_bits, digits };
-        let (c, ct, rgsw) = product_operands(&ntt_primes(N as u64, 60, limbs), &p, 0x60B1);
+        let primes = largest_admitted_primes(N, limbs);
+        let (c, ct, rgsw) = product_operands(&primes, &p, 0x47B1);
         for j in 0..limbs {
-            let path = chain_path(&c, j, &p, limbs, ChainEnd::Reduce);
-            assert_eq!(path, MacPath::Wide, "{limbs} limbs × {digits} digits");
+            let admitted = admits(&c, j, &p, limbs, ChainEnd::Reduce);
+            assert!(admitted, "{limbs} limbs × {digits} digits");
         }
         let lazy = external_product(&ct, &rgsw, &c, &p);
         let strict = external_product_reference(&ct, &rgsw, &c, &p);
-        assert_bit_identical(&lazy, &strict, "60-bit external_product");
+        assert_bit_identical(&lazy, &strict, "ceiling external_product");
     }
 }
 
@@ -167,8 +154,7 @@ fn scratch_reused_across_contexts_rebuilds_gadgets() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Lazy-MAC external product (narrow accumulators where the host has
-    /// the kernel, wide otherwise) == strict reference, on a fresh
+    /// Lazy-MAC external product == strict reference, on a fresh
     /// encryption of a random message against RGSW(m) for m ∈ {0, 1, -1}
     /// (the ternary blind-rotate key alphabet).
     #[test]
@@ -213,14 +199,13 @@ proptest! {
     /// The key-major tile is bit-identical, per member, to rotating each
     /// LWE through the strict reference on its own — for tiles of 1, 2, 3,
     /// 7, 8 and 9 (one MAC call per key row feeds every active member), on
-    /// both [`shapes`] (the wide one runs `u128` MACs on every
-    /// tier). The first steps put `a_i ∈ {0, N}` on a different subset of
+    /// both [`shapes`]. The first steps put `a_i ∈ {0, N}` on a different subset of
     /// members each, so a step skips some members of a tile and not
     /// others, and the last step skips the whole tile.
     #[test]
     fn batch_matches_reference_per_member(seed in any::<u64>()) {
-        // One scratch throughout: tiles of different sizes and both MAC
-        // paths reuse it without leaking state.
+        // One scratch throughout: tiles of different sizes and both shapes
+        // reuse it without leaking state.
         let mut scratch = BlindRotateScratch::default();
         for (c, p) in shapes() {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -258,9 +243,8 @@ proptest! {
 
 /// A tile shares one MAC chain, but each accumulator slot holds only its
 /// own member's terms. At 45 bits with `d = 3` one member's `6·q` sits
-/// inside the fold's `2^50` while eight members' `48·q` do not: the tile
-/// still takes the narrow fold where the kernel applies, and each member
-/// equals the strict oracle.
+/// inside the fold's `2^50` while eight members' `48·q` do not: the tile's
+/// chain is still admitted, and each member equals the strict oracle.
 #[test]
 fn tile_whose_total_terms_pass_the_fold_bound_matches_reference() {
     let c = RnsContext::new(N, &ntt_primes(N as u64, 45, 1));
@@ -271,7 +255,7 @@ fn tile_whose_total_terms_pass_the_fold_bound_matches_reference() {
     let (terms, tile) = (2 * p.digits, 8);
     let q = u128::from(c.modulus(0).value());
     assert!(terms as u128 * q <= 1 << 50 && (tile * terms) as u128 * q > 1 << 50);
-    assert_eq!(chain_path(&c, 0, &p, 1, ChainEnd::Fold), native());
+    assert!(admits(&c, 0, &p, 1, ChainEnd::Fold));
 
     let mut rng = StdRng::seed_from_u64(0x45B1);
     let ring_sk = RingSecretKey::generate(&c, 1, &mut rng);
@@ -295,13 +279,13 @@ fn tile_whose_total_terms_pass_the_fold_bound_matches_reference() {
     }
 }
 
-/// Full blind rotation on 60-bit limbs — the wide accumulators and the
-/// scalar lazy transforms on every tier — against the strict reference.
+/// Full blind rotation at the ceiling — both chains admitted, the fold
+/// within a limb's width of `2^50` — against the strict reference.
 #[test]
-fn sixty_bit_blind_rotation_matches_reference() {
+fn ceiling_blind_rotation_matches_reference() {
     let [_, (c, p)] = shapes();
     for end in [ChainEnd::Reduce, ChainEnd::Fold] {
-        assert_eq!(chain_path(&c, 0, &p, LIMBS, end), MacPath::Wide);
+        assert!(admits(&c, 0, &p, LIMBS, end));
     }
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let ring_sk = RingSecretKey::generate(&c, LIMBS, &mut rng);
@@ -317,13 +301,13 @@ fn sixty_bit_blind_rotation_matches_reference() {
 
     let hot = brk.blind_rotate(&c, &f, &lwe);
     let oracle = blind_rotate_reference(&brk, &c, &f, &lwe);
-    assert_bit_identical(&hot, &oracle, "60-bit blind_rotate");
+    assert_bit_identical(&hot, &oracle, "ceiling blind_rotate");
 }
 
 /// The paper's ring (N = 2^13, two limbs): one external product, one
 /// `n_mask = 4` rotation and one 4-LWE key-major tile, each against its
-/// strict oracle — on 36-bit limbs with `RgswParams::paper()` (narrow where
-/// the tier has `f64` lanes), then on 60-bit limbs (wide on every tier).
+/// strict oracle — on 36-bit limbs with `RgswParams::paper()`, then on the
+/// largest primes the paper's ring admits.
 /// The other oracle comparisons in this file run at N = 64; until it was
 /// retired, the `kernel_sweep` binary was the only place that asserted
 /// these at the ring the paper's tables are about, and nothing ran it.
@@ -331,13 +315,21 @@ fn sixty_bit_blind_rotation_matches_reference() {
 fn paper_ring_matches_reference() {
     let n = 1usize << 13;
     let (limbs, n_mask) = (2, 4);
-    for (bits, p, path) in [
-        (36, RgswParams::paper(), native()),
-        (60, wide_params(), MacPath::Wide),
+    for (label, p, primes) in [
+        (
+            "36-bit",
+            RgswParams::paper(),
+            ntt_primes(n as u64, 36, limbs),
+        ),
+        (
+            "ceiling",
+            ceiling_params(),
+            largest_admitted_primes(n, limbs),
+        ),
     ] {
-        let c = RnsContext::new(n, &ntt_primes(n as u64, bits, limbs));
+        let c = RnsContext::new(n, &primes);
         for end in [ChainEnd::Reduce, ChainEnd::Fold] {
-            assert_eq!(chain_path(&c, 0, &p, limbs, end), path, "{bits} bits");
+            assert!(admits(&c, 0, &p, limbs, end), "{label}");
         }
         let mut rng = StdRng::seed_from_u64(2024);
         let ring_sk = RingSecretKey::generate(&c, limbs, &mut rng);
@@ -363,19 +355,19 @@ fn paper_ring_matches_reference() {
 
         let product = external_product(&ct, &rgsw, &c, &p);
         let product_oracle = external_product_reference(&ct, &rgsw, &c, &p);
-        assert_bit_identical(&product, &product_oracle, &format!("{bits}-bit product"));
+        assert_bit_identical(&product, &product_oracle, &format!("{label} product"));
         let rotation_oracles: Vec<RlweCiphertext> = lwes
             .iter()
             .map(|lwe| blind_rotate_reference(&brk, &c, &f, lwe))
             .collect();
         let single = brk.blind_rotate(&c, &f, &lwes[0]);
-        let what = format!("{bits}-bit rotation");
+        let what = format!("{label} rotation");
         assert_bit_identical(&single, &rotation_oracles[0], &what);
         let mut scratch = BlindRotateScratch::default();
         let tile = brk.blind_rotate_batch_with(&c, &f, &lwes, &mut scratch);
         assert_eq!(tile.len(), lwes.len());
         for (got, want) in tile.iter().zip(&rotation_oracles) {
-            assert_bit_identical(got, want, &format!("{bits}-bit key-major tile"));
+            assert_bit_identical(got, want, &format!("{label} key-major tile"));
         }
     }
 }
