@@ -59,7 +59,7 @@
 //! product's digits. Those run the balanced chain of
 //! `gadget::signed_digits` on `|x|` of the balanced residue and negate at
 //! the end: `round((|x| − ½)/B)` is never a tie and leaves each digit in
-//! `(−B/2, B/2]`, as the scalar chain's mask-and-carry does, and each
+//! `(−B/2, B/2]`, as the integer chain's mask-and-carry does, and each
 //! digit row is stored as `i32`.
 //!
 //! **Three widths, one body.** The lane type's methods are
@@ -453,7 +453,7 @@ macro_rules! tier {
                 let put = |at, r| {
                     let x = signed_residue(r, c);
                     // −1 where `x < 0`, else 1: the chain runs on `|x|` and
-                    // negates its digits, as the scalar one does.
+                    // negates its digits, as the integer one does.
                     let sign = L::add(one, L::sub(L::add_if_neg(x, minus_two), x));
                     let mut mag = L::mul(x, sign);
                     for k in 0..count {
