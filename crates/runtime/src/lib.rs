@@ -71,6 +71,7 @@
 
 mod batch;
 mod channel;
+mod conn;
 mod fault;
 mod job;
 mod node;

@@ -102,10 +102,14 @@ pub fn attest_digest(ctx: &CkksContext, accs: &[RlweCiphertext]) -> u64 {
 
 /// The wire encoding both listeners send and [`attest_digest`] digests.
 pub(crate) fn accumulators_to_wire(ctx: &CkksContext, accs: &[RlweCiphertext]) -> Vec<u8> {
-    let moduli: Vec<u64> = (0..ctx.boot_limbs())
+    heap_tfhe::rlwe_batch_to_wire(accs, &boot_moduli(ctx))
+}
+
+/// The basis accumulators live over: `ctx`'s bootstrapping limbs.
+pub(crate) fn boot_moduli(ctx: &CkksContext) -> Vec<u64> {
+    (0..ctx.boot_limbs())
         .map(|j| ctx.rns().modulus(j).value())
-        .collect();
-    heap_tfhe::rlwe_batch_to_wire(accs, &moduli)
+        .collect()
 }
 
 /// The `(modulus, dimension)` every LWE rotated under `boot` must have:

@@ -1,12 +1,14 @@
 //! HRT1 — the runtime's wire protocol, written once.
 //!
 //! Everything in `heap-runtime` that knows a byte of the protocol is in
-//! this file: the 17-byte header, the [frame table](FrameKind), one
-//! encode/decode pair per payload, the `Hello → HelloAck` handshake and
-//! the socket set-up. The client ([`crate::RemoteNode`]), the node server
-//! ([`crate::serve`]) and the session layer ([`crate::SessionServer`],
-//! [`crate::SessionClient`]) call it and slice nothing themselves.
-//! `heap-hw` prices the same bytes from an independent model;
+//! this file: the 17-byte header, the [frame table](FrameKind), the one
+//! parser ([`Decoder`]) and the one writer ([`write_parts`]), one
+//! encode/decode pair per payload, and the socket options. What a frame
+//! *means* on a connection — which kinds are legal when, what a reply
+//! must echo, what a fault puts on the wire — is `conn`'s; the socket
+//! loops in `server.rs`, `session.rs` and `remote.rs` move bytes between
+//! a socket and those machines and slice nothing themselves. `heap-hw`
+//! prices the same bytes from an independent model;
 //! `tests/ledger_vs_model.rs` holds the two together.
 //!
 //! ```text
@@ -18,28 +20,29 @@
 //!
 //! The checksum covers the kind and length fields as well as the
 //! payload, so a bit flip anywhere past the magic — including one that
-//! turns the kind into another *valid* kind — surfaces as a typed
-//! [`NodeError::Corrupt`] rather than a silently mis-decoded frame
-//! (magic flips fail the magic check; crc-field flips fail their own
-//! comparison). The announced length is unauthenticated input: it is
-//! held against the kind's row before any buffer exists, and the buffer
-//! then grows with the bytes that actually arrive.
+//! turns the kind into another *valid* kind — surfaces as a typed error
+//! rather than a silently mis-decoded frame: a
+//! [`NodeError::Corrupt`](crate::NodeError::Corrupt) whenever the header
+//! still fits its kind's row, a header refusal when it does not (magic
+//! flips fail the magic check; crc-field flips fail their own
+//! comparison). The announced length is unauthenticated input: it is held
+//! against the kind's row before any buffer exists, and the buffer then
+//! grows with the bytes that actually arrive.
 //!
 //! **The ledger rule.** Each kind's [`Class`] names the `TransferLedger`
 //! counters its bytes belong to. A client books a frame *at the socket* —
 //! the request once written, whether or not a reply ever comes; the reply
 //! once read, even when it then fails its CRC or turns out to be an
-//! `Error` — through the callback it hands [`round_trip`].
+//! `Error`.
 
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use heap_ckks::CkksContext;
 use heap_math::wire::{Crc32, WireError, WireReader, WireWriter};
 
 use crate::job::Priority;
-use crate::node::NodeError;
 use crate::remote::NodeTimeouts;
 use crate::RuntimeError;
 
@@ -54,7 +57,7 @@ const MAX_FRAME: u64 = 1 << 30;
 const SMALL_FRAME: u64 = 64 << 10;
 /// Bound on `StatsResp` (a few dozen `name → u64` entries today).
 const STATS_FRAME: u64 = 1 << 20;
-/// The most [`read_frame`] reserves before payload bytes arrive.
+/// The most [`Decoder`] reserves before payload bytes arrive.
 const READ_RESERVE: u64 = 1 << 20;
 
 /// Which `TransferLedger` counters a frame's bytes belong to: ciphertexts
@@ -66,7 +69,7 @@ pub(crate) enum Class {
     Key,
 }
 
-/// What the protocol says about a kind's payload length; [`read_frame`]
+/// What the protocol says about a kind's payload length; [`Decoder`]
 /// checks it on the header alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Len {
@@ -171,7 +174,7 @@ impl FrameKind {
     }
 }
 
-/// A frame-level failure, before phase/deadline context is attached.
+/// A frame-level failure; [`crate::conn::failure`] types it for a phase.
 #[derive(Debug)]
 pub(crate) enum FrameError {
     Io(std::io::Error),
@@ -182,41 +185,32 @@ pub(crate) enum FrameError {
         kind: FrameKind,
         wire_bytes: u64,
     },
-    /// [`server_handshake`] turned the peer away and told it why with an
-    /// `Error` frame.
-    Refused(String),
 }
 
-impl FrameError {
-    pub(crate) fn into_node(self, phase: &'static str, after: Duration) -> NodeError {
-        match self {
-            FrameError::Io(e) => io_error(phase, after, e),
-            FrameError::Protocol(why) | FrameError::Refused(why) => NodeError::Protocol(why),
-            FrameError::Corrupt { kind, .. } => NodeError::Corrupt {
-                frame: format!("{kind:?}"),
-                phase: "crc",
-            },
-        }
+/// One whole, checked frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Frame {
+    pub kind: FrameKind,
+    pub payload: Vec<u8>,
+}
+
+impl Frame {
+    /// What the frame cost on the wire, header included.
+    pub(crate) fn wire_bytes(&self) -> u64 {
+        FRAME_HEADER_BYTES + self.payload.len() as u64
     }
 }
 
-/// The frame checksum: CRC-32 over the kind byte, the length field, and
-/// the payload (everything past the magic).
-fn frame_crc(kind_byte: u8, payload: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
-    crc.update(&[kind_byte]);
-    crc.update(&(payload.len() as u64).to_le_bytes());
-    crc.update(payload);
-    crc.finalize()
-}
-
 /// Builds the 17-byte frame header for `payload`.
-pub(crate) fn frame_header(kind: FrameKind, payload: &[u8]) -> [u8; FRAME_HEADER_BYTES as usize] {
-    let mut header = [0u8; FRAME_HEADER_BYTES as usize];
+pub(crate) fn frame_header(kind: FrameKind, payload: &[u8]) -> [u8; HEADER] {
+    let mut header = [0u8; HEADER];
     header[..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
     header[4] = kind as u8;
     header[5..13].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    header[13..].copy_from_slice(&frame_crc(kind as u8, payload).to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.update(&header[4..13]);
+    crc.update(payload);
+    header[13..].copy_from_slice(&crc.finalize().to_le_bytes());
     header
 }
 
@@ -226,49 +220,118 @@ pub(crate) fn write_frame(
     kind: FrameKind,
     payload: &[u8],
 ) -> std::io::Result<u64> {
-    w.write_all(&frame_header(kind, payload))?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(FRAME_HEADER_BYTES + payload.len() as u64)
+    write_parts(w, &[&frame_header(kind, payload), payload])
 }
 
-/// Reads one frame; returns kind, payload, and total bytes consumed.
-pub(crate) fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>, u64), FrameError> {
-    let mut header = [0u8; FRAME_HEADER_BYTES as usize];
-    r.read_exact(&mut header).map_err(FrameError::Io)?;
-    let mut h = WireReader::new(&header);
-    let (Ok(magic), Ok(kind_byte), Ok(len), Ok(crc)) =
-        (h.get_u32(), h.get_u8(), h.get_u64(), h.get_u32())
-    else {
-        unreachable!("the header buffer holds all four fields");
-    };
-    if magic != FRAME_MAGIC {
-        return Err(FrameError::Protocol(format!(
-            "bad frame magic {magic:#010x}"
-        )));
+/// The one writer under every frame and every fault's raw bytes: `parts`
+/// in order, then a flush; returns the bytes written.
+pub(crate) fn write_parts(w: &mut impl Write, parts: &[&[u8]]) -> std::io::Result<u64> {
+    for part in parts {
+        w.write_all(part)?;
     }
-    let kind = FrameKind::from_u8(kind_byte)
-        .ok_or_else(|| FrameError::Protocol(format!("unknown frame kind {kind_byte}")))?;
-    kind.check_len(len).map_err(FrameError::Protocol)?;
-    // Memory follows the bytes that arrive, not the bytes announced: a
-    // 17-byte header can claim `MAX_FRAME`, so each reservation is at most
-    // 1 MiB, or as much again as the peer has already delivered — and the
-    // last one is exact, so a whole frame costs its own length.
-    let mut payload = Vec::new();
-    while (payload.len() as u64) < len {
-        let ahead = READ_RESERVE.max(payload.len() as u64);
-        let step = (len - payload.len() as u64).min(ahead);
-        payload.reserve_exact(step as usize);
-        let got = r.take(step).read_to_end(&mut payload);
-        if got.map_err(FrameError::Io)? < step as usize {
-            return Err(FrameError::Io(std::io::ErrorKind::UnexpectedEof.into()));
+    w.flush()?;
+    Ok(parts.iter().map(|p| p.len() as u64).sum())
+}
+
+/// The one HRT1 parser. Bytes go into [`Decoder::window`] — straight into
+/// the frame's own buffer once the header is in — and
+/// [`Decoder::advance`] takes them in: the header is held against its
+/// kind's row the moment its 17th byte lands, and the CRC folds over each
+/// chunk as it arrives. Memory follows the bytes delivered, not the length
+/// announced: a 17-byte header can claim `MAX_FRAME`, so the window grows
+/// by at most 1 MiB, or as much again as has already arrived, and its last
+/// step is exact, so a whole frame costs its own length. An error resets
+/// the decoder, but the stream behind it is out of step: drop it.
+#[derive(Default)]
+pub(crate) struct Decoder {
+    header: [u8; HEADER],
+    /// Bytes taken in so far, header included.
+    have: usize,
+    /// Set once the header checks out, with its length and CRC.
+    kind: Option<FrameKind>,
+    len: u64,
+    crc: u32,
+    running: Crc32,
+    payload: Vec<u8>,
+}
+
+const HEADER: usize = FRAME_HEADER_BYTES as usize;
+
+impl Decoder {
+    /// Where the next bytes go: the rest of the header, or the payload's
+    /// next stretch.
+    pub(crate) fn window(&mut self) -> &mut [u8] {
+        let Some(filled) = self.have.checked_sub(HEADER) else {
+            return &mut self.header[self.have..];
+        };
+        if filled == self.payload.len() {
+            let step = (self.len - filled as u64).min(READ_RESERVE.max(filled as u64));
+            self.payload.reserve_exact(step as usize);
+            self.payload.resize(filled + step as usize, 0);
+        }
+        &mut self.payload[filled..]
+    }
+
+    /// Takes in the `n` bytes just written to [`Decoder::window`]; yields
+    /// the frame they complete, if any.
+    pub(crate) fn advance(&mut self, n: usize) -> Result<Option<Frame>, FrameError> {
+        let start = self.have;
+        self.have += n;
+        match start.checked_sub(HEADER) {
+            _ if self.have < HEADER => return Ok(None),
+            None => self
+                .check_header()
+                .inspect_err(|_| *self = Self::default())?,
+            Some(from) => self.running.update(&self.payload[from..from + n]),
+        }
+        if ((self.have - HEADER) as u64) < self.len {
+            return Ok(None);
+        }
+        let done = std::mem::take(self);
+        let kind = done.kind.expect("a checked header");
+        if done.running.finalize() != done.crc {
+            let wire_bytes = FRAME_HEADER_BYTES + done.len;
+            return Err(FrameError::Corrupt { kind, wire_bytes });
+        }
+        let payload = done.payload;
+        Ok(Some(Frame { kind, payload }))
+    }
+
+    fn check_header(&mut self) -> Result<(), FrameError> {
+        let mut h = WireReader::new(&self.header);
+        let (Ok(magic), Ok(kind_byte), Ok(len), Ok(crc)) =
+            (h.get_u32(), h.get_u8(), h.get_u64(), h.get_u32())
+        else {
+            unreachable!("the header buffer holds all four fields");
+        };
+        if magic != FRAME_MAGIC {
+            return Err(FrameError::Protocol(format!(
+                "bad frame magic {magic:#010x}"
+            )));
+        }
+        let kind = FrameKind::from_u8(kind_byte)
+            .ok_or_else(|| FrameError::Protocol(format!("unknown frame kind {kind_byte}")))?;
+        kind.check_len(len).map_err(FrameError::Protocol)?;
+        (self.kind, self.len, self.crc) = (Some(kind), len, crc);
+        self.running.update(&self.header[4..13]);
+        Ok(())
+    }
+}
+
+/// Reads one frame, and not a byte past it.
+pub(crate) fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
+    let mut decoder = Decoder::default();
+    loop {
+        let n = match r.read(decoder.window()) {
+            Ok(0) => return Err(FrameError::Io(ErrorKind::UnexpectedEof.into())),
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(FrameError::Io(e)),
+        };
+        if let Some(frame) = decoder.advance(n)? {
+            return Ok(frame);
         }
     }
-    let wire_bytes = FRAME_HEADER_BYTES + len;
-    if frame_crc(kind_byte, &payload) != crc {
-        return Err(FrameError::Corrupt { kind, wire_bytes });
-    }
-    Ok((kind, payload, wire_bytes))
 }
 
 /// The ring shape both sides must agree on before any ciphertext moves:
@@ -312,7 +375,7 @@ impl Shape {
     }
 
     /// The handshake's one comparison, worded from the local side.
-    fn check_peer(&self, peer: &Shape) -> Result<(), String> {
+    pub(crate) fn check_peer(&self, peer: &Shape) -> Result<(), String> {
         if peer != self {
             return Err(format!(
                 "ring shape mismatch: peer {peer:?} vs local {self:?}"
@@ -554,123 +617,43 @@ pub(crate) fn decode_job_done(payload: &[u8]) -> Result<(u64, JobOutcome<'_>), W
 /// *client* must not wedge a connection thread forever on a blocked
 /// write; reads stay unbounded (idle connections — a prober holding one
 /// open, a session between jobs — are normal).
-const SERVER_TIMEOUTS: NodeTimeouts = NodeTimeouts {
+pub(crate) const SERVER_TIMEOUTS: NodeTimeouts = NodeTimeouts {
     connect: Duration::ZERO,
     read: Duration::ZERO,
     write: Duration::from_secs(30),
 };
 
-/// Maps an I/O error to the typed node error for `phase`, turning the
-/// deadline kinds (`WouldBlock` on Unix, `TimedOut` elsewhere) into
-/// [`NodeError::Timeout`].
-fn io_error(phase: &'static str, after: Duration, e: std::io::Error) -> NodeError {
-    match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
-            NodeError::Timeout { phase, after }
-        }
-        _ => NodeError::Io(format!("{phase}: {e}")),
-    }
-}
-
 /// The one place socket options are set: no Nagle delay, and `t`'s read
 /// and write deadlines (zero = unbounded, the `set_*_timeout` convention).
-fn configure(stream: &TcpStream, t: NodeTimeouts) -> std::io::Result<()> {
+pub(crate) fn configure(stream: &TcpStream, t: NodeTimeouts) -> std::io::Result<()> {
     let bounded = |d: Duration| (d > Duration::ZERO).then_some(d);
     stream.set_nodelay(true)?;
     stream.set_read_timeout(bounded(t.read))?;
     stream.set_write_timeout(bounded(t.write))
 }
 
-/// One request → reply on a client's connection, under the deadlines `t`
-/// armed on it. Every frame is reported to `book` as it crosses the
-/// socket (the ledger rule). A reply outside `expect` is an error: an
-/// `Error` frame [`NodeError::Remote`], anything else `Protocol`.
-pub(crate) fn round_trip(
-    stream: &mut (impl Read + Write),
-    request: FrameKind,
-    payload: &[u8],
-    expect: &[FrameKind],
-    t: NodeTimeouts,
-    book: &dyn Fn(Dir, FrameKind, u64),
-) -> Result<(FrameKind, Vec<u8>), NodeError> {
-    let (writing, reading) = match request {
-        FrameKind::Hello => ("hello", "hello"),
-        _ => ("write", "read"),
-    };
-    let sent = write_frame(stream, request, payload).map_err(|e| io_error(writing, t.write, e))?;
-    book(Dir::Sent, request, sent);
-    let reply = read_frame(stream);
-    if let Ok((kind, _, wire_bytes)) | Err(FrameError::Corrupt { kind, wire_bytes }) = &reply {
-        book(Dir::Received, *kind, *wire_bytes);
-    }
-    match reply.map_err(|e| e.into_node(reading, t.read))? {
-        (kind, reply, _) if expect.contains(&kind) => Ok((kind, reply)),
-        (FrameKind::Error, reply, _) => Err(NodeError::Remote(decode_error(&reply))),
-        (other, ..) => Err(NodeError::Protocol(format!(
-            "expected one of {expect:?}, got {other:?}"
-        ))),
-    }
-}
-
-/// Client side of a connection's opening: resolve and connect under
-/// `t.connect`, arm `t`'s deadlines, `Hello` out, `HelloAck` back, shapes
-/// compared. Returns the stream and the key-id list of a node-form ack;
-/// the caller decides which form it accepts.
-pub(crate) fn client_handshake(
-    addr: impl ToSocketAddrs,
-    local: Shape,
-    t: NodeTimeouts,
-    book: &dyn Fn(Dir, FrameKind, u64),
-) -> Result<(TcpStream, Option<Vec<u64>>), NodeError> {
-    let sock = addr
-        .to_socket_addrs()
-        .map_err(|e| NodeError::Io(format!("resolve: {e}")))?
-        .next()
-        .ok_or_else(|| NodeError::Io("address resolves to nothing".into()))?;
-    let mut stream = if t.connect > Duration::ZERO {
-        TcpStream::connect_timeout(&sock, t.connect)
-    } else {
-        TcpStream::connect(sock)
-    }
-    .map_err(|e| io_error("connect", t.connect, e))?;
-    configure(&stream, t)?;
-    let (hello, expect) = (local.encode(), [FrameKind::HelloAck]);
-    let (_, reply) = round_trip(&mut stream, FrameKind::Hello, &hello, &expect, t, book)?;
-    let (peer, key_ids) =
-        decode_hello_ack(&reply).map_err(|e| NodeError::Protocol(format!("bad HelloAck: {e}")))?;
-    local.check_peer(&peer).map_err(NodeError::Protocol)?;
-    Ok((stream, key_ids))
-}
-
-/// Server side of a connection's opening: arms [`SERVER_TIMEOUTS`], reads
-/// the first frame, and either answers `HelloAck` — with `key_ids` from a
-/// node listener, `None` from a session listener — or refuses with an
-/// `Error` frame ([`FrameError::Refused`]).
-pub(crate) fn server_handshake(
-    stream: &mut TcpStream,
-    local: Shape,
-    key_ids: Option<&[u64]>,
-) -> Result<(), FrameError> {
-    configure(stream, SERVER_TIMEOUTS).map_err(FrameError::Io)?;
-    let (kind, payload, _) = read_frame(stream)?;
-    let checked = match kind {
-        FrameKind::Hello => Shape::decode(&payload)
-            .map_err(|e| format!("bad Hello: {e}"))
-            .and_then(|peer| local.check_peer(&peer)),
-        _ => Err("expected Hello".to_string()),
-    };
-    if let Err(why) = checked {
-        let _ = write_frame(stream, FrameKind::Error, why.as_bytes());
-        return Err(FrameError::Refused(why));
-    }
-    let ack = encode_hello_ack(local, key_ids);
-    write_frame(stream, FrameKind::HelloAck, &ack).map_err(FrameError::Io)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Decoder {
+        /// Feeds bytes from memory, taking them off the front of `input` up
+        /// to the end of the first frame they complete.
+        pub(crate) fn feed(&mut self, input: &mut &[u8]) -> Result<Option<Frame>, FrameError> {
+            loop {
+                let window = self.window();
+                let n = window.len().min(input.len());
+                window[..n].copy_from_slice(&input[..n]);
+                *input = &input[n..];
+                if let Some(frame) = self.advance(n)? {
+                    return Ok(Some(frame));
+                }
+                if input.is_empty() {
+                    return Ok(None);
+                }
+            }
+        }
+    }
 
     const SHAPE: Shape = Shape {
         n: 1024,
@@ -678,13 +661,11 @@ mod tests {
         q0: 0x0000_000f_fffc_4001,
     };
 
-    /// HRT1 is unchanged on the wire: one fixed payload per kind (and the
-    /// other forms of the kinds that have several), each encoder's output
-    /// framed and compared with the bytes the hand-written encoders in
+    /// One fixed payload per kind (and the other forms of the kinds that
+    /// have several), with the bytes the hand-written encoders in
     /// `remote.rs` / `session.rs` produced for the same values at commit
     /// 9ea747e, before they were deleted.
-    #[test]
-    fn every_kind_encodes_to_the_pinned_bytes() {
+    fn pinned() -> [(FrameKind, Vec<u8>, &'static str); 22] {
         let key = 0x1122_3344_5566_7788u64;
         let node_ack = encode_hello_ack(SHAPE, Some(&[key, 9]));
         let session_ack = encode_hello_ack(SHAPE, None);
@@ -709,7 +690,7 @@ mod tests {
         };
         let all_failed = RuntimeError::AllNodesFailed("node-b: timeout".into());
         #[rustfmt::skip]
-        let pinned: [(FrameKind, Vec<u8>, &str); 22] = [
+        let pinned = [
             (FrameKind::Hello, SHAPE.encode(), "315452480010000000000000007ebdb01300040000030000000140fcff0f000000"),
             (FrameKind::HelloAck, node_ack, "3154524801240000000000000049ba562c00040000030000000140fcff0f0000000200000088776655443322110900000000000000"),
             (FrameKind::HelloAck, session_ack, "31545248011000000000000000702d3bb600040000030000000140fcff0f000000"),
@@ -733,14 +714,22 @@ mod tests {
             (FrameKind::KeyUpload, upload, "315452480f1600000000000000823c50a38877665544332211454b53312d636f6e7461696e6572"),
             (FrameKind::KeyAck, encode_prefixed(key, &[]), "31545248100800000000000000c8d9bbd58877665544332211"),
         ];
+        pinned
+    }
+
+    /// HRT1 is unchanged on the wire: each pinned payload framed and
+    /// compared with its pinned bytes, then read back.
+    #[test]
+    fn every_kind_encodes_to_the_pinned_bytes() {
         let mut covered = [false; 17];
-        for (kind, payload, want) in pinned {
+        for (kind, payload, want) in pinned() {
             let mut wire = Vec::new();
             write_frame(&mut wire, kind, &payload).expect("write");
             let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(hex, want, "{kind:?}");
-            let (got, body, consumed) = read_frame(&mut wire.as_slice()).expect("read back");
-            assert_eq!((got, body, consumed), (kind, payload, wire.len() as u64));
+            let frame = read_frame(&mut wire.as_slice()).expect("read back");
+            assert_eq!(frame.wire_bytes(), wire.len() as u64);
+            assert_eq!(frame, Frame { kind, payload });
             covered[kind as usize] = true;
         }
         assert_eq!(covered, [true; 17], "a kind has no pinned frame");
@@ -830,7 +819,7 @@ mod tests {
                 write_frame(&mut wire, kind, &vec![0; len as usize]).expect("write");
             }
             match read_frame(&mut wire.as_slice()) {
-                Ok((kind, ..)) => assert!(byte <= 16 && kind as u8 == byte, "byte {byte}"),
+                Ok(frame) => assert!(byte <= 16 && frame.kind as u8 == byte, "byte {byte}"),
                 Err(FrameError::Protocol(why)) => {
                     assert!(byte > 16 && why.contains("unknown"), "byte {byte}: {why}")
                 }
@@ -876,6 +865,108 @@ mod tests {
         );
     }
 
+    fn framed(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, kind, payload).expect("write");
+        wire
+    }
+
+    /// Each golden frame, and every two of them back to back, fed to one
+    /// decoder in two parts split at every byte offset: the same frames
+    /// come out.
+    #[test]
+    fn the_decoder_yields_the_same_frames_at_any_split() {
+        let golden: Vec<_> = pinned()
+            .into_iter()
+            .map(|(k, p, _)| Frame {
+                kind: k,
+                payload: p,
+            })
+            .collect();
+        let singles = golden.iter().map(|f| vec![f]);
+        let pairs = golden
+            .iter()
+            .flat_map(|a| golden.iter().map(move |b| vec![a, b]));
+        for want in singles.chain(pairs) {
+            let bytes: Vec<u8> = want
+                .iter()
+                .flat_map(|f| framed(f.kind, &f.payload))
+                .collect();
+            for cut in 0..=bytes.len() {
+                let (mut decoder, mut got) = (Decoder::default(), Vec::new());
+                for mut part in [&bytes[..cut], &bytes[cut..]] {
+                    while !part.is_empty() {
+                        got.extend(decoder.feed(&mut part).expect("a clean stream"));
+                    }
+                }
+                assert_eq!(got.iter().collect::<Vec<_>>(), want, "split at {cut}");
+            }
+        }
+    }
+
+    /// A bad magic, an unknown kind, a wrong fixed length and a length
+    /// over the kind's cap are each refused on the header's 17th byte: not
+    /// a byte of payload read, no payload window offered.
+    #[test]
+    fn hostile_headers_are_refused_within_their_17_bytes() {
+        let header = |kind, len: u64| {
+            let mut h = frame_header(kind, &[]);
+            h[5..13].copy_from_slice(&len.to_le_bytes());
+            h
+        };
+        let (mut bad_magic, mut unknown) = (header(FrameKind::Ping, 0), header(FrameKind::Ping, 0));
+        bad_magic[0] ^= 1;
+        unknown[4] = 17;
+        for (hostile, why) in [
+            (bad_magic, "magic"),
+            (unknown, "unknown"),
+            (header(FrameKind::KeyOffer, 9), "fixes"),
+            (header(FrameKind::KeyUpload, MAX_FRAME + 1), "allows"),
+            (header(FrameKind::StatsResp, STATS_FRAME + 1), "allows"),
+        ] {
+            let wire = [&hostile[..], &[0u8; 64]].concat();
+            let mut r = Watched {
+                data: &wire,
+                largest_offer: 0,
+            };
+            match read_frame(&mut r) {
+                Err(FrameError::Protocol(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("{why}: {other:?}"),
+            }
+            assert_eq!((r.data.len(), r.largest_offer), (64, HEADER), "{why}");
+            let mut decoder = Decoder::default();
+            for (at, byte) in hostile.iter().enumerate() {
+                match decoder.feed(&mut &[*byte][..]) {
+                    Ok(None) if at + 1 < HEADER => {}
+                    Err(FrameError::Protocol(_)) if at + 1 == HEADER => {}
+                    other => panic!("{why}, byte {at}: {other:?}"),
+                }
+            }
+            assert_eq!(decoder.payload.capacity(), 0, "{why}");
+        }
+    }
+
+    /// A bit flip past the magic never yields a frame. In the CRC field or
+    /// the payload it is always `Corrupt`; in the kind or length it is
+    /// `Corrupt` whenever the row still admits the header, and otherwise
+    /// refused on the header or left waiting for bytes that never come.
+    #[test]
+    fn every_bit_flip_past_the_magic_is_caught() {
+        for (kind, payload, _) in pinned() {
+            let wire = framed(kind, &payload);
+            for bit in 32..wire.len() * 8 {
+                let mut flipped = wire.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let header_field = bit < 13 * 8;
+                match Decoder::default().feed(&mut &flipped[..]) {
+                    Err(FrameError::Corrupt { .. }) => {}
+                    Err(FrameError::Protocol(_)) | Ok(None) if header_field => {}
+                    other => panic!("{kind:?}, bit {bit}: {other:?}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn fixed_length_kinds_are_refused_on_the_header_alone() {
         // One wrong announcement per length class; the 1 GiB one would
@@ -916,8 +1007,8 @@ mod tests {
         ] {
             let mut wire = Vec::new();
             write_frame(&mut wire, kind, payload).expect("write");
-            let (got, body, _) = read_frame(&mut wire.as_slice()).expect("read");
-            assert_eq!((got, body.as_slice()), (kind, payload));
+            let frame = read_frame(&mut wire.as_slice()).expect("read");
+            assert_eq!((frame.kind, frame.payload.as_slice()), (kind, payload));
         }
     }
 
@@ -988,11 +1079,9 @@ mod tests {
                 let payload = sized_for(kind, payload);
                 let mut buf = Vec::new();
                 write_frame(&mut buf, kind, &payload).expect("encode");
-                let (got_kind, got_payload, consumed) =
-                    read_frame(&mut Cursor::new(&buf)).expect("decode");
-                prop_assert_eq!(got_kind, kind);
-                prop_assert_eq!(got_payload, payload);
-                prop_assert_eq!(consumed, buf.len() as u64);
+                let frame = read_frame(&mut Cursor::new(&buf)).expect("decode");
+                prop_assert_eq!(frame.wire_bytes(), buf.len() as u64);
+                prop_assert_eq!(frame, Frame { kind, payload });
             }
         }
     }

@@ -5,10 +5,11 @@
 //! thread per connection, all sharing the node's [`NodeKeyStore`], thread
 //! budget, [`NodeTelemetry`] and scripted faults
 //! ([`ServeOptions::fault_plan`] — the socket half of the deterministic
-//! fault-injection harness). The bytes are `proto`'s; this file is what a
-//! node *does* with each frame kind.
+//! fault-injection harness). The bytes are `proto`'s and what each frame
+//! means is `conn`'s node machine; this file holds the listener, a thread
+//! per connection, and the work behind the machine (rotations, the key
+//! cache, the stats).
 
-use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -21,13 +22,10 @@ use heap_parallel::Parallelism;
 use heap_telemetry::{Counter, MetricValue, Registry, Snapshot};
 use heap_tfhe::lwe_batch_from_wire;
 
-use crate::fault::{FaultAction, FaultPlan, FaultState};
+use crate::conn::{failure, Backend, NodeDoor, NodeShared, Out};
+use crate::fault::{FaultPlan, FaultState};
 use crate::node::{accumulators_to_wire, lwe_shape, NodeError};
-use crate::proto::{self, FrameError, FrameKind, Shape, FRAME_HEADER_BYTES};
-
-/// How long a server-side `hang` action sleeps when the plan gives no
-/// duration: far beyond any client deadline, i.e. "forever".
-const HANG_FOREVER: Duration = Duration::from_secs(600);
+use crate::proto::{self, Shape};
 
 /// Server-side telemetry for one listener: what a node has served.
 ///
@@ -168,7 +166,7 @@ pub struct ServeOptions {
     /// future ones. `None` serves forever. For *transient* faults use
     /// [`ServeOptions::fault_plan`] instead.
     pub fail_after: Option<u64>,
-    /// Scripted fault injection: one [`FaultAction`] consumed per
+    /// Scripted fault injection: one [`crate::FaultAction`] consumed per
     /// blind-rotate request (across all connections); requests beyond the
     /// plan are served normally, so the node "recovers".
     pub fault_plan: Option<FaultPlan>,
@@ -228,39 +226,69 @@ fn serve_inner(
     default_boot: Option<Arc<Bootstrapper>>,
     opts: ServeOptions,
 ) -> std::io::Result<()> {
-    let state = Arc::new(ServerState {
-        parallelism: opts.parallelism,
-        fail_after: opts.fail_after,
+    let telemetry = opts.telemetry.unwrap_or_default();
+    let node = Arc::new(NodeShared {
         fault: opts.fault_plan.map(FaultState::new),
+        fail_after: opts.fail_after,
         served: AtomicU64::new(0),
-        poisoned: AtomicBool::new(false),
-        telemetry: opts.telemetry.unwrap_or_default(),
+        dead: AtomicBool::new(false),
+        telemetry: telemetry.clone(),
+    });
+    let backend = Arc::new(NodeBackend {
+        ctx,
+        parallelism: opts.parallelism,
+        telemetry,
         default_boot,
         keys: opts.key_store.unwrap_or_default(),
     });
     for conn in listener.incoming() {
         let stream = conn?;
-        if state.poisoned.load(Ordering::Relaxed) {
-            // A "dead" node: accept() succeeded at the OS level but the
-            // session is dropped before the handshake, so clients see EOF.
+        if node.dead.load(Ordering::Relaxed) {
             drop(stream);
             continue;
         }
-        let (ctx, state) = (Arc::clone(&ctx), Arc::clone(&state));
+        let (node, backend) = (Arc::clone(&node), Arc::clone(&backend));
         std::thread::spawn(move || {
-            let _ = handle_connection(stream, &ctx, &state);
+            let _ = serve_connection(stream, &node, &backend);
         });
     }
     Ok(())
 }
 
-/// Per-listener state shared by every connection thread.
-struct ServerState {
+/// One connection: frames in, the machine's outputs executed in order
+/// (the node's output executor) until it closes or the socket fails.
+/// Returns the connection's result.
+fn serve_connection(
+    mut stream: TcpStream,
+    node: &NodeShared,
+    backend: &NodeBackend,
+) -> Result<(), NodeError> {
+    proto::configure(&stream, proto::SERVER_TIMEOUTS)?;
+    let mut door = NodeDoor::new(node, backend, Shape::of(&backend.ctx));
+    loop {
+        let frame =
+            proto::read_frame(&mut stream).map_err(|e| failure("read", Duration::ZERO, e))?;
+        for out in door.on_frame(&frame) {
+            match out {
+                Out::Frame(kind, payload) => {
+                    proto::write_frame(&mut stream, kind, &payload)?;
+                }
+                Out::Raw(bytes) => {
+                    proto::write_parts(&mut stream, &[&bytes])?;
+                }
+                Out::Sleep(d) => std::thread::sleep(d),
+                Out::Close(result) => return result.map_or(Ok(()), Err),
+                Out::Submit(_) => unreachable!("a node door submits no jobs"),
+            }
+        }
+    }
+}
+
+/// What a node's connections ask of it: rotations under its keys, key
+/// insertions, and its counters.
+struct NodeBackend {
+    ctx: Arc<CkksContext>,
     parallelism: Parallelism,
-    fail_after: Option<u64>,
-    fault: Option<FaultState>,
-    served: AtomicU64,
-    poisoned: AtomicBool,
     telemetry: NodeTelemetry,
     /// What the `key_id 0` sentinel resolves to (insecure-seed path);
     /// `None` on keyless nodes.
@@ -269,235 +297,55 @@ struct ServerState {
     keys: NodeKeyStore,
 }
 
-/// Maps a server-side frame failure (no deadlines are armed on the
-/// server's reads) to a [`NodeError`] for the connection result.
-pub(crate) fn server_frame_err(e: FrameError) -> NodeError {
-    e.into_node("read", Duration::ZERO)
-}
-
-/// What a scripted fault does to one blind-rotate request.
-#[derive(PartialEq)]
-enum Tamper {
-    None,
-    /// Serve it, then flip one payload bit after the header CRC is
-    /// computed.
-    Flip,
-    /// Serve it one accumulator short (internally-consistent reply).
-    Truncate,
-    /// The fault was the reply; the request is not served.
-    Unserved,
-}
-
-/// The connection's result when a fault action plays dead.
-fn played_dead() -> NodeError {
-    NodeError::Io("connection closed by fault injection".into())
-}
-
-/// One accepted connection, past its handshake.
-struct Conn<'a> {
-    stream: TcpStream,
-    ctx: &'a CkksContext,
-    state: &'a ServerState,
-}
-
-fn handle_connection(
-    mut stream: TcpStream,
-    ctx: &CkksContext,
-    state: &ServerState,
-) -> Result<(), NodeError> {
-    let ids: Vec<u64> = state.keys.lock().ids().iter().map(|id| id.0).collect();
-    if let Err(e) = proto::server_handshake(&mut stream, Shape::of(ctx), Some(&ids)) {
-        if matches!(e, FrameError::Refused(_)) {
-            state.telemetry.errors.inc();
-        }
-        return Err(server_frame_err(e));
-    }
-    let mut conn = Conn { stream, ctx, state };
-    loop {
-        let (kind, payload, _) = proto::read_frame(&mut conn.stream).map_err(server_frame_err)?;
-        match kind {
-            FrameKind::BlindRotateReq => conn.blind_rotate(&payload)?,
-            FrameKind::KeyOffer => conn.key_offer(&payload)?,
-            FrameKind::KeyUpload => conn.key_upload(&payload)?,
-            FrameKind::Ping => conn.ping()?,
-            FrameKind::StatsReq => conn.stats()?,
-            FrameKind::Shutdown => return Ok(()),
-            other => return Err(conn.reject(format!("unexpected frame {other:?}"))),
-        }
-    }
-}
-
-impl Conn<'_> {
-    fn reply(&mut self, kind: FrameKind, payload: &[u8]) -> Result<(), NodeError> {
-        proto::write_frame(&mut self.stream, kind, payload)?;
-        Ok(())
+impl Backend for NodeBackend {
+    fn key_ids(&self) -> Vec<u64> {
+        self.keys.lock().ids().iter().map(|id| id.0).collect()
     }
 
-    /// Refuses a well-formed request — counted, and the peer told why.
-    /// The exchange is still in sync, so the connection goes on.
-    fn refuse(&mut self, why: &str) -> Result<(), NodeError> {
-        self.state.telemetry.errors.inc();
-        self.reply(FrameKind::Error, why.as_bytes())
-    }
-
-    /// Refuses bytes that do not parse; the refusal is the connection's
-    /// result.
-    fn reject(&mut self, why: String) -> NodeError {
-        let _ = self.refuse(&why);
-        NodeError::Protocol(why)
-    }
-
-    /// Consumes this request's scripted fault, if a plan is loaded.
-    fn next_fault(&mut self) -> Result<Tamper, NodeError> {
-        let Some(fault) = &self.state.fault else {
-            return Ok(Tamper::None);
-        };
-        match fault.next_action() {
-            FaultAction::Pass => {}
-            FaultAction::Fail => {
-                self.refuse("injected fault: fail")?;
-                return Ok(Tamper::Unserved);
-            }
-            // A stall is served normally too, just late.
-            FaultAction::Delay(d) | FaultAction::Stall(d) => std::thread::sleep(d),
-            FaultAction::Hang(d) => {
-                // Go silent: the client's read deadline, not this server,
-                // must end the exchange.
-                std::thread::sleep(d.unwrap_or(HANG_FOREVER));
-                return Err(played_dead());
-            }
-            FaultAction::Corrupt => {
-                // A garbage header (full header-sized, wrong magic), then
-                // close.
-                let junk = [
-                    0xDEu8, 0xAD, 0xBE, 0xEF, 0xFF, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
-                ];
-                debug_assert_eq!(junk.len() as u64, FRAME_HEADER_BYTES);
-                let _ = self.stream.write_all(&junk);
-                let _ = self.stream.flush();
-                return Err(played_dead());
-            }
-            FaultAction::Drop => return Err(played_dead()),
-            // Silent wire corruption and shape truncation tamper with the
-            // *reply*; the request is served normally first.
-            FaultAction::Flip => return Ok(Tamper::Flip),
-            FaultAction::Truncate => return Ok(Tamper::Truncate),
-        }
-        Ok(Tamper::None)
-    }
-
-    fn blind_rotate(&mut self, payload: &[u8]) -> Result<(), NodeError> {
-        let state = self.state;
-        if let Some(limit) = state.fail_after {
-            if state.served.fetch_add(1, Ordering::Relaxed) >= limit {
-                state.poisoned.store(true, Ordering::Relaxed);
-                // Die mid-request: no reply, connection dropped.
-                return Err(played_dead());
-            }
-        }
-        let tamper = self.next_fault()?;
-        if tamper == Tamper::Unserved {
-            return Ok(());
-        }
-        let Ok((key_id, batch)) = proto::decode_prefixed(payload) else {
-            return Err(self.reject("blind-rotate request missing key id".into()));
-        };
+    fn rotate(&self, key_id: u64, batch: &[u8], short: bool) -> Result<(Vec<u8>, u64), String> {
         // Uncounted resolution: the KeyOffer preceding a keyed batch
         // already accounted the cache lookup.
-        let boot = if key_id == 0 {
-            state.default_boot.clone()
-        } else {
-            state.keys.lock().peek(KeyId(key_id)).cloned()
+        let boot = match key_id {
+            0 => self.default_boot.clone(),
+            id => self.keys.lock().peek(KeyId(id)).cloned(),
         };
-        let Some(boot) = boot else {
-            return self.refuse(&if key_id == 0 {
-                "keyless node has no default key; upload one".to_string()
-            } else {
-                format!("key {key_id:016x} not resident")
-            });
-        };
+        let boot = boot.ok_or_else(|| match key_id {
+            0 => "keyless node has no default key; upload one".to_string(),
+            id => format!("key {id:016x} not resident"),
+        })?;
         // Decoded against the resolved key, so a batch that is not for it
-        // is refused before anything is unpacked; the frame was whole, so
-        // the connection serves on.
-        let (modulus, dim) = lwe_shape(self.ctx, &boot);
-        let lwes = match lwe_batch_from_wire(batch, modulus, dim) {
-            Ok(lwes) => lwes,
-            Err(e) => return self.refuse(&format!("bad LWE batch: {e:?}")),
-        };
-        let mut accs = boot.blind_rotate_batch_par(self.ctx, &lwes, state.parallelism);
-        if tamper == Tamper::Truncate {
-            // The old shape-bug model: the digest covers the truncated
-            // batch, so only the client's count check can catch it.
+        // is refused before anything is unpacked.
+        let (modulus, dim) = lwe_shape(&self.ctx, &boot);
+        let lwes = lwe_batch_from_wire(batch, modulus, dim)
+            .map_err(|e| format!("bad LWE batch: {e:?}"))?;
+        let mut accs = boot.blind_rotate_batch_par(&self.ctx, &lwes, self.parallelism);
+        if short {
             accs.pop();
         }
-        let batch = accumulators_to_wire(self.ctx, &accs);
-        let mut resp = proto::encode_prefixed(heap_math::wire::fnv1a(&batch), &batch);
-        if tamper == Tamper::Flip {
-            // Silent wire corruption: the header (and its CRC) is computed
-            // over the *correct* payload, then one payload bit is flipped
-            // on the way out. The stream stays length-synced, so only the
-            // client's checksum can tell.
-            let header = proto::frame_header(FrameKind::BlindRotateResp, &resp);
-            let mid = resp.len() / 2;
-            resp[mid] ^= 1;
-            self.stream.write_all(&header)?;
-            self.stream.write_all(&resp)?;
-            self.stream.flush()?;
-        } else {
-            self.reply(FrameKind::BlindRotateResp, &resp)?;
-        }
-        state.telemetry.requests.inc();
-        state.telemetry.lwes.add(lwes.len() as u64);
-        Ok(())
+        Ok((accumulators_to_wire(&self.ctx, &accs), lwes.len() as u64))
     }
 
-    fn key_offer(&mut self, payload: &[u8]) -> Result<(), NodeError> {
-        let Ok((id, _)) = proto::decode_prefixed(payload) else {
-            return Err(self.reject(format!("key offer carried {} bytes", payload.len())));
-        };
-        // The one counted lookup per batch: hits/misses must match the
-        // driven workload one-to-one.
-        let hit = self.state.keys.lock().lookup(KeyId(id)).is_some();
-        let reply = if hit {
-            FrameKind::KeyAck
-        } else {
-            FrameKind::KeyNeed
-        };
-        self.reply(reply, &proto::encode_prefixed(id, &[]))
+    fn has_key(&self, id: u64) -> bool {
+        self.keys.lock().lookup(KeyId(id)).is_some()
     }
 
-    fn key_upload(&mut self, payload: &[u8]) -> Result<(), NodeError> {
-        let Ok((id, encoded)) = proto::decode_prefixed(payload) else {
-            return Err(self.reject("key upload missing id".into()));
-        };
-        let set = match EvalKeySet::from_wire(self.ctx, encoded) {
-            Ok(set) => set,
-            Err(e) => return self.refuse(&format!("bad key upload: {e:?}")),
-        };
+    fn insert_key(&self, id: u64, encoded: &[u8]) -> Result<(), String> {
+        let set = EvalKeySet::from_wire(&self.ctx, encoded)
+            .map_err(|e| format!("bad key upload: {e:?}"))?;
         // The parity oracle: the id recomputed from the strict re-encoding
         // of the expanded keys must equal the offer.
         if set.id().0 != id {
-            return self.refuse(&format!(
+            return Err(format!(
                 "key id parity failure: offered {id:016x}, expanded to {}",
                 set.id()
             ));
         }
-        let boot = Arc::new(set.into_bootstrapper(self.ctx));
+        let boot = Arc::new(set.into_bootstrapper(&self.ctx));
         // The guard is a temporary of this statement: the evicted
         // bootstrappers are freed after it, not while every other
         // connection's `peek` waits on the lock.
-        let evicted = self
-            .state
-            .keys
-            .lock()
-            .insert(KeyId(id), boot, encoded.len());
+        let evicted = self.keys.lock().insert(KeyId(id), boot, encoded.len());
         drop(evicted);
-        self.reply(FrameKind::KeyAck, &proto::encode_prefixed(id, &[]))
-    }
-
-    fn ping(&mut self) -> Result<(), NodeError> {
-        self.reply(FrameKind::Pong, &[])?;
-        self.state.telemetry.pings.inc();
         Ok(())
     }
 
@@ -505,18 +353,17 @@ impl Conn<'_> {
     /// default key's bootstrapper (or, keyless, the most recently used
     /// cached one) — the same registries a local metrics endpoint would
     /// expose.
-    fn stats(&mut self) -> Result<(), NodeError> {
-        let state = self.state;
+    fn stats(&self) -> Vec<(String, u64)> {
         let mut entries = Vec::new();
-        flatten_snapshot(&state.telemetry.registry.snapshot(), &mut entries);
-        flatten_snapshot(&state.keys.registry().snapshot(), &mut entries);
-        let stage_boot = state.default_boot.clone().or_else(|| {
-            let cache = state.keys.lock();
+        flatten_snapshot(&self.telemetry.registry.snapshot(), &mut entries);
+        flatten_snapshot(&self.keys.registry().snapshot(), &mut entries);
+        let stage_boot = self.default_boot.clone().or_else(|| {
+            let cache = self.keys.lock();
             cache.ids().first().and_then(|id| cache.peek(*id).cloned())
         });
         if let Some(boot) = stage_boot {
             flatten_snapshot(&boot.stage_metrics().registry().snapshot(), &mut entries);
         }
-        self.reply(FrameKind::StatsResp, &proto::encode_stats(&entries))
+        entries
     }
 }

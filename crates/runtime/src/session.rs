@@ -19,33 +19,34 @@
 //! list, which is how either client notices it dialled the wrong kind of
 //! listener.
 //!
-//! Server side, a connection costs two threads (a reader that decodes
-//! and submits, a writer that drains a completion outbox fed by each
-//! job's completion notifier) regardless of how many jobs are in
-//! flight. Client side, [`SessionClient`] is `Sync`: any number of
-//! application threads submit concurrently and block on their own
-//! [`SessionJob`] handles while one reader thread routes completions by
-//! tag. Accepted jobs are never dropped: on shutdown or a broken peer
+//! What each frame means is `conn`'s: a `SessionDoor` per server
+//! connection, a `SessionRoutes` per client. This file is their shells.
+//! Server side, a connection costs two threads (a reader that feeds the
+//! door and submits what it passes, a writer that drains a completion
+//! outbox fed by each job's completion notifier) regardless of how many
+//! jobs are in flight. Client side, [`SessionClient`] is `Sync`: any
+//! number of application threads submit concurrently and block on their
+//! own [`SessionJob`] handles while one reader thread routes completions
+//! by tag. Accepted jobs are never dropped: on shutdown or a broken peer
 //! the service still completes them, and an unreachable client simply
 //! stops receiving the results.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use heap_ckks::CkksContext;
 use heap_telemetry::{Counter, Gauge, Registry};
-use heap_tfhe::{lwe_batch_from_wire, lwe_batch_to_wire, rlwe_batch_from_wire};
+use heap_tfhe::{lwe_batch_from_wire, lwe_batch_to_wire, rlwe_batch_from_wire_in};
 
 use crate::channel::Channel;
-use crate::job::{JobOutput, JobRequest, JobState, TenantId};
-use crate::node::accumulators_to_wire;
-use crate::proto::{
-    self, read_frame, write_frame, FrameKind, JobKind, JobOutcome, Shape, SubmitReq,
-};
-use crate::remote::NodeTimeouts;
+use crate::conn::{Backend, Out, SessionDoor, SessionRoutes};
+use crate::job::{JobHandle, JobId, JobOutput, JobRequest, JobState, TenantId};
+use crate::node::{accumulators_to_wire, boot_moduli};
+use crate::proto::{self, FrameKind, JobKind, JobOutcome, Shape, SubmitReq};
+use crate::remote::{self, NodeTimeouts};
 use crate::service::{BootstrapService, SubmitOptions};
 use crate::RuntimeError;
 
@@ -88,37 +89,98 @@ impl SessionTelemetry {
     }
 }
 
-/// State shared between a connection's reader and writer threads.
-struct ConnShared {
-    /// Completion tags, fed by each job's completion notifier.
-    outbox: Channel<u64>,
-    /// Accepted-and-undelivered jobs by tag.
-    pending: Mutex<HashMap<u64, Arc<JobState>>>,
-    /// Set when the reader stops accepting (EOF, `Shutdown`, error);
-    /// the writer closes the outbox once the last pending job delivers.
-    draining: AtomicBool,
+/// One accepted connection, shared by its reader and writer threads: the
+/// machine, the socket, and the jobs behind the tags.
+struct Conn {
+    door: Mutex<SessionDoor>,
     /// All frame writes (reader's refusals, writer's completions) are
     /// serialized here so they never interleave on the wire.
     stream: Mutex<TcpStream>,
+    /// Completion tags, fed by each job's completion notifier.
+    outbox: Arc<Channel<u64>>,
+    /// Accepted jobs by tag, until the writer takes their results.
+    jobs: Mutex<HashMap<u64, Arc<JobState>>>,
+    service: Arc<BootstrapService>,
+    telemetry: Arc<SessionTelemetry>,
 }
 
-impl ConnShared {
-    /// Ends the writer once nothing can arrive anymore. Safe to call
-    /// from either thread; `Channel::close` is idempotent.
-    fn close_if_drained(&self) {
-        if self.draining.load(Ordering::SeqCst)
-            && self.pending.lock().expect("session pending").is_empty()
-        {
-            self.outbox.close();
-        }
+impl Conn {
+    fn door(&self) -> MutexGuard<'_, SessionDoor> {
+        self.door.lock().expect("session door")
     }
 
-    fn write(&self, kind: FrameKind, payload: &[u8]) -> std::io::Result<u64> {
-        write_frame(
-            &mut *self.stream.lock().expect("session stream"),
-            kind,
-            payload,
-        )
+    /// The session's output executor.
+    fn execute(&self, outs: Vec<Out<'_>>) {
+        for out in outs {
+            match out {
+                Out::Frame(kind, payload) => {
+                    // A broken peer doesn't stop the drain: completions are
+                    // still consumed, so the session always terminates
+                    // once its accepted jobs finish.
+                    let mut stream = self.stream.lock().expect("session stream");
+                    let sent = proto::write_frame(&mut *stream, kind, &payload);
+                    match kind {
+                        FrameKind::SubmitAck => self.telemetry.rejections.inc(),
+                        FrameKind::JobDone if sent.is_ok() => self.telemetry.completions.inc(),
+                        _ => {}
+                    }
+                }
+                Out::Submit(job) => match self.submit(&job) {
+                    Ok(()) => self.telemetry.jobs.inc(),
+                    Err(e) => {
+                        let outs = self.door().refused(job.tag, &e);
+                        self.execute(outs);
+                    }
+                },
+                Out::Close(_) => self.outbox.close(),
+                Out::Raw(_) | Out::Sleep(_) => unreachable!("a session door sends frames only"),
+            }
+        }
+    }
+}
+
+impl Backend for Conn {
+    /// Decodes the body for the service and submits it; acceptance is
+    /// answered only by the eventual `JobDone`.
+    fn submit(&self, job: &SubmitReq<'_>) -> Result<(), RuntimeError> {
+        let (Some(priority), Some(kind)) = (job.priority, job.kind) else {
+            return Err(RuntimeError::Invalid("unchecked submission"));
+        };
+        let request = match kind {
+            JobKind::Bootstrap => self
+                .service
+                .context()
+                .ciphertext_from_wire(job.body)
+                .map(|ct| JobRequest::Bootstrap { ct })
+                .map_err(|e| transport(format!("bad ciphertext: {e:?}")))?,
+            JobKind::BlindRotate => {
+                let (modulus, dim) = self.service.lwe_shape();
+                lwe_batch_from_wire(job.body, modulus, dim)
+                    .map(|lwes| JobRequest::BlindRotate { lwes })
+                    .map_err(|e| transport(format!("bad LWE batch: {e:?}")))?
+            }
+        };
+        let (tag, tenant, jobs) = (job.tag, TenantId(job.tenant), &self.jobs);
+        // Register indexes the job and installs the completion notifier
+        // *before* the job can reach the pipeline, so a completion can
+        // never race past an un-indexed tag.
+        let opts = SubmitOptions { priority, tenant };
+        let registered = self.service.submit_registered(request, opts, |_, state| {
+            jobs.lock()
+                .expect("session jobs")
+                .insert(tag, Arc::clone(state));
+            let outbox = Arc::clone(&self.outbox);
+            state.set_notifier(Box::new(move || {
+                // Err means the outbox closed (connection torn down); the
+                // job still completed service-side, it just has no reader.
+                let _ = outbox.send(tag);
+            }));
+        });
+        if registered.is_err() {
+            // The job never entered the queue; un-index the tag.
+            jobs.lock().expect("session jobs").remove(&tag);
+        }
+        registered.map(drop)
     }
 }
 
@@ -151,9 +213,7 @@ impl SessionServer {
                         }
                         let Ok(stream) = stream else { continue };
                         let (service, telemetry) = (Arc::clone(&service), Arc::clone(&telemetry));
-                        std::thread::spawn(move || {
-                            let _ = run_session(stream, service, telemetry);
-                        });
+                        std::thread::spawn(move || run_session(stream, service, telemetry));
                     }
                 })
                 .expect("spawn session acceptor")
@@ -206,200 +266,82 @@ impl Drop for OpenSession {
     }
 }
 
-/// One accepted connection: handshake, then reader loop (this thread)
-/// plus a writer thread draining the completion outbox.
+/// One accepted connection: the handshake, then a reader loop (this
+/// thread) feeding the machine, plus a writer thread turning completions
+/// into `JobDone`s.
 fn run_session(
     mut stream: TcpStream,
     service: Arc<BootstrapService>,
     telemetry: Arc<SessionTelemetry>,
-) -> std::io::Result<()> {
-    let ctx = Arc::clone(service.context());
-    if proto::server_handshake(&mut stream, Shape::of(&ctx), None).is_err() {
-        return Ok(());
+) {
+    let Ok(writer) = stream.try_clone() else {
+        return;
+    };
+    if proto::configure(&stream, proto::SERVER_TIMEOUTS).is_err() {
+        return;
+    }
+    let conn = Arc::new(Conn {
+        door: Mutex::new(SessionDoor::new(Shape::of(service.context()))),
+        stream: Mutex::new(writer),
+        outbox: Arc::new(Channel::new(OUTBOX_DEPTH)),
+        jobs: Mutex::new(HashMap::new()),
+        service,
+        telemetry: Arc::clone(&telemetry),
+    });
+    let Ok(hello) = proto::read_frame(&mut stream) else {
+        return;
+    };
+    let outs = conn.door().on_frame(&hello);
+    conn.execute(outs);
+    if !conn.door().reading() {
+        return;
     }
     telemetry.open.add(1);
     let _open = OpenSession(Arc::clone(&telemetry.open));
 
-    let shared = Arc::new(ConnShared {
-        outbox: Channel::new(OUTBOX_DEPTH),
-        pending: Mutex::new(HashMap::new()),
-        draining: AtomicBool::new(false),
-        stream: Mutex::new(stream.try_clone()?),
-    });
     let writer = {
-        let (shared, ctx, telemetry) = (
-            Arc::clone(&shared),
-            Arc::clone(&ctx),
-            Arc::clone(&telemetry),
-        );
+        let conn = Arc::clone(&conn);
         std::thread::Builder::new()
             .name("heap-session-writer".into())
             .spawn(move || {
-                while let Some(tag) = shared.outbox.recv() {
-                    let state = shared.pending.lock().expect("session pending").remove(&tag);
-                    if let Some(result) = state.and_then(|s| s.take_result()) {
-                        let frame = encode_job_done(tag, result, &ctx);
-                        // A broken peer doesn't stop the drain: keep
-                        // consuming completions so the session always
-                        // terminates once its accepted jobs finish.
-                        if shared.write(FrameKind::JobDone, &frame).is_ok() {
-                            telemetry.completions.inc();
-                        }
-                    }
-                    shared.close_if_drained();
+                let ctx = conn.service.context();
+                while let Some(tag) = conn.outbox.recv() {
+                    let state = conn.jobs.lock().expect("session jobs").remove(&tag);
+                    let result = state.and_then(|s| s.take_result());
+                    let body;
+                    let outcome =
+                        match result.expect("a notified job is indexed and has its result") {
+                            Ok(JobOutput::Bootstrapped(ct)) => {
+                                body = ctx.ciphertext_to_wire(&ct);
+                                Ok((JobKind::Bootstrap, body.as_slice()))
+                            }
+                            Ok(JobOutput::Accumulators(accs)) => {
+                                body = accumulators_to_wire(ctx, &accs);
+                                Ok((JobKind::BlindRotate, body.as_slice()))
+                            }
+                            Err(e) => Err(e),
+                        };
+                    let outs = conn.door().on_done(tag, &outcome);
+                    conn.execute(outs);
                 }
             })
             .expect("spawn session writer")
     };
-
-    // Reader loop: decode SubmitReqs and feed the service.
-    while let Ok((kind, payload, _)) = read_frame(&mut stream) {
-        match kind {
-            FrameKind::SubmitReq => handle_submit(&service, &ctx, &shared, &telemetry, &payload),
-            FrameKind::Ping => {
-                let _ = shared.write(FrameKind::Pong, &[]);
-            }
-            FrameKind::Shutdown => break,
-            other => {
-                let why = format!("unexpected session frame {other:?}");
-                let _ = shared.write(FrameKind::Error, why.as_bytes());
-                break;
-            }
-        }
+    while conn.door().reading() {
+        let frame = proto::read_frame(&mut stream);
+        let outs = match &frame {
+            Ok(frame) => conn.door().on_frame(frame),
+            Err(_) => conn.door().on_eof(),
+        };
+        conn.execute(outs);
     }
-    shared.draining.store(true, Ordering::SeqCst);
-    shared.close_if_drained();
     let _ = writer.join();
-    Ok(())
-}
-
-/// Decodes one `SubmitReq` and submits it; refusals are answered with a
-/// `SubmitAck`, acceptance is answered only by the eventual `JobDone`.
-fn handle_submit(
-    service: &BootstrapService,
-    ctx: &CkksContext,
-    shared: &Arc<ConnShared>,
-    telemetry: &SessionTelemetry,
-    payload: &[u8],
-) {
-    let Ok(req) = SubmitReq::decode(payload) else {
-        // No tag to address a refusal to; drop the malformed frame.
-        return;
-    };
-    let tag = req.tag;
-    let refuse = |refusal: RuntimeError| {
-        telemetry.rejections.inc();
-        let _ = shared.write(
-            FrameKind::SubmitAck,
-            &proto::encode_submit_ack(tag, &refusal),
-        );
-    };
-    let Some(priority) = req.priority else {
-        return refuse(RuntimeError::Invalid("bad priority byte"));
-    };
-    let decoded = match req.kind {
-        Some(JobKind::Bootstrap) => ctx
-            .ciphertext_from_wire(req.body)
-            .map(|ct| JobRequest::Bootstrap { ct })
-            .map_err(|e| format!("bad ciphertext: {e:?}")),
-        Some(JobKind::BlindRotate) => {
-            let (modulus, dim) = service.lwe_shape();
-            lwe_batch_from_wire(req.body, modulus, dim)
-                .map(|lwes| JobRequest::BlindRotate { lwes })
-                .map_err(|e| format!("bad LWE batch: {e:?}"))
-        }
-        None => Err("bad request kind byte".to_string()),
-    };
-    let request = match decoded {
-        Ok(request) => request,
-        Err(why) => return refuse(transport(why)),
-    };
-    if shared
-        .pending
-        .lock()
-        .expect("session pending")
-        .contains_key(&tag)
-    {
-        return refuse(RuntimeError::Invalid("duplicate tag"));
-    }
-    let opts = SubmitOptions {
-        priority,
-        tenant: TenantId(req.tenant),
-    };
-    // Register inserts the pending entry and installs the completion
-    // notifier *before* the job can reach the pipeline, so a completion
-    // can never race past an un-indexed tag.
-    let registered = service.submit_registered(request, opts, |_, state| {
-        shared
-            .pending
-            .lock()
-            .expect("session pending")
-            .insert(tag, Arc::clone(state));
-        let outbox = Arc::clone(shared);
-        state.set_notifier(Box::new(move || {
-            // Err means the outbox closed (connection torn down); the
-            // job still completed service-side, it just has no reader.
-            let _ = outbox.outbox.send(tag);
-        }));
-    });
-    match registered {
-        Ok(_) => telemetry.jobs.inc(),
-        Err(e) => {
-            // The job never entered the queue; un-index the tag.
-            shared.pending.lock().expect("session pending").remove(&tag);
-            refuse(e);
-        }
-    }
-}
-
-/// `JobDone` payload for a finished job.
-fn encode_job_done(
-    tag: u64,
-    result: Result<JobOutput, RuntimeError>,
-    ctx: &CkksContext,
-) -> Vec<u8> {
-    let body;
-    let outcome = match result {
-        Ok(JobOutput::Bootstrapped(ct)) => {
-            body = ctx.ciphertext_to_wire(&ct);
-            Ok((JobKind::Bootstrap, body.as_slice()))
-        }
-        Ok(JobOutput::Accumulators(accs)) => {
-            body = accumulators_to_wire(ctx, &accs);
-            Ok((JobKind::BlindRotate, body.as_slice()))
-        }
-        Err(e) => Err(e),
-    };
-    proto::encode_job_done(tag, &outcome)
-}
-
-/// One submission's completion slot on the client.
-struct SessionSlot {
-    slot: Mutex<Option<Result<JobOutput, RuntimeError>>>,
-    done: Condvar,
-}
-
-impl SessionSlot {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            slot: Mutex::new(None),
-            done: Condvar::new(),
-        })
-    }
-
-    fn fill(&self, result: Result<JobOutput, RuntimeError>) {
-        let mut slot = self.slot.lock().expect("session slot");
-        if slot.is_none() {
-            *slot = Some(result);
-            self.done.notify_all();
-        }
-    }
 }
 
 /// A client's handle to one in-flight session submission.
 pub struct SessionJob {
     tag: u64,
-    slot: Arc<SessionSlot>,
+    state: Arc<JobState>,
 }
 
 impl SessionJob {
@@ -412,32 +354,13 @@ impl SessionJob {
     /// session dies, which fails every outstanding job with
     /// [`RuntimeError::Transport`]).
     pub fn wait(self) -> Result<JobOutput, RuntimeError> {
-        let mut slot = self.slot.slot.lock().expect("session slot");
-        loop {
-            if let Some(done) = slot.take() {
-                return done;
-            }
-            slot = self.slot.done.wait(slot).expect("session slot");
-        }
+        let (id, state) = (JobId(self.tag), self.state);
+        JobHandle { id, state }.wait()
     }
 }
 
-/// Client state shared with the completion-routing reader thread.
-struct ClientShared {
-    ctx: Arc<CkksContext>,
-    pending: Mutex<HashMap<u64, Arc<SessionSlot>>>,
-    dead: AtomicBool,
-}
-
-impl ClientShared {
-    /// Fails every outstanding job; the session is unusable.
-    fn poison(&self, why: &str) {
-        self.dead.store(true, Ordering::SeqCst);
-        for (_, slot) in self.pending.lock().expect("client pending").drain() {
-            slot.fill(Err(transport(why)));
-        }
-    }
-}
+/// A client's waiters, shared with the completion-routing reader thread.
+type Routes = Mutex<SessionRoutes<Arc<JobState>>>;
 
 /// A multiplexed job-submission session to a [`SessionServer`].
 ///
@@ -445,9 +368,9 @@ impl ClientShared {
 /// carries all of their jobs and completions stream back out of order,
 /// routed to each [`SessionJob`] by tag.
 pub struct SessionClient {
+    ctx: Arc<CkksContext>,
     writer: Mutex<TcpStream>,
-    shared: Arc<ClientShared>,
-    next_tag: AtomicU64,
+    routes: Arc<Routes>,
     reader: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -461,32 +384,27 @@ impl SessionClient {
             read: Duration::ZERO,
             ..NodeTimeouts::default()
         };
-        let (stream, key_ids) =
-            proto::client_handshake(addr, Shape::of(ctx), t, &|_, _, _| {}).map_err(transport)?;
-        if key_ids.is_some() {
-            return Err(transport(
-                "HelloAck carries a key-id list: the peer is a node listener, not a session",
-            ));
-        }
-        let shared = Arc::new(ClientShared {
-            ctx: Arc::clone(ctx),
-            pending: Mutex::new(HashMap::new()),
-            dead: AtomicBool::new(false),
-        });
+        let (stream, _) =
+            remote::dial(addr, Shape::of(ctx), false, t, &|_, _, _| {}).map_err(transport)?;
+        let routes = Arc::new(Mutex::new(SessionRoutes::new()));
         let reader = {
-            let shared = Arc::clone(&shared);
+            let (routes, ctx) = (Arc::clone(&routes), Arc::clone(ctx));
             let mut stream = stream.try_clone().map_err(transport)?;
             std::thread::Builder::new()
                 .name("heap-session-reader".into())
-                .spawn(move || client_reader(&mut stream, &shared))
+                .spawn(move || client_reader(&mut stream, &routes, &ctx))
                 .expect("spawn session reader")
         };
         Ok(Self {
+            ctx: Arc::clone(ctx),
             writer: Mutex::new(stream),
-            shared,
-            next_tag: AtomicU64::new(0),
+            routes,
             reader: Some(reader),
         })
+    }
+
+    fn routes(&self) -> MutexGuard<'_, SessionRoutes<Arc<JobState>>> {
+        self.routes.lock().expect("session routes")
     }
 
     /// Submits a job over the session; completion streams back whenever
@@ -499,16 +417,12 @@ impl SessionClient {
         request: &JobRequest,
         opts: SubmitOptions,
     ) -> Result<SessionJob, RuntimeError> {
-        if self.shared.dead.load(Ordering::SeqCst) {
-            return Err(transport("session connection lost"));
-        }
-        let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
         let (kind, body) = match request {
-            JobRequest::Bootstrap { ct } => {
-                (JobKind::Bootstrap, self.shared.ctx.ciphertext_to_wire(ct))
-            }
+            JobRequest::Bootstrap { ct } => (JobKind::Bootstrap, self.ctx.ciphertext_to_wire(ct)),
             JobRequest::BlindRotate { lwes } => (JobKind::BlindRotate, lwe_batch_to_wire(lwes)),
         };
+        let state = JobState::new();
+        let tag = self.routes().submit(Arc::clone(&state))?;
         let p = SubmitReq {
             tag,
             tenant: opts.tenant.0,
@@ -517,33 +431,21 @@ impl SessionClient {
             body: &body,
         }
         .encode();
-        let slot = SessionSlot::new();
-        // Index the tag before the frame can travel: the completion may
-        // come back before the write call even returns.
-        self.shared
-            .pending
-            .lock()
-            .expect("client pending")
-            .insert(tag, Arc::clone(&slot));
-        let written = write_frame(
+        let written = proto::write_frame(
             &mut *self.writer.lock().expect("client writer"),
             FrameKind::SubmitReq,
             &p,
         );
         if let Err(e) = written {
-            self.shared
-                .pending
-                .lock()
-                .expect("client pending")
-                .remove(&tag);
+            self.routes().cancel(tag);
             return Err(transport(e));
         }
-        Ok(SessionJob { tag, slot })
+        Ok(SessionJob { tag, state })
     }
 
     /// Number of submissions still awaiting completion.
     pub fn in_flight(&self) -> usize {
-        self.shared.pending.lock().expect("client pending").len()
+        self.routes().in_flight()
     }
 }
 
@@ -553,7 +455,7 @@ impl Drop for SessionClient {
         // remaining JobDones, and closes; the reader exits on EOF.
         {
             let mut w = self.writer.lock().expect("client writer");
-            let _ = write_frame(&mut *w, FrameKind::Shutdown, &[]);
+            let _ = proto::write_frame(&mut *w, FrameKind::Shutdown, &[]);
         }
         if let Some(t) = self.reader.take() {
             let _ = t.join();
@@ -561,43 +463,23 @@ impl Drop for SessionClient {
     }
 }
 
-/// Routes completion frames to their slots until the session ends.
-fn client_reader(stream: &mut TcpStream, shared: &ClientShared) {
+/// Routes completion frames to their waiters until the session ends.
+fn client_reader(stream: &mut TcpStream, routes: &Routes, ctx: &CkksContext) {
     loop {
-        let (kind, payload, _) = match read_frame(stream) {
-            Ok(frame) => frame,
-            Err(_) => {
-                shared.poison("session connection lost");
-                return;
-            }
+        let frame = proto::read_frame(stream);
+        let mut machine = routes.lock().expect("session routes");
+        let routed = match &frame {
+            Ok(frame) => machine.on_frame(frame),
+            Err(_) => machine.lose("session connection lost"),
         };
-        let routed = match kind {
-            FrameKind::SubmitAck => proto::decode_submit_ack(&payload)
-                .map(|(tag, refused)| (tag, Err(refused)))
-                .ok(),
-            FrameKind::JobDone => proto::decode_job_done(&payload)
-                .map(|(tag, outcome)| (tag, decode_job_output(outcome, &shared.ctx)))
-                .ok(),
-            FrameKind::Pong => continue,
-            FrameKind::Error => {
-                shared.poison(&format!("server error: {}", proto::decode_error(&payload)));
-                return;
-            }
-            _ => None,
-        };
-        // A frame too short to carry its tag has no job to fail: it ends
-        // the session like any other frame that does not belong here.
-        let Some((tag, result)) = routed else {
-            shared.poison("unexpected frame on session");
+        let lost = machine.is_lost();
+        drop(machine);
+        for (state, outcome) in routed {
+            state.complete_and(decode_job_output(outcome, ctx), || {});
+        }
+        if lost {
             return;
-        };
-        fill(shared, tag, result);
-    }
-}
-
-fn fill(shared: &ClientShared, tag: u64, result: Result<JobOutput, RuntimeError>) {
-    if let Some(slot) = shared.pending.lock().expect("client pending").remove(&tag) {
-        slot.fill(result);
+        }
     }
 }
 
@@ -607,12 +489,61 @@ fn decode_job_output(
     ctx: &CkksContext,
 ) -> Result<JobOutput, RuntimeError> {
     match outcome? {
-        (JobKind::BlindRotate, body) => rlwe_batch_from_wire(body)
+        // Held to the context's basis: a foreign header is refused before
+        // its residues are unpacked.
+        (JobKind::BlindRotate, body) => rlwe_batch_from_wire_in(body, ctx.n(), &boot_moduli(ctx))
             .map(JobOutput::Accumulators)
             .map_err(|e| transport(format!("bad accumulator batch: {e:?}"))),
         (JobKind::Bootstrap, body) => ctx
             .ciphertext_from_wire(body)
             .map(JobOutput::Bootstrapped)
             .map_err(|e| transport(format!("bad ciphertext: {e:?}"))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ParamPreset;
+    use heap_tfhe::LweCiphertext;
+    use std::sync::mpsc;
+
+    /// A peer that completes the handshake and hangs up: every submission
+    /// is refused or fails with `Transport` — none waits forever, and none
+    /// stays in flight.
+    #[test]
+    fn a_server_that_hangs_up_strands_no_submission() {
+        let ctx = Arc::new(CkksContext::new(ParamPreset::Tiny.ckks_params()));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let shape = Shape::of(&ctx);
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            proto::read_frame(&mut stream).expect("hello");
+            let ack = proto::encode_hello_ack(shape, None);
+            proto::write_frame(&mut stream, FrameKind::HelloAck, &ack).expect("ack");
+        });
+        let client = SessionClient::connect(addr, &ctx).expect("handshake");
+        server.join().expect("server");
+        let lwes = vec![LweCiphertext::trivial(1, 4, 64)];
+        let request = JobRequest::BlindRotate { lwes };
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..64 {
+                let outcome = client
+                    .submit(&request, SubmitOptions::from(crate::Priority::Normal))
+                    .and_then(SessionJob::wait);
+                tx.send((outcome.map(drop), client.in_flight()))
+                    .expect("watchdog");
+            }
+        });
+        for _ in 0..64 {
+            let (outcome, in_flight) = rx.recv_timeout(Duration::from_secs(20)).expect("no hang");
+            assert!(
+                matches!(outcome, Err(RuntimeError::Transport(_))),
+                "{outcome:?}"
+            );
+            assert_eq!(in_flight, 0);
+        }
     }
 }

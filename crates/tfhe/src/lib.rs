@@ -62,4 +62,7 @@ pub use rgsw::{
     PreparedRgsw, RgswCiphertext, RgswParams,
 };
 pub use rlwe::{RingSecretKey, RlweCiphertext};
-pub use wire::{lwe_batch_from_wire, lwe_batch_to_wire, rlwe_batch_from_wire, rlwe_batch_to_wire};
+pub use wire::{
+    lwe_batch_from_wire, lwe_batch_to_wire, rlwe_batch_from_wire, rlwe_batch_from_wire_in,
+    rlwe_batch_to_wire,
+};

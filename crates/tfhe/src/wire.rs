@@ -185,20 +185,31 @@ impl RlweCiphertext {
     ///
     /// Returns a [`WireError`] on truncation or corrupted fields.
     pub fn read_wire(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Self::read_wire_in(r, None)
+    }
+
+    /// [`Self::read_wire`], held to `basis` — `n` coefficients over
+    /// exactly these moduli — when one is given: a header that differs is
+    /// refused before its residues are unpacked.
+    fn read_wire_in(
+        r: &mut WireReader<'_>,
+        basis: Option<(usize, &[u64])>,
+    ) -> Result<Self, WireError> {
         use heap_math::RnsPoly;
         if r.get_u32()? != ACC_MAGIC {
             return Err(WireError::Corrupt("accumulator magic"));
         }
         let limbs = r.get_u32()? as usize;
         let n = r.get_u32()? as usize;
-        if limbs == 0 || limbs > 64 || n == 0 || n > 1 << 24 {
+        let fits = basis.is_none_or(|(want, moduli)| (n, limbs) == (want, moduli.len()));
+        if limbs == 0 || limbs > 64 || n == 0 || n > 1 << 24 || !fits {
             return Err(WireError::Corrupt("accumulator shape"));
         }
         let mut a_limbs = Vec::with_capacity(limbs);
         let mut b_limbs = Vec::with_capacity(limbs);
-        for _ in 0..limbs {
+        for j in 0..limbs {
             let m = r.get_u64()?;
-            if m < 2 {
+            if m < 2 || basis.is_some_and(|(_, moduli)| moduli[j] != m) {
                 return Err(WireError::Corrupt("accumulator modulus"));
             }
             a_limbs.push(r.get_residues(n, m, "accumulator residue out of range")?);
@@ -238,6 +249,30 @@ pub fn rlwe_batch_to_wire(accs: &[RlweCiphertext], moduli: &[u64]) -> Vec<u8> {
 /// Returns a [`WireError`] on truncation, a bad magic/count, any corrupted
 /// element, or trailing bytes.
 pub fn rlwe_batch_from_wire(buf: &[u8]) -> Result<Vec<RlweCiphertext>, WireError> {
+    rlwe_batch_read(buf, None)
+}
+
+/// [`rlwe_batch_from_wire`] for the basis the accumulators must live over
+/// (`n` coefficients, one limb per modulus, in order). A member header
+/// that differs is refused before its residues are unpacked, so a batch
+/// makes the decoder allocate no more than the basis's own widths imply
+/// (a modulus-2 header would otherwise unpack each bit into a `u64`).
+///
+/// # Errors
+///
+/// As [`rlwe_batch_from_wire`], and for any member off the basis.
+pub fn rlwe_batch_from_wire_in(
+    buf: &[u8],
+    n: usize,
+    moduli: &[u64],
+) -> Result<Vec<RlweCiphertext>, WireError> {
+    rlwe_batch_read(buf, Some((n, moduli)))
+}
+
+fn rlwe_batch_read(
+    buf: &[u8],
+    basis: Option<(usize, &[u64])>,
+) -> Result<Vec<RlweCiphertext>, WireError> {
     let mut r = WireReader::new(buf);
     if r.get_u32()? != ACC_BATCH_MAGIC {
         return Err(WireError::Corrupt("accumulator batch magic"));
@@ -248,7 +283,7 @@ pub fn rlwe_batch_from_wire(buf: &[u8]) -> Result<Vec<RlweCiphertext>, WireError
     }
     let mut out = Vec::with_capacity(count.min(4096));
     for _ in 0..count {
-        out.push(RlweCiphertext::read_wire(&mut r)?);
+        out.push(RlweCiphertext::read_wire_in(&mut r, basis)?);
     }
     r.finish()?;
     Ok(out)
@@ -381,6 +416,53 @@ mod tests {
             assert_eq!(b.a.limbs(), a.a.limbs());
             assert_eq!(b.b.limbs(), a.b.limbs());
         }
+    }
+
+    /// A one-bit modulus packs 64 residues per `u64` the decoder makes:
+    /// held to the basis, such a member is refused on its header.
+    #[test]
+    fn batch_held_to_its_basis_refuses_foreign_members() {
+        let primes = ntt_primes(64, 28, 2);
+        let ctx = RnsContext::new(64, &primes);
+        let accs = vec![sample_accumulator(&ctx, 2, 7)];
+        let bytes = rlwe_batch_to_wire(&accs, &primes);
+        assert_eq!(
+            rlwe_batch_from_wire_in(&bytes, 64, &primes).unwrap().len(),
+            1
+        );
+        let off = |n, moduli: &[u64]| rlwe_batch_from_wire_in(&bytes, n, moduli).err();
+        assert_eq!(
+            off(32, &primes),
+            Some(WireError::Corrupt("accumulator shape"))
+        );
+        assert_eq!(
+            off(64, &primes[..1]),
+            Some(WireError::Corrupt("accumulator shape"))
+        );
+        let swapped = [primes[1], primes[0]];
+        assert_eq!(
+            off(64, &swapped),
+            Some(WireError::Corrupt("accumulator modulus"))
+        );
+        // 2^20 one-bit residues per part: 256 KiB on the wire, 16 MiB
+        // decoded unchecked.
+        let mut w = WireWriter::new();
+        w.put_u32(ACC_BATCH_MAGIC);
+        w.put_u32(1);
+        w.put_u32(ACC_MAGIC);
+        w.put_u32(1);
+        w.put_u32(1 << 20);
+        w.put_u64(2);
+        let mut hostile = w.into_bytes();
+        hostile.resize(hostile.len() + 2 * (1 << 17), 0);
+        assert_eq!(
+            rlwe_batch_from_wire(&hostile).unwrap()[0].a.limb(0).len(),
+            1 << 20
+        );
+        assert_eq!(
+            rlwe_batch_from_wire_in(&hostile, 64, &primes[..1]).err(),
+            Some(WireError::Corrupt("accumulator shape"))
+        );
     }
 
     #[test]
