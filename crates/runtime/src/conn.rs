@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use heap_math::wire::fnv1a;
-use heap_tfhe::{lwe_batch_to_wire, rlwe_batch_from_wire, LweCiphertext};
+use heap_tfhe::{lwe_batch_to_wire, rlwe_batch_from_wire_in, LweCiphertext};
 
 use crate::fault::{FaultAction, FaultState};
 use crate::node::{AttestedBatch, NodeError};
@@ -400,9 +400,13 @@ pub(crate) enum NodeCall<'a> {
         key: &'a [u8],
         uploading: bool,
     },
+    /// The accumulators must come back over the basis of `n` coefficients
+    /// and `moduli`, or they are refused before they are unpacked.
     Rotate {
         key_id: u64,
         lwes: &'a [LweCiphertext],
+        n: usize,
+        moduli: &'a [u64],
     },
 }
 
@@ -425,7 +429,7 @@ impl NodeCall<'_> {
             Self::Ping => (FrameKind::Ping, Vec::new()),
             Self::Stats => (FrameKind::StatsReq, Vec::new()),
             Self::Key { id, .. } => (FrameKind::KeyOffer, proto::encode_prefixed(*id, &[])),
-            Self::Rotate { key_id, lwes } => (
+            Self::Rotate { key_id, lwes, .. } => (
                 FrameKind::BlindRotateReq,
                 proto::encode_prefixed(*key_id, &lwe_batch_to_wire(lwes)),
             ),
@@ -500,7 +504,9 @@ impl NodeCall<'_> {
             // decoding, so a flip the frame CRC window missed (or a
             // corrupt server-side buffer) is a typed error instead of
             // garbage accumulators.
-            Self::Rotate { lwes, .. } => {
+            Self::Rotate {
+                lwes, n, moduli, ..
+            } => {
                 let (digest, body) = proto::decode_prefixed(&reply.payload)
                     .map_err(|e| protocol(format!("bad blind-rotate response: {e}")))?;
                 if fnv1a(body) != digest {
@@ -509,7 +515,7 @@ impl NodeCall<'_> {
                         phase: "attest",
                     });
                 }
-                let accs = rlwe_batch_from_wire(body)
+                let accs = rlwe_batch_from_wire_in(body, *n, moduli)
                     .map_err(|e| protocol(format!("bad accumulator batch: {e:?}")))?;
                 if accs.len() != lwes.len() {
                     return Err(NodeError::Mismatch("accumulator count != request count"));
@@ -611,7 +617,7 @@ impl<T> SessionRoutes<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     //! The machines with no socket, thread or wall clock: a simulator that
     //! runs seeded fault plans through a node and its client, and a session
     //! server and its client, over in-memory pipes under a virtual clock;
@@ -619,7 +625,9 @@ mod tests {
     //! machines' own edge cases. Plans and frame sequences are drawn with
     //! the `proptest` shim's strategies from per-seed RNGs, so a failure
     //! names its seed and plan, and `node_scenario(seed)` /
-    //! `session_scenario(seed)` replay it.
+    //! `session_scenario(seed)` replay it. The node pipe ([`NodeSim`]) and
+    //! the plan's predicted outcomes ([`Script`]) also serve the scheduler's
+    //! whole-fleet simulator in `policy::tests`.
     use super::*;
     use crate::fault::FaultPlan;
     use crate::job::Priority;
@@ -640,20 +648,22 @@ mod tests {
         boot_limbs: 1,
         q0: 97,
     };
-    /// The stub's LWE shape `(2N, n_t)` and its accumulators' modulus.
+    /// The stub's LWE shape `(2N, n_t)` and its accumulators' basis: one
+    /// coefficient over one modulus.
     const TWO_N: u64 = 32;
     const DIM: usize = 2;
-    const ACC_Q: u64 = 97;
+    pub(crate) const ACC_Q: u64 = 97;
+    pub(crate) const ACC_N: usize = 1;
     const KEY: u64 = 0xC0FF_EE00_0000_0001;
     /// The client's read deadline in every node scenario.
-    const DEADLINE: Duration = Duration::from_millis(100);
+    pub(crate) const DEADLINE: Duration = Duration::from_millis(100);
 
     /// The `EKS1` container the stub accepts for `id`.
     fn key_bytes(id: u64) -> Vec<u8> {
         id.to_le_bytes().repeat(3)
     }
 
-    fn lwes(count: usize, salt: u64) -> Vec<LweCiphertext> {
+    pub(crate) fn lwes(count: usize, salt: u64) -> Vec<LweCiphertext> {
         (0..count as u64)
             .map(|i| LweCiphertext {
                 a: vec![(i + salt) % TWO_N, (3 * i + 1) % TWO_N],
@@ -664,7 +674,7 @@ mod tests {
     }
 
     /// The stub's exact answer: one single-limb accumulator per LWE.
-    fn accs_for(lwes: &[LweCiphertext]) -> Vec<RlweCiphertext> {
+    pub(crate) fn accs_for(lwes: &[LweCiphertext]) -> Vec<RlweCiphertext> {
         let limb = |v: u64| RnsPoly::from_limbs(vec![vec![v % ACC_Q]], Domain::Eval);
         let acc = |l: &LweCiphertext| RlweCiphertext {
             a: limb(l.b),
@@ -680,7 +690,9 @@ mod tests {
 
     /// The backend every machine runs against here.
     #[derive(Default)]
-    struct Stub {
+    pub(crate) struct Stub {
+        /// Answers over a foreign basis: two coefficients, not one.
+        pub foreign: bool,
         keys: RefCell<Vec<u64>>,
         lookups: Cell<u64>,
         /// Accepted session jobs, not yet finished: tag, kind, body.
@@ -700,6 +712,15 @@ mod tests {
             let mut accs = accs_for(&lwes);
             if short {
                 accs.pop();
+            }
+            if self.foreign {
+                let wide =
+                    |p: &RnsPoly| RnsPoly::from_limbs(vec![vec![p.limb(0)[0], 0]], Domain::Eval);
+                let widen = |acc: &RlweCiphertext| RlweCiphertext {
+                    a: wide(&acc.a),
+                    b: wide(&acc.b),
+                };
+                accs = accs.iter().map(widen).collect();
             }
             Ok((rlwe_batch_to_wire(&accs, &[ACC_Q]), lwes.len() as u64))
         }
@@ -765,7 +786,7 @@ mod tests {
 
     /// The plan alphabet: every action, durations either side of
     /// [`DEADLINE`].
-    fn action(code: u8, ms: u64) -> FaultAction {
+    pub(crate) fn action(code: u8, ms: u64) -> FaultAction {
         let d = Duration::from_millis(ms);
         match code {
             0 => FaultAction::Pass,
@@ -792,7 +813,7 @@ mod tests {
 
     /// What the call must come to, from the plan alone.
     #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Expect {
+    pub(crate) enum Expect {
         Served,
         Remote,
         Protocol,
@@ -802,7 +823,7 @@ mod tests {
         Io,
     }
 
-    fn classify(result: &Result<Reply, NodeError>) -> Expect {
+    pub(crate) fn classify<T>(result: &Result<T, NodeError>) -> Expect {
         match result {
             Ok(_) => Expect::Served,
             Err(NodeError::Remote(_)) => Expect::Remote,
@@ -815,6 +836,60 @@ mod tests {
         }
     }
 
+    /// A node's plan and `fail_after` read ahead of the node: the action
+    /// each rotation request gets, and what the call then comes to.
+    pub(crate) struct Script<'p> {
+        actions: std::slice::Iter<'p, FaultAction>,
+        fail_after: Option<u64>,
+        served: u64,
+        pub dead: bool,
+    }
+
+    impl<'p> Script<'p> {
+        pub(crate) fn new(plan: &'p FaultPlan, fail_after: Option<u64>) -> Self {
+            Self {
+                actions: plan.actions().iter(),
+                fail_after,
+                served: 0,
+                dead: false,
+            }
+        }
+
+        /// The next rotation's action: `Drop` once `fail_after` has
+        /// killed the node.
+        pub(crate) fn next(&mut self) -> FaultAction {
+            let killed = self.fail_after.is_some_and(|limit| {
+                self.served += 1;
+                self.served > limit
+            });
+            let action = match killed || self.dead {
+                true => FaultAction::Drop,
+                false => self.actions.next().copied().unwrap_or(FaultAction::Pass),
+            };
+            self.dead |= killed;
+            action
+        }
+
+        /// What a rotation under `action` comes to.
+        pub(crate) fn expect(&self, action: FaultAction) -> Expect {
+            let late = |d: Duration| match d > DEADLINE {
+                true => Expect::Timeout,
+                false => Expect::Served,
+            };
+            match action {
+                _ if self.dead => Expect::Io,
+                FaultAction::Pass => Expect::Served,
+                FaultAction::Fail => Expect::Remote,
+                FaultAction::Delay(d) | FaultAction::Stall(d) => late(d),
+                FaultAction::Hang(d) if d.unwrap_or(HANG_FOREVER) > DEADLINE => Expect::Timeout,
+                FaultAction::Hang(_) | FaultAction::Drop => Expect::Io,
+                FaultAction::Corrupt => Expect::Protocol,
+                FaultAction::Flip => Expect::Crc,
+                FaultAction::Truncate => Expect::Mismatch,
+            }
+        }
+    }
+
     /// One client connection: the node machine behind the pipe, and a
     /// decoder at each end.
     struct Link<'a> {
@@ -824,19 +899,29 @@ mod tests {
     }
 
     /// A node, its client, and the virtual clock between them.
-    struct NodeSim<'a> {
+    pub(crate) struct NodeSim<'a> {
         node: &'a NodeShared,
         stub: &'a Stub,
         rng: StdRng,
-        clock: Duration,
+        pub clock: Duration,
         link: Option<Link<'a>>,
     }
 
     impl<'a> NodeSim<'a> {
+        pub(crate) fn new(node: &'a NodeShared, stub: &'a Stub, rng: StdRng) -> Self {
+            Self {
+                node,
+                stub,
+                rng,
+                clock: Duration::ZERO,
+                link: None,
+            }
+        }
+
         /// One call the way `RemoteNode::exchange` makes it: dial when no
         /// connection is held, and drop it on anything but success or an
         /// `Error` reply.
-        fn call(&mut self, call: NodeCall<'_>) -> Result<Reply, NodeError> {
+        pub(crate) fn call(&mut self, call: NodeCall<'_>) -> Result<Reply, NodeError> {
             let mut link = match self.link.take() {
                 Some(link) => link,
                 None => self.dial()?,
@@ -954,14 +1039,8 @@ mod tests {
             telemetry: NodeTelemetry::new(),
         };
         let stub = Stub::default();
-        let mut sim = NodeSim {
-            node: &node,
-            stub: &stub,
-            rng,
-            clock: Duration::ZERO,
-            link: None,
-        };
-        let (mut script, mut served, mut dead) = (plan.actions().iter(), 0u64, false);
+        let mut sim = NodeSim::new(&node, &stub, rng);
+        let mut script = Script::new(&plan, fail_after);
         let (mut want, mut seen) = (Counts::default(), [0; 7]);
         let key = key_bytes(KEY);
         for (i, call) in calls.iter().enumerate() {
@@ -972,14 +1051,14 @@ mod tests {
             };
             let (expect, result) = match *call {
                 Call::Ping => {
-                    want.pings += u64::from(!dead);
+                    want.pings += u64::from(!script.dead);
                     (Expect::Served, sim.call(NodeCall::Ping))
                 }
                 Call::Stats => (Expect::Served, sim.call(NodeCall::Stats)),
                 Call::Rotate { n, keyed } => {
                     let batch = lwes(n, seed);
                     let key_id = if keyed { KEY } else { 0 };
-                    if keyed && !dead {
+                    if keyed && !script.dead {
                         let offer = NodeCall::Key {
                             id: KEY,
                             key: &key,
@@ -987,35 +1066,8 @@ mod tests {
                         };
                         assert_eq!(classify(&sim.call(offer)), Expect::Served, "{}", why());
                     }
-                    let killed = fail_after.is_some_and(|limit| {
-                        served += 1;
-                        served > limit
-                    });
-                    let action = match killed || dead {
-                        true => FaultAction::Drop,
-                        false => script.next().copied().unwrap_or(FaultAction::Pass),
-                    };
-                    dead |= killed;
-                    let late = |d: Duration| {
-                        if d > DEADLINE {
-                            Expect::Timeout
-                        } else {
-                            Expect::Served
-                        }
-                    };
-                    let expect = match action {
-                        _ if dead => Expect::Io,
-                        FaultAction::Pass => Expect::Served,
-                        FaultAction::Fail => Expect::Remote,
-                        FaultAction::Delay(d) | FaultAction::Stall(d) => late(d),
-                        FaultAction::Hang(d) if d.unwrap_or(HANG_FOREVER) > DEADLINE => {
-                            Expect::Timeout
-                        }
-                        FaultAction::Hang(_) | FaultAction::Drop => Expect::Io,
-                        FaultAction::Corrupt => Expect::Protocol,
-                        FaultAction::Flip => Expect::Crc,
-                        FaultAction::Truncate => Expect::Mismatch,
-                    };
+                    let action = script.next();
+                    let (dead, expect) = (script.dead, script.expect(action));
                     if !dead
                         && !matches!(
                             action,
@@ -1032,6 +1084,8 @@ mod tests {
                     let result = sim.call(NodeCall::Rotate {
                         key_id,
                         lwes: &batch,
+                        n: ACC_N,
+                        moduli: &[ACC_Q],
                     });
                     if let Ok(Reply::Batch(got)) = &result {
                         let exact = rlwe_batch_to_wire(&accs_for(&batch), &[ACC_Q]);
@@ -1041,7 +1095,7 @@ mod tests {
                     (expect, result)
                 }
             };
-            let expect = if dead && !matches!(call, Call::Rotate { .. }) {
+            let expect = if script.dead && !matches!(call, Call::Rotate { .. }) {
                 Expect::Io
             } else {
                 expect
@@ -1503,6 +1557,49 @@ mod tests {
 
     /// The simulator's CI budget: at least 10,000 seeded scenarios in
     /// under 10 s.
+    /// The `NodeCall` mirror of heap-tfhe's
+    /// `batch_held_to_its_basis_refuses_foreign_members`: a secondary's
+    /// accumulators are decoded against the caller's basis, so a member
+    /// with another length, another limb count or a one-bit modulus (which
+    /// would unpack 64 residues per wire word) is refused on its header.
+    #[test]
+    fn rotate_reply_held_to_the_basis_refuses_foreign_members() {
+        let batch = lwes(1, 0);
+        let reply = |accs: &[RlweCiphertext], moduli: &[u64]| {
+            let body = rlwe_batch_to_wire(accs, moduli);
+            let payload = proto::encode_prefixed(fnv1a(&body), &body);
+            let mut call = NodeCall::Rotate {
+                key_id: 0,
+                lwes: &batch,
+                n: ACC_N,
+                moduli: &[ACC_Q],
+            };
+            call.on_frame(Frame {
+                kind: FrameKind::BlindRotateResp,
+                payload,
+            })
+        };
+        let own = accs_for(&batch);
+        assert!(matches!(reply(&own, &[ACC_Q]), Ok(Reply::Batch(_))));
+        let acc = |limbs: Vec<Vec<u64>>| RlweCiphertext {
+            a: RnsPoly::from_limbs(limbs.clone(), Domain::Eval),
+            b: RnsPoly::from_limbs(limbs, Domain::Eval),
+        };
+        let foreign = [
+            (acc(vec![vec![1, 2]]), vec![ACC_Q]),
+            (acc(vec![vec![1], vec![2]]), vec![ACC_Q, 89]),
+            (acc(vec![vec![1]]), vec![89]),
+            (acc(vec![vec![1; 4096]]), vec![2]),
+        ];
+        for (member, moduli) in foreign {
+            let got = reply(&[member], &moduli);
+            assert!(
+                matches!(got, Err(NodeError::Protocol(_))),
+                "{moduli:?}: {got:?}"
+            );
+        }
+    }
+
     #[test]
     fn simulated_scenarios_settle_as_their_plans_say() {
         let start = Instant::now();

@@ -34,10 +34,12 @@
 //!    `heap-node-serve` process ([`serve`]), using the `heap-tfhe` wire
 //!    encodings, so a `TransferLedger` fed by it records bytes *measured
 //!    on a real socket* rather than modeled.
-//! 5. **Fault tolerance** (`policy`, `scheduler`, `fault`) — every node
-//!    sits behind a circuit breaker (Closed → Open → HalfOpen; `policy`
-//!    holds that table and every other scheduling decision as pure
-//!    functions, `scheduler` the threads and locks); failed shards
+//! 5. **Fault tolerance** (`policy`, `scheduler`, `fault`) — `policy`
+//!    decides and `scheduler` executes: a pure batch machine makes every
+//!    decision of a batch across its rounds, and the breaker table every
+//!    decision about a node, while `scheduler` keeps the node slots, one
+//!    thread per attempt, each batch's lock and the prober. Every node
+//!    sits behind a circuit breaker (Closed → Open → HalfOpen); failed shards
 //!    are retried with exponential backoff and deterministic jitter, a
 //!    background prober pings Open nodes and readmits recovered ones,
 //!    socket operations all carry deadlines (hung peers surface as typed

@@ -26,7 +26,7 @@ use heap_keys::{KeyId, KeyPackage};
 use heap_tfhe::{LweCiphertext, RlweCiphertext};
 
 use crate::conn::{failure, NodeCall, Reply};
-use crate::node::{AttestedBatch, NodeError, ServiceNode};
+use crate::node::{boot_moduli, AttestedBatch, NodeError, ServiceNode};
 use crate::proto::{self, Class, Dir, FrameError, FrameKind, Shape};
 
 /// Deadlines applied to every socket operation of a [`RemoteNode`].
@@ -242,7 +242,7 @@ impl RemoteNode {
 
     /// Books one frame that crossed the socket under its kind's class.
     /// Item counts (`lwe_sent`, `rlwe_received`) are not bytes:
-    /// [`Self::rotate_exchange`] adds them once a batch has succeeded.
+    /// [`ServiceNode::try_blind_rotate_attested`] adds them once a batch has succeeded.
     fn book(&self, dir: Dir, kind: FrameKind, bytes: u64) {
         let Some(ledger) = &self.ledger else { return };
         match (kind.class(), dir) {
@@ -303,36 +303,6 @@ impl RemoteNode {
         }
     }
 
-    /// One blind-rotate exchange, attested. Keyed, it is preceded by one
-    /// `KeyOffer` per batch — the server's single *counted* cache lookup,
-    /// so its hit/miss telemetry matches the driven workload one-to-one —
-    /// and a `KeyUpload` of the encoded container only on `KeyNeed`.
-    fn rotate_exchange(&self, lwes: &[LweCiphertext]) -> Result<AttestedBatch, NodeError> {
-        let key_id = match &self.key {
-            Some(key) => {
-                let (id, key) = (key.id.0, &key.bytes[..]);
-                self.exchange(NodeCall::Key {
-                    id,
-                    key,
-                    uploading: false,
-                })?;
-                self.lock_known().insert(id);
-                id
-            }
-            // Sentinel 0: run under the server's pre-loaded default key.
-            None => 0,
-        };
-        let batch = match self.exchange(NodeCall::Rotate { key_id, lwes })? {
-            Reply::Batch(batch) => batch,
-            other => unreachable!("a rotation ends in a batch, not {other:?}"),
-        };
-        if let Some(ledger) = &self.ledger {
-            ledger.record_scatter(lwes.len() as u64, 0);
-            ledger.record_gather(batch.accs.len() as u64, 0);
-        }
-        Ok(batch)
-    }
-
     /// Best-effort clean session end (the server closes the connection).
     pub fn shutdown(&self) {
         if let Some(stream) = self.lock_stream().as_mut() {
@@ -355,23 +325,58 @@ impl std::fmt::Debug for RemoteNode {
 impl ServiceNode for RemoteNode {
     fn try_blind_rotate_batch(
         &self,
-        _ctx: &CkksContext,
-        _boot: &Bootstrapper,
+        ctx: &CkksContext,
+        boot: &Bootstrapper,
         lwes: &[LweCiphertext],
     ) -> Result<Vec<RlweCiphertext>, NodeError> {
-        self.rotate_exchange(lwes).map(|attested| attested.accs)
+        self.try_blind_rotate_attested(ctx, boot, lwes)
+            .map(|attested| attested.accs)
     }
 
-    /// The attested batch carries the digest the *server* computed (the
-    /// wire prefix), not a client-side recomputation — so the scheduler's
-    /// verification spans the whole transport.
+    /// One blind-rotate exchange. Keyed, it is preceded by one `KeyOffer`
+    /// per batch — the server's single *counted* cache lookup, so its
+    /// hit/miss telemetry matches the driven workload one-to-one — and a
+    /// `KeyUpload` of the encoded container only on `KeyNeed`. The reply is
+    /// held to `ctx`'s boot basis, and the attested batch carries the
+    /// digest the *server* computed (the wire prefix), not a client-side
+    /// recomputation — so the scheduler's verification spans the whole
+    /// transport.
     fn try_blind_rotate_attested(
         &self,
-        _ctx: &CkksContext,
+        ctx: &CkksContext,
         _boot: &Bootstrapper,
         lwes: &[LweCiphertext],
     ) -> Result<AttestedBatch, NodeError> {
-        self.rotate_exchange(lwes)
+        let key_id = match &self.key {
+            Some(key) => {
+                let (id, key) = (key.id.0, &key.bytes[..]);
+                self.exchange(NodeCall::Key {
+                    id,
+                    key,
+                    uploading: false,
+                })?;
+                self.lock_known().insert(id);
+                id
+            }
+            // Sentinel 0: run under the server's pre-loaded default key.
+            None => 0,
+        };
+        let moduli = &boot_moduli(ctx);
+        let call = NodeCall::Rotate {
+            key_id,
+            lwes,
+            n: ctx.n(),
+            moduli,
+        };
+        let batch = match self.exchange(call)? {
+            Reply::Batch(batch) => batch,
+            other => unreachable!("a rotation ends in a batch, not {other:?}"),
+        };
+        if let Some(ledger) = &self.ledger {
+            ledger.record_scatter(lwes.len() as u64, 0);
+            ledger.record_gather(batch.accs.len() as u64, 0);
+        }
+        Ok(batch)
     }
 
     fn probe(&self) -> Result<(), NodeError> {

@@ -1,34 +1,28 @@
-//! Sharding, least-loaded dispatch, and fault-tolerant reassignment.
+//! The scheduler's executor: sharded, least-loaded, fault-tolerant
+//! dispatch of LWE batches.
 //!
-//! A flushed batch of LWE ciphertexts is split into contiguous shards —
-//! one per dispatchable node (the paper's §V primary/secondary scatter) —
-//! so results reassemble in input order by construction. Shards go to
-//! nodes least-loaded-first (load = blind rotations currently in flight on
-//! that node, which matters when several batches overlap or nodes differ
-//! in speed).
-//!
-//! Every *decision* along the way — what a failure does to a node's
-//! circuit breaker, how racing attempts settle a shard, how long to back
-//! off, which shard to audit, when and where to hedge — is a pure function
-//! in [`crate::policy`] (its module docs hold the breaker diagram). This
-//! file is what has to touch the world: it calls the node, validates shape
-//! and attestation, takes the lock, asks the table, and applies the answer.
-//!
-//! A node whose breaker is `Open` receives no shards. A background
-//! health prober wakes every `probe_interval`, moves due `Open` breakers
-//! to `HalfOpen`, and probes the node ([`ServiceNode::probe`] — for a
-//! remote node: reconnect, re-handshake, ping). Failed shards are
-//! reassigned to the surviving nodes with exponential backoff and
-//! deterministic jitter between rounds. When no regular node is
-//! dispatchable and a *fallback* node is configured, the fallback carries
-//! the round — a batch never fails while the host itself can still
-//! compute. Only when nothing can serve a shard does the batch fail, with
-//! a typed [`RuntimeError`].
+//! A flushed batch is split into contiguous shards — one per dispatchable
+//! node (the paper's §V primary/secondary scatter) — so results reassemble
+//! in input order by construction. Every *decision* of an `execute` call —
+//! the partition, which node runs which shard, audits, hedges and when
+//! they fire, how racing attempts settle, backoff between rounds, giving up,
+//! what to count and what each breaker hears — is made by one pure
+//! [`policy::BatchMachine`]; the breaker itself is [`policy::BreakerState`]'s
+//! table (its diagram is in the [`crate::policy`] docs). This file is what
+//! has to touch the world: node slots (breaker, in-flight count, EWMA), one
+//! thread per attempt that calls the node and validates shape and
+//! attestation, the batch's one lock and condvar through which attempts
+//! feed the machine, and the health prober, which wakes every
+//! `probe_interval`, half-opens due `Open` breakers and probes those nodes
+//! ([`ServiceNode::probe`] — for a remote node: reconnect, re-handshake,
+//! ping). When no regular node is dispatchable and a *fallback* node is
+//! configured, the fallback carries the round; only when nothing can serve
+//! a shard does the batch fail, with a typed [`RuntimeError`].
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use heap_ckks::CkksContext;
 use heap_core::Bootstrapper;
@@ -37,7 +31,8 @@ use heap_tfhe::{LweCiphertext, RlweCiphertext};
 
 use crate::node::{AttestedBatch, NodeError, ServiceNode};
 use crate::policy::{
-    self, BreakerEvent, BreakerState, RetryPolicy, Role, Settle, Shard, Transition, MAX_ROUNDS,
+    self, BatchEvent, BatchMachine, BreakerEvent, BreakerState, Command, NodeView, RetryPolicy,
+    Role, Transition,
 };
 use crate::telemetry::{SchedulerStats, SchedulerTelemetry};
 use crate::RuntimeError;
@@ -64,58 +59,15 @@ struct NodeSlot {
     ewma_samples: AtomicU64,
 }
 
-impl NodeSlot {
-    fn new(node: Box<dyn ServiceNode>, role: Role) -> Self {
-        Self {
-            node,
-            role,
-            breaker: Mutex::new(BreakerState::NEW),
-            inflight: AtomicUsize::new(0),
-            ewma_ns: AtomicU64::new(0),
-            ewma_samples: AtomicU64::new(0),
-        }
-    }
-}
-
-/// One shard's bookkeeping within a dispatch round. Attempts (primary,
-/// audit twin, hedge) race to settle it; workers mutate this under the
-/// round lock.
-struct ShardRound {
-    /// Output slot in the batch.
-    slot: usize,
-    /// The shard's LWE index range.
-    range: Range<usize>,
-    /// Node indices already attempted (never hedge to one of these).
-    tried: Vec<usize>,
-    /// When the round's first attempt was dispatched (hedge timing).
-    started: Instant,
-    /// The race itself: attempts out, held audit result, winner.
-    race: Shard<Vec<RlweCiphertext>>,
-}
-
-struct RoundState {
-    shards: Vec<ShardRound>,
-    /// Shards not settled yet; the round ends at zero.
-    unresolved: usize,
-    last_err: String,
-}
-
-/// What every attempt of a batch computes on. Workers are detached (a
-/// stalled loser must not block the batch), so they share it by `Arc`
-/// rather than borrow.
+/// One `execute` call, shared with its attempt workers: what they compute
+/// on, and the batch machine they feed results into under the one lock.
+/// Workers are detached (a stalled loser must not block the batch), so a
+/// loser that reports after `execute` returned still books what it owes.
 struct Batch {
     ctx: Arc<CkksContext>,
     boot: Arc<Bootstrapper>,
     lwes: Vec<LweCiphertext>,
-}
-
-/// Shared between the dispatching batch loop and its detached workers.
-/// Workers from a *previous* round may still be running (stragglers,
-/// hedge losers); they hold their own round's `Arc` and can never touch
-/// a later round's state.
-struct Round {
-    batch: Arc<Batch>,
-    state: Mutex<RoundState>,
+    machine: Mutex<BatchMachine<Vec<RlweCiphertext>>>,
     cv: Condvar,
 }
 
@@ -123,6 +75,8 @@ struct Round {
 struct Inner {
     /// The regular nodes, then the last-resort slot if one is configured.
     slots: Vec<NodeSlot>,
+    /// Each slot's node name, for the machines' messages.
+    names: Arc<[String]>,
     policy: RetryPolicy,
     /// Batch sequence for deterministic jitter seeding (distinct from the
     /// telemetry counter so concurrent batches never share a seed).
@@ -136,288 +90,107 @@ struct Inner {
 }
 
 impl Inner {
-    /// The dispatchable slots by role, in slot order: the regular nodes,
-    /// and the last-resort slot if it is still trusted.
-    fn dispatchable(&self) -> (Vec<usize>, Option<usize>) {
-        let mut regular = Vec::new();
-        let mut last_resort = None;
-        for (i, slot) in self.slots.iter().enumerate() {
-            if lock(&slot.breaker).is_dispatchable() {
-                match slot.role {
-                    Role::Regular => regular.push(i),
-                    Role::LastResort => last_resort = Some(i),
-                }
-            }
-        }
-        (regular, last_resort)
-    }
-
-    /// Dispatch targets: key-holding nodes first (a node that already
-    /// caches the batch's evaluation key skips the upload), then
-    /// least-loaded (stable on ties). The last-resort slot joins when no
-    /// regular node is dispatchable.
-    fn ranked_dispatchable(&self) -> Vec<usize> {
-        let (mut ranked, last_resort) = self.dispatchable();
-        ranked.sort_by_key(|&i| {
-            let slot = &self.slots[i];
-            (
-                !slot.node.holds_key(),
-                slot.inflight.load(Ordering::Relaxed),
-            )
-        });
-        if ranked.is_empty() {
-            ranked.extend(last_resort);
-        }
-        ranked
-    }
-
-    /// Feeds one event through a node's breaker table and applies the
-    /// transition it answers with. Returns whether the state changed.
-    fn step(&self, node_idx: usize, event: BreakerEvent, why: &str) -> bool {
-        let slot = &self.slots[node_idx];
-        let (changed, transition) = {
-            let mut state = lock(&slot.breaker);
-            let (next, transition) = state.on(event, slot.role, &self.policy, Instant::now());
-            let changed = next != *state;
-            *state = next;
-            (changed, transition)
+    fn fleet(&self) -> Vec<NodeView> {
+        let view = |slot: &NodeSlot| NodeView {
+            role: slot.role,
+            up: lock(&slot.breaker).is_dispatchable(),
+            holds_key: slot.node.holds_key(),
+            inflight: slot.inflight.load(Ordering::Relaxed),
+            ewma_ns: slot.ewma_ns.load(Ordering::Relaxed),
+            samples: slot.ewma_samples.load(Ordering::Relaxed),
         };
-        if let Some(transition) = transition {
-            self.apply(slot.node.as_ref(), transition, why);
-        }
+        self.slots.iter().map(view).collect()
+    }
+
+    /// The dispatchable slots of `role`, in slot order.
+    fn up(&self, role: Role) -> impl Iterator<Item = usize> + '_ {
+        let up = move |&i: &usize| {
+            self.slots[i].role == role && lock(&self.slots[i].breaker).is_dispatchable()
+        };
+        (0..self.slots.len()).filter(up)
+    }
+
+    /// Feeds one event through a node's breaker table and books the
+    /// transition it answers with — the one place a transition is counted
+    /// and logged, whichever of a shard, a probe or an audit caused it.
+    /// Returns whether the state changed.
+    fn step(&self, node_idx: usize, event: BreakerEvent, why: &str, now: Instant) -> bool {
+        let slot = &self.slots[node_idx];
+        let mut state = lock(&slot.breaker);
+        let (next, transition) = state.on(event, slot.role, &self.policy, now);
+        let changed = std::mem::replace(&mut *state, next) != next;
+        drop(state);
+        let counters = &self.telemetry.counters;
+        let (counter, kind) = match transition {
+            Some(Transition::Opened) => (&counters.breaker_opens, "breaker_open"),
+            Some(Transition::Readmitted) => (&counters.readmissions, "readmission"),
+            Some(Transition::Quarantined) => (&counters.quarantines, "quarantine"),
+            // Kept as found: an abandoned last resort books nothing (its
+            // failure itself is counted as a node failure).
+            Some(Transition::Abandoned) | None => return changed,
+        };
+        counter.inc();
+        self.telemetry
+            .events
+            .record(kind, &self.names[node_idx], why);
         changed
     }
 
-    /// Books a breaker transition — the one place a transition is counted
-    /// and logged, whichever of a shard, a probe or an audit caused it.
-    fn apply(&self, node: &dyn ServiceNode, transition: Transition, why: &str) {
-        let counters = &self.telemetry.counters;
-        let kind = match transition {
-            Transition::Opened => {
-                counters.breaker_opens.inc();
-                "breaker_open"
-            }
-            Transition::Readmitted => {
-                counters.readmissions.inc();
-                "readmission"
-            }
-            Transition::Quarantined => {
-                counters.quarantines.inc();
-                "quarantine"
-            }
-            // Kept as found: an abandoned last resort books nothing (its
-            // failure itself is counted by `record_failure`).
-            Transition::Abandoned => return,
-        };
-        self.telemetry.events.record(kind, &node.name(), why);
-    }
-
-    /// Books a failed attempt: failure counter, corruption-layer counter
-    /// for integrity failures, breaker event. Returns the `node: why`
-    /// string the batch keeps as its last error.
-    fn record_failure(&self, node_idx: usize, err: &NodeError) -> String {
-        let counters = &self.telemetry.counters;
-        let name = self.slots[node_idx].node.name();
-        let why = err.to_string();
-        counters.node_failures.inc();
-        if let NodeError::Corrupt { phase, .. } = err {
-            match *phase {
-                "crc" => counters.corruption_crc.inc(),
-                _ => counters.corruption_attest.inc(),
-            }
-            self.telemetry.events.record("corruption", &name, &why);
-        }
-        self.step(node_idx, BreakerEvent::Failed, &why);
-        format!("{name}: {why}")
-    }
-
-    /// Opens a dispatch round over `pending` and launches each shard's
-    /// first attempt (and an audited shard's twin).
-    fn dispatch_round(
-        self: &Arc<Self>,
-        batch: &Arc<Batch>,
-        pending: &[(usize, Range<usize>)],
-        ranked: &[usize],
-        audited: impl Fn(usize) -> bool,
-    ) -> Arc<Round> {
-        let started = Instant::now();
-        let round = Arc::new(Round {
-            batch: Arc::clone(batch),
-            state: Mutex::new(RoundState {
-                shards: pending
-                    .iter()
-                    .map(|(slot, range)| ShardRound {
-                        slot: *slot,
-                        range: range.clone(),
-                        tried: Vec::new(),
-                        started,
-                        race: Shard::new(audited(*slot)),
-                    })
-                    .collect(),
-                unresolved: pending.len(),
-                last_err: String::new(),
-            }),
-            cv: Condvar::new(),
-        });
-        // Shard j of this round goes to the j-th least-loaded node
-        // (wrapping when shards outnumber dispatchable nodes); an audited
-        // shard also goes to the next node.
-        let mut st = lock(&round.state);
-        for j in 0..pending.len() {
-            self.spawn_attempt(&round, &mut st, j, ranked[j % ranked.len()], false);
-            if st.shards[j].race.is_audit() {
-                self.spawn_attempt(&round, &mut st, j, ranked[(j + 1) % ranked.len()], false);
+    /// Carries out a machine's commands, under the batch's lock.
+    fn run(self: &Arc<Self>, batch: &Arc<Batch>, now: Instant, commands: Vec<Command>) {
+        for command in commands {
+            match command {
+                Command::Launch(attempt, node, range) => {
+                    self.slots[node]
+                        .inflight
+                        .fetch_add(range.len(), Ordering::Relaxed);
+                    let (inner, batch) = (Arc::clone(self), Arc::clone(batch));
+                    std::thread::Builder::new()
+                        .name("heap-shard".into())
+                        .spawn(move || inner.attempt(&batch, attempt, node, range))
+                        .expect("spawn shard worker");
+                }
+                Command::Breaker(node, event, why) => {
+                    self.step(node, event, &why, now);
+                }
+                Command::Count(tally, n) => tally(&self.telemetry.counters).add(n),
+                Command::RoundTrip(node, ns, valid) => {
+                    self.telemetry.shard_round_trip_ns.record(ns);
+                    let slot = &self.slots[node];
+                    if valid {
+                        let old = slot.ewma_ns.load(Ordering::Relaxed);
+                        let next = policy::ewma_fold(old, ns.max(1));
+                        slot.ewma_ns.store(next, Ordering::Relaxed);
+                        slot.ewma_samples.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                Command::Log(kind, subject, why) => {
+                    self.telemetry.events.record(kind, &subject, &why);
+                }
             }
         }
-        drop(st);
-        round
     }
 
-    /// Dispatches one attempt of one shard on a detached worker thread.
-    /// The caller holds the round lock (`st`) so attempt bookkeeping and
-    /// the spawn are atomic with respect to other workers.
-    fn spawn_attempt(
-        self: &Arc<Self>,
-        round: &Arc<Round>,
-        st: &mut RoundState,
-        shard_idx: usize,
-        node_idx: usize,
-        hedge: bool,
-    ) {
-        let counters = &self.telemetry.counters;
-        let slot = &self.slots[node_idx];
-        let sh = &mut st.shards[shard_idx];
-        let range = sh.range.clone();
-        sh.race.launched(hedge);
-        sh.tried.push(node_idx);
-        if hedge {
-            counters.hedges_issued.inc();
-        }
-        slot.inflight.fetch_add(range.len(), Ordering::Relaxed);
-        counters.shards.inc();
-        if slot.role == Role::LastResort {
-            counters.fallback_shards.inc();
-        }
-        let (inner, round) = (Arc::clone(self), Arc::clone(round));
-        std::thread::Builder::new()
-            .name("heap-shard".into())
-            .spawn(move || inner.shard_attempt(&round, shard_idx, node_idx, hedge, range))
-            .expect("spawn shard worker");
-    }
-
-    /// One attempt, worker-side: call the node, validate shape and
-    /// attestation, then settle into the round state. Late results for
-    /// already-settled shards (hedge losers, stragglers) are discarded
-    /// here — they never reach the caller.
-    fn shard_attempt(
-        &self,
-        round: &Round,
-        shard_idx: usize,
-        node_idx: usize,
-        hedge: bool,
-        range: Range<usize>,
-    ) {
-        let Batch { ctx, boot, lwes } = &*round.batch;
-        let counters = &self.telemetry.counters;
-        let slot = &self.slots[node_idx];
-        let shard = &lwes[range];
-        let t0 = Instant::now();
+    /// One attempt, on its own thread: call the node, validate the reply,
+    /// and feed the result to the batch's machine.
+    fn attempt(self: &Arc<Self>, batch: &Arc<Batch>, id: usize, node: usize, range: Range<usize>) {
+        let (ctx, slot, shard) = (&batch.ctx, &self.slots[node], &batch.lwes[range]);
         // A panicking node — or a reply whose validation panics — must not
         // take the whole batch down: it is that attempt failing, so every
         // launched attempt reports exactly once and retry/hedging handle it.
-        let attempt = || {
-            let reply = slot.node.try_blind_rotate_attested(ctx, boot, shard);
-            (
-                t0.elapsed(),
-                reply.and_then(|b| check_reply(ctx, shard.len(), b)),
-            )
+        let call = || {
+            let reply = slot.node.try_blind_rotate_attested(ctx, &batch.boot, shard);
+            reply.and_then(|b| check_reply(ctx, shard.len(), b))
         };
-        let (elapsed, result) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(attempt))
-            .unwrap_or_else(|_| (t0.elapsed(), Err(NodeError::Io("node panicked".into()))));
-        let elapsed_ns = elapsed.as_nanos() as u64;
-        self.telemetry.shard_round_trip_ns.record(elapsed_ns);
-        slot.inflight.fetch_sub(shard.len(), Ordering::Relaxed);
-        let mut st = lock(&round.state);
-        let result = match result {
-            Ok(batch) => {
-                let old = slot.ewma_ns.load(Ordering::Relaxed);
-                let next = policy::ewma_fold(old, elapsed_ns.max(1));
-                slot.ewma_ns.store(next, Ordering::Relaxed);
-                slot.ewma_samples.fetch_add(1, Ordering::Relaxed);
-                self.step(
-                    node_idx,
-                    BreakerEvent::Succeeded,
-                    "half-open shard succeeded",
-                );
-                Some((batch.digest, batch.accs))
-            }
-            Err(e) => {
-                st.last_err = self.record_failure(node_idx, &e);
-                None
-            }
-        };
-        match st.shards[shard_idx].race.on_result(node_idx, hedge, result) {
-            Settle::Pending => return,
-            Settle::Discarded { wasted } => {
-                if wasted {
-                    counters.hedges_wasted.inc();
-                }
-                return;
-            }
-            Settle::Won { by_hedge } => {
-                if by_hedge {
-                    counters.hedges_won.inc();
-                }
-            }
-            Settle::Failed => {}
-            Settle::Disagreed { a, b } => {
-                counters.corruption_audit.inc();
-                for liar in [a, b] {
-                    self.step(liar, BreakerEvent::CaughtLying, "audit digest mismatch");
-                }
-                st.last_err = NodeError::Corrupt {
-                    frame: "accumulators".into(),
-                    phase: "audit",
-                }
-                .to_string();
-            }
-        }
-        // The one settled exit: this result ended the shard's race.
-        st.unresolved -= 1;
-        round.cv.notify_all();
-    }
-
-    /// Fires at most one hedge per straggling shard, when and where
-    /// [`policy::hedge_target`] says, among the dispatchable regular
-    /// nodes (the last resort is never a hedge target).
-    fn hedge_stragglers(self: &Arc<Self>, round: &Arc<Round>, st: &mut RoundState) {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call))
+            .unwrap_or_else(|_| Err(NodeError::Io("node panicked".into())));
         let now = Instant::now();
-        for j in 0..st.shards.len() {
-            let sh = &st.shards[j];
-            if !sh.race.can_hedge() {
-                continue;
-            }
-            let elapsed = now.saturating_duration_since(sh.started);
-            let candidates = self.dispatchable().0.into_iter().map(|i| {
-                let slot = &self.slots[i];
-                (
-                    i,
-                    slot.ewma_ns.load(Ordering::Relaxed),
-                    slot.ewma_samples.load(Ordering::Relaxed),
-                    sh.tried.contains(&i),
-                )
-            });
-            let Some((target, threshold)) = policy::hedge_target(&self.policy, elapsed, candidates)
-            else {
-                continue;
-            };
-            self.telemetry.events.record(
-                "hedge",
-                &self.slots[target].node.name(),
-                &format!("shard stuck {elapsed:?} (threshold {threshold:?})"),
-            );
-            self.spawn_attempt(round, st, j, target, true);
-        }
+        slot.inflight.fetch_sub(shard.len(), Ordering::Relaxed);
+        let result = result.map(|b| (b.digest, b.accs));
+        let mut machine = lock(&batch.machine);
+        let commands = machine.on(now, BatchEvent::Done(id, result));
+        self.run(batch, now, commands);
+        batch.cv.notify_all();
     }
 
     /// One prober pass: half-open due breakers and probe those nodes.
@@ -426,13 +199,14 @@ impl Inner {
             // `ProbeDue` changes exactly one kind of state — an `Open`
             // breaker past its deadline, to `HalfOpen` — and that is the
             // cue to spend a probe on the node.
-            if !self.step(i, BreakerEvent::ProbeDue, "") {
+            if !self.step(i, BreakerEvent::ProbeDue, "", Instant::now()) {
                 continue;
             }
-            match slot.node.probe() {
-                Ok(()) => self.step(i, BreakerEvent::Succeeded, "probe succeeded"),
-                Err(e) => self.step(i, BreakerEvent::Failed, &format!("probe failed: {e}")),
+            let (event, why) = match slot.node.probe() {
+                Ok(()) => (BreakerEvent::Succeeded, "probe succeeded".to_string()),
+                Err(e) => (BreakerEvent::Failed, format!("probe failed: {e}")),
             };
+            self.step(i, event, &why, Instant::now());
         }
     }
 }
@@ -507,12 +281,20 @@ impl Scheduler {
             return Err(RuntimeError::NoNodes);
         }
         let regular = nodes.len();
-        let slots = nodes
-            .into_iter()
-            .map(|node| NodeSlot::new(node, Role::Regular))
-            .chain(fallback.map(|node| NodeSlot::new(node, Role::LastResort)))
+        let slot = |(node, role): (Box<dyn ServiceNode>, Role)| NodeSlot {
+            node,
+            role,
+            breaker: Mutex::new(BreakerState::NEW),
+            inflight: AtomicUsize::new(0),
+            ewma_ns: AtomicU64::new(0),
+            ewma_samples: AtomicU64::new(0),
+        };
+        let slots: Vec<NodeSlot> = (nodes.into_iter().map(|node| (node, Role::Regular)))
+            .chain(fallback.map(|node| (node, Role::LastResort)))
+            .map(slot)
             .collect();
         let inner = Arc::new(Inner {
+            names: slots.iter().map(|slot| slot.node.name()).collect(),
             slots,
             policy,
             batch_seq: AtomicU64::new(0),
@@ -531,21 +313,18 @@ impl Scheduler {
 
     /// Nodes currently dispatchable (breaker Closed or HalfOpen).
     pub fn healthy_count(&self) -> usize {
-        self.inner.dispatchable().0.len()
+        self.inner.up(Role::Regular).count()
     }
 
     /// Names of the dispatchable nodes.
     pub fn healthy_names(&self) -> Vec<String> {
-        let (regular, _) = self.inner.dispatchable();
-        regular
-            .into_iter()
-            .map(|i| self.inner.slots[i].node.name())
-            .collect()
+        let up = self.inner.up(Role::Regular);
+        up.map(|i| self.inner.names[i].clone()).collect()
     }
 
     /// Whether a fallback node is configured and still trusted.
     pub fn has_fallback(&self) -> bool {
-        self.inner.dispatchable().1.is_some()
+        self.inner.up(Role::LastResort).next().is_some()
     }
 
     /// Snapshot of the lifetime counters. These read the *same* atomics
@@ -575,91 +354,33 @@ impl Scheduler {
         lwes: &[LweCiphertext],
     ) -> Result<Vec<RlweCiphertext>, RuntimeError> {
         let inner = &self.inner;
-        let counters = &inner.telemetry.counters;
         let batch_no = inner.batch_seq.fetch_add(1, Ordering::Relaxed);
-        counters.batches.inc();
-        if lwes.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut out: Vec<Option<Vec<RlweCiphertext>>> = Vec::new();
-        // (output slot, shard range) pairs still awaiting a valid result.
-        let mut pending: Vec<(usize, Range<usize>)> = Vec::new();
-        {
-            let ranked = inner.ranked_dispatchable();
-            if ranked.is_empty() {
-                return Err(RuntimeError::AllNodesFailed("no dispatchable nodes".into()));
-            }
-            let chunk = lwes.len().div_ceil(ranked.len());
-            let mut start = 0;
-            while start < lwes.len() {
-                let end = (start + chunk).min(lwes.len());
-                pending.push((out.len(), start..end));
-                out.push(None);
-                start = end;
-            }
-        }
+        let names = Arc::clone(&inner.names);
         let batch = Arc::new(Batch {
             ctx: Arc::clone(ctx),
             boot: Arc::clone(boot),
             lwes: lwes.to_vec(),
+            machine: Mutex::new(BatchMachine::new(inner.policy, batch_no, lwes.len(), names)),
+            cv: Condvar::new(),
         });
-        let tick = policy::round_tick(&inner.policy);
-        let mut last_err = String::new();
-        let mut round_no = 0usize;
-        while !pending.is_empty() {
-            if round_no > MAX_ROUNDS {
-                return Err(RuntimeError::AllNodesFailed(format!(
-                    "retry budget exhausted after {MAX_ROUNDS} rounds (last error: {last_err})"
-                )));
+        let mut machine = lock(&batch.machine);
+        loop {
+            let now = Instant::now();
+            let commands = machine.on(now, BatchEvent::Wake(&inner.fleet()));
+            inner.run(&batch, now, commands);
+            if let Some(result) = machine.take_result() {
+                let accs = |shards: Vec<Vec<_>>| shards.into_iter().flatten().collect();
+                return result.map(accs).map_err(RuntimeError::AllNodesFailed);
             }
-            let ranked = inner.ranked_dispatchable();
-            if ranked.is_empty() {
-                return Err(RuntimeError::AllNodesFailed(last_err));
-            }
-            if round_no > 0 {
-                counters.reassignments.add(pending.len() as u64);
-                inner.telemetry.events.record(
-                    "retry",
-                    &format!("batch-{batch_no}"),
-                    &format!("round {round_no}: {} shards re-dispatched", pending.len()),
-                );
-                std::thread::sleep(policy::backoff(&inner.policy, batch_no, round_no));
-            }
-            // Audit sampling happens on the initial round only — retries
-            // of a failed shard should converge, not multiply.
-            let audit_on = round_no == 0 && ranked.len() >= 2;
-            let round = inner.dispatch_round(&batch, &pending, &ranked, |slot| {
-                audit_on && policy::audit_pick(&inner.policy, batch_no, slot)
-            });
-            // Wait for the round to settle, firing hedges for stragglers.
-            let mut st = lock(&round.state);
-            while st.unresolved > 0 {
-                (st, _) = round
-                    .cv
-                    .wait_timeout(st, tick)
-                    .unwrap_or_else(PoisonError::into_inner);
-                if st.unresolved > 0 && inner.policy.hedge_after.is_some() {
-                    inner.hedge_stragglers(&round, &mut st);
-                }
-            }
-            // Collect: winners into the output, the rest back to pending.
-            if !st.last_err.is_empty() {
-                last_err = std::mem::take(&mut st.last_err);
-            }
-            pending.clear();
-            for sh in st.shards.iter_mut() {
-                match sh.race.take_won() {
-                    Some(accs) => out[sh.slot] = Some(accs),
-                    None => pending.push((sh.slot, sh.range.clone())),
-                }
-            }
-            drop(st);
-            round_no += 1;
+            // A predicate on the machine's own state: a result fed before
+            // this wait moved the deadline, so it cannot be slept through.
+            let armed = machine.wake_at();
+            let timeout = armed.map_or(Duration::MAX, |at| at.saturating_duration_since(now));
+            let waited = batch
+                .cv
+                .wait_timeout_while(machine, timeout, |m| m.wake_at() == armed);
+            machine = waited.unwrap_or_else(PoisonError::into_inner).0;
         }
-        Ok(out
-            .into_iter()
-            .flat_map(|o| o.expect("every shard resolved"))
-            .collect())
     }
 }
 
@@ -862,7 +583,7 @@ mod tests {
             })
             .collect();
         let sched = Scheduler::new(nodes).unwrap();
-        assert_eq!(sched.inner.ranked_dispatchable(), vec![1, 2, 0]);
+        assert_eq!(policy::rank(&sched.inner.fleet()), vec![1, 2, 0]);
     }
 
     #[test]
@@ -962,8 +683,6 @@ mod tests {
     #[test]
     fn prober_readmits_recovered_node() {
         let fix = fixture();
-        let flaky_calls = Arc::new(());
-        let _ = flaky_calls;
         let nodes: Vec<Box<dyn ServiceNode>> = vec![
             Box::new(FlakyNode {
                 inner: LocalServiceNode::new(0, Parallelism::serial()),
