@@ -1,13 +1,12 @@
 //! Bounded MPMC channel on `Mutex` + `Condvar` (std-only, no external
 //! channel crates).
 //!
-//! The streaming pipeline's stages are connected by these: a full channel
-//! blocks the upstream stage (backpressure propagates batch-by-batch all
-//! the way to the submission queue), an empty one parks the downstream
-//! workers, and `close()` lets a stage drain in order during shutdown —
-//! senders fail fast, receivers consume what remains and then see `None`.
-//! Semantics deliberately mirror [`crate::queue::SubmissionQueue`], the
-//! other Condvar-based buffer in this crate.
+//! Its one user is a session connection's outbox (`session.rs`): each
+//! job's completion notifier sends the job's wire tag, and the
+//! connection's writer thread receives it. A full outbox blocks the
+//! sender, an empty one parks the writer, and `close()` ends the writer
+//! once drained — senders fail fast, receivers consume what remains and
+//! then see `None`.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -45,6 +44,7 @@ impl<T> Channel<T> {
     }
 
     /// Buffered (sent, not yet received) item count.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.inner.lock().expect("channel poisoned").queue.len()
     }

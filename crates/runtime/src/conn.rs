@@ -643,7 +643,7 @@ pub(crate) mod tests {
     use std::io::ErrorKind::UnexpectedEof;
     use std::time::Instant;
 
-    const SHAPE: Shape = Shape {
+    pub(crate) const SHAPE: Shape = Shape {
         n: 16,
         boot_limbs: 1,
         q0: 97,

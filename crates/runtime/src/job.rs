@@ -156,14 +156,8 @@ impl JobState {
         })
     }
 
-    /// How long the job has been waiting since submission (the batcher
-    /// records this into `heap_queue_wait_ns` at admission time).
-    pub(crate) fn queue_age(&self) -> Duration {
-        self.submitted.elapsed()
-    }
-
-    /// When the job was submitted — the dynamic batcher anchors its
-    /// flush deadline here, not at batch-open time.
+    /// When the job was submitted — the pipeline machine anchors a
+    /// batch's flush deadline here, not at batch-open time.
     pub(crate) fn submitted_at(&self) -> Instant {
         self.submitted
     }
@@ -270,21 +264,12 @@ impl JobHandle {
     }
 }
 
-/// A submitted job queued for dispatch (internal currency of the queue
-/// and batcher).
+/// A submitted job's request and result slot, which the service's
+/// executor keeps by id beside the pipeline machine.
 #[derive(Debug)]
 pub(crate) struct PendingJob {
-    /// Carried for diagnostics and ordering assertions; the dispatcher
-    /// itself addresses jobs positionally.
-    #[allow(dead_code)]
     pub id: JobId,
-    pub priority: Priority,
-    /// Which fair-queue sub-queue the job drains from.
-    pub tenant: TenantId,
     pub request: JobRequest,
-    /// Blind rotations this job will contribute to a batch (`N` for a
-    /// fully-packed bootstrap, the batch length for raw rotations).
-    pub cost: usize,
     pub state: Arc<JobState>,
 }
 

@@ -9,25 +9,23 @@
 //!    [`JobRequest::BlindRotate`]) carrying a [`JobId`] and [`Priority`],
 //!    submitted into a bounded queue with backpressure and completed
 //!    through a [`JobHandle`].
-//! 2. **Admission + fair queueing** (`queue`, `service`) — an
-//!    optional [`SloPolicy`] projects each submission's completion from
-//!    an EWMA of measured rotation cost and refuses jobs that would blow
-//!    the deadline with a typed [`RuntimeError::Rejected`] carrying a
-//!    retry hint; within the bounded queue, per-tenant weighted
-//!    deficit-round-robin ([`FairnessPolicy`], keyed by
-//!    [`SubmitOptions::tenant`]) keeps a flooding tenant from starving
-//!    light ones.
-//! 3. **Streaming pipeline** (`service`, `batch`, `scheduler`) — a
-//!    dynamic batcher coalesces queued jobs into LWE mega-batches
-//!    (flushing on size, as soon as a rotate worker is free, or at a
-//!    deadline while none is) and feeds a staged pipeline whose
-//!    stage groups (extract/mod-switch prep, blind rotation, repack/
-//!    rescale finish) each run in their own worker pool connected by
-//!    bounded channels ([`PipelineConfig`]), so batch k+1's prep
-//!    overlaps batch k's rotations. The rotate stage shards each batch
-//!    across [`ServiceNode`]s least-loaded-first, reassembling results
-//!    in input order and reassigning a shard when a node fails; the
-//!    pipeline is bit-identical to serial execution.
+//! 2. **Admission + fair queueing** (`batch`, `queue`) — an optional
+//!    [`SloPolicy`] projects each submission's completion from an EWMA of
+//!    measured rotation cost and refuses jobs that would blow the deadline
+//!    with a typed [`RuntimeError::Rejected`] carrying a retry hint;
+//!    within the bounded queue, per-tenant weighted deficit-round-robin
+//!    ([`FairnessPolicy`], keyed by [`SubmitOptions::tenant`]) keeps a
+//!    flooding tenant from starving light ones.
+//! 3. **Streaming pipeline** (`batch`, `service`, `scheduler`) — one pure
+//!    machine decides admission, batching (flushing on size, as soon as a
+//!    rotate slot is free, or at a deadline while none is), the hand-offs
+//!    between the stage groups (extract/mod-switch prep, blind rotation,
+//!    repack/rescale finish; [`PipelineConfig`] sizes their worker pools
+//!    and buffers), settlement and drain; `service` executes it, so batch
+//!    k+1's prep overlaps batch k's rotations. The rotate stage shards
+//!    each batch across [`ServiceNode`]s least-loaded-first, reassembling
+//!    results in input order and reassigning a shard when a node fails;
+//!    the pipeline is bit-identical to serial execution.
 //! 4. **Remote backend** (`proto`, `remote`, `server`) — [`RemoteNode`]
 //!    speaks the HRT1 frame protocol (`proto`: the one frame table, every
 //!    payload layout, the handshake) over `std::net::TcpStream` to a

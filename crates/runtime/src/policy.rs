@@ -722,7 +722,7 @@ impl<T> BatchMachine<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::BreakerEvent::{CaughtLying, Failed, ProbeDue, Succeeded};
     use super::BreakerState::{Closed, HalfOpen, Open, Quarantined};
     use super::*;
@@ -1437,7 +1437,7 @@ mod tests {
     /// One simulated node: its plan over the wire, the stub's basis, and
     /// how long it computes per LWE.
     #[derive(Debug, Clone, Default)]
-    struct NodeSpec {
+    pub(crate) struct NodeSpec {
         plan: FaultPlan,
         fail_after: Option<u64>,
         foreign: bool,
@@ -1448,16 +1448,16 @@ mod tests {
     /// A fleet scenario: nodes (the last is the fallback when `fallback`),
     /// the policy, and each batch's `(arrival ms, LWE count)`.
     #[derive(Debug, Clone)]
-    struct FleetSpec {
-        seed: u64,
+    pub(crate) struct FleetSpec {
+        pub seed: u64,
         nodes: Vec<NodeSpec>,
         fallback: bool,
-        policy: RetryPolicy,
-        batches: Vec<(u64, usize)>,
+        pub policy: RetryPolicy,
+        pub batches: Vec<(u64, usize)>,
     }
 
     impl FleetSpec {
-        fn draw(seed: u64) -> Self {
+        pub(crate) fn draw(seed: u64) -> Self {
             let mut rng = StdRng::seed_from_u64(seed);
             let fallback = rng.gen_bool(0.3);
             let count = rng.gen_range(1..=4usize) + usize::from(fallback);
@@ -1510,7 +1510,7 @@ mod tests {
     }
 
     type Accs = Vec<RlweCiphertext>;
-    type Settled = (Duration, Result<Vec<Accs>, String>, Vec<NodeView>);
+    pub(crate) type Settled = (Duration, Result<Vec<Accs>, String>, Vec<NodeView>);
 
     enum Ev {
         Arrive(usize),
@@ -1528,6 +1528,7 @@ mod tests {
     #[derive(Default)]
     struct SimBatch {
         lwes: Vec<LweCiphertext>,
+        arrived: Duration,
         machine: Option<BatchMachine<Accs>>,
         armed: Option<Instant>,
         /// When it settled, how, and the fleet its last wake saw.
@@ -1537,7 +1538,7 @@ mod tests {
         failures: u64,
     }
 
-    struct Fleet<'a> {
+    pub(crate) struct Fleet<'a> {
         spec: &'a FleetSpec,
         t0: Instant,
         pipes: Vec<NodeSim<'a>>,
@@ -1547,15 +1548,16 @@ mod tests {
         queue: BTreeMap<(Duration, u64), Ev>,
         seq: u64,
         batches: Vec<SimBatch>,
+        names: Arc<[String]>,
         /// Failed attempts, as the plans predict them.
         injected: u64,
     }
 
     /// How a scenario ended: the counters, and each batch's latency and
     /// whether it succeeded.
-    struct FleetOutcome {
-        stats: SchedulerStats,
-        batches: Vec<(Duration, bool)>,
+    pub(crate) struct FleetOutcome {
+        pub stats: SchedulerStats,
+        pub batches: Vec<(Duration, bool)>,
     }
 
     impl<'a> Fleet<'a> {
@@ -1581,7 +1583,7 @@ mod tests {
         }
 
         /// The executor's `step`: one breaker event, booked.
-        fn step(&mut self, node: usize, event: BreakerEvent, now: Duration) -> bool {
+        fn step_breaker(&mut self, node: usize, event: BreakerEvent, now: Duration) -> bool {
             let s = &mut self.slots[node];
             let (next, transition) = s
                 .breaker
@@ -1630,7 +1632,7 @@ mod tests {
                         hedge = false;
                     }
                     Command::Breaker(node, event, _) => {
-                        self.step(node, event, now);
+                        self.step_breaker(node, event, now);
                     }
                     Command::Count(tally, n) => tally(&self.counters).add(n),
                     Command::RoundTrip(node, ns, valid) => {
@@ -1714,7 +1716,7 @@ mod tests {
         }
 
         /// Every property a scenario must show once its queue is empty.
-        fn check(self) -> FleetOutcome {
+        pub(crate) fn check(self) -> FleetOutcome {
             let why = self.why();
             let stats = self.counters.snapshot();
             let mut batches = Vec::new();
@@ -1734,10 +1736,7 @@ mod tests {
                     // Nothing could serve: the fleet the machine last saw.
                     Err(e) => assert!(rank(fleet).is_empty(), "{why}: {b}: {e}"),
                 }
-                batches.push((
-                    *at - Duration::from_millis(self.spec.batches[b].0),
-                    result.is_ok(),
-                ));
+                batches.push((*at - sb.arrived, result.is_ok()));
             }
             let mut transitions = [0; 3];
             for s in &self.slots {
@@ -1769,8 +1768,9 @@ mod tests {
         }
     }
 
-    fn run_fleet(spec: &FleetSpec) -> FleetOutcome {
-        let shared: Vec<NodeShared> = (spec.nodes.iter())
+    /// The node state and stubs a [`Fleet`]'s pipes borrow.
+    pub(crate) fn fleet_nodes(spec: &FleetSpec) -> (Vec<NodeShared>, Vec<Stub>) {
+        let shared = (spec.nodes.iter())
             .map(|node| NodeShared {
                 fault: Some(FaultState::new(node.plan.clone())),
                 fail_after: node.fail_after,
@@ -1779,103 +1779,156 @@ mod tests {
                 telemetry: NodeTelemetry::new(),
             })
             .collect();
-        let stubs: Vec<Stub> = (spec.nodes.iter())
+        let stubs = (spec.nodes.iter())
             .map(|node| {
                 let mut stub = Stub::default();
                 stub.foreign = node.foreign;
                 stub
             })
             .collect();
-        let regular = spec.nodes.len() - usize::from(spec.fallback);
-        let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x5EED);
-        let mut f = Fleet {
-            spec,
-            t0: Instant::now(),
-            pipes: (shared.iter().zip(&stubs))
-                .map(|(node, stub)| NodeSim::new(node, stub, StdRng::seed_from_u64(rng.gen())))
-                .collect(),
-            scripts: (spec.nodes.iter())
-                .map(|node| Script::new(&node.plan, node.fail_after))
-                .collect(),
-            slots: (spec.nodes.iter().enumerate())
-                .map(|(i, node)| SimSlot {
-                    role: [Role::Regular, Role::LastResort][usize::from(i >= regular)],
-                    breaker: BreakerState::NEW,
-                    holds_key: node.holds_key,
-                    inflight: 0,
-                    ewma_ns: 0,
-                    samples: 0,
-                    booked: Vec::new(),
-                })
-                .collect(),
-            counters: SchedulerCounters::register(&heap_telemetry::Registry::new("sim")),
-            queue: BTreeMap::new(),
-            seq: 0,
-            batches: (spec.batches.iter().enumerate())
-                .map(|(b, &(_, count))| SimBatch {
-                    lwes: lwes(count, spec.seed.wrapping_add(b as u64)),
-                    ..SimBatch::default()
-                })
-                .collect(),
-            injected: 0,
-        };
-        let names: Arc<[String]> = (0..spec.nodes.len()).map(|i| format!("sim-{i}")).collect();
-        for (b, &(ms, _)) in spec.batches.iter().enumerate() {
-            f.at(Duration::from_millis(ms), Ev::Arrive(b));
-        }
-        let probing = !spec.policy.probe_interval.is_zero() && regular > 0;
-        if probing {
-            f.at(spec.policy.probe_interval, Ev::Probe);
-        }
-        while let Some(((now, _), ev)) = f.queue.pop_first() {
-            if matches!(ev, Ev::Probe) && f.queue.is_empty() {
-                break; // the prober alone: the fleet is idle
+        (shared, stubs)
+    }
+
+    impl<'a> Fleet<'a> {
+        /// The fleet idle at time zero, its prober armed.
+        pub(crate) fn new(
+            spec: &'a FleetSpec,
+            shared: &'a [NodeShared],
+            stubs: &'a [Stub],
+        ) -> Self {
+            let regular = spec.nodes.len() - usize::from(spec.fallback);
+            let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x5EED);
+            let mut f = Fleet {
+                spec,
+                t0: Instant::now(),
+                pipes: (shared.iter().zip(stubs))
+                    .map(|(node, stub)| NodeSim::new(node, stub, StdRng::seed_from_u64(rng.gen())))
+                    .collect(),
+                scripts: (spec.nodes.iter())
+                    .map(|node| Script::new(&node.plan, node.fail_after))
+                    .collect(),
+                slots: (spec.nodes.iter().enumerate())
+                    .map(|(i, node)| SimSlot {
+                        role: [Role::Regular, Role::LastResort][usize::from(i >= regular)],
+                        breaker: BreakerState::NEW,
+                        holds_key: node.holds_key,
+                        inflight: 0,
+                        ewma_ns: 0,
+                        samples: 0,
+                        booked: Vec::new(),
+                    })
+                    .collect(),
+                counters: SchedulerCounters::register(&heap_telemetry::Registry::new("sim")),
+                queue: BTreeMap::new(),
+                seq: 0,
+                batches: Vec::new(),
+                names: (0..spec.nodes.len()).map(|i| format!("sim-{i}")).collect(),
+                injected: 0,
+            };
+            if !spec.policy.probe_interval.is_zero() && regular > 0 {
+                f.at(spec.policy.probe_interval, Ev::Probe);
             }
+            f
+        }
+
+        /// A batch of `lwes` for the fleet at `now`: its index, once
+        /// `Ev::Arrive` (or [`Fleet::arrive`]) delivers it.
+        fn add(&mut self, now: Duration, lwes: Vec<LweCiphertext>) -> usize {
+            let batch = SimBatch {
+                lwes,
+                arrived: now,
+                ..SimBatch::default()
+            };
+            self.batches.push(batch);
+            self.batches.len() - 1
+        }
+
+        /// A batch of `lwes` arriving now: the scheduler's `execute` call.
+        pub(crate) fn arrive(&mut self, now: Duration, lwes: Vec<LweCiphertext>) -> usize {
+            let b = self.add(now, lwes);
+            self.handle(now, Ev::Arrive(b));
+            b
+        }
+
+        /// How batch `b` settled, once it has.
+        pub(crate) fn outcome(&self, b: usize) -> Option<&Settled> {
+            self.batches[b].outcome.as_ref()
+        }
+
+        /// When the next event is due, unless only the prober is left.
+        pub(crate) fn next_at(&self) -> Option<Duration> {
+            let mut due = self.queue.iter();
+            let ((at, _), ev) = due.next()?;
+            (!matches!(ev, Ev::Probe) || due.next().is_some()).then_some(*at)
+        }
+
+        /// Handles the next event, probes included.
+        pub(crate) fn step(&mut self) {
+            let ((now, _), ev) = self.queue.pop_first().expect("an event is due");
+            self.handle(now, ev);
+        }
+
+        fn handle(&mut self, now: Duration, ev: Ev) {
+            let spec = self.spec;
             assert!(
                 now < Duration::from_secs(3600),
                 "{}: never settles",
-                f.why()
+                self.why()
             );
             match ev {
                 Ev::Arrive(b) => {
-                    let count = f.batches[b].lwes.len();
-                    let machine = BatchMachine::new(spec.policy, b as u64, count, names.clone());
-                    f.batches[b].machine = Some(machine);
-                    f.wake(b, now);
+                    let count = self.batches[b].lwes.len();
+                    let names = self.names.clone();
+                    let machine = BatchMachine::new(spec.policy, b as u64, count, names);
+                    self.batches[b].machine = Some(machine);
+                    self.wake(b, now);
                 }
                 Ev::Wake(b) => {
-                    let sb = &f.batches[b];
-                    if sb.outcome.is_none() && sb.armed == Some(f.t0 + now) {
-                        f.wake(b, now);
+                    let sb = &self.batches[b];
+                    if sb.outcome.is_none() && sb.armed == Some(self.t0 + now) {
+                        self.wake(b, now);
                     }
                 }
                 Ev::Done(b, id, node, range, result) => {
-                    f.slots[node].inflight -= range.len();
-                    let machine = f.batches[b].machine.as_mut().expect("arrived");
-                    let commands = machine.on(f.t0 + now, BatchEvent::Done(id, result));
-                    f.run(b, now, &[], commands);
-                    let sb = &mut f.batches[b];
+                    self.slots[node].inflight -= range.len();
+                    let machine = self.batches[b].machine.as_mut().expect("arrived");
+                    let commands = machine.on(self.t0 + now, BatchEvent::Done(id, result));
+                    self.run(b, now, &[], commands);
+                    let sb = &mut self.batches[b];
                     let machine = sb.machine.as_mut().expect("arrived");
                     if sb.outcome.is_some() {
                         assert!(
                             machine.take_result().is_none(),
                             "{}: settled twice",
-                            f.why()
+                            self.why()
                         );
                     } else if machine.wake_at() != sb.armed {
-                        f.wake(b, now);
+                        self.wake(b, now);
                     }
                 }
                 Ev::Probe => {
-                    for i in 0..f.slots.len() {
-                        if f.step(i, BreakerEvent::ProbeDue, now) {
-                            let ok = f.pipes[i].call(NodeCall::Ping).is_ok();
-                            f.step(i, [Failed, Succeeded][usize::from(ok)], now);
+                    for i in 0..self.slots.len() {
+                        if self.step_breaker(i, BreakerEvent::ProbeDue, now) {
+                            let ok = self.pipes[i].call(NodeCall::Ping).is_ok();
+                            self.step_breaker(i, [Failed, Succeeded][usize::from(ok)], now);
                         }
                     }
-                    f.at(now + spec.policy.probe_interval, Ev::Probe);
+                    self.at(now + spec.policy.probe_interval, Ev::Probe);
                 }
             }
+        }
+    }
+
+    fn run_fleet(spec: &FleetSpec) -> FleetOutcome {
+        let (shared, stubs) = fleet_nodes(spec);
+        let mut f = Fleet::new(spec, &shared, &stubs);
+        for (b, &(ms, count)) in spec.batches.iter().enumerate() {
+            let at = Duration::from_millis(ms);
+            f.add(at, lwes(count, spec.seed.wrapping_add(b as u64)));
+            f.at(at, Ev::Arrive(b));
+        }
+        while f.next_at().is_some() {
+            f.step();
         }
         f.check()
     }

@@ -1,5 +1,5 @@
 //! Runtime metric handles: one registry per service, shared by the
-//! submission queue, dynamic batcher, and scheduler.
+//! pipeline's executor and the scheduler.
 //!
 //! Metric names are documented in DESIGN.md §9. Everything here is
 //! registered once at service start; the handles are plain atomics from
@@ -135,8 +135,7 @@ impl SchedulerTelemetry {
     }
 }
 
-/// Histogram handles the dynamic batcher records into while forming a
-/// batch.
+/// Histograms recorded at each batch flush.
 #[derive(Debug, Clone)]
 pub(crate) struct BatcherTelemetry {
     /// Submit → admitted-into-a-batch wait per job.
@@ -165,9 +164,10 @@ impl BatcherTelemetry {
     }
 }
 
-/// Gauges tracking the streaming pipeline's live state: how deep each
-/// inter-stage channel sits and how much accepted-but-unfinished work is
-/// in the system (what the SLO admission model reads).
+/// Gauges mirroring the pipeline machine's counts after each transition:
+/// how many batches each stage buffers, how many hold a rotate slot, and
+/// how much accepted-but-unfinished work is in the system (the backlog
+/// the SLO admission model projects).
 #[derive(Debug, Clone)]
 pub(crate) struct PipelineTelemetry {
     /// Batches parked between the batcher and the prep workers.
@@ -176,8 +176,8 @@ pub(crate) struct PipelineTelemetry {
     pub rotate_depth: Arc<Gauge>,
     /// Rotated batches parked before the finish workers.
     pub finish_depth: Arc<Gauge>,
-    /// Batches flushed by the batcher and not yet through rotation: the
-    /// count the batcher's idle-flush rule reads (`queue::RotateClaim`).
+    /// Batches flushed and not yet through rotation: the count the
+    /// batcher's free-rotate-slot flush rule reads.
     pub rotating_batches: Arc<Gauge>,
     /// Jobs accepted and not yet completed (queued or in any stage).
     pub inflight_jobs: Arc<Gauge>,
