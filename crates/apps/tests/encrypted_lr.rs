@@ -9,6 +9,7 @@
 use heap_apps::lr::{plaintext_step, Dataset, EncryptedLrTrainer};
 use heap_ckks::{CkksContext, CkksParams, GaloisKeys, RelinearizationKey, SecretKey};
 use heap_core::{BootstrapConfig, Bootstrapper};
+use heap_math::ParamSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,15 +23,11 @@ struct LrFixture {
 }
 
 fn fixture() -> LrFixture {
-    let params = CkksParams::builder()
-        .log_n(10)
-        .limbs(6)
-        .limb_bits(30)
-        .aux_bits(30)
-        .special_bits(30)
-        .scale_bits(30)
-        .build()
-        .expect("valid LR test params");
+    let params = CkksParams::new(ParamSet {
+        limbs: 6,
+        ..ParamSet::SMALL
+    })
+    .expect("valid LR test params");
     let ctx = CkksContext::new(params);
     let mut rng = StdRng::seed_from_u64(2024);
     let sk = SecretKey::generate(&ctx, &mut rng);

@@ -8,6 +8,7 @@
 
 use heap_bench::render_table;
 use heap_hw::keytraffic::{brk_bytes_for, key_traffic_reduction, BrkParams, ConventionalKeys};
+use heap_math::ParamSet;
 
 fn main() {
     let brk = BrkParams::paper();
@@ -21,7 +22,7 @@ fn main() {
             "3.52 MB".to_string(),
         ],
         vec![
-            format!("Total brk ({} keys)", brk.n_t),
+            format!("Total brk ({} keys)", ParamSet::PAPER.n_t),
             format!("{:.2} GB", brk.total_bytes() as f64 / 1e9),
             "1.76 GB".to_string(),
         ],

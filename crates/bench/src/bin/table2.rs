@@ -7,6 +7,7 @@
 
 use heap_bench::render_table;
 use heap_hw::{DesignUtilization, FpgaDevice, MemoryLayout};
+use heap_math::ParamSet;
 
 fn main() {
     let device = FpgaDevice::alveo_u280();
@@ -37,6 +38,7 @@ fn main() {
 
     println!("Figures 2–3 — on-chip memory layout (N = 2^13, 6 limbs, 36-bit)");
     let m = MemoryLayout::paper();
+    let n_t = ParamSet::PAPER.n_t;
     let rows = vec![
         vec![
             "RNS limb".into(),
@@ -47,8 +49,8 @@ fn main() {
             format!("{:.3} MB", m.rlwe_bytes() as f64 / 1e6),
         ],
         vec![
-            "LWE ciphertext (n_t = 500)".into(),
-            format!("{:.2} KB", m.lwe_bytes(500) as f64 / 1e3),
+            format!("LWE ciphertext (n_t = {n_t})"),
+            format!("{:.2} KB", m.lwe_bytes(n_t) as f64 / 1e3),
         ],
         vec![
             "URAM blocks / RLWE".into(),

@@ -1,6 +1,5 @@
 //! Shared CKKS context: prime chain, NTT tables, and the encoder.
 
-use heap_math::prime::{ntt_primes, ntt_primes_excluding};
 use heap_math::{Modulus, RnsContext};
 
 use crate::encoding::Encoder;
@@ -27,36 +26,19 @@ pub struct CkksContext {
     params: CkksParams,
     encoder: Encoder,
     rns: RnsContext,
-    /// Index of the bootstrap auxiliary prime (`= params.limbs()`).
-    aux_idx: usize,
-    /// Index of the key-switching special prime (`= params.limbs() + 1`).
-    special_idx: usize,
 }
 
 impl CkksContext {
-    /// Builds the context, generating NTT-friendly primes for the chain.
+    /// Builds the context over the set's prime chain
+    /// ([`heap_math::ParamSet::chain`]: ciphertext primes, the auxiliary
+    /// prime `p` of Algorithm 2, the key-switching special prime `P`).
     pub fn new(params: CkksParams) -> Self {
-        let n = params.n() as u64;
-        let q_primes = ntt_primes(n, params.limb_bits(), params.limbs());
-        // Chain layout: q_0..q_{L-1}, aux prime p (Algorithm 2), special
-        // prime P (hybrid key switching). All pairwise distinct.
-        let aux = ntt_primes_excluding(n, params.aux_bits(), 1, &q_primes);
-        let mut exclude = q_primes.clone();
-        exclude.extend_from_slice(&aux);
-        let special = ntt_primes_excluding(n, params.special_bits(), 1, &exclude);
-        let mut chain = q_primes;
-        chain.extend_from_slice(&aux);
-        chain.extend_from_slice(&special);
-        let rns = RnsContext::new(params.n(), &chain);
+        let rns = RnsContext::new(params.n(), &params.chain());
         let encoder = Encoder::new(params.n());
-        let aux_idx = params.limbs();
-        let special_idx = params.limbs() + 1;
         Self {
             params,
             encoder,
             rns,
-            aux_idx,
-            special_idx,
         }
     }
 
@@ -93,37 +75,37 @@ impl CkksContext {
     /// Number of ciphertext limbs `L` (excludes the special prime).
     #[inline]
     pub fn max_limbs(&self) -> usize {
-        self.params.limbs()
+        self.params.limbs
     }
 
     /// Index of the special prime in the RNS chain.
     #[inline]
     pub fn special_idx(&self) -> usize {
-        self.special_idx
+        self.params.limbs + 1
     }
 
     /// Index of the bootstrap auxiliary prime in the RNS chain.
     #[inline]
     pub fn aux_idx(&self) -> usize {
-        self.aux_idx
+        self.params.limbs
     }
 
     /// The auxiliary prime's modulus (Algorithm 2's `p`).
     #[inline]
     pub fn aux_modulus(&self) -> &Modulus {
-        self.rns.modulus(self.aux_idx)
+        self.rns.modulus(self.aux_idx())
     }
 
     /// Limb count of the raised bootstrap basis `Q·p` (`L + 1`).
     #[inline]
     pub fn boot_limbs(&self) -> usize {
-        self.params.limbs() + 1
+        self.params.limbs + 1
     }
 
     /// The special prime's modulus.
     #[inline]
     pub fn special_modulus(&self) -> &Modulus {
-        self.rns.modulus(self.special_idx)
+        self.rns.modulus(self.special_idx())
     }
 
     /// Ciphertext prime `q_i`.

@@ -14,6 +14,7 @@
 //! `2^r`, evaluate degree-5 Taylor polynomials of sine *and* cosine, then
 //! apply `r` double-angle iterations (1 level each).
 
+use heap_math::ParamSet;
 use rand::Rng;
 
 use crate::ciphertext::Ciphertext;
@@ -62,15 +63,17 @@ impl ConvBootstrapConfig {
 /// limbs of 32 bits — enough budget for the ~14-level pipeline plus a
 /// couple of post-bootstrap levels.
 pub fn conventional_baseline_params() -> CkksParams {
-    CkksParams::builder()
-        .log_n(7)
-        .limbs(17)
-        .limb_bits(32)
-        .aux_bits(32)
-        .special_bits(32)
-        .scale_bits(32)
-        .build()
-        .expect("baseline preset is valid")
+    CkksParams::new(ParamSet {
+        name: "conventional",
+        log_n: 7,
+        limbs: 17,
+        limb_bits: 32,
+        aux_bits: 32,
+        special_bits: 32,
+        scale_bits: 32,
+        ..ParamSet::TINY
+    })
+    .expect("baseline preset is valid")
 }
 
 /// Key material and precomputation for the conventional bootstrap.

@@ -53,5 +53,5 @@ pub use key_wire::{
     reseed_galois_keys,
 };
 pub use linear::SlotMatrix;
-pub use params::{CkksParams, CkksParamsBuilder, ParamsError};
+pub use params::{CkksParams, ParamsError};
 pub use plaintext::Plaintext;

@@ -1,15 +1,18 @@
-//! CKKS parameter sets.
+//! CKKS parameters: a validated [`ParamSet`].
 //!
 //! HEAP's headline configuration (paper §III-C) is `N = 2^13`,
 //! `log Q = 216` split into six 36-bit RNS limbs, scale `Delta ≈ 2^36` — a
 //! set only usable because the scheme-switched bootstrap consumes a single
 //! limb. Smaller presets with identical code paths keep the test suite
-//! fast.
+//! fast. Every number lives in `heap_math`'s [`ParamSet`] list.
+
+use heap_math::ParamSet;
 
 /// Validated CKKS parameters.
 ///
-/// Construct via [`CkksParams::builder`] or a preset. The ciphertext modulus
-/// is `Q = prod q_i` over `limbs` primes of `limb_bits` bits; key switching
+/// Construct via [`CkksParams::new`] on a [`ParamSet`] (a listed one, or a
+/// struct update on one) or a preset. The ciphertext modulus is
+/// `Q = prod q_i` over `limbs` primes of `limb_bits` bits; key switching
 /// uses one extra special prime of `special_bits` bits. Every prime is at
 /// most [`CkksParams::MAX_PRIME_BITS`] wide.
 ///
@@ -17,23 +20,21 @@
 ///
 /// ```
 /// use heap_ckks::params::CkksParams;
+/// use heap_math::ParamSet;
 ///
 /// let p = CkksParams::heap_paper();
-/// assert_eq!(p.n(), 1 << 13);
-/// assert_eq!(p.limbs(), 6);
+/// assert_eq!(p.n(), 8192);
+/// assert_eq!(p.limbs, 6);
 /// assert_eq!(p.log_q(), 216);
+/// let wide = CkksParams::new(ParamSet { limbs: 6, ..ParamSet::SMALL }).unwrap();
+/// assert_eq!(wide.log_q(), 180);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CkksParams {
-    log_n: u32,
-    limbs: usize,
-    limb_bits: u32,
-    aux_bits: u32,
-    special_bits: u32,
-    scale_bits: u32,
+    set: ParamSet,
 }
 
-/// Error from [`CkksParamsBuilder::build`].
+/// Error from [`CkksParams::new`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParamsError {
     /// `log_n` outside the supported `[4, 16]` range.
@@ -67,111 +68,67 @@ impl std::fmt::Display for ParamsError {
 impl std::error::Error for ParamsError {}
 
 impl CkksParams {
-    /// The widest prime the builder accepts. Every table it leads to is
+    /// The widest prime [`Self::new`] accepts. Every table it leads to is
     /// inside the `f64` lanes' bounds: `(4 + log2 N)·q ≤ 20·2^45 < 2^50`
     /// for the NTT at `N ≤ 2^16`, and the key switch's chains — at most 41
     /// terms, one per limb of the raised basis, on digits below `2^45` —
     /// stay inside theirs (`heap_math::MacAcc::admits`).
     pub const MAX_PRIME_BITS: u32 = 45;
 
-    /// Starts a builder with HEAP-like defaults (36-bit limbs, scale
-    /// `2^36`).
-    pub fn builder() -> CkksParamsBuilder {
-        CkksParamsBuilder::default()
+    /// Validates the CKKS half of `set`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParamsError`] describing the first violated constraint.
+    pub fn new(set: ParamSet) -> Result<Self, ParamsError> {
+        if !(4..=16).contains(&set.log_n) {
+            return Err(ParamsError::BadRingDimension(set.log_n));
+        }
+        if !(2..=40).contains(&set.limbs) {
+            return Err(ParamsError::BadLimbCount(set.limbs));
+        }
+        for bits in [set.limb_bits, set.aux_bits, set.special_bits] {
+            if !(20..=Self::MAX_PRIME_BITS).contains(&bits) {
+                return Err(ParamsError::BadPrimeSize(bits));
+            }
+        }
+        if set.scale_bits > set.limb_bits {
+            return Err(ParamsError::ScaleTooLarge {
+                scale_bits: set.scale_bits,
+                limb_bits: set.limb_bits,
+            });
+        }
+        Ok(Self { set })
     }
 
-    /// The paper's parameter set: `N = 2^13`, six 36-bit limbs
-    /// (`log Q = 216`), 36-bit special prime, `Delta = 2^36` (§III-C).
+    fn listed(set: ParamSet) -> Self {
+        Self::new(set).expect("listed sets are valid")
+    }
+
+    /// [`ParamSet::PAPER`].
     pub fn heap_paper() -> Self {
-        Self::builder()
-            .log_n(13)
-            .limbs(6)
-            .limb_bits(36)
-            .scale_bits(36)
-            .build()
-            .expect("preset is valid")
+        Self::listed(ParamSet::PAPER)
     }
 
-    /// Medium test preset: `N = 2^11`, 4 limbs — same code paths, ~30x
-    /// faster key generation than the paper set.
+    /// [`ParamSet::MEDIUM`].
     pub fn test_medium() -> Self {
-        Self::builder()
-            .log_n(11)
-            .limbs(4)
-            .limb_bits(36)
-            .scale_bits(36)
-            .build()
-            .expect("preset is valid")
+        Self::listed(ParamSet::MEDIUM)
     }
 
-    /// Small test preset: `N = 2^10`, 3 limbs of 30 bits.
+    /// [`ParamSet::SMALL`].
     pub fn test_small() -> Self {
-        Self::builder()
-            .log_n(10)
-            .limbs(3)
-            .limb_bits(30)
-            .aux_bits(30)
-            .special_bits(30)
-            .scale_bits(30)
-            .build()
-            .expect("preset is valid")
+        Self::listed(ParamSet::SMALL)
     }
 
-    /// Tiny preset (`N = 2^7`): fast enough for *fully packed* bootstrap
-    /// tests on a laptop; cryptographically toy-sized.
+    /// [`ParamSet::TINY`].
     pub fn test_tiny() -> Self {
-        Self::builder()
-            .log_n(7)
-            .limbs(3)
-            .limb_bits(28)
-            .aux_bits(28)
-            .special_bits(28)
-            .scale_bits(28)
-            .build()
-            .expect("preset is valid")
-    }
-
-    /// Ring dimension `N`.
-    #[inline]
-    pub fn n(&self) -> usize {
-        1usize << self.log_n
-    }
-
-    /// `log2(N)`.
-    #[inline]
-    pub fn log_n(&self) -> u32 {
-        self.log_n
+        Self::listed(ParamSet::TINY)
     }
 
     /// Number of slots `N/2`.
     #[inline]
     pub fn slots(&self) -> usize {
         self.n() / 2
-    }
-
-    /// Number of ciphertext RNS limbs `L`.
-    #[inline]
-    pub fn limbs(&self) -> usize {
-        self.limbs
-    }
-
-    /// Bits per ciphertext limb.
-    #[inline]
-    pub fn limb_bits(&self) -> u32 {
-        self.limb_bits
-    }
-
-    /// Bits of the key-switching special prime.
-    #[inline]
-    pub fn special_bits(&self) -> u32 {
-        self.special_bits
-    }
-
-    /// Bits of the bootstrap auxiliary prime `p` (Algorithm 2's rescale
-    /// prime).
-    #[inline]
-    pub fn aux_bits(&self) -> u32 {
-        self.aux_bits
     }
 
     /// Total ciphertext modulus bits `log Q = limbs * limb_bits`.
@@ -185,106 +142,16 @@ impl CkksParams {
     pub fn scale(&self) -> f64 {
         2f64.powi(self.scale_bits as i32)
     }
+}
 
-    /// `log2(Delta)`.
+/// The validated set's numbers, read as fields (`params.limbs`) and
+/// methods (`params.n()`, `params.chain()`).
+impl std::ops::Deref for CkksParams {
+    type Target = ParamSet;
+
     #[inline]
-    pub fn scale_bits(&self) -> u32 {
-        self.scale_bits
-    }
-}
-
-/// Builder for [`CkksParams`].
-#[derive(Debug, Clone)]
-pub struct CkksParamsBuilder {
-    log_n: u32,
-    limbs: usize,
-    limb_bits: u32,
-    aux_bits: u32,
-    special_bits: u32,
-    scale_bits: u32,
-}
-
-impl Default for CkksParamsBuilder {
-    fn default() -> Self {
-        Self {
-            log_n: 13,
-            limbs: 6,
-            limb_bits: 36,
-            aux_bits: 36,
-            special_bits: 36,
-            scale_bits: 36,
-        }
-    }
-}
-
-impl CkksParamsBuilder {
-    /// Sets `log2` of the ring dimension.
-    pub fn log_n(&mut self, v: u32) -> &mut Self {
-        self.log_n = v;
-        self
-    }
-
-    /// Sets the number of ciphertext limbs.
-    pub fn limbs(&mut self, v: usize) -> &mut Self {
-        self.limbs = v;
-        self
-    }
-
-    /// Sets the bit width of each ciphertext limb.
-    pub fn limb_bits(&mut self, v: u32) -> &mut Self {
-        self.limb_bits = v;
-        self
-    }
-
-    /// Sets the bit width of the key-switching special prime.
-    pub fn special_bits(&mut self, v: u32) -> &mut Self {
-        self.special_bits = v;
-        self
-    }
-
-    /// Sets the bit width of the bootstrap auxiliary prime.
-    pub fn aux_bits(&mut self, v: u32) -> &mut Self {
-        self.aux_bits = v;
-        self
-    }
-
-    /// Sets `log2` of the encoding scale.
-    pub fn scale_bits(&mut self, v: u32) -> &mut Self {
-        self.scale_bits = v;
-        self
-    }
-
-    /// Validates and produces the parameter set.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParamsError`] describing the first violated constraint.
-    pub fn build(&self) -> Result<CkksParams, ParamsError> {
-        if !(4..=16).contains(&self.log_n) {
-            return Err(ParamsError::BadRingDimension(self.log_n));
-        }
-        if !(2..=40).contains(&self.limbs) {
-            return Err(ParamsError::BadLimbCount(self.limbs));
-        }
-        for bits in [self.limb_bits, self.aux_bits, self.special_bits] {
-            if !(20..=CkksParams::MAX_PRIME_BITS).contains(&bits) {
-                return Err(ParamsError::BadPrimeSize(bits));
-            }
-        }
-        if self.scale_bits > self.limb_bits {
-            return Err(ParamsError::ScaleTooLarge {
-                scale_bits: self.scale_bits,
-                limb_bits: self.limb_bits,
-            });
-        }
-        Ok(CkksParams {
-            log_n: self.log_n,
-            limbs: self.limbs,
-            limb_bits: self.limb_bits,
-            aux_bits: self.aux_bits,
-            special_bits: self.special_bits,
-            scale_bits: self.scale_bits,
-        })
+    fn deref(&self) -> &ParamSet {
+        &self.set
     }
 }
 
@@ -298,43 +165,53 @@ mod tests {
         assert_eq!(p.n(), 8192);
         assert_eq!(p.slots(), 4096);
         assert_eq!(p.log_q(), 216);
-        assert_eq!(p.limbs(), 6);
+        assert_eq!(p.limbs, 6);
         assert_eq!(p.scale(), 2f64.powi(36));
     }
 
     #[test]
-    fn builder_validates() {
+    fn new_validates() {
+        let base = ParamSet::PAPER;
         assert!(matches!(
-            CkksParams::builder().log_n(2).build(),
+            CkksParams::new(ParamSet { log_n: 2, ..base }),
             Err(ParamsError::BadRingDimension(2))
         ));
         assert!(matches!(
-            CkksParams::builder().limbs(1).build(),
+            CkksParams::new(ParamSet { limbs: 1, ..base }),
             Err(ParamsError::BadLimbCount(1))
         ));
         assert!(matches!(
-            CkksParams::builder().limb_bits(10).build(),
+            CkksParams::new(ParamSet {
+                limb_bits: 10,
+                ..base
+            }),
             Err(ParamsError::BadPrimeSize(10))
         ));
         assert!(matches!(
-            CkksParams::builder().scale_bits(40).limb_bits(36).build(),
+            CkksParams::new(ParamSet {
+                scale_bits: 40,
+                limb_bits: 36,
+                ..base
+            }),
             Err(ParamsError::ScaleTooLarge { .. })
         ));
     }
 
     /// 45-bit limb, auxiliary and special primes build, at the largest
-    /// ring and limb count the builder takes; 46-bit ones are refused.
+    /// ring and limb count [`CkksParams::new`] takes; 46-bit ones are
+    /// refused.
     #[test]
     fn primes_are_capped_at_45_bits() {
-        let build = |limb: u32, aux: u32, special: u32| {
-            CkksParams::builder()
-                .log_n(16)
-                .limbs(40)
-                .limb_bits(limb)
-                .aux_bits(aux)
-                .special_bits(special)
-                .scale_bits(limb.min(36))
-                .build()
+        let build = |limb_bits: u32, aux_bits: u32, special_bits: u32| {
+            CkksParams::new(ParamSet {
+                log_n: 16,
+                limbs: 40,
+                limb_bits,
+                aux_bits,
+                special_bits,
+                scale_bits: limb_bits.min(36),
+                ..ParamSet::PAPER
+            })
         };
         assert!(build(45, 45, 45).is_ok());
         for bits in [(46, 45, 45), (45, 46, 45), (45, 45, 46)] {

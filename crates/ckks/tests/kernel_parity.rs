@@ -14,21 +14,22 @@ use heap_ckks::keyswitch::key_switch;
 use heap_ckks::oracle::key_switch_reference;
 use heap_ckks::{CkksContext, CkksParams, GaloisKeys, KeySwitchKey, SecretKey};
 use heap_math::poly::rotation_exponent;
-use heap_math::{ChainEnd, MacAcc, RnsPoly};
+use heap_math::{ChainEnd, MacAcc, ParamSet, RnsPoly};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 #[test]
 fn key_switch_and_galois_match_the_per_term_oracle() {
     for bits in [36, 45] {
-        let params = CkksParams::builder()
-            .log_n(10)
-            .limbs(3)
-            .limb_bits(bits)
-            .aux_bits(bits)
-            .special_bits(bits)
-            .build()
-            .unwrap();
+        let params = CkksParams::new(ParamSet {
+            log_n: 10,
+            limbs: 3,
+            limb_bits: bits,
+            aux_bits: bits,
+            special_bits: bits,
+            ..ParamSet::PAPER
+        })
+        .unwrap();
         let ctx = CkksContext::new(params);
         let rns = ctx.rns();
         let l = ctx.max_limbs();

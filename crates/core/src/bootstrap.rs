@@ -29,7 +29,7 @@ use rand::Rng;
 
 use heap_ckks::{Ciphertext, CkksContext, GaloisKeys, SecretKey};
 use heap_math::wire::derive_seed;
-use heap_math::RnsPoly;
+use heap_math::{ParamSet, RnsPoly};
 use heap_parallel::{par_chunks_init, par_map, Parallelism};
 use heap_tfhe::extract::extract_coefficient;
 use heap_tfhe::{
@@ -76,30 +76,29 @@ pub struct BootstrapConfig {
     pub parallelism: Parallelism,
 }
 
-impl BootstrapConfig {
-    /// The paper's configuration (§III-C): `n_t = 500`, `d = 2`.
-    pub fn paper() -> Self {
+impl From<ParamSet> for BootstrapConfig {
+    /// The set's `n_t` and both gadgets, at the default [`Parallelism`].
+    fn from(set: ParamSet) -> Self {
         Self {
-            n_t: 500,
-            ks_base_bits: 12,
-            ks_digits: 3,
-            rgsw: RgswParams::paper(),
+            n_t: set.n_t,
+            ks_base_bits: set.ks_base_bits,
+            ks_digits: set.ks_digits,
+            rgsw: RgswParams::from(set),
             parallelism: Parallelism::default(),
         }
     }
+}
 
-    /// Fast test configuration.
+impl BootstrapConfig {
+    /// [`ParamSet::PAPER`]'s configuration (§III-C): `n_t = 500`, `d = 2`.
+    pub fn paper() -> Self {
+        ParamSet::PAPER.into()
+    }
+
+    /// [`ParamSet::SMALL`]'s configuration, which [`ParamSet::TINY`]
+    /// shares: `n_t = 32`, gadgets for limbs of up to 30 bits.
     pub fn test_small() -> Self {
-        Self {
-            n_t: 32,
-            ks_base_bits: 6,
-            ks_digits: 5,
-            rgsw: RgswParams {
-                base_bits: 15,
-                digits: 2,
-            },
-            parallelism: Parallelism::default(),
-        }
+        ParamSet::SMALL.into()
     }
 
     /// Returns the config with a different [`Parallelism`] setting.

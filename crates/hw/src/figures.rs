@@ -99,10 +99,7 @@ pub fn ntt_vs_ring_dim(device: &FpgaDevice) -> Series {
     let points = [10u32, 11, 12, 13, 14]
         .iter()
         .map(|&log_n| {
-            let m = NttModel {
-                n: 1usize << log_n,
-                ..NttModel::paper()
-            };
+            let m = NttModel { n: 1usize << log_n };
             ((1u64 << log_n) as f64, m.throughput(device))
         })
         .collect();

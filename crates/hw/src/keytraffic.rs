@@ -8,32 +8,28 @@
 //! Key sizes scale linearly in `d` and quadratically in `h+1`, which is
 //! why the paper pins `d = 2`, `h = 1`.
 
-/// Parameters of the blind-rotation key material.
+use heap_math::wire::{packed_size, residue_bits};
+use heap_math::ParamSet;
+
+/// The paper's accounting of the blind-rotation keys over
+/// [`ParamSet::PAPER`]'s `N` and `n_t`. Hardware numbers: its `d` counts
+/// digits of the whole modulus, `ParamSet::rgsw_digits` digits per limb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BrkParams {
-    /// Ring dimension `N`.
-    pub n: u64,
     /// GLWE mask `h` (paper: 1).
     pub h: u64,
     /// Gadget decomposition degree `d` (paper: 2).
     pub d: u64,
-    /// LWE mask dimension `n_t` (paper: 500).
-    pub n_t: u64,
-    /// Bits per raised-modulus coefficient as the paper accounts them
-    /// (`2·log Q = 432`; the stored keys carry both representations).
-    pub coeff_bits: u64,
 }
 
 impl BrkParams {
+    /// Bits per raised-modulus coefficient as the paper accounts them
+    /// (`2·log Q = 432`; the stored keys carry both representations).
+    pub const COEFF_BITS: u64 = 432;
+
     /// The paper's configuration (§III-C).
     pub fn paper() -> Self {
-        Self {
-            n: 1 << 13,
-            h: 1,
-            d: 2,
-            n_t: 500,
-            coeff_bits: 432,
-        }
+        Self { h: 1, d: 2 }
     }
 
     /// Polynomials in one GGSW key: `(h+1)·d × (h+1)`.
@@ -43,12 +39,12 @@ impl BrkParams {
 
     /// Bytes of one GGSW blind-rotation key (~3.52 MB for the paper set).
     pub fn key_bytes(&self) -> u64 {
-        self.polys_per_key() * self.n * self.coeff_bits / 8
+        self.polys_per_key() * ParamSet::PAPER.n() as u64 * Self::COEFF_BITS / 8
     }
 
     /// Total blind-rotation key bytes (`n_t` keys; ~1.76 GB).
     pub fn total_bytes(&self) -> u64 {
-        self.n_t * self.key_bytes()
+        ParamSet::PAPER.n_t as u64 * self.key_bytes()
     }
 }
 
@@ -85,31 +81,20 @@ pub fn key_traffic_reduction(brk: &BrkParams, conv: &ConventionalKeys) -> f64 {
 }
 
 /// Key size as a function of `d` and `h` (the §III-C scaling argument):
-/// returns total brk bytes for the paper's other fields.
+/// returns total brk bytes over the paper's ring and `n_t`.
 pub fn brk_bytes_for(d: u64, h: u64) -> u64 {
-    BrkParams {
-        d,
-        h,
-        ..BrkParams::paper()
-    }
-    .total_bytes()
+    BrkParams { d, h }.total_bytes()
 }
 
 // ---------------------------------------------------------------------------
 // Exact wire model of the heap-keys distribution protocol
 // ---------------------------------------------------------------------------
 
-use heap_math::wire::packed_size;
-
 /// Frame header of the runtime's node protocol: u32 magic + u8 kind +
 /// u64 payload length + u32 CRC.
 pub const KEY_FRAME_HEADER_BYTES: u64 = 17;
 /// Every key frame payload leads with (or consists of) the u64 key id.
 pub const KEY_ID_BYTES: u64 = 8;
-
-fn modulus_bits(modulus: u64) -> u32 {
-    64 - (modulus - 1).leading_zeros()
-}
 
 /// Exact byte model of the `heap-keys` `EKS1` container and the key
 /// frames that carry it, mirroring the actual encoders
@@ -153,7 +138,7 @@ impl EvalKeyWireModel {
     /// `N · digits` samples at the `q₀` width, plus — strict only —
     /// packed masks of `n_t` coefficients each.
     pub fn ksk_bytes(&self, seeded: bool) -> u64 {
-        let bits = modulus_bits(self.chain_moduli[0]);
+        let bits = residue_bits(self.chain_moduli[0]);
         let header = 29 + if seeded { 8 } else { 0 };
         let cells = self.n * self.ks_digits;
         let bodies = packed_size(cells, bits);
@@ -177,7 +162,7 @@ impl EvalKeyWireModel {
             .boot_moduli
             .iter()
             .map(|&m| {
-                let limb = packed_size(self.n, modulus_bits(m));
+                let limb = packed_size(self.n, residue_bits(m));
                 if seeded {
                     limb
                 } else {
@@ -201,7 +186,7 @@ impl EvalKeyWireModel {
             .boot_moduli
             .iter()
             .map(|&m| {
-                let limb = packed_size(self.n, modulus_bits(m));
+                let limb = packed_size(self.n, residue_bits(m));
                 if seeded {
                     limb
                 } else {
@@ -233,7 +218,7 @@ impl EvalKeyWireModel {
             .iter()
             .map(|&m| {
                 // The CKKS encoder packs at `Modulus::bits()`
-                // (`64 − lz(q)`); identical to `modulus_bits` for the
+                // (`64 − lz(q)`); identical to `residue_bits` for the
                 // odd NTT primes the chain holds.
                 let limb = packed_size(self.n, 64 - m.leading_zeros());
                 if seeded {

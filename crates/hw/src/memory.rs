@@ -7,6 +7,8 @@
 //! factors are fetched once for two limbs (the NTT datapath optimization of
 //! §IV-D).
 
+use heap_math::ParamSet;
+
 /// Layout calculator for a coefficient store.
 #[derive(Debug, Clone, Copy)]
 pub struct MemoryLayout {
@@ -19,12 +21,13 @@ pub struct MemoryLayout {
 }
 
 impl MemoryLayout {
-    /// The paper's configuration: `N = 2^13`, 6 limbs, 36-bit coefficients.
+    /// [`ParamSet::PAPER`]'s ring: `N = 2^13`, 6 limbs, 36-bit
+    /// coefficients.
     pub fn paper() -> Self {
         Self {
-            n: 1 << 13,
-            limbs: 6,
-            coeff_bits: 36,
+            n: ParamSet::PAPER.n(),
+            limbs: ParamSet::PAPER.limbs,
+            coeff_bits: ParamSet::PAPER.limb_bits,
         }
     }
 
@@ -92,7 +95,7 @@ mod tests {
         // RLWE ≈ 0.44 MB
         assert!((m.rlwe_bytes() as f64 / 1e6 - 0.4424).abs() < 0.01);
         // LWE ≈ 2.3 KB at n_t = 500
-        assert!((m.lwe_bytes(500) as f64 / 1e3 - 2.25).abs() < 0.1);
+        assert!((m.lwe_bytes(ParamSet::PAPER.n_t) as f64 / 1e3 - 2.25).abs() < 0.1);
     }
 
     #[test]

@@ -100,6 +100,7 @@ impl OverlapSchedule {
 mod tests {
     use super::*;
     use crate::memory::MemoryLayout;
+    use heap_math::ParamSet;
 
     #[test]
     fn rlwe_transfer_cycle_count() {
@@ -112,7 +113,7 @@ mod tests {
         // ciphertext after packing the useful coefficient data.
         let one_limb_pair = 2 * m.limb_bytes();
         assert_eq!(link.cycles_for_bytes(one_limb_pair), 1152);
-        let lwe = m.lwe_bytes(500);
+        let lwe = m.lwe_bytes(ParamSet::PAPER.n_t);
         assert!(link.cycles_for_bytes(lwe) <= 36);
     }
 
@@ -130,7 +131,7 @@ mod tests {
         let m = MemoryLayout::paper();
         // 512 LWEs in, 512 result streams back per secondary (the paper's
         // 458-cycle result payload).
-        let scatter = link.transfer_seconds(512 * m.lwe_bytes(500));
+        let scatter = link.transfer_seconds(512 * m.lwe_bytes(ParamSet::PAPER.n_t));
         let gather = 512.0 * link.result_transfer_seconds();
         let schedule = OverlapSchedule {
             compute_s: 1.3303e-3, // step-3 time per node (Table/§VI-E)

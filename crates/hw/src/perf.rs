@@ -10,6 +10,8 @@
 //! `n_br`, node scaling, application times — is *derived* from operation
 //! counts. EXPERIMENTS.md records model-vs-paper for every figure.
 
+use heap_math::ParamSet;
+
 use crate::device::FpgaDevice;
 use crate::network::{CmacLink, OverlapSchedule};
 
@@ -61,31 +63,29 @@ impl OpTimings {
 pub struct NttModel {
     /// Ring dimension.
     pub n: usize,
-    /// Modular units available for butterflies.
-    pub units: u64,
-    /// Fixed pipeline fill latency per stage (the 7-cycle modular unit).
-    pub unit_latency: u64,
-    /// Effective issue interval per pass, folding in URAM/BRAM banking
-    /// and twiddle-fetch stalls (calibrated to Table IV).
-    pub pass_interval: u64,
 }
 
 impl NttModel {
-    /// The paper's configuration at `N = 2^13`.
+    /// Modular units available for butterflies.
+    pub const UNITS: u64 = 512;
+    /// Fixed pipeline fill latency per stage (the 7-cycle modular unit).
+    pub const UNIT_LATENCY: u64 = 7;
+    /// Effective issue interval per pass, folding in URAM/BRAM banking
+    /// and twiddle-fetch stalls (calibrated to Table IV).
+    pub const PASS_INTERVAL: u64 = 13;
+
+    /// The paper's datapath at [`ParamSet::PAPER`]'s `N = 2^13`.
     pub fn paper() -> Self {
         Self {
-            n: 1 << 13,
-            units: 512,
-            unit_latency: 7,
-            pass_interval: 13,
+            n: ParamSet::PAPER.n(),
         }
     }
 
     /// Kernel cycles for one forward or inverse NTT.
     pub fn cycles(&self) -> u64 {
         let stages = self.n.trailing_zeros() as u64;
-        let passes = (self.n as u64 / 2).div_ceil(self.units);
-        stages * (passes * self.pass_interval + self.unit_latency)
+        let passes = (self.n as u64 / 2).div_ceil(Self::UNITS);
+        stages * (passes * Self::PASS_INTERVAL + Self::UNIT_LATENCY)
     }
 
     /// NTT operations per second at the device's kernel clock.
@@ -122,7 +122,7 @@ impl BootstrapModel {
             step12_ms: 0.0025,
             step3_batch_ms: 1.3303,
             step45_full_ms: 0.1672,
-            full_slots: 4096,
+            full_slots: ParamSet::PAPER.n() / 2,
             batch_width: 512,
         }
     }
@@ -159,7 +159,7 @@ impl BootstrapModel {
         let per_node = n_br.div_ceil(nodes) as u64;
         OverlapSchedule {
             compute_s: self.total_ms(n_br, nodes) * 1e-3,
-            scatter_s: link.transfer_seconds(per_node * m.lwe_bytes(500)),
+            scatter_s: link.transfer_seconds(per_node * m.lwe_bytes(ParamSet::PAPER.n_t)),
             gather_s: per_node as f64 * link.result_transfer_seconds(),
             nodes,
         }

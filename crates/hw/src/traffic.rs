@@ -8,6 +8,8 @@
 //! calibrated [`crate::perf::OpTimings`] must dominate (asserted in
 //! tests: compute-bound ops sit above their bandwidth floor).
 
+use heap_math::ParamSet;
+
 use crate::device::FpgaDevice;
 use crate::keytraffic::BrkParams;
 use crate::memory::MemoryLayout;
@@ -77,7 +79,7 @@ pub fn ckks_traffic(layout: &MemoryLayout) -> Vec<OpTraffic> {
 /// — once per tile of `heap-core`'s `TILE = 8` accumulators, i.e.
 /// `ceil(chunk / TILE)` times per batch against this model's once.
 pub fn bootstrap_traffic(layout: &MemoryLayout, brk: &BrkParams, n_br: u64) -> OpTraffic {
-    let lwes_in = n_br * layout.lwe_bytes(brk.n_t as usize);
+    let lwes_in = n_br * layout.lwe_bytes(ParamSet::PAPER.n_t);
     let results_out = n_br * 2 * layout.limb_bytes();
     OpTraffic {
         op: "Bootstrap",

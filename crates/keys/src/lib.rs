@@ -27,8 +27,9 @@ use heap_ckks::{gks_from_wire, gks_write};
 use heap_ckks::{CkksContext, GaloisKeys};
 use heap_core::{BootstrapConfig, Bootstrapper, GeneratedKeys};
 use heap_math::wire::{derive_seed, WireError, WireReader, WireWriter};
+use heap_math::ParamSet;
 use heap_tfhe::{
-    brk_from_wire, brk_write, ksk_from_wire, ksk_write, BlindRotateKey, LweKeySwitchKey, RgswParams,
+    brk_from_wire, brk_write, ksk_from_wire, ksk_write, BlindRotateKey, LweKeySwitchKey,
 };
 
 pub use cache::KeyCache;
@@ -221,22 +222,17 @@ impl EvalKeySet {
             return Err(WireError::Corrupt("EKS brk shape mismatch"));
         }
         let gks: GaloisKeys = gks_from_wire(gks_bytes, ctx)?;
-        let config = BootstrapConfig {
+        // The context's set, with the container's bootstrap half.
+        let set = ParamSet {
             n_t,
             ks_base_bits,
             ks_digits,
-            rgsw: RgswParams {
-                base_bits: rgsw_base_bits,
-                digits: rgsw_digits,
-            },
-            parallelism: heap_core::Parallelism::default(),
+            rgsw_base_bits,
+            rgsw_digits,
+            ..**ctx.params()
         };
-        Ok(Self::new(
-            ctx,
-            config,
-            GeneratedKeys { ksk, brk, gks },
-            None,
-        ))
+        let keys = GeneratedKeys { ksk, brk, gks };
+        Ok(Self::new(ctx, set.into(), keys, None))
     }
 
     /// Packages the set for distribution: the seeded encoding when

@@ -40,6 +40,7 @@ pub mod mac;
 pub mod ntt;
 #[doc(hidden)]
 pub mod oracle;
+pub mod params;
 pub mod poly;
 pub mod prime;
 pub mod rns;
@@ -53,4 +54,5 @@ pub use bigint::BigUint;
 pub use gadget::Gadget;
 pub use mac::{ChainEnd, LazyCoeff, MacAcc, RowPair};
 pub use ntt::NttTable;
+pub use params::ParamSet;
 pub use rns::{Domain, RnsContext, RnsPoly};

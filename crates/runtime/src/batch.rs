@@ -97,8 +97,9 @@ pub(crate) enum Command {
     /// submits again after the next transition that does.
     Parked,
     Refused(RuntimeError),
-    /// A batch flushed: its jobs in order with their queue waits, its
-    /// rotations, and how long it formed.
+    /// A batch flushed: its jobs in order with their queue waits (submit
+    /// until the forming batch took the job), its rotations, and how long
+    /// it formed.
     Flush {
         batch: u64,
         waits: Vec<(u64, Duration)>,
@@ -135,7 +136,8 @@ struct Batch {
 
 /// The batch the fair queue drains into.
 struct Forming {
-    jobs: Vec<Job>,
+    /// Its jobs in order, each with its queue wait, ended as it was taken.
+    jobs: Vec<(Job, Duration)>,
     cost: usize,
     opened: Instant,
     deadline: Instant,
@@ -357,7 +359,7 @@ impl Pipeline {
                 deadline: first.submitted + self.policy.max_delay,
                 opened: now,
                 cost: first.cost,
-                jobs: vec![first],
+                jobs: vec![(first, now.saturating_duration_since(first.submitted))],
             });
         }
         let f = self.forming.as_mut().expect("a forming batch");
@@ -366,7 +368,8 @@ impl Pipeline {
             match self.queue.take(max - f.cost) {
                 Head::Job(job) => {
                     f.cost += job.cost;
-                    f.jobs.push(job);
+                    f.jobs
+                        .push((job, now.saturating_duration_since(job.submitted)));
                 }
                 Head::Oversized => oversized = true,
                 Head::Empty => break,
@@ -381,17 +384,13 @@ impl Pipeline {
         let f = self.forming.take().expect("a forming batch");
         let b = self.next_batch;
         self.next_batch += 1;
-        let waits = f
-            .jobs
-            .iter()
-            .map(|j| (j.id, now.saturating_duration_since(j.submitted)));
         cmds.push(Command::Flush {
             batch: b,
-            waits: waits.collect(),
+            waits: f.jobs.iter().map(|(j, wait)| (j.id, *wait)).collect(),
             lwes: f.cost,
             linger: now.saturating_duration_since(f.opened),
         });
-        let jobs = f.jobs.iter().map(|j| (j.id, j.cost, false)).collect();
+        let jobs = f.jobs.iter().map(|(j, _)| (j.id, j.cost, false)).collect();
         let batch = Batch {
             jobs,
             lwes: f.cost,
@@ -610,11 +609,40 @@ mod tests {
         let flush = cmds.iter().find(|c| matches!(c, Command::Flush { .. }));
         let expect = Command::Flush {
             batch: 1,
-            waits: vec![(1, 3 * MS), (2, Duration::ZERO)],
+            waits: vec![(1, Duration::ZERO), (2, Duration::ZERO)],
             lwes: 4,
             linger: 3 * MS,
         };
         assert_eq!(flush, Some(&expect));
+    }
+
+    /// A job's queue wait is submit → the forming batch taking it: the
+    /// batch's linger after that is its `linger`, not the job's wait. Job 1
+    /// opens a batch that lingers to its deadline and job 2 joins it on
+    /// arrival, so neither waited in the queue; job 4, held in the queue
+    /// while the flushed batch 2 waits for room in the prep buffer, waited
+    /// until a batch opened on it.
+    #[test]
+    fn queue_wait_ends_when_the_batch_takes_the_job() {
+        let waits = |cmds: Vec<Command>| {
+            cmds.into_iter().find_map(|c| match c {
+                Command::Flush { waits, linger, .. } => Some((waits, linger)),
+                _ => None,
+            })
+        };
+        let mut c = cell(3, 10 * MS, PipelineConfig::default());
+        c.busy();
+        c.submit(2, 1, 1, false);
+        c.submit(5, 2, 1, false);
+        let lingered = (vec![(1, Duration::ZERO), (2, Duration::ZERO)], 10 * MS);
+        assert_eq!(waits(c.on(12, Event::Wake)), Some(lingered));
+
+        let mut c = narrow();
+        for id in 1..=4 {
+            c.submit(id - 1, id, 1, false);
+        }
+        let queued = (vec![(4, 4 * MS)], Duration::ZERO);
+        assert_eq!(waits(c.on(7, Event::Done(PREP, 0, Ok(())))), Some(queued));
     }
 
     /// A closed machine flushes what is forming, refuses new jobs and
@@ -891,6 +919,8 @@ mod tests {
         lwes: Vec<Vec<LweCiphertext>>,
         fates: Vec<Fate>,
         parked: Vec<usize>,
+        /// When each job was first seen in the forming batch.
+        taken: HashMap<u64, Duration>,
         batches: HashMap<u64, SimWork>,
         /// Bodies running, and runs started, per stage.
         running: [usize; 3],
@@ -1021,6 +1051,9 @@ mod tests {
                     Command::Parked | Command::Refused(_) | Command::Log(..) => {}
                 }
             }
+            for (job, _) in self.m.forming.iter().flat_map(|f| &f.jobs) {
+                self.taken.entry(job.id).or_insert(self.now);
+            }
             self.check();
             cmds
         }
@@ -1045,8 +1078,15 @@ mod tests {
                 linger.is_zero() || now <= opener + policy.max_delay,
                 "{why}: lingered"
             );
+            // A job's queue wait ends when the forming batch takes it: at an
+            // earlier transition, or at this one.
             for &(id, wait) in waits {
-                assert_eq!(wait, now - self.job(id as usize).submitted, "{why}");
+                let taken = self.taken.remove(&id).unwrap_or(self.now);
+                assert_eq!(
+                    wait,
+                    self.t0 + taken - self.job(id as usize).submitted,
+                    "{why}"
+                );
             }
             self.flushes.0 += 1;
             self.flushes.1 += usize::from(ids.len() > 1);
@@ -1187,7 +1227,7 @@ mod tests {
                     "{why}: lingers beside a free rotate slot"
                 );
                 let deadline =
-                    self.job(f.jobs[0].id as usize).submitted + self.spec.config.batch.max_delay;
+                    self.job(f.jobs[0].0.id as usize).submitted + self.spec.config.batch.max_delay;
                 assert!(
                     self.t0 + self.now < deadline,
                     "{why}: lingers past its deadline"
@@ -1284,6 +1324,7 @@ mod tests {
                 .collect(),
             fates: vec![Fate::Unsent; spec.jobs.len()],
             parked: Vec::new(),
+            taken: HashMap::new(),
             batches: HashMap::new(),
             running: [0; 3],
             started: [0; 3],

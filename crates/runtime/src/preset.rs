@@ -22,43 +22,48 @@ use heap_ckks::{CkksContext, CkksParams, SecretKey};
 use heap_core::{generate_keys_reseeded, BootstrapConfig, Bootstrapper};
 use heap_keys::{EvalKeySet, KeyPackage};
 use heap_math::wire::derive_seed;
+use heap_math::ParamSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Named parameter sets shared by client and server by name.
+/// Named parameter sets shared by client and server by name: each is a
+/// listed [`ParamSet`], and its wire name is the set's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParamPreset {
-    /// `N = 128` toy ring — seconds-fast, used by tests and loopback CI.
+    /// [`ParamSet::TINY`] — seconds-fast, used by tests and loopback CI.
     #[default]
     Tiny,
-    /// `N = 256` small ring.
+    /// [`ParamSet::SMALL`].
     Small,
-    /// `N = 1024` medium ring.
+    /// [`ParamSet::MEDIUM`].
     Medium,
 }
 
 impl ParamPreset {
+    const ALL: [Self; 3] = [Self::Tiny, Self::Small, Self::Medium];
+
+    /// The parameter set this preset names.
+    pub fn set(self) -> ParamSet {
+        match self {
+            ParamPreset::Tiny => ParamSet::TINY,
+            ParamPreset::Small => ParamSet::SMALL,
+            ParamPreset::Medium => ParamSet::MEDIUM,
+        }
+    }
+
     /// The CKKS parameters for this preset.
     pub fn ckks_params(self) -> CkksParams {
-        match self {
-            ParamPreset::Tiny => CkksParams::test_tiny(),
-            ParamPreset::Small => CkksParams::test_small(),
-            ParamPreset::Medium => CkksParams::test_medium(),
-        }
+        CkksParams::new(self.set()).expect("listed sets are valid")
     }
 
     /// The bootstrap configuration paired with this preset.
     pub fn bootstrap_config(self) -> BootstrapConfig {
-        BootstrapConfig::test_small()
+        self.set().into()
     }
 
     /// The preset's wire name (accepted back by [`ParamPreset::from_str`]).
     pub fn name(self) -> &'static str {
-        match self {
-            ParamPreset::Tiny => "tiny",
-            ParamPreset::Small => "small",
-            ParamPreset::Medium => "medium",
-        }
+        self.set().name
     }
 }
 
@@ -66,12 +71,10 @@ impl FromStr for ParamPreset {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "tiny" => Ok(ParamPreset::Tiny),
-            "small" => Ok(ParamPreset::Small),
-            "medium" => Ok(ParamPreset::Medium),
-            other => Err(format!("unknown preset '{other}' (tiny|small|medium)")),
-        }
+        let s = s.trim().to_ascii_lowercase();
+        let names = Self::ALL.map(Self::name).join("|");
+        let found = Self::ALL.into_iter().find(|p| p.name() == s);
+        found.ok_or_else(|| format!("unknown preset '{s}' ({names})"))
     }
 }
 
@@ -150,9 +153,14 @@ mod tests {
 
     #[test]
     fn preset_names_round_trip() {
-        for p in [ParamPreset::Tiny, ParamPreset::Small, ParamPreset::Medium] {
-            assert_eq!(p.name().parse::<ParamPreset>().unwrap(), p);
-            assert_eq!(p.to_string(), p.name());
+        // Every listed set but the paper's is a preset, under its own name.
+        for set in ParamSet::ALL {
+            let Ok(p) = set.name.parse::<ParamPreset>() else {
+                assert_eq!(set, ParamSet::PAPER, "{} is no preset", set.name);
+                continue;
+            };
+            assert_eq!(p.set(), set);
+            assert_eq!(p.to_string(), set.name);
         }
         assert!("giant".parse::<ParamPreset>().is_err());
     }

@@ -16,7 +16,7 @@
 
 use rand::Rng;
 
-use heap_math::{ChainEnd, Domain, Gadget, MacAcc, RnsContext, RnsPoly, RowPair};
+use heap_math::{ChainEnd, Domain, Gadget, MacAcc, ParamSet, RnsContext, RnsPoly, RowPair};
 
 use crate::blind_rotate::MonomialEvals;
 use crate::rlwe::{RingSecretKey, RlweCiphertext};
@@ -30,13 +30,19 @@ pub struct RgswParams {
     pub digits: usize,
 }
 
-impl RgswParams {
-    /// The paper's configuration: `d = 2` digits covering a 36-bit limb.
-    pub fn paper() -> Self {
+impl From<ParamSet> for RgswParams {
+    fn from(set: ParamSet) -> Self {
         Self {
-            base_bits: 18,
-            digits: 2,
+            base_bits: set.rgsw_base_bits,
+            digits: set.rgsw_digits,
         }
+    }
+}
+
+impl RgswParams {
+    /// [`ParamSet::PAPER`]'s gadget: `d = 2` digits covering a 36-bit limb.
+    pub fn paper() -> Self {
+        ParamSet::PAPER.into()
     }
 
     /// Rows per RGSW component (`limbs · digits`).

@@ -316,8 +316,8 @@ mod tests {
     fn lwe_wire_size_matches_paper_accounting() {
         // n_t = 500, 36-bit modulus: (501 · 36)/8 ≈ 2.25 KB payload,
         // matching §III-C's "size of each LWE ciphertext is ~2.3 KB".
-        let q = ntt_primes(1 << 13, 36, 1)[0];
-        let ct = LweCiphertext::trivial(0, 500, q);
+        let paper = heap_math::ParamSet::PAPER;
+        let ct = LweCiphertext::trivial(0, paper.n_t, paper.chain()[0]);
         let payload = ct.wire_size() - 16; // minus header
         assert_eq!(payload, (501 * 36usize).div_ceil(8));
         assert!((payload as f64 / 1e3 - 2.25).abs() < 0.05);

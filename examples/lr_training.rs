@@ -11,20 +11,17 @@ use heap::apps::lr::{lr_iteration_trace, plaintext_step, Dataset, EncryptedLrTra
 use heap::ckks::{CkksContext, CkksParams, GaloisKeys, RelinearizationKey, SecretKey};
 use heap::core::{BootstrapConfig, Bootstrapper};
 use heap::hw::perf::{BootstrapModel, OpTimings};
+use heap::math::ParamSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
 fn main() {
-    let params = CkksParams::builder()
-        .log_n(10)
-        .limbs(6)
-        .limb_bits(30)
-        .aux_bits(30)
-        .special_bits(30)
-        .scale_bits(30)
-        .build()
-        .expect("valid params");
+    let params = CkksParams::new(ParamSet {
+        limbs: 6,
+        ..ParamSet::SMALL
+    })
+    .expect("valid params");
     let ctx = CkksContext::new(params);
     let mut rng = StdRng::seed_from_u64(123);
     let sk = SecretKey::generate(&ctx, &mut rng);

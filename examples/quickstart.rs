@@ -20,7 +20,7 @@ fn main() {
         ctx.n(),
         ctx.slots(),
         ctx.max_limbs(),
-        ctx.params().limb_bits()
+        ctx.params().limb_bits
     );
 
     let sk = SecretKey::generate(&ctx, &mut rng);

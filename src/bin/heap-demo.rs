@@ -11,6 +11,7 @@ use heap::ckks::{CkksContext, CkksParams, SecretKey};
 use heap::core::{BootstrapConfig, Bootstrapper};
 use heap::hw::perf::BootstrapModel;
 use heap::hw::{DesignUtilization, FpgaDevice};
+use heap::math::ParamSet;
 use heap::tfhe::gates;
 use heap::tfhe::lwe::LweSecretKey;
 use heap::tfhe::pbs::{PbsKeys, TfheContext, TfheParams};
@@ -38,19 +39,17 @@ fn main() {
 
 fn info() {
     println!("HEAP reproduction — parameter sets and device model\n");
-    for (name, p) in [
-        ("heap_paper", CkksParams::heap_paper()),
-        ("test_medium", CkksParams::test_medium()),
-        ("test_small", CkksParams::test_small()),
-        ("test_tiny", CkksParams::test_tiny()),
-    ] {
+    for set in ParamSet::ALL {
+        let p = CkksParams::new(set).expect("listed sets are valid");
         println!(
-            "  {name:<12} N = 2^{:<2} slots = {:<5} L = {:<2} limb = {} bits  logQ = {}",
-            p.log_n(),
+            "  {:<12} N = 2^{:<2} slots = {:<5} L = {:<2} limb = {} bits  logQ = {}  n_t = {}",
+            p.name,
+            p.log_n,
             p.slots(),
-            p.limbs(),
-            p.limb_bits(),
-            p.log_q()
+            p.limbs,
+            p.limb_bits,
+            p.log_q(),
+            p.n_t
         );
     }
     let device = FpgaDevice::alveo_u280();
