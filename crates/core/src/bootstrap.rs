@@ -270,6 +270,13 @@ impl Bootstrapper {
         &self.stages
     }
 
+    /// This bootstrapper recording into `stages` instead of its own set,
+    /// so that every key a node expands times its rotations in the node's
+    /// one set.
+    pub fn with_stage_metrics(self, stages: StageMetrics) -> Self {
+        Self { stages, ..self }
+    }
+
     /// The configuration used at generation time.
     pub fn config(&self) -> &BootstrapConfig {
         &self.config

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use heap_telemetry::{Histogram, Registry};
+use heap_telemetry::Histogram;
 
 /// The pipeline stages, in the order the paper model presents them
 /// (Algorithm 2 plus the final rescale). Exposition consumers use this
@@ -23,47 +23,27 @@ pub fn stage_metric_name(stage: &str) -> String {
     format!("heap_stage_{stage}_ns")
 }
 
-/// Per-stage latency histograms, one per entry of [`PIPELINE_STAGES`].
-///
-/// Created once per [`crate::Bootstrapper`] (both the service primary and
-/// every `heap-node-serve` process own a bootstrapper, so each side
-/// accumulates its own stage timings). Units are nanoseconds per *batch*
-/// call of the stage.
-#[derive(Debug)]
-pub struct StageMetrics {
-    registry: Arc<Registry>,
-    pub(crate) extract: Arc<Histogram>,
-    pub(crate) mod_switch: Arc<Histogram>,
-    pub(crate) blind_rotate: Arc<Histogram>,
-    pub(crate) repack: Arc<Histogram>,
-    pub(crate) rescale: Arc<Histogram>,
+heap_telemetry::metric_table! {
+    /// Per-stage latency histograms, one per entry of [`PIPELINE_STAGES`].
+    ///
+    /// Each [`crate::Bootstrapper`] owns one (the service primary's covers
+    /// the stages it runs), and a node owns one for the rotations it serves
+    /// under any key. Units are nanoseconds per *batch* call of the stage;
+    /// clones record into the same histograms.
+    pub struct StageMetrics in "core";
+    extract: Histogram "heap_stage_extract_ns",
+        "extract stage latency per batch in nanoseconds";
+    mod_switch: Histogram "heap_stage_mod_switch_ns",
+        "mod_switch stage latency per batch in nanoseconds";
+    blind_rotate: Histogram "heap_stage_blind_rotate_ns",
+        "blind_rotate stage latency per batch in nanoseconds";
+    repack: Histogram "heap_stage_repack_ns",
+        "repack stage latency per batch in nanoseconds";
+    rescale: Histogram "heap_stage_rescale_ns",
+        "rescale stage latency per batch in nanoseconds";
 }
 
 impl StageMetrics {
-    /// Registers the five stage histograms in a fresh registry.
-    pub fn new() -> Self {
-        let registry = Arc::new(Registry::new("core"));
-        let hist = |stage: &str| {
-            registry.histogram(
-                &stage_metric_name(stage),
-                &format!("{stage} stage latency per batch in nanoseconds"),
-            )
-        };
-        Self {
-            extract: hist("extract"),
-            mod_switch: hist("mod_switch"),
-            blind_rotate: hist("blind_rotate"),
-            repack: hist("repack"),
-            rescale: hist("rescale"),
-            registry,
-        }
-    }
-
-    /// The registry holding the stage histograms (for exposition).
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
     /// The named stage's histogram, if `stage` is one of
     /// [`PIPELINE_STAGES`].
     pub fn stage(&self, stage: &str) -> Option<&Arc<Histogram>> {
@@ -75,12 +55,6 @@ impl StageMetrics {
             "rescale" => Some(&self.rescale),
             _ => None,
         }
-    }
-}
-
-impl Default for StageMetrics {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use heap_telemetry::{Counter, Gauge, Registry};
+use heap_telemetry::Registry;
 
 use crate::KeyId;
 
@@ -18,6 +18,17 @@ struct Entry<V> {
     bytes: usize,
     /// Logical clock of the last touch (insert or hit).
     stamp: u64,
+}
+
+heap_telemetry::metric_table! {
+    /// The cache's reuse accounting.
+    struct CacheMetrics in "keycache";
+    hits: Counter "heap_keycache_hits_total", "key cache lookups served from cache";
+    misses: Counter "heap_keycache_misses_total", "key cache lookups requiring an upload";
+    evictions: Counter "heap_keycache_evictions_total", "entries evicted to fit the byte budget";
+    inserts: Counter "heap_keycache_inserts_total", "entries inserted after upload/expansion";
+    resident_bytes: Gauge "heap_keycache_resident_bytes", "bytes of cached key material";
+    resident_keys: Gauge "heap_keycache_resident_keys", "number of cached key sets";
 }
 
 /// Byte-budgeted LRU cache of expanded key sets.
@@ -31,59 +42,24 @@ pub struct KeyCache<V> {
     entries: Vec<Entry<V>>,
     budget_bytes: usize,
     clock: u64,
-    registry: Arc<Registry>,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    evictions: Arc<Counter>,
-    inserts: Arc<Counter>,
-    resident_bytes: Arc<Gauge>,
-    resident_keys: Arc<Gauge>,
+    metrics: CacheMetrics,
 }
 
 impl<V> KeyCache<V> {
     /// Creates an empty cache holding at most `budget_bytes` of encoded
     /// key material.
     pub fn new(budget_bytes: usize) -> Self {
-        let registry = Arc::new(Registry::new("keycache"));
-        let hits = registry.counter(
-            "heap_keycache_hits_total",
-            "key cache lookups served from cache",
-        );
-        let misses = registry.counter(
-            "heap_keycache_misses_total",
-            "key cache lookups requiring an upload",
-        );
-        let evictions = registry.counter(
-            "heap_keycache_evictions_total",
-            "entries evicted to fit the byte budget",
-        );
-        let inserts = registry.counter(
-            "heap_keycache_inserts_total",
-            "entries inserted after upload/expansion",
-        );
-        let resident_bytes = registry.gauge(
-            "heap_keycache_resident_bytes",
-            "bytes of cached key material",
-        );
-        let resident_keys =
-            registry.gauge("heap_keycache_resident_keys", "number of cached key sets");
         Self {
             entries: Vec::new(),
             budget_bytes,
             clock: 0,
-            registry,
-            hits,
-            misses,
-            evictions,
-            inserts,
-            resident_bytes,
-            resident_keys,
+            metrics: CacheMetrics::new(),
         }
     }
 
     /// The telemetry registry (scope `keycache`) backing the counters.
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        self.metrics.registry()
     }
 
     /// The configured byte budget.
@@ -100,11 +76,11 @@ impl<V> KeyCache<V> {
         match self.entries.iter_mut().find(|e| e.id == id) {
             Some(e) => {
                 e.stamp = clock;
-                self.hits.inc();
+                self.metrics.hits.inc();
                 Some(&e.value)
             }
             None => {
-                self.misses.inc();
+                self.metrics.misses.inc();
                 None
             }
         }
@@ -131,7 +107,7 @@ impl<V> KeyCache<V> {
             // eviction — otherwise `inserts - evictions` drifts away from
             // the resident-keys gauge on every replace.
             displaced.push(self.entries.remove(pos).value);
-            self.evictions.inc();
+            self.metrics.evictions.inc();
         }
         self.entries.push(Entry {
             id,
@@ -139,7 +115,7 @@ impl<V> KeyCache<V> {
             bytes,
             stamp: self.clock,
         });
-        self.inserts.inc();
+        self.metrics.inserts.inc();
         while self.resident() > self.budget_bytes && self.entries.len() > 1 {
             let lru = self
                 .entries
@@ -149,7 +125,7 @@ impl<V> KeyCache<V> {
                 .map(|(i, _)| i)
                 .expect("non-empty");
             displaced.push(self.entries.remove(lru).value);
-            self.evictions.inc();
+            self.metrics.evictions.inc();
         }
         self.update_gauges();
         displaced
@@ -180,8 +156,8 @@ impl<V> KeyCache<V> {
     }
 
     fn update_gauges(&self) {
-        self.resident_bytes.set(self.resident() as i64);
-        self.resident_keys.set(self.entries.len() as i64);
+        self.metrics.resident_bytes.set(self.resident() as i64);
+        self.metrics.resident_keys.set(self.entries.len() as i64);
     }
 }
 

@@ -30,6 +30,7 @@ use std::time::{Duration, Instant};
 use crate::policy;
 use crate::queue::{FairQueue, Head, Job};
 use crate::service::RuntimeConfig;
+use crate::telemetry::PipelineCounts;
 use crate::RuntimeError;
 
 /// When to flush a forming batch. The third flush event, a free rotate
@@ -204,10 +205,16 @@ impl Pipeline {
     /// What the executor's gauges mirror: each stage's buffered batches,
     /// the batches holding a rotate slot, and the accepted-but-unsettled
     /// jobs and rotations.
-    pub(crate) fn gauges(&self) -> [i64; 6] {
+    pub(crate) fn gauges(&self) -> PipelineCounts {
         let [prep, rotate, finish] = self.stages.each_ref().map(|s| s.inbox.len() as i64);
-        let (rotating, jobs) = (self.rotating as i64, self.jobs as i64);
-        [prep, rotate, finish, rotating, jobs, self.backlog as i64]
+        PipelineCounts {
+            prep_depth: prep,
+            rotate_depth: rotate,
+            finish_depth: finish,
+            rotating_batches: self.rotating as i64,
+            inflight_jobs: self.jobs as i64,
+            inflight_lwes: self.backlog as i64,
+        }
     }
 
     /// Sets the per-rotation rate as if rotations had measured it.
@@ -670,7 +677,7 @@ mod tests {
         }
         assert_eq!(settled, [(100, true), (1, true), (2, true)]);
         assert!(c.m.drained());
-        assert_eq!(c.m.gauges(), [0; 6]);
+        assert_eq!(c.m.gauges(), PipelineCounts::default());
     }
 
     /// One worker and one buffered batch per stage: a finished body keeps
@@ -731,7 +738,8 @@ mod tests {
         let refused = Command::Refused(RuntimeError::Rejected { retry_after });
         assert_eq!(retry.last(), Some(&refused), "6 ms projected: {retry:?}");
         assert!(matches!(&retry[0], Command::Log("admission_rejected", _)));
-        assert_eq!(c.m.gauges()[4..], [5, 5]);
+        let counts = c.m.gauges();
+        assert_eq!((counts.inflight_jobs, counts.inflight_lwes), (5, 5));
     }
 
     /// A body that dies after one job of its batch was settled settles
@@ -758,7 +766,7 @@ mod tests {
         c.on(8, Event::Done(PREP, 2, Ok(())));
         let cmds = c.on(9, Event::Done(ROTATE, 2, Err(failed.clone())));
         assert_eq!(cmds, [Command::Settle(3, Err(failed))]);
-        assert_eq!(c.m.gauges(), [0; 6]);
+        assert_eq!(c.m.gauges(), PipelineCounts::default());
     }
 
     /// The SLO's unit rate is the EWMA of each rotation's time per LWE,
@@ -1380,7 +1388,7 @@ mod tests {
         }
         let why = p.why();
         assert!(p.m.drained(), "{why}: never drained");
-        assert_eq!(p.m.gauges(), [0; 6], "{why}");
+        assert_eq!(p.m.gauges(), PipelineCounts::default(), "{why}");
         assert_eq!((p.running, p.rotating, p.backlog), ([0; 3], 0, 0), "{why}");
         let mut o = PrimaryOutcome::default();
         for (id, fate) in p.fates.iter().enumerate() {

@@ -43,9 +43,11 @@
 //! - `--metrics-addr HOST:PORT` — also serve a metrics endpoint
 //!   (`GET /metrics` Prometheus text, `GET /metrics.json`) exposing the
 //!   node's request counters, the key cache's hit/miss/eviction
-//!   counters, and (with `--insecure-seed`) the per-stage bootstrap
-//!   histograms. The bound address is printed as `METRICS <addr>` on
-//!   stdout, *after* the `LISTENING` line.
+//!   counters, and the node's per-stage histograms (every rotation it
+//!   served, under any key; with `--insecure-seed` they are the default
+//!   key's, so `--session-addr`'s service records its stages there too) —
+//!   the registries `StatsReq` reports. The bound address is printed as
+//!   `METRICS <addr>` on stdout, *after* the `LISTENING` line.
 //! - `--session-addr HOST:PORT` — also run a full in-process
 //!   `BootstrapService` (staged pipeline backed by this node's threads)
 //!   fronted by a multiplexed session listener: any number of
@@ -187,12 +189,10 @@ fn main() -> ExitCode {
     // scrape endpoint.
     let _metrics_server = match &args.metrics_addr {
         Some(metrics_addr) => {
-            let mut exposition = Exposition::new()
-                .with_registry(telemetry.registry())
-                .with_registry(&key_store.registry());
-            if let Some(setup) = &insecure {
-                exposition = exposition.with_registry(setup.boot.stage_metrics().registry());
-            }
+            let exposition = telemetry
+                .registries(&key_store, insecure.as_ref().map(|setup| &*setup.boot))
+                .iter()
+                .fold(Exposition::new(), Exposition::with_registry);
             match MetricsServer::serve(metrics_addr, exposition) {
                 Ok(server) => {
                     println!("METRICS {}", server.addr());

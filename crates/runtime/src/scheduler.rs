@@ -155,7 +155,7 @@ impl Inner {
                 }
                 Command::Count(tally, n) => tally(&self.telemetry.counters).add(n),
                 Command::RoundTrip(node, ns, valid) => {
-                    self.telemetry.shard_round_trip_ns.record(ns);
+                    self.telemetry.spans.shard_round_trip_ns.record(ns);
                     let slot = &self.slots[node];
                     if valid {
                         let old = slot.ewma_ns.load(Ordering::Relaxed);

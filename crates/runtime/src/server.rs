@@ -16,10 +16,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use heap_ckks::CkksContext;
-use heap_core::Bootstrapper;
+use heap_core::{Bootstrapper, StageMetrics};
 use heap_keys::{EvalKeySet, KeyCache, KeyId};
 use heap_parallel::Parallelism;
-use heap_telemetry::{Counter, MetricValue, Registry, Snapshot};
+use heap_telemetry::{MetricValue, Registry, Snapshot};
 use heap_tfhe::lwe_batch_from_wire;
 
 use crate::conn::{failure, Backend, NodeDoor, NodeShared, Out};
@@ -27,61 +27,49 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::node::{accumulators_to_wire, lwe_shape, NodeError};
 use crate::proto::{self, Shape};
 
-/// Server-side telemetry for one listener: what a node has served.
-///
-/// Shared by every connection thread of a [`serve`] call and exposed two
-/// ways: flattened into `StatsResp` frames (so a client's
-/// [`crate::RemoteNode::fetch_stats`] sees it over HRT1) and via the registry
-/// handle for a local metrics endpoint (`heap-node-serve
-/// --metrics-addr`). Cloning shares the same underlying atomics.
-#[derive(Clone)]
-pub struct NodeTelemetry {
-    registry: Arc<Registry>,
-    pub(crate) requests: Arc<Counter>,
-    pub(crate) lwes: Arc<Counter>,
-    pub(crate) pings: Arc<Counter>,
-    pub(crate) errors: Arc<Counter>,
+heap_telemetry::metric_table! {
+    /// Server-side telemetry for one listener: what a node has served, and
+    /// how long its rotations took under any key.
+    ///
+    /// Shared by every connection thread of a [`serve`] call and exposed two
+    /// ways, both reading [`NodeTelemetry::registries`]: flattened into
+    /// `StatsResp` frames (so a client's [`crate::RemoteNode::fetch_stats`]
+    /// sees it over HRT1) and on a local metrics endpoint (`heap-node-serve
+    /// --metrics-addr`). Cloning shares the same underlying atomics.
+    pub struct NodeTelemetry in "node" {
+        /// A keyless node's stage histograms: every key it expands records
+        /// its rotations here.
+        stages: StageMetrics,
+    };
+    requests: Counter "heap_node_requests_total", "Blind-rotate requests this node served";
+    lwes: Counter "heap_node_lwes_total", "LWE ciphertexts this node blind-rotated";
+    pings: Counter "heap_node_pings_total", "Ping frames answered";
+    errors: Counter "heap_node_errors_total", "Error frames sent to peers";
 }
 
 impl NodeTelemetry {
-    /// Fresh counters under a `node`-scoped registry.
-    pub fn new() -> Self {
-        let registry = Arc::new(Registry::new("node"));
-        Self {
-            requests: registry.counter(
-                "heap_node_requests_total",
-                "Blind-rotate requests this node served",
-            ),
-            lwes: registry.counter(
-                "heap_node_lwes_total",
-                "LWE ciphertexts this node blind-rotated",
-            ),
-            pings: registry.counter("heap_node_pings_total", "Ping frames answered"),
-            errors: registry.counter("heap_node_errors_total", "Error frames sent to peers"),
-            registry,
-        }
+    /// The node's registries in exposition order — its counters, `keys`'
+    /// cache, its stage histograms: what `StatsResp` flattens and what
+    /// `heap-node-serve --metrics-addr` serves. `default` is the key a
+    /// [`serve`]d node was started with (`None` for [`serve_keyless`]).
+    pub fn registries(
+        &self,
+        keys: &NodeKeyStore,
+        default: Option<&Bootstrapper>,
+    ) -> [Arc<Registry>; 3] {
+        [
+            Arc::clone(self.registry()),
+            keys.registry(),
+            Arc::clone(self.stages(default).registry()),
+        ]
     }
 
-    /// The registry backing these counters (for a metrics endpoint).
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-}
-
-impl Default for NodeTelemetry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for NodeTelemetry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeTelemetry")
-            .field("requests", &self.requests.get())
-            .field("lwes", &self.lwes.get())
-            .field("pings", &self.pings.get())
-            .field("errors", &self.errors.get())
-            .finish()
+    /// The stage histograms every rotation of the node records into: a
+    /// keyed node's are its `default` key's (shared with whatever else
+    /// rotates with that bootstrapper, as `heap-node-serve`'s in-process
+    /// service does), a keyless node's are its own.
+    fn stages<'a>(&'a self, default: Option<&'a Bootstrapper>) -> &'a StageMetrics {
+        default.map_or(&self.stages, Bootstrapper::stage_metrics)
     }
 }
 
@@ -340,7 +328,11 @@ impl Backend for NodeBackend {
                 set.id()
             ));
         }
-        let boot = Arc::new(set.into_bootstrapper(&self.ctx));
+        let stages = self.telemetry.stages(self.default_boot.as_deref());
+        let boot = Arc::new(
+            set.into_bootstrapper(&self.ctx)
+                .with_stage_metrics(stages.clone()),
+        );
         // The guard is a temporary of this statement: the evicted
         // bootstrappers are freed after it, not while every other
         // connection's `peek` waits on the lock.
@@ -349,20 +341,14 @@ impl Backend for NodeBackend {
         Ok(())
     }
 
-    /// Node counters, the key cache, then per-stage histograms from the
-    /// default key's bootstrapper (or, keyless, the most recently used
-    /// cached one) — the same registries a local metrics endpoint would
-    /// expose.
+    /// The node's registries, flattened.
     fn stats(&self) -> Vec<(String, u64)> {
         let mut entries = Vec::new();
-        flatten_snapshot(&self.telemetry.registry.snapshot(), &mut entries);
-        flatten_snapshot(&self.keys.registry().snapshot(), &mut entries);
-        let stage_boot = self.default_boot.clone().or_else(|| {
-            let cache = self.keys.lock();
-            cache.ids().first().and_then(|id| cache.peek(*id).cloned())
-        });
-        if let Some(boot) = stage_boot {
-            flatten_snapshot(&boot.stage_metrics().registry().snapshot(), &mut entries);
+        for registry in self
+            .telemetry
+            .registries(&self.keys, self.default_boot.as_deref())
+        {
+            flatten_snapshot(&registry.snapshot(), &mut entries);
         }
         entries
     }

@@ -550,18 +550,7 @@ impl Shared {
                 other => rest.push(other),
             }
         }
-        let p = &t.pipeline;
-        let gauges = [
-            &p.prep_depth,
-            &p.rotate_depth,
-            &p.finish_depth,
-            &p.rotating_batches,
-            &p.inflight_jobs,
-            &p.inflight_lwes,
-        ];
-        for (gauge, value) in gauges.into_iter().zip(core.machine.gauges()) {
-            gauge.set(value);
-        }
+        t.pipeline.set(&core.machine.gauges());
         if moved {
             self.cv.notify_all();
         }
@@ -704,6 +693,7 @@ fn settle(
 mod tests {
     use super::*;
     use crate::preset::{insecure_deterministic_setup, DeterministicSetup, ParamPreset};
+    use crate::telemetry::PipelineCounts;
     use std::sync::OnceLock;
     use std::time::Duration;
 
@@ -1159,8 +1149,7 @@ mod tests {
         assert_eq!(results, [None, None, Some(panicked)]);
         let stats = shared.telemetry.jobs.snapshot(Default::default());
         assert_eq!((stats.completed, stats.failed), (2, 1));
-        let gauges = core.machine.gauges();
-        assert_eq!(gauges, [0; 6]);
+        assert_eq!(core.machine.gauges(), PipelineCounts::default());
         let snap = shared.telemetry.registry.snapshot();
         assert_eq!(snap.gauge("heap_jobs_inflight"), Some(0));
         assert_eq!(snap.gauge("heap_lwes_inflight"), Some(0));

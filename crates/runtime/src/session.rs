@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use heap_ckks::CkksContext;
-use heap_telemetry::{Counter, Gauge, Registry};
+use heap_telemetry::{Gauge, Registry};
 use heap_tfhe::{lwe_batch_from_wire, lwe_batch_to_wire, rlwe_batch_from_wire_in};
 
 use crate::channel::Channel;
@@ -58,35 +58,15 @@ fn transport(why: impl std::fmt::Display) -> RuntimeError {
     RuntimeError::Transport(why.to_string())
 }
 
-/// Per-session-server telemetry (one registry shared by every session).
-struct SessionTelemetry {
-    registry: Arc<Registry>,
-    open: Arc<Gauge>,
-    jobs: Arc<Counter>,
-    rejections: Arc<Counter>,
-    completions: Arc<Counter>,
-}
-
-impl SessionTelemetry {
-    fn new() -> Self {
-        let registry = Arc::new(Registry::new("session"));
-        Self {
-            open: registry.gauge("heap_sessions_open", "live multiplexed sessions"),
-            jobs: registry.counter(
-                "heap_session_jobs_total",
-                "jobs accepted over multiplexed sessions",
-            ),
-            rejections: registry.counter(
-                "heap_session_rejections_total",
-                "session submissions refused (SLO, invalid, shutdown)",
-            ),
-            completions: registry.counter(
-                "heap_session_completions_total",
-                "JobDone frames streamed back to session clients",
-            ),
-            registry,
-        }
-    }
+heap_telemetry::metric_table! {
+    /// Per-session-server telemetry (one registry shared by every session).
+    struct SessionTelemetry in "session";
+    open: Gauge "heap_sessions_open", "live multiplexed sessions";
+    jobs: Counter "heap_session_jobs_total", "jobs accepted over multiplexed sessions";
+    rejections: Counter "heap_session_rejections_total",
+        "session submissions refused (SLO, invalid, shutdown)";
+    completions: Counter "heap_session_completions_total",
+        "JobDone frames streamed back to session clients";
 }
 
 /// One accepted connection, shared by its reader and writer threads: the
@@ -234,7 +214,7 @@ impl SessionServer {
     /// The session metric registry (`heap_sessions_open`,
     /// `heap_session_jobs_total`, rejections, completions).
     pub fn metrics(&self) -> &Arc<Registry> {
-        &self.telemetry.registry
+        self.telemetry.registry()
     }
 
     /// Stops accepting new sessions. Established sessions drain

@@ -59,31 +59,22 @@ impl Exposition {
             // name even when several labeled series share it.
             let mut described: Vec<String> = Vec::new();
             for entry in &snap.entries {
-                let first_of_family = !described.contains(&entry.name);
-                if first_of_family {
+                if !described.contains(&entry.name) {
                     described.push(entry.name.clone());
                     if !entry.help.is_empty() {
                         let _ = writeln!(out, "# HELP {} {}", entry.name, entry.help);
                     }
+                    let _ = writeln!(out, "# TYPE {} {}", entry.name, kind(&entry.value));
                 }
                 let labels = prom_labels(&entry.labels);
                 match &entry.value {
                     MetricValue::Counter(v) => {
-                        if first_of_family {
-                            let _ = writeln!(out, "# TYPE {} counter", entry.name);
-                        }
                         let _ = writeln!(out, "{}{} {}", entry.name, labels, v);
                     }
                     MetricValue::Gauge(v) => {
-                        if first_of_family {
-                            let _ = writeln!(out, "# TYPE {} gauge", entry.name);
-                        }
                         let _ = writeln!(out, "{}{} {}", entry.name, labels, v);
                     }
                     MetricValue::Histogram(h) => {
-                        if first_of_family {
-                            let _ = writeln!(out, "# TYPE {} histogram", entry.name);
-                        }
                         // Bucket series merge the entry's labels with `le`.
                         let le_prefix = if entry.labels.is_empty() {
                             String::new()
@@ -154,12 +145,13 @@ impl Exposition {
                     }
                     out.push_str("},");
                 }
+                let _ = write!(out, "\"type\":\"{}\",", kind(&entry.value));
                 match &entry.value {
                     MetricValue::Counter(v) => {
-                        let _ = write!(out, "\"type\":\"counter\",\"value\":{v}}}");
+                        let _ = write!(out, "\"value\":{v}}}");
                     }
                     MetricValue::Gauge(v) => {
-                        let _ = write!(out, "\"type\":\"gauge\",\"value\":{v}}}");
+                        let _ = write!(out, "\"value\":{v}}}");
                     }
                     MetricValue::Histogram(h) => {
                         // `p50` is `null` (not a sentinel number) when no
@@ -169,7 +161,7 @@ impl Exposition {
                             .map_or_else(|| "null".to_string(), |v| v.to_string());
                         let _ = write!(
                             out,
-                            "\"type\":\"histogram\",\"count\":{},\"sum\":{},\"p50\":{},\"buckets\":[",
+                            "\"count\":{},\"sum\":{},\"p50\":{},\"buckets\":[",
                             h.count, h.sum, p50
                         );
                         let mut first = true;
@@ -214,6 +206,15 @@ impl Exposition {
         }
         out.push('}');
         out
+    }
+}
+
+/// The Prometheus (and JSON) type name of a metric.
+fn kind(value: &MetricValue) -> &'static str {
+    match value {
+        MetricValue::Counter(_) => "counter",
+        MetricValue::Gauge(_) => "gauge",
+        MetricValue::Histogram(_) => "histogram",
     }
 }
 

@@ -15,6 +15,9 @@
 //!   allocation, no reservoir.
 //! - [`Registry`] names metrics and hands out `Arc` handles; registration
 //!   allocates (once, at setup), recording does not.
+//! - [`metric_table!`] is how every component declares its metrics: one
+//!   row per series, from which the handle struct and its registration
+//!   are generated.
 //! - [`EventLog`] is a bounded ring of structured events (breaker
 //!   transitions, retries, readmissions) for the fault layer — off the
 //!   hot path, so events may allocate.
@@ -23,23 +26,27 @@
 //!   (`GET /metrics`, `GET /metrics.json`).
 //!
 //! ```
-//! use heap_telemetry::{Registry, Exposition};
-//! use std::sync::Arc;
+//! use heap_telemetry::{metric_table, Exposition};
 //!
-//! let registry = Arc::new(Registry::new("demo"));
-//! let requests = registry.counter("demo_requests_total", "requests served");
-//! let latency = registry.histogram("demo_latency_ns", "request latency");
-//! {
-//!     let _span = latency.time(); // records elapsed nanos on drop
-//!     requests.inc();
+//! metric_table! {
+//!     /// A component's metrics, in a registry of their own.
+//!     pub struct Demo in "demo";
+//!     requests: Counter "demo_requests_total", "requests served";
+//!     latency: Histogram "demo_latency_ns", "request latency";
 //! }
-//! let text = Exposition::new().with_registry(&registry).render_prometheus();
+//! let demo = Demo::new();
+//! {
+//!     let _span = demo.latency.time(); // records elapsed nanos on drop
+//!     demo.requests.inc();
+//! }
+//! let text = Exposition::new().with_registry(demo.registry()).render_prometheus();
 //! assert!(text.contains("demo_requests_total 1"));
 //! ```
 
 mod events;
 mod expose;
 mod metrics;
+mod table;
 
 pub use events::{Event, EventLog};
 pub use expose::{Exposition, MetricsServer};

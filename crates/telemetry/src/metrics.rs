@@ -241,6 +241,38 @@ enum Metric {
     Histogram(Arc<Histogram>),
 }
 
+/// A metric type the registry stores: one per [`Metric`] variant.
+trait Kind: Default {
+    fn wrap(handle: Arc<Self>) -> Metric;
+    fn unwrap(metric: &Metric) -> Option<&Arc<Self>>;
+}
+
+macro_rules! kinds {
+    ($($kind:ident),*) => {$(
+        impl Kind for $kind {
+            fn wrap(handle: Arc<Self>) -> Metric {
+                Metric::$kind(handle)
+            }
+            fn unwrap(metric: &Metric) -> Option<&Arc<Self>> {
+                match metric {
+                    Metric::$kind(handle) => Some(handle),
+                    _ => None,
+                }
+            }
+        }
+    )*};
+}
+kinds!(Counter, Gauge, Histogram);
+
+/// Whether a registered label list is exactly `labels`, in order.
+fn same_labels(registered: &[(String, String)], labels: &[(&str, &str)]) -> bool {
+    registered.len() == labels.len()
+        && registered
+            .iter()
+            .zip(labels)
+            .all(|(a, b)| a.0 == b.0 && a.1 == b.1)
+}
+
 #[derive(Debug)]
 struct Entry {
     name: String,
@@ -295,37 +327,23 @@ impl Registry {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn get_or_insert<T>(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        as_type: impl Fn(&Metric) -> Option<Arc<T>>,
-        make: impl Fn() -> (Arc<T>, Metric),
-    ) -> Arc<T> {
+    /// Get-or-create the `T` series `(name, labels)`.
+    fn register<T: Kind>(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<T> {
         assert!(valid_metric_name(name), "invalid metric name '{name}'");
         for (k, _) in labels {
             assert!(valid_metric_name(k), "invalid label name '{k}'");
         }
         let mut entries = self.lock();
-        for e in entries.iter() {
-            if e.name != name {
-                continue;
-            }
+        for e in entries.iter().filter(|e| e.name == name) {
             // Every series under one name must share a type (Prometheus
             // exposition rule), whether or not the labels match.
-            let handle = as_type(&e.metric)
+            let handle = T::unwrap(&e.metric)
                 .unwrap_or_else(|| panic!("metric '{name}' registered with a different type"));
-            if e.labels.len() == labels.len()
-                && e.labels
-                    .iter()
-                    .zip(labels)
-                    .all(|(a, b)| a.0 == b.0 && a.1 == b.1)
-            {
-                return handle;
+            if same_labels(&e.labels, labels) {
+                return Arc::clone(handle);
             }
         }
-        let (handle, metric) = make();
+        let handle = Arc::new(T::default());
         entries.push(Entry {
             name: name.to_string(),
             help: help.to_string(),
@@ -333,7 +351,7 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect(),
-            metric,
+            metric: T::wrap(Arc::clone(&handle)),
         });
         handle
     }
@@ -344,7 +362,7 @@ impl Registry {
     ///
     /// Panics on an invalid name or if `name` names a non-counter.
     pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        self.labeled_counter(name, help, &[])
+        self.register(name, help, &[])
     }
 
     /// Get-or-create one labeled series of a counter family, keyed by
@@ -357,19 +375,7 @@ impl Registry {
     /// Panics on an invalid metric/label name or if `name` already names
     /// a non-counter.
     pub fn labeled_counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        self.get_or_insert(
-            name,
-            help,
-            labels,
-            |m| match m {
-                Metric::Counter(c) => Some(Arc::clone(c)),
-                _ => None,
-            },
-            || {
-                let c = Arc::new(Counter::default());
-                (Arc::clone(&c), Metric::Counter(c))
-            },
-        )
+        self.register(name, help, labels)
     }
 
     /// Get-or-create a gauge.
@@ -378,19 +384,7 @@ impl Registry {
     ///
     /// Panics on an invalid name or if `name` names a non-gauge.
     pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        self.get_or_insert(
-            name,
-            help,
-            &[],
-            |m| match m {
-                Metric::Gauge(g) => Some(Arc::clone(g)),
-                _ => None,
-            },
-            || {
-                let g = Arc::new(Gauge::default());
-                (Arc::clone(&g), Metric::Gauge(g))
-            },
-        )
+        self.register(name, help, &[])
     }
 
     /// Get-or-create a histogram.
@@ -399,19 +393,7 @@ impl Registry {
     ///
     /// Panics on an invalid name or if `name` names a non-histogram.
     pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        self.get_or_insert(
-            name,
-            help,
-            &[],
-            |m| match m {
-                Metric::Histogram(h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-            || {
-                let h = Arc::new(Histogram::default());
-                (Arc::clone(&h), Metric::Histogram(h))
-            },
-        )
+        self.register(name, help, &[])
     }
 
     /// Point-in-time values of every registered metric, in registration
@@ -471,61 +453,40 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// The value of the series with exactly `(name, labels)`, if present.
+    fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricValue> {
+        let mut series = self.entries.iter();
+        let entry = series.find(|e| e.name == name && same_labels(&e.labels, labels))?;
+        Some(&entry.value)
+    }
+
     /// The named *unlabeled* counter's value, if present.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.entries
-            .iter()
-            .find(|e| e.name == name && e.labels.is_empty())
-            .and_then(|e| {
-                if let MetricValue::Counter(v) = e.value {
-                    Some(v)
-                } else {
-                    None
-                }
-            })
+        self.labeled_counter(name, &[])
     }
 
     /// The counter series with exactly `(name, labels)`, if present.
     pub fn labeled_counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        self.entries
-            .iter()
-            .find(|e| {
-                e.name == name
-                    && e.labels.len() == labels.len()
-                    && e.labels
-                        .iter()
-                        .zip(labels)
-                        .all(|(a, b)| a.0 == b.0 && a.1 == b.1)
-            })
-            .and_then(|e| {
-                if let MetricValue::Counter(v) = e.value {
-                    Some(v)
-                } else {
-                    None
-                }
-            })
+        match self.find(name, labels)? {
+            MetricValue::Counter(v) => Some(*v),
+            _ => None,
+        }
     }
 
     /// The named gauge's value, if present.
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.entries.iter().find(|e| e.name == name).and_then(|e| {
-            if let MetricValue::Gauge(v) = e.value {
-                Some(v)
-            } else {
-                None
-            }
-        })
+        match self.find(name, &[])? {
+            MetricValue::Gauge(v) => Some(*v),
+            _ => None,
+        }
     }
 
     /// The named histogram's snapshot, if present.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.entries
-            .iter()
-            .find(|e| e.name == name)
-            .and_then(|e| match &e.value {
-                MetricValue::Histogram(h) => Some(h.as_ref()),
-                _ => None,
-            })
+        match self.find(name, &[])? {
+            MetricValue::Histogram(h) => Some(h),
+            _ => None,
+        }
     }
 }
 

@@ -144,8 +144,8 @@ impl RgswCiphertext {
 
 /// Former per-key Shoup-quotient store. The MAC reads key rows as they are
 /// stored, so there is nothing left to prepare: an empty marker kept only
-/// because `benchmark/src/api.rs` names it (ROADMAP "Left behind on
-/// purpose").
+/// because `benchmark/src/api.rs` names it (ROADMAP item 1(b) removes
+/// both).
 #[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct PreparedRgsw;

@@ -10,20 +10,28 @@
 #   scripts/nontest-lines.sh              print the table
 #   scripts/nontest-lines.sh --check 800  ... and fail if a file's non-test
 #                                         part exceeds 800 lines
+#   ... | scripts/nontest-lines.sh --test-starts
+#                                         for each file named on stdin that
+#                                         has a test module, print "file N":
+#                                         its non-test part is lines 1..N-1
+#                                         (scripts/doc-idents.sh reads this)
 #
 # Run from the repository root. bash + awk + find only.
 set -euo pipefail
 
 limit=0
-if [ "${1:-}" = "--check" ]; then
-  limit="${2:?--check needs a line limit}"
-fi
+starts=0
+case "${1:-}" in
+  --check) limit="${2:?--check needs a line limit}" ;;
+  --test-starts) starts=1 ;;
+esac
 
 # File allowed over the limit, with the ROADMAP item that owns it (none
 # since simd.rs was split by lane type).
 allow=""
 
-find crates/*/src -name '*.rs' | LC_ALL=C sort | awk -v limit="$limit" -v allow="$allow" '
+if [ "$starts" = 1 ]; then cat; else find crates/*/src -name '*.rs' | LC_ALL=C sort; fi |
+  awk -v limit="$limit" -v allow="$allow" -v starts="$starts" '
 function classify(l) {
   total++
   if (l ~ /^[ \t]*$/) blank++
@@ -31,12 +39,13 @@ function classify(l) {
   else code++
 }
 function flush_crate() {
-  if (crate != "")
+  if (crate != "" && !starts)
     printf "%-44s %7d %7d %7d %7d\n", "  = " crate, c_total, c_code, c_comment, c_blank
   c_total = c_code = c_comment = c_blank = 0
 }
 BEGIN {
-  printf "%-44s %7s %7s %7s %7s\n", "file", "nontest", "code", "comment", "blank"
+  if (!starts)
+    printf "%-44s %7s %7s %7s %7s\n", "file", "nontest", "code", "comment", "blank"
 }
 {
   file = $0
@@ -47,13 +56,17 @@ BEGIN {
   while ((getline line < file) > 0) {
     if (held) {
       held = 0
-      if (line ~ /^[ \t]*(pub(\([a-z]+\))? )?mod /) break
+      if (line ~ /^[ \t]*(pub(\([a-z]+\))? )?mod /) {
+        if (starts) print file, total + 1
+        break
+      }
       classify(cfg_line)
     }
     if (line ~ /^[ \t]*#\[cfg\(test\)\]/) { held = 1; cfg_line = line; continue }
     classify(line)
   }
   close(file)
+  if (starts) next
   over = ""
   if (limit > 0 && total > limit) {
     if (file == allow) over = "  (over, allowlisted)"
@@ -64,6 +77,7 @@ BEGIN {
   g_total += total; g_code += code; g_comment += comment; g_blank += blank
 }
 END {
+  if (starts) exit
   flush_crate()
   printf "%-44s %7d %7d %7d %7d\n", "= crates/*/src", g_total, g_code, g_comment, g_blank
   if (failed) {
