@@ -107,7 +107,7 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("ACC1", 3628, 0x4eb916213cf4ea1b),
     ("ABT1", 7264, 0x7ae0b1f5e679eaf5),
     ("CKK1", 2708, 0xf6183045b47cd406),
-    ("EKS1 KeyId", 8, 0xc8abac0b8b300657),
+    ("EKS1 KeyId", 8, 0xcc1e795131f3c2b0),
 ];
 
 #[test]
