@@ -226,14 +226,22 @@ impl Bootstrapper {
         config: BootstrapConfig,
         rng: &mut R,
     ) -> Self {
-        Self::from_keys(ctx, config, generate_keys(ctx, sk, config, rng))
+        let keys = generate_keys(ctx, sk, config, rng);
+        Self::from_keys(ctx, config, keys, StageMetrics::new())
     }
 
     /// Builds a bootstrapper from already-generated (possibly
     /// wire-distributed) evaluation keys, rebuilding the secret-free
     /// precomputation (test polynomial, `t`; the repacking tree shifts by
-    /// the blind-rotate key's monomial tables).
-    pub fn from_keys(ctx: &CkksContext, config: BootstrapConfig, keys: GeneratedKeys) -> Self {
+    /// the blind-rotate key's monomial tables). It times its stages into
+    /// `stages`: a fresh [`StageMetrics::new`] of its own, or a clone of a
+    /// set it shares, as a node shares one set among every key it expands.
+    pub fn from_keys(
+        ctx: &CkksContext,
+        config: BootstrapConfig,
+        keys: GeneratedKeys,
+        stages: StageMetrics,
+    ) -> Self {
         let boot_limbs = ctx.boot_limbs();
         let rns = ctx.rns();
         let q0_val = ctx.q_modulus(0).value() as i64;
@@ -251,7 +259,7 @@ impl Bootstrapper {
             gks: keys.gks,
             test_poly,
             t_scalar,
-            stages: StageMetrics::new(),
+            stages,
         }
     }
 
@@ -268,13 +276,6 @@ impl Bootstrapper {
     /// Per-stage latency histograms accumulated by this bootstrapper.
     pub fn stage_metrics(&self) -> &StageMetrics {
         &self.stages
-    }
-
-    /// This bootstrapper recording into `stages` instead of its own set,
-    /// so that every key a node expands times its rotations in the node's
-    /// one set.
-    pub fn with_stage_metrics(self, stages: StageMetrics) -> Self {
-        Self { stages, ..self }
     }
 
     /// The configuration used at generation time.
@@ -708,7 +709,7 @@ mod tests {
         let sk = SecretKey::generate(&ctx, &mut rng);
         let config = BootstrapConfig::test_small();
         let keys = generate_keys(&ctx, &sk, config, &mut rng);
-        let via_keys = Bootstrapper::from_keys(&ctx, config, keys);
+        let via_keys = Bootstrapper::from_keys(&ctx, config, keys, StageMetrics::new());
 
         let mut rng = StdRng::seed_from_u64(321);
         let sk = SecretKey::generate(&ctx, &mut rng);
@@ -733,7 +734,7 @@ mod tests {
         let sk = SecretKey::generate(&ctx, &mut rng);
         let config = BootstrapConfig::test_small();
         let keys = generate_keys_reseeded(&ctx, &sk, config, 0xBEEF, &mut rng);
-        let boot = Bootstrapper::from_keys(&ctx, config, keys);
+        let boot = Bootstrapper::from_keys(&ctx, config, keys, StageMetrics::new());
         let n = ctx.n();
         let delta = ctx.fresh_scale();
         let msg: Vec<f64> = (0..n).map(|i| ((i % 13) as f64 - 6.0) / 50.0).collect();

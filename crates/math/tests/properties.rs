@@ -1124,8 +1124,8 @@ mod ragged_entry_points {
 /// as a failed key-id parity on a node.
 mod wire_props {
     use heap_math::wire::{
-        crc32, fnv1a, pack_bits, packed_size, unpack_bits, Crc32, Fnv1a, WireError, WireReader,
-        WireWriter,
+        crc32, fnv1a, pack_bits, packed_size, unpack_bits, xxh64, Crc32, Fnv1a, WireError,
+        WireReader, WireWriter, Xxh64,
     };
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -1302,6 +1302,85 @@ mod wire_props {
             let mut h = Fnv1a::new();
             in_random_chunks(&mut rng, &data[..len], |c| h.update(c));
             assert_eq!(h.finish(), fnv1a(&data[..len]), "{len} bytes");
+        }
+    }
+
+    /// XXH64 (seed 0) written straight from the specification over one
+    /// whole slice: the oracle the streaming hasher is held to.
+    fn xxh64_oracle(input: &[u8]) -> u64 {
+        const P1: u64 = 0x9E37_79B1_85EB_CA87;
+        const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+        const P3: u64 = 0x1656_67B1_9E37_79F9;
+        const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+        const P5: u64 = 0x27D4_EB2F_1656_67C5;
+        let word = |at: usize| u64::from_le_bytes(input[at..at + 8].try_into().unwrap());
+        let round = |acc: u64, w: u64| {
+            acc.wrapping_add(w.wrapping_mul(P2))
+                .rotate_left(31)
+                .wrapping_mul(P1)
+        };
+        let merge = |h: u64, v: u64| (h ^ round(0, v)).wrapping_mul(P1).wrapping_add(P4);
+        let len = input.len();
+        let mut at = 0;
+        let mut h = if len >= 32 {
+            let mut v = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
+            while at + 32 <= len {
+                for (k, lane) in v.iter_mut().enumerate() {
+                    *lane = round(*lane, word(at + 8 * k));
+                }
+                at += 32;
+            }
+            let h = v[0]
+                .rotate_left(1)
+                .wrapping_add(v[1].rotate_left(7))
+                .wrapping_add(v[2].rotate_left(12))
+                .wrapping_add(v[3].rotate_left(18));
+            v.iter().fold(h, |h, &lane| merge(h, lane))
+        } else {
+            P5
+        };
+        h = h.wrapping_add(len as u64);
+        while at + 8 <= len {
+            h = (h ^ round(0, word(at)))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+            at += 8;
+        }
+        if at + 4 <= len {
+            let half = u32::from_le_bytes(input[at..at + 4].try_into().unwrap());
+            h = (h ^ u64::from(half).wrapping_mul(P1))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+            at += 4;
+        }
+        for &b in &input[at..] {
+            h = (h ^ u64::from(b).wrapping_mul(P5))
+                .rotate_left(11)
+                .wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
+    }
+
+    #[test]
+    fn streamed_xxh64_equals_the_one_shot() {
+        assert_eq!(xxh64_oracle(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64_oracle(b"abc"), 0x44BC_2CF5_AD77_0999);
+        let mut rng = StdRng::seed_from_u64(49);
+        let data: Vec<u8> = (0..5000).map(|_| rng.gen::<u32>() as u8).collect();
+        for len in [0usize, 1, 31, 32, 33, 1000, 5000] {
+            let want = xxh64_oracle(&data[..len]);
+            assert_eq!(xxh64(&data[..len]), want, "one shot, {len} bytes");
+            for _ in 0..8 {
+                let mut h = Xxh64::default();
+                in_random_chunks(&mut rng, &data[..len], |c| h.update(c));
+                assert_eq!(h.finish(), want, "chunked, {len} bytes");
+            }
         }
     }
 

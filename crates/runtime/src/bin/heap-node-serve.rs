@@ -46,8 +46,12 @@
 //!   counters, and the node's per-stage histograms (every rotation it
 //!   served, under any key; with `--insecure-seed` they are the default
 //!   key's, so `--session-addr`'s service records its stages there too) —
-//!   the registries `StatsReq` reports. The bound address is printed as
-//!   `METRICS <addr>` on stdout, *after* the `LISTENING` line.
+//!   the registries `StatsReq` reports. With `--session-addr` it also
+//!   serves the in-process service's job, batcher, scheduler and pipeline
+//!   series, its event log, and the session server's `heap_session*`
+//!   series. The bound address is printed as `METRICS <addr>` on stdout,
+//!   after the `LISTENING` line and, with `--session-addr`, after the
+//!   `SESSIONS` line (the endpoint starts once the service is up).
 //! - `--session-addr HOST:PORT` — also run a full in-process
 //!   `BootstrapService` (staged pipeline backed by this node's threads)
 //!   fronted by a multiplexed session listener: any number of
@@ -184,32 +188,9 @@ fn main() -> ExitCode {
     println!("LISTENING {addr}");
     use std::io::Write;
     let _ = std::io::stdout().flush();
-    let telemetry = NodeTelemetry::new();
-    // Held for the life of the process; dropping it would stop the
-    // scrape endpoint.
-    let _metrics_server = match &args.metrics_addr {
-        Some(metrics_addr) => {
-            let exposition = telemetry
-                .registries(&key_store, insecure.as_ref().map(|setup| &*setup.boot))
-                .iter()
-                .fold(Exposition::new(), Exposition::with_registry);
-            match MetricsServer::serve(metrics_addr, exposition) {
-                Ok(server) => {
-                    println!("METRICS {}", server.addr());
-                    let _ = std::io::stdout().flush();
-                    Some(server)
-                }
-                Err(e) => {
-                    eprintln!("heap-node-serve: cannot bind metrics {metrics_addr}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => None,
-    };
     // Held for the life of the process: the in-process service and its
     // session front-end, when requested.
-    let _session = match &args.session_addr {
+    let session = match &args.session_addr {
         Some(session_addr) => {
             let Some(setup) = &insecure else {
                 eprintln!(
@@ -248,6 +229,38 @@ fn main() -> ExitCode {
                 }
                 Err(e) => {
                     eprintln!("heap-node-serve: cannot bind sessions {session_addr}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
+        None => None,
+    };
+    let telemetry = NodeTelemetry::new();
+    // Held for the life of the process; dropping it would stop the
+    // scrape endpoint.
+    let _metrics_server = match &args.metrics_addr {
+        Some(metrics_addr) => {
+            // The node's list already holds the default key's stage
+            // histograms, which the service also records into, so the
+            // service adds only its own registry and its event log.
+            let mut exposition = telemetry
+                .registries(&key_store, insecure.as_ref().map(|setup| &*setup.boot))
+                .iter()
+                .fold(Exposition::new(), Exposition::with_registry);
+            if let Some((service, server)) = &session {
+                exposition = exposition
+                    .with_registry(service.metrics())
+                    .with_registry(server.metrics())
+                    .with_events(service.events());
+            }
+            match MetricsServer::serve(metrics_addr, exposition) {
+                Ok(server) => {
+                    println!("METRICS {}", server.addr());
+                    let _ = std::io::stdout().flush();
+                    Some(server)
+                }
+                Err(e) => {
+                    eprintln!("heap-node-serve: cannot bind metrics {metrics_addr}: {e}");
                     return ExitCode::FAILURE;
                 }
             }

@@ -1046,6 +1046,41 @@ mod tests {
         (pkg, set.into_bootstrapper(&s.ctx))
     }
 
+    /// A peer still naming keys by FNV-1a of the strict encoding (the id
+    /// function before XXH64) offers a valid upload under that id: the
+    /// node recomputes the id, refuses the upload with the parity error,
+    /// and caches nothing under either id.
+    #[test]
+    fn upload_under_a_fnv1a_id_is_refused_by_the_parity_check() {
+        let s = setup();
+        let (pkg, local) = wire_key(0xF17A, 91);
+        let strict = EvalKeySet::from_wire(&s.ctx, &pkg.bytes)
+            .expect("own container")
+            .to_strict_wire(&s.ctx);
+        let stale = KeyId(heap_math::wire::fnv1a(&strict));
+        assert_ne!(stale, pkg.id);
+        let store = NodeKeyStore::new(None);
+        let addr = spawn_keyless(ServeOptions {
+            key_store: Some(store.clone()),
+            ..ServeOptions::default()
+        });
+        let node = RemoteNode::connect(&addr, &s.ctx)
+            .expect("connect")
+            .with_key(Arc::new(KeyPackage {
+                id: stale,
+                ..(*pkg).clone()
+            }));
+        let err = node
+            .try_blind_rotate_batch(&s.ctx, &local, &test_lwes(2))
+            .expect_err("a stale id is refused");
+        assert!(
+            matches!(&err, NodeError::Remote(why) if why.contains("key id parity failure")),
+            "{err:?}"
+        );
+        assert!(store.lock().ids().is_empty(), "nothing cached");
+        node.shutdown();
+    }
+
     #[test]
     fn wire_distributed_key_is_bit_identical_and_cached() {
         let s = setup();

@@ -329,10 +329,7 @@ impl Backend for NodeBackend {
             ));
         }
         let stages = self.telemetry.stages(self.default_boot.as_deref());
-        let boot = Arc::new(
-            set.into_bootstrapper(&self.ctx)
-                .with_stage_metrics(stages.clone()),
-        );
+        let boot = Arc::new(set.into_bootstrapper_with(&self.ctx, stages.clone()));
         // The guard is a temporary of this statement: the evicted
         // bootstrappers are freed after it, not while every other
         // connection's `peek` waits on the lock.
